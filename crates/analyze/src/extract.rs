@@ -184,7 +184,7 @@ impl LayerCtx {
     /// `f̄`/`ḡ` forward: all-reduce (TP) or reduce-scatter (SP) of the full
     /// `[tokens, h]` partial sums. The SP reduce-scatter chunks under
     /// [`OverlapPolicy::Overlapped`], mirroring
-    /// `Communicator::reduce_scatter_chunk`: the partition runs over the
+    /// `Communicator::reduce_scatter_chunked`: the partition runs over the
     /// *result-shard* rows, and chunk `j`'s contribution (and tag shape) is
     /// `[t·(b−a), h]`. The TP all-reduce is unaffected by the policy, as in
     /// the runtime.
@@ -617,11 +617,9 @@ pub fn pipeline_1f1b_program(
 /// Program for one **interleaved-schedule** iteration: each of `p` devices
 /// holds `m_chunks` model chunks (virtual stage `v·p + device`), built from
 /// the executor's own `interleaved_device_ops` order. Static counterpart of
-/// `pipeline_exec::try_run_interleaved_iteration`.
-///
-/// Note the runtime executor discards its per-chunk scratch ledger, so the
-/// analyzer is the only byte accounting for this schedule; the embedding
-/// mask and head extras follow the same accounting as the 1F1B extractor.
+/// `pipeline_exec::try_run_interleaved_iteration`; the embedding mask and
+/// head extras follow the same accounting as the 1F1B extractor, as they do
+/// in the one runtime executor.
 pub fn interleaved_program(
     cfg: &TransformerConfig,
     tp: usize,

@@ -14,8 +14,8 @@
 //! * **`hot-path-unwrap`** — the collective and pipeline hot paths may not
 //!   use bare `.unwrap()`; a panic there must state its invariant via
 //!   `.expect("…")`, and each such expect is reviewed into the allowlist.
-//! * **`epoch-bearing-call-tag`** — recovery paths (the retry and elastic
-//!   drivers) must install a world-formation epoch on every `World` they
+//! * **`epoch-bearing-call-tag`** — recovery paths (the elastic crate)
+//!   must install a world-formation epoch on every `World` they
 //!   build, so the collectives of a re-formed world carry epoch-bearing
 //!   tags and cross-epoch stragglers fence out as `SpmdMismatch` instead
 //!   of deadlocking. A `World::new` in a recovery path must be followed by
@@ -210,10 +210,10 @@ fn hot_path_scope(path: &str) -> bool {
         || path.ends_with("crates/model/src/pipeline_exec.rs")
 }
 
-/// Files that re-form worlds after failures: the same-degree retry driver
-/// and everything in the elastic crate.
+/// Files that re-form worlds after failures: everything in the elastic
+/// crate.
 fn recovery_path_scope(path: &str) -> bool {
-    path.starts_with("crates/elastic/src/") || path.ends_with("crates/model/src/recovery.rs")
+    path.starts_with("crates/elastic/src/")
 }
 
 /// The facade's own sources (the real-mode backend re-exports and the
@@ -460,8 +460,7 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "epoch-bearing-call-tag");
         assert_eq!(found[0].line, 2);
-        // recovery.rs is also in scope; unrelated model files are not.
-        assert_eq!(lint_source("crates/model/src/recovery.rs", bare, &Allowlist::empty()).len(), 1);
+        // Files outside the elastic crate are not in scope.
         assert!(lint_source("crates/model/src/trainer.rs", bare, &Allowlist::empty()).is_empty());
     }
 

@@ -9,14 +9,14 @@
 //! are what entitles it to speak for the runtime.
 
 use mt_analyze::{
-    analyze_liveness, analyze_rank_liveness, check_schedule, layer_forward_program, layer_program,
-    pipeline_1f1b_program, rank_comm_stats, GroupId, Program, RankProgram, ScheduleFault,
-    ScheduleOp,
+    analyze_liveness, analyze_rank_liveness, check_schedule, interleaved_program,
+    layer_forward_program, layer_program, pipeline_1f1b_program, rank_comm_stats, GroupId, Program,
+    RankProgram, ScheduleFault, ScheduleOp,
 };
 use mt_collectives::{run_grid, CallTag, CollectiveError, CollectiveKind, CommStats, World};
 use mt_memory::{ActivationMemoryModel, Recompute, Strategy};
 use mt_model::gpt::Gpt;
-use mt_model::pipeline_exec::{run_1f1b_iteration, StageModel};
+use mt_model::pipeline_exec::{run_1f1b_iteration, run_interleaved_iteration, StageModel};
 use mt_model::weights::LayerWeights;
 use mt_model::{
     ActivationLedger, Category, ExecMode, ExecPolicy, OverlapPolicy, TransformerConfig,
@@ -234,7 +234,7 @@ fn dropped_chunk_deadlocks_statically_and_times_out_at_runtime() {
                 std::thread::sleep(Duration::from_millis(400));
                 return Ok(());
             }
-            c.try_all_gather_chunk(&shard, j, chunks)?;
+            c.all_gather_chunk(&shard, j, chunks);
         }
         Ok(())
     });
@@ -280,6 +280,46 @@ fn pipeline_peak_matches_runtime_1f1b() {
                 run_1f1b_iteration(&model, &g, sp, &data, 0).peak_activation_bytes
             });
             let prog = pipeline_1f1b_program(&cfg, tp, pp, sp, policy, n);
+            assert_eq!(check_schedule(&prog), Ok(()), "sp={sp} {policy:?}: matching");
+            let reports = analyze_liveness(&prog).expect("static liveness");
+            for (rank, peak) in measured.iter().enumerate() {
+                assert_eq!(reports[rank].peak_bytes, *peak, "sp={sp} {policy:?}: rank {rank} peak");
+                assert_eq!(reports[rank].live_end_bytes, 0, "rank {rank} leak");
+            }
+        }
+    }
+}
+
+/// The same equality for the interleaved schedule (two chunks per device):
+/// the one executor keeps the per-unit ledger whatever op list it walks, so
+/// its measured peak must equal the static liveness peak of
+/// `interleaved_program` rank for rank.
+#[test]
+fn pipeline_peak_matches_runtime_interleaved() {
+    let cfg = TransformerConfig {
+        hidden: 32,
+        heads: 4,
+        seq: 8,
+        micro_batch: 1,
+        layers: 4,
+        vocab: 32,
+        dropout_p: 0.1,
+        causal: true,
+    };
+    let (tp, p, m, n) = (2usize, 2usize, 2usize, 4usize);
+    let data = micro_data(&cfg, n);
+    for sp in [false, true] {
+        for policy in POLICIES {
+            let gpt = Gpt::init(cfg, policy, 11);
+            let measured = run_grid(tp, p, |g| {
+                let chunks: Vec<StageModel> = (0..m)
+                    .map(|v| {
+                        StageModel::from_gpt(&gpt, p * m, v * p + g.stage, tp, g.tp_rank, policy)
+                    })
+                    .collect();
+                run_interleaved_iteration(&chunks, &g, sp, &data, 0).peak_activation_bytes
+            });
+            let prog = interleaved_program(&cfg, tp, p, m, sp, policy, n);
             assert_eq!(check_schedule(&prog), Ok(()), "sp={sp} {policy:?}: matching");
             let reports = analyze_liveness(&prog).expect("static liveness");
             for (rank, peak) in measured.iter().enumerate() {

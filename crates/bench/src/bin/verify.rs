@@ -224,7 +224,7 @@ fn main() -> ExitCode {
             let chunks: Vec<StageModel> = (0..2)
                 .map(|v| StageModel::from_gpt(&gpt, 4, v * 2 + g.stage, 1, 0, Recompute::None))
                 .collect();
-            run_interleaved_iteration(&chunks, &g, false, &d, 0).0
+            run_interleaved_iteration(&chunks, &g, false, &d, 0).mean_loss
         });
         let dev = losses.iter().map(|l| (l - reference).abs()).fold(0.0_f32, f32::max);
         checks.push(Check {

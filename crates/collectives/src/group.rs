@@ -452,17 +452,103 @@ fn raise(err: CollectiveError) -> ! {
     std::panic::panic_any(err)
 }
 
+/// What one rendezvous round computes from the ranks' deposits — the private
+/// descriptor every public collective method hands to
+/// [`Communicator::rendezvous`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Element-wise sum; every rank receives it.
+    Sum,
+    /// Element-wise maximum; every rank receives it.
+    Max,
+    /// Concatenation along axis 0 in rank order; every rank receives it.
+    Gather,
+    /// Element-wise sum; rank `r` receives chunk `r` of it along axis 0.
+    ReduceScatter,
+    /// Every rank receives `root`'s deposit.
+    Broadcast { root: usize },
+    /// No data; completing the round is the synchronization.
+    Barrier,
+}
+
+impl Op {
+    /// The op string of the call tag and of the fault-plan coordinate: the
+    /// kind's name, except that a max-reduction must not pair with a sum.
+    fn name(self) -> &'static str {
+        if matches!(self, Op::Max) {
+            "all_reduce_max"
+        } else {
+            self.kind().name()
+        }
+    }
+
+    /// The stats/span/cost-model kind the round is booked under.
+    fn kind(self) -> CollectiveKind {
+        match self {
+            Op::Sum | Op::Max => CollectiveKind::AllReduce,
+            Op::Gather => CollectiveKind::AllGather,
+            Op::ReduceScatter => CollectiveKind::ReduceScatter,
+            Op::Broadcast { .. } => CollectiveKind::Broadcast,
+            Op::Barrier => CollectiveKind::Barrier,
+        }
+    }
+
+    fn root(self) -> Option<usize> {
+        match self {
+            Op::Broadcast { root } => Some(root),
+            _ => None,
+        }
+    }
+
+    /// Maps a complete round's deposits to one result per rank. Runs on the
+    /// last arriver, under the exchange lock. Reductions accumulate in
+    /// ascending rank order, which is what keeps chunked and whole-tensor
+    /// calls bit-identical.
+    fn combine(self, deposits: &mut [Option<Tensor>]) -> Vec<Tensor> {
+        let n = deposits.len();
+        match self {
+            Op::Sum | Op::Max | Op::ReduceScatter => {
+                let mut acc = deposits[0].take().expect("deposit 0 present");
+                for d in deposits.iter().skip(1) {
+                    let other = d.as_ref().expect("deposit present");
+                    if matches!(self, Op::Max) {
+                        for (a, &b) in acc.data_mut().iter_mut().zip(other.data()) {
+                            *a = a.max(b);
+                        }
+                    } else {
+                        acc.add_assign(other);
+                    }
+                }
+                if matches!(self, Op::ReduceScatter) {
+                    acc.chunk_axis0(n).expect("axis 0 divisibility checked before the rendezvous")
+                } else {
+                    vec![acc; n]
+                }
+            }
+            Op::Gather => {
+                let parts: Vec<Tensor> =
+                    deposits.iter().map(|d| d.as_ref().expect("deposit present").clone()).collect();
+                vec![Tensor::concat_axis0(&parts); n]
+            }
+            // A barrier's deposits are all the same empty tensor.
+            Op::Broadcast { .. } | Op::Barrier => {
+                vec![deposits[self.root().unwrap_or(0)].take().expect("root deposit present"); n]
+            }
+        }
+    }
+}
+
 /// Per-rank handle for collectives and point-to-point messaging.
 ///
 /// All collective methods must be called by **every** rank of the world in
 /// the same order (SPMD), exactly like NCCL. Each call is recorded in a
 /// per-rank [`CommStats`] ledger retrievable with [`Communicator::stats`].
 ///
-/// Every operation exists in two flavors: the infallible spelling
-/// (`all_reduce`, `recv`, ...) used by model code, and a fallible `try_*`
-/// spelling returning [`CollectiveError`]. Both go through the same
-/// deadline-checked rendezvous — the infallible methods simply raise the
-/// error as a panic payload — so no call can block past the world's
+/// Operations come in an infallible spelling (`all_reduce`, `recv`, ...)
+/// used by model code and a fallible `try_*` spelling returning
+/// [`CollectiveError`]. Every collective is a thin adapter onto one
+/// deadline-checked rendezvous body — the infallible methods simply raise
+/// its error as a panic payload — so no call can block past the world's
 /// configured timeout.
 pub struct Communicator {
     rank: usize,
@@ -527,43 +613,31 @@ impl Communicator {
 
     /// Records the stats entry for one collective call and opens its span,
     /// tagged with the kind, logical payload bytes, analytical ring wire
-    /// bytes, and group size. The span covers the blocking exchange.
-    fn record_traced(&self, kind: CollectiveKind, payload_elems: u64) -> SpanGuard {
-        self.stats.borrow_mut().record(kind, payload_elems, self.size as u64);
-        let payload_bytes = payload_elems * FP16_BYTES;
-        let n = self.size as u64;
-        self.tracer.span_args(kind.name(), move || {
-            vec![
-                ("kind", ArgValue::Str(kind.name().to_string())),
-                ("payload_bytes", ArgValue::U64(payload_bytes)),
-                ("wire_bytes", ArgValue::U64(kind.ring_wire_bytes(payload_bytes, n))),
-                ("group_size", ArgValue::U64(n)),
-            ]
-        })
-    }
-
-    /// [`Communicator::record_traced`] for one chunk of a chunked
-    /// collective: same ledger entry and span, plus the sub-rendezvous
-    /// coordinate so a trace shows `C` distinct chunk spans instead of one
-    /// opaque whole-tensor span.
-    fn record_traced_chunk(
+    /// bytes, and group size — plus, for one chunk of a chunked collective,
+    /// the sub-rendezvous coordinate, so a trace shows `C` distinct chunk
+    /// spans instead of one opaque whole-tensor span. The span covers the
+    /// blocking exchange.
+    fn record_traced(
         &self,
         kind: CollectiveKind,
         payload_elems: u64,
-        chunk: (usize, usize),
+        chunk: Option<(usize, usize)>,
     ) -> SpanGuard {
         self.stats.borrow_mut().record(kind, payload_elems, self.size as u64);
         let payload_bytes = payload_elems * FP16_BYTES;
         let n = self.size as u64;
         self.tracer.span_args(kind.name(), move || {
-            vec![
+            let mut args = vec![
                 ("kind", ArgValue::Str(kind.name().to_string())),
                 ("payload_bytes", ArgValue::U64(payload_bytes)),
                 ("wire_bytes", ArgValue::U64(kind.ring_wire_bytes(payload_bytes, n))),
                 ("group_size", ArgValue::U64(n)),
-                ("chunk", ArgValue::U64(chunk.0 as u64)),
-                ("chunks", ArgValue::U64(chunk.1 as u64)),
-            ]
+            ];
+            if let Some((j, chunks)) = chunk {
+                args.push(("chunk", ArgValue::U64(j as u64)));
+                args.push(("chunks", ArgValue::U64(chunks as u64)));
+            }
+            args
         })
     }
 
@@ -636,6 +710,104 @@ impl Communicator {
         Ok(())
     }
 
+    /// This rank's deposit for sub-rendezvous `j` of `chunks`: rows
+    /// `chunk_rows(shard_rows, chunks, j)` of its shard (gather), or those
+    /// rows of every destination's shard, concatenated in destination order
+    /// (reduce-scatter).
+    fn chunk_deposit(&self, op: Op, x: &Tensor, j: usize, chunks: usize) -> Tensor {
+        let rows = x.shape()[0];
+        let row_elems = x.numel().checked_div(rows).unwrap_or(0);
+        let dests = if matches!(op, Op::ReduceScatter) { self.size } else { 1 };
+        let shard_rows = rows / dests;
+        let (a, b) = chunk_rows(shard_rows, chunks, j);
+        let mut data = Vec::with_capacity(dests * (b - a) * row_elems);
+        for d in 0..dests {
+            let lo = (d * shard_rows + a) * row_elems;
+            let hi = (d * shard_rows + b) * row_elems;
+            data.extend_from_slice(&x.data()[lo..hi]);
+        }
+        let mut shape = x.shape().to_vec();
+        shape[0] = dests * (b - a);
+        Tensor::from_vec_unchecked(shape, data)
+    }
+
+    /// The **single** rendezvous body every collective runs: fault gate →
+    /// stats entry + span → call tag → deadline-checked exchange → simulated
+    /// link time. `chunk: Some((j, C))` makes it sub-rendezvous `j` of a
+    /// `C`-chunk collective: the deposit is this rank's [`chunk_rows`] slice
+    /// and the coordinate joins the span and the SPMD tag, so ranks
+    /// diverging on chunk order fail with [`CollectiveError::SpmdMismatch`]
+    /// rather than mis-pairing rounds.
+    ///
+    /// Shape preconditions are checked here, before the rendezvous, on every
+    /// rank — a bad call panics where it was made instead of on whichever
+    /// rank happens to arrive last.
+    fn rendezvous(
+        &self,
+        op: Op,
+        x: &Tensor,
+        chunk: Option<(usize, usize)>,
+    ) -> Result<Tensor, CollectiveError> {
+        let n = self.size;
+        if let Some(root) = op.root() {
+            assert!(root < n, "broadcast: root {root} out of range");
+        }
+        if matches!(op, Op::ReduceScatter) {
+            let rows = x.shape()[0];
+            assert!(
+                rows.is_multiple_of(n),
+                "reduce_scatter: axis 0 ({rows}) not divisible by group size {n}"
+            );
+        }
+        self.fault_gate(op.name())?;
+        let input = match chunk {
+            None => x.clone(),
+            Some((j, chunks)) => self.chunk_deposit(op, x, j, chunks),
+        };
+        let kind = op.kind();
+        // An all-gather's logical payload is the full gathered tensor.
+        let payload = (input.numel() * if matches!(op, Op::Gather) { n } else { 1 }) as u64;
+        let _span = self.record_traced(kind, payload, chunk);
+        // Non-root broadcast contributions are ignored and a barrier carries
+        // none, so their tags check only the op (and root), not a shape.
+        let untyped = matches!(op, Op::Broadcast { .. } | Op::Barrier);
+        let shape: &[usize] = if untyped { &[] } else { input.shape() };
+        let tag = self.call_tag(op.name(), shape, op.root(), chunk);
+        let out =
+            self.exchange.try_exchange(self.rank, tag, self.timeout, input, |d| op.combine(d))?;
+        // A barrier moves no data and pays no wire time.
+        if !matches!(op, Op::Barrier) {
+            self.simulate_link(kind, payload);
+        }
+        Ok(out)
+    }
+
+    /// A chunked collective as a whole: issues its `chunks` sub-rendezvous in
+    /// ascending order and copies each piece into place as it arrives. A
+    /// reduce-scatter piece is rows `chunk_rows(shard_rows, chunks, j)` of
+    /// this rank's result shard; an all-gather piece holds those rows of
+    /// every rank's shard in rank order.
+    fn chunked(&self, op: Op, x: &Tensor, chunks: usize) -> Result<Tensor, CollectiveError> {
+        let (out_ranks, rows) = match op {
+            Op::ReduceScatter => (1, x.shape()[0] / self.size),
+            _ => (self.size, x.shape()[0]),
+        };
+        let row_elems = x.numel().checked_div(x.shape()[0]).unwrap_or(0);
+        let mut out = vec![0.0f32; out_ranks * rows * row_elems];
+        for j in 0..chunks {
+            let piece = self.rendezvous(op, x, Some((j, chunks)))?;
+            let (a, b) = chunk_rows(rows, chunks, j);
+            // Rank i's rows of this chunk land at result rows i*rows + a..b.
+            for i in 0..out_ranks {
+                let src = &piece.data()[i * (b - a) * row_elems..(i + 1) * (b - a) * row_elems];
+                out[(i * rows + a) * row_elems..(i * rows + b) * row_elems].copy_from_slice(src);
+            }
+        }
+        let mut shape = x.shape().to_vec();
+        shape[0] = out_ranks * rows;
+        Ok(Tensor::from_vec_unchecked(shape, out))
+    }
+
     /// Element-wise sum across ranks; every rank receives the full result.
     ///
     /// # Panics
@@ -648,19 +820,7 @@ impl Communicator {
 
     /// Fallible [`Communicator::all_reduce`].
     pub fn try_all_reduce(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("all_reduce")?;
-        let _span = self.record_traced(CollectiveKind::AllReduce, x.numel() as u64);
-        let tag = self.call_tag("all_reduce", x.shape(), None, None);
-        let out =
-            self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
-                let mut acc = deposits[0].take().expect("deposit 0 present");
-                for d in deposits.iter_mut().skip(1) {
-                    acc.add_assign(d.as_ref().expect("deposit present"));
-                }
-                vec![acc; deposits.len()]
-            })?;
-        self.simulate_link(CollectiveKind::AllReduce, x.numel() as u64);
-        Ok(out)
+        self.rendezvous(Op::Sum, x, None)
     }
 
     /// Element-wise maximum across ranks; every rank receives the full
@@ -677,22 +837,7 @@ impl Communicator {
 
     /// Fallible [`Communicator::all_reduce_max`].
     pub fn try_all_reduce_max(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("all_reduce_max")?;
-        let _span = self.record_traced(CollectiveKind::AllReduce, x.numel() as u64);
-        let tag = self.call_tag("all_reduce_max", x.shape(), None, None);
-        let out =
-            self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
-                let mut acc = deposits[0].take().expect("deposit 0 present");
-                for d in deposits.iter_mut().skip(1) {
-                    let other = d.as_ref().expect("deposit present");
-                    for (a, &b) in acc.data_mut().iter_mut().zip(other.data()) {
-                        *a = a.max(b);
-                    }
-                }
-                vec![acc; deposits.len()]
-            })?;
-        self.simulate_link(CollectiveKind::AllReduce, x.numel() as u64);
-        Ok(out)
+        self.rendezvous(Op::Max, x, None)
     }
 
     /// Concatenates per-rank shards along axis 0 in rank order; every rank
@@ -709,24 +854,7 @@ impl Communicator {
 
     /// Fallible [`Communicator::all_gather`].
     pub fn try_all_gather(&self, shard: &Tensor) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("all_gather")?;
-        let full_elems = (shard.numel() * self.size) as u64;
-        let _span = self.record_traced(CollectiveKind::AllGather, full_elems);
-        let tag = self.call_tag("all_gather", shard.shape(), None, None);
-        let out = self.exchange.try_exchange(
-            self.rank,
-            tag,
-            self.timeout,
-            shard.clone(),
-            |deposits| {
-                let parts: Vec<Tensor> =
-                    deposits.iter().map(|d| d.as_ref().expect("deposit present").clone()).collect();
-                let full = Tensor::concat_axis0(&parts);
-                vec![full; parts.len()]
-            },
-        )?;
-        self.simulate_link(CollectiveKind::AllGather, full_elems);
-        Ok(out)
+        self.rendezvous(Op::Gather, shard, None)
     }
 
     /// [`Communicator::all_gather`] split into `chunks` sub-rendezvous along
@@ -753,22 +881,7 @@ impl Communicator {
         shard: &Tensor,
         chunks: usize,
     ) -> Result<Tensor, CollectiveError> {
-        let n = self.size;
-        let rows = shard.shape()[0];
-        let row_elems = shard.numel().checked_div(rows).unwrap_or(0);
-        let mut full = vec![0.0f32; shard.numel() * n];
-        for j in 0..chunks {
-            let slab = self.try_all_gather_chunk(shard, j, chunks)?;
-            let (a, b) = chunk_rows(rows, chunks, j);
-            // Rank i's rows of this chunk land at full rows i*rows + a..b.
-            for i in 0..n {
-                let src = &slab.data()[i * (b - a) * row_elems..(i + 1) * (b - a) * row_elems];
-                full[(i * rows + a) * row_elems..(i * rows + b) * row_elems].copy_from_slice(src);
-            }
-        }
-        let mut shape = shard.shape().to_vec();
-        shape[0] = rows * n;
-        Ok(Tensor::from_vec_unchecked(shape, full))
+        self.chunked(Op::Gather, shard, chunks)
     }
 
     /// One sub-rendezvous of a chunked all-gather: gathers rows
@@ -782,40 +895,9 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_all_gather_chunk`] as a panic payload.
+    /// Raises the rendezvous' [`CollectiveError`] as a panic payload.
     pub fn all_gather_chunk(&self, shard: &Tensor, j: usize, chunks: usize) -> Tensor {
-        self.try_all_gather_chunk(shard, j, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::all_gather_chunk`].
-    pub fn try_all_gather_chunk(
-        &self,
-        shard: &Tensor,
-        j: usize,
-        chunks: usize,
-    ) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("all_gather")?;
-        let rows = shard.shape()[0];
-        let (a, b) = chunk_rows(rows, chunks, j);
-        let row_elems = shard.numel().checked_div(rows).unwrap_or(0);
-        let mut piece_shape = shard.shape().to_vec();
-        piece_shape[0] = b - a;
-        let piece = Tensor::from_vec_unchecked(
-            piece_shape,
-            shard.data()[a * row_elems..b * row_elems].to_vec(),
-        );
-        let full_elems = (piece.numel() * self.size) as u64;
-        let _span = self.record_traced_chunk(CollectiveKind::AllGather, full_elems, (j, chunks));
-        let tag = self.call_tag("all_gather", piece.shape(), None, Some((j, chunks)));
-        let out = self.exchange.try_exchange(self.rank, tag, self.timeout, piece, |deposits| {
-            let parts: Vec<Tensor> =
-                deposits.iter().map(|d| d.as_ref().expect("deposit present").clone()).collect();
-            let slab = Tensor::concat_axis0(&parts);
-            vec![slab; parts.len()]
-        })?;
-        self.simulate_link(CollectiveKind::AllGather, full_elems);
-        Ok(out)
+        self.rendezvous(Op::Gather, shard, Some((j, chunks))).unwrap_or_else(|e| raise(e))
     }
 
     /// Element-wise sums the per-rank full tensors, then scatters: rank `r`
@@ -832,108 +914,25 @@ impl Communicator {
 
     /// Fallible [`Communicator::reduce_scatter`].
     pub fn try_reduce_scatter(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("reduce_scatter")?;
-        let _span = self.record_traced(CollectiveKind::ReduceScatter, x.numel() as u64);
-        let n = self.size;
-        let tag = self.call_tag("reduce_scatter", x.shape(), None, None);
-        let out =
-            self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
-                let mut acc = deposits[0].take().expect("deposit 0 present");
-                for d in deposits.iter_mut().skip(1) {
-                    acc.add_assign(d.as_ref().expect("deposit present"));
-                }
-                acc.chunk_axis0(n).expect("reduce_scatter: axis 0 not divisible by group size")
-            })?;
-        self.simulate_link(CollectiveKind::ReduceScatter, x.numel() as u64);
-        Ok(out)
+        self.rendezvous(Op::ReduceScatter, x, None)
     }
 
     /// [`Communicator::reduce_scatter`] split into `chunks` sub-rendezvous
     /// along axis 0 of the *result shard*: chunk `j` reduces and scatters
     /// rows `chunk_rows(shard_rows, chunks, j)` of every destination rank's
-    /// shard, and the pieces are concatenated into the same shard
+    /// shard, and the pieces are assembled into the same shard
     /// `reduce_scatter` returns. Reduction order is the same ascending-rank
     /// accumulator chain as the unchunked call, so the result is
     /// bit-identical; payload, ledger entries, and wire bytes also match
-    /// exactly (each round carries `1/C` of the rows).
+    /// exactly (each round carries `1/C` of the rows). All ranks must issue
+    /// the same `chunks`; the coordinate is part of the SPMD call tag.
     ///
     /// # Panics
     ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_reduce_scatter_chunked`] as a panic payload, or
+    /// Raises the rendezvous' [`CollectiveError`] as a panic payload, or
     /// panics if axis 0 is not divisible by the group size.
     pub fn reduce_scatter_chunked(&self, x: &Tensor, chunks: usize) -> Tensor {
-        self.try_reduce_scatter_chunked(x, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter_chunked`].
-    pub fn try_reduce_scatter_chunked(
-        &self,
-        x: &Tensor,
-        chunks: usize,
-    ) -> Result<Tensor, CollectiveError> {
-        let mut pieces = Vec::with_capacity(chunks);
-        for j in 0..chunks {
-            pieces.push(self.try_reduce_scatter_chunk(x, j, chunks)?);
-        }
-        // Chunks partition the shard's rows in ascending order, so the
-        // shard is just their concatenation.
-        Ok(Tensor::concat_axis0(&pieces))
-    }
-
-    /// One sub-rendezvous of a chunked reduce-scatter: reduces rows
-    /// `chunk_rows(shard_rows, chunks, j)` of every destination's shard and
-    /// hands each rank its piece (shape `[chunk_rows, ...]`). The chunk
-    /// coordinate is part of the SPMD call tag; all ranks must issue chunks
-    /// in ascending `j` order.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_reduce_scatter_chunk`] as a panic payload, or
-    /// panics if axis 0 is not divisible by the group size.
-    pub fn reduce_scatter_chunk(&self, x: &Tensor, j: usize, chunks: usize) -> Tensor {
-        self.try_reduce_scatter_chunk(x, j, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter_chunk`].
-    pub fn try_reduce_scatter_chunk(
-        &self,
-        x: &Tensor,
-        j: usize,
-        chunks: usize,
-    ) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("reduce_scatter")?;
-        let n = self.size;
-        let rows = x.shape()[0];
-        assert!(rows.is_multiple_of(n), "reduce_scatter_chunk: axis 0 not divisible by group size");
-        let shard_rows = rows / n;
-        let (a, b) = chunk_rows(shard_rows, chunks, j);
-        let row_elems = x.numel().checked_div(rows).unwrap_or(0);
-        // This rank's contribution to chunk j: for every destination d, its
-        // rows [a, b) of d's shard — concatenated in destination order.
-        let mut contrib = Vec::with_capacity(n * (b - a) * row_elems);
-        for d in 0..n {
-            let lo = (d * shard_rows + a) * row_elems;
-            let hi = (d * shard_rows + b) * row_elems;
-            contrib.extend_from_slice(&x.data()[lo..hi]);
-        }
-        let mut contrib_shape = x.shape().to_vec();
-        contrib_shape[0] = n * (b - a);
-        let contrib = Tensor::from_vec_unchecked(contrib_shape, contrib);
-        let payload = contrib.numel() as u64;
-        let _span = self.record_traced_chunk(CollectiveKind::ReduceScatter, payload, (j, chunks));
-        let tag = self.call_tag("reduce_scatter", contrib.shape(), None, Some((j, chunks)));
-        let out =
-            self.exchange.try_exchange(self.rank, tag, self.timeout, contrib, |deposits| {
-                let mut acc = deposits[0].take().expect("deposit 0 present");
-                for d in deposits.iter_mut().skip(1) {
-                    acc.add_assign(d.as_ref().expect("deposit present"));
-                }
-                acc.chunk_axis0(n).expect("chunk contribution rows divisible by group size")
-            })?;
-        self.simulate_link(CollectiveKind::ReduceScatter, payload);
-        Ok(out)
+        self.chunked(Op::ReduceScatter, x, chunks).unwrap_or_else(|e| raise(e))
     }
 
     /// Broadcasts `root`'s tensor to every rank. Non-root contributions are
@@ -950,17 +949,7 @@ impl Communicator {
 
     /// Fallible [`Communicator::broadcast`].
     pub fn try_broadcast(&self, x: &Tensor, root: usize) -> Result<Tensor, CollectiveError> {
-        assert!(root < self.size, "broadcast: root {root} out of range");
-        self.fault_gate("broadcast")?;
-        let _span = self.record_traced(CollectiveKind::Broadcast, x.numel() as u64);
-        let tag = self.call_tag("broadcast", &[], Some(root), None);
-        let out =
-            self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
-                let chosen = deposits[root].take().expect("root deposit present");
-                vec![chosen; deposits.len()]
-            })?;
-        self.simulate_link(CollectiveKind::Broadcast, x.numel() as u64);
-        Ok(out)
+        self.rendezvous(Op::Broadcast { root }, x, None)
     }
 
     /// Synchronizes all ranks without moving data.
@@ -975,14 +964,7 @@ impl Communicator {
 
     /// Fallible [`Communicator::barrier`].
     pub fn try_barrier(&self) -> Result<(), CollectiveError> {
-        self.fault_gate("barrier")?;
-        let _span = self.record_traced(CollectiveKind::Barrier, 0);
-        let tag = self.call_tag("barrier", &[], None, None);
-        self.exchange
-            .try_exchange(self.rank, tag, self.timeout, Tensor::zeros(&[0]), |d| {
-                vec![Tensor::zeros(&[0]); d.len()]
-            })
-            .map(|_| ())
+        self.rendezvous(Op::Barrier, &Tensor::zeros(&[0]), None).map(|_| ())
     }
 
     /// Sends `x` to rank `to` (non-blocking; the channel is unbounded).
@@ -999,7 +981,7 @@ impl Communicator {
     pub fn try_send(&self, to: usize, x: &Tensor) -> Result<(), CollectiveError> {
         assert!(to < self.size, "send: destination {to} out of range");
         self.fault_gate("send")?;
-        let _span = self.record_traced(CollectiveKind::SendRecv, x.numel() as u64);
+        let _span = self.record_traced(CollectiveKind::SendRecv, x.numel() as u64, None);
         self.outboxes[to]
             .send(x.clone())
             .map_err(|_| CollectiveError::PeerDisconnected { rank: self.rank, peer: to })
@@ -1341,7 +1323,7 @@ mod tests {
             let shard = Tensor::zeros(&[4, 2]);
             // Rank 0 starts at chunk 0; rank 1 skips to chunk 1.
             let j = if c.rank() == 0 { 0 } else { 1 };
-            c.try_all_gather_chunk(&shard, j, 2)?;
+            c.all_gather_chunk(&shard, j, 2);
             Ok(())
         });
         assert!(
@@ -1350,6 +1332,95 @@ mod tests {
                     if expected.chunk != found.chunk)),
             "{out:?}"
         );
+    }
+
+    /// Pins the single rendezvous body: for every operation, whole and as
+    /// chunk 1 of 2, the `CallTag` it deposits, the span it records and its
+    /// `CommStats` entry. Rank 1 deposits a decoy tag, so the round fails as
+    /// an `SpmdMismatch` that carries rank 0's tag verbatim.
+    #[test]
+    fn every_op_emits_its_tag_span_and_stats_entry() {
+        use CollectiveKind::{AllGather, AllReduce, Barrier, Broadcast, ReduceScatter};
+        // (op, kind, whole: tag shape + payload elems, chunk 1/2: same) for a
+        // [4, 3] argument on 2 ranks (a barrier's is empty). Chunk 1 of 2 is
+        // rows 2..4 of the shard — or row 1 of each destination's 2-row
+        // shard, for the reduce-scatter.
+        type Emitted = (&'static [usize], u64);
+        let table: [(Op, CollectiveKind, Emitted, Emitted); 6] = [
+            (Op::Sum, AllReduce, (&[4, 3], 12), (&[2, 3], 6)),
+            (Op::Max, AllReduce, (&[4, 3], 12), (&[2, 3], 6)),
+            (Op::Gather, AllGather, (&[4, 3], 24), (&[2, 3], 12)),
+            (Op::ReduceScatter, ReduceScatter, (&[4, 3], 12), (&[2, 3], 6)),
+            (Op::Broadcast { root: 1 }, Broadcast, (&[], 12), (&[], 6)),
+            (Op::Barrier, Barrier, (&[], 0), (&[], 0)),
+        ];
+        for (op, kind, whole, piece) in table {
+            for (chunk, (shape, payload_elems)) in [(None, whole), (Some((1, 2)), piece)] {
+                let tracer = Tracer::enabled();
+                let mut world = World::new(2);
+                world.set_tracer(tracer.clone());
+                world.set_epoch(7);
+                let out = world.run_fallible(|c| {
+                    let err = if c.rank() == 0 {
+                        let dims: &[usize] = if matches!(op, Op::Barrier) { &[0] } else { &[4, 3] };
+                        c.rendezvous(op, &Tensor::zeros(dims), chunk)
+                    } else {
+                        let decoy = c.call_tag("decoy", &[], None, None);
+                        c.exchange.try_exchange(1, decoy, c.timeout, Tensor::zeros(&[0]), |_| {
+                            unreachable!("a mismatched round never completes")
+                        })
+                    }
+                    .expect_err("the decoy poisons the round");
+                    Ok((err, c.stats()))
+                });
+                let case = format!("{op:?} chunk {chunk:?}");
+                let (err, stats) = out[0].as_ref().expect("errors are returned as values");
+                let CollectiveError::SpmdMismatch { expected, found, .. } = err else {
+                    panic!("{case}: {err:?}");
+                };
+                let tag = if expected.op == "decoy" { found } else { expected };
+                let root = if let Op::Broadcast { root } = op { Some(root) } else { None };
+                let want = CallTag { op: op.name(), shape: shape.to_vec(), root, chunk, epoch: 7 };
+                assert_eq!(**tag, want, "{case}");
+
+                let payload_bytes = payload_elems * FP16_BYTES;
+                let wire_bytes = kind.ring_wire_bytes(payload_bytes, 2);
+                assert_eq!(stats.total_calls(), 1, "{case}");
+                assert_eq!(
+                    stats.kind(kind),
+                    crate::stats::KindStats { calls: 1, payload_bytes, wire_bytes },
+                    "{case}"
+                );
+
+                let spans: Vec<_> = tracer.events().into_iter().filter(|e| e.track == 0).collect();
+                assert_eq!(spans.len(), 1, "{case}");
+                assert_eq!(spans[0].name.as_ref(), kind.name(), "{case}");
+                let mut args = vec![
+                    ("kind", ArgValue::Str(kind.name().to_string())),
+                    ("payload_bytes", ArgValue::U64(payload_bytes)),
+                    ("wire_bytes", ArgValue::U64(wire_bytes)),
+                    ("group_size", ArgValue::U64(2)),
+                ];
+                if chunk.is_some() {
+                    args.extend([("chunk", ArgValue::U64(1)), ("chunks", ArgValue::U64(2))]);
+                }
+                assert_eq!(spans[0].args, args, "{case}");
+            }
+        }
+    }
+
+    // The reduce-scatter shape precondition fails on the calling rank, before
+    // the rendezvous: no peer is needed (or left waiting) to see it.
+    #[test]
+    #[should_panic(expected = "reduce_scatter: axis 0 (3) not divisible by group size 2")]
+    fn reduce_scatter_rejects_indivisible_rows_up_front() {
+        World::new(2).communicator(0).reduce_scatter(&Tensor::zeros(&[3, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "reduce_scatter: axis 0 (3) not divisible by group size 2")]
+    fn reduce_scatter_chunked_rejects_indivisible_rows_up_front() {
+        World::new(2).communicator(0).reduce_scatter_chunked(&Tensor::zeros(&[3, 1]), 2);
     }
 
     #[test]

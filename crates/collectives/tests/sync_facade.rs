@@ -19,6 +19,15 @@ use std::time::Duration;
 
 type Entry = (&'static str, fn(&Communicator) -> Result<(), CollectiveError>);
 
+/// Runs an infallible spelling, recovering the [`CollectiveError`] it raises
+/// as a panic payload.
+fn caught<T>(call: impl FnOnce() -> T) -> Result<(), CollectiveError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
+        Ok(_) => Ok(()),
+        Err(payload) => Err(*payload.downcast::<CollectiveError>().expect("typed panic payload")),
+    }
+}
+
 /// Every rendezvous entry point, as a uniform closure over one
 /// communicator. Point-to-point send/recv is excluded: it is not a
 /// rendezvous (no tag deposit), so epoch fencing happens at the collective
@@ -31,15 +40,10 @@ fn rendezvous_entry_points() -> Vec<Entry> {
         ("try_all_gather_chunked", |c| {
             c.try_all_gather_chunked(&Tensor::full(&[2, 2], 1.0), 2).map(|_| ())
         }),
-        ("try_all_gather_chunk", |c| {
-            c.try_all_gather_chunk(&Tensor::full(&[2, 2], 1.0), 0, 2).map(|_| ())
-        }),
+        ("all_gather_chunk", |c| caught(|| c.all_gather_chunk(&Tensor::full(&[2, 2], 1.0), 0, 2))),
         ("try_reduce_scatter", |c| c.try_reduce_scatter(&Tensor::full(&[2, 2], 1.0)).map(|_| ())),
-        ("try_reduce_scatter_chunked", |c| {
-            c.try_reduce_scatter_chunked(&Tensor::full(&[2, 2], 1.0), 2).map(|_| ())
-        }),
-        ("try_reduce_scatter_chunk", |c| {
-            c.try_reduce_scatter_chunk(&Tensor::full(&[2, 2], 1.0), 0, 2).map(|_| ())
+        ("reduce_scatter_chunked", |c| {
+            caught(|| c.reduce_scatter_chunked(&Tensor::full(&[2, 2], 1.0), 2))
         }),
         ("try_broadcast", |c| c.try_broadcast(&Tensor::full(&[2], 1.0), 0).map(|_| ())),
         ("try_barrier", |c| c.try_barrier()),
@@ -62,7 +66,7 @@ fn every_entry_point_fences_cross_epoch_stragglers() {
         let results = mt_sync::thread::scope(|scope| {
             let handles =
                 [scope.spawn(move || call(&straggler)), scope.spawn(move || call(&reformed))];
-            handles.map(|h| h.join().expect("try_* does not panic"))
+            handles.map(|h| h.join().expect("entry points return their error"))
         });
         assert!(
             results.iter().any(|r| matches!(

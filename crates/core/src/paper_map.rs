@@ -25,10 +25,11 @@
 //! | Conclusion: fragmentation | `mt_memory::allocator`, `mt_pipeline::replay_stage_memory` | `report --fragmentation` |
 //! | Conclusion: first-stage pressure | `mt_core::balance` | `report --relief` |
 //!
-//! The two *executing* schedule drivers — `mt_model::pipeline_exec::run_1f1b_iteration`
-//! and `run_interleaved_iteration` — are where the simulated and analytical
-//! claims are grounded: the same schedules the simulators price are run for
-//! real on thread ranks and shown to reproduce the serial model's gradients.
+//! The *executing* pipeline driver — one executor in `mt_model::pipeline_exec`
+//! behind `run_1f1b_iteration` and `run_interleaved_iteration` — is where the
+//! simulated and analytical claims are grounded: the same schedules the
+//! simulators price are run for real on thread ranks and shown to reproduce
+//! the serial model's gradients.
 
 /// Number of distinct paper artifacts (tables, figures, equations with their
 /// own row in the map above) this workspace reproduces. Kept as a constant

@@ -1,7 +1,8 @@
-//! The elastic training driver: run checkpoint-delimited segments like
-//! `mt_model::recovery`, but when a rank *dies* (rather than failing
-//! transiently), re-form the world at a smaller tensor-parallel degree
-//! with the survivors instead of retrying at the original width.
+//! The elastic training driver — the workspace's one recovery driver: run
+//! checkpoint-delimited segments, each committing on every rank or on none;
+//! replay a failed segment from the last checkpoints; and when a rank
+//! *dies* (rather than failing transiently), first re-form the world at a
+//! smaller tensor-parallel degree with the survivors.
 //!
 //! The recovery sequence after a death is:
 //!
@@ -16,18 +17,17 @@
 //!    re-sharded checkpoints.
 //!
 //! Transient failures ([`CollectiveError::InjectedTransient`], timeouts
-//! with no death behind them) replay at the *same* degree and epoch, like
-//! the retry driver. The fault plan is installed on training worlds only;
-//! the consensus round is recovery control plane and runs unfaulted.
+//! with no death behind them) replay at the *same* degree and epoch. The
+//! fault plan is installed on training worlds only; the consensus round is
+//! recovery control plane and runs unfaulted.
 
 use crate::mttr::{clock, MttrBreakdown};
 use crate::reform::{epoch_consensus, survivor_degree, ConsensusError};
 use crate::reshard::{reshard_checkpoints, ReshardError};
 use mt_collectives::{CollectiveError, World, DEFAULT_COLLECTIVE_TIMEOUT};
-use mt_fault::FaultPlan;
+use mt_fault::{FaultAction, FaultPlan};
 use mt_memory::Recompute;
 use mt_model::gpt::Gpt;
-use mt_model::recovery::gate_step;
 use mt_model::trainer::{StepStats, Trainer, TrainerCheckpoint, TrainerConfig};
 use mt_model::ExecMode;
 use mt_trace::ArgValue;
@@ -334,7 +334,7 @@ where
             .collect();
         if dead.is_empty() {
             // Transient failure: replay the segment at the same degree
-            // and epoch, exactly like the retry driver would.
+            // and epoch.
             report.retries += 1;
             continue;
         }
@@ -368,6 +368,40 @@ where
         .map(|c| Trainer::resume_from(c).expect("in-memory checkpoint is valid").into_model())
         .collect();
     Ok((models, report))
+}
+
+/// Applies the fault plan's step-granularity decision for `(rank, step)`:
+/// panic, stall, fail the attempt, or note a recovery — the step-level twin
+/// of the per-collective gate inside `mt-collectives`, emitting the same
+/// `fault_injected` / `fault_recovered` trace instants.
+fn gate_step(plan: &FaultPlan, rank: usize, step: u64) -> Result<(), CollectiveError> {
+    let emit = |name: &'static str, kind: &'static str| {
+        mt_trace::current().instant_args(name, || {
+            vec![
+                ("site", ArgValue::Str("step".to_string())),
+                ("kind", ArgValue::Str(kind.to_string())),
+                ("rank", ArgValue::U64(rank as u64)),
+                ("step", ArgValue::U64(step)),
+            ]
+        });
+    };
+    match plan.poll_step(rank, step) {
+        Some(FaultAction::Panic) => {
+            emit("fault_injected", "panic");
+            panic!("mt-fault: injected panic on rank {rank} at step {step}");
+        }
+        Some(FaultAction::Delay { micros }) => {
+            emit("fault_injected", "delay");
+            std::thread::sleep(Duration::from_micros(micros));
+        }
+        Some(FaultAction::Fail) => {
+            emit("fault_injected", "transient");
+            return Err(CollectiveError::InjectedTransient { rank, seq: step });
+        }
+        Some(FaultAction::Recovered) => emit("fault_recovered", "replay"),
+        None => {}
+    }
+    Ok(())
 }
 
 /// The reform sequence shared by death recovery and planned resizes:

@@ -234,20 +234,6 @@ impl Gpt {
         out
     }
 
-    fn embedding_mask(&self, micro: u64, row0: usize, rows: usize) -> Vec<u8> {
-        let stream = stream_id(DropoutSite::Embedding, 0, micro);
-        let h = self.cfg.hidden;
-        let mut mask = Vec::with_capacity(rows * h);
-        for r in 0..rows {
-            for c in 0..h {
-                mask.push(u8::from(
-                    self.rng.uniform(stream, element_offset(row0 + r, c, h)) >= self.cfg.dropout_p,
-                ));
-            }
-        }
-        mask
-    }
-
     /// Runs one microbatch forward **and** backward, returning the mean
     /// cross-entropy loss and all parameter gradients.
     ///
@@ -256,8 +242,8 @@ impl Gpt {
     /// full arrays. Saved activations land on `ledger`.
     ///
     /// `policy` accepts anything convertible into an [`ExecPolicy`]; a bare
-    /// [`ExecMode`] inherits each layer's stored recompute/overlap
-    /// defaults. Under [`crate::OverlapPolicy::OverlappedRecompute`] in
+    /// [`ExecMode`] runs each layer's stored recompute policy with exposed
+    /// collectives. Under [`crate::OverlapPolicy::OverlappedRecompute`] in
     /// serial mode, a fully-checkpointed layer `k`'s replay is prefetched
     /// on a helper thread while layer `k+1`'s backward runs (the Chen et
     /// al. cross-layer hiding) — parallel modes replay inline, because the
@@ -282,29 +268,14 @@ impl Gpt {
         assert_eq!(tokens.len(), cfg.tokens(), "tokens length must be s*b");
         assert_eq!(targets.len(), cfg.tokens(), "targets length must be s*b");
         cfg.validate(mode.t());
-        let sp = mode.sequence_parallel();
-        let t = mode.t();
-        let rows = if sp { cfg.tokens() / t } else { cfg.tokens() };
-        let row0 = if sp { mode.rank() * rows } else { 0 };
-        let ids_local = &tokens[row0..row0 + rows];
 
         let tracer = mt_trace::current();
         let fwd_span =
             tracer.span_args("forward", || vec![("micro", mt_trace::ArgValue::U64(micro))]);
 
         // --- forward: embedding ---
-        let mut x = ops::embedding(ids_local, &self.embedding.table);
-        for r in 0..rows {
-            let si = (row0 + r) / cfg.micro_batch;
-            let h = cfg.hidden;
-            let pos = &self.embedding.positions.data()[si * h..(si + 1) * h];
-            for (xv, &pv) in x.data_mut()[r * h..(r + 1) * h].iter_mut().zip(pos) {
-                *xv += pv;
-            }
-        }
-        let emb_mask = self.embedding_mask(micro, row0, rows);
-        let mut act = ops::dropout(&x, &emb_mask, cfg.dropout_p);
-        ledger.record(Category::EmbeddingDropoutMask, act.numel() as u64);
+        let (mut act, emb_mask) =
+            embed_forward(cfg, &self.rng, &self.embedding, tokens, micro, mode, ledger);
 
         // --- forward: layers ---
         let mut states = Vec::with_capacity(self.layers.len());
@@ -319,29 +290,19 @@ impl Gpt {
             ExecMode::TensorSequenceParallel(c) => c.all_gather(&act),
             _ => act.clone(),
         };
-        let (y_ln, ln_saved) = ops::layer_norm(&y_full, &self.final_ln_gamma, &self.final_ln_beta);
-        ledger.record(Category::LayerNormInput, y_full.numel() as u64);
+        // Only this walk (not the pipeline executor) notes the final
+        // LayerNorm's statistics; they are outside the paper's byte model.
         ledger.record(Category::SmallStatistics, 2 * y_full.rows() as u64);
-        let logits = ops::Gemm::NT.apply(&y_ln, &self.embedding.table);
-        ledger.record(Category::ProjectionInput, y_ln.numel() as u64);
-        ledger.record(Category::Logits, logits.numel() as u64);
-        let ce = ops::cross_entropy(&logits, targets);
+        let table = &self.embedding.table;
+        let (loss, head) =
+            head_forward(&self.final_ln_gamma, &self.final_ln_beta, table, y_full, targets, ledger);
         drop(fwd_span);
         let bwd_span =
             tracer.span_args("backward", || vec![("micro", mt_trace::ArgValue::U64(micro))]);
 
         // --- backward: head ---
-        let d_y_ln = ops::Gemm::NN.apply(&ce.dlogits, &self.embedding.table);
-        let d_table_head = ops::Gemm::TN.apply(&ce.dlogits, &y_ln);
-        let (d_y_full, d_fg, d_fb) =
-            ops::layer_norm_backward(&y_full, &self.final_ln_gamma, &ln_saved, &d_y_ln);
-        // The head is replicated redundant compute: the shard gradient is a
-        // plain slice, not a reduction.
-        let mut d_act = if sp {
-            d_y_full.chunk_axis0(t).expect("rows divide by t")[mode.rank()].clone()
-        } else {
-            d_y_full
-        };
+        let (mut d_act, d_fg, d_fb, d_table_head) =
+            head_backward(&self.final_ln_gamma, table, &head, mode);
 
         // --- backward: layers ---
         let mut layer_grads: Vec<Option<LayerGrads>> =
@@ -353,15 +314,12 @@ impl Gpt {
             // Hide layer i-1's full-recompute replay under layer i's
             // backward GEMMs (Chen et al.): legal only in serial mode — the
             // replay is collective-free there — and only when the layer
-            // below is a checkpoint whose resolved overlap opts in. The
-            // replay is the same pure function the inline path runs, so
-            // gradients stay bit-identical.
+            // below is a checkpoint and the policy opts in. The replay is
+            // the same pure function the inline path runs, so gradients
+            // stay bit-identical.
             let prefetch_below = i > 0
                 && matches!(mode, ExecMode::Serial)
-                && policy
-                    .overlap()
-                    .unwrap_or(self.layers[i - 1].overlap_policy())
-                    .recompute_overlapped();
+                && policy.overlap().recompute_overlapped();
             let below = if prefetch_below { states[i - 1].take() } else { None };
             let (dx, lg) = match below {
                 Some(LayerState::Checkpoint { x, micro: below_micro }) => {
@@ -390,18 +348,9 @@ impl Gpt {
             layer_grads.into_iter().map(|g| g.expect("gradient computed")).collect();
 
         // --- backward: embedding ---
-        let d_emb = ops::dropout_backward(&d_act, &emb_mask, cfg.dropout_p);
         let mut d_positions = Tensor::zeros(&[cfg.seq, cfg.hidden]);
-        for r in 0..rows {
-            let si = (row0 + r) / cfg.micro_batch;
-            let h = cfg.hidden;
-            let src = &d_emb.data()[r * h..(r + 1) * h];
-            let dst = &mut d_positions.data_mut()[si * h..(si + 1) * h];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-        let mut d_table_embed = ops::embedding_backward(ids_local, &d_emb, cfg.vocab);
+        let mut d_table_embed =
+            embed_backward(cfg, tokens, &d_act, &emb_mask, mode, &mut d_positions);
         if let ExecMode::TensorSequenceParallel(c) = mode {
             // Each rank embedded only its sequence shard.
             d_table_embed = c.all_reduce(&d_table_embed);
@@ -411,7 +360,7 @@ impl Gpt {
         drop(bwd_span);
 
         (
-            ce.loss,
+            loss,
             GptGrads {
                 table: d_table,
                 positions: d_positions,
@@ -421,6 +370,147 @@ impl Gpt {
             },
         )
     }
+}
+
+/// Rows of the `[s·b, h]` activation a rank holds outside the transformer
+/// layers, as `(first_row, count)`: all of them, or its sequence shard under
+/// sequence parallelism.
+fn local_rows(cfg: &TransformerConfig, mode: &ExecMode<'_>) -> (usize, usize) {
+    if mode.sequence_parallel() {
+        let rows = cfg.tokens() / mode.t();
+        (mode.rank() * rows, rows)
+    } else {
+        (0, cfg.tokens())
+    }
+}
+
+/// The embedding dropout mask for this rank's rows, addressed by global row
+/// so shards and the serial model draw identical bits.
+pub(crate) fn embedding_mask(
+    cfg: &TransformerConfig,
+    rng: &CounterRng,
+    micro: u64,
+    mode: &ExecMode<'_>,
+) -> Vec<u8> {
+    let (row0, rows) = local_rows(cfg, mode);
+    let stream = stream_id(DropoutSite::Embedding, 0, micro);
+    let h = cfg.hidden;
+    let mut mask = Vec::with_capacity(rows * h);
+    for r in 0..rows {
+        for c in 0..h {
+            mask.push(u8::from(
+                rng.uniform(stream, element_offset(row0 + r, c, h)) >= cfg.dropout_p,
+            ));
+        }
+    }
+    mask
+}
+
+/// Embedding forward for this rank's rows — token lookup, learned positions,
+/// dropout — shared by [`Gpt::loss_and_grads`], [`Gpt::logits`] and the
+/// pipeline executor's first stage. `tokens` is the full `s·b` array.
+/// Returns the activation and the dropout mask [`embed_backward`] needs, and
+/// records the mask on `ledger` (Section 4.3).
+pub(crate) fn embed_forward(
+    cfg: &TransformerConfig,
+    rng: &CounterRng,
+    e: &EmbeddingWeights,
+    tokens: &[usize],
+    micro: u64,
+    mode: &ExecMode<'_>,
+    ledger: &mut ActivationLedger,
+) -> (Tensor, Vec<u8>) {
+    let (row0, rows) = local_rows(cfg, mode);
+    let h = cfg.hidden;
+    let mut x = ops::embedding(&tokens[row0..row0 + rows], &e.table);
+    for r in 0..rows {
+        let si = (row0 + r) / cfg.micro_batch;
+        let pos = &e.positions.data()[si * h..(si + 1) * h];
+        for (xv, &pv) in x.data_mut()[r * h..(r + 1) * h].iter_mut().zip(pos) {
+            *xv += pv;
+        }
+    }
+    let mask = embedding_mask(cfg, rng, micro, mode);
+    let out = ops::dropout(&x, &mask, cfg.dropout_p);
+    ledger.record(Category::EmbeddingDropoutMask, out.numel() as u64);
+    (out, mask)
+}
+
+/// Embedding backward for this rank's rows: accumulates the position
+/// gradient into `d_positions` (`[s, h]`) and returns this microbatch's
+/// word-table gradient (`[v, h]`). Under sequence parallelism both cover
+/// only the local sequence shard; the caller sums them across the group.
+pub(crate) fn embed_backward(
+    cfg: &TransformerConfig,
+    tokens: &[usize],
+    d: &Tensor,
+    mask: &[u8],
+    mode: &ExecMode<'_>,
+    d_positions: &mut Tensor,
+) -> Tensor {
+    let (row0, rows) = local_rows(cfg, mode);
+    let h = cfg.hidden;
+    let d_emb = ops::dropout_backward(d, mask, cfg.dropout_p);
+    for r in 0..rows {
+        let si = (row0 + r) / cfg.micro_batch;
+        let src = &d_emb.data()[r * h..(r + 1) * h];
+        let dst = &mut d_positions.data_mut()[si * h..(si + 1) * h];
+        for (dv, &sv) in dst.iter_mut().zip(src) {
+            *dv += sv;
+        }
+    }
+    ops::embedding_backward(&tokens[row0..row0 + rows], &d_emb, cfg.vocab)
+}
+
+/// What the head's forward saves for its backward.
+pub(crate) struct HeadState {
+    y_full: Tensor,
+    ln_saved: ops::LayerNormSaved,
+    y_ln: Tensor,
+    dlogits: Tensor,
+}
+
+/// Head forward on the gathered `[s·b, h]` activation: final LayerNorm, tied
+/// logits projection, mean cross-entropy against `targets`. Records the
+/// Section 4.3 extras (LayerNorm input, projection input, fp32 logits) on
+/// `ledger` and returns the loss with the saved state.
+pub(crate) fn head_forward(
+    gamma: &Tensor,
+    beta: &Tensor,
+    table: &Tensor,
+    y_full: Tensor,
+    targets: &[usize],
+    ledger: &mut ActivationLedger,
+) -> (f32, HeadState) {
+    let (y_ln, ln_saved) = ops::layer_norm(&y_full, gamma, beta);
+    ledger.record(Category::LayerNormInput, y_full.numel() as u64);
+    let logits = ops::Gemm::NT.apply(&y_ln, table);
+    ledger.record(Category::ProjectionInput, y_ln.numel() as u64);
+    ledger.record(Category::Logits, logits.numel() as u64);
+    let ce = ops::cross_entropy(&logits, targets);
+    (ce.loss, HeadState { y_full, ln_saved, y_ln, dlogits: ce.dlogits })
+}
+
+/// Head backward: returns the gradient at this rank's rows of the last
+/// layer's output, then the final-LayerNorm scale, shift and tied-table
+/// gradients. The head is replicated redundant compute, so under sequence
+/// parallelism the shard gradient is a plain slice, not a reduction.
+pub(crate) fn head_backward(
+    gamma: &Tensor,
+    table: &Tensor,
+    hs: &HeadState,
+    mode: &ExecMode<'_>,
+) -> (Tensor, Tensor, Tensor, Tensor) {
+    let d_y_ln = ops::Gemm::NN.apply(&hs.dlogits, table);
+    let d_table = ops::Gemm::TN.apply(&hs.dlogits, &hs.y_ln);
+    let (d_y_full, d_gamma, d_beta) =
+        ops::layer_norm_backward(&hs.y_full, gamma, &hs.ln_saved, &d_y_ln);
+    let d_act = if mode.sequence_parallel() {
+        d_y_full.chunk_axis0(mode.t()).expect("rows divide by t")[mode.rank()].clone()
+    } else {
+        d_y_full
+    };
+    (d_act, d_gamma, d_beta, d_table)
 }
 
 impl Gpt {
@@ -441,19 +531,10 @@ impl Gpt {
     pub fn logits(&self, tokens: &[usize], micro: u64) -> Tensor {
         let cfg = &self.cfg;
         assert_eq!(tokens.len(), cfg.tokens(), "tokens length must be s*b");
-        let rows = cfg.tokens();
-        let mut x = ops::embedding(tokens, &self.embedding.table);
-        for r in 0..rows {
-            let si = r / cfg.micro_batch;
-            let h = cfg.hidden;
-            let pos = &self.embedding.positions.data()[si * h..(si + 1) * h];
-            for (xv, &pv) in x.data_mut()[r * h..(r + 1) * h].iter_mut().zip(pos) {
-                *xv += pv;
-            }
-        }
-        let mask = self.embedding_mask(micro, 0, rows);
-        let mut act = ops::dropout(&x, &mask, cfg.dropout_p);
         let mut scratch = ActivationLedger::new();
+        let mode = &ExecMode::Serial;
+        let (mut act, _) =
+            embed_forward(cfg, &self.rng, &self.embedding, tokens, micro, mode, &mut scratch);
         for layer in &self.layers {
             let (y, _) = layer.forward(&act, micro, ExecMode::Serial, &mut scratch);
             act = y;
@@ -561,25 +642,6 @@ impl Gpt {
             final_ln_beta: ckpt.final_ln_beta,
             rng: ckpt.dropout_rng,
         }
-    }
-
-    /// Serializes the model as JSON to a writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error.
-    pub fn save_json<W: std::io::Write>(&self, writer: W) -> Result<(), serde_json::Error> {
-        serde_json::to_writer(writer, &self.to_checkpoint())
-    }
-
-    /// Deserializes a model from JSON. The reader can be a `&mut` reference
-    /// (see `std::io::Read`'s blanket impl) if it is needed afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error.
-    pub fn load_json<R: std::io::Read>(reader: R) -> Result<Gpt, serde_json::Error> {
-        serde_json::from_reader(reader).map(Gpt::from_checkpoint)
     }
 }
 
@@ -739,9 +801,9 @@ mod tests {
     fn checkpoint_roundtrip_is_bit_exact() {
         let c = TransformerConfig { dropout_p: 0.1, ..cfg() };
         let gpt = Gpt::init_with_policies(c, &[Recompute::Selective, Recompute::Full], 17);
-        let mut buf = Vec::new();
-        gpt.save_json(&mut buf).expect("serialize");
-        let restored = Gpt::load_json(buf.as_slice()).expect("deserialize");
+        let bytes = mt_fault::binfmt::to_bytes(&gpt.to_checkpoint());
+        let restored =
+            Gpt::from_checkpoint(mt_fault::binfmt::from_bytes(&bytes).expect("deserialize"));
         // Same weights, same policies, same dropout stream ⇒ identical
         // losses and gradients, mask replay included.
         let (tokens, targets) = data(&c, 7);

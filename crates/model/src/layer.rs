@@ -139,7 +139,6 @@ pub struct TransformerLayer {
     weights: LayerWeights,
     layer_idx: usize,
     policy: Recompute,
-    overlap: OverlapPolicy,
     rng: CounterRng,
 }
 
@@ -156,30 +155,18 @@ impl TransformerLayer {
         policy: Recompute,
         rng: CounterRng,
     ) -> Self {
-        TransformerLayer { cfg, weights, layer_idx, policy, overlap: OverlapPolicy::Exposed, rng }
+        TransformerLayer { cfg, weights, layer_idx, policy, rng }
     }
 
-    /// Adopts an [`ExecPolicy`]'s overrides as this layer's stored defaults:
-    /// a `Some` recompute or overlap half replaces the stored one, `None`
-    /// halves leave it untouched (the policy's execution mode is per-call —
-    /// it borrows a communicator — and is ignored here). All ranks of a
-    /// group must store the same overlap policy; the chunking is part of
-    /// the SPMD protocol. The policy was validated at
-    /// [`ExecPolicy::builder`], so this cannot introduce a zero-chunk
-    /// configuration.
+    /// Adopts an [`ExecPolicy`]'s recompute override, when it sets one, as
+    /// this layer's stored recompute policy. The execution mode and the
+    /// overlap policy are per-call — every call reads them from the policy
+    /// it is passed — and are ignored here.
     pub fn with_exec_policy(mut self, policy: &ExecPolicy<'_>) -> Self {
         if let Some(recompute) = policy.recompute() {
             self.policy = recompute;
         }
-        if let Some(overlap) = policy.overlap() {
-            self.overlap = overlap;
-        }
         self
-    }
-
-    /// The active overlap policy.
-    pub fn overlap_policy(&self) -> OverlapPolicy {
-        self.overlap
     }
 
     /// The layer's weights (shard-shaped in parallel execution).
@@ -459,9 +446,10 @@ impl TransformerLayer {
     /// recorded in `ledger` (byte-exact, paper accounting).
     ///
     /// `policy` accepts anything convertible into an [`ExecPolicy`] — a
-    /// bare [`ExecMode`] (by value or reference) inherits this layer's
-    /// stored recompute/overlap defaults; an explicit policy overrides the
-    /// halves it sets.
+    /// bare [`ExecMode`] (by value or reference) runs this layer's stored
+    /// recompute policy with exposed collectives; an explicit policy may
+    /// override the recompute half and is the only source of the overlap
+    /// half.
     pub fn forward<'m>(
         &self,
         x: &Tensor,
@@ -471,7 +459,7 @@ impl TransformerLayer {
     ) -> (Tensor, LayerState) {
         let policy = policy.into();
         let mode = policy.mode();
-        let overlap = policy.overlap().unwrap_or(self.overlap);
+        let overlap = policy.overlap();
         match policy.recompute().unwrap_or(self.policy) {
             Recompute::Full => {
                 let (out, _discarded) = self.forward_full(x, micro, &mode, overlap);
@@ -515,7 +503,7 @@ impl TransformerLayer {
     ) -> (Tensor, LayerGrads) {
         let policy = policy.into();
         let mode = policy.mode();
-        let overlap = policy.overlap().unwrap_or(self.overlap);
+        let overlap = policy.overlap();
         let st = match state {
             LayerState::Stored(st) if st.attn.is_none() && overlap.recompute_overlapped() => {
                 return self.backward_selective_overlapped(dy, &st, &mode, overlap);
@@ -865,14 +853,14 @@ mod tests {
             .overlap(OverlapPolicy::overlapped_recompute(1).expect("chunks >= 1"))
             .build()
             .expect("valid policy");
-        let layer = make_layer(Recompute::Selective, 0.1).with_exec_policy(&policy);
+        let layer = make_layer(Recompute::Selective, 0.1);
         let _ = crate::overlap::take_step_timing();
         let tracer = mt_trace::Tracer::enabled();
         let (y1, dx1, g1) = {
             let _installed = mt_trace::install(tracer.clone());
             let mut ledger = ActivationLedger::new();
-            let (y1, st1) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
-            let (dx1, g1) = layer.backward(&dy, st1, ExecMode::Serial);
+            let (y1, st1) = layer.forward(&x, 0, policy, &mut ledger);
+            let (dx1, g1) = layer.backward(&dy, st1, policy);
             (y1, dx1, g1)
         };
         let timing = crate::overlap::take_step_timing();
@@ -888,11 +876,10 @@ mod tests {
     }
 
     #[test]
-    fn per_call_policy_overrides_stored_defaults() {
+    fn per_call_policy_overrides_the_stored_recompute() {
         // A layer built store-all, driven by a policy forcing Selective +
-        // OverlappedRecompute, must behave exactly like a layer built that
-        // way — the state drops the attention core and the replay is
-        // prefetched.
+        // OverlappedRecompute, must match a layer built Selective — the
+        // state drops the attention core and the replay is prefetched.
         let x = rand_input(&cfg(), 12);
         let dy = rand_input(&cfg(), 13);
         let policy = ExecPolicy::builder()
@@ -919,14 +906,15 @@ mod tests {
     }
 
     #[test]
-    fn with_exec_policy_adopts_only_set_halves() {
-        let policy = ExecPolicy::builder()
+    fn with_exec_policy_adopts_the_recompute_half_only() {
+        let overlap_only = ExecPolicy::builder()
             .overlap(OverlapPolicy::overlapped_recompute(3).expect("chunks >= 1"))
             .build()
             .expect("valid policy");
-        let layer = make_layer(Recompute::Selective, 0.0).with_exec_policy(&policy);
+        let layer = make_layer(Recompute::Selective, 0.0).with_exec_policy(&overlap_only);
         assert_eq!(layer.policy(), Recompute::Selective, "unset half must not change");
-        assert_eq!(layer.overlap_policy(), OverlapPolicy::OverlappedRecompute { chunks: 3 });
+        let full = ExecPolicy::builder().recompute(Recompute::Full).build().expect("valid policy");
+        assert_eq!(layer.with_exec_policy(&full).policy(), Recompute::Full);
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod optim;
 mod overlap;
 pub mod pipeline_exec;
 mod policy;
-pub mod recovery;
 pub mod streams;
 pub mod trainer;
 pub mod vocab_parallel;
@@ -65,5 +64,5 @@ pub mod zero;
 pub use config::TransformerConfig;
 pub use layer::{ExecMode, LayerState, StoredState, TransformerLayer};
 pub use ledger::{ActivationLedger, Category};
-pub use overlap::{take_step_timing, CommTiming, OverlapPolicy, StepTiming, ZeroChunks};
+pub use overlap::{take_step_timing, OverlapPolicy, StepTiming, ZeroChunks};
 pub use policy::{ExecPolicy, ExecPolicyBuilder, PolicyError};

@@ -129,21 +129,6 @@ impl OverlapPolicy {
     }
 }
 
-/// The collective half of a [`StepTiming`] ledger, in microseconds of the
-/// shared process clock. Obtained by projection via [`StepTiming::comm`];
-/// kept as its own type for callers that only care about communication.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommTiming {
-    /// Total time spent inside blocking collectives (including the portion
-    /// hidden under compute by the overlapped driver).
-    pub comm_us: u64,
-    /// The portion of `comm_us` during which no dependent compute ran —
-    /// communication exposed on the critical path. Exposed collectives
-    /// contribute their full duration; overlapped ones only what the
-    /// pipeline failed to hide.
-    pub exposed_us: u64,
-}
-
 /// Per-step timing ledger: collective and recomputation time, each split
 /// into its total and the portion exposed on the critical path.
 ///
@@ -168,14 +153,6 @@ pub struct StepTiming {
     /// inline replays contribute their full duration, prefetched ones only
     /// the join wait after the covering backward work finished.
     pub exposed_recompute_us: u64,
-}
-
-impl StepTiming {
-    /// The collective half of the ledger, for callers of the deprecated
-    /// comm-only spelling.
-    pub fn comm(&self) -> CommTiming {
-        CommTiming { comm_us: self.comm_us, exposed_us: self.exposed_us }
-    }
 }
 
 thread_local! {
@@ -268,14 +245,6 @@ mod tests {
         assert_eq!(take_step_timing(), StepTiming::default());
         let other = std::thread::spawn(take_step_timing).join().unwrap();
         assert_eq!(other, StepTiming::default(), "ledger is thread-local");
-    }
-
-    #[test]
-    fn comm_view_projects_the_collective_half() {
-        add_comm_time(9, 3);
-        add_recompute_time(4, 4);
-        let t = take_step_timing();
-        assert_eq!(t.comm(), CommTiming { comm_us: 9, exposed_us: 3 });
     }
 
     #[test]

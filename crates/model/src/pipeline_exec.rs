@@ -1,25 +1,30 @@
-//! Real pipeline-parallel execution: the 1F1B schedule (Section 4.2.3)
-//! running on thread-simulated ranks, composable with tensor and sequence
-//! parallelism and every recomputation policy.
+//! Real pipeline-parallel execution: the 1F1B schedule (Section 4.2.3) and
+//! the interleaved schedule (Section 6, Appendix C) running on
+//! thread-simulated ranks, composable with tensor and sequence parallelism
+//! and every recomputation policy.
 //!
 //! Each pipeline stage owns `L/p` transformer layers (stage 0 additionally
 //! the embedding, the last stage the final LayerNorm and the tied logits
 //! head). Microbatches flow through the PipeDream-flush order — warmup
 //! forwards, steady 1F1B pairs, cooldown backwards — with activations sent
-//! stage-to-stage over point-to-point channels. The executor tracks how many
-//! microbatch activation states are live per stage, which lets tests confirm
-//! the paper's central memory assumption (`min(p − stage, n)` in-flight
-//! microbatches, Appendix B/C) *by running the schedule*, not by assuming it.
+//! stage-to-stage over point-to-point channels. The two schedules differ
+//! only in the order of their (forward, backward) units, so one executor
+//! walks either op list over the device's model chunks (1F1B is one chunk
+//! per device). It tracks how many activation states are live and merges
+//! each unit's activation ledger in at its forward and out at its backward,
+//! which lets tests confirm the paper's central memory assumption
+//! (`min(p − stage, n)` in-flight microbatches, Appendix B/C) *by running
+//! the schedule*, not by assuming it.
 
 use crate::config::TransformerConfig;
-use crate::gpt::Gpt;
+use crate::gpt::{
+    embed_backward, embed_forward, embedding_mask, head_backward, head_forward, Gpt, HeadState,
+};
 use crate::layer::{ExecMode, LayerState, TransformerLayer};
-use crate::ledger::{ActivationLedger, Category};
-use crate::streams::{element_offset, stream_id, DropoutSite};
+use crate::ledger::ActivationLedger;
 use crate::weights::{EmbeddingWeights, LayerGrads};
 use mt_collectives::{CollectiveError, GridComm};
 use mt_memory::Recompute;
-use mt_tensor::ops;
 use mt_tensor::rng::CounterRng;
 use mt_tensor::Tensor;
 use std::fmt;
@@ -110,40 +115,39 @@ pub struct StageGrads {
     pub head: Option<(Tensor, Tensor, Tensor)>,
 }
 
-/// Result of one 1F1B iteration on one rank.
+/// Result of one pipeline iteration on one rank: `G` is [`StageGrads`] for
+/// the 1F1B schedule and one [`StageGrads`] per chunk for the interleaved
+/// one ([`InterleavedOutcome`]).
 #[derive(Debug, Clone)]
-pub struct IterationOutcome {
+pub struct IterationOutcome<G = StageGrads> {
     /// Mean cross-entropy loss over the microbatches (identical on every
     /// rank; the last stage computes it and the grid broadcasts it).
     pub mean_loss: f32,
     /// Gradients summed over the iteration's microbatches.
-    pub grads: StageGrads,
-    /// Peak number of microbatch activation states simultaneously live on
-    /// this stage — the quantity Appendix B's memory analysis is built on.
+    pub grads: G,
+    /// Peak number of (chunk, microbatch) activation states simultaneously
+    /// live on this rank — the quantity Appendix B's memory analysis is
+    /// built on.
     pub peak_live_states: usize,
-    /// Activation bytes (paper accounting) saved per microbatch on this
-    /// rank.
+    /// Activation bytes (paper accounting) one forward unit saves on this
+    /// rank (the last one run, when chunks differ).
     pub per_micro_activation_bytes: u64,
     /// Peak live activation bytes (paper accounting) on this rank over the
-    /// iteration: microbatch ledgers merge in at their forward pass and are
-    /// released at their backward pass, so this measures the schedule's
-    /// true in-flight footprint — `min(p − stage, n)` microbatches' worth.
+    /// iteration: each forward unit's ledger merges in and its backward
+    /// releases it, so this measures the schedule's true in-flight
+    /// footprint — `min(p − stage, n)` microbatches' worth under 1F1B.
     pub peak_activation_bytes: u64,
 }
 
-/// Saved per-microbatch state while a microbatch is in flight.
+/// Result of one interleaved-schedule iteration: gradients per chunk.
+pub type InterleavedOutcome = IterationOutcome<Vec<StageGrads>>;
+
+/// Saved per-(chunk, microbatch) state while a forward unit awaits its
+/// backward.
 struct MicroState {
-    tokens_hash: usize, // index into micro_data, for the embedding backward
     layer_states: Vec<LayerState>,
     head: Option<HeadState>,
     ledger: ActivationLedger,
-}
-
-struct HeadState {
-    y_full: Tensor,
-    ln_saved: ops::LayerNormSaved,
-    y_ln: Tensor,
-    dlogits: Tensor,
 }
 
 impl StageModel {
@@ -217,36 +221,6 @@ impl StageModel {
             }),
         }
     }
-
-    fn embedding_mask(&self, micro: u64, row0: usize, rows: usize) -> Vec<u8> {
-        let stream = stream_id(DropoutSite::Embedding, 0, micro);
-        let h = self.cfg.hidden;
-        let mut mask = Vec::with_capacity(rows * h);
-        for r in 0..rows {
-            for c in 0..h {
-                mask.push(u8::from(
-                    self.rng.uniform(stream, element_offset(row0 + r, c, h)) >= self.cfg.dropout_p,
-                ));
-            }
-        }
-        mask
-    }
-
-    /// Embedding forward for local rows (stage 0).
-    fn embed(&self, tokens: &[usize], micro: u64, row0: usize, rows: usize) -> Tensor {
-        let e = self.embedding.as_ref().expect("embed called off stage 0");
-        let h = self.cfg.hidden;
-        let mut x = ops::embedding(&tokens[row0..row0 + rows], &e.table);
-        for r in 0..rows {
-            let si = (row0 + r) / self.cfg.micro_batch;
-            let pos = &e.positions.data()[si * h..(si + 1) * h];
-            for (xv, &pv) in x.data_mut()[r * h..(r + 1) * h].iter_mut().zip(pos) {
-                *xv += pv;
-            }
-        }
-        let mask = self.embedding_mask(micro, row0, rows);
-        ops::dropout(&x, &mask, self.cfg.dropout_p)
-    }
 }
 
 /// The 1F1B op order for one stage (PipeDream-flush): warmup forwards,
@@ -314,230 +288,10 @@ pub fn try_run_1f1b_iteration(
     micro_data: &[(Vec<usize>, Vec<usize>)],
     step: u64,
 ) -> Result<IterationOutcome, PipelineError> {
-    let cfg = model.cfg;
-    let n = micro_data.len();
-    assert!(n > 0, "need at least one microbatch");
-    assert_eq!(model.pp, g.pp(), "stage model built for a different pipeline depth");
-    let tp = g.tp.size();
-    let sp = sequence_parallel;
-    let rows = if sp { cfg.tokens() / tp } else { cfg.tokens() };
-    let row0 = if sp { g.tp_rank * rows } else { 0 };
-    let mode = if tp == 1 && !sp {
-        ExecMode::Serial
-    } else if sp {
-        ExecMode::TensorSequenceParallel(&g.tp)
-    } else {
-        ExecMode::TensorParallel(&g.tp)
-    };
-
-    let mut grads = model.zero_grads();
-    let mut live: Vec<Option<MicroState>> = (0..n).map(|_| None).collect();
-    let mut live_count = 0usize;
-    let mut peak_live = 0usize;
-    let mut loss_sum = 0.0_f64;
-    let mut per_micro_bytes = 0u64;
-    let mut iter_ledger = ActivationLedger::new();
-
-    for (is_fwd, m) in stage_ops(model.stage, model.pp, n) {
-        let micro_id = step * n as u64 + m as u64;
-        if is_fwd {
-            // ----- forward of microbatch m -----
-            let mut ledger = ActivationLedger::new();
-            let mut x = if model.stage == 0 {
-                let x = model.embed(&micro_data[m].0, micro_id, row0, rows);
-                ledger.record(Category::EmbeddingDropoutMask, x.numel() as u64);
-                x
-            } else {
-                let from = g.prev_stage_rank().expect("stage > 0 has a predecessor");
-                g.grid.try_recv(from).map_err(at(
-                    model.stage,
-                    Some(m),
-                    "recv of forward activation",
-                ))?
-            };
-            let mut layer_states = Vec::with_capacity(model.layers.len());
-            for layer in &model.layers {
-                let (y, st) = layer.forward(&x, micro_id, mode, &mut ledger);
-                layer_states.push(st);
-                x = y;
-            }
-            let head = if model.stage == model.pp - 1 {
-                let y_full = if sp {
-                    g.tp.try_all_gather(&x).map_err(at(
-                        model.stage,
-                        Some(m),
-                        "all-gather of final activations",
-                    ))?
-                } else {
-                    x.clone()
-                };
-                let h = model.head.as_ref().expect("last stage has a head");
-                let (y_ln, ln_saved) =
-                    ops::layer_norm(&y_full, &h.final_ln_gamma, &h.final_ln_beta);
-                ledger.record(Category::LayerNormInput, y_full.numel() as u64);
-                let logits = ops::Gemm::NT.apply(&y_ln, &h.table);
-                ledger.record(Category::ProjectionInput, y_ln.numel() as u64);
-                ledger.record(Category::Logits, logits.numel() as u64);
-                let ce = ops::cross_entropy(&logits, &micro_data[m].1);
-                loss_sum += ce.loss as f64;
-                Some(HeadState { y_full, ln_saved, y_ln, dlogits: ce.dlogits })
-            } else {
-                let to = g.next_stage_rank().expect("non-final stage has a successor");
-                g.grid.try_send(to, &x).map_err(at(
-                    model.stage,
-                    Some(m),
-                    "send of forward activation",
-                ))?;
-                None
-            };
-            per_micro_bytes = ledger.paper_bytes();
-            iter_ledger.merge(&ledger);
-            live[m] = Some(MicroState { tokens_hash: m, layer_states, head, ledger });
-            live_count += 1;
-            peak_live = peak_live.max(live_count);
-        } else {
-            // ----- backward of microbatch m -----
-            let st = live[m].take().unwrap_or_else(|| {
-                panic!(
-                    "stage {}: backward of microbatch {m} scheduled before its forward",
-                    model.stage
-                )
-            });
-            live_count -= 1;
-            iter_ledger.release(&st.ledger);
-            let mut d = if let Some(hs) = &st.head {
-                let h = model.head.as_ref().expect("last stage has a head");
-                let d_y_ln = ops::Gemm::NN.apply(&hs.dlogits, &h.table);
-                let (d_fg_acc, d_fb_acc, d_table_acc) =
-                    grads.head.as_mut().expect("head grads allocated");
-                d_table_acc.add_assign(&ops::Gemm::TN.apply(&hs.dlogits, &hs.y_ln));
-                let (d_y_full, d_fg, d_fb) =
-                    ops::layer_norm_backward(&hs.y_full, &h.final_ln_gamma, &hs.ln_saved, &d_y_ln);
-                d_fg_acc.add_assign(&d_fg);
-                d_fb_acc.add_assign(&d_fb);
-                if sp {
-                    d_y_full.chunk_axis0(tp).expect("rows divide")[g.tp_rank].clone()
-                } else {
-                    d_y_full
-                }
-            } else {
-                let from = g.next_stage_rank().expect("non-final stage has a successor");
-                g.grid.try_recv(from).map_err(at(
-                    model.stage,
-                    Some(m),
-                    "recv of backward gradient",
-                ))?
-            };
-            let mut layer_states = st.layer_states;
-            for idx in (0..model.layers.len()).rev() {
-                let lstate = layer_states.pop().unwrap_or_else(|| {
-                    panic!(
-                        "stage {}, microbatch {m}: missing saved state for layer {idx}",
-                        model.stage
-                    )
-                });
-                let (dx, lg) = model.layers[idx].backward(&d, lstate, mode);
-                grads.layers[idx].accumulate(&lg);
-                d = dx;
-            }
-            if model.stage == 0 {
-                let micro_tokens = &micro_data[st.tokens_hash].0;
-                let mask = model.embedding_mask(micro_id, row0, rows);
-                let d_emb = ops::dropout_backward(&d, &mask, cfg.dropout_p);
-                let (d_table_acc, d_pos_acc) =
-                    grads.embedding.as_mut().expect("embedding grads allocated");
-                let h = cfg.hidden;
-                for r in 0..rows {
-                    let si = (row0 + r) / cfg.micro_batch;
-                    let src = &d_emb.data()[r * h..(r + 1) * h];
-                    let dst = &mut d_pos_acc.data_mut()[si * h..(si + 1) * h];
-                    for (dv, &sv) in dst.iter_mut().zip(src) {
-                        *dv += sv;
-                    }
-                }
-                let ids_local = &micro_tokens[row0..row0 + rows];
-                d_table_acc.add_assign(&ops::embedding_backward(ids_local, &d_emb, cfg.vocab));
-            } else {
-                let to = g.prev_stage_rank().expect("stage > 0 has a predecessor");
-                g.grid.try_send(to, &d).map_err(at(
-                    model.stage,
-                    Some(m),
-                    "send of backward gradient",
-                ))?;
-            }
-        }
-    }
-
-    // Sequence parallelism computed embedding gradients from sequence
-    // shards; sum across the tensor-parallel group.
-    if sp {
-        if let Some((t, p)) = grads.embedding.as_mut() {
-            *t = g.tp.try_all_reduce(t).map_err(at(
-                model.stage,
-                None,
-                "all-reduce of embedding-table gradients",
-            ))?;
-            *p = g.tp.try_all_reduce(p).map_err(at(
-                model.stage,
-                None,
-                "all-reduce of position gradients",
-            ))?;
-        }
-    }
-
-    // Tied embeddings (Megatron): the last stage's head-table gradient is
-    // summed into stage 0's embedding-table gradient, and the combined
-    // gradient is sent back so both copies step identically.
-    if model.pp > 1 {
-        let last = model.pp - 1;
-        let tied = "tied-embedding gradient exchange";
-        if model.stage == last {
-            let (_, _, d_table_head) = grads.head.as_ref().expect("head grads");
-            g.grid.try_send(g.peer_on_stage(0), d_table_head).map_err(at(
-                model.stage,
-                None,
-                tied,
-            ))?;
-            let combined =
-                g.grid.try_recv(g.peer_on_stage(0)).map_err(at(model.stage, None, tied))?;
-            grads.head.as_mut().expect("head grads").2 = combined;
-        } else if model.stage == 0 {
-            let head_grad =
-                g.grid.try_recv(g.peer_on_stage(last)).map_err(at(model.stage, None, tied))?;
-            let (d_table, _) = grads.embedding.as_mut().expect("embedding grads");
-            d_table.add_assign(&head_grad);
-            let combined = d_table.clone();
-            g.grid.try_send(g.peer_on_stage(last), &combined).map_err(at(
-                model.stage,
-                None,
-                tied,
-            ))?;
-        }
-    } else if let (Some((d_table, _)), Some((_, _, d_head))) =
-        (grads.embedding.as_mut(), grads.head.as_ref())
-    {
-        d_table.add_assign(d_head);
-        let combined = d_table.clone();
-        grads.head.as_mut().expect("head grads").2 = combined;
-    }
-
-    // Broadcast the mean loss from the last stage's tp-rank-0 to everyone.
-    let loss_root = (model.pp - 1) * tp;
-    let loss_local = Tensor::full(&[1], (loss_sum / n as f64) as f32);
-    let mean_loss = g
-        .grid
-        .try_broadcast(&loss_local, loss_root)
-        .map_err(at(model.stage, None, "broadcast of mean loss"))?
-        .data()[0];
-
-    // Every microbatch's backward released its forward's activations.
-    debug_assert_eq!(iter_ledger.live_paper_bytes(), 0, "activations leaked across the iteration");
-    Ok(IterationOutcome {
-        mean_loss,
-        grads,
-        peak_live_states: peak_live,
-        per_micro_activation_bytes: per_micro_bytes,
-        peak_activation_bytes: iter_ledger.high_water(),
+    // 1F1B is the one-chunk-per-device case of the interleaved layout.
+    let ops = stage_ops(g.stage, g.pp(), micro_data.len()).into_iter().map(|(f, m)| (f, 0, m));
+    run_schedule(std::slice::from_ref(model), ops, g, sequence_parallel, micro_data, step, |gs| {
+        gs.into_iter().next().expect("one chunk, one gradient set")
     })
 }
 
@@ -581,9 +335,9 @@ pub fn interleaved_device_ops(
 /// …)`), and microbatches traverse all `p·m` virtual stages with
 /// wrap-around point-to-point transfers.
 ///
-/// Returns per-chunk gradients (outer index = chunk) plus the mean loss and
-/// the peak number of live chunk-activation states — the quantity behind
-/// the paper's `L(1 + (p−1)/(p·m))` first-device memory factor.
+/// The outcome carries per-chunk gradients (outer index = chunk);
+/// `peak_live_states` counts live chunk-activation states — the quantity
+/// behind the paper's `L(1 + (p−1)/(p·m))` first-device memory factor.
 ///
 /// # Panics
 ///
@@ -597,7 +351,7 @@ pub fn run_interleaved_iteration(
     sequence_parallel: bool,
     micro_data: &[(Vec<usize>, Vec<usize>)],
     step: u64,
-) -> (f32, Vec<StageGrads>, usize) {
+) -> InterleavedOutcome {
     try_run_interleaved_iteration(chunks, g, sequence_parallel, micro_data, step)
         .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -619,19 +373,42 @@ pub fn try_run_interleaved_iteration(
     sequence_parallel: bool,
     micro_data: &[(Vec<usize>, Vec<usize>)],
     step: u64,
-) -> Result<(f32, Vec<StageGrads>, usize), PipelineError> {
-    let m = chunks.len();
-    assert!(m > 0, "need at least one chunk");
-    let p = g.pp();
-    let device = g.stage;
-    let n = micro_data.len();
+) -> Result<InterleavedOutcome, PipelineError> {
+    let (p, n) = (g.pp(), micro_data.len());
+    assert!(!chunks.is_empty(), "need at least one chunk");
     assert!(n > 0 && n.is_multiple_of(p), "microbatches ({n}) must be a multiple of devices ({p})");
-    let cfg = chunks[0].cfg;
+    let ops = interleaved_device_ops(g.stage, p, chunks.len(), n);
+    run_schedule(chunks, ops, g, sequence_parallel, micro_data, step, |gs| gs)
+}
+
+/// The **single** pipeline executor: walks `ops` — `(is_forward, chunk,
+/// microbatch)` units in schedule order — over this device's model chunks.
+/// A forward unit is recv-or-embed, the chunk's layers, head-or-send, and
+/// saves a [`MicroState`]; a backward unit pops that state and runs
+/// head-backward-or-recv, the layers in reverse, embedding-backward-or-send.
+/// After the schedule come the SP embedding-gradient all-reduce, the
+/// tied-embedding exchange and the loss broadcast. The 1F1B and interleaved
+/// schedules differ only in `chunks` and `ops` (and in `finish`, which shapes
+/// the per-chunk gradients into the wrapper's result type).
+///
+/// Error coordinates: a unit's failure names its chunk's virtual stage and
+/// its microbatch; a post-schedule failure names the device.
+fn run_schedule<G>(
+    chunks: &[StageModel],
+    ops: impl IntoIterator<Item = (bool, usize, usize)>,
+    g: &GridComm,
+    sequence_parallel: bool,
+    micro_data: &[(Vec<usize>, Vec<usize>)],
+    step: u64,
+    finish: impl FnOnce(Vec<StageGrads>) -> G,
+) -> Result<IterationOutcome<G>, PipelineError> {
+    let (m, n) = (chunks.len(), micro_data.len());
+    assert!(n > 0, "need at least one microbatch");
+    let (p, device) = (g.pp(), g.stage);
     let tp = g.tp.size();
     let sp = sequence_parallel;
-    let rows = if sp { cfg.tokens() / tp } else { cfg.tokens() };
-    let row0 = if sp { g.tp_rank * rows } else { 0 };
     let vstages = p * m;
+    let cfg = chunks[0].cfg;
     let mode = if tp == 1 && !sp {
         ExecMode::Serial
     } else if sp {
@@ -641,41 +418,46 @@ pub fn try_run_interleaved_iteration(
     };
     for (v, c) in chunks.iter().enumerate() {
         assert_eq!(c.stage, v * p + device, "chunk {v} built for the wrong virtual stage");
-        assert_eq!(c.pp, vstages, "chunk built for a different virtual depth");
+        assert_eq!(c.pp, vstages, "stage model built for a different pipeline depth");
     }
+    // Virtual stages form a ring over the devices: the previous one lives
+    // one device back, the next one device forward, wrapping between device
+    // 0 and device p−1. Only a chunked (m > 1) layout ever uses the
+    // wrap-around links; the first and last virtual stage use neither.
+    let prev = g.prev_stage_rank().unwrap_or_else(|| g.peer_on_stage(p - 1));
+    let next = g.next_stage_rank().unwrap_or_else(|| g.peer_on_stage(0));
 
-    let mut grads: Vec<StageGrads> = chunks.iter().map(|c| c.zero_grads()).collect();
+    let mut grads: Vec<StageGrads> = chunks.iter().map(StageModel::zero_grads).collect();
     let mut live: Vec<Vec<Option<MicroState>>> =
         (0..m).map(|_| (0..n).map(|_| None).collect()).collect();
     let mut live_count = 0usize;
     let mut peak_live = 0usize;
     let mut loss_sum = 0.0_f64;
+    let mut per_micro_bytes = 0u64;
+    let mut iter_ledger = ActivationLedger::new();
 
-    for (is_fwd, v, mb) in interleaved_device_ops(device, p, m, n) {
-        let vs = v * p + device;
-        let micro_id = step * n as u64 + mb as u64;
+    for (is_fwd, v, mb) in ops {
         let model = &chunks[v];
+        let vs = model.stage;
+        let (first, last) = (vs == 0, vs == vstages - 1);
+        let micro_id = step * n as u64 + mb as u64;
+        let (tokens, targets) = &micro_data[mb];
         if is_fwd {
-            let mut x = if vs == 0 {
-                model.embed(&micro_data[mb].0, micro_id, row0, rows)
+            let mut ledger = ActivationLedger::new();
+            let mut x = if first {
+                let e = model.embedding.as_ref().expect("first virtual stage owns the embedding");
+                embed_forward(&cfg, &model.rng, e, tokens, micro_id, &mode, &mut ledger).0
             } else {
-                // Previous virtual stage lives on device (device+p-1)%p
-                // (chunk v, or chunk v-1 when this is device 0).
-                let from_device = (device + p - 1) % p;
-                g.grid.try_recv(from_device * tp + g.tp_rank).map_err(at(
-                    vs,
-                    Some(mb),
-                    "recv of forward activation",
-                ))?
+                g.grid.try_recv(prev).map_err(at(vs, Some(mb), "recv of forward activation"))?
             };
             let mut layer_states = Vec::with_capacity(model.layers.len());
-            let mut scratch = ActivationLedger::new();
             for layer in &model.layers {
-                let (y, st) = layer.forward(&x, micro_id, mode, &mut scratch);
+                let (y, st) = layer.forward(&x, micro_id, mode, &mut ledger);
                 layer_states.push(st);
                 x = y;
             }
-            let head = if vs == vstages - 1 {
+            let head = if last {
+                let h = model.head.as_ref().expect("last virtual stage owns the head");
                 let y_full = if sp {
                     g.tp.try_all_gather(&x).map_err(at(
                         vs,
@@ -685,109 +467,92 @@ pub fn try_run_interleaved_iteration(
                 } else {
                     x.clone()
                 };
-                let h = model.head.as_ref().expect("last virtual stage has the head");
-                let (y_ln, ln_saved) =
-                    ops::layer_norm(&y_full, &h.final_ln_gamma, &h.final_ln_beta);
-                let logits = ops::Gemm::NT.apply(&y_ln, &h.table);
-                let ce = ops::cross_entropy(&logits, &micro_data[mb].1);
-                loss_sum += ce.loss as f64;
-                Some(HeadState { y_full, ln_saved, y_ln, dlogits: ce.dlogits })
+                let (loss, hs) = head_forward(
+                    &h.final_ln_gamma,
+                    &h.final_ln_beta,
+                    &h.table,
+                    y_full,
+                    targets,
+                    &mut ledger,
+                );
+                loss_sum += loss as f64;
+                Some(hs)
             } else {
-                let to_device = (device + 1) % p;
-                g.grid.try_send(to_device * tp + g.tp_rank, &x).map_err(at(
+                g.grid.try_send(next, &x).map_err(at(
                     vs,
                     Some(mb),
                     "send of forward activation",
                 ))?;
                 None
             };
-            live[v][mb] = Some(MicroState { tokens_hash: mb, layer_states, head, ledger: scratch });
+            per_micro_bytes = ledger.paper_bytes();
+            iter_ledger.merge(&ledger);
+            live[v][mb] = Some(MicroState { layer_states, head, ledger });
             live_count += 1;
             peak_live = peak_live.max(live_count);
         } else {
             let st = live[v][mb].take().unwrap_or_else(|| {
-                panic!(
-                    "virtual stage {vs}: backward of microbatch {mb} scheduled before its forward"
-                )
+                panic!("stage {vs}: backward of microbatch {mb} scheduled before its forward")
             });
             live_count -= 1;
+            iter_ledger.release(&st.ledger);
             let mut d = if let Some(hs) = &st.head {
-                let h = chunks[v].head.as_ref().expect("head weights");
-                let d_y_ln = ops::Gemm::NN.apply(&hs.dlogits, &h.table);
+                let h = model.head.as_ref().expect("head state implies head weights");
+                let (d, d_fg, d_fb, d_table) =
+                    head_backward(&h.final_ln_gamma, &h.table, hs, &mode);
                 let (d_fg_acc, d_fb_acc, d_table_acc) =
                     grads[v].head.as_mut().expect("head grads allocated");
-                d_table_acc.add_assign(&ops::Gemm::TN.apply(&hs.dlogits, &hs.y_ln));
-                let (d_y_full, d_fg, d_fb) =
-                    ops::layer_norm_backward(&hs.y_full, &h.final_ln_gamma, &hs.ln_saved, &d_y_ln);
+                d_table_acc.add_assign(&d_table);
                 d_fg_acc.add_assign(&d_fg);
                 d_fb_acc.add_assign(&d_fb);
-                if sp {
-                    d_y_full.chunk_axis0(tp).expect("rows divide")[g.tp_rank].clone()
-                } else {
-                    d_y_full
-                }
+                d
             } else {
-                let from_device = (device + 1) % p;
-                g.grid.try_recv(from_device * tp + g.tp_rank).map_err(at(
-                    vs,
-                    Some(mb),
-                    "recv of backward gradient",
-                ))?
+                g.grid.try_recv(next).map_err(at(vs, Some(mb), "recv of backward gradient"))?
             };
             let mut layer_states = st.layer_states;
-            for idx in (0..chunks[v].layers.len()).rev() {
+            for idx in (0..model.layers.len()).rev() {
                 let lstate = layer_states.pop().unwrap_or_else(|| {
-                    panic!(
-                        "virtual stage {vs}, microbatch {mb}: missing saved state for layer {idx}"
-                    )
+                    panic!("stage {vs}, microbatch {mb}: missing saved state for layer {idx}")
                 });
-                let (dx, lg) = chunks[v].layers[idx].backward(&d, lstate, mode);
+                let (dx, lg) = model.layers[idx].backward(&d, lstate, mode);
                 grads[v].layers[idx].accumulate(&lg);
                 d = dx;
             }
-            if vs == 0 {
-                let mask = chunks[v].embedding_mask(micro_id, row0, rows);
-                let d_emb = ops::dropout_backward(&d, &mask, cfg.dropout_p);
+            if first {
+                // Regenerated, not kept in `MicroState`: the mask is a pure
+                // function of the microbatch id, and holding it would cost
+                // rows·h bytes per in-flight microbatch.
+                let mask = embedding_mask(&cfg, &model.rng, micro_id, &mode);
                 let (d_table_acc, d_pos_acc) =
                     grads[v].embedding.as_mut().expect("embedding grads allocated");
-                let h = cfg.hidden;
-                for r in 0..rows {
-                    let si = (row0 + r) / cfg.micro_batch;
-                    let src = &d_emb.data()[r * h..(r + 1) * h];
-                    let dst = &mut d_pos_acc.data_mut()[si * h..(si + 1) * h];
-                    for (dv, &sv) in dst.iter_mut().zip(src) {
-                        *dv += sv;
-                    }
-                }
-                let ids = &micro_data[st.tokens_hash].0[row0..row0 + rows];
-                d_table_acc.add_assign(&ops::embedding_backward(ids, &d_emb, cfg.vocab));
+                d_table_acc.add_assign(&embed_backward(&cfg, tokens, &d, &mask, &mode, d_pos_acc));
             } else {
-                let to_device = (device + p - 1) % p;
-                g.grid.try_send(to_device * tp + g.tp_rank, &d).map_err(at(
-                    vs,
-                    Some(mb),
-                    "send of backward gradient",
-                ))?;
+                g.grid.try_send(prev, &d).map_err(at(vs, Some(mb), "send of backward gradient"))?;
             }
         }
     }
 
-    // SP embedding-gradient reduction and the tied-embedding exchange
-    // (device 0 holds chunk 0 / the embedding; device p−1 holds the head).
+    // Sequence parallelism computed embedding gradients from sequence
+    // shards; sum across the tensor-parallel group. (Device 0 holds chunk 0
+    // and with it the embedding; device p−1 holds the head.)
     if sp {
-        if let Some(embedding) = grads[0].embedding.as_mut() {
-            embedding.0 = g.tp.try_all_reduce(&embedding.0).map_err(at(
+        if let Some((t, pos)) = grads[0].embedding.as_mut() {
+            *t = g.tp.try_all_reduce(t).map_err(at(
                 device,
                 None,
                 "all-reduce of embedding-table gradients",
             ))?;
-            embedding.1 = g.tp.try_all_reduce(&embedding.1).map_err(at(
+            *pos = g.tp.try_all_reduce(pos).map_err(at(
                 device,
                 None,
                 "all-reduce of position gradients",
             ))?;
         }
     }
+
+    // Tied embeddings (Megatron): the last stage's head-table gradient is
+    // summed into stage 0's embedding-table gradient, and the combined
+    // gradient is sent back so both copies step identically.
     if p > 1 {
         let tied = "tied-embedding gradient exchange";
         if device == p - 1 {
@@ -804,8 +569,8 @@ pub fn try_run_interleaved_iteration(
             g.grid.try_send(g.peer_on_stage(p - 1), &combined).map_err(at(device, None, tied))?;
         }
     } else {
-        // Single device: both tied copies are local; combine across chunks
-        // (or within the single chunk when m = 1).
+        // Single device: both tied copies are local (in the one chunk, or
+        // in the first and last).
         let head_grad = grads[m - 1].head.as_ref().expect("head grads").2.clone();
         let (d_table, _) = grads[0].embedding.as_mut().expect("embedding grads");
         d_table.add_assign(&head_grad);
@@ -813,6 +578,7 @@ pub fn try_run_interleaved_iteration(
         grads[m - 1].head.as_mut().expect("head grads").2 = combined;
     }
 
+    // Broadcast the mean loss from the last stage's tp-rank-0 to everyone.
     let loss_root = (p - 1) * tp;
     let loss_local = Tensor::full(&[1], (loss_sum / n as f64) as f32);
     let mean_loss = g
@@ -820,7 +586,16 @@ pub fn try_run_interleaved_iteration(
         .try_broadcast(&loss_local, loss_root)
         .map_err(at(device, None, "broadcast of mean loss"))?
         .data()[0];
-    Ok((mean_loss, grads, peak_live))
+
+    // Every microbatch's backward released its forward's activations.
+    debug_assert_eq!(iter_ledger.live_paper_bytes(), 0, "activations leaked across the iteration");
+    Ok(IterationOutcome {
+        mean_loss,
+        grads: finish(grads),
+        peak_live_states: peak_live,
+        per_micro_activation_bytes: per_micro_bytes,
+        peak_activation_bytes: iter_ledger.high_water(),
+    })
 }
 
 #[cfg(test)]
@@ -866,6 +641,22 @@ mod tests {
         assert!(s1.embedding.is_none() && s1.head.is_some());
         assert_eq!(s0.layers[0].weights(), gpt.layers[0].weights());
         assert_eq!(s1.layers[0].weights(), gpt.layers[1].weights());
+    }
+
+    // The edge stages are told apart by their stage index, not by which
+    // optional weights happen to be set: a first stage without an embedding
+    // fails where it stands instead of waiting on a peer for an activation.
+    #[test]
+    #[should_panic(expected = "first virtual stage owns the embedding")]
+    fn first_stage_without_an_embedding_fails_fast() {
+        let cfg = TransformerConfig::tiny();
+        let gpt = Gpt::init(cfg, Recompute::None, 9);
+        let mut model = StageModel::from_gpt(&gpt, 1, 0, 1, 0, Recompute::None);
+        model.embedding = None;
+        let comm = || mt_collectives::World::new(1).communicator(0);
+        let g = GridComm { stage: 0, tp_rank: 0, tp: comm(), grid: comm() };
+        let data = vec![(vec![0; cfg.tokens()], vec![0; cfg.tokens()])];
+        let _ = run_1f1b_iteration(&model, &g, false, &data, 0);
     }
 
     #[test]

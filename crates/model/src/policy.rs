@@ -17,14 +17,16 @@
 //! [`ExecMode`] still converts, so the paper-following call sites read
 //! unchanged.
 //!
-//! ## Inheritance semantics
+//! ## Which half lives where
 //!
-//! `recompute` and `overlap` are optional: `None` means *inherit the
-//! layer's stored default*. This keeps [`crate::gpt::Gpt`]'s per-layer
-//! heterogeneous recompute policies (`init_with_policies`) expressible —
-//! the trainer passes one `ExecPolicy` with `recompute: None` and each
-//! layer resolves its own — while a bench that wants to force a uniform
-//! policy sets the field explicitly.
+//! The two halves deliberately differ. `recompute` is optional: `None`
+//! means *run each layer's stored policy*, which is what keeps
+//! [`crate::gpt::Gpt`]'s per-layer heterogeneous recompute policies
+//! (`init_with_policies`) expressible — the trainer passes one `ExecPolicy`
+//! with `recompute: None` and each layer resolves its own — while a bench
+//! that wants to force a uniform policy sets the field explicitly.
+//! `overlap` has exactly one source, the passed policy: layers store no
+//! overlap default, and an unset overlap is [`OverlapPolicy::Exposed`].
 //!
 //! ```
 //! use mt_model::{ExecMode, ExecPolicy, OverlapPolicy};
@@ -37,11 +39,12 @@
 //!     .build()
 //!     .unwrap();
 //! assert!(matches!(policy.mode(), ExecMode::Serial));
-//! assert!(policy.overlap().unwrap().recompute_overlapped());
+//! assert!(policy.overlap().recompute_overlapped());
 //!
 //! // A bare ExecMode still converts — old call sites read unchanged.
-//! let inherit: ExecPolicy = ExecMode::Serial.into();
-//! assert!(inherit.recompute().is_none(), "None = inherit the layer default");
+//! let bare: ExecPolicy = ExecMode::Serial.into();
+//! assert!(bare.recompute().is_none(), "None = each layer's stored policy");
+//! assert_eq!(bare.overlap(), OverlapPolicy::Exposed);
 //! ```
 
 use crate::layer::ExecMode;
@@ -73,17 +76,16 @@ impl From<ZeroChunks> for PolicyError {
 }
 
 /// The unified execution policy a layer call runs under: execution mode,
-/// optional recompute override, optional overlap override.
+/// optional recompute override, overlap policy.
 ///
 /// Construct with [`ExecPolicy::builder`], or convert a bare [`ExecMode`]
-/// with `Into` (both overrides default to "inherit the layer's stored
-/// policy"). The lifetime is the [`ExecMode`]'s borrow of its
-/// communicator.
+/// with `Into` (each layer's stored recompute policy, exposed collectives).
+/// The lifetime is the [`ExecMode`]'s borrow of its communicator.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecPolicy<'a> {
     mode: ExecMode<'a>,
     recompute: Option<Recompute>,
-    overlap: Option<OverlapPolicy>,
+    overlap: OverlapPolicy,
 }
 
 impl<'a> ExecPolicy<'a> {
@@ -102,21 +104,21 @@ impl<'a> ExecPolicy<'a> {
         self.recompute
     }
 
-    /// The overlap override, or `None` to inherit the layer's policy.
-    pub fn overlap(&self) -> Option<OverlapPolicy> {
+    /// The overlap policy ([`OverlapPolicy::Exposed`] unless set).
+    pub fn overlap(&self) -> OverlapPolicy {
         self.overlap
     }
 }
 
 impl<'a> From<ExecMode<'a>> for ExecPolicy<'a> {
     fn from(mode: ExecMode<'a>) -> Self {
-        ExecPolicy { mode, recompute: None, overlap: None }
+        ExecPolicy { mode, recompute: None, overlap: OverlapPolicy::Exposed }
     }
 }
 
 impl<'a> From<&ExecMode<'a>> for ExecPolicy<'a> {
     fn from(mode: &ExecMode<'a>) -> Self {
-        ExecPolicy { mode: *mode, recompute: None, overlap: None }
+        ExecPolicy { mode: *mode, recompute: None, overlap: OverlapPolicy::Exposed }
     }
 }
 
@@ -132,12 +134,16 @@ impl<'a> From<&ExecPolicy<'a>> for ExecPolicy<'a> {
 pub struct ExecPolicyBuilder<'a> {
     mode: ExecMode<'a>,
     recompute: Option<Recompute>,
-    overlap: Option<OverlapPolicy>,
+    overlap: OverlapPolicy,
 }
 
 impl Default for ExecPolicyBuilder<'_> {
     fn default() -> Self {
-        ExecPolicyBuilder { mode: ExecMode::Serial, recompute: None, overlap: None }
+        ExecPolicyBuilder {
+            mode: ExecMode::Serial,
+            recompute: None,
+            overlap: OverlapPolicy::Exposed,
+        }
     }
 }
 
@@ -154,9 +160,9 @@ impl<'a> ExecPolicyBuilder<'a> {
         self
     }
 
-    /// Overrides the layer's overlap policy for calls under this policy.
+    /// Sets the overlap policy for calls under this policy.
     pub fn overlap(mut self, overlap: OverlapPolicy) -> Self {
-        self.overlap = Some(overlap);
+        self.overlap = overlap;
         self
     }
 
@@ -168,9 +174,7 @@ impl<'a> ExecPolicyBuilder<'a> {
     /// `chunks: 0` (possible when the variant is constructed literally
     /// rather than through [`OverlapPolicy::overlapped`]).
     pub fn build(self) -> Result<ExecPolicy<'a>, PolicyError> {
-        if let Some(overlap) = &self.overlap {
-            overlap.validate()?;
-        }
+        self.overlap.validate()?;
         Ok(ExecPolicy { mode: self.mode, recompute: self.recompute, overlap: self.overlap })
     }
 }
@@ -196,16 +200,16 @@ mod tests {
             .recompute(Recompute::Full)
             .build()
             .unwrap();
-        assert_eq!(ok.overlap(), Some(OverlapPolicy::OverlappedRecompute { chunks: 1 }));
+        assert_eq!(ok.overlap(), OverlapPolicy::OverlappedRecompute { chunks: 1 });
         assert_eq!(ok.recompute(), Some(Recompute::Full));
     }
 
     #[test]
-    fn mode_conversions_inherit_layer_policies() {
+    fn mode_conversions_leave_both_halves_unset() {
         let by_val: ExecPolicy = ExecMode::Serial.into();
         assert!(matches!(by_val.mode(), ExecMode::Serial));
         assert_eq!(by_val.recompute(), None);
-        assert_eq!(by_val.overlap(), None);
+        assert_eq!(by_val.overlap(), OverlapPolicy::Exposed);
         let mode = ExecMode::Serial;
         let by_ref: ExecPolicy = (&mode).into();
         assert!(matches!(by_ref.mode(), ExecMode::Serial));

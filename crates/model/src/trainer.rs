@@ -298,8 +298,8 @@ impl Trainer {
     /// microbatch under `policy`.
     ///
     /// `policy` is anything convertible into an [`ExecPolicy`]: a bare
-    /// [`ExecMode`](crate::ExecMode) by value or by reference (inheriting
-    /// each layer's stored recompute/overlap defaults), or an explicit
+    /// [`ExecMode`](crate::ExecMode) by value or by reference (each layer's
+    /// stored recompute policy, exposed collectives), or an explicit
     /// policy, also by value or by reference.
     ///
     /// # Panics

@@ -67,8 +67,13 @@ fn run(gpt: &Gpt, p: usize, m: usize, n: usize, policy: Recompute) -> Vec<Device
         let chunks: Vec<StageModel> = (0..m)
             .map(|v| StageModel::from_gpt(gpt, p * m, v * p + g.stage, 1, 0, policy))
             .collect();
-        let (loss, grads, peak) = run_interleaved_iteration(&chunks, &g, false, &data, 0);
-        DeviceResult { device: g.stage, loss, grads, peak }
+        let out = run_interleaved_iteration(&chunks, &g, false, &data, 0);
+        DeviceResult {
+            device: g.stage,
+            loss: out.mean_loss,
+            grads: out.grads,
+            peak: out.peak_live_states,
+        }
     })
 }
 
@@ -152,8 +157,8 @@ fn interleaved_composes_with_tensor_and_sequence_parallelism() {
                 StageModel::from_gpt(&gpt, 4, v * 2 + g.stage, 2, g.tp_rank, Recompute::Selective)
             })
             .collect();
-        let (loss, grads, _) = run_interleaved_iteration(&chunks, &g, true, &data, 0);
-        (g.stage, g.tp_rank, loss, grads)
+        let out = run_interleaved_iteration(&chunks, &g, true, &data, 0);
+        (g.stage, g.tp_rank, out.mean_loss, out.grads)
     });
     // Losses agree everywhere; reassemble layer grads per virtual stage.
     let layers_per_chunk = c.layers / 4;

@@ -63,9 +63,9 @@ pub struct RankProfile {
     pub categories: CategoryNs,
     /// Σ `comm_us` close-args over ledger-wrapped comm spans
     /// (`comm_exposed`, `gemm_overlapped`) — the trace's mirror of the
-    /// rank's `CommTiming::comm_us`.
+    /// rank's `StepTiming::comm_us`.
     pub wrapped_comm_us: u64,
-    /// Σ `exposed_us` close-args — mirror of `CommTiming::exposed_us`.
+    /// Σ `exposed_us` close-args — mirror of `StepTiming::exposed_us`.
     pub wrapped_exposed_us: u64,
     /// Σ `recompute_us` close-args over ledger-wrapped recompute spans
     /// (`recompute_attention`, `recompute_layer`, `recompute_overlapped`)

@@ -101,9 +101,8 @@ fn the_trained_model_generates_the_period() {
 fn checkpoint_preserves_training_progress() {
     let (cfg, _, ds) = setup();
     let trained = train(cfg, &ds, 60).into_model();
-    let mut buf = Vec::new();
-    trained.save_json(&mut buf).expect("serialize");
-    let restored = Gpt::load_json(buf.as_slice()).expect("deserialize");
+    let bytes = mt_fault::binfmt::to_bytes(&trained.to_checkpoint());
+    let restored = Gpt::from_checkpoint(mt_fault::binfmt::from_bytes(&bytes).expect("deserialize"));
     assert_eq!(eval_loss(&trained, &cfg, &ds), eval_loss(&restored, &cfg, &ds));
 }
 
