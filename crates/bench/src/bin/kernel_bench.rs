@@ -5,6 +5,9 @@
 //! kernel_bench [--smoke] [--threads N]
 //! ```
 //!
+//! Kernels: the GEMM family, row softmax, LayerNorm, GeLU, and the
+//! streaming attention core (keeping forward, replay, backward).
+//!
 //! For every kernel/shape the harness first checks that the threaded backend
 //! is **bit-identical** to serial (the crate's determinism contract — a
 //! benchmark of wrong results is worthless), then times both backends and
@@ -29,7 +32,9 @@
 //! * a top-level `simd` field naming the microkernel path the run used
 //!   (`"avx2"` / `"scalar"`, from runtime feature detection).
 
+use mt_kernels::attention::{self, AttnShape};
 use mt_kernels::{gemm, Backend};
+use mt_tensor::rng::CounterRng;
 use std::time::Instant;
 
 const SCHEMA_VERSION: u64 = 2;
@@ -282,6 +287,82 @@ fn main() {
                     packing_us: None,
                 },
             );
+        }
+    }
+
+    // The attention core at the two shapes the training benchmark leans on
+    // (long_seq's `s 640 · hd 32 · a 8 · b 1`, the TP workloads'
+    // `s 128 · hd 64 · a 8 · b 2`), causal with dropout: keeping forward,
+    // replay, backward. Entries carry `m = s`, `n = head_dim`, `k = a·b`;
+    // GFLOP/s counts the causal half of each call's GEMMs only.
+    for (seq, head_dim, heads, micro_batch) in [(640, 32, 8, 1), (128, 64, 8, 2)] {
+        let sh = AttnShape {
+            seq,
+            micro_batch,
+            heads,
+            head_dim,
+            head_offset: 0,
+            local_heads: heads,
+            causal: true,
+            scale: 1.0 / (head_dim as f32).sqrt(),
+            dropout_p: 0.1,
+        };
+        let key = CounterRng::new(7).stream(0);
+        let uniform = move |offset| key.uniform(offset);
+        let len = seq * micro_batch * heads * head_dim;
+        let (q, k, v, dctx) = (fill(len, 6), fill(len, 7), fill(len, 8), fill(len, 9));
+        let run = |backend| {
+            let (ctx, saved) = attention::forward(backend, &sh, &uniform, &q, &k, &v, true);
+            let saved = saved.expect("a keeping forward keeps");
+            let replayed = attention::replay(backend, &sh, &uniform, &q, &k);
+            let grads = attention::backward(backend, &sh, &uniform, &q, &k, &v, &saved, &dctx);
+            (ctx, saved, replayed, grads)
+        };
+        let (serial, threaded) = (run(Backend::Serial), run(Backend::Threaded { threads }));
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(
+            same(&serial.0, &threaded.0)
+                && same(&serial.1.probs, &threaded.1.probs)
+                && same(&serial.1.dropped, &threaded.1.dropped)
+                && same(&serial.1.probs, &serial.2.probs)
+                && same(&serial.1.dropped, &threaded.2.dropped)
+                && serial.3.iter().zip(&threaded.3).all(|(a, b)| same(a, b)),
+            "determinism violation: attention s{seq} hd{head_dim} threaded != serial"
+        );
+        let saved = serial.1;
+        let units = heads * micro_batch;
+        let pair_flops = (units * seq * (seq + 1) / 2 * 2 * head_dim) as f64;
+        for backend in [Backend::Serial, Backend::Threaded { threads }] {
+            let forward = best_of(reps, || {
+                attention::forward(backend, &sh, &uniform, &q, &k, &v, true);
+            });
+            let replay = best_of(reps, || {
+                attention::replay(backend, &sh, &uniform, &q, &k);
+            });
+            let backward = best_of(reps, || {
+                attention::backward(backend, &sh, &uniform, &q, &k, &v, &saved, &dctx);
+            });
+            // (kind, GEMMs per call, best ms)
+            let timings =
+                [("forward", 2.0, forward), ("replay", 1.0, replay), ("backward", 5.0, backward)];
+            for (kind, gemms, best_ms) in timings {
+                push(
+                    &mut results,
+                    Entry {
+                        kernel: "attention",
+                        kind: kind.to_string(),
+                        m: seq,
+                        n: head_dim,
+                        k: units,
+                        backend: backend.label(),
+                        threads: backend.threads(),
+                        reps,
+                        best_ms,
+                        gflops: gemms * pair_flops / (best_ms / 1e3) / 1e9,
+                        packing_us: None,
+                    },
+                );
+            }
         }
     }
 

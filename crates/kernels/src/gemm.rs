@@ -276,6 +276,28 @@ impl PackedB {
     /// Panics if `b.len() != k * n`.
     pub fn pack(transpose_b: bool, n: usize, k: usize, b: &[f32]) -> PackedB {
         assert_eq!(b.len(), k * n, "PackedB::pack: B length vs k*n");
+        PackedB::pack_strided(transpose_b, n, k, b, if transpose_b { k } else { n })
+    }
+
+    /// [`PackedB::pack`] for an operand embedded in a wider row-major
+    /// buffer: stored row `r` starts at `b[r * ldb]` (`k` rows of `n`
+    /// values when not transposed, `n` rows of `k` values when transposed).
+    /// This is how the attention core packs one head's `[s, head_dim]`
+    /// matrix straight out of the packed `[s·b, heads·head_dim]` layout,
+    /// without an extracted copy. The packed result is identical to
+    /// packing the dense copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is too short for the last stored row.
+    pub fn pack_strided(transpose_b: bool, n: usize, k: usize, b: &[f32], ldb: usize) -> PackedB {
+        let (stored_rows, stored_cols) = if transpose_b { (n, k) } else { (k, n) };
+        assert!(
+            stored_rows == 0
+                || stored_cols == 0
+                || b.len() >= (stored_rows - 1) * ldb + stored_cols,
+            "PackedB::pack_strided: B too short for its stride"
+        );
         let panels = n.div_ceil(NR);
         let mut data = vec![0.0f32; panels * k * NR];
         for jp in 0..panels {
@@ -285,13 +307,13 @@ impl PackedB {
             if !transpose_b {
                 // b is [k, n]: per kk, copy a contiguous run of w columns.
                 for kk in 0..k {
-                    dst[kk * NR..kk * NR + w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
+                    dst[kk * NR..kk * NR + w].copy_from_slice(&b[kk * ldb + j0..kk * ldb + j0 + w]);
                 }
             } else {
-                // b is [n, k]: op(B)[kk][j] = b[j*k + kk] — read each
+                // b is [n, k]: op(B)[kk][j] = b[j*ldb + kk] — read each
                 // source row contiguously, scatter into the panel column.
                 for c in 0..w {
-                    let src = &b[(j0 + c) * k..(j0 + c + 1) * k];
+                    let src = &b[(j0 + c) * ldb..(j0 + c) * ldb + k];
                     for (kk, &v) in src.iter().enumerate() {
                         dst[kk * NR + c] = v;
                     }
@@ -369,19 +391,23 @@ fn pack_a_band(
 
 /// One band × one `B` panel: every [`MR`]-row tile of the band runs the
 /// register-tile microkernel against the panel and stores its valid
-/// `h × w` corner into `C`.
+/// `h × w` corner into `C` (row stride `ldc`).
 ///
 /// Per output element the accumulator is a single chain over ascending
 /// `kk` of `mul`-then-`add` — the expression the determinism contract and
-/// the naive-oracle tests pin down. Fixed-size `[[f32; NR]; MR]` arrays
-/// keep the tile in registers; the surrounding `target_feature` wrapper
-/// decides how wide the compiler lowers the arithmetic.
+/// the naive-oracle tests pin down. The chain starts at `+0.0`, or — with
+/// `ADD` — at the value `C` already holds, which is how a contraction
+/// delivered in ascending `k` slices (the attention backward's row blocks)
+/// stays one chain instead of a sum of partial sums. Fixed-size
+/// `[[f32; NR]; MR]` arrays keep the tile in registers; the surrounding
+/// `target_feature` wrapper decides how wide the compiler lowers the
+/// arithmetic.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal hot loop; bundling would cost a struct per panel
-fn band_panel_impl(
+fn band_panel_impl<const ADD: bool>(
     k: usize,
     rows: usize,
-    n: usize,
+    ldc: usize,
     j0: usize,
     w: usize,
     a_tiles: &[f32],
@@ -391,7 +417,14 @@ fn band_panel_impl(
     let tiles = rows.div_ceil(MR);
     for t in 0..tiles {
         let ap = &a_tiles[t * k * MR..(t + 1) * k * MR];
+        let h = MR.min(rows - t * MR);
         let mut acc = [[0.0f32; NR]; MR];
+        if ADD {
+            for (r, acc_row) in acc.iter_mut().enumerate().take(h) {
+                let out_row = t * MR + r;
+                acc_row[..w].copy_from_slice(&c[out_row * ldc + j0..out_row * ldc + j0 + w]);
+            }
+        }
         for (av, bv) in ap.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
             for r in 0..MR {
                 let a = av[r];
@@ -401,10 +434,9 @@ fn band_panel_impl(
                 }
             }
         }
-        let h = MR.min(rows - t * MR);
         for (r, acc_row) in acc.iter().enumerate().take(h) {
             let out_row = t * MR + r;
-            c[out_row * n + j0..out_row * n + j0 + w].copy_from_slice(&acc_row[..w]);
+            c[out_row * ldc + j0..out_row * ldc + j0 + w].copy_from_slice(&acc_row[..w]);
         }
     }
 }
@@ -418,17 +450,17 @@ fn band_panel_impl(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)] // mirrors band_panel_impl
-fn band_panel_avx2(
+fn band_panel_avx2<const ADD: bool>(
     k: usize,
     rows: usize,
-    n: usize,
+    ldc: usize,
     j0: usize,
     w: usize,
     a_tiles: &[f32],
     panel: &[f32],
     c: &mut [f32],
 ) {
-    band_panel_impl(k, rows, n, j0, w, a_tiles, panel, c)
+    band_panel_impl::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c)
 }
 
 /// One row band of `C = op(A) · op(B)`: packs the band's `A` rows into
@@ -456,18 +488,68 @@ pub(crate) fn band_gemm(
     debug_assert_eq!(c.len(), rows * n);
     debug_assert_eq!(pb.k, k, "PackedB k mismatch");
     debug_assert_eq!(pb.n, n, "PackedB n mismatch");
-    let tiles = rows.div_ceil(MR);
-    let mut a_tiles = vec![0.0f32; tiles * k * MR];
-    pack_a_band(transpose_a, a, a_stride, row0, rows, k, &mut a_tiles);
-    for jp in 0..pb.panels() {
+    let a = ARows { a, stride: a_stride, transposed: transpose_a, row0, rows };
+    let b = BWindow { pb, n, k0: 0, k };
+    let mut a_tiles = vec![0.0f32; rows.div_ceil(MR) * k * MR];
+    band_gemm_window::<false>(simd, a, b, c, n, &mut a_tiles);
+}
+
+/// The op(A) rows of one band: `rows` of them from `row0`, read out of `a`
+/// at row stride `stride` — stored rows, or stored columns when
+/// `transposed` (see [`pack_a_band`]).
+#[derive(Clone, Copy)]
+pub(crate) struct ARows<'a> {
+    pub a: &'a [f32],
+    pub stride: usize,
+    pub transposed: bool,
+    pub row0: usize,
+    pub rows: usize,
+}
+
+/// A rectangular window of a [`PackedB`]: the first `n` columns (whole
+/// panels, or all of them) and contraction rows `k0 .. k0 + k`. Packing is
+/// per panel and per `k` row, so a window needs no repacking — it is the
+/// same panel slabs, read from an offset.
+#[derive(Clone, Copy)]
+pub(crate) struct BWindow<'a> {
+    pub pb: &'a PackedB,
+    pub n: usize,
+    pub k0: usize,
+    pub k: usize,
+}
+
+/// [`band_gemm`] generalised for the attention core: the product of the
+/// band's op(A) rows (contraction length `b.k`; the caller offsets `a.a` to
+/// the window's first contraction index) with a [`BWindow`], written to
+/// `c` at row stride `ldc` — overwriting, or with `ADD` continuing the
+/// accumulator chains `c` already holds (a compile-time choice, so the
+/// overwriting instantiation is exactly the flat kernel's loop). `a_tiles`
+/// is the caller's packing scratch (resized here), so a worker that runs
+/// many bands allocates once.
+pub(crate) fn band_gemm_window<const ADD: bool>(
+    simd: Simd,
+    a: ARows<'_>,
+    b: BWindow<'_>,
+    c: &mut [f32],
+    ldc: usize,
+    a_tiles: &mut Vec<f32>,
+) {
+    let BWindow { pb, n, k0, k } = b;
+    let rows = a.rows;
+    debug_assert!(n == pb.n || (n < pb.n && n % NR == 0), "BWindow: n must end on a panel");
+    debug_assert!(k0 + k <= pb.k, "BWindow: k window outside the pack");
+    a_tiles.resize(rows.div_ceil(MR) * k * MR, 0.0);
+    pack_a_band(a.transposed, a.a, a.stride, a.row0, rows, k, a_tiles);
+    for jp in 0..n.div_ceil(NR) {
         let j0 = jp * NR;
         let w = NR.min(n - j0);
+        let panel = &pb.panel(jp)[k0 * NR..(k0 + k) * NR];
         match simd {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the Avx2 variant is only constructed by simd_level()
             // after is_x86_feature_detected!("avx2") succeeded on this CPU.
-            Simd::Avx2 => unsafe { band_panel_avx2(k, rows, n, j0, w, &a_tiles, pb.panel(jp), c) },
-            Simd::Scalar => band_panel_impl(k, rows, n, j0, w, &a_tiles, pb.panel(jp), c),
+            Simd::Avx2 => unsafe { band_panel_avx2::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c) },
+            Simd::Scalar => band_panel_impl::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c),
         }
     }
 }

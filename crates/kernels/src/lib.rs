@@ -2,8 +2,9 @@
 //!
 //! Cache-blocked, multi-threaded CPU kernels for the workspace's hot
 //! operators — the GEMM family (N/NT/TT/TN via a packed SIMD microkernel,
-//! see [`gemm`]), row softmax, LayerNorm, and GeLU — behind a single
-//! [`Backend`] selector.
+//! see [`gemm`]), the streaming attention core (`QKᵀ → softmax → dropout →
+//! ·V` and its backward in query-row blocks, see [`attention`]), row
+//! softmax, LayerNorm, and GeLU — behind a single [`Backend`] selector.
 //!
 //! The crate operates on plain `&[f32]` slices so it sits *below*
 //! `mt-tensor` (which wraps these kernels in shape-checked `Tensor` entry
@@ -14,7 +15,8 @@
 //!
 //! Every kernel partitions its output into **fixed-size work units** (GEMM
 //! row bands of [`gemm::TILE_M`] rows, row blocks of [`ROW_BLOCK`] rows,
-//! element chunks of [`CHUNK`] elements). The unit size never depends on the
+//! element chunks of [`CHUNK`] elements, one `(batch, head)` of the
+//! attention core). The unit size never depends on the
 //! thread count, each unit is computed start-to-finish by exactly one
 //! worker with a fixed internal reduction order (ascending `k` for GEMM,
 //! ascending row for row reductions), and any cross-unit reduction
@@ -31,13 +33,24 @@
 //! detection changes throughput only — never an output bit. See
 //! [`gemm`]'s module docs for the packing/microkernel architecture.
 //!
+//! ## Fan-out
+//!
+//! One policy, in one place: every kernel states its work in
+//! packed-microkernel FLOPs (or their time equivalent) and
+//! [`Backend::threads_for_work`] grants a worker per few MFLOP, capped by
+//! the backend's width and the kernel's unit count. Small problems never
+//! pay a scoped spawn, whatever the configured thread count. Results are
+//! bit-identical at any worker count, so this decides *when* threading
+//! pays, never *what* is computed.
+//!
 //! ## Tracing
 //!
 //! Each kernel entry opens an `mt-trace` span (`kernel_gemm`,
-//! `kernel_softmax`, `kernel_layer_norm`, `kernel_gelu`, plus `_backward`
-//! variants) annotated with the problem shape, work-unit count, and thread
-//! count, so `trace-report` timelines show where compute time goes. With a
-//! disabled tracer the span costs one `Option` check and allocates nothing.
+//! `kernel_attention{,_replay}`, `kernel_softmax`, `kernel_layer_norm`,
+//! `kernel_gelu`, plus `_backward` variants) annotated with the problem
+//! shape, work-unit count, and the thread count the policy granted, so
+//! `trace-report` timelines show where compute time goes. With a disabled
+//! tracer the span costs one `Option` check and allocates nothing.
 //!
 //! ## Example
 //!
@@ -58,6 +71,7 @@
 
 #![warn(missing_docs)]
 
+pub mod attention;
 mod backend;
 pub mod gemm;
 pub mod overlap;

@@ -7,6 +7,12 @@
 //! per-block partial buffers and combined on the calling thread in ascending
 //! block order, so every backend/thread-count combination produces
 //! bit-identical results (see the crate docs for the full contract).
+//!
+//! Fan-out follows the same policy as the GEMM: each kernel states what one
+//! element costs ([`work`]) and [`Backend::threads_for_work`] grants a
+//! worker per `FLOPS_PER_WORKER` of it, so a `[128, 1024]` LayerNorm or a
+//! `[64, 64]` softmax never pays a scoped spawn while a `[640, 640]`
+//! softmax or a half-million-element GeLU fans out.
 
 use crate::backend::Backend;
 use crate::pool;
@@ -20,6 +26,57 @@ pub const CHUNK: usize = 16 * 1024;
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_C: f32 = 0.044_715;
+
+/// What one element costs each kernel, in the unit
+/// [`Backend::threads_for_work`] is calibrated in: packed-microkernel FLOPs
+/// that fit in the same time. These are timings, not operation counts — an
+/// `exp` or a `tanh` is one operation and tens of nanoseconds. Measured
+/// serially (≈ 5 / 0.8 / 1.5 / 2.1 / 26 / 29 ns per element, in the order
+/// below, on a host whose microkernel retires ≈ 40 FLOP/ns) and then cut to
+/// a third, so a fan-out is granted only once every worker carries several
+/// scoped-spawn costs of work — a tie is not worth a wakeup.
+mod work {
+    pub const SOFTMAX: u64 = 64;
+    pub const SOFTMAX_BACKWARD: u64 = 12;
+    pub const LAYER_NORM: u64 = 20;
+    pub const LAYER_NORM_BACKWARD: u64 = 28;
+    pub const GELU: u64 = 320;
+    pub const GELU_BACKWARD: u64 = 384;
+}
+
+/// Workers for a kernel over `elems` elements at `per_elem` work each,
+/// never more than its `units`.
+fn fan_out(backend: Backend, elems: usize, per_elem: u64, units: usize) -> usize {
+    backend.threads_for_work(elems as u64 * per_elem).min(units)
+}
+
+/// One softmax row, in place: `row[..limit]` becomes its softmax, the
+/// masked tail `row[limit..]` exactly `0.0`. The single definition of the
+/// row arithmetic — [`softmax_rows`] and the attention core both run it, so
+/// a probability has the same bits whichever produced it.
+#[inline]
+pub(crate) fn softmax_row(row: &mut [f32], limit: usize) {
+    let max = row[..limit].iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    let mut sum = 0.0;
+    for (j, v) in row.iter_mut().enumerate() {
+        if j < limit {
+            *v = (*v - max).exp();
+            sum += *v;
+        } else {
+            *v = 0.0;
+        }
+    }
+    for v in row[..limit].iter_mut() {
+        *v /= sum;
+    }
+}
+
+/// `⟨dy, y⟩` of one softmax row — the reduction of the softmax backward,
+/// shared with the attention core for the same reason as [`softmax_row`].
+#[inline]
+pub(crate) fn softmax_row_dot(y: &[f32], dy: &[f32]) -> f32 {
+    y.iter().zip(dy).map(|(a, b)| a * b).sum()
+}
 
 fn span(
     tracer: &mt_trace::Tracer,
@@ -55,7 +112,7 @@ pub fn softmax_rows(backend: Backend, rows: usize, cols: usize, causal: bool, x:
         return;
     }
     let units = rows.div_ceil(ROW_BLOCK);
-    let threads = backend.threads();
+    let threads = fan_out(backend, rows * cols, work::SOFTMAX, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_softmax", rows, cols, units, threads);
     let chunks: Vec<&mut [f32]> = x.chunks_mut(ROW_BLOCK * cols).collect();
@@ -63,19 +120,7 @@ pub fn softmax_rows(backend: Backend, rows: usize, cols: usize, causal: bool, x:
         let row0 = block * ROW_BLOCK;
         for (i, row) in chunk.chunks_mut(cols).enumerate() {
             let limit = if causal { ((row0 + i) % cols) + 1 } else { cols };
-            let max = row[..limit].iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-            let mut sum = 0.0;
-            for (j, v) in row.iter_mut().enumerate() {
-                if j < limit {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                } else {
-                    *v = 0.0;
-                }
-            }
-            for v in row[..limit].iter_mut() {
-                *v /= sum;
-            }
+            softmax_row(row, limit);
         }
     });
 }
@@ -102,7 +147,7 @@ pub fn softmax_rows_backward(
         return;
     }
     let units = rows.div_ceil(ROW_BLOCK);
-    let threads = backend.threads();
+    let threads = fan_out(backend, rows * cols, work::SOFTMAX_BACKWARD, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_softmax_backward", rows, cols, units, threads);
     let chunks: Vec<&mut [f32]> = out.chunks_mut(ROW_BLOCK * cols).collect();
@@ -111,7 +156,7 @@ pub fn softmax_rows_backward(
         for (i, orow) in chunk.chunks_mut(cols).enumerate() {
             let yrow = &y[base + i * cols..base + (i + 1) * cols];
             let drow = &dy[base + i * cols..base + (i + 1) * cols];
-            let dot: f32 = yrow.iter().zip(drow).map(|(a, b)| a * b).sum();
+            let dot = softmax_row_dot(yrow, drow);
             for ((o, &yv), &dv) in orow.iter_mut().zip(yrow).zip(drow) {
                 *o = yv * (dv - dot);
             }
@@ -149,7 +194,7 @@ pub fn layer_norm(
         return;
     }
     let units = rows.div_ceil(ROW_BLOCK);
-    let threads = backend.threads();
+    let threads = fan_out(backend, rows * cols, work::LAYER_NORM, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_layer_norm", rows, cols, units, threads);
     let items: Vec<(&mut [f32], &mut [f32], &mut [f32])> = out
@@ -213,7 +258,7 @@ pub fn layer_norm_backward(
         return;
     }
     let units = rows.div_ceil(ROW_BLOCK);
-    let threads = backend.threads();
+    let threads = fan_out(backend, rows * cols, work::LAYER_NORM_BACKWARD, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_layer_norm_backward", rows, cols, units, threads);
     let mut partial_g = vec![0.0f32; units * cols];
@@ -271,7 +316,7 @@ pub fn layer_norm_backward(
 pub fn gelu(backend: Backend, x: &[f32], out: &mut [f32]) {
     assert_eq!(out.len(), x.len(), "gelu: out length");
     let units = x.len().div_ceil(CHUNK).max(1);
-    let threads = backend.threads();
+    let threads = fan_out(backend, x.len(), work::GELU, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_gelu", x.len(), 1, units, threads);
     let chunks: Vec<&mut [f32]> = out.chunks_mut(CHUNK).collect();
@@ -293,7 +338,7 @@ pub fn gelu_backward(backend: Backend, x: &[f32], dy: &[f32], out: &mut [f32]) {
     assert_eq!(dy.len(), x.len(), "gelu_backward: dy length");
     assert_eq!(out.len(), x.len(), "gelu_backward: out length");
     let units = x.len().div_ceil(CHUNK).max(1);
-    let threads = backend.threads();
+    let threads = fan_out(backend, x.len(), work::GELU_BACKWARD, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_gelu_backward", x.len(), 1, units, threads);
     let chunks: Vec<&mut [f32]> = out.chunks_mut(CHUNK).collect();
@@ -344,6 +389,9 @@ mod tests {
 
     #[test]
     fn threaded_matches_serial_bitwise_across_kernels() {
+        // (At this size the work-size policy keeps every backend on one
+        // worker; `multi_worker_fanout_is_bit_identical_to_serial` covers
+        // the fanned-out path.)
         let (rows, cols) = (150, 17);
         let x = filled(rows * cols, 2);
         let dy = filled(rows * cols, 3);
@@ -409,6 +457,142 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs `call` under a recording tracer and returns the `threads` its
+    /// one kernel span reports.
+    fn traced_threads(call: impl FnOnce()) -> u64 {
+        let tracer = mt_trace::Tracer::enabled();
+        {
+            let _installed = mt_trace::install(tracer.clone());
+            call();
+        }
+        let events = tracer.events();
+        assert_eq!(events.len(), 1, "one span per kernel call");
+        match events[0].args.iter().find(|(key, _)| *key == "threads") {
+            Some((_, ArgValue::U64(threads))) => *threads,
+            other => panic!("{}: no threads arg ({other:?})", events[0].name),
+        }
+    }
+
+    // 256×64 sits below every row kernel's crossover: even an 8-thread
+    // backend must run it on one worker, and the span must say so.
+    const SMALL: (usize, usize) = (256, 64);
+    const WIDE: Backend = Backend::Threaded { threads: 8 };
+
+    #[test]
+    fn softmax_policy_threads() {
+        let (rows, cols) = SMALL;
+        let mut x = filled(rows * cols, 11);
+        assert_eq!(traced_threads(|| softmax_rows(WIDE, rows, cols, false, &mut x)), 1);
+    }
+
+    #[test]
+    fn softmax_backward_policy_threads() {
+        let (rows, cols) = SMALL;
+        let (y, dy) = (filled(rows * cols, 12), filled(rows * cols, 13));
+        let mut out = vec![0.0; rows * cols];
+        let call = || softmax_rows_backward(WIDE, rows, cols, &y, &dy, &mut out);
+        assert_eq!(traced_threads(call), 1);
+    }
+
+    #[test]
+    fn layer_norm_policy_threads() {
+        let (rows, cols) = SMALL;
+        let (x, gamma, beta) = (filled(rows * cols, 14), filled(cols, 15), filled(cols, 16));
+        let (mut out, mut mean, mut rstd) =
+            (vec![0.0; rows * cols], vec![0.0; rows], vec![0.0; rows]);
+        let call = || {
+            layer_norm(WIDE, rows, cols, 1e-5, &x, &gamma, &beta, &mut out, &mut mean, &mut rstd)
+        };
+        assert_eq!(traced_threads(call), 1);
+    }
+
+    #[test]
+    fn layer_norm_backward_policy_threads() {
+        let (rows, cols) = SMALL;
+        let (x, dy, gamma) = (filled(rows * cols, 17), filled(rows * cols, 18), filled(cols, 19));
+        let (mean, rstd) = (filled(rows, 20), filled(rows, 21));
+        let (mut dx, mut dg, mut db) = (vec![0.0; rows * cols], vec![0.0; cols], vec![0.0; cols]);
+        let call = || {
+            layer_norm_backward(
+                WIDE, rows, cols, &x, &gamma, &mean, &rstd, &dy, &mut dx, &mut dg, &mut db,
+            )
+        };
+        assert_eq!(traced_threads(call), 1);
+    }
+
+    #[test]
+    fn gelu_policy_threads() {
+        let x = filled(SMALL.0 * SMALL.1, 22);
+        let mut out = vec![0.0; x.len()];
+        assert_eq!(traced_threads(|| gelu(WIDE, &x, &mut out)), 1);
+    }
+
+    #[test]
+    fn gelu_backward_policy_threads() {
+        let (x, dy) = (filled(SMALL.0 * SMALL.1, 23), filled(SMALL.0 * SMALL.1, 24));
+        let mut out = vec![0.0; x.len()];
+        assert_eq!(traced_threads(|| gelu_backward(WIDE, &x, &dy, &mut out)), 1);
+    }
+
+    #[test]
+    fn multi_worker_fanout_is_bit_identical_to_serial() {
+        // Big enough that the work-size policy grants every kernel several
+        // workers (the small-shape test above runs serial under it).
+        let (rows, cols) = (1024, 640);
+        let mt = Backend::Threaded { threads: 4 };
+        let x = filled(rows * cols, 25);
+        let dy = filled(rows * cols, 26);
+
+        let (mut s, mut t) = (x.clone(), x.clone());
+        softmax_rows(Backend::Serial, rows, cols, true, &mut s);
+        assert!(traced_threads(|| softmax_rows(mt, rows, cols, true, &mut t)) > 1);
+        assert_eq!(bits(&s), bits(&t), "softmax");
+
+        let (mut sb, mut tb) = (vec![0.0; rows * cols], vec![0.0; rows * cols]);
+        softmax_rows_backward(Backend::Serial, rows, cols, &s, &dy, &mut sb);
+        assert!(traced_threads(|| softmax_rows_backward(mt, rows, cols, &s, &dy, &mut tb)) > 1);
+        assert_eq!(bits(&sb), bits(&tb), "softmax_backward");
+
+        let (mut gs, mut gt) = (vec![0.0; rows * cols], vec![0.0; rows * cols]);
+        gelu(Backend::Serial, &x, &mut gs);
+        assert!(traced_threads(|| gelu(mt, &x, &mut gt)) > 1);
+        assert_eq!(bits(&gs), bits(&gt), "gelu");
+
+        let (mut gbs, mut gbt) = (vec![0.0; rows * cols], vec![0.0; rows * cols]);
+        gelu_backward(Backend::Serial, &x, &dy, &mut gbs);
+        assert!(traced_threads(|| gelu_backward(mt, &x, &dy, &mut gbt)) > 1);
+        assert_eq!(bits(&gbs), bits(&gbt), "gelu_backward");
+
+        let (gamma, beta) = (filled(cols, 27), filled(cols, 28));
+        let mut out = [vec![0.0; rows * cols], vec![0.0; rows * cols]];
+        let mut mean = [vec![0.0; rows], vec![0.0; rows]];
+        let mut rstd = [vec![0.0; rows], vec![0.0; rows]];
+        for (i, b) in [Backend::Serial, mt].into_iter().enumerate() {
+            let (o, m, r) = (&mut out[i], &mut mean[i], &mut rstd[i]);
+            let threads =
+                traced_threads(|| layer_norm(b, rows, cols, 1e-5, &x, &gamma, &beta, o, m, r));
+            assert_eq!(threads > 1, i == 1, "layer_norm fan-out");
+        }
+        assert_eq!(bits(&out[0]), bits(&out[1]), "layer_norm");
+        assert_eq!(bits(&mean[0]), bits(&mean[1]), "layer_norm mean");
+        assert_eq!(bits(&rstd[0]), bits(&rstd[1]), "layer_norm rstd");
+
+        // The one cross-unit reduction (dγ/dβ partials over sixteen row blocks).
+        let mut dx = [vec![0.0; rows * cols], vec![0.0; rows * cols]];
+        let mut dg = [vec![0.0; cols], vec![0.0; cols]];
+        let mut db = [vec![0.0; cols], vec![0.0; cols]];
+        for (i, b) in [Backend::Serial, mt].into_iter().enumerate() {
+            let (d, g, bb) = (&mut dx[i], &mut dg[i], &mut db[i]);
+            let threads = traced_threads(|| {
+                layer_norm_backward(b, rows, cols, &x, &gamma, &mean[0], &rstd[0], &dy, d, g, bb)
+            });
+            assert_eq!(threads > 1, i == 1, "layer_norm_backward fan-out");
+        }
+        assert_eq!(bits(&dx[0]), bits(&dx[1]), "ln_backward dx");
+        assert_eq!(bits(&dg[0]), bits(&dg[1]), "ln_backward dgamma");
+        assert_eq!(bits(&db[0]), bits(&db[1]), "ln_backward dbeta");
     }
 
     #[test]

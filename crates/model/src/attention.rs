@@ -5,16 +5,20 @@
 //! recompute: its saved tensors scale as `as²b` (large) while its FLOPs per
 //! element are low.
 //!
-//! The functions here operate on **packed** Q/K/V of shape
+//! The functions here are the shape-checked `Tensor` entry points of the
+//! streaming core in [`mt_kernels::attention`], which walks each
+//! `(batch, head)` in query-row blocks and builds an `[s, s]` matrix only
+//! when the caller keeps it. They operate on **packed** Q/K/V of shape
 //! `[s·b, local_heads·head_dim]` covering an arbitrary contiguous range of
 //! global heads, so the same code serves the serial model (`all heads`) and
-//! every tensor-parallel rank (`a/t` heads with an offset). Dropout masks are
-//! drawn from a counter RNG addressed by *global* head index, which makes the
+//! every tensor-parallel rank (`a/t` heads with an offset). Dropout bits are
+//! drawn from a counter RNG addressed by *global* head index
+//! ([`attention_offset`](crate::streams::attention_offset)), which makes the
 //! computation bit-compatible across shardings and replayable without
 //! storage.
 
-use crate::streams::{attention_offset, stream_id, DropoutSite};
-use mt_tensor::ops;
+use crate::streams::{stream_id, DropoutSite};
+use mt_kernels::attention::{self as core, AttnShape};
 use mt_tensor::rng::CounterRng;
 use mt_tensor::Tensor;
 
@@ -57,68 +61,48 @@ impl AttnParams {
         1.0 / (self.head_dim as f32).sqrt()
     }
 
-    /// Regenerates the softmax-dropout keep-mask for `(batch, local head)` —
-    /// identical bits regardless of how heads are sharded.
-    pub fn softmax_mask(&self, rng: &CounterRng, batch: usize, local_head: usize) -> Vec<u8> {
-        let stream = stream_id(DropoutSite::Softmax, self.layer, self.micro);
-        let head = self.head_offset + local_head;
-        let s = self.seq;
-        let mut mask = Vec::with_capacity(s * s);
-        for q in 0..s {
-            for k in 0..s {
-                let off = attention_offset(batch, head, q, k, self.heads, s);
-                mask.push(u8::from(rng.uniform(stream, off) >= self.dropout_p));
-            }
+    fn shape(&self) -> AttnShape {
+        AttnShape {
+            seq: self.seq,
+            micro_batch: self.micro_batch,
+            heads: self.heads,
+            head_dim: self.head_dim,
+            head_offset: self.head_offset,
+            local_heads: self.local_heads,
+            causal: self.causal,
+            scale: self.scale(),
+            dropout_p: self.dropout_p,
         }
-        mask
+    }
+
+    /// The softmax-dropout draw at a counter offset — the core's uniform
+    /// source. Offsets follow [`attention_offset`](crate::streams::attention_offset).
+    fn uniform(&self, rng: &CounterRng) -> impl Fn(u64) -> f32 + Sync {
+        let key = rng.stream(stream_id(DropoutSite::Softmax, self.layer, self.micro));
+        move |offset| key.uniform(offset)
+    }
+
+    /// Panics unless every named tensor is `[s·b, local_heads·head_dim]`.
+    fn check(&self, entry: &str, operands: &[(&str, &Tensor)]) {
+        for (name, t) in operands {
+            assert_eq!(
+                t.shape(),
+                &[self.tokens(), self.local_width()],
+                "{entry}: bad {name} shape"
+            );
+        }
+    }
+
+    fn packed(&self, data: Vec<f32>) -> Tensor {
+        Tensor::from_vec_unchecked(vec![self.tokens(), self.local_width()], data)
     }
 }
 
 /// Tensors the attention core must keep for its backward pass when it is
 /// *not* being recomputed: the softmax outputs (`2as²b` bytes) and the
-/// dropout outputs (`2as²b` bytes), per `(batch, local head)`.
-#[derive(Debug, Clone)]
-pub struct AttnSaved {
-    /// Softmax outputs, one `[s, s]` per `(batch, local_head)`,
-    /// batch-major.
-    pub probs: Vec<Tensor>,
-    /// Post-dropout probabilities, same layout.
-    pub probs_dropped: Vec<Tensor>,
-}
-
-/// Extracts the `[s, head_dim]` matrix of one `(batch, local head)` from a
-/// packed `[s·b, local_heads·head_dim]` tensor.
-fn extract_head(p: &AttnParams, packed: &Tensor, batch: usize, local_head: usize) -> Tensor {
-    let (s, b, hd) = (p.seq, p.micro_batch, p.head_dim);
-    let width = p.local_width();
-    let mut out = Tensor::zeros(&[s, hd]);
-    for si in 0..s {
-        let src = (si * b + batch) * width + local_head * hd;
-        let dst = si * hd;
-        out.data_mut()[dst..dst + hd].copy_from_slice(&packed.data()[src..src + hd]);
-    }
-    out
-}
-
-/// Adds the `[s, head_dim]` matrix of one `(batch, local head)` into a packed
-/// `[s·b, local_heads·head_dim]` tensor.
-fn scatter_head(
-    p: &AttnParams,
-    packed: &mut Tensor,
-    src: &Tensor,
-    batch: usize,
-    local_head: usize,
-) {
-    let (s, b, hd) = (p.seq, p.micro_batch, p.head_dim);
-    let width = p.local_width();
-    for si in 0..s {
-        let dst = (si * b + batch) * width + local_head * hd;
-        let srow = si * hd;
-        for d in 0..hd {
-            packed.data_mut()[dst + d] += src.data()[srow + d];
-        }
-    }
-}
+/// dropout outputs (`2as²b` bytes), one flat `[b·local_heads, s, s]` buffer
+/// each — the core's own type.
+pub use mt_kernels::attention::Saved as AttnSaved;
 
 /// Attention-core forward: returns the packed context `[s·b, local_width]`
 /// and the saved tensors a non-recomputing backward needs.
@@ -133,56 +117,46 @@ pub fn attention_forward(
     k: &Tensor,
     v: &Tensor,
 ) -> (Tensor, AttnSaved) {
-    for (name, t) in [("q", q), ("k", k), ("v", v)] {
-        assert_eq!(
-            t.shape(),
-            &[p.tokens(), p.local_width()],
-            "attention_forward: bad {name} shape"
-        );
-    }
-    let mut ctx = Tensor::zeros(&[p.tokens(), p.local_width()]);
-    let n = p.micro_batch * p.local_heads;
-    let mut probs = Vec::with_capacity(n);
-    let mut dropped = Vec::with_capacity(n);
-    for batch in 0..p.micro_batch {
-        for lh in 0..p.local_heads {
-            let qm = extract_head(p, q, batch, lh);
-            let km = extract_head(p, k, batch, lh);
-            let vm = extract_head(p, v, batch, lh);
-            let scores = ops::Gemm::NT.apply(&qm, &km).scale(p.scale());
-            let pr = ops::softmax_rows(&scores, p.causal);
-            let mask = p.softmax_mask(rng, batch, lh);
-            let pd = ops::dropout(&pr, &mask, p.dropout_p);
-            let ctx_head = ops::Gemm::NN.apply(&pd, &vm);
-            scatter_head(p, &mut ctx, &ctx_head, batch, lh);
-            probs.push(pr);
-            dropped.push(pd);
-        }
-    }
-    (ctx, AttnSaved { probs, probs_dropped: dropped })
+    let (ctx, saved) = attention_forward_keeping(p, rng, q, k, v, true);
+    (ctx, saved.expect("a keeping forward returns what it kept"))
+}
+
+/// [`attention_forward`] with the keep decision exposed to the layer: with
+/// `keep == false` (a forward whose policy will replay the core) nothing
+/// `[s, s]`-sized is built beyond the core's block scratch.
+pub(crate) fn attention_forward_keeping(
+    p: &AttnParams,
+    rng: &CounterRng,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    keep: bool,
+) -> (Tensor, Option<AttnSaved>) {
+    p.check("attention_forward", &[("q", q), ("k", k), ("v", v)]);
+    let (ctx, saved) = core::forward(
+        mt_kernels::default_backend(),
+        &p.shape(),
+        &p.uniform(rng),
+        q.data(),
+        k.data(),
+        v.data(),
+        keep,
+    );
+    (p.packed(ctx), saved)
 }
 
 /// Replays the forward to rebuild [`AttnSaved`] from the stored Q and K —
 /// the selective-recomputation path. Bit-identical to what
 /// [`attention_forward`] produced, because the dropout mask comes from the
 /// counter RNG rather than storage.
+///
+/// # Panics
+///
+/// Panics if `q`/`k` are not `[s·b, local_heads·head_dim]`.
 pub fn attention_recompute(p: &AttnParams, rng: &CounterRng, q: &Tensor, k: &Tensor) -> AttnSaved {
-    let n = p.micro_batch * p.local_heads;
-    let mut probs = Vec::with_capacity(n);
-    let mut dropped = Vec::with_capacity(n);
-    for batch in 0..p.micro_batch {
-        for lh in 0..p.local_heads {
-            let qm = extract_head(p, q, batch, lh);
-            let km = extract_head(p, k, batch, lh);
-            let scores = ops::Gemm::NT.apply(&qm, &km).scale(p.scale());
-            let pr = ops::softmax_rows(&scores, p.causal);
-            let mask = p.softmax_mask(rng, batch, lh);
-            let pd = ops::dropout(&pr, &mask, p.dropout_p);
-            probs.push(pr);
-            dropped.push(pd);
-        }
-    }
-    AttnSaved { probs, probs_dropped: dropped }
+    p.check("attention_recompute", &[("q", q), ("k", k)]);
+    let backend = mt_kernels::default_backend();
+    core::replay(backend, &p.shape(), &p.uniform(rng), q.data(), k.data())
 }
 
 /// Attention-core backward: given the packed inputs, saved (or recomputed)
@@ -191,7 +165,8 @@ pub fn attention_recompute(p: &AttnParams, rng: &CounterRng, q: &Tensor, k: &Ten
 ///
 /// # Panics
 ///
-/// Panics if shapes are inconsistent with the forward call.
+/// Panics if `q`/`k`/`v`/`dctx` are not `[s·b, local_heads·head_dim]` or a
+/// saved buffer is not `b·local_heads·s²` long.
 pub fn attention_backward(
     p: &AttnParams,
     rng: &CounterRng,
@@ -201,37 +176,22 @@ pub fn attention_backward(
     saved: &AttnSaved,
     dctx: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
-    assert_eq!(dctx.shape(), &[p.tokens(), p.local_width()], "attention_backward: bad dctx");
-    assert_eq!(saved.probs.len(), p.micro_batch * p.local_heads, "attention_backward: saved size");
-    let mut dq = Tensor::zeros(&[p.tokens(), p.local_width()]);
-    let mut dk = Tensor::zeros(&[p.tokens(), p.local_width()]);
-    let mut dv = Tensor::zeros(&[p.tokens(), p.local_width()]);
-    for batch in 0..p.micro_batch {
-        for lh in 0..p.local_heads {
-            let idx = batch * p.local_heads + lh;
-            let qm = extract_head(p, q, batch, lh);
-            let km = extract_head(p, k, batch, lh);
-            let vm = extract_head(p, v, batch, lh);
-            let dctx_head = extract_head(p, dctx, batch, lh);
-            let pr = &saved.probs[idx];
-            let pd = &saved.probs_dropped[idx];
-            // ctx = pd · V
-            let dpd = ops::Gemm::NT.apply(&dctx_head, &vm);
-            let dvm = ops::Gemm::TN.apply(pd, &dctx_head);
-            // dropout
-            let mask = p.softmax_mask(rng, batch, lh);
-            let dpr = ops::dropout_backward(&dpd, &mask, p.dropout_p);
-            // softmax
-            let dscores = ops::softmax_rows_backward(pr, &dpr);
-            // scores = scale · q · kᵀ
-            let dqm = ops::Gemm::NN.apply(&dscores, &km).scale(p.scale());
-            let dkm = ops::Gemm::TN.apply(&dscores, &qm).scale(p.scale());
-            scatter_head(p, &mut dq, &dqm, batch, lh);
-            scatter_head(p, &mut dk, &dkm, batch, lh);
-            scatter_head(p, &mut dv, &dvm, batch, lh);
-        }
+    p.check("attention_backward", &[("q", q), ("k", k), ("v", v), ("dctx", dctx)]);
+    let matrix_elems = p.micro_batch * p.local_heads * p.seq * p.seq;
+    for (name, buf) in [("probs", &saved.probs), ("dropped", &saved.dropped)] {
+        assert_eq!(buf.len(), matrix_elems, "attention_backward: bad saved {name} length");
     }
-    (dq, dk, dv)
+    let [dq, dk, dv] = core::backward(
+        mt_kernels::default_backend(),
+        &p.shape(),
+        &p.uniform(rng),
+        q.data(),
+        k.data(),
+        v.data(),
+        saved,
+        dctx.data(),
+    );
+    (p.packed(dq), p.packed(dk), p.packed(dv))
 }
 
 #[cfg(test)]
@@ -265,20 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_scatter_roundtrip() {
-        let p = params();
-        let (q, _, _) = rand_qkv(&p, 1);
-        let mut rebuilt = Tensor::zeros(q.shape());
-        for batch in 0..p.micro_batch {
-            for lh in 0..p.local_heads {
-                let m = extract_head(&p, &q, batch, lh);
-                scatter_head(&p, &mut rebuilt, &m, batch, lh);
-            }
-        }
-        assert_eq!(rebuilt, q);
-    }
-
-    #[test]
     fn recompute_is_bit_identical() {
         let mut p = params();
         p.dropout_p = 0.2;
@@ -286,9 +232,9 @@ mod tests {
         let (q, k, v) = rand_qkv(&p, 2);
         let (_, saved) = attention_forward(&p, &rng, &q, &k, &v);
         let replay = attention_recompute(&p, &rng, &q, &k);
-        for (a, b) in saved.probs_dropped.iter().zip(&replay.probs_dropped) {
-            assert_eq!(a, b, "replayed dropout output differs");
-        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&saved.probs), bits(&replay.probs), "replayed softmax differs");
+        assert_eq!(bits(&saved.dropped), bits(&replay.dropped), "replayed dropout output differs");
     }
 
     #[test]
@@ -370,5 +316,49 @@ mod tests {
         let (dq, _, _) = attention_backward(&p, &rng, &q, &k, &v, &saved, &ones);
         let fdq = mt_tensor::check::finite_diff(&q, |t| loss(t));
         assert!(mt_tensor::check::grads_close(&dq, &fdq));
+    }
+
+    /// Q/K/V of the right shape plus a `k` one column too narrow.
+    fn narrow_k(p: &AttnParams) -> (Tensor, Tensor, Tensor, Tensor) {
+        let (q, _, v) = rand_qkv(p, 10);
+        let narrow = Tensor::zeros(&[p.seq * p.micro_batch, p.local_heads * p.head_dim - 1]);
+        (q.clone(), narrow, v, q)
+    }
+
+    #[test]
+    #[should_panic(expected = "attention_forward: bad k shape")]
+    fn forward_rejects_a_narrow_k() {
+        let p = params();
+        let (q, k, v, _) = narrow_k(&p);
+        let _ = attention_forward(&p, &CounterRng::new(1), &q, &k, &v);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention_recompute: bad k shape")]
+    fn recompute_rejects_a_narrow_k() {
+        let p = params();
+        let (q, k, _, _) = narrow_k(&p);
+        let _ = attention_recompute(&p, &CounterRng::new(1), &q, &k);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention_backward: bad k shape")]
+    fn backward_rejects_a_narrow_k() {
+        let p = params();
+        let rng = CounterRng::new(1);
+        let (q, k, v, dctx) = narrow_k(&p);
+        let (_, saved) = attention_forward(&p, &rng, &q, &q, &v);
+        let _ = attention_backward(&p, &rng, &q, &k, &v, &saved, &dctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention_backward: bad saved dropped length")]
+    fn backward_rejects_a_short_saved_buffer() {
+        let p = params();
+        let rng = CounterRng::new(1);
+        let (q, k, v) = rand_qkv(&p, 11);
+        let (_, mut saved) = attention_forward(&p, &rng, &q, &k, &v);
+        saved.dropped.pop();
+        let _ = attention_backward(&p, &rng, &q, &k, &v, &saved, &q);
     }
 }

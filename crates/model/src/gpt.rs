@@ -15,7 +15,7 @@ use crate::config::TransformerConfig;
 use crate::layer::{ExecMode, LayerState, TransformerLayer};
 use crate::ledger::{ActivationLedger, Category};
 use crate::policy::ExecPolicy;
-use crate::streams::{element_offset, stream_id, DropoutSite};
+use crate::streams::{region_offsets, stream_id, DropoutSite};
 use crate::weights::{EmbeddingWeights, LayerGrads, LayerWeights};
 use mt_kernels::overlap::recompute_prefetch;
 use mt_memory::Recompute;
@@ -393,17 +393,8 @@ pub(crate) fn embedding_mask(
     mode: &ExecMode<'_>,
 ) -> Vec<u8> {
     let (row0, rows) = local_rows(cfg, mode);
-    let stream = stream_id(DropoutSite::Embedding, 0, micro);
-    let h = cfg.hidden;
-    let mut mask = Vec::with_capacity(rows * h);
-    for r in 0..rows {
-        for c in 0..h {
-            mask.push(u8::from(
-                rng.uniform(stream, element_offset(row0 + r, c, h)) >= cfg.dropout_p,
-            ));
-        }
-    }
-    mask
+    let key = rng.stream(stream_id(DropoutSite::Embedding, 0, micro));
+    key.dropout_mask(region_offsets(row0, rows, cfg.hidden), cfg.dropout_p)
 }
 
 /// Embedding forward for this rank's rows — token lookup, learned positions,

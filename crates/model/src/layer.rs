@@ -16,13 +16,13 @@
 //! (Section 4.2.2, last paragraph).
 
 use crate::attention::{
-    attention_backward, attention_forward, attention_recompute, AttnParams, AttnSaved,
+    attention_backward, attention_forward_keeping, attention_recompute, AttnParams, AttnSaved,
 };
 use crate::config::TransformerConfig;
 use crate::ledger::{ActivationLedger, Category};
 use crate::overlap::{timed_exposed, timed_recompute, OverlapPolicy};
 use crate::policy::ExecPolicy;
-use crate::streams::{element_offset, stream_id, DropoutSite};
+use crate::streams::{region_offsets, stream_id, DropoutSite};
 use crate::weights::{LayerGrads, LayerWeights};
 use mt_collectives::{chunk_rows, Communicator};
 use mt_kernels::overlap::{gemm_gathered, recompute_prefetch, ChunkSlab, OverlapPlan};
@@ -218,17 +218,9 @@ impl TransformerLayer {
         mode: &ExecMode<'_>,
         rows: usize,
     ) -> Vec<u8> {
-        let stream = stream_id(site, self.layer_idx, micro);
-        let h = self.cfg.hidden;
+        let key = self.rng.stream(stream_id(site, self.layer_idx, micro));
         let row0 = if mode.sequence_parallel() { mode.rank() * rows } else { 0 };
-        let mut mask = Vec::with_capacity(rows * h);
-        for r in 0..rows {
-            for c in 0..h {
-                let off = element_offset(row0 + r, c, h);
-                mask.push(u8::from(self.rng.uniform(stream, off) >= self.cfg.dropout_p));
-            }
-        }
-        mask
+        key.dropout_mask(region_offsets(row0, rows, self.cfg.hidden), self.cfg.dropout_p)
     }
 
     /// `g` forward / `ḡ` backward fused with its consumer GEMM: gathers the
@@ -342,14 +334,18 @@ impl TransformerLayer {
         }
     }
 
-    /// Full forward pass producing the complete stored state; records
-    /// nothing. The policy-aware [`TransformerLayer::forward`] wraps this.
+    /// Full forward pass producing the stored state; records nothing. The
+    /// policy-aware [`TransformerLayer::forward`] wraps this. `keep_attn`
+    /// is the one place the Figure 3 red region is kept or not: a forward
+    /// whose backward will replay the attention core (or the whole layer)
+    /// passes `false` and the core's `[s, s]` products are never built.
     fn forward_full(
         &self,
         x: &Tensor,
         micro: u64,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
+        keep_attn: bool,
     ) -> (Tensor, StoredState) {
         let rows = self.local_rows(mode);
         assert_eq!(
@@ -374,7 +370,7 @@ impl TransformerLayer {
         let blocks = qkv.chunk_last_axis(3).expect("qkv packs 3 blocks");
         let (q, k, v) = (blocks[0].clone(), blocks[1].clone(), blocks[2].clone());
         let ap = self.attn_params(mode, micro);
-        let (ctx, attn_saved) = attention_forward(&ap, &self.rng, &q, &k, &v);
+        let (ctx, attn) = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, keep_attn);
         let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
         let o = ops::add_bias(&self.combine_region(mode, overlap, &o_partial), &w.b_o); // f̄ / ḡ
         let mask_attn = self.region_mask(DropoutSite::AttentionOutput, micro, mode, rows);
@@ -407,7 +403,7 @@ impl TransformerLayer {
             q,
             k,
             v,
-            attn: Some(attn_saved),
+            attn,
             ctx,
             r1,
             ln2_saved,
@@ -426,11 +422,9 @@ impl TransformerLayer {
         ledger.record(Category::QueryKey, (st.q.numel() + st.k.numel()) as u64);
         ledger.record(Category::Value, st.v.numel() as u64);
         if let Some(attn) = &st.attn {
-            let probs_elems: u64 = attn.probs.iter().map(|t| t.numel() as u64).sum();
-            let dropped_elems: u64 = attn.probs_dropped.iter().map(|t| t.numel() as u64).sum();
-            ledger.record(Category::SoftmaxOutput, probs_elems);
-            ledger.record(Category::SoftmaxDropoutMask, probs_elems);
-            ledger.record(Category::SoftmaxDropoutOutput, dropped_elems);
+            ledger.record(Category::SoftmaxOutput, attn.probs.len() as u64);
+            ledger.record(Category::SoftmaxDropoutMask, attn.probs.len() as u64);
+            ledger.record(Category::SoftmaxDropoutOutput, attn.dropped.len() as u64);
         }
         ledger.record(Category::ProjectionInput, st.ctx.numel() as u64);
         ledger.record(Category::AttentionDropoutMask, st.r1.numel() as u64);
@@ -462,19 +456,19 @@ impl TransformerLayer {
         let overlap = policy.overlap();
         match policy.recompute().unwrap_or(self.policy) {
             Recompute::Full => {
-                let (out, _discarded) = self.forward_full(x, micro, &mode, overlap);
+                let (out, _) = self.forward_full(x, micro, &mode, overlap, false);
                 // Only the checkpointed input is stored.
                 ledger.record(Category::LayerNormInput, x.numel() as u64);
                 (out, LayerState::Checkpoint { x: x.clone(), micro })
             }
             Recompute::Selective => {
-                let (out, mut st) = self.forward_full(x, micro, &mode, overlap);
-                st.attn = None; // the Figure 3 red region is dropped
+                // The Figure 3 red region is not kept.
+                let (out, st) = self.forward_full(x, micro, &mode, overlap, false);
                 self.record_stored(&st, ledger);
                 (out, LayerState::Stored(Box::new(st)))
             }
             Recompute::None => {
-                let (out, st) = self.forward_full(x, micro, &mode, overlap);
+                let (out, st) = self.forward_full(x, micro, &mode, overlap, true);
                 self.record_stored(&st, ledger);
                 (out, LayerState::Stored(Box::new(st)))
             }
@@ -523,7 +517,7 @@ impl TransformerLayer {
                 // Full recomputation: one extra forward pass (the 30-40%
                 // overhead the paper eliminates).
                 timed_recompute("recompute_layer", || {
-                    Box::new(self.forward_full(&x, micro, &mode, overlap).1)
+                    Box::new(self.forward_full(&x, micro, &mode, overlap, true).1)
                 })
             }
         };
@@ -539,7 +533,7 @@ impl TransformerLayer {
     /// own — the prefetch driver's `recompute_overlapped` span and the
     /// caller's `add_recompute_time` cover it.
     pub(crate) fn recompute_stored(&self, x: &Tensor, micro: u64) -> Box<StoredState> {
-        Box::new(self.forward_full(x, micro, &ExecMode::Serial, OverlapPolicy::Exposed).1)
+        Box::new(self.forward_full(x, micro, &ExecMode::Serial, OverlapPolicy::Exposed, true).1)
     }
 
     /// Selective backward with the attention replay prefetched: the helper

@@ -49,6 +49,13 @@ pub fn element_offset(row: usize, col: usize, cols: usize) -> u64 {
     (row * cols + col) as u64
 }
 
+/// The counter offsets of `rows` whole rows of an `[·, cols]` activation
+/// starting at global row `row0` — one contiguous run, since
+/// [`element_offset`] is row-major.
+pub(crate) fn region_offsets(row0: usize, rows: usize, cols: usize) -> std::ops::Range<u64> {
+    element_offset(row0, 0, cols)..element_offset(row0 + rows, 0, cols)
+}
+
 /// Global flat offset of element `(q, k)` of the `[s, s]` attention-score
 /// matrix for `(batch, head)`: addressed by global head index so head-sharded
 /// ranks replay the same bits.

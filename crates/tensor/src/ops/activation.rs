@@ -10,7 +10,7 @@ use crate::Tensor;
 /// widened `4h` space.
 pub fn gelu(x: &Tensor) -> Tensor {
     let mut out = x.clone();
-    let backend = super::rowwise_backend(x.numel());
+    let backend = mt_kernels::default_backend();
     mt_kernels::gelu(backend, x.data(), out.data_mut());
     out
 }
@@ -24,7 +24,7 @@ pub fn gelu(x: &Tensor) -> Tensor {
 pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(x.shape(), dy.shape(), "gelu_backward: shape mismatch");
     let mut out = x.clone();
-    let backend = super::rowwise_backend(x.numel());
+    let backend = mt_kernels::default_backend();
     mt_kernels::gelu_backward(backend, x.data(), dy.data(), out.data_mut());
     out
 }

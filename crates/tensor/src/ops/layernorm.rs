@@ -36,7 +36,7 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, LayerNo
     let mut out = x.clone();
     let mut mean = vec![0.0_f32; rows];
     let mut rstd = vec![0.0_f32; rows];
-    let backend = super::rowwise_backend(rows * cols);
+    let backend = mt_kernels::default_backend();
     mt_kernels::layer_norm(
         backend,
         rows,
@@ -71,7 +71,7 @@ pub fn layer_norm_backward(
     let mut dx = x.clone();
     let mut dgamma = Tensor::zeros(&[cols]);
     let mut dbeta = Tensor::zeros(&[cols]);
-    let backend = super::rowwise_backend(rows * cols);
+    let backend = mt_kernels::default_backend();
     mt_kernels::layer_norm_backward(
         backend,
         rows,

@@ -22,20 +22,3 @@ pub use linear::{add_bias, bias_grad, residual_add};
 pub use loss::{cross_entropy, CrossEntropyOutput};
 pub use matmul::{matmul_backward, Gemm};
 pub use softmax::{softmax_rows, softmax_rows_backward};
-
-/// Elementwise/row-wise problems below this many elements run
-/// single-threaded regardless of the default backend — thread spawn latency
-/// beats the arithmetic. Bit-identical either way, per the kernels'
-/// determinism contract.
-const PARALLEL_ELEMS_CUTOFF: usize = 64 * 1024;
-
-/// The backend a row-wise/elementwise op should run with: the process
-/// default, dropped to serial below [`PARALLEL_ELEMS_CUTOFF`] elements.
-fn rowwise_backend(work_elems: usize) -> mt_kernels::Backend {
-    match mt_kernels::default_backend() {
-        mt_kernels::Backend::Threaded { .. } if work_elems < PARALLEL_ELEMS_CUTOFF => {
-            mt_kernels::Backend::Serial
-        }
-        other => other,
-    }
-}

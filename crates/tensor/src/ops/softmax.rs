@@ -26,8 +26,7 @@ pub fn softmax_rows(x: &Tensor, causal: bool) -> Tensor {
     }
     let mut out = x.clone();
     let rows = x.rows();
-    let backend = super::rowwise_backend(rows * cols);
-    mt_kernels::softmax_rows(backend, rows, cols, causal, out.data_mut());
+    mt_kernels::softmax_rows(mt_kernels::default_backend(), rows, cols, causal, out.data_mut());
     out
 }
 
@@ -44,7 +43,7 @@ pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     let cols = y.cols();
     let rows = y.rows();
     let mut out = vec![0.0_f32; rows * cols];
-    let backend = super::rowwise_backend(rows * cols);
+    let backend = mt_kernels::default_backend();
     mt_kernels::softmax_rows_backward(backend, rows, cols, y.data(), dy.data(), &mut out);
     Tensor::from_vec_unchecked(y.shape().to_vec(), out)
 }
