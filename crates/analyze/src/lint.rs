@@ -433,8 +433,7 @@ mod tests {
         let src = "let t0 = Instant::now();\n";
         assert_eq!(lint_source("crates/model/src/layer.rs", src, &Allowlist::empty()).len(), 1);
         assert!(lint_source("crates/trace/src/tracer.rs", src, &Allowlist::empty()).is_empty());
-        assert!(lint_source("crates/bench/src/bin/kernel_bench.rs", src, &Allowlist::empty())
-            .is_empty());
+        assert!(lint_source("crates/bench/src/kernels.rs", src, &Allowlist::empty()).is_empty());
     }
 
     #[test]

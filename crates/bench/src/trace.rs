@@ -1,4 +1,4 @@
-//! `trace-report`: runs a small tensor+sequence-parallel training config
+//! `mt-bench trace`: runs a small tensor+sequence-parallel training config
 //! with selective recomputation under an enabled tracer, cross-checks the
 //! traced counters against the analytical models, and writes
 //!
@@ -19,51 +19,26 @@
 //! 3. the measured per-layer activation ledger equals the paper's Table 2
 //!    closed form (`ActivationMemoryModel::per_layer_bytes`) — the same
 //!    formula `mt_core::Estimator` composes its memory reports from.
-//!
-//! ```text
-//! cargo run -p mt-bench --bin trace-report
-//! ```
 
+use mt_bench::harness::{data, tiny_gpt};
 use mt_collectives::{CollectiveKind, CommStats, World};
 use mt_core::Estimator;
 use mt_memory::{ActivationMemoryModel, Batch, CachingAllocator, Parallelism, Recompute, Strategy};
 use mt_model::gpt::Gpt;
 use mt_model::trainer::{Trainer, TrainerConfig};
 use mt_model::weights::LayerWeights;
-use mt_model::{ActivationLedger, ExecMode, TransformerConfig, TransformerLayer};
+use mt_model::{ActivationLedger, ExecMode, TransformerLayer};
 use mt_perf::GpuSpec;
 use mt_pipeline::{InterleavedSim, StageCosts};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use mt_trace::{export, ArgValue, MetricsRegistry, Tracer};
 use std::path::Path;
+use std::process::ExitCode;
 
 const STEPS: usize = 4;
 const SEED: u64 = 1234;
 const TP: usize = 4;
-
-/// The tiny-GPT config the repo's examples train for real.
-fn config() -> TransformerConfig {
-    TransformerConfig {
-        hidden: 32,
-        heads: 4,
-        seq: 16,
-        micro_batch: 2,
-        layers: 2,
-        vocab: 64,
-        dropout_p: 0.1,
-        causal: true,
-    }
-}
-
-fn data(cfg: &TransformerConfig) -> (Vec<usize>, Vec<usize>) {
-    let mut rng = SplitMix64::new(99);
-    let n = cfg.tokens();
-    let tokens: Vec<usize> = (0..n).map(|_| (rng.next_u64() as usize) % cfg.vocab).collect();
-    let mut targets = tokens.clone();
-    targets.rotate_left(cfg.micro_batch);
-    (tokens, targets)
-}
 
 /// Extracts a `u64` span arg.
 fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
@@ -73,18 +48,18 @@ fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
     })
 }
 
-fn main() {
-    let cfg = config();
+pub fn run() -> ExitCode {
+    let cfg = tiny_gpt();
     let policy = Recompute::Selective;
     let strategy = Strategy { sequence_parallel: true, recompute: policy };
     let tracer = Tracer::enabled();
     let registry = MetricsRegistry::new();
 
-    println!("trace-report: tiny GPT (h=32 a=4 s=16 b=2 L=2 v=64), TP+SP t={TP}, selective recompute, {STEPS} steps\n");
+    println!("mt-bench trace: tiny GPT (h=32 a=4 s=16 b=2 L=2 v=64), TP+SP t={TP}, selective recompute, {STEPS} steps\n");
 
     // ---- 1. Traced TP+SP training run -----------------------------------
     let template = Gpt::init(cfg, policy, SEED);
-    let (tokens, targets) = data(&cfg);
+    let (tokens, targets) = data(&cfg, 1).remove(0);
     let per_rank: Vec<(CommStats, ActivationLedger)> = World::run_traced(TP, &tracer, |comm| {
         let mut trainer =
             Trainer::new(template.shard(TP, comm.rank(), policy), TrainerConfig::default());
@@ -276,4 +251,5 @@ fn main() {
         all_events.len()
     );
     println!("all exact cross-checks passed");
+    ExitCode::SUCCESS
 }

@@ -1,12 +1,9 @@
-//! Self-check: runs the reproduction's headline *executing-system*
+//! `mt-bench verify`: runs the reproduction's headline *executing-system*
 //! verifications in one command and prints a pass/fail matrix. This is the
 //! quick trust-builder for a new user — every row is also covered (in more
 //! depth) by `cargo test --workspace`.
-//!
-//! ```text
-//! cargo run -p mt-bench --bin verify
-//! ```
 
+use mt_bench::harness::{data, tiny_gpt};
 use mt_collectives::{run_grid, CollectiveKind, World};
 use mt_memory::{ActivationMemoryModel, Recompute, Strategy};
 use mt_model::gpt::Gpt;
@@ -16,31 +13,6 @@ use mt_model::{ActivationLedger, ExecMode, TransformerConfig};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use std::process::ExitCode;
-
-fn cfg() -> TransformerConfig {
-    TransformerConfig {
-        hidden: 32,
-        heads: 4,
-        seq: 8,
-        micro_batch: 1,
-        layers: 4,
-        vocab: 32,
-        dropout_p: 0.1,
-        causal: true,
-    }
-}
-
-fn data(c: &TransformerConfig, n: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
-    let mut rng = SplitMix64::new(99);
-    (0..n)
-        .map(|_| {
-            (
-                (0..c.tokens()).map(|_| (rng.next_u64() as usize) % c.vocab).collect(),
-                (0..c.tokens()).map(|_| (rng.next_u64() as usize) % c.vocab).collect(),
-            )
-        })
-        .collect()
-}
 
 fn serial_loss(gpt: &Gpt, data: &[(Vec<usize>, Vec<usize>)]) -> f32 {
     let n = data.len();
@@ -59,8 +31,9 @@ struct Check {
     detail: String,
 }
 
-fn main() -> ExitCode {
-    let c = cfg();
+pub fn run() -> ExitCode {
+    // Four layers: the interleaved row splits them over p·m = 4 virtual stages.
+    let c = TransformerConfig { layers: 4, ..tiny_gpt() };
     let d = data(&c, 4);
     let gpt = Gpt::init(c, Recompute::None, 7);
     let reference = serial_loss(&gpt, &d);

@@ -151,7 +151,7 @@ pub fn load_profiles(path: &str) -> Result<BTreeMap<String, ProfileReport>, Stri
 }
 
 /// Diffs every config label two profile documents share and concatenates
-/// the narratives — the bench-gate failure path.
+/// the narratives (`mt-bench profile --diff`).
 pub fn diff_documents(
     base: &BTreeMap<String, ProfileReport>,
     fresh: &BTreeMap<String, ProfileReport>,

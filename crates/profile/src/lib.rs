@@ -24,18 +24,15 @@
 //!    equals the step wall time exactly.
 //! 5. **Cross-checks** the attribution against independent ledgers: the
 //!    wrapped-comm and wrapped-recompute close-args must equal
-//!    `mt-model`'s `StepTiming` integers bit for bit, and (via
-//!    `e2e_step_bench --profile`) the `exposed_ms` /
-//!    `exposed_recompute_ms` in `reports/BENCH_e2e.json`; a divergence
-//!    report compares measured phase times against the `mt-perf` α–β /
+//!    `mt-model`'s `StepTiming` integers bit for bit; a divergence report
+//!    compares measured phase times against the `mt-perf` α–β /
 //!    GEMM-efficiency model.
 //!
 //! [`analyze`] bundles all of it into a serializable [`ProfileReport`];
 //! [`verify`] re-checks every exact invariant on a deserialized report
 //! (the CI smoke step); [`diff_reports`]/[`narrative`] explain what
-//! changed between two runs, category by category — wired into
-//! `bench_gate`'s failure path so CI regressions arrive with an
-//! explanation instead of a bare ratio.
+//! changed between two runs, category by category (`mt-bench profile
+//! --diff A B`).
 
 mod attrib;
 mod critical;
@@ -52,7 +49,7 @@ pub use diff::{
     ProfileDocument,
 };
 pub use report::{
-    analyze, render_ascii, verify, AnalyzeOptions, CritSummary, Divergence, ExpectedTiming,
-    ProfileReport, RankProfile, TreeLine, SCHEMA_VERSION,
+    analyze, render_ascii, verify, AnalyzeOptions, CritSummary, Divergence, ProfileReport,
+    RankProfile, TreeLine, SCHEMA_VERSION,
 };
 pub use timeline::{Span, Timeline, Track};

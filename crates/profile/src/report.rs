@@ -6,6 +6,7 @@ use crate::critical::{self, CritSegment};
 use crate::timeline::Timeline;
 use mt_collectives::cost::CommCostModel;
 use mt_collectives::CollectiveKind;
+use mt_model::StepTiming;
 use mt_perf::GpuSpec;
 use mt_trace::{MetricsRegistry, MetricsSnapshot, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -17,22 +18,6 @@ use std::fmt::Write as _;
 /// v2: `CategoryNs` splits `recompute` into `exposed_recompute` /
 /// `overlapped_recompute`, and ranks carry the recompute ledger mirror.
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// One rank's expected `StepTiming` ledger, in µs — what the trace's
-/// close-time span args must reproduce **exactly**. A struct rather than
-/// a tuple so call sites name the four integers they pin; mirrors
-/// `mt_model::StepTiming` without depending on the model crate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpectedTiming {
-    /// Total ledger-wrapped collective time.
-    pub comm_us: u64,
-    /// Exposed (unhidden) collective time.
-    pub exposed_us: u64,
-    /// Total activation recompute time (inline + prefetched).
-    pub recompute_us: u64,
-    /// Recompute time the backward pass failed to hide.
-    pub exposed_recompute_us: u64,
-}
 
 /// Inputs to [`analyze`] beyond the trace itself.
 #[derive(Debug, Clone, Default)]
@@ -49,7 +34,7 @@ pub struct AnalyzeOptions {
     pub hidden: u64,
     /// Per-rank `StepTiming` ledger the trace must reproduce **exactly**.
     /// Analysis fails on any mismatch.
-    pub expected_ledger: BTreeMap<u32, ExpectedTiming>,
+    pub expected_ledger: BTreeMap<u32, StepTiming>,
 }
 
 /// One rank's attribution.
@@ -234,7 +219,7 @@ pub fn analyze(events: &[TraceEvent], opts: &AnalyzeOptions) -> Result<ProfileRe
         let Some(profile) = ranks.get(&rank.to_string()) else {
             return Err(format!("ledger check: rank {rank} missing from trace"));
         };
-        let got = ExpectedTiming {
+        let got = StepTiming {
             comm_us: profile.wrapped_comm_us,
             exposed_us: profile.wrapped_exposed_us,
             recompute_us: profile.wrapped_recompute_us,

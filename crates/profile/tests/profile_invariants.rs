@@ -11,7 +11,7 @@ use mt_model::{
     take_step_timing, ActivationLedger, ExecMode, ExecPolicy, OverlapPolicy, StepTiming,
     TransformerConfig, TransformerLayer,
 };
-use mt_profile::{analyze, verify, AnalyzeOptions, ExpectedTiming, ProfileDocument, ProfileReport};
+use mt_profile::{analyze, verify, AnalyzeOptions, ProfileDocument, ProfileReport};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use mt_trace::Tracer;
@@ -68,24 +68,6 @@ fn traced_step(overlap: OverlapPolicy) -> (Vec<mt_trace::TraceEvent>, Vec<StepTi
     (tracer.events(), timings)
 }
 
-fn ledger_map(timings: &[StepTiming]) -> BTreeMap<u32, ExpectedTiming> {
-    timings
-        .iter()
-        .enumerate()
-        .map(|(rank, t)| {
-            (
-                rank as u32,
-                ExpectedTiming {
-                    comm_us: t.comm_us,
-                    exposed_us: t.exposed_us,
-                    recompute_us: t.recompute_us,
-                    exposed_recompute_us: t.exposed_recompute_us,
-                },
-            )
-        })
-        .collect()
-}
-
 fn analyze_with_ledger(
     events: &[mt_trace::TraceEvent],
     timings: &[StepTiming],
@@ -93,7 +75,7 @@ fn analyze_with_ledger(
 ) -> ProfileReport {
     let opts = AnalyzeOptions {
         label: label.to_string(),
-        expected_ledger: ledger_map(timings),
+        expected_ledger: (0..).zip(timings.iter().copied()).collect(),
         ..Default::default()
     };
     analyze(events, &opts).expect("analysis upholds every exact invariant")
@@ -165,7 +147,7 @@ fn overlapped_recompute_step_splits_the_recompute_ledger_and_balances() {
 #[test]
 fn a_doctored_ledger_fails_analysis() {
     let (events, timings) = traced_step(OverlapPolicy::Exposed);
-    let mut ledger = ledger_map(&timings);
+    let mut ledger: BTreeMap<u32, StepTiming> = (0..).zip(timings).collect();
     ledger.get_mut(&0).unwrap().exposed_us += 1; // one microsecond of drift
     let opts = AnalyzeOptions {
         label: "doctored".to_string(),
