@@ -14,6 +14,7 @@ use mt_collectives::{chunk_rows, CallTag, CollectiveKind};
 use mt_memory::Recompute;
 use mt_model::pipeline_exec::{interleaved_device_ops, stage_ops};
 use mt_model::{Category, OverlapPolicy, TransformerConfig};
+use std::collections::HashMap;
 
 /// Static image of `mt_model::ExecMode`: how a layer executes, without a
 /// live communicator attached.
@@ -498,20 +499,14 @@ impl StageCtx {
         }
     }
 
-    /// Post-schedule events: SP embedding-gradient sync (embedding owner),
-    /// tied-embedding exchange, grid loss broadcast.
-    #[allow(clippy::too_many_arguments)]
-    fn epilogue(
-        &self,
-        e: &mut Emitter,
-        owns_embedding: bool,
-        owns_head: bool,
-        embedding_peer: usize,
-        head_peer: usize,
-        exchange_tied: bool,
-        loss_root: usize,
-    ) {
+    /// Post-schedule events on `device` of `p`: SP embedding-gradient sync
+    /// (device 0 owns the embedding), tied-embedding exchange between the
+    /// `tp_rank` peers on device 0 and device `p − 1` (which owns the head),
+    /// grid loss broadcast from the last device's first rank.
+    fn epilogue(&self, e: &mut Emitter, device: usize, p: usize, tp_rank: usize) {
         let cfg = &self.layer.cfg;
+        let (owns_embedding, owns_head) = (device == 0, device == p - 1);
+        let (embedding_peer, head_peer) = (tp_rank, (p - 1) * self.layer.t + tp_rank);
         let table_elems = (cfg.vocab * cfg.hidden) as u64;
         if self.layer.mode.sequence_parallel() && owns_embedding {
             e.collective(
@@ -533,7 +528,7 @@ impl StageCtx {
                 (cfg.seq * cfg.hidden) as u64,
             );
         }
-        if exchange_tied {
+        if p > 1 {
             if owns_head {
                 e.send(embedding_peer, table_elems);
                 e.recv(embedding_peer, table_elems);
@@ -547,95 +542,30 @@ impl StageCtx {
             CollectiveKind::Broadcast,
             "broadcast",
             &[],
-            Some(loss_root),
+            Some((p - 1) * self.layer.t),
             None,
             1,
         );
     }
 }
 
-/// Program for one full 1F1B training iteration on a `tp × pp` grid with
-/// `n_micro` microbatches — the static counterpart of
-/// `pipeline_exec::try_run_1f1b_iteration`, built from the executor's own
-/// `stage_ops` order.
-pub fn pipeline_1f1b_program(
-    cfg: &TransformerConfig,
-    tp: usize,
-    pp: usize,
-    sequence_parallel: bool,
-    policy: Recompute,
-    n_micro: usize,
-) -> Program {
-    cfg.validate(tp);
-    assert!(n_micro > 0, "need at least one microbatch");
-    assert_eq!(cfg.layers % pp, 0, "layers {} not divisible by pp {pp}", cfg.layers);
-    let mode = StaticMode::select(tp, sequence_parallel);
-    let mut ranks = Vec::with_capacity(pp * tp);
-    for stage in 0..pp {
-        for tp_rank in 0..tp {
-            let ctx = StageCtx {
-                layer: LayerCtx {
-                    cfg: *cfg,
-                    t: tp,
-                    mode,
-                    policy,
-                    // The pipeline executors run layers with the default
-                    // (exposed) policy.
-                    overlap: OverlapPolicy::Exposed,
-                    group: GroupId::Tp { stage },
-                },
-                layers_here: cfg.layers / pp,
-            };
-            let first = stage == 0;
-            let last = stage == pp - 1;
-            let prev = if first { 0 } else { (stage - 1) * tp + tp_rank };
-            let next = (stage + 1) * tp + tp_rank;
-            let mut e = Emitter::new();
-            let mut micro_allocs: Vec<Vec<AllocId>> = vec![Vec::new(); n_micro];
-            for (is_fwd, m) in stage_ops(stage, pp, n_micro) {
-                if is_fwd {
-                    micro_allocs[m] = ctx.forward_micro(&mut e, first, last, prev, next);
-                } else {
-                    ctx.backward_micro(&mut e, &micro_allocs[m], first, last, prev, next);
-                }
-            }
-            ctx.epilogue(
-                &mut e,
-                first,
-                last,
-                tp_rank,                 // stage 0 peer of this tp_rank
-                (pp - 1) * tp + tp_rank, // last-stage peer
-                pp > 1,
-                (pp - 1) * tp,
-            );
-            ranks.push(RankProgram { rank: stage * tp + tp_rank, ops: e.ops });
-        }
-    }
-    Program { tp, pp, ranks }
-}
-
-/// Program for one **interleaved-schedule** iteration: each of `p` devices
-/// holds `m_chunks` model chunks (virtual stage `v·p + device`), built from
-/// the executor's own `interleaved_device_ops` order. Static counterpart of
-/// `pipeline_exec::try_run_interleaved_iteration`; the embedding mask and
-/// head extras follow the same accounting as the 1F1B extractor, as they do
-/// in the one runtime executor.
-pub fn interleaved_program(
+/// The **single** static pipeline builder, counterpart of the executor's
+/// `run_schedule`: each of `p` devices holds `m_chunks` model chunks (chunk
+/// `v` is virtual stage `v·p + device`) and walks `ops(device)` — the
+/// executor's own `(is_forward, chunk, microbatch)` units — with ring
+/// neighbours (the previous virtual stage lives one device back, the next
+/// one device forward; the first and last virtual stage use neither).
+fn pipeline_program(
     cfg: &TransformerConfig,
     tp: usize,
     p: usize,
     m_chunks: usize,
     sequence_parallel: bool,
     policy: Recompute,
-    n_micro: usize,
+    ops: impl Fn(usize) -> Vec<(bool, usize, usize)>,
 ) -> Program {
     cfg.validate(tp);
     let vstages = p * m_chunks;
-    assert!(m_chunks > 0, "need at least one chunk");
-    assert!(
-        n_micro > 0 && n_micro.is_multiple_of(p),
-        "microbatches ({n_micro}) must be a multiple of devices ({p})"
-    );
     assert_eq!(cfg.layers % vstages, 0, "layers {} not divisible by p·m = {vstages}", cfg.layers);
     let mode = StaticMode::select(tp, sequence_parallel);
     let mut ranks = Vec::with_capacity(p * tp);
@@ -647,40 +577,74 @@ pub fn interleaved_program(
                     t: tp,
                     mode,
                     policy,
+                    // The pipeline executor runs layers with the default
+                    // (exposed) policy.
                     overlap: OverlapPolicy::Exposed,
                     group: GroupId::Tp { stage: device },
                 },
                 layers_here: cfg.layers / vstages,
             };
-            // Wrap-around ring: the previous virtual stage lives one device
-            // back, the next one device forward.
             let prev = ((device + p - 1) % p) * tp + tp_rank;
             let next = ((device + 1) % p) * tp + tp_rank;
             let mut e = Emitter::new();
-            let mut allocs: Vec<Vec<Vec<AllocId>>> = vec![vec![Vec::new(); n_micro]; m_chunks];
-            for (is_fwd, v, mb) in interleaved_device_ops(device, p, m_chunks, n_micro) {
+            let mut allocs: HashMap<(usize, usize), Vec<AllocId>> = HashMap::new();
+            for (is_fwd, v, mb) in ops(device) {
                 let vs = v * p + device;
-                let first = vs == 0;
-                let last = vs == vstages - 1;
+                let (first, last) = (vs == 0, vs == vstages - 1);
                 if is_fwd {
-                    allocs[v][mb] = ctx.forward_micro(&mut e, first, last, prev, next);
+                    allocs.insert((v, mb), ctx.forward_micro(&mut e, first, last, prev, next));
                 } else {
-                    ctx.backward_micro(&mut e, &allocs[v][mb], first, last, prev, next);
+                    let ids =
+                        allocs.remove(&(v, mb)).expect("backward scheduled after its forward");
+                    ctx.backward_micro(&mut e, &ids, first, last, prev, next);
                 }
             }
-            ctx.epilogue(
-                &mut e,
-                device == 0,
-                device == p - 1,
-                tp_rank,
-                (p - 1) * tp + tp_rank,
-                p > 1,
-                (p - 1) * tp,
-            );
+            ctx.epilogue(&mut e, device, p, tp_rank);
             ranks.push(RankProgram { rank: device * tp + tp_rank, ops: e.ops });
         }
     }
     Program { tp, pp: p, ranks }
+}
+
+/// Program for one full 1F1B training iteration on a `tp × pp` grid with
+/// `n_micro` microbatches — the static counterpart of
+/// `pipeline_exec::try_run_1f1b_iteration`, built from the executor's own
+/// `stage_ops` order as the one-chunk-per-device case of the one builder.
+pub fn pipeline_1f1b_program(
+    cfg: &TransformerConfig,
+    tp: usize,
+    pp: usize,
+    sequence_parallel: bool,
+    policy: Recompute,
+    n_micro: usize,
+) -> Program {
+    assert!(n_micro > 0, "need at least one microbatch");
+    pipeline_program(cfg, tp, pp, 1, sequence_parallel, policy, |stage| {
+        stage_ops(stage, pp, n_micro).into_iter().map(|(f, mb)| (f, 0, mb)).collect()
+    })
+}
+
+/// Program for one **interleaved-schedule** iteration: each of `p` devices
+/// holds `m_chunks` model chunks, walked in the executor's own
+/// `interleaved_device_ops` order. Static counterpart of
+/// `pipeline_exec::try_run_interleaved_iteration`.
+pub fn interleaved_program(
+    cfg: &TransformerConfig,
+    tp: usize,
+    p: usize,
+    m_chunks: usize,
+    sequence_parallel: bool,
+    policy: Recompute,
+    n_micro: usize,
+) -> Program {
+    assert!(m_chunks > 0, "need at least one chunk");
+    assert!(
+        n_micro > 0 && n_micro.is_multiple_of(p),
+        "microbatches ({n_micro}) must be a multiple of devices ({p})"
+    );
+    pipeline_program(cfg, tp, p, m_chunks, sequence_parallel, policy, |device| {
+        interleaved_device_ops(device, p, m_chunks, n_micro)
+    })
 }
 
 #[cfg(test)]

@@ -74,8 +74,9 @@ pub fn run(args: &[String]) -> ExitCode {
     if let Some(path) = trace_path {
         let est = Estimator::for_paper_model(&ModelZoo::gpt_1t());
         let sim = est.pipeline_sim(Strategy::tp_sp_selective());
-        let (_, events) = sim.trace_1f1b(None);
-        let json = mt_pipeline::chrome_trace_json(&events);
+        let tracer = mt_trace::Tracer::enabled();
+        mt_pipeline::trace_onto(&tracer, &sim.trace_1f1b(None).1);
+        let json = mt_trace::export::chrome_trace_string(&tracer.events());
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;

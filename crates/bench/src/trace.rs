@@ -29,7 +29,7 @@ use mt_model::trainer::{Trainer, TrainerConfig};
 use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerLayer};
 use mt_perf::GpuSpec;
-use mt_pipeline::{InterleavedSim, StageCosts};
+use mt_pipeline::{trace_onto, PipelineSim, Schedule, StageCosts};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use mt_trace::{export, ArgValue, MetricsRegistry, Tracer};
@@ -166,15 +166,14 @@ pub fn run() -> ExitCode {
     alloc.stats().publish(&registry, "alloc");
 
     // ---- 5. Interleaved pipeline schedule on offset tracks --------------
-    let sim = InterleavedSim {
-        chunk_costs: StageCosts::new(1.0, 2.0, 0.3),
-        devices: 4,
-        chunks: 2,
-        num_micro: 8,
-        p2p_ms: 0.05,
-    };
+    // 4 devices × 2 chunks, 8 microbatches; the analytic price is taken on
+    // the same pipeline with whole-device (2-chunk) costs.
+    let sim = PipelineSim::uniform(StageCosts::new(1.0, 2.0, 0.3), 4, 8, 0.05);
+    let (sim_result, sim_events) = sim.simulate(Schedule::Interleaved { chunks: 2 }, None);
+    let analytic_ms =
+        PipelineSim::uniform(StageCosts::new(2.0, 4.0, 0.6), 4, 8, 0.05).interleaved_ms(2);
     let pp_tracer = Tracer::enabled();
-    let sim_result = sim.simulate_traced(&pp_tracer);
+    trace_onto(&pp_tracer, &sim_events);
     let pp_track_base = alloc_track + 1;
     // Re-snapshot: the allocator's counter events landed on `tracer` after
     // the cross-check snapshot above.
@@ -241,9 +240,7 @@ pub fn run() -> ExitCode {
     );
     println!(
         "  {:<44} {:>16.2} {:>16.2}",
-        "interleaved makespan (sim ms vs analytic)",
-        sim_result.makespan_ms,
-        sim.analytic_ms()
+        "interleaved makespan (sim ms vs analytic)", sim_result.makespan_ms, analytic_ms
     );
 
     println!(

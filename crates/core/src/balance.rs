@@ -10,7 +10,7 @@
 
 use crate::estimator::Estimator;
 use mt_memory::{ActivationMemoryModel, Strategy};
-use mt_pipeline::{PipelineSim, StageCosts};
+use mt_pipeline::PipelineSim;
 use serde::{Deserialize, Serialize};
 
 /// One point of the first-stage relief frontier.
@@ -41,34 +41,15 @@ pub fn first_stage_relief_frontier(est: &Estimator, strategy: Strategy) -> Vec<R
     let balanced = l / p;
     let act = ActivationMemoryModel::new(est.shape, est.batch.micro, est.parallel.tensor);
     let per_layer = act.per_layer_bytes(strategy);
-    let layer =
-        mt_perf::LayerTimeModel::new(est.gpu, est.shape, est.batch.micro, est.parallel.tensor);
     let aux = mt_perf::AuxCostModel::new(est.gpu, est.shape, est.parallel.tensor);
-    let t = layer.times(strategy);
-    let head_ms = aux.head_ms(est.batch.micro);
-    let embed_ms = aux.embedding_ms(est.batch.micro);
     let p2p = aux.p2p_ms(est.batch.micro, strategy.sequence_parallel);
     let optimizer_ms = aux.optimizer_ms(est.params_per_gpu());
 
     (1..=(2 * balanced).min(l - (p - 1)))
         .map(|k| {
-            let rest = (l - k) as f64 / (p - 1) as f64;
-            let stages: Vec<StageCosts> = (0..p as usize)
-                .map(|s| {
-                    let layers = if s == 0 { k as f64 } else { rest };
-                    let mut f = layers * t.forward_ms;
-                    let mut b = layers * t.backward_ms;
-                    let r = layers * t.recompute_ms;
-                    if s == 0 {
-                        f += embed_ms;
-                    }
-                    if s == p as usize - 1 {
-                        f += head_ms / 3.0;
-                        b += head_ms * 2.0 / 3.0;
-                    }
-                    StageCosts::new(f, b, r)
-                })
-                .collect();
+            let mut layers = vec![(l - k) as f64 / (p - 1) as f64; p as usize];
+            layers[0] = k as f64;
+            let stages = est.stage_costs(strategy, &layers);
             let sim = PipelineSim { stages, p2p_ms: p2p, num_micro: est.batch.num_micro() };
             ReliefPoint {
                 first_stage_layers: k,

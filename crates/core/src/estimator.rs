@@ -107,29 +107,28 @@ impl Estimator {
             .profile(strategy, deallocate_outputs)
     }
 
-    /// Builds the per-stage pipeline costs for a strategy: `L/p` layers per
-    /// stage, embedding on stage 0, the logits head on the last stage.
-    fn stage_costs(&self, strategy: Strategy) -> Vec<StageCosts> {
-        let layer = self.layer_model();
+    /// Per-stage pipeline costs for a strategy with `layers[s]` transformer
+    /// layers on stage `s`: embedding on stage 0, the logits head (⅓ forward,
+    /// ⅔ backward) on the last stage.
+    pub(crate) fn stage_costs(&self, strategy: Strategy, layers: &[f64]) -> Vec<StageCosts> {
         let aux = self.aux_model();
-        let t = layer.times(strategy);
-        let p = self.parallel.pipeline as usize;
-        let layers_per_stage = self.shape.layers as f64 / p as f64;
-        let head_fwd = aux.head_ms(self.batch.micro) / 3.0;
-        let head_bwd = aux.head_ms(self.batch.micro) * 2.0 / 3.0;
-        (0..p)
-            .map(|s| {
-                let mut f = layers_per_stage * t.forward_ms;
-                let mut b = layers_per_stage * t.backward_ms;
-                let r = layers_per_stage * t.recompute_ms;
+        let t = self.layer_model().times(strategy);
+        let head_ms = aux.head_ms(self.batch.micro);
+        let last = layers.len() - 1;
+        layers
+            .iter()
+            .enumerate()
+            .map(|(s, &l)| {
+                let mut f = l * t.forward_ms;
+                let mut b = l * t.backward_ms;
                 if s == 0 {
                     f += aux.embedding_ms(self.batch.micro);
                 }
-                if s == p - 1 {
-                    f += head_fwd;
-                    b += head_bwd;
+                if s == last {
+                    f += head_ms / 3.0;
+                    b += head_ms * 2.0 / 3.0;
                 }
-                StageCosts::new(f, b, r)
+                StageCosts::new(f, b, l * t.recompute_ms)
             })
             .collect()
     }
@@ -139,8 +138,9 @@ impl Estimator {
     /// pricing.
     pub fn pipeline_sim(&self, strategy: Strategy) -> PipelineSim {
         let aux = self.aux_model();
+        let p = self.parallel.pipeline as usize;
         PipelineSim {
-            stages: self.stage_costs(strategy),
+            stages: self.stage_costs(strategy, &vec![self.shape.layers as f64 / p as f64; p]),
             p2p_ms: if self.parallel.pipeline > 1 {
                 aux.p2p_ms(self.batch.micro, strategy.sequence_parallel)
             } else {

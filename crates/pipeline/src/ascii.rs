@@ -54,10 +54,11 @@ pub fn render_timeline(events: &[TraceEvent], width: usize) -> String {
     out
 }
 
-/// Renders the per-stage op *order* (not to time scale): one cell per op,
-/// `F3`/`f3` for forwards (checkpointing / store-all) and `B3`/`R3` for
-/// backwards (plain / with recomputation) of microbatch 3 — the layout of
-/// the paper's Figure 10 grid.
+/// Renders the per-stage op *order* (not to time scale; each stage's events
+/// in the order given, which is execution order for a simulated timeline):
+/// one cell per op, `F3` for the forward and `B3`/`R3` for the backward
+/// (plain / with recomputation) of microbatch 3 — the layout of the paper's
+/// Figure 10 grid.
 ///
 /// # Panics
 ///
@@ -68,9 +69,6 @@ pub fn render_schedule(events: &[TraceEvent]) -> String {
     let mut per_stage: Vec<Vec<&TraceEvent>> = vec![Vec::new(); stages];
     for e in events {
         per_stage[e.stage].push(e);
-    }
-    for stage in &mut per_stage {
-        stage.sort_by(|a, b| a.start_ms.partial_cmp(&b.start_ms).expect("finite"));
     }
     let mut out = String::new();
     for (s, ops) in per_stage.iter().enumerate() {

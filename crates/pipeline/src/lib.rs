@@ -1,23 +1,36 @@
 //! # mt-pipeline
 //!
-//! A discrete-event simulator of pipeline-parallel training schedules for
-//! the reproduction of *"Reducing Activation Recomputation in Large
+//! **One** discrete-event simulator of pipeline-parallel training schedules
+//! for the reproduction of *"Reducing Activation Recomputation in Large
 //! Transformer Models"*.
 //!
-//! * **1F1B (PipeDream-flush)** — simulated exactly: per-stage op order
-//!   (warmup forwards, steady 1F1B pairs, cooldown backwards), cross-stage
-//!   dependencies with point-to-point transfer lag, per-stage busy/bubble
-//!   accounting, and the peak number of in-flight microbatches per stage —
-//!   which the simulation itself shows to be `min(p − stage, n)`, the
-//!   assumption behind the paper's Equation 5 and Figure 9.
-//! * **Interleaved schedule** — priced with Megatron's analytic bubble
-//!   `(p−1)/m` microbatch slots (Narayanan et al.), as used by the paper's
-//!   175B/530B runs.
+//! A schedule is a per-device list of `(forward, chunk, microbatch)` units.
+//! The 1F1B and interleaved lists are not written here: they are taken from
+//! `mt_model::pipeline_exec::{stage_ops, interleaved_device_ops}`, the lists
+//! the real executor walks, so the simulated timeline, the executor's ledger
+//! and `mt-analyze`'s static liveness share their only input. Everything
+//! except time is a fold over that list; time is the one event loop in
+//! [`PipelineSim::simulate`].
+//!
+//! * **1F1B (PipeDream-flush)** — warmup forwards, steady 1F1B pairs,
+//!   cooldown backwards; peak in-flight microbatches per stage come out as
+//!   `min(p − stage, n)`, the assumption behind the paper's Equation 5 and
+//!   Figure 9.
+//! * **GPipe** — all forwards, then all backwards: every stage holds `n`.
+//! * **Interleaved 1F1B** (Narayanan et al. 2021; the paper's 175B/530B runs
+//!   use `m = 3`) — each device holds `m` model chunks of `L/(p·m)` layers,
+//!   virtual stage `vs = chunk·p + device`. The bubble shrinks from `p−1`
+//!   microbatch slots to `(p−1)/m`, and device `d` holds
+//!   `min(2(p−d−1) + (m−1)·p + 1, n·m)` chunk activations at peak — on device
+//!   0 exactly the paper's `L·(1 + (p−1)/(p·m))` first-stage factor
+//!   (Section 4.2.3). [`PipelineSim::interleaved_ms`] is the analytic price
+//!   the estimator uses for the paper tables.
 //! * **Microbatch-level activation recomputation (Appendix C)** — a
-//!   per-stage storage budget of `k` microbatches: the first `k` in flight
-//!   skip recomputation entirely; the rest checkpoint and pay the
-//!   recompute time in their backward step. Budget 0 is the classic
-//!   always-recompute execution; budget ≥ p disables recomputation.
+//!   per-device storage budget of `k` units: the first `k` in flight skip
+//!   recomputation entirely; the rest checkpoint and pay the recompute time
+//!   in their backward step. Budget 0 is the classic always-recompute
+//!   execution; budget ≥ the in-flight peak disables recomputation. Works
+//!   under all three orders.
 //!
 //! ## Example
 //!
@@ -34,16 +47,16 @@
 #![warn(missing_docs)]
 
 mod ascii;
-mod interleaved;
 mod memory_replay;
 
 pub use ascii::{render_schedule, render_timeline};
-pub use interleaved::InterleavedSim;
-pub use memory_replay::{live_bytes_series, replay_stage_memory, ReplayConfig, ReplayReport};
+pub use memory_replay::{replay_stage_memory, ReplayConfig, ReplayReport};
 
+use mt_model::pipeline_exec::{interleaved_device_ops, stage_ops};
 use serde::{Deserialize, Serialize};
 
-/// Per-microbatch compute cost of one pipeline stage.
+/// Compute cost of one schedule unit (one microbatch through one device's
+/// stage, or through one of its model chunks under interleaving).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageCosts {
     /// Forward milliseconds per microbatch.
@@ -69,11 +82,13 @@ pub struct SimResult {
     pub makespan_ms: f64,
     /// Compute-busy milliseconds per stage.
     pub stage_busy_ms: Vec<f64>,
-    /// Peak number of microbatches whose activations were alive
-    /// simultaneously, per stage.
+    /// Peak number of units (microbatches; chunk activations under
+    /// interleaving) whose forward has run and whose backward has not, per
+    /// device — a property of the device's op *order*, counted exactly as
+    /// the executor counts `peak_live_states`.
     pub peak_in_flight: Vec<u64>,
-    /// Microbatches per stage that were stored in full (skipped
-    /// recomputation) under an Appendix C budget.
+    /// Units per device that were stored in full (skipped recomputation)
+    /// under an Appendix C budget.
     pub stored_full: Vec<u64>,
 }
 
@@ -89,7 +104,9 @@ impl SimResult {
 /// A pipeline of `p` stages processing `n` microbatches.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineSim {
-    /// Per-stage costs (`stages.len()` = pipeline size `p`).
+    /// Per-device cost of one schedule unit (`stages.len()` = pipeline size
+    /// `p`): the whole stage under 1F1B/GPipe, one model chunk under
+    /// [`Schedule::Interleaved`].
     pub stages: Vec<StageCosts>,
     /// Stage-boundary transfer milliseconds.
     pub p2p_ms: f64,
@@ -97,17 +114,58 @@ pub struct PipelineSim {
     pub num_micro: u64,
 }
 
+/// The order in which each device walks its units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Fwd(usize),
-    Bwd(usize),
+pub enum Schedule {
+    /// PipeDream-flush 1F1B: `pipeline_exec::stage_ops`, the list
+    /// `run_1f1b_iteration` executes.
+    OneFOneB,
+    /// All forwards, then all backwards in reverse microbatch order. Every
+    /// stage must therefore hold *all* `n` microbatches' activations at the
+    /// flush point — the memory pressure 1F1B exists to avoid (Section 1).
+    /// GPipe has no executor, so its three-line order lives here.
+    GPipe,
+    /// Megatron's interleaved 1F1B with `chunks` model chunks per device:
+    /// `pipeline_exec::interleaved_device_ops`, the list
+    /// `run_interleaved_iteration` executes. Needs `n` divisible by `p`.
+    Interleaved {
+        /// Model chunks per device (`m`).
+        chunks: usize,
+    },
 }
 
-/// One executed schedule op, for timeline visualization.
+impl Schedule {
+    fn chunks(self) -> usize {
+        match self {
+            Schedule::Interleaved { chunks } => chunks,
+            Schedule::OneFOneB | Schedule::GPipe => 1,
+        }
+    }
+
+    /// Device `device`'s `(forward, chunk, microbatch)` units in execution
+    /// order.
+    fn device_ops(self, device: usize, p: usize, n: usize) -> Vec<(bool, usize, usize)> {
+        match self {
+            Schedule::OneFOneB => {
+                stage_ops(device, p, n).into_iter().map(|(fwd, mb)| (fwd, 0, mb)).collect()
+            }
+            Schedule::GPipe => (0..n)
+                .map(|mb| (true, 0, mb))
+                .chain((0..n).rev().map(|mb| (false, 0, mb)))
+                .collect(),
+            Schedule::Interleaved { chunks } => interleaved_device_ops(device, p, chunks, n),
+        }
+    }
+}
+
+/// One executed schedule unit, for timeline visualization.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
-    /// Pipeline stage.
+    /// Pipeline stage (device).
     pub stage: usize,
+    /// Model chunk on that device (0 unless interleaved); the unit's virtual
+    /// stage is `chunk·p + stage`.
+    pub chunk: usize,
     /// Microbatch index.
     pub micro: usize,
     /// `true` for a forward step, `false` for backward (+recompute).
@@ -120,38 +178,26 @@ pub struct TraceEvent {
     pub end_ms: f64,
 }
 
-/// Serializes trace events in the Chrome tracing (`chrome://tracing`,
-/// Perfetto) JSON array format — one row per pipeline stage, forward and
-/// backward steps as duration events. The result is exactly the kind of
-/// visualization the paper's Figure 10 sketches.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut entries = Vec::with_capacity(events.len());
+/// Replays a simulated timeline onto `tracer` as one `fwd_chunk` /
+/// `bwd_chunk` span per unit, so `mt_trace`'s Chrome exporter renders the
+/// familiar pipeline "staircase" (the paper's Figure 10) with one lane per
+/// device. Spans use the **simulated** clock (one simulated millisecond is
+/// one millisecond of trace time) and land on track = device index.
+pub fn trace_onto(tracer: &mt_trace::Tracer, events: &[TraceEvent]) {
+    use mt_trace::ArgValue;
     for e in events {
-        let name = if e.forward {
-            format!("F{}", e.micro)
-        } else if e.recomputed {
-            format!("R+B{}", e.micro)
-        } else {
-            format!("B{}", e.micro)
-        };
-        let phase = if e.forward {
-            "forward"
-        } else if e.recomputed {
-            "backward+recompute"
-        } else {
-            "backward"
-        };
-        entries.push(serde_json::json!({
-            "name": name,
-            "cat": phase,
-            "ph": "X",
-            "ts": e.start_ms * 1000.0,           // Chrome traces are in µs
-            "dur": (e.end_ms - e.start_ms) * 1000.0,
-            "pid": 0,
-            "tid": e.stage,
-        }));
+        tracer.complete_at(
+            if e.forward { "fwd_chunk" } else { "bwd_chunk" },
+            e.stage as u32,
+            e.start_ms * 1_000.0,
+            (e.end_ms - e.start_ms) * 1_000.0,
+            vec![
+                ("chunk", ArgValue::U64(e.chunk as u64)),
+                ("micro", ArgValue::U64(e.micro as u64)),
+                ("recomputed", ArgValue::Bool(e.recomputed)),
+            ],
+        );
     }
-    serde_json::to_string_pretty(&entries).expect("trace serializes")
 }
 
 impl PipelineSim {
@@ -165,221 +211,156 @@ impl PipelineSim {
         self.stages.len()
     }
 
-    /// The 1F1B op order for one stage: `w = min(p−1−stage, n)` warmup
-    /// forwards, then (F, B) pairs, then the cooldown backwards.
-    fn stage_ops(&self, stage: usize) -> Vec<Op> {
-        let n = self.num_micro as usize;
-        let w = (self.p() - 1 - stage).min(n);
-        let mut ops = Vec::with_capacity(2 * n);
-        for m in 0..w {
-            ops.push(Op::Fwd(m));
-        }
-        for j in 0..(n - w) {
-            ops.push(Op::Fwd(w + j));
-            ops.push(Op::Bwd(j));
-        }
-        for m in (n - w)..n {
-            ops.push(Op::Bwd(m));
-        }
-        ops
-    }
-
-    /// The GPipe op order for one stage: all forwards, then all backwards in
-    /// reverse microbatch order. Every stage must therefore hold *all* `n`
-    /// microbatches' activations at the flush point — the memory pressure
-    /// 1F1B exists to avoid (Section 1).
-    fn stage_ops_gpipe(&self) -> Vec<Op> {
-        let n = self.num_micro as usize;
-        let mut ops: Vec<Op> = (0..n).map(Op::Fwd).collect();
-        ops.extend((0..n).rev().map(Op::Bwd));
-        ops
-    }
-
-    /// Simulates the 1F1B schedule.
+    /// Simulates `schedule`: every device executes its unit list in order, a
+    /// unit starting once the device is free and its input has arrived — a
+    /// forward needs the previous virtual stage's forward plus the transfer
+    /// lag, a backward the next virtual stage's backward plus the lag (or
+    /// the local forward on the last virtual stage). Returns the result and
+    /// the timeline, each device's events in execution order.
     ///
-    /// `store_budget`, if provided, gives each stage's Appendix C capacity:
-    /// how many in-flight microbatches may keep *all* activations (and so
-    /// skip `recompute_ms` in their backward). `None` means every microbatch
-    /// pays `recompute_ms` — pass stages with `recompute_ms = 0` for the
+    /// `store_budget`, if provided, gives each device's Appendix C capacity:
+    /// how many in-flight units may keep *all* activations (and so skip
+    /// `recompute_ms` in their backward). `None` means every unit pays
+    /// `recompute_ms` — pass stages with `recompute_ms = 0` for the
     /// no-recompute case.
+    ///
+    /// In-flight peaks and the stored-full decisions are counted in op
+    /// order inside the same pass; nothing is sorted by time.
     ///
     /// # Panics
     ///
-    /// Panics if the pipeline is empty, `num_micro == 0`, or
-    /// `store_budget.len() != p`.
+    /// Panics if the pipeline is empty, `num_micro == 0`, the chunk count
+    /// is 0, `store_budget.len() != p`, or an interleaved schedule's
+    /// `num_micro` is not a multiple of `p`.
+    pub fn simulate(
+        &self,
+        schedule: Schedule,
+        store_budget: Option<&[u64]>,
+    ) -> (SimResult, Vec<TraceEvent>) {
+        let (p, n, m) = (self.p(), self.num_micro as usize, schedule.chunks());
+        assert!(p > 0, "pipeline needs at least one stage");
+        assert!(n > 0 && m > 0, "need at least one microbatch and one chunk");
+        assert!(
+            !matches!(schedule, Schedule::Interleaved { .. }) || n.is_multiple_of(p),
+            "interleaved schedule needs microbatches ({n}) divisible by devices ({p})"
+        );
+        if let Some(b) = store_budget {
+            assert_eq!(b.len(), p, "store_budget must have one entry per stage");
+        }
+        let ops: Vec<_> = (0..p).map(|d| schedule.device_ops(d, p, n)).collect();
+        let (vstages, units) = (p * m, 2 * p * m * n);
+        // Completion times per (virtual stage, microbatch); NaN = not run.
+        let mut f_end = vec![vec![f64::NAN; n]; vstages];
+        let mut b_end = f_end.clone();
+        let mut next_op = vec![0usize; p];
+        let mut clock = vec![0.0_f64; p];
+        let mut busy = vec![0.0_f64; p];
+        let mut live = vec![0u64; p];
+        let mut peak = vec![0u64; p];
+        // Appendix C state: stored-full units currently in flight per
+        // device, which units were stored, and how many over the iteration.
+        let mut stored_now = vec![0u64; p];
+        let mut stored = vec![vec![false; n]; vstages];
+        let mut stored_total = vec![0u64; p];
+        let mut events = Vec::with_capacity(units);
+
+        while events.len() < units {
+            let done = events.len();
+            for d in 0..p {
+                while let Some(&(forward, chunk, micro)) = ops[d].get(next_op[d]) {
+                    let vs = chunk * p + d;
+                    // When the unit's input arrives; NaN while its producer
+                    // has not run, which parks this device for the round.
+                    let input = if forward {
+                        if vs == 0 {
+                            0.0
+                        } else {
+                            f_end[vs - 1][micro] + self.p2p_ms
+                        }
+                    } else if vs == vstages - 1 {
+                        f_end[vs][micro]
+                    } else {
+                        b_end[vs + 1][micro] + self.p2p_ms
+                    };
+                    if input.is_nan() {
+                        break;
+                    }
+                    let start = clock[d].max(input);
+                    let costs = self.stages[d];
+                    let mut recomputed = false;
+                    let dur = if forward {
+                        live[d] += 1;
+                        peak[d] = peak[d].max(live[d]);
+                        if store_budget.is_some_and(|b| stored_now[d] < b[d]) {
+                            stored_now[d] += 1;
+                            stored[vs][micro] = true;
+                            stored_total[d] += 1;
+                        }
+                        costs.forward_ms
+                    } else {
+                        live[d] -= 1;
+                        if stored[vs][micro] {
+                            stored_now[d] -= 1;
+                            costs.backward_ms
+                        } else {
+                            recomputed = costs.recompute_ms > 0.0;
+                            costs.backward_ms + costs.recompute_ms
+                        }
+                    };
+                    clock[d] = start + dur;
+                    busy[d] += dur;
+                    let ends = if forward { &mut f_end } else { &mut b_end };
+                    ends[vs][micro] = clock[d];
+                    events.push(TraceEvent {
+                        stage: d,
+                        chunk,
+                        micro,
+                        forward,
+                        recomputed,
+                        start_ms: start,
+                        end_ms: clock[d],
+                    });
+                    next_op[d] += 1;
+                }
+            }
+            assert!(events.len() > done, "{schedule:?} schedule deadlocked (internal error)");
+        }
+
+        let result = SimResult {
+            makespan_ms: clock.iter().fold(0.0_f64, |a, &b| a.max(b)),
+            stage_busy_ms: busy,
+            peak_in_flight: peak,
+            stored_full: stored_total,
+        };
+        (result, events)
+    }
+
+    /// Simulates the 1F1B schedule: [`PipelineSim::simulate`] with
+    /// [`Schedule::OneFOneB`], result only.
     pub fn simulate_1f1b(&self, store_budget: Option<&[u64]>) -> SimResult {
-        let ops: Vec<Vec<Op>> = (0..self.p()).map(|s| self.stage_ops(s)).collect();
-        self.simulate_with_ops(ops, store_budget, None)
+        self.simulate(Schedule::OneFOneB, store_budget).0
     }
 
     /// Like [`PipelineSim::simulate_1f1b`], additionally returning the
-    /// executed timeline (see [`chrome_trace_json`]).
+    /// executed timeline (see [`trace_onto`], [`render_schedule`]).
     pub fn trace_1f1b(&self, store_budget: Option<&[u64]>) -> (SimResult, Vec<TraceEvent>) {
-        let ops: Vec<Vec<Op>> = (0..self.p()).map(|s| self.stage_ops(s)).collect();
-        let mut events = Vec::new();
-        let result = self.simulate_with_ops(ops, store_budget, Some(&mut events));
-        (result, events)
+        self.simulate(Schedule::OneFOneB, store_budget)
     }
 
     /// Simulates the GPipe schedule (all-forward then all-backward with a
     /// flush). Compared with 1F1B at equal costs, the makespan is similar
     /// but every stage's peak in-flight count is `n` instead of
     /// `min(p − stage, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`PipelineSim::simulate_1f1b`].
     pub fn simulate_gpipe(&self, store_budget: Option<&[u64]>) -> SimResult {
-        let ops: Vec<Vec<Op>> = (0..self.p()).map(|_| self.stage_ops_gpipe()).collect();
-        self.simulate_with_ops(ops, store_budget, None)
+        self.simulate(Schedule::GPipe, store_budget).0
     }
 
-    /// Event-driven engine shared by the schedules: executes each stage's op
-    /// list in order, honouring cross-stage dependencies (`F` needs the
-    /// previous stage's `F` + transfer; `B` needs the next stage's `B` +
-    /// transfer, or the local `F` on the last stage).
-    fn simulate_with_ops(
-        &self,
-        ops: Vec<Vec<Op>>,
-        store_budget: Option<&[u64]>,
-        mut trace: Option<&mut Vec<TraceEvent>>,
-    ) -> SimResult {
-        let p = self.p();
-        let n = self.num_micro as usize;
-        assert!(p > 0, "pipeline needs at least one stage");
-        assert!(n > 0, "need at least one microbatch");
-        if let Some(b) = store_budget {
-            assert_eq!(b.len(), p, "store_budget must have one entry per stage");
-        }
-        let mut next_op = vec![0usize; p];
-        let mut clock = vec![0.0_f64; p];
-        let mut busy = vec![0.0_f64; p];
-        let mut f_end = vec![vec![f64::NAN; n]; p];
-        let mut b_end = vec![vec![f64::NAN; n]; p];
-        // Appendix C state: how many stored-full microbatches are currently
-        // in flight per stage, and which microbatches were stored.
-        let mut stored_now = vec![0u64; p];
-        let mut stored = vec![vec![false; n]; p];
-        let mut stored_total = vec![0u64; p];
-
-        let mut remaining: usize = ops.iter().map(|o| o.len()).sum();
-        while remaining > 0 {
-            let mut progressed = false;
-            for s in 0..p {
-                while next_op[s] < ops[s].len() {
-                    let op = ops[s][next_op[s]];
-                    // Dependency ready time, or None if not yet satisfied.
-                    let ready = match op {
-                        Op::Fwd(m) => {
-                            if s == 0 {
-                                Some(0.0)
-                            } else if f_end[s - 1][m].is_nan() {
-                                None
-                            } else {
-                                Some(f_end[s - 1][m] + self.p2p_ms)
-                            }
-                        }
-                        Op::Bwd(m) => {
-                            if s == p - 1 {
-                                if f_end[s][m].is_nan() {
-                                    None
-                                } else {
-                                    Some(f_end[s][m])
-                                }
-                            } else if b_end[s + 1][m].is_nan() {
-                                None
-                            } else {
-                                Some(b_end[s + 1][m] + self.p2p_ms)
-                            }
-                        }
-                    };
-                    let Some(ready) = ready else { break };
-                    let start = clock[s].max(ready);
-                    let mut recomputed = false;
-                    let dur = match op {
-                        Op::Fwd(m) => {
-                            if let Some(budget) = store_budget {
-                                if stored_now[s] < budget[s] {
-                                    stored_now[s] += 1;
-                                    stored[s][m] = true;
-                                    stored_total[s] += 1;
-                                }
-                            }
-                            self.stages[s].forward_ms
-                        }
-                        Op::Bwd(m) => {
-                            let skip = store_budget.is_some() && stored[s][m];
-                            if skip {
-                                stored_now[s] -= 1;
-                                self.stages[s].backward_ms
-                            } else {
-                                recomputed = self.stages[s].recompute_ms > 0.0;
-                                self.stages[s].backward_ms + self.stages[s].recompute_ms
-                            }
-                        }
-                    };
-                    clock[s] = start + dur;
-                    busy[s] += dur;
-                    match op {
-                        Op::Fwd(m) => f_end[s][m] = clock[s],
-                        Op::Bwd(m) => b_end[s][m] = clock[s],
-                    }
-                    if let Some(events) = trace.as_deref_mut() {
-                        let (forward, micro) = match op {
-                            Op::Fwd(m) => (true, m),
-                            Op::Bwd(m) => (false, m),
-                        };
-                        events.push(TraceEvent {
-                            stage: s,
-                            micro,
-                            forward,
-                            recomputed,
-                            start_ms: start,
-                            end_ms: clock[s],
-                        });
-                    }
-                    next_op[s] += 1;
-                    remaining -= 1;
-                    progressed = true;
-                }
-            }
-            assert!(progressed, "1F1B schedule deadlocked (internal error)");
-        }
-
-        let makespan = clock.iter().fold(0.0_f64, |a, &b| a.max(b));
-        // Peak in-flight microbatches per stage: sweep F-completion (+1) and
-        // B-completion (−1) events in time order.
-        let peak_in_flight = (0..p)
-            .map(|s| {
-                let mut events: Vec<(f64, i64)> = (0..n)
-                    .map(|m| (f_end[s][m], 1i64))
-                    .chain((0..n).map(|m| (b_end[s][m], -1i64)))
-                    .collect();
-                events.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0).expect("finite times").then(a.1.cmp(&b.1))
-                });
-                let mut cur = 0i64;
-                let mut peak = 0i64;
-                for (_, delta) in events {
-                    cur += delta;
-                    peak = peak.max(cur);
-                }
-                peak as u64
-            })
-            .collect();
-
-        SimResult {
-            makespan_ms: makespan,
-            stage_busy_ms: busy,
-            peak_in_flight,
-            stored_full: stored_total,
-        }
-    }
-
-    /// Iteration milliseconds under the interleaved schedule with `m` model
-    /// chunks per device (Narayanan et al.): bubble shrinks to
-    /// `(p−1)/m` microbatch slots. Uses the mean per-stage cost plus the
-    /// pipeline-depth point-to-point lag.
+    /// Analytic iteration milliseconds under the interleaved schedule with
+    /// `m` model chunks per device (Narayanan et al.), for a pipeline whose
+    /// `stages` hold *whole-device* costs: bubble shrinks to `(p−1)/m`
+    /// microbatch slots. Uses the mean per-stage cost plus the
+    /// pipeline-depth point-to-point lag. With uniform costs and no lag the
+    /// exact engine lands on the same number.
     ///
     /// # Panics
     ///
@@ -577,16 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_valid_json() {
-        let sim = PipelineSim::uniform(StageCosts::new(1.0, 2.0, 0.0), 2, 3, 0.0);
-        let (_, events) = sim.trace_1f1b(None);
-        let json = chrome_trace_json(&events);
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(parsed.as_array().unwrap().len(), events.len());
-        assert_eq!(parsed[0]["ph"], "X");
-    }
-
-    #[test]
     fn heterogeneous_stages_are_supported() {
         // A slow last stage (the logits head) dominates.
         let mut sim = PipelineSim::uniform(StageCosts::new(1.0, 2.0, 0.0), 4, 8, 0.0);
@@ -595,5 +566,134 @@ mod tests {
         // Lower bound: the slow stage's own busy time.
         assert!(r.makespan_ms >= 8.0 * 6.0);
         assert!(r.stage_busy_ms[3] > r.stage_busy_ms[0]);
+    }
+
+    // ---- interleaved order, same engine ----
+
+    fn interleaved(p: usize, m: usize, n: u64, costs: StageCosts) -> (SimResult, Vec<TraceEvent>) {
+        PipelineSim::uniform(costs, p, n, 0.0).simulate(Schedule::Interleaved { chunks: m }, None)
+    }
+
+    const CHUNK: StageCosts = StageCosts { forward_ms: 1.0, backward_ms: 2.0, recompute_ms: 0.0 };
+
+    #[test]
+    fn interleaved_timeline_covers_every_unit_once() {
+        let (_, events) = interleaved(4, 3, 8, CHUNK);
+        assert_eq!(events.len(), 2 * 4 * 3 * 8);
+        let mut seen = std::collections::HashSet::new();
+        for e in &events {
+            assert!(seen.insert((e.stage, e.chunk, e.micro, e.forward)), "duplicate {e:?}");
+        }
+    }
+
+    #[test]
+    fn makespan_matches_analytic_bubble() {
+        // Uniform chunk costs, no lag: (n + (p−1)/m)·m·(f + b), which is
+        // `interleaved_ms` of the pipeline holding whole-device costs.
+        for (p, m, n) in [(4usize, 2usize, 8u64), (4, 3, 12), (8, 3, 24)] {
+            let measured = interleaved(p, m, n, CHUNK).0.makespan_ms;
+            let k = m as f64;
+            let whole = StageCosts::new(k * CHUNK.forward_ms, k * CHUNK.backward_ms, 0.0);
+            let analytic = PipelineSim::uniform(whole, p, n, 0.0).interleaved_ms(m as u64);
+            let rel = (measured - analytic).abs() / analytic;
+            assert!(rel < 0.10, "p={p} m={m} n={n}: measured {measured} vs analytic {analytic}");
+        }
+    }
+
+    #[test]
+    fn interleaving_beats_plain_1f1b() {
+        // Same total per-device work, smaller bubble.
+        let (p, m, n) = (8, 4, 16);
+        let inter = interleaved(p, m, n, CHUNK).0.makespan_ms;
+        // Plain 1F1B with the whole device's layers as one chunk.
+        let whole = StageCosts::new(m as f64 * 1.0, m as f64 * 2.0, 0.0);
+        let plain = PipelineSim::uniform(whole, p, n, 0.0).simulate_1f1b(None).makespan_ms;
+        assert!(inter < plain, "interleaved {inter} vs plain {plain}");
+    }
+
+    #[test]
+    fn m_equals_one_degenerates_to_plain_1f1b() {
+        let inter = interleaved(4, 1, 8, CHUNK).0.makespan_ms;
+        let plain = PipelineSim::uniform(CHUNK, 4, 8, 0.0).simulate_1f1b(None).makespan_ms;
+        assert!((inter - plain).abs() < 1e-9, "{inter} vs {plain}");
+    }
+
+    #[test]
+    fn in_flight_chunks_match_the_paper_memory_factor() {
+        // peak chunks on device 0 == 2(p−1) + (m−1)p + 1, i.e. the paper's
+        // L(1 + (p−1)/(pm)) factor × (pm / L) chunks.
+        for (p, m) in [(4usize, 3usize), (8, 3), (4, 2)] {
+            let r = interleaved(p, m, (4 * p) as u64, CHUNK).0;
+            let bound = (2 * (p - 1) + (m - 1) * p + 1) as u64;
+            assert!(
+                r.peak_in_flight[0] == bound || r.peak_in_flight[0] == bound + 1,
+                "p={p} m={m}: simulated {} vs bound {bound}",
+                r.peak_in_flight[0]
+            );
+            let layers_factor = bound as f64 / (p * m) as f64; // in units of L
+            let paper = 1.0 + (p as f64 - 1.0) / (p * m) as f64;
+            assert!((layers_factor - paper).abs() < 1e-9);
+            // In-flight must not increase along the pipeline.
+            assert!(r.peak_in_flight.windows(2).all(|w| w[0] >= w[1]), "{:?}", r.peak_in_flight);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "divisible")]
+    fn rejects_micro_count_not_divisible_by_devices() {
+        let _ = interleaved(4, 2, 6, CHUNK);
+    }
+
+    #[test]
+    fn trace_onto_emits_one_span_per_unit_on_its_device_lane() {
+        let (result, timeline) = interleaved(4, 3, 8, CHUNK);
+        let tracer = mt_trace::Tracer::enabled();
+        trace_onto(&tracer, &timeline);
+        let events = tracer.events();
+        // One fwd + one bwd span per (virtual stage, microbatch).
+        assert_eq!(events.len(), 2 * 4 * 3 * 8);
+        for d in 0..4u32 {
+            // Each device lane holds exactly its share, never overlapping:
+            // a device executes one chunk-unit at a time, in emission order.
+            let lane: Vec<(f64, f64)> = events
+                .iter()
+                .filter(|e| e.track == d)
+                .map(|e| match e.kind {
+                    mt_trace::EventKind::Complete { dur_us } => (e.ts_us, e.ts_us + dur_us),
+                    _ => panic!("pipeline trace must be all complete events"),
+                })
+                .collect();
+            assert_eq!(lane.len(), 2 * 3 * 8, "device {d}");
+            for w in lane.windows(2) {
+                assert!(w[0].1 <= w[1].0 + 1e-9, "device {d} spans overlap: {w:?}");
+            }
+            // No lane outlasts the simulated makespan (µs = ms·1000).
+            assert!(lane.last().unwrap().1 <= result.makespan_ms * 1_000.0 + 1e-6);
+        }
+        // The one exporter turns it into a well-formed Chrome trace.
+        let json = mt_trace::export::chrome_trace(&events);
+        mt_trace::export::validate_chrome_trace(&json).expect("valid chrome trace");
+        assert_eq!(json.as_array().unwrap().len(), events.len());
+    }
+
+    #[test]
+    fn recompute_increases_interleaved_makespan() {
+        let base = interleaved(4, 3, 8, CHUNK).0.makespan_ms;
+        let with = interleaved(4, 3, 8, StageCosts::new(1.0, 2.0, 0.9)).0.makespan_ms;
+        assert!(with > base);
+    }
+
+    #[test]
+    fn full_budget_on_an_interleaved_schedule_is_recompute_free() {
+        // Budgets × chunks: storing every in-flight chunk skips every
+        // recomputation, so the makespan is the recompute-free one.
+        let sim = PipelineSim::uniform(StageCosts::new(1.0, 2.0, 0.9), 4, 8, 0.1);
+        let schedule = Schedule::Interleaved { chunks: 3 };
+        let (stored, events) = sim.simulate(schedule, Some(&[24; 4]));
+        let free = PipelineSim::uniform(CHUNK, 4, 8, 0.1).simulate(schedule, None).0;
+        assert_eq!(stored.makespan_ms, free.makespan_ms);
+        assert_eq!(stored.stored_full, vec![24; 4]);
+        assert!(events.iter().all(|e| !e.recomputed));
+        assert!(sim.simulate(schedule, Some(&[0; 4])).0.makespan_ms > free.makespan_ms);
     }
 }

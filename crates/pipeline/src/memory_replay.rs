@@ -43,23 +43,16 @@ impl ReplayReport {
     }
 }
 
-/// Chronological alloc/free actions for one stage, derived from its trace.
-fn stage_actions(stage_events: &[TraceEvent], cfg: &ReplayConfig) -> Vec<(bool, usize, u64)> {
-    let mut events: Vec<&TraceEvent> = stage_events.iter().collect();
-    events.sort_by(|a, b| a.start_ms.partial_cmp(&b.start_ms).expect("finite times"));
+/// Alloc/free actions for one stage, in the order of its trace events.
+fn stage_actions<'a>(
+    stage_events: impl Iterator<Item = &'a TraceEvent>,
+    cfg: &ReplayConfig,
+) -> Vec<(bool, usize, u64)> {
     let mut actions = Vec::new(); // (is_alloc, tag, bytes); tag = micro*2 (+1 for output)
-    for e in &events {
-        let act = cfg.activation_bytes[e.micro];
-        if e.forward {
-            actions.push((true, e.micro * 2, act));
-            if !cfg.deallocate_outputs && cfg.output_bytes > 0 {
-                actions.push((true, e.micro * 2 + 1, cfg.output_bytes));
-            }
-        } else {
-            actions.push((false, e.micro * 2, act));
-            if !cfg.deallocate_outputs && cfg.output_bytes > 0 {
-                actions.push((false, e.micro * 2 + 1, cfg.output_bytes));
-            }
+    for e in stage_events {
+        actions.push((e.forward, e.micro * 2, cfg.activation_bytes[e.micro]));
+        if !cfg.deallocate_outputs && cfg.output_bytes > 0 {
+            actions.push((e.forward, e.micro * 2 + 1, cfg.output_bytes));
         }
     }
     actions
@@ -88,6 +81,9 @@ fn try_replay(actions: &[(bool, usize, u64)], capacity: u64) -> Result<u64, Allo
 /// Replays one stage's trace and reports peak live bytes and the minimal
 /// arena a best-fit caching allocator needs (binary search).
 ///
+/// The stage's events are read in the order given, which must be its
+/// execution order — the order `PipelineSim::simulate` emits them in.
+///
 /// # Panics
 ///
 /// Panics if `cfg.activation_bytes` is shorter than the microbatch indices
@@ -97,9 +93,8 @@ pub fn replay_stage_memory(
     stage: usize,
     cfg: &ReplayConfig,
 ) -> ReplayReport {
-    let mine: Vec<TraceEvent> = stage_events.iter().copied().filter(|e| e.stage == stage).collect();
-    assert!(!mine.is_empty(), "no events for stage {stage}");
-    let actions = stage_actions(&mine, cfg);
+    let actions = stage_actions(stage_events.iter().filter(|e| e.stage == stage), cfg);
+    assert!(!actions.is_empty(), "no events for stage {stage}");
     let total: u64 = actions.iter().filter(|a| a.0).map(|a| a.2).sum();
     let peak_live = try_replay(&actions, total.max(1)).expect("unbounded arena cannot fail");
     // Binary search the minimal capacity in [peak_live, total].
@@ -113,39 +108,6 @@ pub fn replay_stage_memory(
         }
     }
     ReplayReport { peak_live_bytes: peak_live, minimal_arena_bytes: lo }
-}
-
-/// The live-activation-bytes timeline of one stage: `(time_ms, live_bytes)`
-/// after each schedule event — the memory view of the paper's Figure 10,
-/// suitable for plotting alongside the compute timeline.
-///
-/// # Panics
-///
-/// Panics if no event belongs to `stage` or a microbatch index exceeds
-/// `cfg.activation_bytes`.
-pub fn live_bytes_series(
-    stage_events: &[TraceEvent],
-    stage: usize,
-    cfg: &ReplayConfig,
-) -> Vec<(f64, u64)> {
-    let mut mine: Vec<&TraceEvent> = stage_events.iter().filter(|e| e.stage == stage).collect();
-    assert!(!mine.is_empty(), "no events for stage {stage}");
-    mine.sort_by(|a, b| a.end_ms.partial_cmp(&b.end_ms).expect("finite times"));
-    let mut live = 0u64;
-    let mut series = Vec::with_capacity(mine.len());
-    for e in mine {
-        let mut delta = cfg.activation_bytes[e.micro];
-        if !cfg.deallocate_outputs {
-            delta += cfg.output_bytes;
-        }
-        if e.forward {
-            live += delta;
-        } else {
-            live -= delta;
-        }
-        series.push((e.end_ms, live));
-    }
-    series
 }
 
 #[cfg(test)]
@@ -254,23 +216,6 @@ mod tests {
         let last = replay_stage_memory(&events, 3, &cfg);
         assert!(last.minimal_arena_bytes < first.minimal_arena_bytes);
         assert_eq!(last.peak_live_bytes, 100, "one in-flight microbatch");
-    }
-
-    #[test]
-    fn live_series_peaks_at_the_replay_peak() {
-        let events = first_stage_trace(4, 12, None);
-        let cfg = ReplayConfig {
-            activation_bytes: vec![100; 12],
-            output_bytes: 5,
-            deallocate_outputs: false,
-        };
-        let series = live_bytes_series(&events, 0, &cfg);
-        let peak = series.iter().map(|(_, b)| *b).max().unwrap();
-        let report = replay_stage_memory(&events, 0, &cfg);
-        assert_eq!(peak, report.peak_live_bytes);
-        // The series starts low, peaks, and drains back to zero.
-        assert_eq!(series.last().unwrap().1, 0, "all activations freed at flush");
-        assert!(series[0].1 < peak);
     }
 
     #[test]
