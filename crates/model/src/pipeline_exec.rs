@@ -295,12 +295,14 @@ pub fn try_run_1f1b_iteration(
     })
 }
 
-/// The interleaved unit order for one device (Megatron's schedule; matches
-/// `mt_pipeline::InterleavedSim`): forward unit `k` is microbatch
-/// `(k/(p·m))·p + k%p` of chunk `(k/p)%m`; backwards mirror with chunks
-/// reversed; warmup is `2(p−d−1) + (m−1)p + 1` units. Each entry is
-/// `(is_forward, chunk, microbatch)`. Public so `mt-analyze` extracts the
-/// executor's real schedule.
+/// The interleaved unit order for one device (Megatron-LM's schedule):
+/// forward unit `k` is microbatch `(k/(p·m))·p + k%p` of chunk `(k/p)%m`;
+/// backwards mirror with chunks reversed; warmup is `2(p−d−1) + (m−1)p`
+/// forward units, so the first steady-state forward brings the device to its
+/// peak of `min(2(p−d−1) + (m−1)p + 1, n·m)` live chunk states — on device 0
+/// the paper's `L(1 + (p−1)/(p·m))` layers' worth. Each entry is
+/// `(is_forward, chunk, microbatch)`. Public so `mt-analyze` and
+/// `mt-pipeline`'s simulator walk the executor's real schedule.
 pub fn interleaved_device_ops(
     device: usize,
     p: usize,
@@ -310,7 +312,7 @@ pub fn interleaved_device_ops(
     let total = n * m;
     let fwd = |k: usize| ((k / p) % m, (k / (p * m)) * p + k % p);
     let bwd = |k: usize| (m - 1 - (k / p) % m, (k / (p * m)) * p + k % p);
-    let w = (2 * (p - device - 1) + (m - 1) * p + 1).min(total);
+    let w = (2 * (p - device - 1) + (m - 1) * p).min(total);
     let mut ops = Vec::with_capacity(2 * total);
     for k in 0..w {
         let (v, mb) = fwd(k);
@@ -625,6 +627,24 @@ mod tests {
                 done[m] = true;
             } else {
                 assert!(done[m], "backward of {m} before its forward");
+            }
+        }
+    }
+
+    // Forward unit k and backward unit k each run in ascending k on every
+    // device, whatever the warmup length: only their interleaving differs,
+    // which is why the schedule's accumulation order (and so every loss and
+    // gradient bit) is independent of the warmup.
+    #[test]
+    fn interleaved_ops_run_forwards_and_backwards_in_unit_order() {
+        for (p, m, n) in [(1usize, 2usize, 2usize), (2, 2, 4), (4, 3, 8), (4, 2, 4), (8, 3, 8)] {
+            let fwd = |k: usize| (true, (k / p) % m, (k / (p * m)) * p + k % p);
+            let bwd = |k: usize| (false, m - 1 - (k / p) % m, (k / (p * m)) * p + k % p);
+            for device in 0..p {
+                let ops = interleaved_device_ops(device, p, m, n);
+                let (fs, bs): (Vec<_>, Vec<_>) = ops.into_iter().partition(|op| op.0);
+                assert_eq!(fs, (0..n * m).map(fwd).collect::<Vec<_>>(), "p={p} m={m} d={device}");
+                assert_eq!(bs, (0..n * m).map(bwd).collect::<Vec<_>>(), "p={p} m={m} d={device}");
             }
         }
     }

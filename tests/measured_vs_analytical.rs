@@ -7,7 +7,7 @@ use megatron_repro::collectives::World;
 use megatron_repro::memory::{ActivationMemoryModel, ModelShape, Recompute, Strategy};
 use megatron_repro::model::weights::LayerWeights;
 use megatron_repro::model::{ActivationLedger, ExecMode, TransformerConfig, TransformerLayer};
-use megatron_repro::pipeline::{PipelineSim, StageCosts};
+use megatron_repro::pipeline::{PipelineSim, Schedule, StageCosts};
 use megatron_repro::tensor::rng::{CounterRng, SplitMix64};
 use megatron_repro::tensor::Tensor;
 
@@ -150,7 +150,8 @@ fn runtime_wire_bytes_match_analytical_ring_model() {
 }
 
 /// The pipeline simulator's peak in-flight microbatch counts must equal the
-/// `min(p − stage, n)` assumption the memory model's Figure 9 profile uses.
+/// `min(p − stage, n)` assumption the memory model's Figure 9 profile uses,
+/// and under interleaving its `layers_worth` (Section 4.2.3).
 #[test]
 fn simulated_in_flight_matches_memory_model_assumption() {
     use megatron_repro::memory::{Parallelism, PipelineMemoryProfile};
@@ -167,6 +168,26 @@ fn simulated_in_flight_matches_memory_model_assumption() {
                 profile.in_flight_microbatches(rank),
                 "p={p} n={n} rank={rank}"
             );
+        }
+        // Interleaved: the simulated peak, in chunks of L/(p·m) layers, is the
+        // layers' worth the memory model charges each rank — on rank 0 the
+        // paper's L(1 + (p−1)/(p·m)) once n·m exceeds it.
+        for m in 1..=3u64 {
+            let n = n.div_ceil(p as u64) * p as u64; // interleaving needs p | n
+            let sim = PipelineSim { num_micro: n, ..sim.clone() };
+            let schedule = Schedule::Interleaved { chunks: m as usize };
+            let peaks = sim.simulate(schedule, None).0.peak_in_flight;
+            let layers = p as u64 * m * 2; // chunks of two layers
+            let act = ActivationMemoryModel::new(ModelShape { layers, ..shape }, 1, 2);
+            let parallel = Parallelism { interleave: Some(m), ..parallel };
+            let profile = PipelineMemoryProfile::new(act, parallel, n);
+            for (rank, &peak) in peaks.iter().enumerate() {
+                assert_eq!(
+                    peak as f64 * 2.0,
+                    profile.layers_worth(rank as u64),
+                    "p={p} m={m} n={n} rank={rank}"
+                );
+            }
         }
     }
 }
