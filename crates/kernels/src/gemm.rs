@@ -122,7 +122,7 @@ pub fn gemm(
 
 /// [`gemm`], also returning what the call measured ([`GemmStats`]).
 ///
-/// `kernel_bench` uses this to report the packing cost next to the compute
+/// `mt-bench kernels` uses this to report the packing cost next to the compute
 /// time; everything else calls [`gemm`].
 ///
 /// # Panics

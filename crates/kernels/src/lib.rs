@@ -49,7 +49,7 @@
 //! `kernel_attention{,_replay}`, `kernel_softmax`, `kernel_layer_norm`,
 //! `kernel_gelu`, plus `_backward` variants) annotated with the problem
 //! shape, work-unit count, and the thread count the policy granted, so
-//! `trace-report` timelines show where compute time goes. With a disabled
+//! `mt-bench trace` timelines show where compute time goes. With a disabled
 //! tracer the span costs one `Option` check and allocates nothing.
 //!
 //! ## Example

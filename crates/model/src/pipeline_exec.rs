@@ -10,9 +10,10 @@
 //! stage-to-stage over point-to-point channels. The two schedules differ
 //! only in the order of their (forward, backward) units, so one executor
 //! walks either op list over the device's model chunks (1F1B is one chunk
-//! per device). It tracks how many activation states are live and merges
-//! each unit's activation ledger in at its forward and out at its backward,
-//! which lets tests confirm the paper's central memory assumption
+//! per device); `mt-analyze`'s static builder and `mt-pipeline`'s simulator
+//! walk the same two lists. It tracks how many activation states are live
+//! and merges each unit's activation ledger in at its forward and out at its
+//! backward, which lets tests confirm the paper's central memory assumption
 //! (`min(p − stage, n)` in-flight microbatches, Appendix B/C) *by running
 //! the schedule*, not by assuming it.
 

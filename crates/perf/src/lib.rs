@@ -86,7 +86,7 @@ impl GpuSpec {
     /// The CPU this repo's own `mt-kernels` GEMM actually runs on,
     /// calibrated from measured microkernel throughput rather than a
     /// datasheet: the packed AVX2 microkernel sustains ~50 GFLOP/s f32 per
-    /// core on the CI-class Xeon (`kernel_bench`, 256³–512³), against a
+    /// core on the CI-class Xeon (`mt-bench kernels`, 256³–512³), against a
     /// no-FMA vector peak of 16 FLOPs/cycle × ~3.0 GHz turbo ≈ 48–67
     /// GFLOP/s depending on clock — an asymptotic efficiency around 0.8 of
     /// the mul+add peak. The half-gap constant is small because the packed
@@ -141,7 +141,7 @@ mod tests {
         let c = GpuSpec::reference_cpu();
         assert!((0.0..=1.0).contains(&c.gemm_efficiency));
         // The spec must predict the benched band for the shapes
-        // kernel_bench actually runs: ~45–55 GFLOP/s at h = 512 on the
+        // `mt-bench kernels` actually runs: ~45–55 GFLOP/s at h = 512 on the
         // packed AVX2 microkernel.
         let at_512 = c.achieved_gemm_flops(512);
         assert!(

@@ -544,10 +544,9 @@ mod tests {
         assert_eq!(events.len(), 2 * 4 * 6, "one event per op");
         let max_end = events.iter().fold(0.0_f64, |m, e| m.max(e.end_ms));
         assert!((max_end - result.makespan_ms).abs() < 1e-9);
-        // Events on one stage never overlap.
+        // Events on one stage never overlap, in the order they are emitted.
         for s in 0..4 {
-            let mut stage_events: Vec<_> = events.iter().filter(|e| e.stage == s).collect();
-            stage_events.sort_by(|a, b| a.start_ms.partial_cmp(&b.start_ms).unwrap());
+            let stage_events: Vec<_> = events.iter().filter(|e| e.stage == s).collect();
             for w in stage_events.windows(2) {
                 assert!(w[1].start_ms >= w[0].end_ms - 1e-9, "overlap on stage {s}");
             }

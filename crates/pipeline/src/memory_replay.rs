@@ -43,13 +43,14 @@ impl ReplayReport {
     }
 }
 
-/// Alloc/free actions for one stage, in the order of its trace events.
-fn stage_actions<'a>(
-    stage_events: impl Iterator<Item = &'a TraceEvent>,
+/// Alloc/free actions for `stage`, in the order of its trace events.
+fn stage_actions(
+    events: &[TraceEvent],
+    stage: usize,
     cfg: &ReplayConfig,
 ) -> Vec<(bool, usize, u64)> {
     let mut actions = Vec::new(); // (is_alloc, tag, bytes); tag = micro*2 (+1 for output)
-    for e in stage_events {
+    for e in events.iter().filter(|e| e.stage == stage) {
         actions.push((e.forward, e.micro * 2, cfg.activation_bytes[e.micro]));
         if !cfg.deallocate_outputs && cfg.output_bytes > 0 {
             actions.push((e.forward, e.micro * 2 + 1, cfg.output_bytes));
@@ -93,7 +94,7 @@ pub fn replay_stage_memory(
     stage: usize,
     cfg: &ReplayConfig,
 ) -> ReplayReport {
-    let actions = stage_actions(stage_events.iter().filter(|e| e.stage == stage), cfg);
+    let actions = stage_actions(stage_events, stage, cfg);
     assert!(!actions.is_empty(), "no events for stage {stage}");
     let total: u64 = actions.iter().filter(|a| a.0).map(|a| a.2).sum();
     let peak_live = try_replay(&actions, total.max(1)).expect("unbounded arena cannot fail");

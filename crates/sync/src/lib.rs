@@ -10,8 +10,8 @@
 //!
 //! * **Real builds** (the default): pure re-exports of the vendored
 //!   `parking_lot` / `crossbeam` / `std` primitives — zero overhead by
-//!   construction, verified by `sync_overhead_bench` against the pre-facade
-//!   baseline in `bench_gate --sync`.
+//!   construction, verified by `mt-bench sync` against the pre-facade
+//!   baseline in `mt-bench gate`.
 //! * **Model checking** (`RUSTFLAGS="--cfg mt_check"`, like loom's
 //!   `--cfg loom`): instrumented primitives driven by the deterministic
 //!   exploration scheduler in [`mod@checked`]. Every sync operation becomes a

@@ -1,7 +1,7 @@
 //! Real-build personality: pure re-exports of the vendored backends.
 //!
 //! With the default feature set every name below is a `pub use` — the facade
-//! compiles away completely, which is what lets `bench_gate --sync` hold the
+//! compiles away completely, which is what lets `mt-bench gate` hold the
 //! zero-overhead claim against the pre-facade baseline.
 //!
 //! The only exception is the test-only `spurious-inject` feature (enabled
