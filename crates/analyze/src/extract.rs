@@ -161,9 +161,10 @@ impl LayerCtx {
                     (rows * self.t * h) as u64,
                 );
             }
-            // `OverlappedRecompute` adds a recompute-prefetch thread, not a
-            // wire change: the replay it hides is collective-free, so its
-            // collective schedule is exactly `Overlapped`'s chunked one.
+            // `OverlappedRecompute` adds the serial `Gpt`'s cross-layer
+            // full-replay prefetch, not a wire change: that replay is
+            // collective-free, so its collective schedule is exactly
+            // `Overlapped`'s chunked one.
             OverlapPolicy::Overlapped { chunks }
             | OverlapPolicy::OverlappedRecompute { chunks } => {
                 for j in 0..chunks {

@@ -1,7 +1,8 @@
 //! `mt-bench kernels [--smoke]`: micro-benchmarks of the `mt-kernels`
 //! compute kernels — the GEMM family, row softmax, LayerNorm, GeLU and the
-//! streaming attention core (keeping forward, replay, backward) — written
-//! to `reports/BENCH_kernels.json`.
+//! streaming attention core (keeping forward, replay, backward over kept
+//! probabilities, and the backward that replays them block by block) —
+//! written to `reports/BENCH_kernels.json`.
 //!
 //! Every kernel/shape is one [`Bench`]. The run first checks, bench by
 //! bench, that the threaded backend is **bit-identical** to serial (the
@@ -57,7 +58,7 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Inputs of the attention core at one shape, shared by its three benches.
+/// Inputs of the attention core at one shape, shared by its four benches.
 struct AttnCase {
     sh: AttnShape,
     key: StreamKey,
@@ -89,12 +90,21 @@ impl AttnCase {
         let saved = attention::forward(Backend::Serial, &sh, &uniform, &q, &k, &v, true)
             .1
             .expect("a keeping forward keeps");
-        // The replay must rebuild exactly what the keeping forward saved.
+        // The replay must rebuild exactly what the keeping forward saved,
+        // and the replaying backward must return exactly the kept one's
+        // gradients.
         let replayed = attention::replay(Backend::Serial, &sh, &uniform, &q, &k);
         assert!(
             same_bits(&saved.probs, &replayed.probs)
                 && same_bits(&saved.dropped, &replayed.dropped),
             "determinism violation: attention s{seq} hd{head_dim} replay != keeping forward"
+        );
+        let backward =
+            |saved| attention::backward(Backend::Serial, &sh, &uniform, &q, &k, &v, saved, &dctx);
+        let (kept, replaying) = (backward(Some(&saved)), backward(None));
+        assert!(
+            kept.iter().zip(&replaying).all(|(a, b)| same_bits(a, b)),
+            "determinism violation: attention s{seq} hd{head_dim} backward_replaying != backward"
         );
         AttnCase { sh, key, q, k, v, dctx, saved }
     }
@@ -238,9 +248,19 @@ pub fn run(smoke: bool) -> ExitCode {
             "backward",
             5.0,
             Box::new(move |backend, outs| {
+                let (q, k, v, saved) = (&c.q, &c.k, &c.v, Some(&c.saved));
+                *outs =
+                    attention::backward(backend, &c.sh, &uniform, q, k, v, saved, &c.dctx).into();
+                None
+            }),
+        ));
+        benches.push(bench(
+            "backward_replaying",
+            6.0,
+            Box::new(move |backend, outs| {
                 let (q, k, v) = (&c.q, &c.k, &c.v);
-                *outs = attention::backward(backend, &c.sh, &uniform, q, k, v, &c.saved, &c.dctx)
-                    .into();
+                *outs =
+                    attention::backward(backend, &c.sh, &uniform, q, k, v, None, &c.dctx).into();
                 None
             }),
         ));
@@ -286,7 +306,7 @@ pub fn run(smoke: bool) -> ExitCode {
         for ((best_ms, packing_us), backend) in best.into_iter().zip(BACKENDS) {
             let gflops = bench.flops / (best_ms / 1e3) / 1e9;
             println!(
-                "  {:<11} {:<8} {m:>7}x{n:<4}x{k:<4} {:<8} t={:<3} {best_ms:>9.3} ms \
+                "  {:<11} {:<18} {m:>7}x{n:<4}x{k:<4} {:<8} t={:<3} {best_ms:>9.3} ms \
                  {gflops:>8.2} GFLOP/s",
                 bench.kernel,
                 bench.kind,

@@ -7,11 +7,12 @@
 //! ```
 //!
 //! The default (`--smoke`) mode runs three traced 2-rank workloads over a
-//! simulated α–β link — a full trainer step (forward, backward with
-//! selective recompute, optimizer) with exposed collectives, one
-//! transformer layer under the chunked comm-overlap driver, and one under
-//! the recompute-prefetch driver — profiles all three, and hard-asserts
-//! the exact invariants before writing anything:
+//! simulated α–β link — a TP+SP trainer step (forward, backward with full
+//! recompute, optimizer) with exposed collectives, one TP+SP transformer
+//! layer under the chunked comm-overlap driver, and a serial trainer step
+//! per rank under full recompute with the cross-layer recompute-prefetch
+//! driver — profiles all three, and hard-asserts the exact invariants
+//! before writing anything:
 //!
 //! * per rank, category nanoseconds sum to the step wall time;
 //! * the trace's wrapped-comm and wrapped-recompute close-args equal the
@@ -80,11 +81,11 @@ fn profile_world(
     analyze(&tracer.events(), &opts).unwrap_or_else(|e| panic!("{label}: profile analysis: {e}"))
 }
 
-/// One traced trainer step (forward + selective-recompute backward +
-/// optimizer) on a 2-rank TP+SP world over a slow link.
+/// One traced trainer step (forward + full-recompute backward + optimizer)
+/// on a 2-rank TP+SP world over a slow link.
 fn profile_trainer_step(label: &str, link: CommCostModel) -> ProfileReport {
     let cfg = tiny_gpt();
-    let policy = Recompute::Selective;
+    let policy = Recompute::Full;
     let template = Gpt::init(cfg, policy, SEED);
     let (tokens, targets) = data(&cfg, 1).remove(0);
     profile_world(label, link, |comm| {
@@ -95,7 +96,26 @@ fn profile_trainer_step(label: &str, link: CommCostModel) -> ProfileReport {
     })
 }
 
-/// One traced layer forward+backward under an overlap policy.
+/// One traced serial trainer step per rank under full recompute with the
+/// cross-layer replay prefetch — the one place `recompute_prefetch` runs
+/// (layer 0's replay hidden under layer 1's backward). The ranks issue no
+/// collective; each profiles on its own lane.
+fn profile_prefetch_step(label: &str, link: CommCostModel) -> ProfileReport {
+    let cfg = tiny_gpt();
+    let template = Gpt::init(cfg, Recompute::Full, SEED);
+    let (tokens, targets) = data(&cfg, 1).remove(0);
+    profile_world(label, link, |_comm| {
+        let policy = ExecPolicy::builder()
+            .overlap(OverlapPolicy::overlapped_recompute(1).expect("nonzero chunks"))
+            .build()
+            .expect("valid overlap policy");
+        let mut trainer = Trainer::new(template.clone(), TrainerConfig::default());
+        trainer.step_with_ledger(&tokens, &targets, policy).2
+    })
+}
+
+/// One traced TP+SP layer forward+backward (selective) under an overlap
+/// policy.
 fn profile_layer_step(label: &str, overlap: OverlapPolicy, link: CommCostModel) -> ProfileReport {
     let cfg = tiny_gpt();
     let mut rng = SplitMix64::new(17);
@@ -140,11 +160,7 @@ fn smoke() {
     let trainer = profile_trainer_step("trainer_step_exposed", link);
     let overlapped =
         profile_layer_step("layer_overlapped_c2", OverlapPolicy::Overlapped { chunks: 2 }, link);
-    let prefetched = profile_layer_step(
-        "layer_overlapped_recompute_c2",
-        OverlapPolicy::overlapped_recompute(2).expect("nonzero chunks"),
-        link,
-    );
+    let prefetched = profile_prefetch_step("gpt_serial_full_prefetch", link);
 
     // `analyze` already enforced attribution==wall, ledger equality, and
     // critical-path telescoping; assert the workloads actually exercised
@@ -155,7 +171,7 @@ fn smoke() {
     assert!(cats.exposed_comm > 0, "trainer profile must show exposed comm: {cats:?}");
     assert!(
         trainer.max_wrapped_recompute_us() > 0,
-        "selective recompute must mirror a nonzero recompute ledger"
+        "full recompute must mirror a nonzero recompute ledger"
     );
     let ocats = overlapped.max_categories();
     assert!(ocats.overlapped_comm > 0, "overlap profile must show overlapped comm: {ocats:?}");

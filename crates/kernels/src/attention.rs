@@ -15,7 +15,11 @@
 //!
 //! through a `[BLOCK, s]` scratch — or, when the caller keeps the
 //! probabilities, directly in the rows of the two `[a·b, s, s]` buffers it
-//! gets back. `K` and `V` (and `Q`, `dctx` in the backward) are packed once
+//! gets back. The backward walks the same blocks; given no kept
+//! probabilities it replays each block's `probs` / `pd` rows into two
+//! `[BLOCK, s]` scratches just before that block's `dP → dS → dQ, dK, dV`,
+//! so a recomputing policy never holds an `[s, s]` matrix either.
+//! `K` and `V` (and `Q`, `dctx` in the backward) are packed once
 //! per unit, straight out of the packed `[s·b, heads·head_dim]` activation
 //! layout ([`PackedB::pack_strided`]); a block multiplies against a
 //! *window* of that pack, so nothing is repacked and no head is ever
@@ -58,6 +62,13 @@
 //!   `dV` rows receive one slice of query rows per block; the microkernel
 //!   loads the accumulator from the output instead of zeroing it, so the
 //!   result is the single ascending chain, not a sum of partial sums.
+//! * **A replayed block is the forward's block.** The forward, the replay
+//!   and the replaying backward all produce rows `r0..r1` of `probs` and
+//!   `pd` by one function, `probs_block`, over the same `Q` rows, the same
+//!   `Kᵀ` panels and the same counter-RNG offsets, and write the masked
+//!   tail of every `pd` row as `+0.0` — what a zero-filled kept buffer
+//!   holds there — so the backward reads the same bits from a scratch
+//!   block as from a kept matrix.
 //! * **The one value that can differ is never an output.** The softmax
 //!   backward's `⟨dy, y⟩` is cut to the unmasked prefix, and `f32`'s
 //!   iterator sum starts from `−0.0`, so where the whole-matrix form may
@@ -70,9 +81,10 @@
 //!
 //! `tests::skipping_the_masked_triangle_changes_no_bit` checks the block
 //! products against the full GEMM on inputs whose masked entries are `+0.0`
-//! and on inputs whose masked entries are `−0.0`; `mt-model`'s
-//! `attention_equivalence` suite checks the whole core against the
-//! composition it replaced.
+//! and on inputs whose masked entries are `−0.0`;
+//! `tests::replaying_backward_is_the_kept_backward` checks the replaying
+//! backward against the kept one; `mt-model`'s `attention_equivalence`
+//! suite checks the whole core against the composition it replaced.
 //!
 //! ## Work units and fan-out
 //!
@@ -298,8 +310,9 @@ pub fn forward<U: Fn(u64) -> f32 + Sync>(
     (ctx.expect("forward_blocks returns a context when given V"), saved)
 }
 
-/// Rebuilds [`Saved`] from `Q` and `K` alone — the selective-recomputation
-/// replay. Bit-identical to what a keeping [`forward`] returned.
+/// Rebuilds [`Saved`] from `Q` and `K` alone, whole. Bit-identical to what
+/// a keeping [`forward`] returned. A recomputing backward does not need it:
+/// [`backward`] given no [`Saved`] replays the same rows block by block.
 ///
 /// # Panics
 ///
@@ -371,7 +384,6 @@ fn forward_unit<U: Fn(u64) -> f32>(
     mut kept: Option<(&mut [f32], &mut [f32])>,
 ) {
     let (s, hd, ld, base) = (sh.seq, sh.head_dim, sh.ld(), sh.base(unit));
-    let rng_base = sh.rng_base(unit);
     // Kᵀ as the right operand of Q·Kᵀ (key panels), V as that of pd·V.
     let kt = PackedB::pack_strided(true, s, hd, &k[base..], ld);
     let mut v_ctx =
@@ -381,40 +393,70 @@ fn forward_unit<U: Fn(u64) -> f32>(
     for r0 in (0..s).step_by(BLOCK) {
         let r1 = (r0 + BLOCK).min(s);
         let rows = r1 - r0;
-        let cols = sh.limit(r1 - 1);
         // Where this block's probabilities live: the kept rows, or scratch.
         let (probs, mut dropped) = match &mut kept {
             Some((p, d)) => (&mut p[r0 * s..r1 * s], Some(&mut d[r0 * s..r1 * s])),
             None => (&mut scratch[..rows * s], None),
         };
-        let keys = BWindow { pb: &kt, n: cols, k0: 0, k: hd };
-        bands.product(rows_of(&q[base..], ld, r0, rows), keys, probs, s, false);
-        for i in 0..rows {
-            let limit = sh.limit(r0 + i);
-            let row = &mut probs[i * s..i * s + cols];
-            for x in row[..limit].iter_mut() {
-                *x *= sh.scale;
-            }
-            softmax_row(row, limit);
-            let pd = match &mut dropped {
-                Some(d) => {
-                    d[i * s..i * s + limit].copy_from_slice(&row[..limit]);
-                    &mut d[i * s..i * s + limit]
-                }
-                None => &mut row[..limit],
-            };
-            sh.dropout_row(uniform, rng_base + ((r0 + i) * s) as u64, pd);
-        }
+        probs_block(&mut bands, sh, uniform, unit, q, &kt, r0, r1, probs, dropped.as_deref_mut());
         if let Some((vp, ctx)) = &mut v_ctx {
             let pd: &[f32] = dropped.as_deref().unwrap_or(probs);
-            let values = BWindow { pb: vp, n: hd, k0: 0, k: cols };
+            let values = BWindow { pb: vp, n: hd, k0: 0, k: sh.limit(r1 - 1) };
             bands.product(rows_of(pd, s, 0, rows), values, &mut ctx[r0 * hd..r1 * hd], hd, false);
         }
     }
 }
 
+/// The one block body of the core: rows `r0..r1` of unit `unit`'s
+/// probabilities, `softmax(Q[r0..r1] · Kᵀ × scale)`, into `probs` (row
+/// stride `s`), and their dropout into `dropped` — or in place in `probs`
+/// without it. `kt` is the unit's `Kᵀ` pack. Only the first
+/// `limit(r1 − 1)` columns of a row are written; a `dropped` row's masked
+/// tail among them is written `+0.0`, so a reused scratch reads like a
+/// zero-filled kept buffer.
+#[allow(clippy::too_many_arguments)] // private block body
+fn probs_block<U: Fn(u64) -> f32>(
+    bands: &mut Bands,
+    sh: &AttnShape,
+    uniform: &U,
+    unit: usize,
+    q: &[f32],
+    kt: &PackedB,
+    r0: usize,
+    r1: usize,
+    probs: &mut [f32],
+    mut dropped: Option<&mut [f32]>,
+) {
+    let (s, rows, cols) = (sh.seq, r1 - r0, sh.limit(r1 - 1));
+    let rng_base = sh.rng_base(unit);
+    let keys = BWindow { pb: kt, n: cols, k0: 0, k: sh.head_dim };
+    bands.product(rows_of(&q[sh.base(unit)..], sh.ld(), r0, rows), keys, probs, s, false);
+    for i in 0..rows {
+        let limit = sh.limit(r0 + i);
+        let row = &mut probs[i * s..i * s + cols];
+        for x in row[..limit].iter_mut() {
+            *x *= sh.scale;
+        }
+        softmax_row(row, limit);
+        let pd = match &mut dropped {
+            Some(d) => {
+                let (pd, masked) = d[i * s..i * s + cols].split_at_mut(limit);
+                pd.copy_from_slice(&row[..limit]);
+                masked.fill(0.0);
+                pd
+            }
+            None => &mut row[..limit],
+        };
+        sh.dropout_row(uniform, rng_base + ((r0 + i) * s) as u64, pd);
+    }
+}
+
 /// Attention-core backward: packed `(dQ, dK, dV)` from the packed inputs,
-/// the saved (or replayed) probabilities and the upstream context gradient.
+/// the probabilities and the upstream context gradient. With `saved`, the
+/// probabilities are a keeping [`forward`]'s; without, each unit replays
+/// them from `Q`, `K` and `uniform` one row block at a time, just ahead of
+/// that block's backward — bit-identical either way, and no `[s, s]`
+/// buffer is allocated.
 ///
 /// # Panics
 ///
@@ -428,15 +470,19 @@ pub fn backward<U: Fn(u64) -> f32 + Sync>(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    saved: &Saved,
+    saved: Option<&Saved>,
     dctx: &[f32],
 ) -> [Vec<f32>; 3] {
     sh.check("attention backward", &[("q", q), ("k", k), ("v", v), ("dctx", dctx)]);
     let (s, hd, units) = (sh.seq, sh.head_dim, sh.units());
-    assert_eq!(saved.probs.len(), units * s * s, "attention backward: saved probs length");
-    assert_eq!(saved.dropped.len(), units * s * s, "attention backward: saved dropped length");
-    let threads = sh.threads(backend, 5);
-    let _span = sh.span("kernel_attention_backward", threads);
+    if let Some(saved) = saved {
+        assert_eq!(saved.probs.len(), units * s * s, "attention backward: saved probs length");
+        assert_eq!(saved.dropped.len(), units * s * s, "attention backward: saved dropped length");
+    }
+    // A replaying unit runs one more product per block: Q·Kᵀ.
+    let threads = sh.threads(backend, if saved.is_some() { 5 } else { 6 });
+    let mut span = sh.span("kernel_attention_backward", threads);
+    span.arg("replay", saved.is_none());
     let simd = simd_level();
     let mut slabs = [(); 3].map(|()| vec![0.0f32; units * s * hd]);
     if units * s * hd > 0 {
@@ -448,12 +494,23 @@ pub fn backward<U: Fn(u64) -> f32 + Sync>(
             .map(|((dq, dk), dv)| (dq, dk, dv))
             .collect();
         pool::run_indexed(threads, items, |unit, (dq, dk, dv)| {
-            let probs = &saved.probs[unit * s * s..(unit + 1) * s * s];
-            let dropped = &saved.dropped[unit * s * s..(unit + 1) * s * s];
-            backward_unit(simd, sh, uniform, unit, q, k, v, probs, dropped, dctx, dq, dk, dv);
+            let kept = saved.map(|sv| {
+                let rows = unit * s * s..(unit + 1) * s * s;
+                (&sv.probs[rows.clone()], &sv.dropped[rows])
+            });
+            backward_unit(simd, sh, uniform, unit, q, k, v, kept, dctx, dq, dk, dv);
         });
     }
     slabs.map(|slab| sh.interleave(&slab))
+}
+
+/// Where a backward unit reads its probabilities from.
+enum Probs<'a> {
+    /// A keeping forward's `probs` / `dropped` matrices for this unit.
+    Kept(&'a [f32], &'a [f32]),
+    /// Replayed by [`probs_block`] into two `[BLOCK, s]` scratches, one
+    /// block at a time, from the unit's `Kᵀ` pack.
+    Replayed { kt: PackedB, probs: Vec<f32>, dropped: Vec<f32> },
 }
 
 /// One `(batch, head)` backward: every row block, in ascending order — the
@@ -467,8 +524,7 @@ fn backward_unit<U: Fn(u64) -> f32>(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    probs: &[f32],
-    dropped: &[f32],
+    kept: Option<(&[f32], &[f32])>,
     dctx: &[f32],
     dq: &mut [f32],
     dk: &mut [f32],
@@ -480,12 +536,29 @@ fn backward_unit<U: Fn(u64) -> f32>(
     let kp = PackedB::pack_strided(false, hd, s, &k[base..], ld);
     let qp = PackedB::pack_strided(false, hd, s, &q[base..], ld);
     let dcp = PackedB::pack_strided(false, hd, s, &dctx[base..], ld);
+    let mut source = match kept {
+        Some((probs, dropped)) => Probs::Kept(probs, dropped),
+        None => Probs::Replayed {
+            kt: PackedB::pack_strided(true, s, hd, &k[base..], ld),
+            probs: vec![0.0f32; BLOCK.min(s) * s],
+            dropped: vec![0.0f32; BLOCK.min(s) * s],
+        },
+    };
     let mut bands = Bands { simd, a_tiles: Vec::new() };
     let mut ds = vec![0.0f32; BLOCK.min(s) * s];
     for r0 in (0..s).step_by(BLOCK) {
         let r1 = (r0 + BLOCK).min(s);
         let rows = r1 - r0;
         let cols = sh.limit(r1 - 1);
+        // This block's rows of probs and pd, at row stride s.
+        let (probs, pd): (&[f32], &[f32]) = match &mut source {
+            Probs::Kept(probs, dropped) => (&probs[r0 * s..r1 * s], &dropped[r0 * s..r1 * s]),
+            Probs::Replayed { kt, probs, dropped } => {
+                let (probs, dropped) = (&mut probs[..rows * s], &mut dropped[..rows * s]);
+                probs_block(&mut bands, sh, uniform, unit, q, kt, r0, r1, probs, Some(dropped));
+                (&*probs, &*dropped)
+            }
+        };
         // dP = dctx · Vᵀ, then dropout and softmax backward row by row: the
         // scratch holds dP, then dS.
         let keys = BWindow { pb: &vt, n: cols, k0: 0, k: hd };
@@ -494,7 +567,7 @@ fn backward_unit<U: Fn(u64) -> f32>(
             let limit = sh.limit(r0 + i);
             let (d, masked) = ds[i * s..i * s + cols].split_at_mut(limit);
             sh.dropout_row(uniform, rng_base + ((r0 + i) * s) as u64, d);
-            let y = &probs[(r0 + i) * s..(r0 + i) * s + limit];
+            let y = &probs[i * s..i * s + limit];
             let dot = softmax_row_dot(y, d);
             for (g, &yv) in d.iter_mut().zip(y) {
                 *g = yv * (*g - dot);
@@ -508,7 +581,6 @@ fn backward_unit<U: Fn(u64) -> f32>(
         let q_rows = BWindow { pb: &qp, n: hd, k0: r0, k: rows };
         bands.product(columns_of(&ds, s, cols), q_rows, &mut dk[..cols * hd], hd, true);
         let dctx_rows = BWindow { pb: &dcp, n: hd, k0: r0, k: rows };
-        let pd = &dropped[r0 * s..r1 * s];
         bands.product(columns_of(pd, s, cols), dctx_rows, &mut dv[..cols * hd], hd, true);
     }
     // scores = scale · q · kᵀ
@@ -649,31 +721,78 @@ mod tests {
         let (q, k, v, dctx) = (filled(len, 8), filled(len, 9), filled(len, 10), filled(len, 11));
         let (ctx, saved) = forward(Backend::Serial, &sh, &uniform, &q, &k, &v, true);
         let saved = saved.expect("kept");
-        let grads = backward(Backend::Serial, &sh, &uniform, &q, &k, &v, &saved, &dctx);
+        let grads = backward(Backend::Serial, &sh, &uniform, &q, &k, &v, Some(&saved), &dctx);
         for threads in 1..=5 {
             let mt = Backend::Threaded { threads };
             let tracer = mt_trace::Tracer::enabled();
-            let (ctx_mt, saved_mt, grads_mt) = {
+            let (ctx_mt, saved_mt, grads_mt, replayed_mt) = {
                 let _installed = mt_trace::install(tracer.clone());
                 let (ctx_mt, saved_mt) = forward(mt, &sh, &uniform, &q, &k, &v, true);
                 let saved_mt = saved_mt.expect("kept");
-                let grads_mt = backward(mt, &sh, &uniform, &q, &k, &v, &saved_mt, &dctx);
-                (ctx_mt, saved_mt, grads_mt)
+                let grads_mt = backward(mt, &sh, &uniform, &q, &k, &v, Some(&saved_mt), &dctx);
+                let replayed_mt = backward(mt, &sh, &uniform, &q, &k, &v, None, &dctx);
+                (ctx_mt, saved_mt, grads_mt, replayed_mt)
             };
             assert_eq!(bits(&ctx), bits(&ctx_mt), "ctx threads={threads}");
             assert_eq!(bits(&saved.probs), bits(&saved_mt.probs), "probs threads={threads}");
             assert_eq!(bits(&saved.dropped), bits(&saved_mt.dropped), "dropped threads={threads}");
-            for (g, g_mt) in grads.iter().zip(&grads_mt) {
+            for ((g, g_mt), g_re) in grads.iter().zip(&grads_mt).zip(&replayed_mt) {
                 assert_eq!(bits(g), bits(g_mt), "grads threads={threads}");
+                assert_eq!(bits(g), bits(g_re), "replaying grads threads={threads}");
             }
-            // One span per call, carrying the fan-out the policy granted.
+            // One span per call, carrying the fan-out the policy granted and,
+            // on a backward, whether it replayed.
             let events = tracer.events();
             let names: Vec<&str> = events.iter().map(|e| e.name.as_ref()).collect();
-            assert_eq!(names, ["kernel_attention", "kernel_attention_backward"]);
-            for (e, gemms) in events.iter().zip([2, 5]) {
+            assert_eq!(
+                names,
+                ["kernel_attention", "kernel_attention_backward", "kernel_attention_backward"]
+            );
+            for (e, gemms) in events.iter().zip([2, 5, 6]) {
                 let granted = sh.threads(mt, gemms);
                 assert_eq!(granted > 1, threads > 1, "the shape must be worth a fan-out");
                 assert!(e.args.contains(&("threads", ArgValue::from(granted))), "{:?}", e.args);
+            }
+            for (e, replay) in events[1..].iter().zip([false, true]) {
+                assert!(e.args.contains(&("replay", ArgValue::from(replay))), "{:?}", e.args);
+            }
+        }
+    }
+
+    /// Replaying backward == kept backward, bit for bit, over ragged
+    /// lengths, head widths, dropout rates, both masks, an offset head
+    /// shard and every backend.
+    #[test]
+    fn replaying_backward_is_the_kept_backward() {
+        let threaded = |threads| Backend::Threaded { threads };
+        let backends = [Backend::Serial, threaded(1), threaded(2), threaded(3)];
+        for causal in [true, false] {
+            for seq in [1, 5, 63, 64, 65, 130, 150] {
+                for head_dim in [3, 8, 32] {
+                    for dropout_p in [0.0, 0.1, 0.5] {
+                        // Heads 1..3 of 3: the RNG offsets of a shard.
+                        let mut sh = shape(seq, 1, 3, head_dim);
+                        (sh.head_offset, sh.local_heads) = (1, 2);
+                        (sh.causal, sh.dropout_p) = (causal, dropout_p);
+                        let len = sh.seq * sh.ld();
+                        let (q, k, v) = (filled(len, 12), filled(len, 13), filled(len, 14));
+                        let dctx = filled(len, 15);
+                        let (_, saved) = forward(Backend::Serial, &sh, &uniform, &q, &k, &v, true);
+                        let saved = saved.expect("a keeping forward keeps");
+                        let grads = |backend, saved: Option<&Saved>| {
+                            backward(backend, &sh, &uniform, &q, &k, &v, saved, &dctx)
+                                .map(|g| bits(&g))
+                        };
+                        let kept = grads(Backend::Serial, Some(&saved));
+                        for backend in backends {
+                            assert_eq!(
+                                kept,
+                                grads(backend, None),
+                                "causal={causal} s={seq} hd={head_dim} p={dropout_p} {backend:?}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -681,7 +800,7 @@ mod tests {
     #[test]
     fn small_shapes_run_on_one_worker() {
         let sh = shape(16, 1, 2, 8);
-        assert_eq!(sh.threads(Backend::Threaded { threads: 8 }, 5), 1);
+        assert_eq!(sh.threads(Backend::Threaded { threads: 8 }, 6), 1);
     }
 
     #[test]

@@ -8,7 +8,13 @@
 //! The functions here are the shape-checked `Tensor` entry points of the
 //! streaming core in [`mt_kernels::attention`], which walks each
 //! `(batch, head)` in query-row blocks and builds an `[s, s]` matrix only
-//! when the caller keeps it. They operate on **packed** Q/K/V of shape
+//! when the caller keeps it. The layer keeps it under `Recompute::None`
+//! alone ([`attention_forward`] → [`attention_backward`]); every
+//! recomputing policy runs [`attention_backward_replaying`], which replays
+//! each block's probabilities inside the backward itself, so Section 5's
+//! `5as²b` region never exists whole. [`attention_recompute`], the
+//! whole-matrix replay, stays as the equivalence oracle and a benchmark
+//! rung. All entry points operate on **packed** Q/K/V of shape
 //! `[s·b, local_heads·head_dim]` covering an arbitrary contiguous range of
 //! global heads, so the same code serves the serial model (`all heads`) and
 //! every tensor-parallel rank (`a/t` heads with an offset). Dropout bits are
@@ -145,10 +151,12 @@ pub(crate) fn attention_forward_keeping(
     (p.packed(ctx), saved)
 }
 
-/// Replays the forward to rebuild [`AttnSaved`] from the stored Q and K —
-/// the selective-recomputation path. Bit-identical to what
-/// [`attention_forward`] produced, because the dropout mask comes from the
-/// counter RNG rather than storage.
+/// Replays the forward to rebuild [`AttnSaved`], whole, from the stored Q
+/// and K. Bit-identical to what [`attention_forward`] produced, because
+/// the dropout mask comes from the counter RNG rather than storage. The
+/// layer does not call it — its recomputing backward is
+/// [`attention_backward_replaying`], which never builds the `[s, s]` pair —
+/// but it stays as the replay oracle and a benchmark rung.
 ///
 /// # Panics
 ///
@@ -159,8 +167,9 @@ pub fn attention_recompute(p: &AttnParams, rng: &CounterRng, q: &Tensor, k: &Ten
     core::replay(backend, &p.shape(), &p.uniform(rng), q.data(), k.data())
 }
 
-/// Attention-core backward: given the packed inputs, saved (or recomputed)
-/// probabilities, and the upstream context gradient, returns packed
+/// Attention-core backward: given the packed inputs, the probabilities a
+/// keeping [`attention_forward`] saved (or an [`attention_recompute`]
+/// rebuilt), and the upstream context gradient, returns packed
 /// `(dQ, dK, dV)`.
 ///
 /// # Panics
@@ -176,11 +185,46 @@ pub fn attention_backward(
     saved: &AttnSaved,
     dctx: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
-    p.check("attention_backward", &[("q", q), ("k", k), ("v", v), ("dctx", dctx)]);
     let matrix_elems = p.micro_batch * p.local_heads * p.seq * p.seq;
     for (name, buf) in [("probs", &saved.probs), ("dropped", &saved.dropped)] {
         assert_eq!(buf.len(), matrix_elems, "attention_backward: bad saved {name} length");
     }
+    backward(p, rng, q, k, v, Some(saved), dctx, "attention_backward")
+}
+
+/// The recomputing policies' attention-core backward: [`attention_backward`]
+/// without saved probabilities. Each `(batch, head)` replays its softmax
+/// and dropout rows from `q`, `k` and the counter RNG one query-row block
+/// at a time, right before that block's backward — bit-identical to
+/// [`attention_backward`] over a keeping forward's state, with nothing
+/// `[s, s]`-sized allocated.
+///
+/// # Panics
+///
+/// Panics if `q`/`k`/`v`/`dctx` are not `[s·b, local_heads·head_dim]`.
+pub fn attention_backward_replaying(
+    p: &AttnParams,
+    rng: &CounterRng,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    dctx: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    backward(p, rng, q, k, v, None, dctx, "attention_backward_replaying")
+}
+
+#[allow(clippy::too_many_arguments)] // private body of two public spellings
+fn backward(
+    p: &AttnParams,
+    rng: &CounterRng,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    saved: Option<&AttnSaved>,
+    dctx: &Tensor,
+    entry: &str,
+) -> (Tensor, Tensor, Tensor) {
+    p.check(entry, &[("q", q), ("k", k), ("v", v), ("dctx", dctx)]);
     let [dq, dk, dv] = core::backward(
         mt_kernels::default_backend(),
         &p.shape(),
@@ -349,6 +393,14 @@ mod tests {
         let (q, k, v, dctx) = narrow_k(&p);
         let (_, saved) = attention_forward(&p, &rng, &q, &q, &v);
         let _ = attention_backward(&p, &rng, &q, &k, &v, &saved, &dctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention_backward_replaying: bad k shape")]
+    fn replaying_backward_rejects_a_narrow_k() {
+        let p = params();
+        let (q, k, v, dctx) = narrow_k(&p);
+        let _ = attention_backward_replaying(&p, &CounterRng::new(1), &q, &k, &v, &dctx);
     }
 
     #[test]

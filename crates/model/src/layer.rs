@@ -16,7 +16,8 @@
 //! (Section 4.2.2, last paragraph).
 
 use crate::attention::{
-    attention_backward, attention_forward_keeping, attention_recompute, AttnParams, AttnSaved,
+    attention_backward, attention_backward_replaying, attention_forward_keeping, AttnParams,
+    AttnSaved,
 };
 use crate::config::TransformerConfig;
 use crate::ledger::{ActivationLedger, Category};
@@ -25,7 +26,7 @@ use crate::policy::ExecPolicy;
 use crate::streams::{region_offsets, stream_id, DropoutSite};
 use crate::weights::{LayerGrads, LayerWeights};
 use mt_collectives::{chunk_rows, Communicator};
-use mt_kernels::overlap::{gemm_gathered, recompute_prefetch, ChunkSlab, OverlapPlan};
+use mt_kernels::overlap::{gemm_gathered, ChunkSlab, OverlapPlan};
 use mt_memory::Recompute;
 use mt_tensor::ops;
 use mt_tensor::ops::LayerNormSaved;
@@ -103,7 +104,8 @@ pub struct StoredState {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    /// Softmax/dropout products; `None` under selective recomputation.
+    /// Softmax/dropout products, kept under `Recompute::None` only; `None`
+    /// makes the backward replay them block by block.
     attn: Option<AttnSaved>,
     /// Projection GEMM input.
     ctx: Tensor,
@@ -121,7 +123,8 @@ pub struct StoredState {
 /// Per-layer saved state, shaped by the recomputation policy.
 #[derive(Debug, Clone)]
 pub enum LayerState {
-    /// Policies `None` and `Selective` (the latter with `attn` dropped).
+    /// Policies `None` and `Selective` (the latter with `attn` dropped), and
+    /// a replayed `Full` checkpoint (also without `attn`).
     Stored(Box<StoredState>),
     /// Policy `Full`: only the layer input survives.
     Checkpoint {
@@ -336,9 +339,11 @@ impl TransformerLayer {
 
     /// Full forward pass producing the stored state; records nothing. The
     /// policy-aware [`TransformerLayer::forward`] wraps this. `keep_attn`
-    /// is the one place the Figure 3 red region is kept or not: a forward
-    /// whose backward will replay the attention core (or the whole layer)
-    /// passes `false` and the core's `[s, s]` products are never built.
+    /// is the one place the Figure 3 red region is kept or not, and only
+    /// `Recompute::None` passes `true`: every other forward — selective,
+    /// full, and the full-layer replays — passes `false`, the core's
+    /// `[s, s]` products are never built, and the backward replays them
+    /// inside the attention backward, one query-row block at a time.
     fn forward_full(
         &self,
         x: &Tensor,
@@ -480,15 +485,16 @@ impl TransformerLayer {
     /// gradients (shard-shaped in parallel execution, fully reduced so each
     /// rank holds exact gradients for its shard and replicated parameters).
     ///
-    /// `policy` accepts anything convertible into an [`ExecPolicy`]; under
-    /// [`OverlapPolicy::OverlappedRecompute`] a selectively-dropped
-    /// attention core is replayed on a helper thread while the MLP half of
-    /// this backward pass (which does not depend on it) runs — bit-identical
-    /// to the inline replay, since the replay is a pure function of stored
-    /// Q/K and the counter RNG. Full-layer checkpoints are always replayed
-    /// inline here; the cross-layer prefetch (layer k+1's replay under
-    /// layer k's backward) lives in [`crate::gpt::Gpt`], which can see both
-    /// layers.
+    /// Selective recomputation needs no separate replay phase: a stored
+    /// state without the attention core runs the replaying attention
+    /// backward (Section 5's recompute, fused into the backward one
+    /// query-row block at a time, so no span or [`crate::StepTiming`]
+    /// entry of its own). A checkpoint is replayed inline into such a
+    /// state first (`recompute_layer`); the cross-layer prefetch of that
+    /// replay under [`OverlapPolicy::OverlappedRecompute`] (layer k−1's
+    /// replay under layer k's backward) lives in [`crate::gpt::Gpt`], which
+    /// can see both layers. `policy` accepts anything convertible into an
+    /// [`ExecPolicy`].
     pub fn backward<'m>(
         &self,
         dy: &Tensor,
@@ -499,67 +505,26 @@ impl TransformerLayer {
         let mode = policy.mode();
         let overlap = policy.overlap();
         let st = match state {
-            LayerState::Stored(st) if st.attn.is_none() && overlap.recompute_overlapped() => {
-                return self.backward_selective_overlapped(dy, &st, &mode, overlap);
-            }
-            LayerState::Stored(mut st) => {
-                if st.attn.is_none() {
-                    // Selective recomputation: replay the attention core from
-                    // the stored Q and K (Section 5).
-                    let ap = self.attn_params(&mode, st.micro);
-                    st.attn = Some(timed_recompute("recompute_attention", || {
-                        attention_recompute(&ap, &self.rng, &st.q, &st.k)
-                    }));
-                }
-                st
-            }
+            LayerState::Stored(st) => st,
             LayerState::Checkpoint { x, micro } => {
                 // Full recomputation: one extra forward pass (the 30-40%
                 // overhead the paper eliminates).
-                timed_recompute("recompute_layer", || {
-                    Box::new(self.forward_full(&x, micro, &mode, overlap, true).1)
-                })
+                timed_recompute(|| Box::new(self.forward_full(&x, micro, &mode, overlap, false).1))
             }
         };
         self.backward_stored(dy, &st, &mode, overlap)
     }
 
-    /// Replays a checkpointed input into a full stored state. This is the
-    /// collective-free building block [`crate::gpt::Gpt`] prefetches on a
-    /// helper thread while the previous layer's backward runs: it forces
+    /// Replays a checkpointed input into a selective stored state. This is
+    /// the collective-free building block [`crate::gpt::Gpt`] prefetches on
+    /// a helper thread while the previous layer's backward runs: it forces
     /// serial mode (a parallel replay would issue collectives, and a
     /// second thread racing the rank's rendezvous sequence would break the
     /// SPMD tag order), and it does no ledger or span bookkeeping of its
     /// own — the prefetch driver's `recompute_overlapped` span and the
     /// caller's `add_recompute_time` cover it.
     pub(crate) fn recompute_stored(&self, x: &Tensor, micro: u64) -> Box<StoredState> {
-        Box::new(self.forward_full(x, micro, &ExecMode::Serial, OverlapPolicy::Exposed, true).1)
-    }
-
-    /// Selective backward with the attention replay prefetched: the helper
-    /// thread recomputes the Figure 3 red region (pure compute — no
-    /// collectives, so legal in every [`ExecMode`]) while the calling rank
-    /// thread runs the MLP half of the backward pass, which depends only on
-    /// the stored MLP tensors. The join lands exactly where the inline
-    /// replay used to run — before the attention half needs `attn` — so the
-    /// dataflow, and therefore every bit of every gradient, is unchanged.
-    fn backward_selective_overlapped(
-        &self,
-        dy: &Tensor,
-        st: &StoredState,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> (Tensor, LayerGrads) {
-        let mut grads = self.weights.zeros_like();
-        let ap = self.attn_params(mode, st.micro);
-        let (attn, d_r1, report) = recompute_prefetch(
-            || attention_recompute(&ap, &self.rng, &st.q, &st.k),
-            || self.backward_mlp_half(dy, st, mode, overlap, &mut grads),
-        );
-        crate::overlap::add_recompute_time(report.recompute_us, report.exposed_us);
-        let d_x = self.backward_attn_half(&d_r1, st, &attn, mode, overlap, &mut grads);
-        self.reduce_replicated_grads(mode, &mut grads);
-        (d_x, grads)
+        Box::new(self.forward_full(x, micro, &ExecMode::Serial, OverlapPolicy::Exposed, false).1)
     }
 
     fn backward_stored(
@@ -571,8 +536,7 @@ impl TransformerLayer {
     ) -> (Tensor, LayerGrads) {
         let mut grads = self.weights.zeros_like();
         let d_r1 = self.backward_mlp_half(dy, st, mode, overlap, &mut grads);
-        let attn = st.attn.as_ref().expect("attention state present after recompute");
-        let d_x = self.backward_attn_half(&d_r1, st, attn, mode, overlap, &mut grads);
+        let d_x = self.backward_attn_half(&d_r1, st, mode, overlap, &mut grads);
         self.reduce_replicated_grads(mode, &mut grads);
         (d_x, grads)
     }
@@ -580,8 +544,7 @@ impl TransformerLayer {
     /// The MLP half of the backward pass: everything from the layer output
     /// gradient down to `d_r1`, the gradient at the second LayerNorm's
     /// input. Reads only the MLP-side stored tensors (`g_act`, `m1`, `y2`,
-    /// `r1`, `ln2_saved`) — never `attn` — which is what makes it the legal
-    /// covering work for the prefetched attention replay.
+    /// `r1`, `ln2_saved`).
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
@@ -625,13 +588,12 @@ impl TransformerLayer {
     }
 
     /// The attention half of the backward pass: from `d_r1` down to the
-    /// layer-input gradient. The only consumer of the (possibly replayed)
-    /// attention core state.
+    /// layer-input gradient. The only consumer of the attention core state,
+    /// and where a dropped core is replayed.
     fn backward_attn_half(
         &self,
         d_r1: &Tensor,
         st: &StoredState,
-        attn: &AttnSaved,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
         grads: &mut LayerGrads,
@@ -648,7 +610,11 @@ impl TransformerLayer {
         grads.w_o = ops::Gemm::TN.apply(&st.ctx, &d_o_full.expect("full grad requested"));
         // attention core
         let ap = self.attn_params(mode, st.micro);
-        let (d_q, d_k, d_v) = attention_backward(&ap, &self.rng, &st.q, &st.k, &st.v, attn, &d_ctx);
+        let (q, k, v) = (&st.q, &st.k, &st.v);
+        let (d_q, d_k, d_v) = match &st.attn {
+            Some(attn) => attention_backward(&ap, &self.rng, q, k, v, attn, &d_ctx),
+            None => attention_backward_replaying(&ap, &self.rng, q, k, v, &d_ctx),
+        };
         let d_qkv = Tensor::concat_last_axis(&[d_q, d_k, d_v]);
         grads.b_qkv = ops::bias_grad(&d_qkv);
         let y1_full = self.regather(mode, overlap, &st.y1);
@@ -832,10 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_selective_backward_is_bit_identical_and_prefetches() {
-        // The prefetched attention replay must be numerically invisible and
-        // actually run through the prefetch driver (one recompute_overlapped
-        // span, no inline recompute_attention span).
+    fn overlapped_recompute_selective_backward_replays_inside_the_attention_backward() {
+        // Selective's replay is part of the attention backward on every
+        // overlap policy: bit-identical to the exposed run, no prefetch
+        // driver, one replaying kernel_attention_backward, nothing booked.
         let x = rand_input(&cfg(), 10);
         let dy = rand_input(&cfg(), 11);
         let exposed = make_layer(Recompute::Selective, 0.1);
@@ -858,22 +824,25 @@ mod tests {
             (y1, dx1, g1)
         };
         let timing = crate::overlap::take_step_timing();
-        assert_eq!(y0, y1, "outputs differ under recompute prefetch");
-        assert_eq!(dx0, dx1, "input grads differ under recompute prefetch");
-        assert_eq!(g0, g1, "weight grads differ under recompute prefetch");
-        assert!(timing.recompute_us >= timing.exposed_recompute_us, "exposed exceeds total");
+        assert_eq!(y0, y1, "outputs differ under the recompute-overlap policy");
+        assert_eq!(dx0, dx1, "input grads differ under the recompute-overlap policy");
+        assert_eq!(g0, g1, "weight grads differ under the recompute-overlap policy");
+        assert_eq!(timing, crate::StepTiming::default(), "no replay phase to book");
         let events = tracer.events();
         let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-        assert_eq!(count("recompute_overlapped"), 1);
-        assert_eq!(count("recompute_wait"), 1);
-        assert_eq!(count("recompute_attention"), 0, "inline replay ran despite prefetch policy");
+        assert_eq!(count("recompute_overlapped"), 0);
+        let backwards: Vec<_> =
+            events.iter().filter(|e| e.name == "kernel_attention_backward").collect();
+        assert_eq!(backwards.len(), 1);
+        let replay = ("replay", mt_trace::ArgValue::from(true));
+        assert!(backwards[0].args.contains(&replay), "{:?}", backwards[0].args);
     }
 
     #[test]
     fn per_call_policy_overrides_the_stored_recompute() {
         // A layer built store-all, driven by a policy forcing Selective +
         // OverlappedRecompute, must match a layer built Selective — the
-        // state drops the attention core and the replay is prefetched.
+        // state drops the attention core and the backward replays it.
         let x = rand_input(&cfg(), 12);
         let dy = rand_input(&cfg(), 13);
         let policy = ExecPolicy::builder()

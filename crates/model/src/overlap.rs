@@ -8,9 +8,9 @@
 //! splits the collectives into `C` chunk sub-rendezvous (`mt-collectives`)
 //! and feeds the row-parallel consumer GEMMs through `mt-kernels`'
 //! dependency-aware driver; [`OverlapPolicy::OverlappedRecompute`]
-//! additionally issues the recomputation of a checkpointed region on a
-//! helper thread while backward GEMMs that do not depend on it run
-//! (`mt_kernels::recompute_prefetch`). All overlapped schedules are
+//! additionally replays a checkpointed layer on a helper thread while the
+//! backward of the layer above it runs (`mt_kernels::recompute_prefetch`).
+//! All overlapped schedules are
 //! **bit-identical** to the exposed one — same work units, same ascending
 //! reduction orders — so the policy is purely a performance knob, exactly
 //! like the kernel backend.
@@ -40,10 +40,11 @@ impl std::error::Error for ZeroChunks {}
 /// collective of the layer is issued as `chunks` sub-rendezvous (so all
 /// ranks agree on the chunking — it is part of the SPMD protocol), and the
 /// four gather-feeds-row-parallel-GEMM sites additionally pipeline compute
-/// into the gaps. `OverlappedRecompute { chunks }` does all of that **and**
-/// prefetches collective-free recomputation (the selective attention replay
-/// in any mode; the full-layer replay in serial mode) on a helper thread
-/// while independent backward GEMMs run.
+/// into the gaps. `OverlappedRecompute { chunks }` does all of that **and**,
+/// in a serial [`crate::gpt::Gpt`], prefetches layer k−1's collective-free
+/// full-layer replay on a helper thread while layer k's backward runs.
+/// Selective recomputation has no replay phase to prefetch: the attention
+/// backward replays the core block by block under every policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OverlapPolicy {
     /// Whole-tensor collectives; every GEMM waits for the full gather, and
@@ -55,9 +56,9 @@ pub enum OverlapPolicy {
         /// Number of sequence-dimension chunks `C ≥ 1` per collective.
         chunks: usize,
     },
-    /// [`OverlapPolicy::Overlapped`] plus recomputation prefetch: the
-    /// checkpointed region's replay is issued while backward GEMMs that do
-    /// not depend on it run. `chunks: 1` keeps whole-tensor collectives and
+    /// [`OverlapPolicy::Overlapped`] plus recomputation prefetch: a
+    /// checkpointed layer's replay is issued while the backward of the
+    /// layer above runs. `chunks: 1` keeps whole-tensor collectives and
     /// overlaps only the recompute.
     OverlappedRecompute {
         /// Number of sequence-dimension chunks `C ≥ 1` per collective.
@@ -146,8 +147,13 @@ pub struct StepTiming {
     pub comm_us: u64,
     /// The portion of `comm_us` no dependent compute covered.
     pub exposed_us: u64,
-    /// Total recomputation time: the checkpointed-region replays the
-    /// backward pass performed, inline or prefetched.
+    /// Total recomputation time: the full-layer replays the backward pass
+    /// performed, inline (`recompute_layer`) or prefetched
+    /// (`recompute_overlapped`). Selective recomputation books nothing
+    /// here: its replay is part of the attention backward
+    /// (`kernel_attention_backward` with `replay = true`), and its cost is
+    /// the selective backward's time minus the store-all backward's
+    /// (`train_bench`'s `model.layer_recompute_ms_selective`).
     pub recompute_us: u64,
     /// The portion of `recompute_us` the backward pipeline failed to hide:
     /// inline replays contribute their full duration, prefetched ones only
@@ -197,12 +203,12 @@ pub(crate) fn timed_exposed<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs an inline (exposed) recomputation and books its wall time as both
-/// total and exposed recompute time — the recompute analogue of
-/// [`timed_exposed`]. `name` is the span name (`recompute_attention` /
-/// `recompute_layer`); the close-time args mirror the booked integers.
-pub(crate) fn timed_recompute<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let mut span = mt_trace::current().span(name);
+/// Runs an inline (exposed) full-layer replay and books its wall time as
+/// both total and exposed recompute time — the recompute analogue of
+/// [`timed_exposed`]. The `recompute_layer` span's close-time args mirror
+/// the booked integers.
+pub(crate) fn timed_recompute<T>(f: impl FnOnce() -> T) -> T {
+    let mut span = mt_trace::current().span("recompute_layer");
     let t0 = mt_trace::monotonic_us();
     let out = f();
     let dt = mt_trace::monotonic_us().saturating_sub(t0);

@@ -6,7 +6,9 @@
 //! GEMM, scatter back — built only from `ops::Gemm`, `ops::softmax_rows`,
 //! `ops::dropout`, `CounterRng::uniform` and `attention_offset`. The core
 //! must reproduce it **bit for bit** — context, both saved tensors and all
-//! three gradients — on every axis that could break a chain: causal or not,
+//! three gradients, from the kept probabilities and from the backward that
+//! replays them block by block — on every axis that could break a chain:
+//! causal or not,
 //! sequence lengths ragged against the core's `BLOCK` and the GEMM's
 //! `TILE_M`/`MR`/`NR`, head widths ragged against `NR`, batch interleaving,
 //! head shards with an offset, dropout off/light/heavy, serial and 1–4
@@ -15,7 +17,8 @@
 use mt_kernels::{default_backend, set_default_backend, Backend};
 use mt_memory::Recompute;
 use mt_model::attention::{
-    attention_backward, attention_forward, attention_recompute, AttnParams, AttnSaved,
+    attention_backward, attention_backward_replaying, attention_forward, attention_recompute,
+    AttnParams, AttnSaved,
 };
 use mt_model::streams::{attention_offset, stream_id, DropoutSite};
 use mt_model::weights::LayerWeights;
@@ -255,6 +258,7 @@ fn check_case(p: &AttnParams, backend: Backend, seed: u64) -> Result<(), String>
     let (ctx, saved) = attention_forward(p, &rng, &q, &k, &v);
     let replay = attention_recompute(p, &rng, &q, &k);
     let (dq, dk, dv) = attention_backward(p, &rng, &q, &k, &v, &saved, &dctx);
+    let (rdq, rdk, rdv) = attention_backward_replaying(p, &rng, &q, &k, &v, &dctx);
 
     let same = |what: &str, want: Vec<u32>, got: Vec<u32>| {
         if want == got {
@@ -272,6 +276,9 @@ fn check_case(p: &AttnParams, backend: Backend, seed: u64) -> Result<(), String>
     same("dq", bits(want_dq.data()), bits(dq.data()))?;
     same("dk", bits(want_dk.data()), bits(dk.data()))?;
     same("dv", bits(want_dv.data()), bits(dv.data()))?;
+    same("replaying dq", bits(want_dq.data()), bits(rdq.data()))?;
+    same("replaying dk", bits(want_dk.data()), bits(rdk.data()))?;
+    same("replaying dv", bits(want_dv.data()), bits(rdv.data()))?;
     if p.causal {
         masked_entries_are_positive_zero(p, &saved)?;
     }

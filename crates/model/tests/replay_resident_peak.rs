@@ -1,0 +1,114 @@
+//! Resident bytes of a recomputing layer's backward. The attention core is
+//! replayed inside its own backward, one query-row block at a time, so
+//! neither `Selective` nor `Full` ever holds an `[s, s]` probability
+//! matrix: the peak live heap a layer backward adds stays below one f32
+//! probability matrix set, `a·b·s²·4` bytes. A whole-matrix replay holds
+//! two such sets (the softmax and the dropout outputs), so it lands at
+//! twice the bound or more.
+//!
+//! The counting allocator is this test binary's own, and the one test
+//! measures both policies in sequence on the serial backend, so no other
+//! test's allocations and no worker's scratch land in its window.
+
+use mt_kernels::{set_default_backend, Backend};
+use mt_memory::Recompute;
+use mt_model::weights::LayerWeights;
+use mt_model::{ActivationLedger, ExecMode, TransformerConfig, TransformerLayer};
+use mt_tensor::rng::{CounterRng, SplitMix64};
+use mt_tensor::Tensor;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// `System`, counting live bytes and their high-water mark.
+struct Counting;
+
+fn grew(size: usize) {
+    let live = LIVE.fetch_add(size, Relaxed) + size;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method forwards the caller's layout/pointer unchanged to
+// `System`, which upholds the `GlobalAlloc` contract; the bookkeeping
+// touches only the atomics above and never the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: `layout` is the caller's, passed through as is.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: `layout` is the caller's, passed through as is.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for `layout`, as the caller
+        // guarantees.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr`/`layout` describe a live `System` block and
+        // `new_size` is the caller's, all passed through as is.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Peak live bytes above the live bytes at entry while `f` runs.
+fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let entry = LIVE.load(Relaxed);
+    PEAK.store(entry, Relaxed);
+    let out = f();
+    (out, PEAK.load(Relaxed) - entry)
+}
+
+#[test]
+fn a_recomputing_backward_never_holds_a_probability_matrix() {
+    set_default_backend(Backend::Serial);
+    let cfg = TransformerConfig {
+        hidden: 16,
+        heads: 4,
+        seq: 256,
+        micro_batch: 1,
+        layers: 1,
+        vocab: 32,
+        dropout_p: 0.1,
+        causal: true,
+    };
+    let probability_set = cfg.heads * cfg.micro_batch * cfg.seq * cfg.seq * 4;
+    let mut rng = SplitMix64::new(3);
+    let weights = LayerWeights::init(&cfg, &mut rng);
+    let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+    let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+    for policy in [Recompute::Selective, Recompute::Full] {
+        let layer = TransformerLayer::new(cfg, weights.clone(), 0, policy, CounterRng::new(7));
+        let mut ledger = ActivationLedger::new();
+        let (_, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+        let (_, peak) = peak_above_entry(|| layer.backward(&dy, state, ExecMode::Serial));
+        assert!(
+            peak < probability_set,
+            "{policy:?} backward peaked {peak} B above entry; one a·b·s² f32 probability set \
+             is {probability_set} B"
+        );
+    }
+}

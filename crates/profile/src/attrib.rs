@@ -378,7 +378,7 @@ mod tests {
         //       all_reduce         [40, 48] -> exposed_comm             8us
         //       recompute_wait     [50, 58] -> exposed_recompute        8us
         //       (self: [10,12]+[48,50]+[58,60] = 6us -> overlapped_recompute)
-        //     recompute_attention  [70, 90]
+        //     recompute_layer      [70, 90]
         //       kernel_gemm        [72, 88] -> exposed_recompute (inherits)
         // self of step: [0,10]+[60,70]+[90,100] = 30us -> other
         t.complete_at("kernel_gemm", 0, 12.0, 28.0, Vec::new());
@@ -386,7 +386,7 @@ mod tests {
         t.complete_at("recompute_wait", 0, 50.0, 8.0, Vec::new());
         t.complete_at("recompute_overlapped", 0, 10.0, 50.0, Vec::new());
         t.complete_at("kernel_gemm", 0, 72.0, 16.0, Vec::new());
-        t.complete_at("recompute_attention", 0, 70.0, 20.0, Vec::new());
+        t.complete_at("recompute_layer", 0, 70.0, 20.0, Vec::new());
         t.complete_at("step", 0, 0.0, 100.0, Vec::new());
         let tl = Timeline::build(&t.events()).unwrap();
         let totals = segment_track(&tl.tracks[&0], tl.window).totals();

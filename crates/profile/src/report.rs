@@ -53,7 +53,7 @@ pub struct RankProfile {
     /// Σ `exposed_us` close-args — mirror of `StepTiming::exposed_us`.
     pub wrapped_exposed_us: u64,
     /// Σ `recompute_us` close-args over ledger-wrapped recompute spans
-    /// (`recompute_attention`, `recompute_layer`, `recompute_overlapped`)
+    /// (`recompute_layer`, `recompute_overlapped`)
     /// — the trace's mirror of the rank's `StepTiming::recompute_us`.
     pub wrapped_recompute_us: u64,
     /// Σ `exposed_us` close-args over the same recompute spans — mirror
@@ -190,10 +190,7 @@ pub fn analyze(events: &[TraceEvent], opts: &AnalyzeOptions) -> Result<ProfileRe
                 wrapped_comm_us += span.arg_u64("comm_us").unwrap_or(0);
                 wrapped_exposed_us += span.arg_u64("exposed_us").unwrap_or(0);
             }
-            if span.name == "recompute_attention"
-                || span.name == "recompute_layer"
-                || span.name == "recompute_overlapped"
-            {
+            if span.name == "recompute_layer" || span.name == "recompute_overlapped" {
                 wrapped_recompute_us += span.arg_u64("recompute_us").unwrap_or(0);
                 wrapped_exposed_recompute_us += span.arg_u64("exposed_us").unwrap_or(0);
             }
