@@ -10,11 +10,12 @@
 //! worthless), then makes [`PASSES`] timed passes over the *whole* list,
 //! `reps` repetitions of both backends back to back in each, and records
 //! each entry's best wall time and the GFLOP/s derived from it; GEMM
-//! entries also carry `packing_us`, the panel-packing time ahead of the
-//! banded compute. Both loops are needed on a shared host: back-to-back
-//! repetitions reach the warm-cache floor, and because the host slows down
-//! in bursts of milliseconds — which cover every repetition of a 20 µs
-//! kernel at once — the passes give each kernel samples a second apart.
+//! entries also carry `packing_us`, the time spent packing `A` and `B`
+//! blocks, summed over the workers. Both loops are needed on a shared
+//! host: back-to-back repetitions reach the warm-cache floor, and because
+//! the host slows down in bursts of milliseconds — which cover every
+//! repetition of a 20 µs kernel at once — the passes give each kernel
+//! samples a second apart.
 //! `--smoke` shrinks shapes and repetitions to a CI-friendly few seconds
 //! while still exercising the whole schema.
 //!
@@ -118,12 +119,26 @@ pub fn run(smoke: bool) -> ExitCode {
     // smoke runs produce a judgeable number. The (512, 384, 1536) /
     // (1024, 1024, 4096) cases are GPT-layer-shaped NT/TN (activation- and
     // weight-gradient GEMMs of a hidden-384/1024 layer), the strided
-    // layouts the packed microkernel exists to fix.
+    // layouts the packed microkernel exists to fix. The three single-kind
+    // cases are `wide_mlp`'s MLP GEMMs (128 tokens, h 1024): the `w1`
+    // forward, the dgrad against `w1` (k = 4h = 4096, several `KC`
+    // slices) and the `w1` weight gradient.
     type Kinds = &'static [(bool, bool)];
     const ALL: Kinds = &[(false, false), (false, true), (true, false)];
     const GPT: Kinds = &[(false, true), (true, false)];
+    const NN: Kinds = &[(false, false)];
+    const NT: Kinds = &[(false, true)];
+    const TN: Kinds = &[(true, false)];
     let gemm_cases: &[(usize, usize, usize, Kinds)] = if smoke {
-        &[(64, 64, 64, ALL), (96, 48, 80, ALL), (512, 512, 512, ALL), (512, 384, 1536, GPT)]
+        &[
+            (64, 64, 64, ALL),
+            (96, 48, 80, ALL),
+            (512, 512, 512, ALL),
+            (512, 384, 1536, GPT),
+            (128, 4096, 1024, NN),
+            (128, 1024, 4096, NT),
+            (1024, 4096, 128, TN),
+        ]
     } else {
         &[
             (128, 128, 128, ALL),
@@ -131,6 +146,9 @@ pub fn run(smoke: bool) -> ExitCode {
             (512, 512, 512, ALL),
             (512, 384, 1536, GPT),
             (1024, 1024, 4096, GPT),
+            (128, 4096, 1024, NN),
+            (128, 1024, 4096, NT),
+            (1024, 4096, 128, TN),
         ]
     };
     let (rows, cols) = if smoke { (256, 64) } else { (4096, 512) };

@@ -14,44 +14,56 @@
 //! | `(t, f)`   | `[k, m]` | `[k, n]` | `Aᵀ · B`  |
 //! | `(t, t)`   | `[k, m]` | `[n, k]` | `Aᵀ · Bᵀ` |
 //!
-//! ## Architecture: pack once, then one inner loop for every layout
+//! ## Architecture: stream packed blocks through one inner loop
 //!
-//! The kernel is a two-stage pipeline:
+//! The kernel is a two-stage pipeline, run block by block:
 //!
-//! 1. **Packing.** `B` is copied once per call into [`PackedB`] — per
-//!    [`NR`]-column *panels*, each panel laid out `[k][NR]` so the inner
-//!    loop reads it as one forward stream. Each row band packs its `A` rows
-//!    into [`MR`]-row *tiles* laid out `[k][MR]` (broadcast-friendly). The
-//!    packing step is transpose-aware: a transposed operand is normalized
-//!    into the *same* packed layout, so all four transpose kinds run the
-//!    identical inner loop and NT/TN stop paying a strided-access tax.
-//!    Ragged edges are zero-padded in the packed buffers; padded lanes are
-//!    computed and discarded, never stored.
+//! 1. **Packing.** A block of `B` is copied into [`NR`]-column *panels*,
+//!    each laid out `[k][NR]` so the inner loop reads it as one forward
+//!    stream; a block of `A` rows is copied into [`MR`]-row *tiles* laid
+//!    out `[k][MR]` (broadcast-friendly). The packing step is
+//!    transpose-aware: a transposed operand is normalized into the *same*
+//!    packed layout, so all four transpose kinds run the identical inner
+//!    loop and NT/TN stop paying a strided-access tax. Ragged edges are
+//!    zero-padded in the packed buffers; padded lanes are computed and
+//!    discarded, never stored.
 //!
 //! 2. **Microkernel.** An `MR × NR` register-tile accumulator: for each
 //!    `kk` the microkernel broadcasts `MR` values of `A` against an
 //!    `NR`-wide row of the `B` panel and accumulates `MR·NR` products. The
-//!    accumulator tile lives in registers for the whole `k` loop, so `C`
-//!    is written exactly once. The loop is written over fixed-size arrays
-//!    that the compiler lowers to SIMD; on x86-64 the same body is
-//!    instantiated twice — once under `#[target_feature(enable = "avx2")]`
-//!    (selected at runtime via `is_x86_feature_detected!`) and once at the
-//!    baseline feature level as the scalar-codegen fallback. Both
-//!    instantiations execute the identical `mul`-then-`add` expression per
-//!    element (FMA is deliberately not enabled), so the selected path
-//!    changes throughput only, never a single output bit.
+//!    accumulator tile lives in registers for the whole packed `k` range,
+//!    so `C` is touched once per block. The loop is written over
+//!    fixed-size arrays that the compiler lowers to SIMD; on x86-64 the
+//!    same body is instantiated twice — once under
+//!    `#[target_feature(enable = "avx2")]` (selected at runtime via
+//!    `is_x86_feature_detected!`) and once at the baseline feature level as
+//!    the scalar-codegen fallback. Both instantiations execute the
+//!    identical `mul`-then-`add` expression per element (FMA is
+//!    deliberately not enabled), so the selected path changes throughput
+//!    only, never a single output bit.
+//!
+//! Each worker owns one contiguous range of `C` rows and walks it in the
+//! GotoBLAS loop order: for each contraction slice of at most `KC`, and
+//! for each column block of that slice, it packs the `B` block into a
+//! private scratch of at most 512 KiB; then for each `MC`-row block of
+//! its range it packs the `A` block (at most `MC·KC` values) and sweeps
+//! the block's panels with the microkernel. A call therefore holds at most
+//! two fixed-size scratch buffers per worker — never a copy of a whole
+//! operand, however large the weight it multiplies.
 //!
 //! ## Blocking and determinism
 //!
-//! `C` is split into row bands of [`TILE_M`] rows (the last band may be
-//! ragged); each band is one work unit, computed entirely by one worker.
 //! Every `C[i][j]` is the sum `Σₖ a·b` taken in strictly ascending `k`
-//! with a single accumulator chain — the microkernel's register tile holds
-//! one independent chain per output element. Both properties are
-//! independent of the thread count, the SIMD path, and the band
-//! partitioning, which is what makes `Threaded` bit-identical to `Serial`
-//! (see the crate docs) and the overlapped driver in [`crate::overlap`]
-//! bit-identical to the flat kernel.
+//! with a single accumulator chain. The first contraction slice starts
+//! each chain at `+0.0` and overwrites `C`; every later slice runs the
+//! microkernel's `ADD` instantiation, which loads the partial sum `C`
+//! already holds into the register tile and continues the *same* chain
+//! with the slice's products — it never adds two partial sums. The slices
+//! run in ascending `k`, so the chain is the naive oracle's expression at
+//! any `KC`, `MC`, block width, row split or thread count. That is
+//! what makes `Threaded` bit-identical to `Serial` (see the crate docs)
+//! and the overlapped driver in [`crate::overlap`], which runs whole-`k`
+//! bands, bit-identical to the flat kernel.
 //!
 //! ## Threading policy
 //!
@@ -59,16 +71,20 @@
 //! [`Backend::threads_for_work`]: each extra scoped worker must bring
 //! enough FLOPs to repay its spawn cost, so tiny GEMMs run serial (no
 //! wakeup at all) and medium ones fan out to fewer workers than a big
-//! one. `B` is packed once on the calling thread and shared read-only by
-//! every band, so the packing cost is paid once regardless of the worker
-//! count. Results are bit-identical at any worker count, so this is purely
-//! a latency/throughput policy.
+//! one. Each worker gets one contiguous run of whole `MC`-row blocks and
+//! packs the `B` blocks it needs itself, so workers share nothing but the
+//! read-only operands. Since every worker streams all of `B`, no worker
+//! gets fewer than `MC` rows to amortize that stream over: a 128-row GEMM
+//! fans out to at most two workers. Results are bit-identical at any
+//! worker count, so this is purely a latency/throughput policy.
 
 use crate::backend::Backend;
 use crate::pool;
 use mt_trace::ArgValue;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Rows of `C` per work unit (one band = one unit).
+/// Rows of `C` per work unit of the overlapped driver
+/// ([`crate::overlap::gemm_gathered`]): one band = one unit.
 pub const TILE_M: usize = 32;
 
 /// Rows per microkernel register tile: at each `kk` the inner loop
@@ -80,12 +96,26 @@ pub const MR: usize = 8;
 /// baseline feature level).
 pub const NR: usize = 8;
 
+/// Contraction length of one packed slice. Slices after the first continue
+/// the accumulator chains `C` holds, so the value changes the scratch size
+/// and the cache footprint, never a bit; at ≥ 256 the microkernel's long
+/// `k` runs stay long enough to hide the per-slice `C` load and store.
+const KC: usize = 512;
+
+/// op(A) rows per packed `A` block: bounds the `A` scratch to `MC·KC`
+/// values (128 KiB) without shortening the slice.
+const MC: usize = 64;
+
+/// Values of packed `B` one worker holds at a time (512 KiB of f32): a
+/// column block is as many whole panels as fit at the slice's length.
+const B_BLOCK_VALUES: usize = 128 * 1024;
+
 /// What [`gemm_stats`] measured for one call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GemmStats {
-    /// Microseconds ([`mt_trace::monotonic_us`]) spent packing `B` into
-    /// panels on the calling thread. Per-band `A`-tile packing rides
-    /// inside the banded compute and is not separable from it.
+    /// Microseconds spent packing `A` and `B` blocks, summed over the
+    /// workers (so with several workers it can exceed the call's wall
+    /// time).
     pub packing_us: u64,
     /// Workers the work-size policy actually ran with (≤ the backend's
     /// configured thread count; see [`Backend::threads_for_work`]).
@@ -146,9 +176,11 @@ pub fn gemm_stats(
     if m == 0 || n == 0 {
         return GemmStats::default();
     }
-    let bands = m.div_ceil(TILE_M);
+    // Every worker streams all of `B` through its own block, so each one
+    // gets at least one `MC`-row block to spend that stream on.
+    let blocks = m.div_ceil(MC);
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
-    let threads = backend.threads_for_work(flops).min(bands);
+    let threads = backend.threads_for_work(flops).min(blocks);
     let kind = kind_label(transpose_a, transpose_b);
     let tracer = mt_trace::current();
     let mut span = tracer.span_args("kernel_gemm", || {
@@ -157,23 +189,37 @@ pub fn gemm_stats(
             ("m", ArgValue::from(m)),
             ("n", ArgValue::from(n)),
             ("k", ArgValue::from(k)),
-            ("tiles", ArgValue::from(bands)),
+            ("tiles", ArgValue::from(blocks)),
             ("threads", ArgValue::from(threads)),
         ]
     });
-    let t0 = mt_trace::monotonic_us();
-    let pb = PackedB::pack(transpose_b, n, k, b);
-    let packing_us = mt_trace::monotonic_us().saturating_sub(t0);
     let simd = simd_level();
     // Stored-A row length: `a` is `[m, k]` row-major when not transposed,
     // `[k, m]` when transposed (op(A) row i lives in stored column i).
     let a_stride = if transpose_a { m } else { k };
-    let chunks: Vec<&mut [f32]> = out.chunks_mut(TILE_M * n).collect();
-    pool::run_indexed(threads, chunks, |band, c_band| {
-        let row0 = band * TILE_M;
-        let rows = c_band.len() / n;
-        band_gemm(simd, transpose_a, a, a_stride, row0, rows, n, k, &pb, c_band);
-    });
+    let rows_from = |row0: usize, c: &mut [f32]| {
+        let a = ARows { a, stride: a_stride, transposed: transpose_a, row0, rows: c.len() / n };
+        gemm_rows(simd, a, transpose_b, b, n, k, c)
+    };
+    let packing_us = if threads == 1 {
+        // Inline: the call's only heap bytes are the worker's two blocks.
+        rows_from(0, out)
+    } else {
+        // One contiguous run of whole row blocks per worker.
+        let mut ranges: Vec<(usize, &mut [f32])> = Vec::with_capacity(threads);
+        let (mut rest, mut row0) = (out, 0);
+        for w in 1..=threads {
+            let row1 = (w * blocks / threads * MC).min(m);
+            let (mine, tail) = rest.split_at_mut((row1 - row0) * n);
+            ranges.push((row0, mine));
+            (rest, row0) = (tail, row1);
+        }
+        let packing_us = AtomicU64::new(0);
+        pool::run_indexed(threads, ranges, |_, (row0, c)| {
+            packing_us.fetch_add(rows_from(row0, c), Ordering::Relaxed);
+        });
+        packing_us.into_inner()
+    };
     span.arg("packing_us", packing_us);
     drop(span);
     GemmStats { packing_us, threads_used: threads }
@@ -258,9 +304,11 @@ pub fn simd_feature() -> &'static str {
 /// is zero-padded to `NR` columns; padded lanes are computed by the
 /// microkernel and discarded on store.
 ///
-/// A `PackedB` is immutable and `Sync`, so one pack is shared read-only by
-/// every row band — both the flat kernel's worker pool and the overlapped
-/// driver's chunk pipeline pack `B` exactly once per GEMM.
+/// A packed `PackedB` is `Sync` and shared read-only: the attention core
+/// packs each head's operands once for all of its query-row blocks, and
+/// the overlapped driver packs its whole `B` once for all of its bands.
+/// The flat [`gemm`] packs no whole operand: each of its workers streams
+/// `B` through one reused block-sized `PackedB`.
 pub struct PackedB {
     data: Vec<f32>,
     k: usize,
@@ -298,29 +346,35 @@ impl PackedB {
                 || b.len() >= (stored_rows - 1) * ldb + stored_cols,
             "PackedB::pack_strided: B too short for its stride"
         );
+        let mut pb = PackedB { data: Vec::new(), k, n };
+        pb.repack(transpose_b, b, ldb, k, 0, n);
+        pb
+    }
+
+    /// Packs op(B) columns `j0 .. j0 + n` over `k` contraction rows into
+    /// `self`, replacing what it held; `b` starts at the first of those
+    /// rows, with stored rows `ldb` apart as in [`PackedB::pack_strided`].
+    /// The buffer is reused, so a worker that streams many blocks through
+    /// one `PackedB` allocates once.
+    fn repack(&mut self, transpose_b: bool, b: &[f32], ldb: usize, k: usize, j0: usize, n: usize) {
+        (self.k, self.n) = (k, n);
         let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
-        for jp in 0..panels {
-            let j0 = jp * NR;
-            let w = NR.min(n - j0);
-            let dst = &mut data[jp * k * NR..(jp + 1) * k * NR];
-            if !transpose_b {
-                // b is [k, n]: per kk, copy a contiguous run of w columns.
-                for kk in 0..k {
-                    dst[kk * NR..kk * NR + w].copy_from_slice(&b[kk * ldb + j0..kk * ldb + j0 + w]);
-                }
-            } else {
-                // b is [n, k]: op(B)[kk][j] = b[j*ldb + kk] — read each
-                // source row contiguously, scatter into the panel column.
-                for c in 0..w {
-                    let src = &b[(j0 + c) * ldb..(j0 + c) * ldb + k];
-                    for (kk, &v) in src.iter().enumerate() {
-                        dst[kk * NR + c] = v;
-                    }
-                }
-            }
+        self.data.resize(panels * k * NR, 0.0);
+        if !n.is_multiple_of(NR) {
+            // The ragged last panel's padding lanes.
+            self.data[(panels - 1) * k * NR..].fill(0.0);
         }
-        PackedB { data, k, n }
+        if !transpose_b {
+            // b is [k, n]: stored row kk holds the block's columns in a row.
+            deal_runs::<NR>(&b[j0..], ldb, n, k, &mut self.data);
+            return;
+        }
+        // b is [n, k]: stored row j is panel column j.
+        for jp in 0..panels {
+            let dst = &mut self.data[jp * k * NR..(jp + 1) * k * NR];
+            let w = NR.min(n - jp * NR);
+            interleave_rows::<NR>(&b[(j0 + jp * NR) * ldb..], ldb, w, k, dst);
+        }
     }
 
     /// Number of [`NR`]-column panels.
@@ -346,8 +400,8 @@ impl PackedB {
 /// * `transpose_a == false`: `a` is row-major with row stride `a_stride
 ///   == k`; each tile is a small `MR × k` transpose.
 /// * `transpose_a == true`: `a` is `[k, m]` with `a_stride == m`; op(A)
-///   row `i` is stored column `i`, so each `kk` contributes `MR`
-///   *contiguous* stored values — a straight copy.
+///   row `i` is stored column `i`, so each `kk` contributes the band's
+///   values as one *contiguous* stored run — a straight copy.
 ///
 /// `dst` must hold `rows.div_ceil(MR) * k * MR` elements and is fully
 /// overwritten (padding lanes included).
@@ -362,25 +416,59 @@ fn pack_a_band(
 ) {
     let tiles = rows.div_ceil(MR);
     debug_assert_eq!(dst.len(), tiles * k * MR);
+    if !rows.is_multiple_of(MR) {
+        // The ragged last tile's padding lanes.
+        dst[(tiles - 1) * k * MR..].fill(0.0);
+    }
+    if transpose_a {
+        deal_runs::<MR>(&a[row0..], a_stride, rows, k, dst);
+        return;
+    }
     for t in 0..tiles {
-        let r0 = t * MR;
-        let h = MR.min(rows - r0);
         let tile = &mut dst[t * k * MR..(t + 1) * k * MR];
-        if h < MR {
-            tile.fill(0.0);
+        let h = MR.min(rows - t * MR);
+        interleave_rows::<MR>(&a[(row0 + t * MR) * a_stride..], a_stride, h, k, tile);
+    }
+}
+
+/// The copying half of both packers: stored row `kk` of `src` (rows `ld`
+/// apart) holds lanes `0 .. n` of packed row `kk`, dealt `W` at a time to
+/// the `[n / W][k][W]` layout of `dst`. Each source row is read once,
+/// front to back, and a whole group copies a constant `W` values — a
+/// vector move, not a `memcpy` call. A ragged last group's padding lanes
+/// are left as they are.
+fn deal_runs<const W: usize>(src: &[f32], ld: usize, n: usize, k: usize, dst: &mut [f32]) {
+    let last = n.div_ceil(W).saturating_sub(1);
+    for kk in 0..k {
+        let runs = src[kk * ld..kk * ld + n].chunks_exact(W);
+        let tail = runs.remainder();
+        for (g, run) in runs.enumerate() {
+            let at = (g * k + kk) * W;
+            dst[at..at + W].copy_from_slice(run);
         }
-        if !transpose_a {
-            for r in 0..h {
-                let src = &a[(row0 + r0 + r) * a_stride..(row0 + r0 + r) * a_stride + k];
-                for (kk, &v) in src.iter().enumerate() {
-                    tile[kk * MR + r] = v;
-                }
+        let at = (last * k + kk) * W;
+        dst[at..at + tail.len()].copy_from_slice(tail);
+    }
+}
+
+/// The transposing half of both packers: stored rows `0 .. h` of `src`
+/// (`ld` apart, `k` values each) become lanes `0 .. h` of `dst`'s `[k][W]`
+/// layout; lanes `h .. W` are left as they are. A full tile walks `kk`
+/// outermost over the `W` row streams, so each `dst` row is written once,
+/// in order.
+fn interleave_rows<const W: usize>(src: &[f32], ld: usize, h: usize, k: usize, dst: &mut [f32]) {
+    if h == W {
+        let rows: [&[f32]; W] = std::array::from_fn(|i| &src[i * ld..i * ld + k]);
+        for (kk, out) in dst.chunks_exact_mut(W).enumerate() {
+            for (lane, row) in out.iter_mut().zip(&rows) {
+                *lane = row[kk];
             }
-        } else {
-            for kk in 0..k {
-                let src = &a[kk * a_stride + row0 + r0..kk * a_stride + row0 + r0 + h];
-                tile[kk * MR..kk * MR + h].copy_from_slice(src);
-            }
+        }
+        return;
+    }
+    for i in 0..h {
+        for (kk, &v) in src[i * ld..i * ld + k].iter().enumerate() {
+            dst[kk * W + i] = v;
         }
     }
 }
@@ -463,16 +551,17 @@ fn band_panel_avx2<const ADD: bool>(
     band_panel_impl::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c)
 }
 
-/// One row band of `C = op(A) · op(B)`: packs the band's `A` rows into
-/// tiles, then sweeps every panel of the shared [`PackedB`].
+/// One row band of `C = op(A) · op(B)` over the whole contraction: packs
+/// the band's `A` rows into tiles, then sweeps every panel of a shared,
+/// whole-`B` [`PackedB`].
 ///
 /// `row0`/`rows` select op(A) rows (`row0` indexes `a`'s stored rows when
 /// not transposed, stored columns when transposed); `c` is the band's
-/// `rows × n` output window, fully overwritten. This is the single shared
-/// inner path: the flat [`gemm`] and the overlapped driver
-/// ([`crate::overlap::gemm_gathered`]) both run it over the same
-/// [`TILE_M`] bands, which is what keeps them bit-identical.
-#[allow(clippy::too_many_arguments)] // internal band ABI shared with overlap.rs
+/// `rows × n` output window, fully overwritten. The overlapped driver
+/// ([`crate::overlap::gemm_gathered`]) runs it per [`TILE_M`] band; it is
+/// bit-identical to the flat [`gemm`]'s sliced blocks because both run one
+/// ascending-`k` chain per element.
+#[allow(clippy::too_many_arguments)] // internal band ABI of overlap.rs
 pub(crate) fn band_gemm(
     simd: Simd,
     transpose_a: bool,
@@ -534,12 +623,26 @@ pub(crate) fn band_gemm_window<const ADD: bool>(
     ldc: usize,
     a_tiles: &mut Vec<f32>,
 ) {
+    a_tiles.resize(a.rows.div_ceil(MR) * b.k * MR, 0.0);
+    pack_a_band(a.transposed, a.a, a.stride, a.row0, a.rows, b.k, a_tiles);
+    sweep_panels::<ADD>(simd, a.rows, b, a_tiles, c, ldc);
+}
+
+/// The microkernel over every panel of a [`BWindow`]: `a_tiles` holds
+/// `rows` op(A) rows packed by [`pack_a_band`] at the window's contraction
+/// length, and panel `jp` lands in `c`'s columns `jp·NR ..` (row stride
+/// `ldc`).
+fn sweep_panels<const ADD: bool>(
+    simd: Simd,
+    rows: usize,
+    b: BWindow<'_>,
+    a_tiles: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+) {
     let BWindow { pb, n, k0, k } = b;
-    let rows = a.rows;
     debug_assert!(n == pb.n || (n < pb.n && n % NR == 0), "BWindow: n must end on a panel");
     debug_assert!(k0 + k <= pb.k, "BWindow: k window outside the pack");
-    a_tiles.resize(rows.div_ceil(MR) * k * MR, 0.0);
-    pack_a_band(a.transposed, a.a, a.stride, a.row0, rows, k, a_tiles);
     for jp in 0..n.div_ceil(NR) {
         let j0 = jp * NR;
         let w = NR.min(n - j0);
@@ -552,6 +655,60 @@ pub(crate) fn band_gemm_window<const ADD: bool>(
             Simd::Scalar => band_panel_impl::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c),
         }
     }
+}
+
+/// One worker's share of [`gemm_stats`]: the op(A) rows `a` selects, into
+/// `c` (`a.rows × n`, row-major, fully overwritten), in the GotoBLAS loop
+/// order the module docs describe. Holds one `B` block of at most
+/// `B_BLOCK_VALUES` and one `A` block of at most `MC·KC` values, whatever
+/// the operand sizes, and returns the microseconds it spent packing them.
+fn gemm_rows(
+    simd: Simd,
+    a: ARows<'_>,
+    transpose_b: bool,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    c: &mut [f32],
+) -> u64 {
+    if k == 0 {
+        c.fill(0.0);
+        return 0;
+    }
+    let ldb = if transpose_b { k } else { n };
+    let kc_max = KC.min(k);
+    let nc_max = (B_BLOCK_VALUES / kc_max / NR * NR).min(n);
+    let mut block = PackedB { data: vec![0.0; nc_max.div_ceil(NR) * kc_max * NR], k: 0, n: 0 };
+    let mut a_tiles = vec![0.0f32; MC.min(a.rows).div_ceil(MR) * kc_max * MR];
+    let mut packing_us = 0;
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        // Both operands offset to the slice's first contraction index.
+        let a_slice = &a.a[if a.transposed { k0 * a.stride } else { k0 }..];
+        let b_slice = &b[if transpose_b { k0 } else { k0 * ldb }..];
+        for j0 in (0..n).step_by(nc_max) {
+            let nc = nc_max.min(n - j0);
+            let t0 = mt_trace::monotonic_us();
+            block.repack(transpose_b, b_slice, ldb, kc, j0, nc);
+            packing_us += mt_trace::monotonic_us().saturating_sub(t0);
+            let window = BWindow { pb: &block, n: nc, k0: 0, k: kc };
+            for i0 in (0..a.rows).step_by(MC) {
+                let mc = MC.min(a.rows - i0);
+                let tiles = &mut a_tiles[..mc.div_ceil(MR) * kc * MR];
+                let t0 = mt_trace::monotonic_us();
+                pack_a_band(a.transposed, a_slice, a.stride, a.row0 + i0, mc, kc, tiles);
+                packing_us += mt_trace::monotonic_us().saturating_sub(t0);
+                // The block's columns start at `j0` of the block's rows.
+                let c_block = &mut c[i0 * n + j0..(i0 + mc - 1) * n + j0 + nc];
+                if k0 == 0 {
+                    sweep_panels::<false>(simd, mc, window, tiles, c_block, n);
+                } else {
+                    sweep_panels::<true>(simd, mc, window, tiles, c_block, n);
+                }
+            }
+        }
+    }
+    packing_us
 }
 
 #[cfg(test)]

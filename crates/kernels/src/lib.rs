@@ -13,15 +13,17 @@
 //!
 //! ## Determinism contract
 //!
-//! Every kernel partitions its output into **fixed-size work units** (GEMM
-//! row bands of [`gemm::TILE_M`] rows, row blocks of [`ROW_BLOCK`] rows,
-//! element chunks of [`CHUNK`] elements, one `(batch, head)` of the
-//! attention core). The unit size never depends on the
-//! thread count, each unit is computed start-to-finish by exactly one
-//! worker with a fixed internal reduction order (ascending `k` for GEMM,
-//! ascending row for row reductions), and any cross-unit reduction
-//! (LayerNorm's `dγ`/`dβ`) is combined on the calling thread in ascending
-//! unit order. Consequently [`Backend::Threaded`] produces **bit-identical**
+//! Every kernel partitions its output into **fixed-size work units** (row
+//! blocks of [`ROW_BLOCK`] rows, element chunks of [`CHUNK`] elements, one
+//! `(batch, head)` of the attention core). The unit size never depends on
+//! the thread count, each unit is computed start-to-finish by exactly one
+//! worker with a fixed internal reduction order (ascending row for row
+//! reductions), and any cross-unit reduction (LayerNorm's `dγ`/`dβ`) is
+//! combined on the calling thread in ascending unit order. The flat GEMM
+//! splits `C` into one row range per worker instead, which is safe for the
+//! same reason: every output element is one ascending-`k` accumulator
+//! chain, computed by the one worker that owns its row, wherever the split
+//! falls. Consequently [`Backend::Threaded`] produces **bit-identical**
 //! results to [`Backend::Serial`] at any thread count — the property that
 //! lets the gradient-equivalence and Table-2 tests upstream keep their exact
 //! assertions while the backend is swapped underneath them.

@@ -13,14 +13,22 @@
 //!
 //! ## Determinism
 //!
-//! The work units are the same [`TILE_M`]-row bands as the flat kernel,
-//! running the same packed microkernel (`band_gemm`) with the same
-//! ascending-`k` single-accumulator chain per output element; `B` is
-//! packed into panels once, before any chunk is fetched, and shared
-//! read-only by every band. Every `C[i][j]` is therefore the identical
-//! float expression no matter how many threads run or in which order
-//! chunks arrive, which keeps the overlapped path **bit-identical** to the
-//! exposed (gather-everything-then-GEMM) path.
+//! The work units are [`TILE_M`]-row bands running the flat kernel's
+//! packed microkernel (`band_gemm`) with the same ascending-`k`
+//! single-accumulator chain per output element; `B` is packed into panels
+//! once, before any chunk is fetched, and shared read-only by every band.
+//! Every `C[i][j]` is therefore the identical float expression no matter
+//! how many threads run or in which order chunks arrive, which keeps the
+//! overlapped path **bit-identical** to the exposed
+//! (gather-everything-then-GEMM) path.
+//!
+//! That whole-`B` pack is a weight-sized transient the flat [`gemm`]
+//! no longer holds — it streams `B` through fixed per-worker blocks. It
+//! stays here on purpose: whether this driver is kept at all is the open
+//! overlap verdict (overlap must shorten the step or be deleted), and
+//! that verdict decides whether its bands learn to stream too.
+//!
+//! [`gemm`]: crate::gemm::gemm
 //! Contraction-side consumers (`Aᵀ·B`) have no such row decomposition and
 //! must use the assembled tensor; [`gemm_gathered`] can fill one
 //! (`assembled`) as chunks land so a downstream weight-gradient GEMM pays
@@ -125,7 +133,9 @@ struct BandSpec {
 /// fetching (it joins compute after the last fetch) and `t − 1` workers
 /// for bands; `t = 1` degenerates to fetch-then-compute per chunk on one
 /// thread. Results are bit-identical across all backends and chunk
-/// counts — see the module docs.
+/// counts — see the module docs. Unlike the flat kernel, it packs the
+/// whole `B` once up front (a `k·n` transient), pending the overlap
+/// verdict the module docs describe.
 ///
 /// # Panics
 ///

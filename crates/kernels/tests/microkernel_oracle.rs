@@ -8,6 +8,13 @@
 //! A second property pins the packing normalization itself: packing a
 //! transposed operand must produce byte-identical panels to transposing
 //! the operand first and packing it as untransposed.
+//!
+//! The flat kernel streams its operands in blocks: contraction slices of
+//! `KC` (later slices continue the chains `C` holds), column blocks of `B`
+//! and `MC`-row blocks of `A`, dealt to the workers as contiguous row
+//! ranges. A third property and a fixed walk cross every one of those
+//! boundaries with a ragged remainder, always into a garbage-filled output,
+//! and demand the oracle's bits.
 
 use mt_kernels::gemm::{self, PackedB};
 use mt_kernels::Backend;
@@ -71,6 +78,32 @@ proptest! {
         }
     }
 
+    /// Contraction lengths across the first and second slice boundary,
+    /// into a NaN-filled output: the sliced kernel is still the oracle's
+    /// single ascending chain per element.
+    #[test]
+    fn sliced_contraction_matches_naive_oracle_bitwise(
+        m in 1usize..80,
+        n in 1usize..24,
+        k in (KC - 16)..(2 * KC + 40),
+        threads in 1usize..9,
+        seed in 0u64..500,
+    ) {
+        let a = deterministic(m * k, seed);
+        let b = deterministic(k * n, seed ^ 0x5eed);
+        for (ta, tb) in KINDS {
+            let want = naive_gemm(ta, tb, m, n, k, &a, &b);
+            let mut got = vec![f32::NAN; m * n];
+            gemm::gemm(Backend::Threaded { threads }, ta, tb, m, n, k, &a, &b, &mut got);
+            prop_assert_eq!(
+                bits(&want),
+                bits(&got),
+                "sliced gemm {} m={} n={} k={} threads={}",
+                gemm::kind_label(ta, tb), m, n, k, threads
+            );
+        }
+    }
+
     /// Transpose-aware packing is a normalization: packing `Bᵀ` directly
     /// must equal transposing `B` by hand and packing the result, padding
     /// included.
@@ -97,6 +130,83 @@ proptest! {
             n, k
         );
     }
+}
+
+/// The kernel's private block sizes: contraction slice, `A` row block, and
+/// the column block a 512 KiB `B` block holds at a full slice.
+const KC: usize = 512;
+const MC: usize = 64;
+const NC: usize = 256;
+
+const KINDS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+/// Serial and every threaded width the oracle tests run.
+fn backends() -> impl Iterator<Item = Backend> {
+    std::iter::once(Backend::Serial).chain((1..=8).map(|threads| Backend::Threaded { threads }))
+}
+
+/// Every transpose kind at `(m, n, k)` on every backend, each into an
+/// output prefilled with NaN — the first slice must overwrite it even
+/// though every later slice accumulates onto it — against the oracle's
+/// bits.
+fn assert_matches_oracle(m: usize, n: usize, k: usize, seed: u64) {
+    let a = deterministic(m * k, seed);
+    let b = deterministic(k * n, seed ^ 0x5eed);
+    for (ta, tb) in KINDS {
+        let want = bits(&naive_gemm(ta, tb, m, n, k, &a, &b));
+        for backend in backends() {
+            let mut got = vec![f32::NAN; m * n];
+            gemm::gemm(backend, ta, tb, m, n, k, &a, &b, &mut got);
+            assert!(
+                want == bits(&got),
+                "gemm {} m={m} n={n} k={k} on {backend:?}: not the oracle's bits",
+                gemm::kind_label(ta, tb)
+            );
+        }
+    }
+}
+
+#[test]
+fn contraction_slices_continue_one_chain_per_element() {
+    // Just below, at and just above one slice, two slices and a ragged
+    // tail, and eight slices and a ragged tail (k = 4099).
+    for k in [KC - 1, KC, KC + 1, 2 * KC + 7, 4099] {
+        assert_matches_oracle(19, 13, k, k as u64);
+    }
+}
+
+#[test]
+fn column_blocks_end_in_a_ragged_panel() {
+    // Three full column blocks and a fourth of one ragged panel, over two
+    // contraction slices.
+    assert_matches_oracle(17, 3 * NC + 5, KC + 3, 7);
+}
+
+#[test]
+fn row_blocks_split_over_one_to_four_workers() {
+    // Five `MC`-row blocks, the last ragged, over three contraction slices.
+    let (m, n, k) = (4 * MC + 9, 24, 2 * KC + 7);
+    let a = deterministic(m * k, 11);
+    let b = deterministic(k * n, 12);
+    for (ta, tb) in KINDS {
+        let want = bits(&naive_gemm(ta, tb, m, n, k, &a, &b));
+        for threads in 1..=4 {
+            let mut got = vec![f32::NAN; m * n];
+            let stats =
+                gemm::gemm_stats(Backend::Threaded { threads }, ta, tb, m, n, k, &a, &b, &mut got);
+            assert_eq!(stats.threads_used, threads, "the shape must fan out to {threads}");
+            assert!(
+                want == bits(&got),
+                "gemm {} m={m} n={n} k={k} on {threads} workers: not the oracle's bits",
+                gemm::kind_label(ta, tb)
+            );
+        }
+    }
+}
+
+#[test]
+fn an_empty_contraction_zeroes_a_stale_output() {
+    assert_matches_oracle(70, 9, 0, 0);
 }
 
 /// Deterministic pseudo-random fill (SplitMix-style), so operands derive

@@ -303,6 +303,9 @@ impl Gpt {
         // --- backward: head ---
         let (mut d_act, d_fg, d_fb, d_table_head) =
             head_backward(&self.final_ln_gamma, table, &head, mode);
+        // The head's saved tensors are dead; free them before the layer
+        // backward loop allocates its own.
+        drop(head);
 
         // --- backward: layers ---
         let mut layer_grads: Vec<Option<LayerGrads>> =

@@ -135,6 +135,18 @@ pub enum LayerState {
     },
 }
 
+/// The parameter gradients one backward half computes: its LayerNorm,
+/// the GEMM into the half (`w_qkv` / `w1`) and the GEMM out of it (`w_o` /
+/// `w2`), each with its bias.
+struct HalfGrads {
+    ln_gamma: Tensor,
+    ln_beta: Tensor,
+    w_in: Tensor,
+    b_in: Tensor,
+    w_out: Tensor,
+    b_out: Tensor,
+}
+
 /// One transformer layer.
 #[derive(Debug, Clone)]
 pub struct TransformerLayer {
@@ -372,8 +384,10 @@ impl TransformerLayer {
         let (qkv_raw, y1_full) =
             self.gather_gemm(mode, overlap, &y_ln1, &w.w_qkv, false, keep_full);
         let qkv = ops::add_bias(&qkv_raw, &w.b_qkv);
-        let blocks = qkv.chunk_last_axis(3).expect("qkv packs 3 blocks");
-        let (q, k, v) = (blocks[0].clone(), blocks[1].clone(), blocks[2].clone());
+        drop(qkv_raw);
+        let [q, k, v]: [Tensor; 3] =
+            qkv.chunk_last_axis(3).expect("qkv packs 3 blocks").try_into().expect("3 blocks");
+        drop(qkv);
         let ap = self.attn_params(mode, micro);
         let (ctx, attn) = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, keep_attn);
         let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
@@ -534,9 +548,24 @@ impl TransformerLayer {
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
     ) -> (Tensor, LayerGrads) {
-        let mut grads = self.weights.zeros_like();
-        let d_r1 = self.backward_mlp_half(dy, st, mode, overlap, &mut grads);
-        let d_x = self.backward_attn_half(&d_r1, st, mode, overlap, &mut grads);
+        let (d_r1, mlp) = self.backward_mlp_half(dy, st, mode, overlap);
+        let (d_x, attn) = self.backward_attn_half(&d_r1, st, mode, overlap);
+        // Each gradient is allocated once, by the half that computes it,
+        // and moved here into the set the optimizer reads.
+        let mut grads = LayerGrads {
+            ln1_gamma: attn.ln_gamma,
+            ln1_beta: attn.ln_beta,
+            w_qkv: attn.w_in,
+            b_qkv: attn.b_in,
+            w_o: attn.w_out,
+            b_o: attn.b_out,
+            ln2_gamma: mlp.ln_gamma,
+            ln2_beta: mlp.ln_beta,
+            w1: mlp.w_in,
+            b1: mlp.b_in,
+            w2: mlp.w_out,
+            b2: mlp.b_out,
+        };
         self.reduce_replicated_grads(mode, &mut grads);
         (d_x, grads)
     }
@@ -544,15 +573,15 @@ impl TransformerLayer {
     /// The MLP half of the backward pass: everything from the layer output
     /// gradient down to `d_r1`, the gradient at the second LayerNorm's
     /// input. Reads only the MLP-side stored tensors (`g_act`, `m1`, `y2`,
-    /// `r1`, `ln2_saved`).
+    /// `r1`, `ln2_saved`). Returns `d_r1` and the half's parameter
+    /// gradients.
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
         st: &StoredState,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
-        grads: &mut LayerGrads,
-    ) -> Tensor {
+    ) -> (Tensor, HalfGrads) {
         let rows = self.local_rows(mode);
         assert_eq!(
             dy.shape(),
@@ -565,49 +594,47 @@ impl TransformerLayer {
         // out = r1 + dropout(m2)
         let mask_mlp = self.region_mask(DropoutSite::MlpOutput, st.micro, mode, rows);
         let d_m2 = ops::dropout_backward(dy, &mask_mlp, self.cfg.dropout_p);
-        grads.b2 = ops::bias_grad(&d_m2);
+        let b_out = ops::bias_grad(&d_m2);
         // ḡ backward (all-gather; f̄ backward: identity) fused with the
         // d_g GEMM; the assembled gradient also feeds the w2 gradient.
         // m2_partial = g_act · w2
         let (d_g, d_m2_full) = self.gather_gemm(mode, overlap, &d_m2, &w.w2, true, true);
-        grads.w2 = ops::Gemm::TN.apply(&st.g_act, &d_m2_full.expect("full grad requested"));
+        let w_out = ops::Gemm::TN.apply(&st.g_act, &d_m2_full.expect("full grad requested"));
         let d_m1 = ops::gelu_backward(&st.m1, &d_g);
-        grads.b1 = ops::bias_grad(&d_m1);
+        let b_in = ops::bias_grad(&d_m1);
         // m1 = y2_full · w1. Under SP, y2 was kept as a shard: re-gather
         // (the extra all-gather the paper overlaps with the dW computation).
         let y2_full = self.regather(mode, overlap, &st.y2);
-        grads.w1 = ops::Gemm::TN.apply(&y2_full, &d_m1);
+        let w_in = ops::Gemm::TN.apply(&y2_full, &d_m1);
         let d_y2_full = ops::Gemm::NT.apply(&d_m1, &w.w1);
         // g backward: reduce-scatter; f backward: all-reduce.
         let d_y_ln2 = self.combine_region(mode, overlap, &d_y2_full);
-        let (d_r1_ln, d_ln2_gamma, d_ln2_beta) =
+        let (d_r1_ln, ln_gamma, ln_beta) =
             ops::layer_norm_backward(&st.r1, &w.ln2_gamma, &st.ln2_saved, &d_y_ln2);
-        grads.ln2_gamma = d_ln2_gamma;
-        grads.ln2_beta = d_ln2_beta;
-        dy.add(&d_r1_ln)
+        (dy.add(&d_r1_ln), HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
     }
 
     /// The attention half of the backward pass: from `d_r1` down to the
     /// layer-input gradient. The only consumer of the attention core state,
-    /// and where a dropped core is replayed.
+    /// and where a dropped core is replayed. Returns the layer-input
+    /// gradient and the half's parameter gradients.
     fn backward_attn_half(
         &self,
         d_r1: &Tensor,
         st: &StoredState,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
-        grads: &mut LayerGrads,
-    ) -> Tensor {
+    ) -> (Tensor, HalfGrads) {
         let rows = self.local_rows(mode);
         let w = &self.weights;
 
         // r1 = x + dropout(o)
         let mask_attn = self.region_mask(DropoutSite::AttentionOutput, st.micro, mode, rows);
         let d_o = ops::dropout_backward(d_r1, &mask_attn, self.cfg.dropout_p);
-        grads.b_o = ops::bias_grad(&d_o);
+        let b_out = ops::bias_grad(&d_o);
         // o_partial = ctx · w_o
         let (d_ctx, d_o_full) = self.gather_gemm(mode, overlap, &d_o, &w.w_o, true, true);
-        grads.w_o = ops::Gemm::TN.apply(&st.ctx, &d_o_full.expect("full grad requested"));
+        let w_out = ops::Gemm::TN.apply(&st.ctx, &d_o_full.expect("full grad requested"));
         // attention core
         let ap = self.attn_params(mode, st.micro);
         let (q, k, v) = (&st.q, &st.k, &st.v);
@@ -616,16 +643,14 @@ impl TransformerLayer {
             None => attention_backward_replaying(&ap, &self.rng, q, k, v, &d_ctx),
         };
         let d_qkv = Tensor::concat_last_axis(&[d_q, d_k, d_v]);
-        grads.b_qkv = ops::bias_grad(&d_qkv);
+        let b_in = ops::bias_grad(&d_qkv);
         let y1_full = self.regather(mode, overlap, &st.y1);
-        grads.w_qkv = ops::Gemm::TN.apply(&y1_full, &d_qkv);
+        let w_in = ops::Gemm::TN.apply(&y1_full, &d_qkv);
         let d_y1_full = ops::Gemm::NT.apply(&d_qkv, &w.w_qkv);
         let d_y_ln1 = self.combine_region(mode, overlap, &d_y1_full);
-        let (d_x_ln, d_ln1_gamma, d_ln1_beta) =
+        let (d_x_ln, ln_gamma, ln_beta) =
             ops::layer_norm_backward(&st.x, &w.ln1_gamma, &st.ln1_saved, &d_y_ln1);
-        grads.ln1_gamma = d_ln1_gamma;
-        grads.ln1_beta = d_ln1_beta;
-        d_r1.add(&d_x_ln)
+        (d_r1.add(&d_x_ln), HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
     }
 
     /// Sequence parallelism computes replicated-parameter gradients from

@@ -6,9 +6,16 @@
 //! two such sets (the softmax and the dropout outputs), so it lands at
 //! twice the bound or more.
 //!
-//! The counting allocator is this test binary's own, and the one test
-//! measures both policies in sequence on the serial backend, so no other
-//! test's allocations and no worker's scratch land in its window.
+//! A layer backward also builds every parameter gradient exactly once, as
+//! the tensor the optimizer reads, and its GEMMs stream weights through
+//! fixed blocks instead of packing whole copies: on a weight-dominated
+//! layer the backward's peak stays close to one set of parameter bytes —
+//! the gradients it returns — rather than the two or more that a
+//! zero-filled gradient shadow or a packed weight copy would add.
+//!
+//! The counting allocator is this test binary's own. Each test takes
+//! `EXCLUSIVE` and runs its policies in sequence on the serial backend, so
+//! no other test's allocations and no worker's scratch land in its window.
 
 use mt_kernels::{set_default_backend, Backend};
 use mt_memory::Recompute;
@@ -18,6 +25,7 @@ use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -74,6 +82,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held by each test for its whole body: the counters are process-wide.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
 /// Peak live bytes above the live bytes at entry while `f` runs.
 fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let entry = LIVE.load(Relaxed);
@@ -84,6 +95,7 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 #[test]
 fn a_recomputing_backward_never_holds_a_probability_matrix() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     set_default_backend(Backend::Serial);
     let cfg = TransformerConfig {
         hidden: 16,
@@ -109,6 +121,45 @@ fn a_recomputing_backward_never_holds_a_probability_matrix() {
             peak < probability_set,
             "{policy:?} backward peaked {peak} B above entry; one a·b·s² f32 probability set \
              is {probability_set} B"
+        );
+    }
+}
+
+#[test]
+fn a_layer_backward_holds_about_one_set_of_parameter_bytes() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    set_default_backend(Backend::Serial);
+    // Weight-dominated: 12h² = 3.1 M parameters against 64 tokens.
+    let cfg = TransformerConfig {
+        hidden: 512,
+        heads: 8,
+        seq: 32,
+        micro_batch: 2,
+        layers: 1,
+        vocab: 32,
+        dropout_p: 0.1,
+        causal: true,
+    };
+    let mut rng = SplitMix64::new(5);
+    let weights = LayerWeights::init(&cfg, &mut rng);
+    let param_bytes = weights.num_parameters() * 4;
+    let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+    let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+    // The gradients are one set of parameter bytes; the rest is the
+    // backward's activation gradients and GEMM blocks, plus, under `Full`,
+    // the replayed forward.
+    for (policy, limit) in
+        [(Recompute::None, 1.2), (Recompute::Selective, 1.2), (Recompute::Full, 1.35)]
+    {
+        let layer = TransformerLayer::new(cfg, weights.clone(), 0, policy, CounterRng::new(7));
+        let mut ledger = ActivationLedger::new();
+        let (_, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+        let (_, peak) = peak_above_entry(|| layer.backward(&dy, state, ExecMode::Serial));
+        let ratio = peak as f64 / param_bytes as f64;
+        assert!(
+            ratio < limit,
+            "{policy:?} backward peaked {peak} B above entry, {ratio:.3} x the layer's \
+             {param_bytes} parameter bytes; the limit is {limit} x"
         );
     }
 }
