@@ -621,7 +621,7 @@ pub fn pipeline_1f1b_program(
 ) -> Program {
     assert!(n_micro > 0, "need at least one microbatch");
     pipeline_program(cfg, tp, pp, 1, sequence_parallel, policy, |stage| {
-        stage_ops(stage, pp, n_micro).into_iter().map(|(f, mb)| (f, 0, mb)).collect()
+        stage_ops(stage, pp, n_micro)
     })
 }
 
@@ -639,10 +639,6 @@ pub fn interleaved_program(
     n_micro: usize,
 ) -> Program {
     assert!(m_chunks > 0, "need at least one chunk");
-    assert!(
-        n_micro > 0 && n_micro.is_multiple_of(p),
-        "microbatches ({n_micro}) must be a multiple of devices ({p})"
-    );
     pipeline_program(cfg, tp, p, m_chunks, sequence_parallel, policy, |device| {
         interleaved_device_ops(device, p, m_chunks, n_micro)
     })

@@ -28,11 +28,9 @@ const SECTIONS: &[Section] = &[
     ("selective", reports::render_selective),
     ("appendixc", reports::render_appendix_c),
     ("ablation", reports::render_ablation),
-    ("sweeps", reports::render_sweeps),
     ("fragmentation", reports::render_fragmentation),
     ("relief", reports::render_relief),
     ("breakdown", reports::render_breakdown),
-    ("relatedwork", reports::render_related_work),
 ];
 
 fn usage() -> String {

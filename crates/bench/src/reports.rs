@@ -695,49 +695,6 @@ pub fn render_ablation() -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Related work, quantified (Section 2)
-// ---------------------------------------------------------------------------
-
-/// Renders the Related Work comparisons: ZeRO-1 optimizer-state sharding and
-/// activation offloading vs selective recomputation.
-pub fn render_related_work() -> String {
-    let mut out = String::from(
-        "Related work quantified (Section 2)\n\nZeRO-1 optimizer-state sharding (executing mini-implementation in mt-model::zero):\n",
-    );
-    out.push_str(&format!(
-        "{:<15} {:>16} {:>18}\n",
-        "model", "state GB (repl.)", "state GB (ZeRO-1, dp=8)"
-    ));
-    for m in ModelZoo::all() {
-        let state = mt_memory::ModelStateMemory::new(m.shape);
-        out.push_str(&format!(
-            "{:<15} {:>16.1} {:>18.1}\n",
-            m.name,
-            state.bytes_per_gpu(m.parallel) / 1e9,
-            state.bytes_per_gpu_zero1(m.parallel, 8) / 1e9
-        ));
-    }
-    out.push_str(
-        "\nActivation offloading vs selective recomputation (per layer, attention-core bytes):\n",
-    );
-    out.push_str(&format!("{:<15} {:>16} {:>16}\n", "model", "offload ms", "recompute ms"));
-    let off = mt_perf::OffloadModel::pcie_gen4();
-    for m in ModelZoo::all() {
-        let (o, r) = off.versus_selective_recompute(
-            mt_perf::GpuSpec::a100(),
-            m.shape,
-            m.batch.micro,
-            m.parallel.tensor,
-        );
-        out.push_str(&format!("{:<15} {:>16.2} {:>16.2}\n", m.name, o, r));
-    }
-    out.push_str(
-        "(recomputation beats shipping the same bytes over PCIe for every Table 3 model —\n the paper's rationale for preferring model-parallel techniques)\n",
-    );
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Per-op forward breakdown
 // ---------------------------------------------------------------------------
 
@@ -863,50 +820,6 @@ pub fn render_fragmentation() -> String {
             r.peak_live,
             r.minimal_arena,
             100.0 * r.overhead
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Design-space sweeps
-// ---------------------------------------------------------------------------
-
-/// Renders the sequence-length and tensor-parallel-size sweeps as text.
-pub fn render_sweeps() -> String {
-    let gpt3 = ModelZoo::gpt3_175b().shape;
-    let mut out = String::from(
-        "Sequence-length sweep (GPT-3 architecture) — why selective recomputation wins harder at long context\n",
-    );
-    out.push_str(&format!(
-        "{:<8} {:>8} {:>16} {:>18}\n",
-        "seq", "5as/h", "mem saved %", "FLOPs overhead %"
-    ));
-    for p in mt_core::sweeps::sequence_length_sweep(gpt3, &[512, 1024, 2048, 4096, 8192, 16384], 1)
-    {
-        out.push_str(&format!(
-            "{:<8} {:>8.0} {:>16.1} {:>18.1}\n",
-            p.seq,
-            p.attention_coefficient,
-            100.0 * p.selective_savings,
-            100.0 * p.selective_flops_overhead
-        ));
-    }
-    out.push_str(
-        "\nTensor-parallel-size sweep (GPT-3) — the replicated 10·sbh share that motivates sequence parallelism\n",
-    );
-    out.push_str(&format!(
-        "{:<6} {:>12} {:>14} {:>18} {:>12}\n",
-        "t", "TP MB/layer", "TP+SP MB/layer", "replicated frac %", "fwd ms (SP)"
-    ));
-    for p in mt_core::sweeps::tensor_parallel_sweep(gpt3, 1, &[1, 2, 4, 8, 16]) {
-        out.push_str(&format!(
-            "{:<6} {:>12.1} {:>14.1} {:>18.1} {:>12.2}\n",
-            p.tensor,
-            p.tp_bytes / 1e6,
-            p.tp_sp_bytes / 1e6,
-            100.0 * p.replicated_fraction,
-            p.forward_ms
         ));
     }
     out

@@ -77,86 +77,9 @@ impl CommCostModel {
     }
 }
 
-/// Two-level (hierarchical) collective cost: intra-node ring over the fast
-/// fabric, inter-node ring over the slow one — how NCCL actually runs an
-/// all-reduce that spans DGX nodes.
-///
-/// `all_reduce(B)` over `n = k·m` ranks (`k` per node, `m` nodes) is priced
-/// as intra-node reduce-scatter of `B`, inter-node all-reduce of `B/k`, and
-/// intra-node all-gather of `B` — the standard decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HierarchicalCostModel {
-    /// Fast intra-node fabric (NVLink).
-    pub intra: CommCostModel,
-    /// Slow inter-node fabric (InfiniBand).
-    pub inter: CommCostModel,
-    /// Ranks per node (`k`).
-    pub ranks_per_node: u64,
-}
-
-impl HierarchicalCostModel {
-    /// The paper's platform: 8×A100 DGX nodes on HDR InfiniBand.
-    pub fn dgx_a100() -> Self {
-        HierarchicalCostModel {
-            intra: CommCostModel::nvlink_dgx_a100(),
-            inter: CommCostModel::infiniband_hdr(),
-            ranks_per_node: 8,
-        }
-    }
-
-    /// Seconds for a hierarchical all-reduce of `payload_bytes` over
-    /// `total_ranks` ranks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_ranks` is not a multiple of `ranks_per_node` (and
-    /// not smaller than it — a single-node group uses the intra fabric
-    /// alone).
-    pub fn all_reduce(&self, payload_bytes: u64, total_ranks: u64) -> f64 {
-        let k = self.ranks_per_node;
-        if total_ranks <= k {
-            return self.intra.all_reduce(payload_bytes, total_ranks);
-        }
-        assert_eq!(
-            total_ranks % k,
-            0,
-            "total ranks {total_ranks} must be a multiple of ranks/node {k}"
-        );
-        let nodes = total_ranks / k;
-        self.intra.reduce_scatter(payload_bytes, k)
-            + self.inter.all_reduce(payload_bytes / k, nodes)
-            + self.intra.all_gather(payload_bytes, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hierarchical_beats_flat_inter_node_ring() {
-        // Pushing the whole payload around a flat IB ring is slower than
-        // reducing within nodes first.
-        let h = HierarchicalCostModel::dgx_a100();
-        let bytes = 1 << 30; // 1 GiB of gradients
-        let flat = h.inter.all_reduce(bytes, 64);
-        let hier = h.all_reduce(bytes, 64);
-        assert!(hier < flat, "hierarchical {hier} vs flat {flat}");
-    }
-
-    #[test]
-    fn single_node_degenerates_to_nvlink() {
-        let h = HierarchicalCostModel::dgx_a100();
-        let bytes = 100 << 20;
-        assert_eq!(h.all_reduce(bytes, 8), h.intra.all_reduce(bytes, 8));
-        assert_eq!(h.all_reduce(bytes, 4), h.intra.all_reduce(bytes, 4));
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple")]
-    fn rejects_partial_nodes() {
-        let _ = HierarchicalCostModel::dgx_a100().all_reduce(1 << 20, 12);
-    }
 
     #[test]
     fn bandwidth_identity_holds_in_time_up_to_latency() {

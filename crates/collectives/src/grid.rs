@@ -91,70 +91,6 @@ where
     })
 }
 
-/// A rank's view of a three-dimensional `dp × pp × tp` grid: data-parallel
-/// replicas of a pipeline of tensor-parallel stages — the full layout of the
-/// paper's Section 6.3 extension (530B at `t = 8, p = 35, dp = 8` on 2240
-/// GPUs).
-pub struct Grid3Comm {
-    /// Data-parallel replica index in `0..dp`.
-    pub dp_rank: usize,
-    /// Collectives across the data-parallel replicas holding the *same*
-    /// model shard (size `dp`) — the gradient all-reduce group.
-    pub dp: Communicator,
-    /// This rank's view of its replica's `tp × pp` grid.
-    pub replica: GridComm,
-}
-
-impl std::fmt::Debug for Grid3Comm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Grid3Comm")
-            .field("dp_rank", &self.dp_rank)
-            .field("stage", &self.replica.stage)
-            .field("tp_rank", &self.replica.tp_rank)
-            .finish()
-    }
-}
-
-/// Spawns a `dp × pp × tp` grid and runs `f` on every rank, returning
-/// results in `(dp, stage, tp)`-major order.
-///
-/// # Panics
-///
-/// Panics if any dimension is zero, or propagates a rank panic.
-pub fn run_grid3<T, F>(dp: usize, tp: usize, pp: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Grid3Comm) -> T + Sync,
-{
-    assert!(dp > 0 && tp > 0 && pp > 0, "grid dimensions must be positive");
-    let mut replica_worlds: Vec<World> = (0..dp).map(|_| World::new(tp * pp)).collect();
-    let mut stage_worlds: Vec<Vec<World>> =
-        (0..dp).map(|_| (0..pp).map(|_| World::new(tp)).collect()).collect();
-    // One dp-group per (stage, tp_rank) position.
-    let mut dp_worlds: Vec<World> = (0..pp * tp).map(|_| World::new(dp)).collect();
-    let mut comms = Vec::with_capacity(dp * tp * pp);
-    for d in 0..dp {
-        for stage in 0..pp {
-            for tp_rank in 0..tp {
-                comms.push(Grid3Comm {
-                    dp_rank: d,
-                    dp: dp_worlds[stage * tp + tp_rank].communicator(d),
-                    replica: GridComm {
-                        stage,
-                        tp_rank,
-                        tp: stage_worlds[d][stage].communicator(tp_rank),
-                        grid: replica_worlds[d].communicator(stage * tp + tp_rank),
-                    },
-                });
-            }
-        }
-    }
-    mt_sync::thread::scope(|scope| {
-        let handles: Vec<_> = comms.into_iter().map(|c| scope.spawn(|| f(c))).collect();
-        handles.into_iter().map(|h| h.join().expect("grid rank panicked")).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,51 +145,6 @@ mod tests {
         let out = run_grid(2, 3, |g| g.peer_on_stage(2));
         // Everyone's stage-2 peer keeps their tp_rank.
         assert_eq!(out, vec![4, 5, 4, 5, 4, 5]);
-    }
-
-    #[test]
-    fn grid3_dp_groups_cross_replicas_only() {
-        // Each dp group spans the replicas holding the same (stage, tp_rank)
-        // shard; its all-reduce must not mix different shards.
-        let out = run_grid3(2, 2, 2, |g| {
-            // Contribute a value encoding the shard position; the dp sum
-            // doubles it (both replicas hold the same position).
-            let shard_id = (g.replica.stage * 10 + g.replica.tp_rank) as f32;
-            let sum = g.dp.all_reduce(&Tensor::full(&[1], shard_id)).data()[0];
-            (g.dp_rank, shard_id, sum)
-        });
-        for (_, shard_id, sum) in out {
-            assert_eq!(sum, 2.0 * shard_id);
-        }
-    }
-
-    #[test]
-    fn grid3_replica_pipelines_are_isolated() {
-        // p2p inside replica 0 must not be visible to replica 1.
-        let out = run_grid3(2, 1, 2, |g| {
-            if g.replica.stage == 0 {
-                let payload = 100.0 * (g.dp_rank as f32 + 1.0);
-                g.replica
-                    .grid
-                    .send(g.replica.next_stage_rank().unwrap(), &Tensor::full(&[1], payload));
-                0.0
-            } else {
-                g.replica.grid.recv(g.replica.prev_stage_rank().unwrap()).data()[0]
-            }
-        });
-        // Order: (dp0 s0), (dp0 s1), (dp1 s0), (dp1 s1).
-        assert_eq!(out, vec![0.0, 100.0, 0.0, 200.0]);
-    }
-
-    #[test]
-    fn grid3_composes_tp_and_dp_collectives() {
-        let out = run_grid3(3, 2, 1, |g| {
-            // tp all-reduce inside the replica, then dp all-reduce across.
-            let x = Tensor::full(&[1], (g.replica.tp_rank + 1) as f32);
-            let tp_sum = g.replica.tp.all_reduce(&x); // 1 + 2 = 3
-            g.dp.all_reduce(&tp_sum).data()[0] // × 3 replicas = 9
-        });
-        assert!(out.iter().all(|&v| v == 9.0));
     }
 
     #[test]

@@ -44,6 +44,6 @@ mod group;
 pub mod stats;
 
 pub use error::{CallTag, CollectiveError};
-pub use grid::{run_grid, run_grid3, Grid3Comm, GridComm};
+pub use grid::{run_grid, GridComm};
 pub use group::{chunk_rows, Communicator, World, DEFAULT_COLLECTIVE_TIMEOUT};
 pub use stats::{CollectiveKind, CommStats, KindStats, FP16_BYTES};

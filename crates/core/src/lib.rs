@@ -29,7 +29,6 @@ pub mod balance;
 mod estimator;
 pub mod paper_map;
 mod planner;
-pub mod sweeps;
 mod zoo;
 
 pub use estimator::{Estimator, MemoryReport, TimeReport};

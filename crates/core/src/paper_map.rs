@@ -18,7 +18,6 @@
 //! | §6.1 Table 2 / Figures 1, 7 | `mt_memory` | `report --table2 --figure1 --figure7` |
 //! | §6.2 Table 4 / Figure 8 | `mt_perf::LayerTimeModel` | `report --table4 --figure8 --breakdown` |
 //! | §6.3 Table 5 + DP extension | `mt_core::Estimator`, `mt_pipeline::PipelineSim` | `report --table5` |
-//! | §2 related work (ZeRO, offload) | `mt_model::zero::ZeroAdam`, `mt_perf::OffloadModel` | `report --relatedwork` |
 //! | App. A Eq. 7-9 | `mt_flops::FlopsModel` | `report --flops` + exact closed-form tests |
 //! | App. B Figure 9, dealloc | `mt_memory::PipelineMemoryProfile` | `report --figure9` (2.73 GiB gap exact) |
 //! | App. C Figure 10 | `mt_pipeline::PipelineSim::simulate` storage budgets, `mt_model::pipeline_exec` | `report --appendixc`, ASCII Figure 10 in `schedule_explorer` |
@@ -35,7 +34,7 @@
 /// Number of distinct paper artifacts (tables, figures, equations with their
 /// own row in the map above) this workspace reproduces. Kept as a constant
 /// so the doc table and the test below stay in sync when rows are added.
-pub const MAPPED_ARTIFACTS: usize = 17;
+pub const MAPPED_ARTIFACTS: usize = 16;
 
 #[cfg(test)]
 mod tests {

@@ -14,9 +14,8 @@
 //!
 //! The pieces:
 //!
-//! * [`reshard_checkpoints`] / [`reshard_zero_states`] — degree-changing,
-//!   copy-only (hence bit-exact) re-sharding of trainer checkpoints and
-//!   ZeRO-1 optimizer shards.
+//! * [`reshard_checkpoints`] — degree-changing, copy-only (hence
+//!   bit-exact) re-sharding of trainer checkpoints.
 //! * [`epoch_consensus`] / [`survivor_degree`] — the re-formation
 //!   protocol. Epoch numbers ride in every collective's
 //!   [`CallTag`](mt_collectives::CallTag), so a straggler from the old
@@ -46,5 +45,5 @@ pub use driver::{
 };
 pub use mttr::MttrBreakdown;
 pub use reform::{epoch_consensus, survivor_degree, Consensus, ConsensusError};
-pub use reshard::{reshard_checkpoints, reshard_zero_states, ReshardError};
+pub use reshard::{reshard_checkpoints, ReshardError};
 pub use soak::{miniature, soak, soak_batch, unsharded_bits, SoakConfig, SoakReport, SoakRun};

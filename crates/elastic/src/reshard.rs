@@ -9,14 +9,11 @@
 //! changed degree. The Adam moments re-shard tensor-by-tensor under the
 //! *same* layout as their parameters — a column-sharded weight has
 //! column-sharded moments — which is what makes the optimizer trajectory
-//! degree-invariant. ZeRO-1 optimizer shards re-shard by recomputing the
-//! deterministic owner assignment at both degrees and moving each whole
-//! tensor from its old owner to its new one.
+//! degree-invariant.
 
 use mt_model::optim::AdamState;
 use mt_model::trainer::TrainerCheckpoint;
 use mt_model::weights::LayerWeights;
-use mt_model::zero::ZeroAdam;
 use mt_tensor::Tensor;
 use std::fmt;
 
@@ -180,76 +177,6 @@ pub fn reshard_checkpoints(
                 opt: AdamState { step: first.opt.step, m, v },
                 step: first.step,
             }
-        })
-        .collect())
-}
-
-/// Re-shards ZeRO-1 optimizer-state shards from `dp_old = states.len()`
-/// replicas to `dp_new`. Ownership at both degrees is recomputed with
-/// [`ZeroAdam::assign_owners`] — the same deterministic greedy assignment
-/// the optimizer itself uses — so each tensor's moments move as a whole
-/// from old owner to new owner, bit-exactly.
-///
-/// # Errors
-///
-/// Fails if `states` is empty, `dp_new == 0`, the step counters disagree,
-/// or a shard's moment count does not match its owned-tensor count.
-pub fn reshard_zero_states(
-    states: &[AdamState],
-    param_elements: &[usize],
-    dp_new: usize,
-) -> Result<Vec<AdamState>, ReshardError> {
-    let first = states.first().ok_or(ReshardError::Empty)?;
-    if dp_new == 0 {
-        return Err(ReshardError::ZeroTargetDegree);
-    }
-    let dp_old = states.len();
-    let owners_old = ZeroAdam::assign_owners(param_elements, dp_old);
-    let owners_new = ZeroAdam::assign_owners(param_elements, dp_new);
-    for (rank, s) in states.iter().enumerate() {
-        if s.step != first.step {
-            return Err(ReshardError::Inconsistent(format!(
-                "rank {rank} at optimizer step {} but rank 0 at {}",
-                s.step, first.step
-            )));
-        }
-        let owned = owners_old.iter().filter(|&&o| o == rank).count();
-        let expected = if s.m.is_empty() { 0 } else { owned };
-        if s.m.len() != expected || s.v.len() != expected {
-            return Err(ReshardError::Inconsistent(format!(
-                "rank {rank} holds {}m/{}v moments but owns {owned} tensors",
-                s.m.len(),
-                s.v.len()
-            )));
-        }
-    }
-    if first.m.is_empty() {
-        return Ok(vec![AdamState { step: first.step, m: Vec::new(), v: Vec::new() }; dp_new]);
-    }
-    // Scatter: tensor index -> (m, v), read from the old owner's shard at
-    // the tensor's position among that owner's ascending owned indices.
-    let mut cursor = vec![0usize; dp_old];
-    let full: Vec<(&Tensor, &Tensor)> = owners_old
-        .iter()
-        .map(|&owner| {
-            let at = cursor[owner];
-            cursor[owner] += 1;
-            (&states[owner].m[at], &states[owner].v[at])
-        })
-        .collect();
-    // Gather: each new rank takes its owned tensors in ascending index
-    // order — the order a fresh `ZeroAdam` at `dp_new` steps them in.
-    Ok((0..dp_new)
-        .map(|rank| {
-            let mut m = Vec::new();
-            let mut v = Vec::new();
-            for (i, &owner) in owners_new.iter().enumerate() {
-                if owner == rank {
-                    m.push(full[i].0.clone());
-                    v.push(full[i].1.clone());
-                }
-            }
-            AdamState { step: first.step, m, v }
         })
         .collect())
 }

@@ -125,11 +125,6 @@ impl SoakReport {
     pub fn all_clean(&self) -> bool {
         self.runs.iter().all(|r| r.outcome == "ok" && r.bit_identical)
     }
-
-    /// Total world re-formations across all runs.
-    pub fn total_reforms(&self) -> usize {
-        self.runs.iter().map(|r| r.reforms).sum()
-    }
 }
 
 /// Final unsharded weights of a per-rank model set, as bit patterns: each

@@ -48,7 +48,7 @@ impl Backend {
 
     /// Workers a problem of `flops` floating-point operations should fan
     /// out to: the backend's configured [`Backend::threads`] capped so
-    /// every extra worker carries at least [`FLOPS_PER_WORKER`] of work.
+    /// every extra worker carries at least `FLOPS_PER_WORKER` of work.
     ///
     /// Small problems resolve to 1 (no scoped spawn at all), medium ones
     /// to a partial fan-out, and only problems big enough to amortize the

@@ -52,22 +52,6 @@ impl ModelStateMemory {
     pub fn bytes_per_gpu(&self, parallel: Parallelism) -> f64 {
         self.parameters_per_gpu(parallel) * self.bytes_per_param
     }
-
-    /// Per-GPU bytes under ZeRO stage 1 across `dp` data-parallel replicas
-    /// (the Related Work alternative): fp16 parameters + fp16 gradients stay
-    /// replicated (4 B/param) while the fp32 master copy and Adam moments
-    /// (12 B/param) are sharded across the DP group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dp == 0`.
-    pub fn bytes_per_gpu_zero1(&self, parallel: Parallelism, dp: u64) -> f64 {
-        assert!(dp > 0, "dp must be positive");
-        let per_gpu = self.parameters_per_gpu(parallel);
-        let replicated = 4.0; // fp16 params + fp16 grads
-        let sharded = (self.bytes_per_param - replicated).max(0.0);
-        per_gpu * (replicated + sharded / dp as f64)
-    }
 }
 
 #[cfg(test)]
@@ -94,22 +78,6 @@ mod tests {
         let p = Parallelism { tensor: 8, pipeline: 1, interleave: None };
         let gb = m.bytes_per_gpu(p) / 1e9;
         assert!((40.0..50.0).contains(&gb), "22B state/GPU = {gb:.1} GB");
-    }
-
-    #[test]
-    fn zero1_shards_only_the_optimizer_state() {
-        let m = ModelStateMemory::new(shape_22b());
-        let p = Parallelism { tensor: 8, pipeline: 1, interleave: None };
-        // dp = 1 equals the replicated footprint.
-        assert_eq!(m.bytes_per_gpu_zero1(p, 1), m.bytes_per_gpu(p));
-        // Large dp approaches the 4 B/param floor.
-        let huge = m.bytes_per_gpu_zero1(p, 1024);
-        let floor = m.parameters_per_gpu(p) * 4.0;
-        assert!((huge - floor) / floor < 0.01);
-        // dp = 8 cuts total state memory by ~2.9x (16 -> 5.5 B/param).
-        let dp8 = m.bytes_per_gpu_zero1(p, 8);
-        let ratio = m.bytes_per_gpu(p) / dp8;
-        assert!((2.5..3.2).contains(&ratio), "ratio {ratio:.2}");
     }
 
     #[test]

@@ -46,8 +46,6 @@
 
 pub mod attention;
 mod config;
-pub mod data_parallel;
-pub mod eval;
 pub mod gpt;
 mod layer;
 mod ledger;
@@ -59,7 +57,6 @@ pub mod streams;
 pub mod trainer;
 pub mod vocab_parallel;
 pub mod weights;
-pub mod zero;
 
 pub use config::TransformerConfig;
 pub use layer::{ExecMode, LayerState, StoredState, TransformerLayer};

@@ -1,5 +1,5 @@
 //! Optimizers for the executing model: Adam (as used by the paper's
-//! training runs) and plain SGD.
+//! training runs) and AdamW.
 
 use mt_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -221,32 +221,6 @@ pub fn clip_grad_norm_tp<'a>(
     norm
 }
 
-/// Plain SGD, mostly for tests.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies `params[i] -= lr · grads[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or shapes mismatch.
-    pub fn update(&self, params: Vec<&mut Tensor>, grads: &[&Tensor]) {
-        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        for (p, g) in params.into_iter().zip(grads) {
-            p.axpy(-self.lr, g);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,14 +238,6 @@ mod tests {
         for (xi, ci) in x.data().iter().zip(&c) {
             assert!((xi - ci).abs() < 0.05, "{xi} vs {ci}");
         }
-    }
-
-    #[test]
-    fn sgd_step_is_exact() {
-        let mut x = Tensor::from_vec(vec![2], vec![1.0, 2.0]).unwrap();
-        let g = Tensor::from_vec(vec![2], vec![0.5, -0.5]).unwrap();
-        Sgd::new(0.1).update(vec![&mut x], &[&g]);
-        assert!(x.allclose(&Tensor::from_vec(vec![2], vec![0.95, 2.05]).unwrap(), 1e-6, 1e-7));
     }
 
     #[test]

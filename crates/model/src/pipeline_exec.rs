@@ -226,21 +226,22 @@ impl StageModel {
 
 /// The 1F1B op order for one stage (PipeDream-flush): warmup forwards,
 /// steady (F, B) pairs, cooldown backwards. Each entry is
-/// `(is_forward, microbatch)`. Public so `mt-analyze` can extract the exact
-/// schedule the executor runs rather than re-deriving (and possibly
-/// diverging from) it.
-pub fn stage_ops(stage: usize, pp: usize, n: usize) -> Vec<(bool, usize)> {
+/// `(is_forward, chunk, microbatch)` with `chunk = 0`: 1F1B is the
+/// one-chunk-per-device case of the interleaved layout. Public so
+/// `mt-analyze` and `mt-pipeline`'s simulator walk the exact schedule the
+/// executor runs rather than re-deriving (and possibly diverging from) it.
+pub fn stage_ops(stage: usize, pp: usize, n: usize) -> Vec<(bool, usize, usize)> {
     let w = (pp - 1 - stage).min(n);
     let mut ops = Vec::with_capacity(2 * n);
     for m in 0..w {
-        ops.push((true, m));
+        ops.push((true, 0, m));
     }
     for j in 0..(n - w) {
-        ops.push((true, w + j));
-        ops.push((false, j));
+        ops.push((true, 0, w + j));
+        ops.push((false, 0, j));
     }
     for m in (n - w)..n {
-        ops.push((false, m));
+        ops.push((false, 0, m));
     }
     ops
 }
@@ -289,8 +290,7 @@ pub fn try_run_1f1b_iteration(
     micro_data: &[(Vec<usize>, Vec<usize>)],
     step: u64,
 ) -> Result<IterationOutcome, PipelineError> {
-    // 1F1B is the one-chunk-per-device case of the interleaved layout.
-    let ops = stage_ops(g.stage, g.pp(), micro_data.len()).into_iter().map(|(f, m)| (f, 0, m));
+    let ops = stage_ops(g.stage, g.pp(), micro_data.len());
     run_schedule(std::slice::from_ref(model), ops, g, sequence_parallel, micro_data, step, |gs| {
         gs.into_iter().next().expect("one chunk, one gradient set")
     })
@@ -304,12 +304,22 @@ pub fn try_run_1f1b_iteration(
 /// the paper's `L(1 + (p−1)/(p·m))` layers' worth. Each entry is
 /// `(is_forward, chunk, microbatch)`. Public so `mt-analyze` and
 /// `mt-pipeline`'s simulator walk the executor's real schedule.
+///
+/// # Panics
+///
+/// Panics unless `n` is a positive multiple of `p`: the unit formula walks
+/// microbatches in groups of `p`, so any other count names microbatches
+/// that do not exist.
 pub fn interleaved_device_ops(
     device: usize,
     p: usize,
     m: usize,
     n: usize,
 ) -> Vec<(bool, usize, usize)> {
+    assert!(
+        n > 0 && n.is_multiple_of(p),
+        "interleaved schedule needs microbatches ({n}) divisible by devices ({p})"
+    );
     let total = n * m;
     let fwd = |k: usize| ((k / p) % m, (k / (p * m)) * p + k % p);
     let bwd = |k: usize| (m - 1 - (k / p) % m, (k / (p * m)) * p + k % p);
@@ -377,10 +387,8 @@ pub fn try_run_interleaved_iteration(
     micro_data: &[(Vec<usize>, Vec<usize>)],
     step: u64,
 ) -> Result<InterleavedOutcome, PipelineError> {
-    let (p, n) = (g.pp(), micro_data.len());
     assert!(!chunks.is_empty(), "need at least one chunk");
-    assert!(n > 0 && n.is_multiple_of(p), "microbatches ({n}) must be a multiple of devices ({p})");
-    let ops = interleaved_device_ops(g.stage, p, chunks.len(), n);
+    let ops = interleaved_device_ops(g.stage, g.pp(), chunks.len(), micro_data.len());
     run_schedule(chunks, ops, g, sequence_parallel, micro_data, step, |gs| gs)
 }
 
@@ -611,8 +619,9 @@ mod tests {
             for stage in 0..pp {
                 let ops = stage_ops(stage, pp, n);
                 assert_eq!(ops.len(), 2 * n);
-                let fwd: Vec<usize> = ops.iter().filter(|(f, _)| *f).map(|(_, m)| *m).collect();
-                let bwd: Vec<usize> = ops.iter().filter(|(f, _)| !*f).map(|(_, m)| *m).collect();
+                assert!(ops.iter().all(|&(_, chunk, _)| chunk == 0));
+                let fwd: Vec<usize> = ops.iter().filter(|op| op.0).map(|op| op.2).collect();
+                let bwd: Vec<usize> = ops.iter().filter(|op| !op.0).map(|op| op.2).collect();
                 assert_eq!(fwd, (0..n).collect::<Vec<_>>());
                 assert_eq!(bwd, (0..n).collect::<Vec<_>>());
             }
@@ -623,7 +632,7 @@ mod tests {
     fn stage_ops_backward_never_precedes_forward() {
         let ops = stage_ops(1, 4, 6);
         let mut done = [false; 6];
-        for (is_fwd, m) in ops {
+        for (is_fwd, _, m) in ops {
             if is_fwd {
                 done[m] = true;
             } else {
@@ -648,6 +657,14 @@ mod tests {
                 assert_eq!(bs, (0..n * m).map(bwd).collect::<Vec<_>>(), "p={p} m={m} d={device}");
             }
         }
+    }
+
+    // The unit formula walks microbatches in groups of p: with n = 3 on two
+    // devices it would schedule a microbatch 3 that does not exist.
+    #[test]
+    #[should_panic(expected = "divisible")]
+    fn interleaved_ops_reject_micro_count_not_divisible_by_devices() {
+        let _ = interleaved_device_ops(0, 2, 2, 3);
     }
 
     #[test]

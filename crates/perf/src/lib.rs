@@ -27,11 +27,9 @@
 
 mod aux_costs;
 mod layer_time;
-mod offload;
 
 pub use aux_costs::AuxCostModel;
 pub use layer_time::{LayerTimeModel, LayerTiming};
-pub use offload::OffloadModel;
 
 use mt_collectives::cost::CommCostModel;
 use serde::{Deserialize, Serialize};

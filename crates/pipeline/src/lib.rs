@@ -146,9 +146,7 @@ impl Schedule {
     /// order.
     fn device_ops(self, device: usize, p: usize, n: usize) -> Vec<(bool, usize, usize)> {
         match self {
-            Schedule::OneFOneB => {
-                stage_ops(device, p, n).into_iter().map(|(fwd, mb)| (fwd, 0, mb)).collect()
-            }
+            Schedule::OneFOneB => stage_ops(device, p, n),
             Schedule::GPipe => (0..n)
                 .map(|mb| (true, 0, mb))
                 .chain((0..n).rev().map(|mb| (false, 0, mb)))
@@ -240,10 +238,6 @@ impl PipelineSim {
         let (p, n, m) = (self.p(), self.num_micro as usize, schedule.chunks());
         assert!(p > 0, "pipeline needs at least one stage");
         assert!(n > 0 && m > 0, "need at least one microbatch and one chunk");
-        assert!(
-            !matches!(schedule, Schedule::Interleaved { .. }) || n.is_multiple_of(p),
-            "interleaved schedule needs microbatches ({n}) divisible by devices ({p})"
-        );
         if let Some(b) = store_budget {
             assert_eq!(b.len(), p, "store_budget must have one entry per stage");
         }

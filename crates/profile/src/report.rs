@@ -130,11 +130,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Max over ranks of the ledger-mirrored exposed comm, µs.
-    pub fn max_wrapped_exposed_us(&self) -> u64 {
-        self.ranks.values().map(|r| r.wrapped_exposed_us).max().unwrap_or(0)
-    }
-
     /// Max over ranks of the ledger-mirrored total comm, µs.
     pub fn max_wrapped_comm_us(&self) -> u64 {
         self.ranks.values().map(|r| r.wrapped_comm_us).max().unwrap_or(0)
@@ -143,11 +138,6 @@ impl ProfileReport {
     /// Max over ranks of the ledger-mirrored total recompute, µs.
     pub fn max_wrapped_recompute_us(&self) -> u64 {
         self.ranks.values().map(|r| r.wrapped_recompute_us).max().unwrap_or(0)
-    }
-
-    /// Max over ranks of the ledger-mirrored exposed recompute, µs.
-    pub fn max_wrapped_exposed_recompute_us(&self) -> u64 {
-        self.ranks.values().map(|r| r.wrapped_exposed_recompute_us).max().unwrap_or(0)
     }
 
     /// Per-category max over ranks, ns (the conservative cross-rank

@@ -44,14 +44,6 @@ impl Span {
             _ => None,
         })
     }
-
-    /// String value of an annotation, if present.
-    pub fn arg_str(&self, key: &str) -> Option<&str> {
-        self.args.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-            ArgValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-    }
 }
 
 /// All spans recorded on one track (rank lane), linked by containment.

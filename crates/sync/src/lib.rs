@@ -14,9 +14,9 @@
 //!   baseline in `mt-bench gate`.
 //! * **Model checking** (`RUSTFLAGS="--cfg mt_check"`, like loom's
 //!   `--cfg loom`): instrumented primitives driven by the deterministic
-//!   exploration scheduler in [`mod@checked`]. Every sync operation becomes a
-//!   schedulable transition, `wait_for` timeouts are virtual-time events
-//!   (not wall clock), and a vector-clock happens-before relation is
+//!   exploration scheduler in the `checked` module. Every sync operation
+//!   becomes a schedulable transition, `wait_for` timeouts are virtual-time
+//!   events (not wall clock), and a vector-clock happens-before relation is
 //!   maintained for race checking. `crates/check` (mt-check) runs the real
 //!   collectives/overlap code under this scheduler and explores all
 //!   interleavings of small worlds with DPOR pruning.

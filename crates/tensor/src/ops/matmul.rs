@@ -1,5 +1,4 @@
-//! Dense matrix multiplication behind the [`Gemm`] descriptor, plus the
-//! matmul backward pass.
+//! Dense matrix multiplication behind the [`Gemm`] descriptor.
 //!
 //! One descriptor replaces the former `matmul` / `matmul_nt` / `matmul_tn`
 //! triplication: `Gemm { transpose_a, transpose_b }` names the operand
@@ -119,18 +118,6 @@ impl Gemm {
     }
 }
 
-/// Backward of a forward `Gemm::NN.apply(a, b)`: given saved inputs `a`, `b`
-/// and upstream `dc`, returns `(dA, dB)` via the `NT`/`TN` descriptors.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent with the forward GEMM.
-pub fn matmul_backward(a: &Tensor, b: &Tensor, dc: &Tensor) -> (Tensor, Tensor) {
-    let da = Gemm::NT.apply(dc, b);
-    let db = Gemm::TN.apply(a, dc);
-    (da, db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,20 +161,6 @@ mod tests {
                 "threads={threads}: not bit-identical"
             );
         }
-    }
-
-    #[test]
-    fn backward_matches_finite_difference() {
-        let mut rng = crate::rng::SplitMix64::new(2);
-        let a = Tensor::rand_uniform(&[3, 4], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(&[4, 2], -1.0, 1.0, &mut rng);
-        // Loss = sum(A·B); upstream gradient is all ones.
-        let dc = Tensor::full(&[3, 2], 1.0);
-        let (da, db) = matmul_backward(&a, &b, &dc);
-        let fd_da = crate::check::finite_diff(&a, |t| Gemm::NN.apply(t, &b).sum());
-        let fd_db = crate::check::finite_diff(&b, |t| Gemm::NN.apply(&a, t).sum());
-        assert!(crate::check::grads_close(&da, &fd_da), "dA mismatch");
-        assert!(crate::check::grads_close(&db, &fd_db), "dB mismatch");
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub use embedding::{embedding, embedding_backward};
 pub use layernorm::{layer_norm, layer_norm_backward, LayerNormSaved};
 pub use linear::{add_bias, bias_grad, residual_add};
 pub use loss::{cross_entropy, CrossEntropyOutput};
-pub use matmul::{matmul_backward, Gemm};
+pub use matmul::Gemm;
 pub use softmax::{softmax_rows, softmax_rows_backward};

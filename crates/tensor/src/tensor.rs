@@ -122,11 +122,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Errors
@@ -323,18 +318,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self += alpha * other` (axpy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Returns a tensor scaled by `alpha`.
     pub fn scale(&self, alpha: f32) -> Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|v| v * alpha).collect() }
@@ -446,9 +429,6 @@ mod tests {
         let a = Tensor::from_vec(vec![3], vec![1., 2., 3.]).unwrap();
         let b = Tensor::from_vec(vec![3], vec![0.5, 0.5, 0.5]).unwrap();
         assert_eq!(a.add(&b).data(), &[1.5, 2.5, 3.5]);
-        let mut c = a.clone();
-        c.axpy(2.0, &b);
-        assert_eq!(c.data(), &[2., 3., 4.]);
         assert_eq!(a.scale(2.0).data(), &[2., 4., 6.]);
         assert!((a.sum() - 6.0).abs() < 1e-6);
         assert_eq!(a.max_abs(), 3.0);
