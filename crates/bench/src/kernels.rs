@@ -1,8 +1,8 @@
 //! `mt-bench kernels [--smoke]`: micro-benchmarks of the `mt-kernels`
-//! compute kernels — the GEMM family, row softmax, LayerNorm, GeLU and the
-//! streaming attention core (keeping forward, replay, backward over kept
-//! probabilities, and the backward that replays them block by block) —
-//! written to `reports/BENCH_kernels.json`.
+//! compute kernels — the GEMM family, row softmax and GeLU (forward and
+//! backward), LayerNorm, and the streaming attention core (keeping forward,
+//! replay, backward over kept probabilities, and the backward that replays
+//! them block by block) — written to `reports/BENCH_kernels.json`.
 //!
 //! Every kernel/shape is one [`Bench`]. The run first checks, bench by
 //! bench, that the threaded backend is **bit-identical** to serial (the
@@ -162,6 +162,9 @@ pub fn run(smoke: bool) -> ExitCode {
 
     // Inputs the row-wise and attention benches borrow.
     let x = fill(rows * cols, 3);
+    let dy = fill(rows * cols, 10);
+    let mut probs = x.clone();
+    mt_kernels::softmax_rows(Backend::Serial, rows, cols, true, &mut probs);
     let (gamma, beta) = (fill(cols, 4), fill(cols, 5));
     let (mut mean, mut rstd) = (vec![0.0f32; rows], vec![0.0f32; rows]);
     // The attention core at the two shapes the training benchmark leans on
@@ -204,6 +207,17 @@ pub fn run(smoke: bool) -> ExitCode {
         }),
     });
     benches.push(Bench {
+        kernel: "softmax",
+        kind: "backward",
+        mnk: (rows, cols, 0),
+        flops: 4.0 * elems as f64,
+        out_len: elems,
+        run: Box::new(|backend, outs| {
+            mt_kernels::softmax_rows_backward(backend, rows, cols, &probs, &dy, &mut outs[0]);
+            None
+        }),
+    });
+    benches.push(Bench {
         kernel: "layer_norm",
         kind: "forward",
         mnk: (rows, cols, 0),
@@ -223,6 +237,17 @@ pub fn run(smoke: bool) -> ExitCode {
         out_len: elems,
         run: Box::new(|backend, outs| {
             mt_kernels::gelu(backend, &x, &mut outs[0]);
+            None
+        }),
+    });
+    benches.push(Bench {
+        kernel: "gelu",
+        kind: "backward",
+        mnk: (elems, 1, 0),
+        flops: 20.0 * elems as f64,
+        out_len: elems,
+        run: Box::new(|backend, outs| {
+            mt_kernels::gelu_backward(backend, &x, &dy, &mut outs[0]);
             None
         }),
     });

@@ -97,9 +97,10 @@
 //! interleaves the slabs into the packed layout afterwards.
 
 use crate::backend::Backend;
-use crate::gemm::{band_gemm_window, simd_level, ARows, BWindow, PackedB, Simd};
+use crate::gemm::{band_gemm_window, ARows, BWindow, PackedB};
 use crate::pool;
 use crate::rowwise::{softmax_row, softmax_row_dot};
+use crate::simd::{self, simd_level, Simd};
 use mt_trace::ArgValue;
 
 /// Query rows per block: the height of the `[BLOCK, s]` scratch, and of the
@@ -108,8 +109,10 @@ pub const BLOCK: usize = 64;
 
 /// What one `(query, key)` pair costs outside the GEMMs (`exp`, the RNG
 /// draw, the row passes), in the FLOP-equivalents
-/// [`Backend::threads_for_work`] is calibrated in.
-const PAIR_WORK: u64 = 64;
+/// [`Backend::threads_for_work`] is calibrated in, measured like the row
+/// kernels' (`rowwise.rs`, `mod work`): ≈ 2.6 ns of softmax row and ≈ 2.3 ns
+/// of draw per pair at 29 FLOP/ns, ≈ 140 FLOP-equivalents, cut to a third.
+const PAIR_WORK: u64 = 48;
 
 /// Shape of one attention-core call over packed `[s·b, local_heads·head_dim]`
 /// operands (row `si·b + batch`, column `local_head·head_dim + d`).
@@ -242,14 +245,35 @@ impl AttnShape {
     /// Inverted dropout over one row's unmasked prefix, in place; `offset`
     /// is the counter-RNG offset of the row's column 0.
     #[inline]
-    fn dropout_row<U: Fn(u64) -> f32>(&self, uniform: &U, offset: u64, row: &mut [f32]) {
-        let p = self.dropout_p;
-        if p == 0.0 {
-            return;
+    fn dropout_row<U: Fn(u64) -> f32>(
+        &self,
+        simd: Simd,
+        uniform: &U,
+        offset: u64,
+        row: &mut [f32],
+    ) {
+        if self.dropout_p != 0.0 {
+            simd::run(simd, DropoutRow { uniform, offset, p: self.dropout_p }, &[], &[], row);
         }
-        let keep_scale = 1.0 / (1.0 - p);
+    }
+}
+
+/// The body of [`AttnShape::dropout_row`]: a kept element is `v · 1/(1−p)`,
+/// a dropped one `+0.0`, chosen by masking the bits rather than by a
+/// branch, so the draws and the select vectorise.
+struct DropoutRow<'a, U> {
+    uniform: &'a U,
+    offset: u64,
+    p: f32,
+}
+
+impl<U: Fn(u64) -> f32> simd::Body for DropoutRow<'_, U> {
+    #[inline(always)]
+    fn run(self, _: &[f32], _: &[f32], row: &mut [f32]) {
+        let keep_scale = 1.0 / (1.0 - self.p);
         for (j, v) in row.iter_mut().enumerate() {
-            *v = if uniform(offset + j as u64) >= p { *v * keep_scale } else { 0.0 };
+            let keep = ((self.uniform)(self.offset + j as u64) >= self.p) as u32;
+            *v = f32::from_bits((*v * keep_scale).to_bits() & keep.wrapping_neg());
         }
     }
 }
@@ -437,7 +461,7 @@ fn probs_block<U: Fn(u64) -> f32>(
         for x in row[..limit].iter_mut() {
             *x *= sh.scale;
         }
-        softmax_row(row, limit);
+        softmax_row(bands.simd, row, limit);
         let pd = match &mut dropped {
             Some(d) => {
                 let (pd, masked) = d[i * s..i * s + cols].split_at_mut(limit);
@@ -447,7 +471,7 @@ fn probs_block<U: Fn(u64) -> f32>(
             }
             None => &mut row[..limit],
         };
-        sh.dropout_row(uniform, rng_base + ((r0 + i) * s) as u64, pd);
+        sh.dropout_row(bands.simd, uniform, rng_base + ((r0 + i) * s) as u64, pd);
     }
 }
 
@@ -566,7 +590,7 @@ fn backward_unit<U: Fn(u64) -> f32>(
         for i in 0..rows {
             let limit = sh.limit(r0 + i);
             let (d, masked) = ds[i * s..i * s + cols].split_at_mut(limit);
-            sh.dropout_row(uniform, rng_base + ((r0 + i) * s) as u64, d);
+            sh.dropout_row(simd, uniform, rng_base + ((r0 + i) * s) as u64, d);
             let y = &probs[i * s..i * s + limit];
             let dot = softmax_row_dot(y, d);
             for (g, &yv) in d.iter_mut().zip(y) {
@@ -794,6 +818,31 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One unit's forward (band products, softmax rows, dropout) and
+    /// replaying backward at every SIMD level this CPU has, against the
+    /// baseline instantiation.
+    #[test]
+    fn every_simd_level_computes_the_same_bits() {
+        let sh = shape(133, 1, 2, 12);
+        let len = sh.seq * sh.ld();
+        let (q, k, v, dctx) = (filled(len, 17), filled(len, 18), filled(len, 19), filled(len, 20));
+        let (s, hd) = (sh.seq, sh.head_dim);
+        let run = |level| {
+            let (mut ctx, mut probs, mut dropped) =
+                (vec![0.0; s * hd], vec![0.0; s * s], vec![0.0; s * s]);
+            let kept = Some((&mut probs[..], &mut dropped[..]));
+            forward_unit(level, &sh, &uniform, 1, &q, &k, Some((&v, &mut ctx)), kept);
+            let mut grads = [(); 3].map(|()| vec![0.0f32; s * hd]);
+            let [dq, dk, dv] = &mut grads;
+            backward_unit(level, &sh, &uniform, 1, &q, &k, &v, None, &dctx, dq, dk, dv);
+            [ctx, probs, dropped].iter().chain(&grads).map(|t| bits(t)).collect::<Vec<_>>()
+        };
+        let baseline = run(Simd::Scalar);
+        for level in simd::levels() {
+            assert_eq!(baseline, run(level), "{level:?}");
         }
     }
 

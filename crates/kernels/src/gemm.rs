@@ -34,10 +34,10 @@
 //!    accumulator tile lives in registers for the whole packed `k` range,
 //!    so `C` is touched once per block. The loop is written over
 //!    fixed-size arrays that the compiler lowers to SIMD; on x86-64 the
-//!    same body is instantiated twice — once under
-//!    `#[target_feature(enable = "avx2")]` (selected at runtime via
-//!    `is_x86_feature_detected!`) and once at the baseline feature level as
-//!    the scalar-codegen fallback. Both instantiations execute the
+//!    same body is instantiated twice through the crate's one SIMD dispatch
+//!    (`simd::run`) — once under `#[target_feature(enable = "avx2")]`
+//!    (selected at runtime via `is_x86_feature_detected!`) and once at the
+//!    baseline feature level as the fallback. Both instantiations execute the
 //!    identical `mul`-then-`add` expression per element (FMA is
 //!    deliberately not enabled), so the selected path changes throughput
 //!    only, never a single output bit.
@@ -80,6 +80,7 @@
 
 use crate::backend::Backend;
 use crate::pool;
+use crate::simd::{self, simd_level, Simd};
 use mt_trace::ArgValue;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -236,51 +237,7 @@ pub fn kind_label(transpose_a: bool, transpose_b: bool) -> &'static str {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SIMD feature selection
-// ---------------------------------------------------------------------------
-
-/// Which microkernel instantiation to run. Both compute the identical
-/// per-element float expression; the choice affects throughput only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Simd {
-    /// Baseline-feature codegen (the portable fallback).
-    Scalar,
-    /// The `#[target_feature(enable = "avx2")]` instantiation; only
-    /// constructed after `is_x86_feature_detected!("avx2")` succeeds.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-/// Runtime-detected SIMD level, resolved once and cached in an atomic.
-pub(crate) fn simd_level() -> Simd {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::atomic::{AtomicU8, Ordering};
-        // 0 = undetected, 1 = scalar, 2 = avx2.
-        static LEVEL: AtomicU8 = AtomicU8::new(0);
-        match LEVEL.load(Ordering::Relaxed) {
-            1 => Simd::Scalar,
-            2 => Simd::Avx2,
-            _ => {
-                let detected = if std::arch::is_x86_feature_detected!("avx2") { 2u8 } else { 1u8 };
-                // Racing first calls detect the same CPU; same value stored.
-                LEVEL.store(detected, Ordering::Relaxed);
-                if detected == 2 {
-                    Simd::Avx2
-                } else {
-                    Simd::Scalar
-                }
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Simd::Scalar
-    }
-}
-
-/// Human-readable label of the microkernel path this process runs
+/// Human-readable label of the SIMD level this process runs its kernels at
 /// (`"avx2"` or `"scalar"`), for benchmark reports and traces.
 pub fn simd_feature() -> &'static str {
     match simd_level() {
@@ -487,68 +444,48 @@ fn interleave_rows<const W: usize>(src: &[f32], ld: usize, h: usize, k: usize, d
 /// `ADD` — at the value `C` already holds, which is how a contraction
 /// delivered in ascending `k` slices (the attention backward's row blocks)
 /// stays one chain instead of a sum of partial sums. Fixed-size
-/// `[[f32; NR]; MR]` arrays keep the tile in registers; the surrounding
-/// `target_feature` wrapper decides how wide the compiler lowers the
-/// arithmetic.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal hot loop; bundling would cost a struct per panel
-fn band_panel_impl<const ADD: bool>(
+/// `[[f32; NR]; MR]` arrays keep the tile in registers; the SIMD level
+/// [`simd::run`] instantiates the body at decides how wide the compiler
+/// lowers the arithmetic.
+struct BandPanel<const ADD: bool> {
     k: usize,
     rows: usize,
     ldc: usize,
     j0: usize,
     w: usize,
-    a_tiles: &[f32],
-    panel: &[f32],
-    c: &mut [f32],
-) {
-    let tiles = rows.div_ceil(MR);
-    for t in 0..tiles {
-        let ap = &a_tiles[t * k * MR..(t + 1) * k * MR];
-        let h = MR.min(rows - t * MR);
-        let mut acc = [[0.0f32; NR]; MR];
-        if ADD {
-            for (r, acc_row) in acc.iter_mut().enumerate().take(h) {
-                let out_row = t * MR + r;
-                acc_row[..w].copy_from_slice(&c[out_row * ldc + j0..out_row * ldc + j0 + w]);
-            }
-        }
-        for (av, bv) in ap.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-            for r in 0..MR {
-                let a = av[r];
-                let row = &mut acc[r];
-                for (rc, &b) in row.iter_mut().zip(bv) {
-                    *rc += a * b;
-                }
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate().take(h) {
-            let out_row = t * MR + r;
-            c[out_row * ldc + j0..out_row * ldc + j0 + w].copy_from_slice(&acc_row[..w]);
-        }
-    }
 }
 
-/// The AVX2 instantiation of [`band_panel_impl`]. Same source, same
-/// `mul`+`add` expression — only the vector width differs, so outputs are
-/// bit-identical to the scalar instantiation.
-///
-/// Callers must have verified `is_x86_feature_detected!("avx2")` (done
-/// once in [`simd_level`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // mirrors band_panel_impl
-fn band_panel_avx2<const ADD: bool>(
-    k: usize,
-    rows: usize,
-    ldc: usize,
-    j0: usize,
-    w: usize,
-    a_tiles: &[f32],
-    panel: &[f32],
-    c: &mut [f32],
-) {
-    band_panel_impl::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c)
+impl<const ADD: bool> simd::Body for BandPanel<ADD> {
+    /// `a` is the band's packed `A` tiles, `b` the panel, `out` is `C`.
+    #[inline(always)]
+    fn run(self, a_tiles: &[f32], panel: &[f32], c: &mut [f32]) {
+        let BandPanel { k, rows, ldc, j0, w } = self;
+        let tiles = rows.div_ceil(MR);
+        for t in 0..tiles {
+            let ap = &a_tiles[t * k * MR..(t + 1) * k * MR];
+            let h = MR.min(rows - t * MR);
+            let mut acc = [[0.0f32; NR]; MR];
+            if ADD {
+                for (r, acc_row) in acc.iter_mut().enumerate().take(h) {
+                    let out_row = t * MR + r;
+                    acc_row[..w].copy_from_slice(&c[out_row * ldc + j0..out_row * ldc + j0 + w]);
+                }
+            }
+            for (av, bv) in ap.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
+                for r in 0..MR {
+                    let a = av[r];
+                    let row = &mut acc[r];
+                    for (rc, &b) in row.iter_mut().zip(bv) {
+                        *rc += a * b;
+                    }
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate().take(h) {
+                let out_row = t * MR + r;
+                c[out_row * ldc + j0..out_row * ldc + j0 + w].copy_from_slice(&acc_row[..w]);
+            }
+        }
+    }
 }
 
 /// One row band of `C = op(A) · op(B)` over the whole contraction: packs
@@ -647,13 +584,7 @@ fn sweep_panels<const ADD: bool>(
         let j0 = jp * NR;
         let w = NR.min(n - j0);
         let panel = &pb.panel(jp)[k0 * NR..(k0 + k) * NR];
-        match simd {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the Avx2 variant is only constructed by simd_level()
-            // after is_x86_feature_detected!("avx2") succeeded on this CPU.
-            Simd::Avx2 => unsafe { band_panel_avx2::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c) },
-            Simd::Scalar => band_panel_impl::<ADD>(k, rows, ldc, j0, w, a_tiles, panel, c),
-        }
+        simd::run(simd, BandPanel::<ADD> { k, rows, ldc, j0, w }, a_tiles, panel, c);
     }
 }
 

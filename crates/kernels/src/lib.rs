@@ -28,12 +28,20 @@
 //! lets the gradient-equivalence and Table-2 tests upstream keep their exact
 //! assertions while the backend is swapped underneath them.
 //!
-//! The GEMM microkernel extends the contract to its SIMD dispatch: the
-//! runtime-selected AVX2 path and the scalar fallback are the *same*
-//! generic function instantiated at two feature levels, both computing
-//! plain `mul`-then-`add` per element (FMA is never enabled), so feature
-//! detection changes throughput only — never an output bit. See
-//! [`gemm`]'s module docs for the packing/microkernel architecture.
+//! The contract extends to the SIMD dispatch. Every hot loop — the GEMM
+//! microkernel, the softmax row's `exp` pass and division, GeLU and its
+//! backward, the attention core's dropout select — is one body run through
+//! one dispatch: the runtime-selected AVX2 instantiation and the baseline
+//! one are the *same* source compiled at two feature levels, both computing
+//! plain `mul`, `add`, `div`, compare-and-select and bit operations per
+//! element (FMA is never enabled, nothing is re-associated), so feature
+//! detection changes throughput only — never an output bit. The crate's one
+//! [`exp`] and one [`tanh`] are branch-free polynomials built from those
+//! operations alone, with no libm call, so the element bodies vectorise
+//! too. Their scalar definitions are the oracle: each kernel returns exactly
+//! the bits of [`exp`], [`tanh`] and the kernel's element expression applied
+//! element by element (`tests/elementwise_oracle.rs`). See [`gemm`]'s module
+//! docs for the packing/microkernel architecture.
 //!
 //! ## Fan-out
 //!
@@ -76,11 +84,14 @@
 pub mod attention;
 mod backend;
 pub mod gemm;
+mod math;
 pub mod overlap;
 pub mod pool;
 mod rowwise;
+mod simd;
 
 pub use backend::{default_backend, set_default_backend, Backend};
+pub use math::{exp, tanh};
 pub use overlap::{recompute_prefetch, RecomputeReport};
 pub use rowwise::{
     gelu, gelu_backward, layer_norm, layer_norm_backward, softmax_rows, softmax_rows_backward,

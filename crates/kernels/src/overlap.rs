@@ -35,7 +35,8 @@
 //! no extra gather.
 
 use crate::backend::Backend;
-use crate::gemm::{band_gemm, simd_level, PackedB, TILE_M};
+use crate::gemm::{band_gemm, PackedB, TILE_M};
+use crate::simd::simd_level;
 use mt_sync::{Condvar, Mutex, OnceCell};
 use mt_trace::ArgValue;
 use std::collections::VecDeque;

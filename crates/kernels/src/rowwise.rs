@@ -8,6 +8,14 @@
 //! block order, so every backend/thread-count combination produces
 //! bit-identical results (see the crate docs for the full contract).
 //!
+//! The element arithmetic of the softmax row (its `exp` pass and division)
+//! and of GeLU and its backward runs as straight-line [`simd::Body`] loops
+//! through the crate's one SIMD dispatch, with the crate's one `exp` and
+//! `tanh` ([`crate::exp`], [`crate::tanh`]: branch-free polynomials, no
+//! libm), so the AVX2 instantiation processes eight elements per
+//! instruction and computes the same bits as the baseline one. A softmax
+//! row's max and sum stay one ascending scalar chain each.
+//!
 //! Fan-out follows the same policy as the GEMM: each kernel states what one
 //! element costs ([`work`]) and [`Backend::threads_for_work`] grants a
 //! worker per `FLOPS_PER_WORKER` of it, so a `[128, 1024]` LayerNorm or a
@@ -15,7 +23,9 @@
 //! softmax or a half-million-element GeLU fans out.
 
 use crate::backend::Backend;
+use crate::math::{exp, tanh};
 use crate::pool;
+use crate::simd::{self, simd_level, Simd};
 use mt_trace::ArgValue;
 
 /// Rows per work unit for the row-parallel kernels.
@@ -29,19 +39,21 @@ const GELU_C: f32 = 0.044_715;
 
 /// What one element costs each kernel, in the unit
 /// [`Backend::threads_for_work`] is calibrated in: packed-microkernel FLOPs
-/// that fit in the same time. These are timings, not operation counts — an
-/// `exp` or a `tanh` is one operation and tens of nanoseconds. Measured
-/// serially (≈ 5 / 0.8 / 1.5 / 2.1 / 26 / 29 ns per element, in the order
-/// below, on a host whose microkernel retires ≈ 40 FLOP/ns) and then cut to
-/// a third, so a fan-out is granted only once every worker carries several
-/// scoped-spawn costs of work — a tie is not worth a wakeup.
+/// that fit in the same time. These are timings, not operation counts.
+/// Measured serially at `[640, 640]` as ns per element times the
+/// microkernel's FLOP/ns in the same run, then cut to a third, so a fan-out
+/// is granted only once every worker carries several scoped-spawn costs of
+/// work — a tie is not worth a wakeup. On the 2-vCPU reference host, in the
+/// order below: ≈ 2.6 / 1.0 / 2.0 / 3.1 / 2.2 / 2.8 ns at 29 FLOP/ns, i.e.
+/// ≈ 75 / 30 / 57 / 88 / 62 / 80 FLOP-equivalents. (With libm's `expf` and
+/// `tanhf` the softmax and the two GeLUs measured ≈ 195 / 1 175 / 1 290.)
 mod work {
-    pub const SOFTMAX: u64 = 64;
+    pub const SOFTMAX: u64 = 24;
     pub const SOFTMAX_BACKWARD: u64 = 12;
     pub const LAYER_NORM: u64 = 20;
     pub const LAYER_NORM_BACKWARD: u64 = 28;
-    pub const GELU: u64 = 320;
-    pub const GELU_BACKWARD: u64 = 384;
+    pub const GELU: u64 = 20;
+    pub const GELU_BACKWARD: u64 = 26;
 }
 
 /// Workers for a kernel over `elems` elements at `per_elem` work each,
@@ -55,19 +67,30 @@ fn fan_out(backend: Backend, elems: usize, per_elem: u64, units: usize) -> usize
 /// row arithmetic — [`softmax_rows`] and the attention core both run it, so
 /// a probability has the same bits whichever produced it.
 #[inline]
-pub(crate) fn softmax_row(row: &mut [f32], limit: usize) {
-    let max = row[..limit].iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    let mut sum = 0.0;
-    for (j, v) in row.iter_mut().enumerate() {
-        if j < limit {
-            *v = (*v - max).exp();
-            sum += *v;
-        } else {
-            *v = 0.0;
+pub(crate) fn softmax_row(simd: Simd, row: &mut [f32], limit: usize) {
+    simd::run(simd, SoftmaxRow { limit }, &[], &[], row);
+}
+
+/// The body of [`softmax_row`]. The max and the sum are one ascending
+/// chain each, as scalar code writes them; the `exp` and the division are
+/// element-wise and vectorise.
+struct SoftmaxRow {
+    limit: usize,
+}
+
+impl simd::Body for SoftmaxRow {
+    #[inline(always)]
+    fn run(self, _: &[f32], _: &[f32], row: &mut [f32]) {
+        let (live, masked) = row.split_at_mut(self.limit);
+        let max = live.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        for v in live.iter_mut() {
+            *v = exp(*v - max);
         }
-    }
-    for v in row[..limit].iter_mut() {
-        *v /= sum;
+        let sum = live.iter().fold(0.0, |s, &v| s + v);
+        masked.fill(0.0);
+        for v in live.iter_mut() {
+            *v /= sum;
+        }
     }
 }
 
@@ -115,12 +138,13 @@ pub fn softmax_rows(backend: Backend, rows: usize, cols: usize, causal: bool, x:
     let threads = fan_out(backend, rows * cols, work::SOFTMAX, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_softmax", rows, cols, units, threads);
+    let simd = simd_level();
     let chunks: Vec<&mut [f32]> = x.chunks_mut(ROW_BLOCK * cols).collect();
     pool::run_indexed(threads, chunks, |block, chunk| {
         let row0 = block * ROW_BLOCK;
         for (i, row) in chunk.chunks_mut(cols).enumerate() {
             let limit = if causal { ((row0 + i) % cols) + 1 } else { cols };
-            softmax_row(row, limit);
+            softmax_row(simd, row, limit);
         }
     });
 }
@@ -319,14 +343,24 @@ pub fn gelu(backend: Backend, x: &[f32], out: &mut [f32]) {
     let threads = fan_out(backend, x.len(), work::GELU, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_gelu", x.len(), 1, units, threads);
+    let simd = simd_level();
     let chunks: Vec<&mut [f32]> = out.chunks_mut(CHUNK).collect();
-    pool::run_indexed(threads, chunks, |ci, chunk| {
-        let base = ci * CHUNK;
-        for (i, o) in chunk.iter_mut().enumerate() {
-            let v = x[base + i];
-            *o = 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + GELU_C * v * v * v)).tanh());
-        }
+    pool::run_indexed(threads, chunks, |ci, out| {
+        let x = &x[ci * CHUNK..ci * CHUNK + out.len()];
+        simd::run(simd, Gelu, x, &[], out);
     });
+}
+
+/// One chunk of [`gelu`]: `a` is `x`.
+struct Gelu;
+
+impl simd::Body for Gelu {
+    #[inline(always)]
+    fn run(self, x: &[f32], _: &[f32], out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = 0.5 * v * (1.0 + tanh(SQRT_2_OVER_PI * (v + GELU_C * v * v * v)));
+        }
+    }
 }
 
 /// Backward of [`gelu`]: `dx = dy ⊙ gelu'(x)` into `out`.
@@ -341,19 +375,28 @@ pub fn gelu_backward(backend: Backend, x: &[f32], dy: &[f32], out: &mut [f32]) {
     let threads = fan_out(backend, x.len(), work::GELU_BACKWARD, units);
     let tracer = mt_trace::current();
     let _span = span(&tracer, "kernel_gelu_backward", x.len(), 1, units, threads);
+    let simd = simd_level();
     let chunks: Vec<&mut [f32]> = out.chunks_mut(CHUNK).collect();
-    pool::run_indexed(threads, chunks, |ci, chunk| {
-        let base = ci * CHUNK;
-        for (i, o) in chunk.iter_mut().enumerate() {
-            let xv = x[base + i];
-            let dv = dy[base + i];
+    pool::run_indexed(threads, chunks, |ci, out| {
+        let range = ci * CHUNK..ci * CHUNK + out.len();
+        simd::run(simd, GeluBackward, &x[range.clone()], &dy[range], out);
+    });
+}
+
+/// One chunk of [`gelu_backward`]: `a` is `x`, `b` is `dy`.
+struct GeluBackward;
+
+impl simd::Body for GeluBackward {
+    #[inline(always)]
+    fn run(self, x: &[f32], dy: &[f32], out: &mut [f32]) {
+        for ((o, &xv), &dv) in out.iter_mut().zip(x).zip(dy) {
             let inner = SQRT_2_OVER_PI * (xv + GELU_C * xv * xv * xv);
-            let t = inner.tanh();
+            let t = tanh(inner);
             let sech2 = 1.0 - t * t;
             let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_C * xv * xv);
             *o = dv * (0.5 * (1.0 + t) + 0.5 * xv * sech2 * dinner);
         }
-    });
+    }
 }
 
 #[cfg(test)]
@@ -619,6 +662,29 @@ mod tests {
             let row = &out[r * cols..(r + 1) * cols];
             let mu: f32 = row.iter().sum::<f32>() / cols as f32;
             assert!(mu.abs() < 1e-4, "row {r} mean {mu}");
+        }
+    }
+
+    /// Each element body at every SIMD level this CPU has, against the
+    /// baseline instantiation: the same bits, remainder lanes included.
+    #[test]
+    fn every_simd_level_computes_the_same_bits() {
+        let x: Vec<f32> = filled(CHUNK + 13, 29).iter().map(|v| v * 6.0).collect();
+        let dy = filled(x.len(), 30);
+        // GeLU, its backward, and nine causal-style softmax rows of 641.
+        let run = |level| {
+            let (mut y, mut dx, mut rows) =
+                (vec![0.0; x.len()], vec![0.0; x.len()], x[..641 * 9].to_vec());
+            simd::run(level, Gelu, &x, &[], &mut y);
+            simd::run(level, GeluBackward, &x, &dy, &mut dx);
+            for (i, row) in rows.chunks_mut(641).enumerate() {
+                softmax_row(level, row, i * 71 + 1);
+            }
+            [bits(&y), bits(&dx), bits(&rows)]
+        };
+        let baseline = run(Simd::Scalar);
+        for level in simd::levels() {
+            assert_eq!(baseline, run(level), "{level:?}");
         }
     }
 

@@ -81,7 +81,7 @@ pub fn vocab_parallel_cross_entropy(
         let row = &mut logits.data_mut()[r * v_local..(r + 1) * v_local];
         let mut s = 0.0;
         for x in row.iter_mut() {
-            *x = (*x - m).exp();
+            *x = mt_kernels::exp(*x - m);
             s += *x;
         }
         local_sum.data_mut()[r] = s;

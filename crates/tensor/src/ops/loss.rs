@@ -35,11 +35,11 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> CrossEntropyOutput {
         assert!(t < v, "cross_entropy: target {t} out of range (vocab {v})");
         let row = &mut dlogits.data_mut()[r * v..(r + 1) * v];
         let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        let mut sum = 0.0_f32;
+        // The `exp` pass on its own vectorises; the sum stays one ascending chain.
         for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
+            *x = mt_kernels::exp(*x - max);
         }
+        let sum = row.iter().fold(0.0_f32, |s, &x| s + x);
         loss -= ((row[t] / sum) as f64).ln();
         let inv_n = 1.0 / n as f32;
         for (j, x) in row.iter_mut().enumerate() {

@@ -155,7 +155,9 @@ impl StreamKey {
     /// Uniform `f32` in `[0, 1)` at `offset`.
     #[inline]
     pub fn uniform(&self, offset: u64) -> f32 {
-        (self.raw(offset) >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+        // The top 24 bits fit an `i32` exactly, and a signed 32-bit
+        // conversion is one vector instruction where a 64-bit one is not.
+        ((self.raw(offset) >> 40) as i32) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 
     /// Keep/drop bytes (`1` = kept) for a run of consecutive offsets, with
