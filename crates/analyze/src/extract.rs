@@ -84,7 +84,7 @@ impl Emitter {
 
     /// Emits a collective with the tag the runtime's single constructor
     /// would build: `op` + the *argument* tensor's shape + optional root +
-    /// optional chunk coordinate (for the `OverlapPolicy::Overlapped`
+    /// optional chunk coordinate (for the `OverlapPolicy::OverlappedRecompute`
     /// sub-rendezvous).
     #[allow(clippy::too_many_arguments)]
     fn collective(
@@ -138,7 +138,7 @@ impl LayerCtx {
 
     /// `g` forward / the SP re-gathers: all-gather of a `[rows, h]` shard
     /// (tag carries the shard shape; stats record the full gathered size).
-    /// Under [`OverlapPolicy::Overlapped`] the gather is `C` chunk
+    /// Under [`OverlapPolicy::OverlappedRecompute`] the gather is `C` chunk
     /// sub-rendezvous, tagged and sized exactly as
     /// `Communicator::all_gather_chunk` tags and sizes them: chunk `j`
     /// carries shard rows `[a, b)` of the [`chunk_rows`] partition, so the
@@ -161,12 +161,7 @@ impl LayerCtx {
                     (rows * self.t * h) as u64,
                 );
             }
-            // `OverlappedRecompute` adds the serial `Gpt`'s cross-layer
-            // full-replay prefetch, not a wire change: that replay is
-            // collective-free, so its collective schedule is exactly
-            // `Overlapped`'s chunked one.
-            OverlapPolicy::Overlapped { chunks }
-            | OverlapPolicy::OverlappedRecompute { chunks } => {
+            OverlapPolicy::OverlappedRecompute { chunks } => {
                 for j in 0..chunks {
                     let (a, b) = chunk_rows(rows, chunks, j);
                     e.collective(
@@ -185,7 +180,7 @@ impl LayerCtx {
 
     /// `f̄`/`ḡ` forward: all-reduce (TP) or reduce-scatter (SP) of the full
     /// `[tokens, h]` partial sums. The SP reduce-scatter chunks under
-    /// [`OverlapPolicy::Overlapped`], mirroring
+    /// [`OverlapPolicy::OverlappedRecompute`], mirroring
     /// `Communicator::reduce_scatter_chunked`: the partition runs over the
     /// *result-shard* rows, and chunk `j`'s contribution (and tag shape) is
     /// `[t·(b−a), h]`. The TP all-reduce is unaffected by the policy, as in
@@ -219,8 +214,7 @@ impl LayerCtx {
                         payload,
                     );
                 }
-                OverlapPolicy::Overlapped { chunks }
-                | OverlapPolicy::OverlappedRecompute { chunks } => {
+                OverlapPolicy::OverlappedRecompute { chunks } => {
                     let shard_rows = self.rows();
                     for j in 0..chunks {
                         let (a, b) = chunk_rows(shard_rows, chunks, j);

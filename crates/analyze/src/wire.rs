@@ -89,8 +89,8 @@ mod tests {
         let tp = layer_forward_program(&cfg, t, false, policy, OverlapPolicy::Exposed);
         let exposed = layer_forward_program(&cfg, t, true, policy, OverlapPolicy::Exposed);
         for chunks in [1usize, 2, 3, 7] {
-            let sp =
-                layer_forward_program(&cfg, t, true, policy, OverlapPolicy::Overlapped { chunks });
+            let overlap = OverlapPolicy::OverlappedRecompute { chunks };
+            let sp = layer_forward_program(&cfg, t, true, policy, overlap);
             for rank in 0..t {
                 let sp_stats = rank_comm_stats(&sp.ranks[rank], &sp);
                 assert_eq!(

@@ -50,7 +50,9 @@ fn reformed_schedule_is_a_fresh_schedule_with_the_epoch_rewritten() {
     for t in [1usize, 2, 4] {
         for sp in [false, true] {
             for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
-                for overlap in [OverlapPolicy::Exposed, OverlapPolicy::Overlapped { chunks: 2 }] {
+                for overlap in
+                    [OverlapPolicy::Exposed, OverlapPolicy::OverlappedRecompute { chunks: 2 }]
+                {
                     let fresh = layer_program(&c, t, sp, policy, overlap);
                     let reformed = layer_program_at_epoch(&c, t, sp, policy, overlap, 3);
                     // Every collective carries the new formation's epoch…
@@ -89,7 +91,7 @@ fn reformed_schedule_passes_the_static_matcher() {
             2,
             true,
             Recompute::Selective,
-            OverlapPolicy::Overlapped { chunks: 2 },
+            OverlapPolicy::OverlappedRecompute { chunks: 2 },
             epoch,
         );
         check_schedule(&prog).expect("re-formed schedule is SPMD-consistent");

@@ -163,28 +163,21 @@ fn layer_static_matches_runtime_across_the_matrix() {
     }
 }
 
-/// Chunked collectives (PR 5's overlap tentpole) and the recompute-prefetch
-/// policy on top of them: for every chunk count — including ragged
-/// partitions and chunks exceeding the shard rows — the overlapped
-/// runtime's collective ledger matches the static program, and the static
-/// matcher proves the chunked schedule deadlock-free. `OverlappedRecompute`
-/// runs the same matrix: its prefetched replay is collective-free, so the
-/// interleaved backward+recompute schedule must agree with the static
-/// program tag for tag (the split backward halves preserve the collective
-/// order) and leave the liveness proof intact. The TP (non-SP) rows check
-/// that both policies are wire no-ops outside sequence parallelism.
+/// Chunked collectives: for every chunk count —
+/// including ragged partitions and chunks exceeding the shard rows — the
+/// overlapped runtime's collective ledger matches the static program, and
+/// the static matcher proves the chunked schedule deadlock-free and leaves
+/// the liveness proof intact. The TP (non-SP) rows check that the policy
+/// is a wire no-op outside sequence parallelism.
 #[test]
 fn overlapped_layer_static_matches_runtime_across_chunk_counts() {
     let cfg = TransformerConfig::tiny();
     for chunks in [1usize, 2, 3, 7] {
-        for overlap in
-            [OverlapPolicy::Overlapped { chunks }, OverlapPolicy::OverlappedRecompute { chunks }]
-        {
-            for policy in POLICIES {
-                assert_layer_agreement_overlap(cfg, 2, true, policy, overlap);
-            }
-            assert_layer_agreement_overlap(cfg, 2, false, Recompute::None, overlap);
+        let overlap = OverlapPolicy::OverlappedRecompute { chunks };
+        for policy in POLICIES {
+            assert_layer_agreement_overlap(cfg, 2, true, policy, overlap);
         }
+        assert_layer_agreement_overlap(cfg, 2, false, Recompute::None, overlap);
     }
 }
 
@@ -198,8 +191,6 @@ fn overlapped_layer_static_matches_runtime_across_chunk_counts() {
 fn dropped_chunk_deadlocks_statically_and_times_out_at_runtime() {
     let cfg = TransformerConfig::tiny();
     let chunks = 4usize;
-    // The recompute-prefetch variant shares the chunked wire schedule, so
-    // the deadlock proof covers it too.
     let overlap = OverlapPolicy::OverlappedRecompute { chunks };
     let mut prog = layer_forward_program(&cfg, 2, true, Recompute::None, overlap);
     assert_eq!(check_schedule(&prog), Ok(()), "intact chunked program is deadlock-free");

@@ -38,7 +38,7 @@ const SUBCOMMANDS: &[(&str, &str, Run)] = &[
     (
         "profile",
         "step-time attribution of a traced TP+SP step",
-        Run::Args("[--smoke] | --check FILE | --diff A B", profile::run),
+        Run::Args("[--smoke] | --check FILE", profile::run),
     ),
     ("kernels", "kernel micro-benchmarks → reports/BENCH_kernels.json", Run::Smoke(kernels::run)),
     ("sync", "rendezvous overhead → reports/BENCH_sync.json", Run::Smoke(sync::run)),

@@ -3,31 +3,26 @@
 //! ```text
 //! mt-bench profile [--smoke]              # trace a TP+SP step and profile it
 //! mt-bench profile --check <PROFILE.json> # re-verify every exact invariant
-//! mt-bench profile --diff <base> <fresh>  # per-category delta narrative
 //! ```
 //!
-//! The default (`--smoke`) mode runs three traced 2-rank workloads over a
+//! The default (`--smoke`) mode runs two traced 2-rank workloads over a
 //! simulated α–β link — a TP+SP trainer step (forward, backward with full
-//! recompute, optimizer) with exposed collectives, one TP+SP transformer
-//! layer under the chunked comm-overlap driver, and a serial trainer step
-//! per rank under full recompute with the cross-layer recompute-prefetch
-//! driver — profiles all three, and hard-asserts the exact invariants
-//! before writing anything:
+//! recompute, optimizer) with exposed collectives, and one TP+SP
+//! transformer layer under the chunked comm-overlap driver — profiles
+//! both, and hard-asserts the exact invariants before writing anything:
 //!
 //! * per rank, category nanoseconds sum to the step wall time;
 //! * the trace's wrapped-comm and wrapped-recompute close-args equal the
 //!   rank's `StepTiming` ledger integer for integer;
 //! * the cross-rank critical path telescopes to the step wall exactly;
 //! * the trainer profile shows nonzero exposed recompute and optimizer
-//!   time, the overlapped profile nonzero overlapped comm, and the
-//!   recompute-prefetch profile nonzero overlapped recompute — the
+//!   time, and the overlapped profile nonzero overlapped comm — the
 //!   categories the paper's accounting turns on.
 //!
 //! Outputs `reports/PROFILE_step.json` (schema in [`ProfileDocument`]) and
 //! `reports/PROFILE_step.txt` (the ASCII rendering, also printed to
 //! stdout). `--check` is the CI smoke gate: it deserializes a document and
-//! re-runs [`mt_profile::verify`] on every profile. `--diff` prints the
-//! [`mt_profile::narrative`] comparison of two documents.
+//! re-runs [`mt_profile::verify`] on every profile.
 
 use mt_bench::harness::{data, tiny_gpt, usage_error};
 use mt_collectives::cost::CommCostModel;
@@ -43,8 +38,7 @@ use mt_model::{
 };
 use mt_perf::GpuSpec;
 use mt_profile::{
-    analyze, diff_documents, load_profiles, render_ascii, verify, AnalyzeOptions, ProfileDocument,
-    ProfileReport,
+    analyze, load_profiles, render_ascii, verify, AnalyzeOptions, ProfileDocument, ProfileReport,
 };
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
@@ -96,24 +90,6 @@ fn profile_trainer_step(label: &str, link: CommCostModel) -> ProfileReport {
     })
 }
 
-/// One traced serial trainer step per rank under full recompute with the
-/// cross-layer replay prefetch — the one place `recompute_prefetch` runs
-/// (layer 0's replay hidden under layer 1's backward). The ranks issue no
-/// collective; each profiles on its own lane.
-fn profile_prefetch_step(label: &str, link: CommCostModel) -> ProfileReport {
-    let cfg = tiny_gpt();
-    let template = Gpt::init(cfg, Recompute::Full, SEED);
-    let (tokens, targets) = data(&cfg, 1).remove(0);
-    profile_world(label, link, |_comm| {
-        let policy = ExecPolicy::builder()
-            .overlap(OverlapPolicy::overlapped_recompute(1).expect("nonzero chunks"))
-            .build()
-            .expect("valid overlap policy");
-        let mut trainer = Trainer::new(template.clone(), TrainerConfig::default());
-        trainer.step_with_ledger(&tokens, &targets, policy).2
-    })
-}
-
 /// One traced TP+SP layer forward+backward (selective) under an overlap
 /// policy.
 fn profile_layer_step(label: &str, overlap: OverlapPolicy, link: CommCostModel) -> ProfileReport {
@@ -158,9 +134,11 @@ fn smoke() {
     );
 
     let trainer = profile_trainer_step("trainer_step_exposed", link);
-    let overlapped =
-        profile_layer_step("layer_overlapped_c2", OverlapPolicy::Overlapped { chunks: 2 }, link);
-    let prefetched = profile_prefetch_step("gpt_serial_full_prefetch", link);
+    let overlapped = profile_layer_step(
+        "layer_overlapped_c2",
+        OverlapPolicy::OverlappedRecompute { chunks: 2 },
+        link,
+    );
 
     // `analyze` already enforced attribution==wall, ledger equality, and
     // critical-path telescoping; assert the workloads actually exercised
@@ -179,19 +157,10 @@ fn smoke() {
         overlapped.max_wrapped_comm_us() > 0,
         "overlap profile must mirror a nonzero comm ledger"
     );
-    let pcats = prefetched.max_categories();
-    assert!(
-        pcats.overlapped_recompute > 0,
-        "recompute-prefetch profile must show driver time: {pcats:?}"
-    );
-    assert!(
-        prefetched.max_wrapped_recompute_us() > 0,
-        "recompute-prefetch profile must mirror a nonzero recompute ledger"
-    );
 
     let mut text = String::new();
     let mut profiles = BTreeMap::new();
-    for report in [trainer, overlapped, prefetched] {
+    for report in [trainer, overlapped] {
         text.push_str(&render_ascii(&report));
         text.push('\n');
         profiles.insert(report.label.clone(), report);
@@ -207,13 +176,14 @@ fn smoke() {
     println!("wrote {} and {}", json_path.display(), txt_path.display());
 }
 
-/// Loads a profile document, or says why not on stderr.
-fn load(path: &str) -> Option<BTreeMap<String, ProfileReport>> {
-    load_profiles(path).map_err(|e| eprintln!("mt-bench profile: {e}")).ok()
-}
-
 fn check(path: &str) -> ExitCode {
-    let Some(profiles) = load(path) else { return ExitCode::FAILURE };
+    let profiles = match load_profiles(path) {
+        Ok(profiles) => profiles,
+        Err(e) => {
+            eprintln!("mt-bench profile: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if profiles.is_empty() {
         eprintln!("mt-bench profile --check: {path} contains no profiles");
         return ExitCode::FAILURE;
@@ -237,19 +207,10 @@ pub fn run(args: &[String]) -> ExitCode {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     match args[..] {
         ["--check", path] => check(path),
-        ["--diff", base, fresh] => match (load(base), load(fresh)) {
-            (Some(base), Some(fresh)) => {
-                print!("{}", diff_documents(&base, &fresh));
-                ExitCode::SUCCESS
-            }
-            _ => ExitCode::FAILURE,
-        },
         [] | ["--smoke"] => {
             smoke();
             ExitCode::SUCCESS
         }
-        _ => usage_error(
-            "usage: mt-bench profile [--smoke] | --check <PROFILE.json> | --diff <base> <fresh>",
-        ),
+        _ => usage_error("usage: mt-bench profile [--smoke] | --check <PROFILE.json>"),
     }
 }

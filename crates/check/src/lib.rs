@@ -7,7 +7,7 @@
 //! (see `mt_sync::checked`). This crate supplies the *scenarios*: small
 //! worlds (≤ 3 rank threads, 1–3 collectives, 1–2 chunks) that drive the
 //! **actual** rendezvous, chunked-collective, rank-death-wakeup,
-//! epoch-fencing, and overlap/recompute driver code, while the scheduler
+//! epoch-fencing, and overlap driver code, while the scheduler
 //! explores every (DPOR-reduced) interleaving and checks:
 //!
 //! - no deadlock (some transition or armed timer always exists),

@@ -1,8 +1,8 @@
 //! The scenario and mutation registries.
 //!
 //! Each scenario is a deterministic closure over **real workspace code**
-//! (the `World` rendezvous, the chunked collectives, `gemm_gathered`,
-//! `recompute_prefetch`) whose every schedule the model checker explores.
+//! (the `World` rendezvous, the chunked collectives, `gemm_gathered`)
+//! whose every schedule the model checker explores.
 //! Scenario bodies double as oracles: they `assert!` the outcome required
 //! in *every* interleaving, so a schedule that produces the wrong error —
 //! or the wrong data — panics the scenario root and surfaces as a
@@ -10,7 +10,7 @@
 
 use mt_collectives::{CollectiveError, World};
 use mt_kernels::overlap::{gemm_gathered, ChunkSlab, OverlapPlan};
-use mt_kernels::{recompute_prefetch, Backend};
+use mt_kernels::Backend;
 use mt_sync::{model, ModelOpts, ModelReport};
 use mt_tensor::Tensor;
 use std::time::Duration;
@@ -178,14 +178,6 @@ pub fn all_scenarios() -> Vec<Scenario> {
             requires_timer_fires: false,
             body: overlap_fetch_join,
         },
-        Scenario {
-            name: "recompute_prefetch_join",
-            about: "recompute_prefetch helper-thread handoff and join",
-            spurious_budget: 0,
-            expect_quiescent_progress: true,
-            requires_timer_fires: false,
-            body: recompute_prefetch_join,
-        },
     ]
 }
 
@@ -346,11 +338,4 @@ fn overlap_fetch_join() {
     );
     assert_eq!(out, vec![2.0, 4.0], "overlapped GEMM must be schedule-independent");
     assert_eq!(report.bands, 2);
-}
-
-fn recompute_prefetch_join() {
-    let (pre, main_out, report) = recompute_prefetch(|| 6 * 7, || "main");
-    assert_eq!(pre, 42);
-    assert_eq!(main_out, "main");
-    assert!(report.exposed_us <= report.recompute_us, "exposure is a portion of the total");
 }

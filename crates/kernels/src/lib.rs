@@ -92,7 +92,6 @@ mod simd;
 
 pub use backend::{default_backend, set_default_backend, Backend};
 pub use math::{exp, tanh};
-pub use overlap::{recompute_prefetch, RecomputeReport};
 pub use rowwise::{
     gelu, gelu_backward, layer_norm, layer_norm_backward, softmax_rows, softmax_rows_backward,
     CHUNK, ROW_BLOCK,

@@ -325,80 +325,6 @@ pub fn gemm_gathered(
     report
 }
 
-/// What [`recompute_prefetch`] measured, in microseconds of the shared
-/// process clock ([`mt_trace::monotonic_us`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecomputeReport {
-    /// Total time the helper thread spent inside the recompute closure.
-    pub recompute_us: u64,
-    /// Portion of `recompute_us` the main work failed to cover: the time
-    /// the calling thread spent parked in the join after its own work was
-    /// done. An inline (non-prefetched) recomputation has
-    /// `exposed_us == recompute_us` by construction.
-    pub exposed_us: u64,
-}
-
-/// Issues `prefetch` on a helper thread while `main` runs on the calling
-/// thread, joining before returning — the recompute analogue of
-/// [`gemm_gathered`].
-///
-/// Where [`gemm_gathered`] hides *communication* under dependent compute,
-/// this driver hides *recomputation* under the backward work that does not
-/// depend on it: the caller passes layer `k+1`'s checkpointed-region replay
-/// as `prefetch` and layer `k`'s backward GEMMs (collectives included) as
-/// `main`. The recompute closure must be collective-free — it runs off the
-/// rank thread, so a rendezvous issued from it would race the rank thread's
-/// own collective sequence and break the SPMD tag order.
-///
-/// ## Determinism
-///
-/// The prefetch closure executes the **same fixed work units** as the
-/// inline path — [`TILE_M`]-row GEMM bands, `ROW_BLOCK` row-wise units, the
-/// same ascending-`k` single-accumulator reduction chains — so moving it to
-/// a helper thread changes *when* the values are produced, never *what*
-/// they are. Overlapped recomputation is bit-identical to
-/// recompute-then-backward, exactly like the overlapped gather.
-///
-/// ## Accounting
-///
-/// The whole issue-to-join window is wrapped in a `recompute_overlapped`
-/// span whose close-time args (`recompute_us`, `exposed_us`) carry the very
-/// integers of the returned [`RecomputeReport`] — the caller books them
-/// into its step ledger, and `mt-profile` cross-checks span args against
-/// ledger with exact integer equality. The join wait (recomputation the
-/// pipeline failed to hide) is additionally marked by a nested
-/// `recompute_wait` span so attribution can tile it as exposed-recompute
-/// wall time.
-pub fn recompute_prefetch<P, M, PR, MR>(prefetch: P, main: M) -> (PR, MR, RecomputeReport)
-where
-    P: FnOnce() -> PR + Send,
-    M: FnOnce() -> MR,
-    PR: Send,
-{
-    let tracer = mt_trace::current();
-    let mut span = tracer.span("recompute_overlapped");
-    let (pr, mr, report) = mt_sync::thread::scope(|scope| {
-        let handle = scope.spawn(move || {
-            let t0 = mt_trace::monotonic_us();
-            let out = prefetch();
-            (out, mt_trace::monotonic_us().saturating_sub(t0))
-        });
-        let mr = main();
-        let main_done = mt_trace::monotonic_us();
-        let wait_span = tracer.span("recompute_wait");
-        let (pr, recompute_us) = handle.join().expect("recompute prefetch thread");
-        let waited = mt_trace::monotonic_us().saturating_sub(main_done);
-        drop(wait_span);
-        (pr, mr, RecomputeReport { recompute_us, exposed_us: waited.min(recompute_us) })
-    });
-    // Close-time args mirror the exact integers the caller books into its
-    // recompute ledger, so profile attribution can cross-check them exactly.
-    span.arg("recompute_us", report.recompute_us);
-    span.arg("exposed_us", report.exposed_us);
-    drop(span);
-    (pr, mr, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,53 +424,6 @@ mod tests {
         gemm(Backend::Serial, false, false, m, n, k, &a, &b, &mut want);
         assert_eq!(got, want);
         assert!(report.comm_us >= report.exposed_us);
-    }
-
-    #[test]
-    fn recompute_prefetch_returns_both_results_bit_identically() {
-        // The prefetch closure runs the same GEMM work unit either way;
-        // the driver only changes placement.
-        let (m, n, k) = (13, 7, 9);
-        let a = filled(m * k, 3);
-        let b = filled(k * n, 4);
-        let mut inline = vec![0.0f32; m * n];
-        gemm(Backend::Serial, false, false, m, n, k, &a, &b, &mut inline);
-        let (prefetched, main_out, report) = recompute_prefetch(
-            || {
-                let mut out = vec![0.0f32; m * n];
-                gemm(Backend::Serial, false, false, m, n, k, &a, &b, &mut out);
-                out
-            },
-            || 42usize,
-        );
-        assert_eq!(main_out, 42);
-        assert!(
-            inline.iter().zip(&prefetched).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "prefetched recompute must be bit-identical to inline"
-        );
-        assert!(report.exposed_us <= report.recompute_us, "exposure is a portion of the total");
-    }
-
-    #[test]
-    fn recompute_prefetch_hides_work_under_a_slow_main() {
-        // A main closure much longer than the prefetch leaves (almost)
-        // nothing exposed; the inverse leaves (almost) everything exposed.
-        let spin = |us: u64| {
-            let t0 = mt_trace::monotonic_us();
-            while mt_trace::monotonic_us().saturating_sub(t0) < us {
-                std::hint::spin_loop();
-            }
-        };
-        let (_, _, hidden) = recompute_prefetch(|| spin(2_000), || spin(20_000));
-        assert!(
-            hidden.exposed_us < hidden.recompute_us / 2,
-            "short recompute under long main must be mostly hidden: {hidden:?}"
-        );
-        let (_, _, exposed) = recompute_prefetch(|| spin(20_000), || spin(500));
-        assert!(
-            exposed.exposed_us > exposed.recompute_us / 2,
-            "long recompute under short main must be mostly exposed: {exposed:?}"
-        );
     }
 
     #[test]

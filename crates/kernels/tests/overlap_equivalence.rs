@@ -1,19 +1,15 @@
-//! The overlap tentpole's bit-identity contract, end to end: a TP+SP
-//! transformer layer run with `OverlapPolicy::Overlapped` (chunked gathers
-//! pipelined into the band driver) or `OverlapPolicy::OverlappedRecompute`
-//! (the same chunked wire schedule plus a recompute-prefetch thread hiding
-//! the checkpoint replay under backward GEMMs) produces outputs, input
-//! gradients, and weight gradients **bit-identical** to the exposed policy
-//! — on the serial backend, and on the threaded backend at any thread
-//! count.
+//! The overlap bit-identity contract, end to end: a TP+SP transformer
+//! layer run with `OverlapPolicy::OverlappedRecompute` (chunked gathers
+//! pipelined into the band driver) produces outputs, input gradients, and
+//! weight gradients **bit-identical** to the exposed policy — on the serial
+//! backend, and on the threaded backend at any thread count.
 //!
 //! This holds because every band is a fixed `TILE_M`-row work unit with an
 //! ascending-`k` reduction, chunking only re-partitions *which* bands start
-//! when, the chunked collectives reduce in the same ascending-rank order as
-//! their whole-tensor forms, and the prefetched replay runs the exact same
-//! work units as the inline one — just on a helper thread. The test drives
-//! ragged `(seq, batch, hidden)` shapes so chunk boundaries fall mid-band,
-//! chunk counts exceed shard rows (empty chunks), and dropout masks are
+//! when, and the chunked collectives reduce in the same ascending-rank
+//! order as their whole-tensor forms. The test drives ragged
+//! `(seq, batch, hidden)` shapes so chunk boundaries fall mid-band, chunk
+//! counts exceed shard rows (empty chunks), and dropout masks are
 //! exercised.
 //!
 //! Kept as the only test in this binary: it flips the process-wide default
@@ -102,30 +98,26 @@ proptest! {
                 "rank {} weight grads differ: threaded exposed (threads={})", rank, threads
             );
         }
-        for overlap in [
-            OverlapPolicy::Overlapped { chunks },
-            OverlapPolicy::OverlappedRecompute { chunks },
-        ] {
-            let threaded = run_step(cfg, overlap, Backend::Threaded { threads });
-            let serial = run_step(cfg, overlap, Backend::Serial);
-            for (label, other) in [("threaded", &threaded), ("serial", &serial)] {
-                for rank in 0..T {
-                    prop_assert_eq!(
-                        &reference[rank].0, &other[rank].0,
-                        "rank {} output bits differ: {} {} (chunks={}, threads={})",
-                        rank, label, overlap.label(), chunks, threads
-                    );
-                    prop_assert_eq!(
-                        &reference[rank].1, &other[rank].1,
-                        "rank {} input-grad bits differ: {} {} (chunks={}, threads={})",
-                        rank, label, overlap.label(), chunks, threads
-                    );
-                    prop_assert_eq!(
-                        &reference[rank].2, &other[rank].2,
-                        "rank {} weight grads differ: {} {} (chunks={}, threads={})",
-                        rank, label, overlap.label(), chunks, threads
-                    );
-                }
+        let overlap = OverlapPolicy::OverlappedRecompute { chunks };
+        let threaded = run_step(cfg, overlap, Backend::Threaded { threads });
+        let serial = run_step(cfg, overlap, Backend::Serial);
+        for (label, other) in [("threaded", &threaded), ("serial", &serial)] {
+            for rank in 0..T {
+                prop_assert_eq!(
+                    &reference[rank].0, &other[rank].0,
+                    "rank {} output bits differ: {} {} (chunks={}, threads={})",
+                    rank, label, overlap.label(), chunks, threads
+                );
+                prop_assert_eq!(
+                    &reference[rank].1, &other[rank].1,
+                    "rank {} input-grad bits differ: {} {} (chunks={}, threads={})",
+                    rank, label, overlap.label(), chunks, threads
+                );
+                prop_assert_eq!(
+                    &reference[rank].2, &other[rank].2,
+                    "rank {} weight grads differ: {} {} (chunks={}, threads={})",
+                    rank, label, overlap.label(), chunks, threads
+                );
             }
         }
     }

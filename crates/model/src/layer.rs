@@ -241,7 +241,7 @@ impl TransformerLayer {
     /// `g` forward / `ḡ` backward fused with its consumer GEMM: gathers the
     /// sequence shard (identity outside SP) and computes
     /// `gathered · w` (`transpose_b` selects `A·Bᵀ`). The gathered rows are
-    /// the GEMM's *output* rows, so under [`OverlapPolicy::Overlapped`] the
+    /// the GEMM's *output* rows, so under [`OverlapPolicy::OverlappedRecompute`] the
     /// chunked gather pipelines into `mt-kernels`' band driver; the exposed
     /// policy blocks on one whole-tensor all-gather first. Returns the
     /// product and, when `want_full`, the gathered tensor itself (for
@@ -268,10 +268,7 @@ impl TransformerLayer {
                 let out = descriptor.apply(&full, w);
                 return (out, want_full.then_some(full));
             }
-            // Recompute prefetch is collective-free, so its collective
-            // schedule is exactly the comm-overlapped one.
-            OverlapPolicy::Overlapped { chunks }
-            | OverlapPolicy::OverlappedRecompute { chunks } => chunks,
+            OverlapPolicy::OverlappedRecompute { chunks } => chunks,
         };
         let n = comm.size();
         let shard_rows = shard.shape()[0];
@@ -308,7 +305,7 @@ impl TransformerLayer {
 
     /// `f̄`/`ḡ` forward and `f`/`g` backward: combine the per-rank partial
     /// sums onto the LayerNorm/dropout region's layout. The SP
-    /// reduce-scatter is chunked under [`OverlapPolicy::Overlapped`] (same
+    /// reduce-scatter is chunked under [`OverlapPolicy::OverlappedRecompute`] (same
     /// wire traffic, and the static extractor mirrors the chunking); it has
     /// no row-parallel consumer to hide behind, so it stays exposed either
     /// way.
@@ -323,8 +320,7 @@ impl TransformerLayer {
             ExecMode::TensorParallel(c) => timed_exposed(|| c.all_reduce(partial)),
             ExecMode::TensorSequenceParallel(c) => match overlap {
                 OverlapPolicy::Exposed => timed_exposed(|| c.reduce_scatter(partial)),
-                OverlapPolicy::Overlapped { chunks }
-                | OverlapPolicy::OverlappedRecompute { chunks } => {
+                OverlapPolicy::OverlappedRecompute { chunks } => {
                     timed_exposed(|| c.reduce_scatter_chunked(partial, chunks))
                 }
             },
@@ -334,15 +330,14 @@ impl TransformerLayer {
     /// The backward re-gather of a stored LayerNorm-output shard (the
     /// paper's extra all-gather). Its consumer is the contraction side of a
     /// `TN` weight-gradient GEMM, which cannot start on partial rows, so
-    /// the gather is chunked under [`OverlapPolicy::Overlapped`] but not
+    /// the gather is chunked under [`OverlapPolicy::OverlappedRecompute`] but not
     /// pipelined.
     fn regather(&self, mode: &ExecMode<'_>, overlap: OverlapPolicy, shard: &Tensor) -> Tensor {
         match mode {
             ExecMode::Serial | ExecMode::TensorParallel(_) => shard.clone(),
             ExecMode::TensorSequenceParallel(c) => match overlap {
                 OverlapPolicy::Exposed => timed_exposed(|| c.all_gather(shard)),
-                OverlapPolicy::Overlapped { chunks }
-                | OverlapPolicy::OverlappedRecompute { chunks } => {
+                OverlapPolicy::OverlappedRecompute { chunks } => {
                     timed_exposed(|| c.all_gather_chunked(shard, chunks))
                 }
             },
@@ -504,11 +499,8 @@ impl TransformerLayer {
     /// backward (Section 5's recompute, fused into the backward one
     /// query-row block at a time, so no span or [`crate::StepTiming`]
     /// entry of its own). A checkpoint is replayed inline into such a
-    /// state first (`recompute_layer`); the cross-layer prefetch of that
-    /// replay under [`OverlapPolicy::OverlappedRecompute`] (layer k−1's
-    /// replay under layer k's backward) lives in [`crate::gpt::Gpt`], which
-    /// can see both layers. `policy` accepts anything convertible into an
-    /// [`ExecPolicy`].
+    /// state first (`recompute_layer`), under every overlap policy.
+    /// `policy` accepts anything convertible into an [`ExecPolicy`].
     pub fn backward<'m>(
         &self,
         dy: &Tensor,
@@ -527,18 +519,6 @@ impl TransformerLayer {
             }
         };
         self.backward_stored(dy, &st, &mode, overlap)
-    }
-
-    /// Replays a checkpointed input into a selective stored state. This is
-    /// the collective-free building block [`crate::gpt::Gpt`] prefetches on
-    /// a helper thread while the previous layer's backward runs: it forces
-    /// serial mode (a parallel replay would issue collectives, and a
-    /// second thread racing the rank's rendezvous sequence would break the
-    /// SPMD tag order), and it does no ledger or span bookkeeping of its
-    /// own — the prefetch driver's `recompute_overlapped` span and the
-    /// caller's `add_recompute_time` cover it.
-    pub(crate) fn recompute_stored(&self, x: &Tensor, micro: u64) -> Box<StoredState> {
-        Box::new(self.forward_full(x, micro, &ExecMode::Serial, OverlapPolicy::Exposed, false).1)
     }
 
     fn backward_stored(
@@ -825,8 +805,8 @@ mod tests {
     #[test]
     fn overlapped_recompute_selective_backward_replays_inside_the_attention_backward() {
         // Selective's replay is part of the attention backward on every
-        // overlap policy: bit-identical to the exposed run, no prefetch
-        // driver, one replaying kernel_attention_backward, nothing booked.
+        // overlap policy: bit-identical to the exposed run, no replay span,
+        // one replaying kernel_attention_backward, nothing booked.
         let x = rand_input(&cfg(), 10);
         let dy = rand_input(&cfg(), 11);
         let exposed = make_layer(Recompute::Selective, 0.1);
@@ -854,8 +834,7 @@ mod tests {
         assert_eq!(g0, g1, "weight grads differ under the recompute-overlap policy");
         assert_eq!(timing, crate::StepTiming::default(), "no replay phase to book");
         let events = tracer.events();
-        let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-        assert_eq!(count("recompute_overlapped"), 0);
+        assert_eq!(events.iter().filter(|e| e.name.starts_with("recompute")).count(), 0);
         let backwards: Vec<_> =
             events.iter().filter(|e| e.name == "kernel_attention_backward").collect();
         assert_eq!(backwards.len(), 1);

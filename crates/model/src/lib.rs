@@ -61,5 +61,5 @@ pub mod weights;
 pub use config::TransformerConfig;
 pub use layer::{ExecMode, LayerState, StoredState, TransformerLayer};
 pub use ledger::{ActivationLedger, Category};
-pub use overlap::{take_step_timing, OverlapPolicy, StepTiming, ZeroChunks};
+pub use overlap::{take_step_timing, OverlapPolicy, StepTiming};
 pub use policy::{ExecPolicy, ExecPolicyBuilder, PolicyError};

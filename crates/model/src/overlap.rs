@@ -3,63 +3,44 @@
 //! was exposed on the critical path).
 //!
 //! The paper's sequence-parallel layer leaves the `g`/`ḡ` conjugate
-//! collectives fully exposed, and its recomputation policies leave the
-//! replay serialized into the backward pass. [`OverlapPolicy::Overlapped`]
+//! collectives fully exposed, and it replays dropped activations inline,
+//! inside the backward pass (Section 5). [`OverlapPolicy::OverlappedRecompute`]
 //! splits the collectives into `C` chunk sub-rendezvous (`mt-collectives`)
 //! and feeds the row-parallel consumer GEMMs through `mt-kernels`'
-//! dependency-aware driver; [`OverlapPolicy::OverlappedRecompute`]
-//! additionally replays a checkpointed layer on a helper thread while the
-//! backward of the layer above it runs (`mt_kernels::recompute_prefetch`).
-//! All overlapped schedules are
-//! **bit-identical** to the exposed one — same work units, same ascending
-//! reduction orders — so the policy is purely a performance knob, exactly
-//! like the kernel backend.
+//! dependency-aware driver. The chunked schedule is **bit-identical** to the
+//! exposed one — same work units, same ascending reduction orders — so the
+//! policy is purely a performance knob, exactly like the kernel backend.
+//!
+//! Every recomputation runs inline under every policy. A cross-layer
+//! prefetch that replayed layer k−1 on a helper thread under layer k's
+//! backward (Chen et al., arXiv 2406.08756) used to ride on the same
+//! variant. It was retired: it only ever ran in a serial `Gpt` under an
+//! explicit policy, no training workload or paper artefact reached it, and
+//! selective recompute has had no separate replay phase to hide since its
+//! replay moved into the attention backward.
 
+use crate::policy::PolicyError;
 use std::cell::Cell;
 
-/// Error returned by validating policy constructors. Carried by
-/// [`crate::policy::PolicyError`] when an [`crate::ExecPolicy`] builder
-/// rejects its inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZeroChunks;
-
-impl std::fmt::Display for ZeroChunks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "overlap policy needs at least one chunk")
-    }
-}
-
-impl std::error::Error for ZeroChunks {}
-
-/// Whether the TP+SP `g`/`ḡ` regions run exposed or overlapped, and whether
-/// recomputation is prefetched under backward compute.
+/// Whether the TP+SP `g`/`ḡ` regions run exposed or chunked.
 ///
 /// Only sequence-parallel execution chunks collectives: the tensor-parallel
 /// conjugates (`f`/`f̄`) are identity/all-reduce, which have no
-/// row-decomposable consumer. Under `Overlapped { chunks }` every `g`/`ḡ`
-/// collective of the layer is issued as `chunks` sub-rendezvous (so all
-/// ranks agree on the chunking — it is part of the SPMD protocol), and the
-/// four gather-feeds-row-parallel-GEMM sites additionally pipeline compute
-/// into the gaps. `OverlappedRecompute { chunks }` does all of that **and**,
-/// in a serial [`crate::gpt::Gpt`], prefetches layer k−1's collective-free
-/// full-layer replay on a helper thread while layer k's backward runs.
-/// Selective recomputation has no replay phase to prefetch: the attention
-/// backward replays the core block by block under every policy.
+/// row-decomposable consumer. Under `OverlappedRecompute { chunks }` every
+/// `g`/`ḡ` collective of the layer is issued as `chunks` sub-rendezvous (so
+/// all ranks agree on the chunking — it is part of the SPMD protocol), and
+/// the four gather-feeds-row-parallel-GEMM sites additionally pipeline
+/// compute into the gaps. Outside TP+SP the two policies run the same
+/// schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OverlapPolicy {
-    /// Whole-tensor collectives; every GEMM waits for the full gather, and
-    /// recomputation runs serialized into the backward pass.
+    /// Whole-tensor collectives; every GEMM waits for the full gather.
     #[default]
     Exposed,
-    /// Chunked collectives pipelined with their consumer GEMMs.
-    Overlapped {
-        /// Number of sequence-dimension chunks `C ≥ 1` per collective.
-        chunks: usize,
-    },
-    /// [`OverlapPolicy::Overlapped`] plus recomputation prefetch: a
-    /// checkpointed layer's replay is issued while the backward of the
-    /// layer above runs. `chunks: 1` keeps whole-tensor collectives and
-    /// overlaps only the recompute.
+    /// Chunked collectives pipelined with their consumer GEMMs. The name
+    /// is historical: its recompute half (a cross-layer replay prefetch)
+    /// is retired, every replay runs inline, and the variant itself goes
+    /// with the chunked collectives.
     OverlappedRecompute {
         /// Number of sequence-dimension chunks `C ≥ 1` per collective.
         chunks: usize,
@@ -67,37 +48,22 @@ pub enum OverlapPolicy {
 }
 
 impl OverlapPolicy {
-    /// Validating constructor for [`OverlapPolicy::Overlapped`]: rejects
-    /// `chunks == 0` instead of panicking at the first collective.
+    /// Validating constructor for [`OverlapPolicy::OverlappedRecompute`]:
+    /// rejects `chunks == 0` instead of panicking at the first collective.
     ///
     /// # Errors
     ///
-    /// Returns [`ZeroChunks`] when `chunks == 0`.
-    pub fn overlapped(chunks: usize) -> Result<Self, ZeroChunks> {
-        if chunks == 0 {
-            return Err(ZeroChunks);
-        }
-        Ok(OverlapPolicy::Overlapped { chunks })
+    /// Returns [`PolicyError::ZeroChunks`] when `chunks == 0`.
+    pub fn overlapped_recompute(chunks: usize) -> Result<Self, PolicyError> {
+        let policy = OverlapPolicy::OverlappedRecompute { chunks };
+        policy.validate()?;
+        Ok(policy)
     }
 
-    /// Validating constructor for [`OverlapPolicy::OverlappedRecompute`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZeroChunks`] when `chunks == 0`.
-    pub fn overlapped_recompute(chunks: usize) -> Result<Self, ZeroChunks> {
-        if chunks == 0 {
-            return Err(ZeroChunks);
-        }
-        Ok(OverlapPolicy::OverlappedRecompute { chunks })
-    }
-
-    /// Short label for reports (`"exposed"` / `"overlapped"` /
-    /// `"overlapped_recompute"`).
+    /// Short label for reports (`"exposed"` / `"overlapped_recompute"`).
     pub fn label(&self) -> &'static str {
         match self {
             OverlapPolicy::Exposed => "exposed",
-            OverlapPolicy::Overlapped { .. } => "overlapped",
             OverlapPolicy::OverlappedRecompute { .. } => "overlapped_recompute",
         }
     }
@@ -106,25 +72,14 @@ impl OverlapPolicy {
     pub fn chunks(&self) -> usize {
         match self {
             OverlapPolicy::Exposed => 1,
-            OverlapPolicy::Overlapped { chunks }
-            | OverlapPolicy::OverlappedRecompute { chunks } => *chunks,
+            OverlapPolicy::OverlappedRecompute { chunks } => *chunks,
         }
     }
 
-    /// Whether collectives are chunked and pipelined.
-    pub fn comm_overlapped(&self) -> bool {
-        !matches!(self, OverlapPolicy::Exposed)
-    }
-
-    /// Whether recomputation is prefetched under backward compute.
-    pub fn recompute_overlapped(&self) -> bool {
-        matches!(self, OverlapPolicy::OverlappedRecompute { .. })
-    }
-
     /// Whether this policy is structurally valid (`chunks ≥ 1`).
-    pub(crate) fn validate(&self) -> Result<(), ZeroChunks> {
+    pub(crate) fn validate(&self) -> Result<(), PolicyError> {
         if self.chunks() == 0 {
-            return Err(ZeroChunks);
+            return Err(PolicyError::ZeroChunks);
         }
         Ok(())
     }
@@ -148,16 +103,15 @@ pub struct StepTiming {
     /// The portion of `comm_us` no dependent compute covered.
     pub exposed_us: u64,
     /// Total recomputation time: the full-layer replays the backward pass
-    /// performed, inline (`recompute_layer`) or prefetched
-    /// (`recompute_overlapped`). Selective recomputation books nothing
+    /// performed inline (`recompute_layer`). Selective recomputation books nothing
     /// here: its replay is part of the attention backward
     /// (`kernel_attention_backward` with `replay = true`), and its cost is
     /// the selective backward's time minus the store-all backward's
     /// (`train_bench`'s `model.layer_recompute_ms_selective`).
     pub recompute_us: u64,
-    /// The portion of `recompute_us` the backward pipeline failed to hide:
-    /// inline replays contribute their full duration, prefetched ones only
-    /// the join wait after the covering backward work finished.
+    /// The portion of `recompute_us` exposed on the critical path. Every
+    /// replay runs inline, so this equals `recompute_us` by construction;
+    /// the field stays because callers build the ledger literally.
     pub exposed_recompute_us: u64,
 }
 
@@ -165,7 +119,6 @@ thread_local! {
     static COMM_US: Cell<u64> = const { Cell::new(0) };
     static EXPOSED_US: Cell<u64> = const { Cell::new(0) };
     static RECOMPUTE_US: Cell<u64> = const { Cell::new(0) };
-    static EXPOSED_RECOMPUTE_US: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Adds one collective's timing to this thread's ledger. Layer code calls
@@ -175,12 +128,10 @@ pub(crate) fn add_comm_time(comm_us: u64, exposed_us: u64) {
     EXPOSED_US.with(|c| c.set(c.get() + exposed_us));
 }
 
-/// Adds one recomputation's timing to this thread's ledger. Inline replays
-/// book `(dt, dt)`; the prefetch driver books its measured
-/// `(recompute_us, exposed_us)` pair.
-pub(crate) fn add_recompute_time(recompute_us: u64, exposed_us: u64) {
+/// Adds one inline replay's duration to this thread's ledger; it is booked
+/// as both total and exposed recompute time.
+pub(crate) fn add_recompute_time(recompute_us: u64) {
     RECOMPUTE_US.with(|c| c.set(c.get() + recompute_us));
-    EXPOSED_RECOMPUTE_US.with(|c| c.set(c.get() + exposed_us));
 }
 
 /// Runs a blocking (exposed) collective and books its wall time as both
@@ -212,7 +163,7 @@ pub(crate) fn timed_recompute<T>(f: impl FnOnce() -> T) -> T {
     let t0 = mt_trace::monotonic_us();
     let out = f();
     let dt = mt_trace::monotonic_us().saturating_sub(t0);
-    add_recompute_time(dt, dt);
+    add_recompute_time(dt);
     span.arg("recompute_us", dt);
     span.arg("exposed_us", dt);
     drop(span);
@@ -225,11 +176,12 @@ pub(crate) fn timed_recompute<T>(f: impl FnOnce() -> T) -> T {
 /// thread; trainer users get the same ledger returned from
 /// [`Trainer::step_with_ledger`](crate::trainer::Trainer::step_with_ledger).
 pub fn take_step_timing() -> StepTiming {
+    let recompute_us = RECOMPUTE_US.with(|c| c.replace(0));
     StepTiming {
         comm_us: COMM_US.with(|c| c.replace(0)),
         exposed_us: EXPOSED_US.with(|c| c.replace(0)),
-        recompute_us: RECOMPUTE_US.with(|c| c.replace(0)),
-        exposed_recompute_us: EXPOSED_RECOMPUTE_US.with(|c| c.replace(0)),
+        recompute_us,
+        exposed_recompute_us: recompute_us,
     }
 }
 
@@ -242,11 +194,11 @@ mod tests {
         assert_eq!(take_step_timing(), StepTiming::default());
         add_comm_time(100, 40);
         add_comm_time(10, 10);
-        add_recompute_time(70, 5);
+        add_recompute_time(70);
         let t = take_step_timing();
         assert_eq!(
             t,
-            StepTiming { comm_us: 110, exposed_us: 50, recompute_us: 70, exposed_recompute_us: 5 }
+            StepTiming { comm_us: 110, exposed_us: 50, recompute_us: 70, exposed_recompute_us: 70 }
         );
         assert_eq!(take_step_timing(), StepTiming::default());
         let other = std::thread::spawn(take_step_timing).join().unwrap();
@@ -257,25 +209,17 @@ mod tests {
     fn policy_labels_and_chunks() {
         assert_eq!(OverlapPolicy::default(), OverlapPolicy::Exposed);
         assert_eq!(OverlapPolicy::Exposed.label(), "exposed");
-        assert_eq!(OverlapPolicy::Overlapped { chunks: 4 }.label(), "overlapped");
         assert_eq!(
             OverlapPolicy::OverlappedRecompute { chunks: 2 }.label(),
             "overlapped_recompute"
         );
-        assert_eq!(OverlapPolicy::Overlapped { chunks: 4 }.chunks(), 4);
         assert_eq!(OverlapPolicy::OverlappedRecompute { chunks: 2 }.chunks(), 2);
         assert_eq!(OverlapPolicy::Exposed.chunks(), 1);
-        assert!(!OverlapPolicy::Exposed.recompute_overlapped());
-        assert!(!OverlapPolicy::Overlapped { chunks: 2 }.recompute_overlapped());
-        assert!(OverlapPolicy::OverlappedRecompute { chunks: 2 }.recompute_overlapped());
-        assert!(OverlapPolicy::OverlappedRecompute { chunks: 1 }.comm_overlapped());
     }
 
     #[test]
     fn validating_constructors_reject_zero_chunks() {
-        assert_eq!(OverlapPolicy::overlapped(0), Err(ZeroChunks));
-        assert_eq!(OverlapPolicy::overlapped_recompute(0), Err(ZeroChunks));
-        assert_eq!(OverlapPolicy::overlapped(3), Ok(OverlapPolicy::Overlapped { chunks: 3 }));
+        assert_eq!(OverlapPolicy::overlapped_recompute(0), Err(PolicyError::ZeroChunks));
         assert_eq!(
             OverlapPolicy::overlapped_recompute(1),
             Ok(OverlapPolicy::OverlappedRecompute { chunks: 1 })

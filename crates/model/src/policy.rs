@@ -8,9 +8,9 @@
 //!
 //! PR 5 bolted `OverlapPolicy` onto [`TransformerLayer`] via
 //! `with_overlap_policy` because `forward`/`backward` already took an
-//! `ExecMode` and the recompute policy was fixed at `new`. Adding a third
-//! orthogonal knob (recompute prefetch) the same way would have meant a
-//! fourth spelling. [`ExecPolicy`] carries all three, validates them
+//! `ExecMode` and the recompute policy was fixed at `new`. Every further
+//! knob added the same way would have been one more spelling.
+//! [`ExecPolicy`] carries all three, validates them
 //! jointly at [`ExecPolicyBuilder::build`] (the place a `chunks: 0` typo is
 //! a `Result`, not a mid-step panic), and flows **by value or reference**
 //! through every call site via `impl Into<ExecPolicy>` — a bare
@@ -39,7 +39,7 @@
 //!     .build()
 //!     .unwrap();
 //! assert!(matches!(policy.mode(), ExecMode::Serial));
-//! assert!(policy.overlap().recompute_overlapped());
+//! assert_eq!(policy.overlap().chunks(), 2);
 //!
 //! // A bare ExecMode still converts — old call sites read unchanged.
 //! let bare: ExecPolicy = ExecMode::Serial.into();
@@ -48,7 +48,7 @@
 //! ```
 
 use crate::layer::ExecMode;
-use crate::overlap::{OverlapPolicy, ZeroChunks};
+use crate::overlap::OverlapPolicy;
 use mt_memory::Recompute;
 
 /// Rejected [`ExecPolicyBuilder`] input.
@@ -62,18 +62,12 @@ pub enum PolicyError {
 impl std::fmt::Display for PolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PolicyError::ZeroChunks => ZeroChunks.fmt(f),
+            PolicyError::ZeroChunks => write!(f, "overlap policy needs at least one chunk"),
         }
     }
 }
 
 impl std::error::Error for PolicyError {}
-
-impl From<ZeroChunks> for PolicyError {
-    fn from(_: ZeroChunks) -> Self {
-        PolicyError::ZeroChunks
-    }
-}
 
 /// The unified execution policy a layer call runs under: execution mode,
 /// optional recompute override, overlap policy.
@@ -172,7 +166,7 @@ impl<'a> ExecPolicyBuilder<'a> {
     ///
     /// [`PolicyError::ZeroChunks`] if the overlap policy carries
     /// `chunks: 0` (possible when the variant is constructed literally
-    /// rather than through [`OverlapPolicy::overlapped`]).
+    /// rather than through [`OverlapPolicy::overlapped_recompute`]).
     pub fn build(self) -> Result<ExecPolicy<'a>, PolicyError> {
         self.overlap.validate()?;
         Ok(ExecPolicy { mode: self.mode, recompute: self.recompute, overlap: self.overlap })
@@ -185,11 +179,6 @@ mod tests {
 
     #[test]
     fn builder_validates_chunk_counts() {
-        let err = ExecPolicy::builder()
-            .overlap(OverlapPolicy::Overlapped { chunks: 0 })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, PolicyError::ZeroChunks);
         let err = ExecPolicy::builder()
             .overlap(OverlapPolicy::OverlappedRecompute { chunks: 0 })
             .build()

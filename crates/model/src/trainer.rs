@@ -463,12 +463,12 @@ mod tests {
         // Poison the thread-local with a previous "step's" leftovers; the
         // entry drain must keep them out of this step's ledger.
         crate::overlap::add_comm_time(1_000_000, 1_000_000);
-        crate::overlap::add_recompute_time(1_000_000, 500_000);
+        crate::overlap::add_recompute_time(1_000_000);
         let (_, _, timing) = t.step_with_ledger(&tokens, &targets, ExecMode::Serial);
         assert_eq!(timing.comm_us, 0, "serial steps book no collectives");
         assert_eq!(timing.exposed_us, 0);
         assert!(timing.recompute_us < 1_000_000, "stale recompute time leaked in");
-        assert!(timing.recompute_us >= timing.exposed_recompute_us);
+        assert_eq!(timing.recompute_us, timing.exposed_recompute_us);
         // The harvest also reset the accumulators for whoever runs next.
         assert_eq!(crate::overlap::take_step_timing(), crate::overlap::StepTiming::default());
     }

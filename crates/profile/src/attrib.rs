@@ -24,16 +24,8 @@ pub enum Category {
     /// (hidden or hideable behind row-band compute).
     OverlappedComm,
     /// Activation recomputation serialized into the backward pass (the
-    /// paper's trade currency): inline replays and their child kernels,
-    /// plus the join wait on a prefetched replay the backward failed to
-    /// hide.
+    /// paper's trade currency): inline replays and their child kernels.
     ExposedRecompute,
-    /// Rank-thread time inside the recompute-prefetch driver's window that
-    /// is not the covering backward work itself: issue/join bookkeeping for
-    /// a replay running hidden on a helper thread. (The hidden replay costs
-    /// no rank wall time, exactly like an off-stream GPU kernel; the
-    /// ledger's `recompute_us` carries its true duration.)
-    OverlappedRecompute,
     /// Optimizer / parameter update.
     Optimizer,
     /// Time covered by no span: pipeline bubble or rank idle.
@@ -44,12 +36,11 @@ pub enum Category {
 }
 
 /// Every category, in report order.
-pub const CATEGORIES: [Category; 8] = [
+pub const CATEGORIES: [Category; 7] = [
     Category::Gemm,
     Category::ExposedComm,
     Category::OverlappedComm,
     Category::ExposedRecompute,
-    Category::OverlappedRecompute,
     Category::Optimizer,
     Category::Bubble,
     Category::Other,
@@ -63,7 +54,6 @@ impl Category {
             Category::ExposedComm => "exposed_comm",
             Category::OverlappedComm => "overlapped_comm",
             Category::ExposedRecompute => "exposed_recompute",
-            Category::OverlappedRecompute => "overlapped_recompute",
             Category::Optimizer => "optimizer",
             Category::Bubble => "bubble",
             Category::Other => "other",
@@ -80,10 +70,8 @@ pub struct CategoryNs {
     pub exposed_comm: u64,
     /// Overlapped communication.
     pub overlapped_comm: u64,
-    /// Exposed (inline or join-wait) recomputation.
+    /// Exposed (inline) recomputation.
     pub exposed_recompute: u64,
-    /// Recompute-prefetch driver bookkeeping (hidden replay).
-    pub overlapped_recompute: u64,
     /// Optimizer.
     pub optimizer: u64,
     /// Bubble / idle.
@@ -105,7 +93,6 @@ impl CategoryNs {
             Category::ExposedComm => self.exposed_comm,
             Category::OverlappedComm => self.overlapped_comm,
             Category::ExposedRecompute => self.exposed_recompute,
-            Category::OverlappedRecompute => self.overlapped_recompute,
             Category::Optimizer => self.optimizer,
             Category::Bubble => self.bubble,
             Category::Other => self.other,
@@ -118,7 +105,6 @@ impl CategoryNs {
             Category::ExposedComm => &mut self.exposed_comm,
             Category::OverlappedComm => &mut self.overlapped_comm,
             Category::ExposedRecompute => &mut self.exposed_recompute,
-            Category::OverlappedRecompute => &mut self.overlapped_recompute,
             Category::Optimizer => &mut self.optimizer,
             Category::Bubble => &mut self.bubble,
             Category::Other => &mut self.other,
@@ -126,7 +112,7 @@ impl CategoryNs {
     }
 
     /// `(label, ns)` for every category, in report order.
-    pub fn entries(&self) -> [(&'static str, u64); 8] {
+    pub fn entries(&self) -> [(&'static str, u64); 7] {
         CATEGORIES.map(|c| (c.label(), self.get(c)))
     }
 
@@ -187,17 +173,6 @@ fn resolve(name: &str, ctx: Ctx) -> Category {
         // fetches it issues are separate child collective spans.
         return Category::Gemm;
     }
-    if name == "recompute_overlapped" {
-        // The recompute-prefetch driver's self time: issue/join
-        // bookkeeping around a replay hidden on a helper thread. Its
-        // children are the *covering backward work*, not the replay, so
-        // they resolve by their own names (no in_recompute inheritance).
-        return Category::OverlappedRecompute;
-    }
-    if name == "recompute_wait" {
-        // Join wait the covering work failed to hide: exposed replay time.
-        return Category::ExposedRecompute;
-    }
     if name.starts_with("kernel_") || name == "fwd_chunk" || name == "bwd_chunk" {
         // Kernels executed for recomputation (or inside the optimizer)
         // count as that phase: the paper's accounting asks "what did this
@@ -218,7 +193,7 @@ fn resolve(name: &str, ctx: Ctx) -> Category {
     }
     if matches!(name, "epoch_reform" | "reshard" | "replay_segment") {
         // Elastic-recovery phases (mt-elastic): MTTR wall time bought
-        // neither math nor bytes, so it lands in `other` — the 8-category
+        // neither math nor bytes, so it lands in `other` — the 7-category
         // sum still tiles the wall exactly, and a recovery-heavy window is
         // visibly recovery-heavy instead of masquerading as compute.
         return Category::Other;
@@ -300,8 +275,7 @@ fn emit(
     let own = resolve(&span.name, ctx);
     let child_ctx = Ctx {
         in_overlap: ctx.in_overlap || span.name == "gemm_overlapped",
-        in_recompute: ctx.in_recompute
-            || (span.name.starts_with("recompute") && span.name != "recompute_overlapped"),
+        in_recompute: ctx.in_recompute || span.name.starts_with("recompute"),
         in_optimizer: ctx.in_optimizer || span.name == "optimizer",
     };
     let mut cursor = cursor.max(span.start_ns);
@@ -362,39 +336,6 @@ mod tests {
         assert_eq!(totals.other, 30_000);
         assert_eq!(totals.bubble, 0);
         assert_eq!(totals.overlapped_comm, 0);
-        assert_eq!(totals.total(), tl.wall_ns(), "categories tile the window exactly");
-    }
-
-    /// The recompute-prefetch driver: its children are covering backward
-    /// work (categorized by their own names), its self time is driver
-    /// bookkeeping, and the join wait is exposed recompute.
-    #[test]
-    fn recompute_prefetch_driver_splits_exposed_from_overlapped() {
-        let t = Tracer::enabled();
-        // Track 0, window [0, 100us]:
-        //   step [0, 100]
-        //     recompute_overlapped [10, 60]
-        //       kernel_gemm        [12, 40] -> gemm (covering backward) 28us
-        //       all_reduce         [40, 48] -> exposed_comm             8us
-        //       recompute_wait     [50, 58] -> exposed_recompute        8us
-        //       (self: [10,12]+[48,50]+[58,60] = 6us -> overlapped_recompute)
-        //     recompute_layer      [70, 90]
-        //       kernel_gemm        [72, 88] -> exposed_recompute (inherits)
-        // self of step: [0,10]+[60,70]+[90,100] = 30us -> other
-        t.complete_at("kernel_gemm", 0, 12.0, 28.0, Vec::new());
-        t.complete_at("all_reduce", 0, 40.0, 8.0, Vec::new());
-        t.complete_at("recompute_wait", 0, 50.0, 8.0, Vec::new());
-        t.complete_at("recompute_overlapped", 0, 10.0, 50.0, Vec::new());
-        t.complete_at("kernel_gemm", 0, 72.0, 16.0, Vec::new());
-        t.complete_at("recompute_layer", 0, 70.0, 20.0, Vec::new());
-        t.complete_at("step", 0, 0.0, 100.0, Vec::new());
-        let tl = Timeline::build(&t.events()).unwrap();
-        let totals = segment_track(&tl.tracks[&0], tl.window).totals();
-        assert_eq!(totals.gemm, 28_000, "covering backward under the driver stays gemm");
-        assert_eq!(totals.exposed_comm, 8_000, "collectives under the driver stay comm");
-        assert_eq!(totals.exposed_recompute, 8_000 + 16_000 + 4_000, "wait + inline replay");
-        assert_eq!(totals.overlapped_recompute, 6_000, "driver self time only");
-        assert_eq!(totals.other, 30_000);
         assert_eq!(totals.total(), tl.wall_ns(), "categories tile the window exactly");
     }
 

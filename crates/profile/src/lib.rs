@@ -15,7 +15,7 @@
 //!    ([`collective_rounds`]).
 //! 3. **Attributes every nanosecond** of each rank's window to a closed
 //!    category set — {gemm, exposed_comm, overlapped_comm,
-//!    exposed_recompute, overlapped_recompute, optimizer, bubble, other}
+//!    exposed_recompute, optimizer, bubble, other}
 //!    — with the invariant that categories sum to wall time **exactly**
 //!    ([`segment_track`], [`CategoryNs`]).
 //! 4. **Extracts the cross-rank critical path** ([`critical_path`]):
@@ -30,13 +30,10 @@
 //!
 //! [`analyze`] bundles all of it into a serializable [`ProfileReport`];
 //! [`verify`] re-checks every exact invariant on a deserialized report
-//! (the CI smoke step); [`diff_reports`]/[`narrative`] explain what
-//! changed between two runs, category by category (`mt-bench profile
-//! --diff A B`).
+//! (the CI smoke step).
 
 mod attrib;
 mod critical;
-mod diff;
 mod report;
 mod timeline;
 
@@ -44,12 +41,8 @@ pub use attrib::{
     segment_timeline, segment_track, Category, CategoryNs, TrackSegments, CATEGORIES,
 };
 pub use critical::{collective_rounds, critical_path, CritSegment, CriticalPath, Round};
-pub use diff::{
-    diff_documents, diff_reports, load_profiles, narrative, CategoryDelta, ProfileDiff,
-    ProfileDocument,
-};
 pub use report::{
-    analyze, render_ascii, verify, AnalyzeOptions, CritSummary, Divergence, ProfileReport,
-    RankProfile, TreeLine, SCHEMA_VERSION,
+    analyze, load_profiles, render_ascii, verify, AnalyzeOptions, CritSummary, Divergence,
+    ProfileDocument, ProfileReport, RankProfile, TreeLine, SCHEMA_VERSION,
 };
 pub use timeline::{Span, Timeline, Track};

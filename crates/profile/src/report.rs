@@ -17,7 +17,9 @@ use std::fmt::Write as _;
 ///
 /// v2: `CategoryNs` splits `recompute` into `exposed_recompute` /
 /// `overlapped_recompute`, and ranks carry the recompute ledger mirror.
-pub const SCHEMA_VERSION: u64 = 2;
+/// v3: `overlapped_recompute` is gone with the retired replay prefetch;
+/// seven categories remain.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Inputs to [`analyze`] beyond the trace itself.
 #[derive(Debug, Clone, Default)]
@@ -52,12 +54,12 @@ pub struct RankProfile {
     pub wrapped_comm_us: u64,
     /// Σ `exposed_us` close-args — mirror of `StepTiming::exposed_us`.
     pub wrapped_exposed_us: u64,
-    /// Σ `recompute_us` close-args over ledger-wrapped recompute spans
-    /// (`recompute_layer`, `recompute_overlapped`)
-    /// — the trace's mirror of the rank's `StepTiming::recompute_us`.
+    /// Σ `recompute_us` close-args over the ledger-wrapped inline replays
+    /// (`recompute_layer`) — the trace's mirror of the rank's
+    /// `StepTiming::recompute_us`.
     pub wrapped_recompute_us: u64,
-    /// Σ `exposed_us` close-args over the same recompute spans — mirror
-    /// of `StepTiming::exposed_recompute_us`.
+    /// Σ `exposed_us` close-args over the same replays — mirror of
+    /// `StepTiming::exposed_recompute_us`.
     pub wrapped_exposed_recompute_us: u64,
     /// Number of spans recorded on this rank.
     pub spans: u64,
@@ -141,7 +143,7 @@ impl ProfileReport {
     }
 
     /// Per-category max over ranks, ns (the conservative cross-rank
-    /// aggregation used by diffs).
+    /// aggregation).
     pub fn max_categories(&self) -> CategoryNs {
         let mut out = CategoryNs::default();
         for cat in CATEGORIES {
@@ -150,6 +152,38 @@ impl ProfileReport {
         }
         out
     }
+}
+
+/// The on-disk shape of `reports/PROFILE_*.json`: a format version plus a
+/// map of config label → profile.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ProfileDocument {
+    /// Format version (mirrors [`SCHEMA_VERSION`]).
+    pub schema_version: u64,
+    /// Config label → profile.
+    pub profiles: BTreeMap<String, ProfileReport>,
+}
+
+impl ProfileDocument {
+    /// Wraps labeled profiles in the current schema version.
+    pub fn new(profiles: BTreeMap<String, ProfileReport>) -> Self {
+        ProfileDocument { schema_version: SCHEMA_VERSION, profiles }
+    }
+
+    /// Pretty JSON for `reports/`.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("profile document serializes")
+    }
+}
+
+/// Loads a `reports/PROFILE_*.json` document: a map of config label →
+/// profile under a `profiles` key.
+pub fn load_profiles(path: &str) -> Result<BTreeMap<String, ProfileReport>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc: serde_json::Value =
+        serde_json::from_str(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    serde_json::from_value::<BTreeMap<String, ProfileReport>>(&doc["profiles"])
+        .map_err(|e| format!("{path} has no valid profiles map: {e}"))
 }
 
 /// Profiles a traced run: timeline reconstruction, attribution, critical
@@ -180,7 +214,7 @@ pub fn analyze(events: &[TraceEvent], opts: &AnalyzeOptions) -> Result<ProfileRe
                 wrapped_comm_us += span.arg_u64("comm_us").unwrap_or(0);
                 wrapped_exposed_us += span.arg_u64("exposed_us").unwrap_or(0);
             }
-            if span.name == "recompute_layer" || span.name == "recompute_overlapped" {
+            if span.name == "recompute_layer" {
                 wrapped_recompute_us += span.arg_u64("recompute_us").unwrap_or(0);
                 wrapped_exposed_recompute_us += span.arg_u64("exposed_us").unwrap_or(0);
             }

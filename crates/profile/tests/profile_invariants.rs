@@ -1,6 +1,5 @@
-//! End-to-end exactness contract of `mt-profile` on real traced steps (a
-//! TP+SP layer, and a serial `Gpt` running the cross-layer replay
-//! prefetch): category nanoseconds sum to the wall time, the wrapped-comm
+//! End-to-end exactness contract of `mt-profile` on real traced TP+SP
+//! layer steps: category nanoseconds sum to the wall time, the wrapped-comm
 //! and wrapped-recompute span args reproduce the `StepTiming` ledger
 //! integer for integer, the cross-rank critical path telescopes to the step
 //! wall, and the report survives a JSON round trip with `verify` still
@@ -8,7 +7,6 @@
 
 use mt_collectives::World;
 use mt_memory::Recompute;
-use mt_model::gpt::Gpt;
 use mt_model::weights::LayerWeights;
 use mt_model::{
     take_step_timing, ActivationLedger, ExecMode, ExecPolicy, OverlapPolicy, StepTiming,
@@ -74,31 +72,6 @@ fn traced_step(
     (tracer.events(), timings)
 }
 
-/// One traced serial two-layer `Gpt` step under full recompute with the
-/// cross-layer replay prefetch — the one place `recompute_prefetch` runs:
-/// layer 0's replay is hidden under layer 1's backward, whose own replay
-/// runs inline.
-fn traced_prefetch_step() -> (Vec<mt_trace::TraceEvent>, Vec<StepTiming>) {
-    let cfg = TransformerConfig { layers: 2, ..config() };
-    let gpt = Gpt::init(cfg, Recompute::Full, 3);
-    let tokens: Vec<usize> = (0..cfg.tokens()).map(|i| (7 * i) % cfg.vocab).collect();
-    let mut targets = tokens.clone();
-    targets.rotate_left(cfg.micro_batch);
-    let policy = ExecPolicy::builder()
-        .overlap(OverlapPolicy::overlapped_recompute(1).expect("nonzero chunks"))
-        .build()
-        .expect("valid overlap policy");
-    let tracer = Tracer::enabled();
-    let timing = {
-        let _installed = mt_trace::install(tracer.clone());
-        let _ = take_step_timing();
-        let mut ledger = ActivationLedger::new();
-        let _ = gpt.loss_and_grads(&tokens, &targets, 0, policy, &mut ledger);
-        take_step_timing()
-    };
-    (tracer.events(), vec![timing])
-}
-
 fn analyze_with_ledger(
     events: &[mt_trace::TraceEvent],
     timings: &[StepTiming],
@@ -128,7 +101,6 @@ fn exposed_step_attribution_is_exact_and_matches_the_ledger() {
         assert!(profile.categories.exposed_comm > 0, "TP+SP step must expose comm");
         assert!(profile.categories.exposed_recompute > 0, "full recompute must show up");
         assert_eq!(profile.categories.overlapped_comm, 0, "no overlap driver ran");
-        assert_eq!(profile.categories.overlapped_recompute, 0, "no prefetch driver ran");
     }
     assert_eq!(report.critical_path.total_ns, report.step_wall_ns, "path telescopes");
     assert_eq!(
@@ -141,39 +113,13 @@ fn exposed_step_attribution_is_exact_and_matches_the_ledger() {
 #[test]
 fn overlapped_step_shows_overlapped_comm_and_still_balances() {
     let (events, timings) =
-        traced_step(Recompute::Selective, OverlapPolicy::Overlapped { chunks: 2 });
+        traced_step(Recompute::Selective, OverlapPolicy::OverlappedRecompute { chunks: 2 });
     let report = analyze_with_ledger(&events, &timings, "overlapped_c2");
     let cats = report.max_categories();
     assert!(cats.overlapped_comm > 0, "chunked fetches must land under the driver: {cats:?}");
     for profile in report.ranks.values() {
         assert_eq!(profile.categories.total(), report.step_wall_ns);
     }
-    assert_eq!(report.critical_path.total_ns, report.step_wall_ns);
-}
-
-#[test]
-fn cross_layer_prefetch_splits_the_recompute_ledger_and_balances() {
-    let (events, timings) = traced_prefetch_step();
-    let report = analyze_with_ledger(&events, &timings, "gpt_full_prefetch");
-    assert_eq!(report.ranks.len(), 1);
-    let profile = &report.ranks["0"];
-    assert_eq!(profile.categories.total(), report.step_wall_ns);
-    assert_eq!(profile.wrapped_recompute_us, timings[0].recompute_us);
-    assert_eq!(profile.wrapped_exposed_recompute_us, timings[0].exposed_recompute_us);
-    assert!(
-        profile.wrapped_recompute_us >= profile.wrapped_exposed_recompute_us,
-        "exposed recompute cannot exceed total recompute"
-    );
-    assert!(
-        profile.categories.overlapped_recompute > 0,
-        "the prefetch driver must show up: {:?}",
-        profile.categories
-    );
-    assert!(
-        profile.categories.exposed_recompute > 0,
-        "the top layer's inline replay must show up: {:?}",
-        profile.categories
-    );
     assert_eq!(report.critical_path.total_ns, report.step_wall_ns);
 }
 
