@@ -303,11 +303,11 @@ impl LayerCtx {
     /// Backward collectives for one layer, in the runtime's order.
     fn backward(&self, e: &mut Emitter) {
         if self.policy == Recompute::Full {
-            // `LayerState::Checkpoint` replays the whole forward first.
-            self.enter_region_fwd(e);
-            self.exit_region_fwd(e);
-            self.enter_region_fwd(e);
-            self.exit_region_fwd(e);
+            // `LayerState::Checkpoint` replays the forward through the GeLU
+            // output first: the MLP's exit combine is not re-run.
+            self.enter_region_fwd(e); // attention g
+            self.exit_region_fwd(e); // attention f̄/ḡ
+            self.enter_region_fwd(e); // MLP g
         }
         // MLP half.
         self.exit_region_bwd(e); // d_m2: ḡ backward
@@ -692,8 +692,9 @@ mod tests {
     fn full_recompute_replays_forward_collectives_in_backward() {
         let cfg = TransformerConfig::tiny();
         let p = layer_program(&cfg, 2, false, Recompute::Full, OverlapPolicy::Exposed);
-        // 2 fwd + (2 replay + 2 bwd) = 6 all-reduces.
-        assert_eq!(count_kinds(&p, 0), vec![(CollectiveKind::AllReduce, 6)]);
+        // 2 fwd + (1 replay + 2 bwd) = 5 all-reduces: the replay stops at
+        // the GeLU output, before the MLP's f̄.
+        assert_eq!(count_kinds(&p, 0), vec![(CollectiveKind::AllReduce, 5)]);
     }
 
     #[test]

@@ -105,7 +105,9 @@ pub enum Recompute {
     /// over V) and recompute that region from the stored Q, K, V.
     Selective,
     /// Full activation recomputation: store only each layer's input and
-    /// replay the whole layer forward during back-propagation.
+    /// replay the layer forward during back-propagation (Megatron replays
+    /// all of it; the executing layer stops at the GeLU output, the last
+    /// tensor its backward reads).
     Full,
 }
 

@@ -283,7 +283,7 @@ impl Gpt {
         // --- forward: head ---
         let y_full = match mode {
             ExecMode::TensorSequenceParallel(c) => c.all_gather(&act),
-            _ => act.clone(),
+            _ => act,
         };
         // Only this walk (not the pipeline executor) notes the final
         // LayerNorm's statistics; they are outside the paper's byte model.

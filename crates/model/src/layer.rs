@@ -32,6 +32,7 @@ use mt_tensor::ops;
 use mt_tensor::ops::LayerNormSaved;
 use mt_tensor::rng::CounterRng;
 use mt_tensor::Tensor;
+use std::borrow::Cow;
 
 /// How a layer executes: serially or on one rank of a parallel group.
 #[derive(Clone, Copy)]
@@ -90,11 +91,20 @@ impl<'a> ExecMode<'a> {
     }
 }
 
-/// Everything a non-recomputing backward pass needs. Field names follow the
-/// forward dataflow of Figure 2.
+/// Everything a non-recomputing backward pass needs, split by the backward
+/// half that reads it so each half can take its own tensors by value and
+/// free every one at its last read. Field names follow the forward
+/// dataflow of Figure 2.
 #[derive(Debug, Clone)]
 pub struct StoredState {
     micro: u64,
+    attn: AttnStored,
+    mlp: MlpStored,
+}
+
+/// What the attention half of the backward pass reads.
+#[derive(Debug, Clone)]
+struct AttnStored {
     /// Layer input (= first LayerNorm input); sequence shard under SP.
     x: Tensor,
     ln1_saved: LayerNormSaved,
@@ -106,9 +116,14 @@ pub struct StoredState {
     v: Tensor,
     /// Softmax/dropout products, kept under `Recompute::None` only; `None`
     /// makes the backward replay them block by block.
-    attn: Option<AttnSaved>,
+    core: Option<AttnSaved>,
     /// Projection GEMM input.
     ctx: Tensor,
+}
+
+/// What the MLP half of the backward pass reads.
+#[derive(Debug, Clone)]
+struct MlpStored {
     /// Second LayerNorm input (first residual sum); shard under SP.
     r1: Tensor,
     ln2_saved: LayerNormSaved,
@@ -123,8 +138,8 @@ pub struct StoredState {
 /// Per-layer saved state, shaped by the recomputation policy.
 #[derive(Debug, Clone)]
 pub enum LayerState {
-    /// Policies `None` and `Selective` (the latter with `attn` dropped), and
-    /// a replayed `Full` checkpoint (also without `attn`).
+    /// Policies `None` and `Selective` (the latter without the attention
+    /// core's products).
     Stored(Box<StoredState>),
     /// Policy `Full`: only the layer input survives.
     Checkpoint {
@@ -246,27 +261,27 @@ impl TransformerLayer {
     /// policy blocks on one whole-tensor all-gather first. Returns the
     /// product and, when `want_full`, the gathered tensor itself (for
     /// contraction-side consumers like the weight gradients, which cannot
-    /// be row-decomposed).
-    fn gather_gemm(
+    /// be row-decomposed); outside SP that is `shard` itself, borrowed.
+    fn gather_gemm<'s>(
         &self,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
-        shard: &Tensor,
+        shard: &'s Tensor,
         w: &Tensor,
         transpose_b: bool,
         want_full: bool,
-    ) -> (Tensor, Option<Tensor>) {
+    ) -> (Tensor, Option<Cow<'s, Tensor>>) {
         let descriptor = if transpose_b { ops::Gemm::NT } else { ops::Gemm::NN };
         let comm = match mode {
             ExecMode::TensorSequenceParallel(c) => c,
             // f forward / f̄ backward enter the region as the identity.
-            _ => return (descriptor.apply(shard, w), want_full.then(|| shard.clone())),
+            _ => return (descriptor.apply(shard, w), want_full.then_some(Cow::Borrowed(shard))),
         };
         let chunks = match overlap {
             OverlapPolicy::Exposed => {
                 let full = timed_exposed(|| comm.all_gather(shard));
                 let out = descriptor.apply(&full, w);
-                return (out, want_full.then_some(full));
+                return (out, want_full.then_some(Cow::Owned(full)));
             }
             OverlapPolicy::OverlappedRecompute { chunks } => chunks,
         };
@@ -299,155 +314,168 @@ impl TransformerLayer {
         crate::overlap::add_comm_time(report.comm_us, report.exposed_us);
         (
             Tensor::from_vec_unchecked(vec![m, wn], out),
-            full.map(|v| Tensor::from_vec_unchecked(vec![m, wk], v)),
+            full.map(|v| Cow::Owned(Tensor::from_vec_unchecked(vec![m, wk], v))),
         )
     }
 
     /// `f̄`/`ḡ` forward and `f`/`g` backward: combine the per-rank partial
-    /// sums onto the LayerNorm/dropout region's layout. The SP
-    /// reduce-scatter is chunked under [`OverlapPolicy::OverlappedRecompute`] (same
-    /// wire traffic, and the static extractor mirrors the chunking); it has
-    /// no row-parallel consumer to hide behind, so it stays exposed either
-    /// way.
+    /// sums onto the LayerNorm/dropout region's layout. Takes the partials
+    /// by value: the serial identity moves them through, and a collective
+    /// frees them as soon as it returns. The SP reduce-scatter is chunked
+    /// under [`OverlapPolicy::OverlappedRecompute`] (same wire traffic, and
+    /// the static extractor mirrors the chunking); it has no row-parallel
+    /// consumer to hide behind, so it stays exposed either way.
     fn combine_region(
         &self,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
-        partial: &Tensor,
+        partial: Tensor,
     ) -> Tensor {
         match mode {
-            ExecMode::Serial => partial.clone(),
-            ExecMode::TensorParallel(c) => timed_exposed(|| c.all_reduce(partial)),
+            ExecMode::Serial => partial,
+            ExecMode::TensorParallel(c) => timed_exposed(|| c.all_reduce(&partial)),
             ExecMode::TensorSequenceParallel(c) => match overlap {
-                OverlapPolicy::Exposed => timed_exposed(|| c.reduce_scatter(partial)),
+                OverlapPolicy::Exposed => timed_exposed(|| c.reduce_scatter(&partial)),
                 OverlapPolicy::OverlappedRecompute { chunks } => {
-                    timed_exposed(|| c.reduce_scatter_chunked(partial, chunks))
+                    timed_exposed(|| c.reduce_scatter_chunked(&partial, chunks))
                 }
             },
         }
     }
 
     /// The backward re-gather of a stored LayerNorm-output shard (the
-    /// paper's extra all-gather). Its consumer is the contraction side of a
+    /// paper's extra all-gather); outside SP the stored tensor is already
+    /// whole and is borrowed. Its consumer is the contraction side of a
     /// `TN` weight-gradient GEMM, which cannot start on partial rows, so
     /// the gather is chunked under [`OverlapPolicy::OverlappedRecompute`] but not
     /// pipelined.
-    fn regather(&self, mode: &ExecMode<'_>, overlap: OverlapPolicy, shard: &Tensor) -> Tensor {
+    fn regather<'s>(
+        &self,
+        mode: &ExecMode<'_>,
+        overlap: OverlapPolicy,
+        shard: &'s Tensor,
+    ) -> Cow<'s, Tensor> {
         match mode {
-            ExecMode::Serial | ExecMode::TensorParallel(_) => shard.clone(),
-            ExecMode::TensorSequenceParallel(c) => match overlap {
+            ExecMode::Serial | ExecMode::TensorParallel(_) => Cow::Borrowed(shard),
+            ExecMode::TensorSequenceParallel(c) => Cow::Owned(match overlap {
                 OverlapPolicy::Exposed => timed_exposed(|| c.all_gather(shard)),
                 OverlapPolicy::OverlappedRecompute { chunks } => {
                     timed_exposed(|| c.all_gather_chunked(shard, chunks))
                 }
-            },
+            }),
         }
     }
 
-    /// Full forward pass producing the stored state; records nothing. The
-    /// policy-aware [`TransformerLayer::forward`] wraps this. `keep_attn`
-    /// is the one place the Figure 3 red region is kept or not, and only
+    /// `residual + dropout(branch)` under the replayed `site` mask: how
+    /// each half's forward leaves its region.
+    fn dropout_residual(
+        &self,
+        site: DropoutSite,
+        micro: u64,
+        mode: &ExecMode<'_>,
+        residual: &Tensor,
+        branch: Tensor,
+    ) -> Tensor {
+        let mask = self.region_mask(site, micro, mode, residual.rows());
+        let dropped = ops::dropout(&branch, &mask, self.cfg.dropout_p);
+        drop((branch, mask));
+        ops::residual_add(residual, &dropped)
+    }
+
+    /// The forward pass through the GeLU output: exactly what the backward
+    /// pass reads, and nothing after it — the inline `Full` replay runs
+    /// this alone, and [`TransformerLayer::forward`] follows it with
+    /// [`TransformerLayer::forward_tail`]. Records nothing. `keep_attn` is
+    /// the one place the Figure 3 red region is kept or not, and only
     /// `Recompute::None` passes `true`: every other forward — selective,
     /// full, and the full-layer replays — passes `false`, the core's
     /// `[s, s]` products are never built, and the backward replays them
     /// inside the attention backward, one query-row block at a time.
-    fn forward_full(
+    fn forward_stored(
         &self,
-        x: &Tensor,
+        x: Tensor,
         micro: u64,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
         keep_attn: bool,
-    ) -> (Tensor, StoredState) {
-        let rows = self.local_rows(mode);
+    ) -> StoredState {
         assert_eq!(
             x.shape(),
-            &[rows, self.cfg.hidden],
+            &[self.local_rows(mode), self.cfg.hidden],
             "layer {} forward: input shape mismatch for {mode:?}",
             self.layer_idx
         );
         let w = &self.weights;
-
-        // Under SP the gathered tensors are not needed again (only the local
-        // shard is kept for backward), so the fused gather-GEMMs can skip
-        // assembling them.
-        let keep_full = !mode.sequence_parallel();
+        // The LayerNorm outputs are kept as computed: outside SP they are
+        // the whole GEMM inputs, under SP only the local shards (the
+        // paper's trick), and the fused gather-GEMMs never assemble the
+        // gathered tensors.
 
         // --- attention half ---
-        let (y_ln1, ln1_saved) = ops::layer_norm(x, &w.ln1_gamma, &w.ln1_beta);
+        let (y1, ln1_saved) = ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta);
         // g / f fused with the QKV GEMM.
-        let (qkv_raw, y1_full) =
-            self.gather_gemm(mode, overlap, &y_ln1, &w.w_qkv, false, keep_full);
+        let qkv_raw = self.gather_gemm(mode, overlap, &y1, &w.w_qkv, false, false).0;
         let qkv = ops::add_bias(&qkv_raw, &w.b_qkv);
         drop(qkv_raw);
         let [q, k, v]: [Tensor; 3] =
             qkv.chunk_last_axis(3).expect("qkv packs 3 blocks").try_into().expect("3 blocks");
         drop(qkv);
         let ap = self.attn_params(mode, micro);
-        let (ctx, attn) = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, keep_attn);
+        let (ctx, core) = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, keep_attn);
         let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
-        let o = ops::add_bias(&self.combine_region(mode, overlap, &o_partial), &w.b_o); // f̄ / ḡ
-        let mask_attn = self.region_mask(DropoutSite::AttentionOutput, micro, mode, rows);
-        let od = ops::dropout(&o, &mask_attn, self.cfg.dropout_p);
-        let r1 = ops::residual_add(x, &od);
+        let o = ops::add_bias(&self.combine_region(mode, overlap, o_partial), &w.b_o); // f̄ / ḡ
+        let r1 = self.dropout_residual(DropoutSite::AttentionOutput, micro, mode, &x, o);
 
-        // --- MLP half ---
-        let (y_ln2, ln2_saved) = ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta);
-        let (m1_raw, y2_full) = self.gather_gemm(mode, overlap, &y_ln2, &w.w1, false, keep_full);
+        // --- MLP half, through the GeLU ---
+        let (y2, ln2_saved) = ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta);
+        let m1_raw = self.gather_gemm(mode, overlap, &y2, &w.w1, false, false).0;
         let m1 = ops::add_bias(&m1_raw, &w.b1);
+        drop(m1_raw);
         let g_act = ops::gelu(&m1);
-        let m2_partial = ops::Gemm::NN.apply(&g_act, &w.w2);
-        let m2 = ops::add_bias(&self.combine_region(mode, overlap, &m2_partial), &w.b2);
-        let mask_mlp = self.region_mask(DropoutSite::MlpOutput, micro, mode, rows);
-        let md = ops::dropout(&m2, &mask_mlp, self.cfg.dropout_p);
-        let out = ops::residual_add(&r1, &md);
-
-        // Under SP we keep only the local LayerNorm output shards (the
-        // paper's trick); otherwise y1/y2 *are* the gathered tensors.
-        let (y1_keep, y2_keep) = if mode.sequence_parallel() {
-            (y_ln1, y_ln2)
-        } else {
-            (y1_full.expect("full tensors kept outside SP"), y2_full.expect("full tensors kept"))
-        };
-        let state = StoredState {
+        StoredState {
             micro,
-            x: x.clone(),
-            ln1_saved,
-            y1: y1_keep,
-            q,
-            k,
-            v,
-            attn,
-            ctx,
-            r1,
-            ln2_saved,
-            y2: y2_keep,
-            m1,
-            g_act,
-        };
-        (out, state)
+            attn: AttnStored { x, ln1_saved, y1, q, k, v, core, ctx },
+            mlp: MlpStored { r1, ln2_saved, y2, m1, g_act },
+        }
+    }
+
+    /// The rest of the forward pass: the `w2` GEMM, the MLP's `f̄`/`ḡ`
+    /// combine, `b2`, the MLP dropout and the second residual. Its output
+    /// feeds the next layer; no backward reads anything it computes.
+    fn forward_tail(
+        &self,
+        mlp: &MlpStored,
+        micro: u64,
+        mode: &ExecMode<'_>,
+        overlap: OverlapPolicy,
+    ) -> Tensor {
+        let w = &self.weights;
+        let m2_partial = ops::Gemm::NN.apply(&mlp.g_act, &w.w2);
+        let m2 = ops::add_bias(&self.combine_region(mode, overlap, m2_partial), &w.b2);
+        self.dropout_residual(DropoutSite::MlpOutput, micro, mode, &mlp.r1, m2)
     }
 
     /// Records what `state` stores into the ledger, per the active policy.
     fn record_stored(&self, st: &StoredState, ledger: &mut ActivationLedger) {
-        ledger.record(Category::LayerNormInput, st.x.numel() as u64);
-        ledger.record(Category::SmallStatistics, 2 * st.x.rows() as u64);
-        ledger.record(Category::QkvInput, st.y1.numel() as u64);
-        ledger.record(Category::QueryKey, (st.q.numel() + st.k.numel()) as u64);
-        ledger.record(Category::Value, st.v.numel() as u64);
-        if let Some(attn) = &st.attn {
-            ledger.record(Category::SoftmaxOutput, attn.probs.len() as u64);
-            ledger.record(Category::SoftmaxDropoutMask, attn.probs.len() as u64);
-            ledger.record(Category::SoftmaxDropoutOutput, attn.dropped.len() as u64);
+        let (a, m) = (&st.attn, &st.mlp);
+        ledger.record(Category::LayerNormInput, a.x.numel() as u64);
+        ledger.record(Category::SmallStatistics, 2 * a.x.rows() as u64);
+        ledger.record(Category::QkvInput, a.y1.numel() as u64);
+        ledger.record(Category::QueryKey, (a.q.numel() + a.k.numel()) as u64);
+        ledger.record(Category::Value, a.v.numel() as u64);
+        if let Some(core) = &a.core {
+            ledger.record(Category::SoftmaxOutput, core.probs.len() as u64);
+            ledger.record(Category::SoftmaxDropoutMask, core.probs.len() as u64);
+            ledger.record(Category::SoftmaxDropoutOutput, core.dropped.len() as u64);
         }
-        ledger.record(Category::ProjectionInput, st.ctx.numel() as u64);
-        ledger.record(Category::AttentionDropoutMask, st.r1.numel() as u64);
-        ledger.record(Category::LayerNormInput, st.r1.numel() as u64);
-        ledger.record(Category::SmallStatistics, 2 * st.r1.rows() as u64);
-        ledger.record(Category::MlpFirstInput, st.y2.numel() as u64);
-        ledger.record(Category::GeluInput, st.m1.numel() as u64);
-        ledger.record(Category::MlpSecondInput, st.g_act.numel() as u64);
-        ledger.record(Category::MlpDropoutMask, st.r1.numel() as u64);
+        ledger.record(Category::ProjectionInput, a.ctx.numel() as u64);
+        ledger.record(Category::AttentionDropoutMask, m.r1.numel() as u64);
+        ledger.record(Category::LayerNormInput, m.r1.numel() as u64);
+        ledger.record(Category::SmallStatistics, 2 * m.r1.rows() as u64);
+        ledger.record(Category::MlpFirstInput, m.y2.numel() as u64);
+        ledger.record(Category::GeluInput, m.m1.numel() as u64);
+        ledger.record(Category::MlpSecondInput, m.g_act.numel() as u64);
+        ledger.record(Category::MlpDropoutMask, m.r1.numel() as u64);
     }
 
     /// Forward pass under the resolved policy. Saved activations are
@@ -468,31 +496,28 @@ impl TransformerLayer {
         let policy = policy.into();
         let mode = policy.mode();
         let overlap = policy.overlap();
-        match policy.recompute().unwrap_or(self.policy) {
-            Recompute::Full => {
-                let (out, _) = self.forward_full(x, micro, &mode, overlap, false);
-                // Only the checkpointed input is stored.
-                ledger.record(Category::LayerNormInput, x.numel() as u64);
-                (out, LayerState::Checkpoint { x: x.clone(), micro })
-            }
-            Recompute::Selective => {
-                // The Figure 3 red region is not kept.
-                let (out, st) = self.forward_full(x, micro, &mode, overlap, false);
-                self.record_stored(&st, ledger);
-                (out, LayerState::Stored(Box::new(st)))
-            }
-            Recompute::None => {
-                let (out, st) = self.forward_full(x, micro, &mode, overlap, true);
-                self.record_stored(&st, ledger);
-                (out, LayerState::Stored(Box::new(st)))
-            }
-        }
+        let recompute = policy.recompute().unwrap_or(self.policy);
+        // Only `Recompute::None` keeps the Figure 3 red region.
+        let keep_attn = recompute == Recompute::None;
+        let st = self.forward_stored(x.clone(), micro, &mode, overlap, keep_attn);
+        let out = self.forward_tail(&st.mlp, micro, &mode, overlap);
+        let state = if recompute == Recompute::Full {
+            // Only the checkpointed input is stored.
+            ledger.record(Category::LayerNormInput, x.numel() as u64);
+            LayerState::Checkpoint { x: st.attn.x, micro }
+        } else {
+            self.record_stored(&st, ledger);
+            LayerState::Stored(Box::new(st))
+        };
+        (out, state)
     }
 
     /// Backward pass: consumes the saved state (recomputing whatever the
     /// policy dropped) and returns the input gradient and parameter
     /// gradients (shard-shaped in parallel execution, fully reduced so each
     /// rank holds exact gradients for its shard and replicated parameters).
+    /// Each half takes its own saved tensors by value and frees every one,
+    /// and every transient, at its last read.
     ///
     /// Selective recomputation needs no separate replay phase: a stored
     /// state without the attention core runs the replaying attention
@@ -510,26 +535,18 @@ impl TransformerLayer {
         let policy = policy.into();
         let mode = policy.mode();
         let overlap = policy.overlap();
-        let st = match state {
-            LayerState::Stored(st) => st,
+        let StoredState { micro, attn: attn_saved, mlp: mlp_saved } = match state {
+            LayerState::Stored(st) => *st,
             LayerState::Checkpoint { x, micro } => {
-                // Full recomputation: one extra forward pass (the 30-40%
-                // overhead the paper eliminates).
-                timed_recompute(|| Box::new(self.forward_full(&x, micro, &mode, overlap, false).1))
+                // Full recomputation: the forward replayed as far as the
+                // backward reads it, through the GeLU output (the 30-40%
+                // overhead the paper eliminates). The w2 GEMM, the MLP's
+                // exit collective, its dropout and residual are not re-run.
+                timed_recompute(|| self.forward_stored(x, micro, &mode, overlap, false))
             }
         };
-        self.backward_stored(dy, &st, &mode, overlap)
-    }
-
-    fn backward_stored(
-        &self,
-        dy: &Tensor,
-        st: &StoredState,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> (Tensor, LayerGrads) {
-        let (d_r1, mlp) = self.backward_mlp_half(dy, st, mode, overlap);
-        let (d_x, attn) = self.backward_attn_half(&d_r1, st, mode, overlap);
+        let (d_r1, mlp) = self.backward_mlp_half(dy, micro, mlp_saved, &mode, overlap);
+        let (d_x, attn) = self.backward_attn_half(d_r1, micro, attn_saved, &mode, overlap);
         // Each gradient is allocated once, by the half that computes it,
         // and moved here into the set the optimizer reads.
         let mut grads = LayerGrads {
@@ -546,19 +563,18 @@ impl TransformerLayer {
             w2: mlp.w_out,
             b2: mlp.b_out,
         };
-        self.reduce_replicated_grads(mode, &mut grads);
+        self.reduce_replicated_grads(&mode, &mut grads);
         (d_x, grads)
     }
 
     /// The MLP half of the backward pass: everything from the layer output
     /// gradient down to `d_r1`, the gradient at the second LayerNorm's
-    /// input. Reads only the MLP-side stored tensors (`g_act`, `m1`, `y2`,
-    /// `r1`, `ln2_saved`). Returns `d_r1` and the half's parameter
-    /// gradients.
+    /// input. Returns `d_r1` and the half's parameter gradients.
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
-        st: &StoredState,
+        micro: u64,
+        saved: MlpStored,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
     ) -> (Tensor, HalfGrads) {
@@ -570,28 +586,33 @@ impl TransformerLayer {
             self.layer_idx
         );
         let w = &self.weights;
+        let MlpStored { r1, ln2_saved, y2, m1, g_act } = saved;
 
         // out = r1 + dropout(m2)
-        let mask_mlp = self.region_mask(DropoutSite::MlpOutput, st.micro, mode, rows);
+        let mask_mlp = self.region_mask(DropoutSite::MlpOutput, micro, mode, rows);
         let d_m2 = ops::dropout_backward(dy, &mask_mlp, self.cfg.dropout_p);
+        drop(mask_mlp);
         let b_out = ops::bias_grad(&d_m2);
         // ḡ backward (all-gather; f̄ backward: identity) fused with the
         // d_g GEMM; the assembled gradient also feeds the w2 gradient.
         // m2_partial = g_act · w2
         let (d_g, d_m2_full) = self.gather_gemm(mode, overlap, &d_m2, &w.w2, true, true);
-        let w_out = ops::Gemm::TN.apply(&st.g_act, &d_m2_full.expect("full grad requested"));
-        let d_m1 = ops::gelu_backward(&st.m1, &d_g);
+        let w_out = ops::Gemm::TN.apply(&g_act, &d_m2_full.expect("full grad requested"));
+        drop((d_m2, g_act));
+        let d_m1 = ops::gelu_backward(&m1, &d_g);
+        drop((m1, d_g));
         let b_in = ops::bias_grad(&d_m1);
         // m1 = y2_full · w1. Under SP, y2 was kept as a shard: re-gather
         // (the extra all-gather the paper overlaps with the dW computation).
-        let y2_full = self.regather(mode, overlap, &st.y2);
-        let w_in = ops::Gemm::TN.apply(&y2_full, &d_m1);
-        let d_y2_full = ops::Gemm::NT.apply(&d_m1, &w.w1);
+        let w_in = ops::Gemm::TN.apply(&self.regather(mode, overlap, &y2), &d_m1);
+        drop(y2);
         // g backward: reduce-scatter; f backward: all-reduce.
-        let d_y_ln2 = self.combine_region(mode, overlap, &d_y2_full);
-        let (d_r1_ln, ln_gamma, ln_beta) =
-            ops::layer_norm_backward(&st.r1, &w.ln2_gamma, &st.ln2_saved, &d_y_ln2);
-        (dy.add(&d_r1_ln), HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
+        let d_y_ln2 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_m1, &w.w1));
+        drop(d_m1);
+        let (mut d_r1, ln_gamma, ln_beta) =
+            ops::layer_norm_backward(&r1, &w.ln2_gamma, &ln2_saved, &d_y_ln2);
+        d_r1.add_assign(dy);
+        (d_r1, HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
     }
 
     /// The attention half of the backward pass: from `d_r1` down to the
@@ -600,37 +621,42 @@ impl TransformerLayer {
     /// gradient and the half's parameter gradients.
     fn backward_attn_half(
         &self,
-        d_r1: &Tensor,
-        st: &StoredState,
+        d_r1: Tensor,
+        micro: u64,
+        saved: AttnStored,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
     ) -> (Tensor, HalfGrads) {
         let rows = self.local_rows(mode);
         let w = &self.weights;
+        let AttnStored { x, ln1_saved, y1, q, k, v, core, ctx } = saved;
 
         // r1 = x + dropout(o)
-        let mask_attn = self.region_mask(DropoutSite::AttentionOutput, st.micro, mode, rows);
-        let d_o = ops::dropout_backward(d_r1, &mask_attn, self.cfg.dropout_p);
+        let mask_attn = self.region_mask(DropoutSite::AttentionOutput, micro, mode, rows);
+        let d_o = ops::dropout_backward(&d_r1, &mask_attn, self.cfg.dropout_p);
+        drop(mask_attn);
         let b_out = ops::bias_grad(&d_o);
         // o_partial = ctx · w_o
         let (d_ctx, d_o_full) = self.gather_gemm(mode, overlap, &d_o, &w.w_o, true, true);
-        let w_out = ops::Gemm::TN.apply(&st.ctx, &d_o_full.expect("full grad requested"));
+        let w_out = ops::Gemm::TN.apply(&ctx, &d_o_full.expect("full grad requested"));
+        drop((d_o, ctx));
         // attention core
-        let ap = self.attn_params(mode, st.micro);
-        let (q, k, v) = (&st.q, &st.k, &st.v);
-        let (d_q, d_k, d_v) = match &st.attn {
-            Some(attn) => attention_backward(&ap, &self.rng, q, k, v, attn, &d_ctx),
-            None => attention_backward_replaying(&ap, &self.rng, q, k, v, &d_ctx),
+        let ap = self.attn_params(mode, micro);
+        let (d_q, d_k, d_v) = match core {
+            Some(core) => attention_backward(&ap, &self.rng, &q, &k, &v, &core, &d_ctx),
+            None => attention_backward_replaying(&ap, &self.rng, &q, &k, &v, &d_ctx),
         };
+        drop((q, k, v, d_ctx));
         let d_qkv = Tensor::concat_last_axis(&[d_q, d_k, d_v]);
         let b_in = ops::bias_grad(&d_qkv);
-        let y1_full = self.regather(mode, overlap, &st.y1);
-        let w_in = ops::Gemm::TN.apply(&y1_full, &d_qkv);
-        let d_y1_full = ops::Gemm::NT.apply(&d_qkv, &w.w_qkv);
-        let d_y_ln1 = self.combine_region(mode, overlap, &d_y1_full);
-        let (d_x_ln, ln_gamma, ln_beta) =
-            ops::layer_norm_backward(&st.x, &w.ln1_gamma, &st.ln1_saved, &d_y_ln1);
-        (d_r1.add(&d_x_ln), HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
+        let w_in = ops::Gemm::TN.apply(&self.regather(mode, overlap, &y1), &d_qkv);
+        drop(y1);
+        let d_y_ln1 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_qkv, &w.w_qkv));
+        drop(d_qkv);
+        let (mut d_x, ln_gamma, ln_beta) =
+            ops::layer_norm_backward(&x, &w.ln1_gamma, &ln1_saved, &d_y_ln1);
+        d_x.add_assign(&d_r1);
+        (d_x, HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
     }
 
     /// Sequence parallelism computes replicated-parameter gradients from
@@ -858,7 +884,7 @@ mod tests {
         let mut ledger = ActivationLedger::new();
         let (y, st) = stock.forward(&x, 0, policy, &mut ledger);
         assert!(
-            matches!(&st, LayerState::Stored(s) if s.attn.is_none()),
+            matches!(&st, LayerState::Stored(s) if s.attn.core.is_none()),
             "recompute override ignored"
         );
         let (dx, g) = stock.backward(&dy, st, policy);

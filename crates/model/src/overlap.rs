@@ -102,12 +102,15 @@ pub struct StepTiming {
     pub comm_us: u64,
     /// The portion of `comm_us` no dependent compute covered.
     pub exposed_us: u64,
-    /// Total recomputation time: the full-layer replays the backward pass
-    /// performed inline (`recompute_layer`). Selective recomputation books nothing
-    /// here: its replay is part of the attention backward
-    /// (`kernel_attention_backward` with `replay = true`), and its cost is
-    /// the selective backward's time minus the store-all backward's
-    /// (`train_bench`'s `model.layer_recompute_ms_selective`).
+    /// Total recomputation time: the full-recompute replays the backward
+    /// pass performed inline (`recompute_layer`), each re-running its
+    /// layer's forward through the GeLU output and no further — the w2
+    /// GEMM, the MLP's exit collective, dropout and residual feed only the
+    /// next layer. Selective recomputation books nothing here: its replay
+    /// is part of the attention backward (`kernel_attention_backward` with
+    /// `replay = true`), and its cost is the selective backward's time
+    /// minus the store-all backward's (`train_bench`'s
+    /// `model.layer_recompute_ms_selective`).
     pub recompute_us: u64,
     /// The portion of `recompute_us` exposed on the critical path. Every
     /// replay runs inline, so this equals `recompute_us` by construction;

@@ -476,7 +476,7 @@ fn run_schedule<G>(
                         "all-gather of final activations",
                     ))?
                 } else {
-                    x.clone()
+                    x
                 };
                 let (loss, hs) = head_forward(
                     &h.final_ln_gamma,

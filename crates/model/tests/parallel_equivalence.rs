@@ -285,14 +285,25 @@ fn collective_call_pattern_matches_figures_4_and_5() {
 }
 
 #[test]
-fn full_recompute_doubles_forward_collectives() {
-    // The replayed forward pass re-issues f̄/ḡ — visible in the ledger as
-    // extra collective calls, the communication analogue of the 30-40%
-    // compute overhead.
+fn full_recompute_replays_only_the_collectives_its_stored_state_needs() {
+    // The replayed forward re-issues the collectives up to the GeLU output
+    // — visible in the ledger as extra calls, the communication analogue
+    // of the 30-40% compute overhead — but not the MLP's f̄/ḡ, whose output
+    // no backward reads.
     let c = cfg();
     let (w, x, dy) = fixtures(&c, 11);
     let none = run_parallel(c, &w, &x, &dy, 2, false, Recompute::None);
     let full = run_parallel(c, &w, &x, &dy, 2, false, Recompute::Full);
     assert_eq!(none[0].stats.kind(CollectiveKind::AllReduce).calls, 4);
-    assert_eq!(full[0].stats.kind(CollectiveKind::AllReduce).calls, 6);
+    // 2 forward + 1 replayed (attention f̄) + 2 backward.
+    assert_eq!(full[0].stats.kind(CollectiveKind::AllReduce).calls, 5);
+
+    // TP+SP: the replay re-gathers both LayerNorm outputs (attention and
+    // MLP g) and re-scatters the attention output (ḡ), on top of None's
+    // 6 all-gathers, 4 reduce-scatters and 6 gradient-sync all-reduces.
+    let full = run_parallel(c, &w, &x, &dy, 2, true, Recompute::Full);
+    let s = &full[0].stats;
+    assert_eq!(s.kind(CollectiveKind::AllGather).calls, 6 + 2);
+    assert_eq!(s.kind(CollectiveKind::ReduceScatter).calls, 4 + 1);
+    assert_eq!(s.kind(CollectiveKind::AllReduce).calls, 6);
 }

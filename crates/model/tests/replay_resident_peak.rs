@@ -13,6 +13,15 @@
 //! the gradients it returns — rather than the two or more that a
 //! zero-filled gradient shadow or a packed weight copy would add.
 //!
+//! A layer backward also consumes its saved state: each half takes its
+//! own tensors by value and frees every one, and every transient, at its
+//! last read, and a `Full` replay rebuilds the state only through the
+//! GeLU output. On an activation-dominated layer the peak above entry is
+//! then the gradients, the replayed state (`Full` only: the stored one is
+//! live at entry), and the largest set of transients live together; a
+//! backward that borrows its state and holds every transient to the end
+//! lands far above that.
+//!
 //! The counting allocator is this test binary's own. Each test takes
 //! `EXCLUSIVE` and runs its policies in sequence on the serial backend, so
 //! no other test's allocations and no worker's scratch land in its window.
@@ -147,9 +156,11 @@ fn a_layer_backward_holds_about_one_set_of_parameter_bytes() {
     let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
     // The gradients are one set of parameter bytes; the rest is the
     // backward's activation gradients and GEMM blocks, plus, under `Full`,
-    // the replayed forward.
+    // the replayed state, less the stored tensors freed along the way.
+    // Measured 0.94 / 0.95 / 1.10 on the serial backend; each limit leaves
+    // about 0.05 of margin.
     for (policy, limit) in
-        [(Recompute::None, 1.2), (Recompute::Selective, 1.2), (Recompute::Full, 1.35)]
+        [(Recompute::None, 1.0), (Recompute::Selective, 1.0), (Recompute::Full, 1.15)]
     {
         let layer = TransformerLayer::new(cfg, weights.clone(), 0, policy, CounterRng::new(7));
         let mut ledger = ActivationLedger::new();
@@ -160,6 +171,60 @@ fn a_layer_backward_holds_about_one_set_of_parameter_bytes() {
             ratio < limit,
             "{policy:?} backward peaked {peak} B above entry, {ratio:.3} x the layer's \
              {param_bytes} parameter bytes; the limit is {limit} x"
+        );
+    }
+}
+
+#[test]
+fn a_layer_backward_frees_each_activation_at_its_last_read() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    set_default_backend(Backend::Serial);
+    // Activation-dominated: 512 tokens of width 64 against 12h² = 49 k
+    // parameters.
+    let cfg = TransformerConfig {
+        hidden: 64,
+        heads: 4,
+        seq: 512,
+        micro_batch: 1,
+        layers: 1,
+        vocab: 32,
+        dropout_p: 0.1,
+        causal: true,
+    };
+    let mut rng = SplitMix64::new(9);
+    let weights = LayerWeights::init(&cfg, &mut rng);
+    let param_bytes = weights.num_parameters() * 4;
+    let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+    let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+    // One `[s·b, h]` f32 activation.
+    let u = cfg.tokens() * cfg.hidden * 4;
+    // The largest set of transients live together opens the MLP half: the
+    // MLP dropout mask (one byte per element), `d_m2` and the `[s·b, 4h]`
+    // `d_g`. Everything later is smaller than the stored tensors freed
+    // before it.
+    let transients = u / 4 + u + 4 * u;
+    // The GEMMs' block scratch and the gradients of the half so far are
+    // covered by one more `u` (measured: 0.72 u).
+    let scratch = u;
+    // `Full` replays the stored state around its checkpointed input, which
+    // is live at entry: y1, q, k, v, ctx, r1, y2 (7 u), m1 and the GeLU
+    // output (8 u), and two LayerNorms' mean/rstd.
+    let replayed = 15 * u + 2 * 2 * cfg.tokens() * 4;
+    // Measured params + 5.97 u (None, Selective) and + 21.04 u (Full); a
+    // backward that keeps its state and transients to the end peaks at
+    // params + 14.7 u and + 29.8 u.
+    for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
+        let replay = if policy == Recompute::Full { replayed } else { 0 };
+        let bound = param_bytes + replay + transients + scratch;
+        let layer = TransformerLayer::new(cfg, weights.clone(), 0, policy, CounterRng::new(7));
+        let mut ledger = ActivationLedger::new();
+        let (_, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+        let (_, peak) = peak_above_entry(|| layer.backward(&dy, state, ExecMode::Serial));
+        assert!(
+            peak < bound,
+            "{policy:?} backward peaked {peak} B above entry; gradients {param_bytes} B + \
+             replayed state {replay} B + transients {transients} B + scratch {scratch} B \
+             = {bound} B"
         );
     }
 }
