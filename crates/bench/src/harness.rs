@@ -65,8 +65,8 @@ pub fn fill(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// The tiny-GPT config the traced subcommands and the examples train for
-/// real.
+/// The tiny-GPT config `mt-bench profile` traces and the examples train
+/// for real.
 pub fn tiny_gpt() -> TransformerConfig {
     TransformerConfig {
         hidden: 32,

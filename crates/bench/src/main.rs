@@ -6,8 +6,6 @@ mod profile;
 mod recovery;
 mod report;
 mod sync;
-mod trace;
-mod verify;
 
 use mt_bench::harness::usage_error;
 use std::process::ExitCode;
@@ -29,15 +27,9 @@ const SUBCOMMANDS: &[(&str, &str, Run)] = &[
         "the paper's tables and figures",
         Run::Args("[section…] [--json PATH] [--trace PATH]", report::run),
     ),
-    ("verify", "executing-system self-check matrix", Run::Plain(verify::run)),
-    (
-        "trace",
-        "traced TP+SP run with exact wire-byte and Table 2 cross-checks",
-        Run::Plain(trace::run),
-    ),
     (
         "profile",
-        "step-time attribution of a traced TP+SP step",
+        "traced TP+SP step: exact wire-byte, Table 2 and attribution checks",
         Run::Args("[--smoke] | --check FILE", profile::run),
     ),
     ("kernels", "kernel micro-benchmarks → reports/BENCH_kernels.json", Run::Smoke(kernels::run)),

@@ -320,8 +320,7 @@ fn run(args: &[&str]) -> Output {
 
 #[test]
 fn the_cli_lists_its_subcommands_and_rejects_what_it_does_not_know() {
-    const SUBCOMMANDS: [&str; 8] =
-        ["report", "verify", "trace", "profile", "kernels", "sync", "recovery", "gate"];
+    const SUBCOMMANDS: [&str; 6] = ["report", "profile", "kernels", "sync", "recovery", "gate"];
     for args in [&[][..], &["bogus"][..]] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");

@@ -84,29 +84,12 @@ pub struct AllocatorStats {
     pub fragmentation_failures: u64,
 }
 
-impl AllocatorStats {
-    /// Publishes the snapshot into a metrics registry under
-    /// `{prefix}.{allocated,peak_allocated,peak_footprint,allocs,frees,fragmentation_failures}`.
-    /// Peaks go in as high-water marks, so repeated publishes (or publishes
-    /// from several allocators under one prefix) keep the maximum.
-    pub fn publish(&self, registry: &mt_trace::MetricsRegistry, prefix: &str) {
-        registry.gauge_set(&format!("{prefix}.allocated"), self.allocated as f64);
-        registry.high_water(&format!("{prefix}.peak_allocated"), self.peak_allocated);
-        registry.high_water(&format!("{prefix}.peak_footprint"), self.peak_footprint);
-        registry.counter_add(&format!("{prefix}.allocs"), self.allocs);
-        registry.counter_add(&format!("{prefix}.frees"), self.frees);
-        registry
-            .counter_add(&format!("{prefix}.fragmentation_failures"), self.fragmentation_failures);
-    }
-}
-
 /// A fixed-capacity best-fit allocator with splitting and coalescing.
 #[derive(Debug, Clone)]
 pub struct CachingAllocator {
     capacity: u64,
     blocks: Vec<Block>, // sorted by offset, covering [0, capacity)
     stats: AllocatorStats,
-    tracer: mt_trace::Tracer,
 }
 
 impl CachingAllocator {
@@ -121,15 +104,7 @@ impl CachingAllocator {
             capacity,
             blocks: vec![Block { offset: 0, size: capacity, free: true }],
             stats: AllocatorStats::default(),
-            tracer: mt_trace::Tracer::disabled(),
         }
-    }
-
-    /// Attaches a tracer: every successful `malloc`/`free` then emits
-    /// `alloc.allocated_bytes` and `alloc.footprint_bytes` counter samples,
-    /// which render as the allocator watermark curves in a Chrome trace.
-    pub fn set_tracer(&mut self, tracer: mt_trace::Tracer) {
-        self.tracer = tracer;
     }
 
     /// Arena capacity in bytes.
@@ -141,13 +116,6 @@ impl CachingAllocator {
     /// (0 when nothing is allocated).
     pub fn footprint(&self) -> u64 {
         self.blocks.iter().filter(|b| !b.free).map(|b| b.offset + b.size).max().unwrap_or(0)
-    }
-
-    fn emit_watermarks(&self) {
-        if self.tracer.is_enabled() {
-            self.tracer.counter("alloc.allocated_bytes", self.stats.allocated as f64);
-            self.tracer.counter("alloc.footprint_bytes", self.footprint() as f64);
-        }
     }
 
     /// Current statistics.
@@ -228,7 +196,6 @@ impl CachingAllocator {
         // high-water mark needs just the new block's end.
         self.stats.peak_footprint = self.stats.peak_footprint.max(offset + size);
         self.stats.allocs += 1;
-        self.emit_watermarks();
         Ok(AllocId(offset))
     }
 
@@ -255,7 +222,6 @@ impl CachingAllocator {
             self.blocks[i - 1].size += self.blocks[i].size;
             self.blocks.remove(i);
         }
-        self.emit_watermarks();
     }
 
     /// Internal consistency check: blocks tile `[0, capacity)` exactly.
@@ -378,44 +344,6 @@ mod tests {
         // Re-filling from the front does not raise the peak.
         let _ = a.malloc(10).unwrap();
         assert_eq!(a.stats().peak_footprint, 90);
-    }
-
-    #[test]
-    fn publish_surfaces_stats_through_the_registry() {
-        let mut a = CachingAllocator::new(100);
-        let x = a.malloc(60).unwrap();
-        a.free(x);
-        let _ = a.malloc(30).unwrap();
-        let reg = mt_trace::MetricsRegistry::new();
-        a.stats().publish(&reg, "rank0.alloc");
-        assert_eq!(reg.get("rank0.alloc.allocated").unwrap().as_f64(), 30.0);
-        assert_eq!(reg.get("rank0.alloc.peak_allocated").unwrap().as_u64(), 60);
-        assert_eq!(reg.get("rank0.alloc.peak_footprint").unwrap().as_u64(), 60);
-        assert_eq!(reg.get("rank0.alloc.allocs").unwrap().as_u64(), 2);
-        assert_eq!(reg.get("rank0.alloc.frees").unwrap().as_u64(), 1);
-        // High-water marks survive a second publish from a smaller snapshot.
-        let b = CachingAllocator::new(100);
-        b.stats().publish(&reg, "rank0.alloc");
-        assert_eq!(reg.get("rank0.alloc.peak_footprint").unwrap().as_u64(), 60);
-    }
-
-    #[test]
-    fn traced_allocator_emits_watermark_counters() {
-        let tracer = mt_trace::Tracer::enabled();
-        let mut a = CachingAllocator::new(100);
-        a.set_tracer(tracer.clone());
-        let x = a.malloc(40).unwrap();
-        a.free(x);
-        let samples: Vec<f64> = tracer
-            .events()
-            .iter()
-            .filter(|e| e.name == "alloc.allocated_bytes")
-            .map(|e| match e.kind {
-                mt_trace::EventKind::Counter { value } => value,
-                _ => panic!("watermark must be a counter event"),
-            })
-            .collect();
-        assert_eq!(samples, [40.0, 0.0]);
     }
 
     #[test]

@@ -603,7 +603,7 @@ impl Gpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Adam;
+    use crate::optim::AdamW;
 
     fn cfg() -> TransformerConfig {
         TransformerConfig {
@@ -642,7 +642,7 @@ mod tests {
         let c = cfg();
         let mut gpt = Gpt::init(c, Recompute::Selective, 12);
         let (tokens, targets) = data(&c, 2);
-        let mut adam = Adam::new(3e-3);
+        let mut adam = AdamW::new(3e-3, 0.0);
         let mut first = 0.0;
         let mut last = 0.0;
         for step in 0..60 {

@@ -1,12 +1,12 @@
-//! Optimizers for the executing model: Adam (as used by the paper's
-//! training runs) and AdamW.
+//! The executing model's optimizer, AdamW (with zero weight decay, the
+//! Adam of the paper's training runs), and global gradient-norm clipping.
 
 use mt_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Serializable optimizer state: the step count driving bias correction
 /// plus the first/second moment tensors in parameter order. Captured with
-/// [`Adam::state`] / [`AdamW::state`] and restored with `load_state`, so a
+/// [`AdamW::state`] and restored with [`AdamW::load_state`], so a
 /// resumed run continues bit-identically to an uninterrupted one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdamState {
@@ -18,13 +18,15 @@ pub struct AdamState {
     pub v: Vec<Tensor>,
 }
 
-/// Adam with bias correction.
+/// AdamW: Adam with bias correction and decoupled weight decay (the
+/// regularization large GPT training runs use); `weight_decay = 0` is plain
+/// Adam.
 ///
-/// State tensors are allocated lazily on the first [`Adam::update`] call and
-/// keyed by position, so callers must pass parameters in a stable order.
+/// State tensors are allocated lazily on the first [`AdamW::update`] call
+/// and keyed by position, so callers must pass parameters in a stable order.
 #[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
+pub struct AdamW {
+    /// Learning rate (schedules set it before each update).
     pub lr: f32,
     /// First-moment decay.
     pub beta1: f32,
@@ -32,16 +34,27 @@ pub struct Adam {
     pub beta2: f32,
     /// Denominator fuzz.
     pub eps: f32,
+    /// Decoupled weight-decay coefficient.
+    pub weight_decay: f32,
     step: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
-impl Adam {
-    /// Creates an Adam optimizer with the usual defaults
+impl AdamW {
+    /// Creates an AdamW optimizer with the usual defaults
     /// (`β₁ = 0.9, β₂ = 0.999, ε = 1e-8`).
-    pub fn new(lr: f32) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, step: 0, m: Vec::new(), v: Vec::new() }
+    pub fn new(lr: f32, weight_decay: f32) -> Self {
+        AdamW {
+            lr,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            weight_decay,
+            step: 0,
+            m: Vec::new(),
+            v: Vec::new(),
+        }
     }
 
     /// Number of update steps taken.
@@ -54,7 +67,7 @@ impl Adam {
         AdamState { step: self.step, m: self.m.clone(), v: self.v.clone() }
     }
 
-    /// Restores a snapshot taken by [`Adam::state`]. The moment tensors
+    /// Restores a snapshot taken by [`AdamW::state`]. The moment tensors
     /// must be in the same parameter order the optimizer will later be
     /// stepped with.
     pub fn load_state(&mut self, state: AdamState) {
@@ -64,14 +77,21 @@ impl Adam {
         self.v = state.v;
     }
 
-    /// Applies one update: `params[i] -= lr · m̂ / (√v̂ + ε)`.
+    /// Applies one update: weight decay `p -= lr·wd·p` over every
+    /// parameter, then the Adam step `p -= lr · m̂ / (√v̂ + ε)`.
     ///
     /// # Panics
     ///
     /// Panics if `params` and `grads` lengths differ, if a gradient shape
     /// does not match its parameter, or if the parameter list changed
     /// between calls.
-    pub fn update(&mut self, params: Vec<&mut Tensor>, grads: &[&Tensor]) {
+    pub fn update(&mut self, mut params: Vec<&mut Tensor>, grads: &[&Tensor]) {
+        let decay = self.lr * self.weight_decay;
+        for p in params.iter_mut() {
+            for v in p.data_mut() {
+                *v -= decay * *v;
+            }
+        }
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         if self.m.is_empty() {
             self.m = params.iter().map(|p| Tensor::zeros(p.shape())).collect();
@@ -101,62 +121,6 @@ impl Adam {
     }
 }
 
-/// AdamW: Adam with decoupled weight decay (the regularization large GPT
-/// training runs actually use).
-#[derive(Debug, Clone)]
-pub struct AdamW {
-    inner: Adam,
-    /// Decoupled weight-decay coefficient.
-    pub weight_decay: f32,
-}
-
-impl AdamW {
-    /// Creates an AdamW optimizer.
-    pub fn new(lr: f32, weight_decay: f32) -> Self {
-        AdamW { inner: Adam::new(lr), weight_decay }
-    }
-
-    /// Number of update steps taken.
-    pub fn steps(&self) -> u64 {
-        self.inner.steps()
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.inner.lr
-    }
-
-    /// Snapshot of the optimizer state for checkpointing.
-    pub fn state(&self) -> AdamState {
-        self.inner.state()
-    }
-
-    /// Restores a snapshot taken by [`AdamW::state`].
-    pub fn load_state(&mut self, state: AdamState) {
-        self.inner.load_state(state);
-    }
-
-    /// Sets the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.inner.lr = lr;
-    }
-
-    /// Applies one update: weight decay `p -= lr·wd·p`, then the Adam step.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Adam::update`].
-    pub fn update(&mut self, mut params: Vec<&mut Tensor>, grads: &[&Tensor]) {
-        let decay = self.inner.lr * self.weight_decay;
-        for p in params.iter_mut() {
-            for v in p.data_mut() {
-                *v -= decay * *v;
-            }
-        }
-        self.inner.update(params, grads);
-    }
-}
-
 /// Global gradient-norm clipping: scales every gradient by
 /// `min(1, max_norm / ‖g‖₂)` where the norm is taken over *all* gradients
 /// jointly, and returns the pre-clip norm.
@@ -165,18 +129,9 @@ impl AdamW {
 /// compute the global norm by all-reducing the squared-norm contributions
 /// before calling this with the combined value — or use this directly for
 /// single-rank training.
-pub fn clip_grad_norm(mut grads: Vec<&mut Tensor>, max_norm: f32) -> f32 {
-    let sq: f64 = grads.iter().flat_map(|g| g.data()).map(|&v| (v as f64) * (v as f64)).sum();
-    let norm = sq.sqrt() as f32;
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            for v in g.data_mut() {
-                *v *= scale;
-            }
-        }
-    }
-    norm
+pub fn clip_grad_norm(grads: Vec<&mut Tensor>, max_norm: f32) -> f32 {
+    let sq = sq_sum(&grads);
+    scale_to_norm(grads, sq, max_norm)
 }
 
 /// [`clip_grad_norm`] for a tensor-parallel rank: the norm is the *global*
@@ -198,21 +153,34 @@ pub fn clip_grad_norm(mut grads: Vec<&mut Tensor>, max_norm: f32) -> f32 {
 /// as a panic payload if the reduction fails (as every infallible
 /// collective does).
 pub fn clip_grad_norm_tp<'a>(
-    mut replicated: Vec<&'a mut Tensor>,
-    mut sharded: Vec<&'a mut Tensor>,
+    replicated: Vec<&'a mut Tensor>,
+    sharded: Vec<&'a mut Tensor>,
     max_norm: f32,
     comm: &mt_collectives::Communicator,
 ) -> f32 {
-    let sq_sum = |ts: &[&mut Tensor]| -> f64 {
-        ts.iter().flat_map(|g| g.data()).map(|&v| (v as f64) * (v as f64)).sum()
-    };
     let local = Tensor::from_vec(vec![1], vec![sq_sum(&sharded) as f32])
         .expect("1-element squared-norm tensor");
     let shard_sq = comm.all_reduce(&local).data()[0] as f64;
-    let norm = (sq_sum(&replicated) + shard_sq).sqrt() as f32;
+    let sq = sq_sum(&replicated) + shard_sq;
+    scale_to_norm(replicated.into_iter().chain(sharded), sq, max_norm)
+}
+
+/// Sum of squares of every gradient element, in f64.
+fn sq_sum(grads: &[&mut Tensor]) -> f64 {
+    grads.iter().flat_map(|g| g.data()).map(|&v| (v as f64) * (v as f64)).sum()
+}
+
+/// The clipping both entry points share: with `norm = √sq`, scales every
+/// gradient by `max_norm / norm` when `norm > max_norm`, and returns `norm`.
+fn scale_to_norm<'a>(
+    grads: impl IntoIterator<Item = &'a mut Tensor>,
+    sq: f64,
+    max_norm: f32,
+) -> f32 {
+    let norm = sq.sqrt() as f32;
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
-        for g in replicated.iter_mut().chain(sharded.iter_mut()) {
+        for g in grads {
             for v in g.data_mut() {
                 *v *= scale;
             }
@@ -230,7 +198,7 @@ mod tests {
         // Minimize f(x) = ||x - c||² — Adam should march towards c.
         let c = [3.0_f32, -1.0, 0.5];
         let mut x = Tensor::zeros(&[3]);
-        let mut adam = Adam::new(0.1);
+        let mut adam = AdamW::new(0.1, 0.0);
         for _ in 0..200 {
             let g = Tensor::from_fn(&[3], |i| 2.0 * (x.data()[i] - c[i]));
             adam.update(vec![&mut x], &[&g]);
@@ -244,7 +212,7 @@ mod tests {
     fn adam_is_deterministic() {
         let run = || {
             let mut x = Tensor::full(&[4], 1.0);
-            let mut adam = Adam::new(0.01);
+            let mut adam = AdamW::new(0.01, 0.0);
             for i in 0..10 {
                 let g = Tensor::full(&[4], (i as f32).sin());
                 adam.update(vec![&mut x], &[&g]);
@@ -258,7 +226,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn adam_rejects_mismatched_lists() {
         let mut x = Tensor::zeros(&[2]);
-        Adam::new(0.1).update(vec![&mut x], &[]);
+        AdamW::new(0.1, 0.0).update(vec![&mut x], &[]);
     }
 
     #[test]
@@ -266,19 +234,19 @@ mod tests {
         let g_at = |i: u64| Tensor::full(&[3], (i as f32).sin());
         // Uninterrupted: 10 steps.
         let mut x_ref = Tensor::full(&[3], 1.0);
-        let mut adam_ref = Adam::new(0.05);
+        let mut adam_ref = AdamW::new(0.05, 0.0);
         for i in 0..10 {
             adam_ref.update(vec![&mut x_ref], &[&g_at(i)]);
         }
         // Interrupted at step 5: snapshot, restore into a fresh optimizer,
         // replay the rest.
         let mut x = Tensor::full(&[3], 1.0);
-        let mut adam = Adam::new(0.05);
+        let mut adam = AdamW::new(0.05, 0.0);
         for i in 0..5 {
             adam.update(vec![&mut x], &[&g_at(i)]);
         }
         let snapshot = adam.state();
-        let mut resumed = Adam::new(0.05);
+        let mut resumed = AdamW::new(0.05, 0.0);
         resumed.load_state(snapshot);
         for i in 5..10 {
             resumed.update(vec![&mut x], &[&g_at(i)]);
@@ -294,30 +262,35 @@ mod tests {
 
     #[test]
     fn adamw_decays_unused_weights() {
-        // With zero gradients, AdamW still shrinks the parameters; Adam
-        // does not.
+        // With zero gradients, weight decay still shrinks the parameters;
+        // without it they stay put.
         let mut x = Tensor::full(&[3], 1.0);
         let g = Tensor::zeros(&[3]);
         let mut adamw = AdamW::new(0.1, 0.5);
         adamw.update(vec![&mut x], &[&g]);
         assert!(x.data().iter().all(|&v| v < 1.0));
         let mut y = Tensor::full(&[3], 1.0);
-        Adam::new(0.1).update(vec![&mut y], &[&g]);
+        AdamW::new(0.1, 0.0).update(vec![&mut y], &[&g]);
         assert!(y.data().iter().all(|&v| v == 1.0));
     }
 
     #[test]
-    fn adamw_with_zero_decay_equals_adam() {
-        let g = Tensor::from_vec(vec![2], vec![0.3, -0.7]).unwrap();
-        let mut a = Tensor::full(&[2], 1.0);
-        let mut b = Tensor::full(&[2], 1.0);
-        let mut adam = Adam::new(0.05);
+    fn adamw_with_zero_decay_is_the_textbook_adam_step() {
+        let g = [0.3_f32, -0.7];
+        let mut p = Tensor::full(&[2], 1.0);
         let mut adamw = AdamW::new(0.05, 0.0);
-        for _ in 0..5 {
-            adam.update(vec![&mut a], &[&g]);
-            adamw.update(vec![&mut b], &[&g]);
+        let (mut want, mut m, mut v) = ([1.0_f32; 2], [0.0_f32; 2], [0.0_f32; 2]);
+        for step in 1..=5 {
+            adamw.update(vec![&mut p], &[&Tensor::from_vec(vec![2], g.to_vec()).unwrap()]);
+            for i in 0..2 {
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g[i];
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * g[i] * g[i];
+                let mhat = m[i] / (1.0 - 0.9_f32.powi(step));
+                let vhat = v[i] / (1.0 - 0.999_f32.powi(step));
+                want[i] -= 0.05 * mhat / (vhat.sqrt() + 1e-8);
+            }
         }
-        assert_eq!(a, b);
+        assert_eq!(p.data(), want);
     }
 
     #[test]

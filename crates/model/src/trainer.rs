@@ -353,7 +353,7 @@ impl Trainer {
             (None, _) => 0.0,
         };
         let lr = self.cfg.schedule.lr_at(self.step);
-        self.opt.set_lr(lr);
+        self.opt.lr = lr;
         self.opt.update(self.gpt.param_tensors_mut(), &grads.tensors());
         drop(opt_span);
         let stats = StepStats { step: self.step, loss, grad_norm, lr };

@@ -6,6 +6,7 @@
 
 use mt_collectives::{CollectiveKind, CommStats, World};
 use mt_memory::Recompute;
+use mt_model::gpt::Gpt;
 use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig, TransformerLayer};
 use mt_tensor::rng::{CounterRng, SplitMix64};
@@ -154,6 +155,54 @@ fn parallel_equivalence_holds_with_dropout() {
     for sp in [false, true] {
         let results = run_parallel(c, &w, &x, &dy, 4, sp, Recompute::None);
         assert_matches_serial(c, &results, sp, &serial, 2e-3);
+    }
+}
+
+#[test]
+fn whole_gpt_loss_matches_serial_at_t4_under_tp_and_tpsp_selective() {
+    // The whole model, not one layer: the mean loss over four microbatches
+    // of a 4-layer GPT with dropout, at t = 4 under tensor parallelism
+    // (store-all) and under tensor+sequence parallelism with selective
+    // recompute, equals the serial model's.
+    let c = TransformerConfig { seq: 16, layers: 4, vocab: 64, dropout_p: 0.1, ..cfg() };
+    let mut rng = SplitMix64::new(99);
+    let data: Vec<(Vec<usize>, Vec<usize>)> = (0..4)
+        .map(|_| {
+            let tokens: Vec<usize> =
+                (0..c.tokens()).map(|_| (rng.next_u64() as usize) % c.vocab).collect();
+            let mut targets = tokens.clone();
+            targets.rotate_left(c.micro_batch);
+            (tokens, targets)
+        })
+        .collect();
+    let mean_loss = |gpt: &Gpt, mode: ExecMode| {
+        let total: f64 = data
+            .iter()
+            .enumerate()
+            .map(|(mb, (tokens, targets))| {
+                let mut ledger = ActivationLedger::new();
+                gpt.loss_and_grads(tokens, targets, mb as u64, mode, &mut ledger).0 as f64
+            })
+            .sum();
+        (total / data.len() as f64) as f32
+    };
+    let gpt = Gpt::init(c, Recompute::None, 7);
+    let serial = mean_loss(&gpt, ExecMode::Serial);
+    for (sp, policy) in [(false, Recompute::None), (true, Recompute::Selective)] {
+        let losses = World::run(4, |comm| {
+            let mode = if sp {
+                ExecMode::TensorSequenceParallel(&comm)
+            } else {
+                ExecMode::TensorParallel(&comm)
+            };
+            mean_loss(&gpt.shard(4, comm.rank(), policy), mode)
+        });
+        for (rank, loss) in losses.iter().enumerate() {
+            assert!(
+                (loss - serial).abs() < 1e-4,
+                "sp={sp} {policy:?} rank {rank}: loss {loss} vs serial {serial}"
+            );
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 use mt_collectives::run_grid;
 use mt_memory::Recompute;
 use mt_model::gpt::{Gpt, GptGrads};
-use mt_model::optim::Adam;
+use mt_model::optim::AdamW;
 use mt_model::pipeline_exec::{run_1f1b_iteration, StageModel};
 use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig};
@@ -240,7 +240,7 @@ fn multi_step_pipeline_training_follows_serial_curve() {
 
     // Serial trajectory.
     let mut serial_gpt = Gpt::init(c, Recompute::None, SEED);
-    let mut serial_adam = Adam::new(1e-3);
+    let mut serial_adam = AdamW::new(1e-3, 0.0);
     let mut serial_losses = Vec::new();
     for step in 0..STEPS {
         let (loss, grads) = serial_iteration(&serial_gpt, &data, step as u64);
@@ -253,7 +253,7 @@ fn multi_step_pipeline_training_follows_serial_curve() {
     let losses = run_grid(1, 2, |g| {
         let mut model =
             StageModel::from_gpt(&template, 2, g.stage, 1, g.tp_rank, Recompute::Selective);
-        let mut adam = Adam::new(1e-3);
+        let mut adam = AdamW::new(1e-3, 0.0);
         let mut losses = Vec::new();
         for step in 0..STEPS {
             let out = run_1f1b_iteration(&model, &g, false, &data, step as u64);

@@ -1,4 +1,4 @@
-//! Event exporters: Chrome `trace_event` JSON, ASCII timelines.
+//! Event exporter: Chrome `trace_event` JSON.
 
 use crate::tracer::{ArgValue, EventKind, TraceEvent};
 use serde_json::Value;
@@ -19,7 +19,7 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 
 /// Converts events to a Chrome `trace_event` JSON array (the format
 /// `chrome://tracing` and Perfetto load): spans become `"X"` complete
-/// events with `ts`/`dur` in microseconds, instants `"i"`, counters `"C"`;
+/// events with `ts`/`dur` in microseconds, instants `"i"`;
 /// the event's track becomes `tid` and everything shares `pid` 0.
 pub fn chrome_trace(events: &[TraceEvent]) -> Value {
     let entries = events
@@ -41,18 +41,9 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     fields.push(("ph", serde_json::to_value("i")));
                     fields.push(("s", serde_json::to_value("t")));
                 }
-                EventKind::Counter { .. } => {
-                    fields.push(("ph", serde_json::to_value("C")));
-                }
             }
-            let args: Vec<(String, Value)> = match ev.kind {
-                // Chrome renders counter series from the args object.
-                EventKind::Counter { value } => {
-                    vec![("value".to_string(), serde_json::to_value(&value))]
-                }
-                _ => ev.args.iter().map(|(k, v)| (k.to_string(), arg_json(v))).collect(),
-            };
-            if !args.is_empty() {
+            if !ev.args.is_empty() {
+                let args = ev.args.iter().map(|(k, v)| (k.to_string(), arg_json(v))).collect();
                 fields.push(("args", Value::Object(args)));
             }
             obj(fields)
@@ -65,7 +56,6 @@ fn category(ev: &TraceEvent) -> &'static str {
     match ev.kind {
         EventKind::Complete { .. } => "span",
         EventKind::Instant => "instant",
-        EventKind::Counter { .. } => "counter",
     }
 }
 
@@ -107,11 +97,6 @@ pub fn validate_chrome_trace(v: &Value) -> Result<(), String> {
                 let tid = e["tid"].as_u64().ok_or_else(|| format!("entry {i}: integer tid"))?;
                 intervals.push((tid, ts, ts + dur));
             }
-            "C" => {
-                if e.get("args").and_then(|a| a.get("value")).is_none() {
-                    return Err(format!("entry {i}: C event needs args.value"));
-                }
-            }
             "i" | "B" | "E" | "M" => {}
             other => return Err(format!("entry {i}: unexpected phase {other:?}")),
         }
@@ -147,73 +132,6 @@ pub fn validate_chrome_trace(v: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders per-track ASCII timelines of the complete (span) events, one
-/// labelled lane per track, `width` columns spanning the full recorded
-/// interval. Each span paints its first letter; when spans nest, the
-/// shorter (deeper) span wins the cell. A legend maps letters to names.
-pub fn ascii_timeline(events: &[TraceEvent], width: usize) -> String {
-    let width = width.max(10);
-    let spans: Vec<(&TraceEvent, f64)> = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Complete { dur_us } => Some((e, dur_us)),
-            _ => None,
-        })
-        .collect();
-    if spans.is_empty() {
-        return "(no spans recorded)\n".to_string();
-    }
-    let t0 = spans.iter().map(|(e, _)| e.ts_us).fold(f64::INFINITY, f64::min);
-    let t1 = spans.iter().map(|(e, d)| e.ts_us + d).fold(f64::NEG_INFINITY, f64::max);
-    let range = (t1 - t0).max(1e-9);
-    let mut tracks: Vec<u32> = spans.iter().map(|(e, _)| e.track).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
-
-    // Longer spans paint first so nested (shorter) spans overwrite them.
-    let mut order: Vec<usize> = (0..spans.len()).collect();
-    order.sort_by(|&a, &b| spans[b].1.partial_cmp(&spans[a].1).expect("finite durations"));
-
-    let mut legend: Vec<(char, String)> = Vec::new();
-    let mut letter_for = |name: &str| -> char {
-        if let Some((c, _)) = legend.iter().find(|(_, n)| n == name) {
-            return *c;
-        }
-        let c = char::from(b'A' + (legend.len() % 26) as u8);
-        legend.push((c, name.to_string()));
-        c
-    };
-
-    let mut lanes: Vec<Vec<char>> = vec![vec!['.'; width]; tracks.len()];
-    for i in order {
-        let (e, dur) = spans[i];
-        let lane = tracks.binary_search(&e.track).expect("track present");
-        let c = letter_for(e.name.as_ref());
-        let lo = (((e.ts_us - t0) / range) * width as f64).floor() as usize;
-        let hi = ((((e.ts_us + dur) - t0) / range) * width as f64).ceil() as usize;
-        for cell in lanes[lane].iter_mut().take(hi.min(width)).skip(lo.min(width - 1)) {
-            *cell = c;
-        }
-    }
-
-    let mut out = String::new();
-    out.push_str(&format!("timeline: {:.1} us .. {:.1} us ({} spans)\n", t0, t1, spans.len()));
-    for (lane, track) in tracks.iter().enumerate() {
-        out.push_str(&format!("track {track:>3} |"));
-        out.extend(lanes[lane].iter());
-        out.push_str("|\n");
-    }
-    out.push_str("legend: ");
-    for (i, (c, name)) in legend.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{c}={name}"));
-    }
-    out.push('\n');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +142,6 @@ mod tests {
         t.complete_at("outer", 0, 0.0, 100.0, vec![("bytes", ArgValue::U64(64))]);
         t.complete_at("inner", 0, 10.0, 20.0, Vec::new());
         t.complete_at("other", 1, 5.0, 50.0, Vec::new());
-        t.counter_at("watermark", 0, 50.0, 42.0);
         t.instant("tick");
         t.events()
     }
@@ -233,15 +150,13 @@ mod tests {
     fn chrome_trace_has_the_documented_shape() {
         let v = chrome_trace(&sample_events());
         let arr = v.as_array().expect("array");
-        assert_eq!(arr.len(), 5);
+        assert_eq!(arr.len(), 4);
         assert_eq!(arr[0]["ph"], "X");
         assert_eq!(arr[0]["name"], "outer");
         assert_eq!(arr[0]["dur"], 100.0);
         assert_eq!(arr[0]["args"]["bytes"], 64u64);
         assert_eq!(arr[2]["tid"], 1u64);
-        assert_eq!(arr[3]["ph"], "C");
-        assert_eq!(arr[3]["args"]["value"], 42.0);
-        assert_eq!(arr[4]["ph"], "i");
+        assert_eq!(arr[3]["ph"], "i");
         validate_chrome_trace(&v).expect("valid");
     }
 
@@ -260,21 +175,5 @@ mod tests {
         t.complete_at("a", 0, 0.0, 50.0, Vec::new());
         t.complete_at("b", 1, 25.0, 50.0, Vec::new());
         validate_chrome_trace(&chrome_trace(&t.events())).expect("different tids may overlap");
-    }
-
-    #[test]
-    fn ascii_timeline_draws_each_track() {
-        let s = ascii_timeline(&sample_events(), 40);
-        assert!(s.contains("track   0 |"), "{s}");
-        assert!(s.contains("track   1 |"), "{s}");
-        assert!(s.contains("A=outer") || s.contains("=outer"), "{s}");
-        // The nested span overwrites part of the outer lane.
-        let lane0 = s.lines().find(|l| l.starts_with("track   0")).unwrap();
-        assert!(lane0.chars().filter(|c| c.is_ascii_uppercase()).count() >= 2, "{s}");
-    }
-
-    #[test]
-    fn empty_timeline_is_graceful() {
-        assert!(ascii_timeline(&[], 40).contains("no spans"));
     }
 }

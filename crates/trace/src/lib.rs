@@ -7,14 +7,12 @@
 //!   lane). A disabled tracer ([`Tracer::disabled`]) costs one `Option`
 //!   check per call and allocates nothing, so instrumentation can stay in
 //!   hot paths permanently.
-//! * [`MetricsRegistry`] — a typed registry of counters, gauges, and
-//!   high-water marks that the runtime's existing ledgers (`CommStats`,
-//!   `AllocatorStats`, `ActivationLedger`) publish into, giving one flat
-//!   namespace for everything measurable.
+//! * [`MetricsRegistry`] — a typed registry of counters, high-water marks
+//!   and histograms that the runtime's ledgers (`CommStats`,
+//!   `ActivationLedger`) publish into, giving one flat namespace for
+//!   everything measurable, dumped as flat JSON into `reports/`.
 //! * [`export`] — converts recorded events into the Chrome `trace_event`
-//!   JSON format (loadable in `chrome://tracing` / Perfetto), a per-rank
-//!   ASCII timeline for terminals, and a flat JSON metrics dump for
-//!   `reports/`.
+//!   JSON format (loadable in `chrome://tracing` / Perfetto).
 //!
 //! Instrumented call sites that cannot thread a `Tracer` through their
 //! signatures (deep model internals) use the thread-local *current tracer*:
@@ -33,7 +31,5 @@ pub use tracer::{
 
 /// Exporters for recorded trace events.
 pub mod export {
-    pub use crate::export_impl::{
-        ascii_timeline, chrome_trace, chrome_trace_string, validate_chrome_trace,
-    };
+    pub use crate::export_impl::{chrome_trace, chrome_trace_string, validate_chrome_trace};
 }

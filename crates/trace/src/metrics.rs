@@ -166,8 +166,6 @@ impl Deserialize for Histogram {
 pub enum Metric {
     /// Monotonically increasing count (calls, bytes moved).
     Counter(u64),
-    /// Last-write-wins sampled value.
-    Gauge(f64),
     /// Maximum ever observed (peak bytes, peak in-flight).
     HighWater(u64),
     /// Distribution of integer samples with fixed power-of-two buckets
@@ -181,17 +179,14 @@ impl Metric {
     pub fn as_f64(self) -> f64 {
         match self {
             Metric::Counter(v) | Metric::HighWater(v) => v as f64,
-            Metric::Gauge(v) => v,
             Metric::Histogram(h) => h.sum as f64,
         }
     }
 
-    /// The value as an integer; gauges are truncated, histograms report
-    /// their sample sum.
+    /// The value as an integer; histograms report their sample sum.
     pub fn as_u64(self) -> u64 {
         match self {
             Metric::Counter(v) | Metric::HighWater(v) => v,
-            Metric::Gauge(v) => v as u64,
             Metric::Histogram(h) => h.sum,
         }
     }
@@ -200,9 +195,9 @@ impl Metric {
 /// A shared, thread-safe registry of named metrics.
 ///
 /// Names are dotted paths by convention (`comm.all_reduce.wire_bytes`,
-/// `allocator.peak_footprint`). Publishers — `CommStats`,
-/// `AllocatorStats`, the activation ledger — write their totals here so one
-/// snapshot captures the whole system. Clones share the same store.
+/// `act.paper_bytes`). Publishers — `CommStats`, the activation ledger —
+/// write their totals here so one snapshot captures the whole system.
+/// Clones share the same store.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<BTreeMap<String, Metric>>>,
@@ -227,18 +222,6 @@ impl MetricsRegistry {
         self.with(|m| match m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
             Metric::Counter(v) => *v += delta,
             other => panic!("metric {name:?} is {other:?}, not a counter"),
-        });
-    }
-
-    /// Sets a gauge to `value`, creating it if needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric type.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.with(|m| match m.entry(name.to_string()).or_insert(Metric::Gauge(value)) {
-            Metric::Gauge(v) => *v = value,
-            other => panic!("metric {name:?} is {other:?}, not a gauge"),
         });
     }
 
@@ -306,7 +289,6 @@ impl MetricsSnapshot {
                 .flat_map(|(name, metric)| match metric {
                     Metric::Counter(c) => vec![(name.clone(), serde_json::to_value(c))],
                     Metric::HighWater(h) => vec![(name.clone(), serde_json::to_value(h))],
-                    Metric::Gauge(g) => vec![(name.clone(), serde_json::to_value(g))],
                     // Suffixes stay in sorted order so the whole flat dump
                     // remains lexicographically ordered.
                     Metric::Histogram(h) => vec![
@@ -328,17 +310,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_gauges_overwrite_highwater_maxes() {
+    fn counters_accumulate_highwater_maxes() {
         let r = MetricsRegistry::new();
         r.counter_add("calls", 2);
         r.counter_add("calls", 3);
-        r.gauge_set("temp", 1.5);
-        r.gauge_set("temp", 0.5);
         r.high_water("peak", 10);
         r.high_water("peak", 7);
         r.high_water("peak", 12);
         assert_eq!(r.get("calls"), Some(Metric::Counter(5)));
-        assert_eq!(r.get("temp"), Some(Metric::Gauge(0.5)));
         assert_eq!(r.get("peak"), Some(Metric::HighWater(12)));
         assert_eq!(r.get("missing"), None);
     }
@@ -356,7 +335,7 @@ mod tests {
     #[should_panic(expected = "not a counter")]
     fn type_confusion_panics() {
         let r = MetricsRegistry::new();
-        r.gauge_set("x", 1.0);
+        r.high_water("x", 1);
         r.counter_add("x", 1);
     }
 
@@ -430,11 +409,9 @@ mod tests {
     fn flat_json_is_name_to_number() {
         let r = MetricsRegistry::new();
         r.counter_add("a.calls", 4);
-        r.gauge_set("b.frac", 0.25);
         r.high_water("c.peak", 9);
         let flat = r.snapshot().flat_json();
         assert_eq!(flat["a.calls"], 4u64);
-        assert_eq!(flat["b.frac"], 0.25);
         assert_eq!(flat["c.peak"], 9u64);
     }
 }

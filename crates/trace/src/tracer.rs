@@ -72,23 +72,17 @@ pub enum EventKind {
     },
     /// A point in time: Chrome's `"i"` (instant) event.
     Instant,
-    /// A sampled value: Chrome's `"C"` (counter) event.
-    Counter {
-        /// The sampled value.
-        value: f64,
-    },
 }
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name (span label, instant label, or counter series name).
+    /// Event name (span or instant label).
     pub name: Cow<'static, str>,
     /// Track (rank/thread lane) the event belongs to; becomes Chrome's
     /// `tid`.
     pub track: u32,
-    /// Start (or sample) timestamp in microseconds since the tracer was
-    /// created.
+    /// Start timestamp in microseconds since the tracer was created.
     pub ts_us: f64,
     /// The kind-specific payload.
     pub kind: EventKind,
@@ -112,7 +106,7 @@ impl Shared {
     }
 }
 
-/// Records spans, instants, and counter samples onto a shared buffer.
+/// Records spans and instants onto a shared buffer.
 ///
 /// Cheap to clone: clones share the buffer and time base. The `track`
 /// carried by each handle attributes events to a lane (rank or thread);
@@ -215,21 +209,6 @@ impl Tracer {
         }
     }
 
-    /// Samples a counter series (e.g. an allocator watermark) at the
-    /// current time.
-    pub fn counter(&self, name: &'static str, value: f64) {
-        if let Some(shared) = &self.inner {
-            let ts_us = shared.now_us();
-            shared.push(TraceEvent {
-                name: Cow::Borrowed(name),
-                track: self.track,
-                ts_us,
-                kind: EventKind::Counter { value },
-                args: Vec::new(),
-            });
-        }
-    }
-
     /// Records a complete interval at explicit timestamps, for synthetic
     /// timelines (e.g. pipeline-schedule simulations whose clock is
     /// simulated milliseconds rather than wall time).
@@ -248,25 +227,6 @@ impl Tracer {
                 ts_us: start_us,
                 kind: EventKind::Complete { dur_us },
                 args,
-            });
-        }
-    }
-
-    /// Records a counter sample at an explicit timestamp.
-    pub fn counter_at(
-        &self,
-        name: impl Into<Cow<'static, str>>,
-        track: u32,
-        ts_us: f64,
-        value: f64,
-    ) {
-        if let Some(shared) = &self.inner {
-            shared.push(TraceEvent {
-                name: name.into(),
-                track,
-                ts_us,
-                kind: EventKind::Counter { value },
-                args: Vec::new(),
             });
         }
     }
@@ -383,7 +343,6 @@ mod tests {
         {
             let _s = t.span("x");
             t.instant("i");
-            t.counter("c", 1.0);
             t.complete_at("y", 0, 0.0, 1.0, Vec::new());
         }
         assert!(!t.is_enabled());
@@ -492,11 +451,9 @@ mod tests {
     fn explicit_timestamp_events_keep_their_clock() {
         let t = Tracer::enabled();
         t.complete_at("sim", 5, 1000.0, 250.0, vec![("micro", ArgValue::U64(2))]);
-        t.counter_at("inflight", 5, 1250.0, 3.0);
         let evs = t.events();
         assert_eq!(evs[0].ts_us, 1000.0);
         assert_eq!(evs[0].kind, EventKind::Complete { dur_us: 250.0 });
         assert_eq!(evs[0].track, 5);
-        assert_eq!(evs[1].kind, EventKind::Counter { value: 3.0 });
     }
 }

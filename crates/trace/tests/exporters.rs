@@ -4,7 +4,7 @@
 use mt_trace::export::{chrome_trace, chrome_trace_string, validate_chrome_trace};
 use mt_trace::{ArgValue, MetricsRegistry, MetricsSnapshot, Tracer};
 
-/// Builds a deterministic trace: two ranks, nested spans, a counter.
+/// Builds a deterministic trace: two ranks, nested spans.
 fn deterministic_trace() -> Tracer {
     let t = Tracer::enabled();
     t.complete_at("step", 0, 0.0, 1000.0, vec![("step", ArgValue::U64(0))]);
@@ -17,7 +17,6 @@ fn deterministic_trace() -> Tracer {
         50.0,
         vec![("payload_bytes", ArgValue::U64(2048)), ("wire_bytes", ArgValue::U64(3072))],
     );
-    t.counter_at("allocator.allocated", 0, 500.0, 4096.0);
     t
 }
 
@@ -25,8 +24,8 @@ fn deterministic_trace() -> Tracer {
 fn golden_chrome_trace_shape() {
     // The exporter's output, parsed back from its own JSON text, must match
     // the golden structure below field-for-field. This pins the exact
-    // trace_event dialect we emit (complete "X" events, counter "C" events,
-    // microsecond ts/dur, pid 0, tid = track).
+    // trace_event dialect we emit (complete "X" events, microsecond
+    // ts/dur, pid 0, tid = track).
     let text = chrome_trace_string(&deterministic_trace().events());
     let parsed: serde_json::Value = serde_json::from_str(&text).expect("exporter emits JSON");
     validate_chrome_trace(&parsed).expect("structurally valid trace");
@@ -37,9 +36,7 @@ fn golden_chrome_trace_shape() {
       {"name":"forward","cat":"span","pid":0,"tid":0,"ts":10.0,"ph":"X","dur":400.0},
       {"name":"backward","cat":"span","pid":0,"tid":0,"ts":420.0,"ph":"X","dur":500.0},
       {"name":"all_reduce","cat":"span","pid":0,"tid":1,"ts":100.0,"ph":"X","dur":50.0,
-       "args":{"payload_bytes":2048,"wire_bytes":3072}},
-      {"name":"allocator.allocated","cat":"counter","pid":0,"tid":0,"ts":500.0,"ph":"C",
-       "args":{"value":4096.0}}
+       "args":{"payload_bytes":2048,"wire_bytes":3072}}
     ]"#;
     let golden: serde_json::Value = serde_json::from_str(golden).expect("golden parses");
     let (arr, garr) = (parsed.as_array().unwrap(), golden.as_array().unwrap());
@@ -85,7 +82,6 @@ fn metrics_dump_round_trips_through_serde() {
     let reg = MetricsRegistry::new();
     reg.counter_add("comm.all_reduce.calls", 12);
     reg.counter_add("comm.all_reduce.wire_bytes", 98_304);
-    reg.gauge_set("allocator.fragmentation", 0.125);
     reg.high_water("allocator.peak_footprint", 1 << 30);
     reg.high_water("ledger.paper_bytes", 123_456_789);
 
@@ -97,6 +93,5 @@ fn metrics_dump_round_trips_through_serde() {
     // The flat dump keeps the same names with plain numeric values.
     let flat = snap.flat_json();
     assert_eq!(flat["comm.all_reduce.wire_bytes"], 98_304u64);
-    assert_eq!(flat["allocator.fragmentation"], 0.125);
     assert_eq!(flat["allocator.peak_footprint"], (1u64 << 30));
 }

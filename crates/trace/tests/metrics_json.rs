@@ -7,7 +7,6 @@ use mt_trace::{Histogram, Metric, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BU
 fn populated_registry() -> MetricsRegistry {
     let r = MetricsRegistry::new();
     r.counter_add("comm.all_reduce.calls", 7);
-    r.gauge_set("step.exposed_frac", 0.125);
     r.high_water("alloc.peak_bytes", 4096);
     for v in [1u64, 2, 3, 500, 70_000] {
         r.histogram_record("comm.all_reduce.latency_us", v);
@@ -39,7 +38,6 @@ fn flat_json_key_order_is_deterministic_and_sorted() {
             "comm.all_reduce.latency_us.p95",
             "comm.all_reduce.latency_us.p99",
             "comm.all_reduce.latency_us.sum",
-            "step.exposed_frac",
         ]
     );
     // Two snapshots of the same registry render identically.
@@ -54,7 +52,6 @@ fn snapshot_round_trips_through_serde_json() {
     let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();
     assert_eq!(back, snap, "serde round trip must be lossless");
     assert_eq!(back.get("comm.all_reduce.calls"), Some(Metric::Counter(7)));
-    assert_eq!(back.get("step.exposed_frac"), Some(Metric::Gauge(0.125)));
     assert_eq!(back.get("alloc.peak_bytes"), Some(Metric::HighWater(4096)));
 }
 

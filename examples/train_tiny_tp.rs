@@ -14,7 +14,7 @@
 use megatron_repro::collectives::{CollectiveKind, World};
 use megatron_repro::memory::Recompute;
 use megatron_repro::model::gpt::Gpt;
-use megatron_repro::model::optim::Adam;
+use megatron_repro::model::optim::AdamW;
 use megatron_repro::model::{ActivationLedger, ExecMode, TransformerConfig};
 use megatron_repro::tensor::rng::SplitMix64;
 
@@ -50,7 +50,7 @@ fn train_serial(policy: Recompute) -> Vec<f32> {
     let cfg = config();
     let (tokens, targets) = data(&cfg);
     let mut gpt = Gpt::init(cfg, policy, SEED);
-    let mut adam = Adam::new(2e-3);
+    let mut adam = AdamW::new(2e-3, 0.0);
     let mut losses = Vec::with_capacity(STEPS);
     for step in 0..STEPS {
         let mut ledger = ActivationLedger::new();
@@ -70,7 +70,7 @@ fn train_parallel(t: usize, sp: bool, policy: Recompute) -> (Vec<f32>, u64, u64)
     let template = Gpt::init(cfg, policy, SEED);
     let results = World::run(t, |comm| {
         let mut gpt = template.shard(t, comm.rank(), policy);
-        let mut adam = Adam::new(2e-3);
+        let mut adam = AdamW::new(2e-3, 0.0);
         let mut losses = Vec::with_capacity(STEPS);
         let mut ledger_bytes = 0;
         for step in 0..STEPS {

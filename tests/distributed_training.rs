@@ -6,7 +6,7 @@
 use megatron_repro::collectives::World;
 use megatron_repro::memory::Recompute;
 use megatron_repro::model::gpt::Gpt;
-use megatron_repro::model::optim::Adam;
+use megatron_repro::model::optim::AdamW;
 use megatron_repro::model::{ActivationLedger, ExecMode, TransformerConfig};
 use megatron_repro::tensor::rng::SplitMix64;
 
@@ -39,7 +39,7 @@ fn train_serial(policy: Recompute) -> Vec<f32> {
     let c = cfg();
     let (tokens, targets) = data(&c);
     let mut gpt = Gpt::init(c, policy, SEED);
-    let mut adam = Adam::new(1e-3);
+    let mut adam = AdamW::new(1e-3, 0.0);
     (0..STEPS)
         .map(|step| {
             let mut ledger = ActivationLedger::new();
@@ -57,7 +57,7 @@ fn train_parallel(t: usize, sp: bool, policy: Recompute) -> Vec<Vec<f32>> {
     let template = Gpt::init(c, policy, SEED);
     World::run(t, |comm| {
         let mut gpt = template.shard(t, comm.rank(), policy);
-        let mut adam = Adam::new(1e-3);
+        let mut adam = AdamW::new(1e-3, 0.0);
         (0..STEPS)
             .map(|step| {
                 let mode = if sp {
