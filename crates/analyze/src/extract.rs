@@ -303,11 +303,10 @@ impl LayerCtx {
     /// Backward collectives for one layer, in the runtime's order.
     fn backward(&self, e: &mut Emitter) {
         if self.policy == Recompute::Full {
-            // `LayerState::Checkpoint` replays the forward through the GeLU
-            // output first: the MLP's exit combine is not re-run.
+            // `LayerState::Checkpoint` replays the forward through `y2`
+            // first: neither the MLP's g nor its exit combine is re-run.
             self.enter_region_fwd(e); // attention g
             self.exit_region_fwd(e); // attention f̄/ḡ
-            self.enter_region_fwd(e); // MLP g
         }
         // MLP half.
         self.exit_region_bwd(e); // d_m2: ḡ backward
@@ -693,8 +692,20 @@ mod tests {
         let cfg = TransformerConfig::tiny();
         let p = layer_program(&cfg, 2, false, Recompute::Full, OverlapPolicy::Exposed);
         // 2 fwd + (1 replay + 2 bwd) = 5 all-reduces: the replay stops at
-        // the GeLU output, before the MLP's f̄.
+        // y2, before the MLP's f̄.
         assert_eq!(count_kinds(&p, 0), vec![(CollectiveKind::AllReduce, 5)]);
+        // TP+SP: None's 6 all-gathers + the attention g, 4 reduce-scatters
+        // + the attention ḡ, and the 6 gradient-sync all-reduces: the
+        // replay stops at y2, so the MLP's g is not replayed.
+        let p = layer_program(&cfg, 2, true, Recompute::Full, OverlapPolicy::Exposed);
+        assert_eq!(
+            count_kinds(&p, 0),
+            vec![
+                (CollectiveKind::AllReduce, 6),
+                (CollectiveKind::AllGather, 6 + 1),
+                (CollectiveKind::ReduceScatter, 4 + 1),
+            ]
+        );
     }
 
     #[test]

@@ -354,8 +354,8 @@ impl World {
     /// [`World::run`] with tracing: each rank thread gets a communicator
     /// whose collectives record spans on track `rank`, and the tracer is
     /// installed as the thread's current tracer so instrumentation deeper
-    /// in the stack (model phases, allocator watermarks) attributes to the
-    /// same rank lane.
+    /// in the stack (model phases, kernel spans) attributes to the same
+    /// rank lane.
     ///
     /// # Panics
     ///

@@ -63,7 +63,9 @@
 //! any `KC`, `MC`, block width, row split or thread count. That is
 //! what makes `Threaded` bit-identical to `Serial` (see the crate docs)
 //! and the overlapped driver in [`crate::overlap`], which runs whole-`k`
-//! bands, bit-identical to the flat kernel.
+//! bands, bit-identical to the flat kernel. [`gemm_accumulate`] runs the
+//! `ADD` instantiation from its first slice on, so a caller may deliver the
+//! contraction itself in ascending pieces and still get the one chain.
 //!
 //! ## Threading policy
 //!
@@ -151,6 +153,34 @@ pub fn gemm(
     let _ = gemm_stats(backend, transpose_a, transpose_b, m, n, k, a, b, out);
 }
 
+/// `C += op(A) · op(B)` into `out` (`[m, n]`, row-major): every element's
+/// accumulator chain starts at the value `out` holds and continues it with
+/// this call's products in ascending `k` — the microkernel's `ADD`
+/// instantiation from the first contraction slice on. A contraction
+/// delivered as consecutive `k` ranges, the first into a zeroed `out`,
+/// therefore yields exactly the bits of one [`gemm`] over the whole range,
+/// wherever the ranges split (an empty range leaves `out` as it is). This
+/// is how a weight gradient is summed over token blocks without ever
+/// holding the whole operands.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its implied layout.
+#[allow(clippy::too_many_arguments)] // flat slice ABI, as `gemm`
+pub fn gemm_accumulate(
+    backend: Backend,
+    transpose_a: bool,
+    transpose_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let _ = gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, true);
+}
+
 /// [`gemm`], also returning what the call measured ([`GemmStats`]).
 ///
 /// `mt-bench kernels` uses this to report the packing cost next to the compute
@@ -170,6 +200,25 @@ pub fn gemm_stats(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
+) -> GemmStats {
+    gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, false)
+}
+
+/// The body of [`gemm_stats`] and [`gemm_accumulate`]: `accumulate` selects
+/// whether the first contraction slice starts each chain at `+0.0` or at
+/// the value `out` holds.
+#[allow(clippy::too_many_arguments)]
+fn gemm_impl(
+    backend: Backend,
+    transpose_a: bool,
+    transpose_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    accumulate: bool,
 ) -> GemmStats {
     assert_eq!(a.len(), m * k, "gemm: A length vs m*k");
     assert_eq!(b.len(), k * n, "gemm: B length vs k*n");
@@ -200,7 +249,7 @@ pub fn gemm_stats(
     let a_stride = if transpose_a { m } else { k };
     let rows_from = |row0: usize, c: &mut [f32]| {
         let a = ARows { a, stride: a_stride, transposed: transpose_a, row0, rows: c.len() / n };
-        gemm_rows(simd, a, transpose_b, b, n, k, c)
+        gemm_rows(simd, a, transpose_b, b, n, k, c, accumulate)
     };
     let packing_us = if threads == 1 {
         // Inline: the call's only heap bytes are the worker's two blocks.
@@ -589,10 +638,12 @@ fn sweep_panels<const ADD: bool>(
 }
 
 /// One worker's share of [`gemm_stats`]: the op(A) rows `a` selects, into
-/// `c` (`a.rows × n`, row-major, fully overwritten), in the GotoBLAS loop
-/// order the module docs describe. Holds one `B` block of at most
-/// `B_BLOCK_VALUES` and one `A` block of at most `MC·KC` values, whatever
-/// the operand sizes, and returns the microseconds it spent packing them.
+/// `c` (`a.rows × n`, row-major, fully overwritten, or continued when
+/// `accumulate`), in the GotoBLAS loop order the module docs describe.
+/// Holds one `B` block of at most `B_BLOCK_VALUES` and one `A` block of at
+/// most `MC·KC` values, whatever the operand sizes, and returns the
+/// microseconds it spent packing them.
+#[allow(clippy::too_many_arguments)]
 fn gemm_rows(
     simd: Simd,
     a: ARows<'_>,
@@ -601,9 +652,12 @@ fn gemm_rows(
     n: usize,
     k: usize,
     c: &mut [f32],
+    accumulate: bool,
 ) -> u64 {
     if k == 0 {
-        c.fill(0.0);
+        if !accumulate {
+            c.fill(0.0);
+        }
         return 0;
     }
     let ldb = if transpose_b { k } else { n };
@@ -631,7 +685,7 @@ fn gemm_rows(
                 packing_us += mt_trace::monotonic_us().saturating_sub(t0);
                 // The block's columns start at `j0` of the block's rows.
                 let c_block = &mut c[i0 * n + j0..(i0 + mc - 1) * n + j0 + nc];
-                if k0 == 0 {
+                if k0 == 0 && !accumulate {
                     sweep_panels::<false>(simd, mc, window, tiles, c_block, n);
                 } else {
                     sweep_panels::<true>(simd, mc, window, tiles, c_block, n);

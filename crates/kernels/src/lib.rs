@@ -59,7 +59,8 @@
 //! `kernel_attention{,_replay}`, `kernel_softmax`, `kernel_layer_norm`,
 //! `kernel_gelu`, plus `_backward` variants) annotated with the problem
 //! shape, work-unit count, and the thread count the policy granted, so
-//! `mt-bench trace` timelines show where compute time goes. With a disabled
+//! the spans of `mt-bench profile`'s `trace.json` show where compute time
+//! goes. With a disabled
 //! tracer the span costs one `Option` check and allocates nothing.
 //!
 //! ## Example
@@ -93,6 +94,6 @@ mod simd;
 pub use backend::{default_backend, set_default_backend, Backend};
 pub use math::{exp, tanh};
 pub use rowwise::{
-    gelu, gelu_backward, layer_norm, layer_norm_backward, softmax_rows, softmax_rows_backward,
-    CHUNK, ROW_BLOCK,
+    gelu, gelu_backward, gelu_backward_in_place, layer_norm, layer_norm_backward, softmax_rows,
+    softmax_rows_backward, CHUNK, ROW_BLOCK,
 };

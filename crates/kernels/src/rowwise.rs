@@ -383,6 +383,38 @@ pub fn gelu_backward(backend: Backend, x: &[f32], dy: &[f32], out: &mut [f32]) {
     });
 }
 
+/// [`gelu_backward`] in place: `grad` holds `dy` on entry and
+/// `dy ⊙ gelu'(x)` on return — the same element expression, so the same
+/// bits as the out-of-place kernel, without a second gradient-sized buffer.
+///
+/// # Panics
+///
+/// Panics if slice lengths differ.
+pub fn gelu_backward_in_place(backend: Backend, x: &[f32], grad: &mut [f32]) {
+    assert_eq!(grad.len(), x.len(), "gelu_backward_in_place: grad length");
+    let units = x.len().div_ceil(CHUNK).max(1);
+    let threads = fan_out(backend, x.len(), work::GELU_BACKWARD, units);
+    let tracer = mt_trace::current();
+    let _span = span(&tracer, "kernel_gelu_backward", x.len(), 1, units, threads);
+    let simd = simd_level();
+    let chunks: Vec<&mut [f32]> = grad.chunks_mut(CHUNK).collect();
+    pool::run_indexed(threads, chunks, |ci, grad| {
+        let x = &x[ci * CHUNK..ci * CHUNK + grad.len()];
+        simd::run(simd, GeluBackwardInPlace, x, &[], grad);
+    });
+}
+
+/// `dy ⊙ gelu'(x)` for one element: the one definition both GeLU backward
+/// bodies run.
+#[inline(always)]
+fn gelu_grad(xv: f32, dv: f32) -> f32 {
+    let inner = SQRT_2_OVER_PI * (xv + GELU_C * xv * xv * xv);
+    let t = tanh(inner);
+    let sech2 = 1.0 - t * t;
+    let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_C * xv * xv);
+    dv * (0.5 * (1.0 + t) + 0.5 * xv * sech2 * dinner)
+}
+
 /// One chunk of [`gelu_backward`]: `a` is `x`, `b` is `dy`.
 struct GeluBackward;
 
@@ -390,11 +422,20 @@ impl simd::Body for GeluBackward {
     #[inline(always)]
     fn run(self, x: &[f32], dy: &[f32], out: &mut [f32]) {
         for ((o, &xv), &dv) in out.iter_mut().zip(x).zip(dy) {
-            let inner = SQRT_2_OVER_PI * (xv + GELU_C * xv * xv * xv);
-            let t = tanh(inner);
-            let sech2 = 1.0 - t * t;
-            let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_C * xv * xv);
-            *o = dv * (0.5 * (1.0 + t) + 0.5 * xv * sech2 * dinner);
+            *o = gelu_grad(xv, dv);
+        }
+    }
+}
+
+/// One chunk of [`gelu_backward_in_place`]: `a` is `x`, `out` is `dy` on
+/// entry.
+struct GeluBackwardInPlace;
+
+impl simd::Body for GeluBackwardInPlace {
+    #[inline(always)]
+    fn run(self, x: &[f32], _: &[f32], grad: &mut [f32]) {
+        for (g, &xv) in grad.iter_mut().zip(x) {
+            *g = gelu_grad(xv, *g);
         }
     }
 }

@@ -15,9 +15,16 @@
 //! ranges. A third property and a fixed walk cross every one of those
 //! boundaries with a ragged remainder, always into a garbage-filled output,
 //! and demand the oracle's bits.
+//!
+//! A caller may also deliver the contraction itself in pieces, each through
+//! `gemm_accumulate` into the output the pieces before it wrote: a fourth
+//! property splits `k` at arbitrary points (empty pieces, ragged pieces,
+//! pieces straddling `KC`) and still demands the oracle's bits. The
+//! element kernel that consumes such a split's row blocks in place, the
+//! in-place GeLU backward, is pinned to the out-of-place one the same way.
 
 use mt_kernels::gemm::{self, PackedB};
-use mt_kernels::Backend;
+use mt_kernels::{gelu_backward, gelu_backward_in_place, Backend, CHUNK};
 use proptest::prelude::*;
 
 /// The oracle: naive triple loop, one accumulator per output element,
@@ -100,6 +107,68 @@ proptest! {
                 bits(&got),
                 "sliced gemm {} m={} n={} k={} threads={}",
                 gemm::kind_label(ta, tb), m, n, k, threads
+            );
+        }
+    }
+
+    /// A contraction cut into consecutive `k` ranges at arbitrary points —
+    /// empty, ragged and across `KC` — each delivered by `gemm_accumulate`
+    /// into the output the earlier ranges wrote (the first into zeros), is
+    /// still the oracle's one ascending chain per element.
+    #[test]
+    fn split_contraction_through_the_accumulating_entry_matches_naive_oracle_bitwise(
+        m in 1usize..60,
+        n in 1usize..24,
+        k in 0usize..(2 * KC + 40),
+        cuts in collection::vec(0usize..(2 * KC + 40), 0..5),
+        threads in 1usize..9,
+        seed in 0u64..500,
+    ) {
+        let a = deterministic(m * k, seed);
+        let b = deterministic(k * n, seed ^ 0x5eed);
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (k + 1)).collect();
+        bounds.extend([0, k]);
+        bounds.sort_unstable();
+        for (ta, tb) in KINDS {
+            let want = naive_gemm(ta, tb, m, n, k, &a, &b);
+            let mut got = vec![0.0f32; m * n];
+            for piece in bounds.windows(2) {
+                let (k0, kc) = (piece[0], piece[1] - piece[0]);
+                let (a_piece, b_piece) = (k_rows(ta, &a, m, k, k0, kc), k_rows(!tb, &b, n, k, k0, kc));
+                gemm::gemm_accumulate(
+                    Backend::Threaded { threads }, ta, tb, m, n, kc, &a_piece, &b_piece, &mut got,
+                );
+            }
+            prop_assert_eq!(
+                bits(&want),
+                bits(&got),
+                "gemm {} m={} n={} k={} split at {:?} threads={}",
+                gemm::kind_label(ta, tb), m, n, k, bounds, threads
+            );
+        }
+    }
+
+    /// The in-place GeLU backward overwrites `dy` with exactly the bits the
+    /// out-of-place kernel writes, at lengths ragged across `CHUNK`, on
+    /// both backends.
+    #[test]
+    fn in_place_gelu_backward_matches_out_of_place_bitwise(
+        len in 0usize..(2 * CHUNK + 100),
+        threads in 1usize..9,
+        seed in 0u64..500,
+    ) {
+        let x = deterministic(len, seed);
+        let dy = deterministic(len, seed ^ 0x5eed);
+        let mut want = vec![f32::NAN; len];
+        gelu_backward(Backend::Serial, &x, &dy, &mut want);
+        for backend in [Backend::Serial, Backend::Threaded { threads }] {
+            let mut got = dy.clone();
+            gelu_backward_in_place(backend, &x, &mut got);
+            prop_assert_eq!(
+                bits(&want),
+                bits(&got),
+                "len={} on {:?}",
+                len, backend
             );
         }
     }
@@ -207,6 +276,20 @@ fn row_blocks_split_over_one_to_four_workers() {
 #[test]
 fn an_empty_contraction_zeroes_a_stale_output() {
     assert_matches_oracle(70, 9, 0, 0);
+}
+
+/// Contraction indices `k0 .. k0 + kc` of an operand with `k` contraction
+/// indices and `w` of the other dimension, as the dense operand
+/// `gemm_accumulate` takes for that piece. `k_major` says the stored rows
+/// are the contraction indices (`A` transposed, `B` untransposed), so the
+/// piece is one contiguous run; otherwise each stored row gives a column
+/// range.
+fn k_rows(k_major: bool, v: &[f32], w: usize, k: usize, k0: usize, kc: usize) -> Vec<f32> {
+    if k_major {
+        v[k0 * w..(k0 + kc) * w].to_vec()
+    } else {
+        (0..w).flat_map(|i| v[i * k + k0..i * k + k0 + kc].iter().copied()).collect()
+    }
 }
 
 /// Deterministic pseudo-random fill (SplitMix-style), so operands derive

@@ -106,8 +106,9 @@ pub enum Recompute {
     Selective,
     /// Full activation recomputation: store only each layer's input and
     /// replay the layer forward during back-propagation (Megatron replays
-    /// all of it; the executing layer stops at the GeLU output, the last
-    /// tensor its backward reads).
+    /// all of it; the executing layer replays through the second LayerNorm
+    /// output and then the MLP's `w1` GEMM and GeLU one token block at a
+    /// time inside its backward, which reads nothing later).
     Full,
 }
 

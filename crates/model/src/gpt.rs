@@ -785,7 +785,9 @@ mod tests {
         // A serial Full step under the chunked overlap policy replays every
         // layer inline inside its own backward: loss, gradients and ledger
         // equal the exposed run's, each of the L layers emits one
-        // `recompute_layer` span, and every booked replay is exposed.
+        // `recompute_layer` span (the replay through `y2`) and then one
+        // `recompute_mlp` span per MLP row block, and every booked replay
+        // is exposed.
         let c = TransformerConfig { dropout_p: 0.1, ..cfg() };
         let (tokens, targets) = data(&c, 30);
         let gpt = Gpt::init(c, Recompute::Full, 33);
@@ -815,7 +817,12 @@ mod tests {
             .filter(|e| e.name.starts_with("recompute"))
             .map(|e| e.name.as_ref())
             .collect();
-        assert_eq!(replays, vec!["recompute_layer"; c.layers], "one inline replay per layer");
+        let blocks =
+            c.tokens().div_ceil(mt_kernels::ROW_BLOCK * mt_kernels::default_backend().threads());
+        let per_layer =
+            std::iter::once("recompute_layer").chain(std::iter::repeat_n("recompute_mlp", blocks));
+        let want: Vec<&str> = (0..c.layers).flat_map(|_| per_layer.clone()).collect();
+        assert_eq!(replays, want, "one inline replay per layer, then one per MLP row block");
         assert_eq!(timing.exposed_recompute_us, timing.recompute_us);
     }
 

@@ -26,6 +26,7 @@ use crate::policy::ExecPolicy;
 use crate::streams::{region_offsets, stream_id, DropoutSite};
 use crate::weights::{LayerGrads, LayerWeights};
 use mt_collectives::{chunk_rows, Communicator};
+use mt_kernels::gemm;
 use mt_kernels::overlap::{gemm_gathered, ChunkSlab, OverlapPlan};
 use mt_memory::Recompute;
 use mt_tensor::ops;
@@ -129,10 +130,10 @@ struct MlpStored {
     ln2_saved: LayerNormSaved,
     /// MLP first GEMM input (shard under SP).
     y2: Tensor,
-    /// GeLU input.
-    m1: Tensor,
-    /// MLP second GEMM input (GeLU output).
-    g_act: Tensor,
+    /// The GeLU input `m1` and output `g_act` (the MLP second GEMM input),
+    /// kept by every stored state; `None` (a `Full` replay) makes the MLP
+    /// backward replay them one row block at a time.
+    inner: Option<(Tensor, Tensor)>,
 }
 
 /// Per-layer saved state, shaped by the recomputation policy.
@@ -383,14 +384,17 @@ impl TransformerLayer {
     }
 
     /// The forward pass through the GeLU output: exactly what the backward
-    /// pass reads, and nothing after it — the inline `Full` replay runs
-    /// this alone, and [`TransformerLayer::forward`] follows it with
-    /// [`TransformerLayer::forward_tail`]. Records nothing. `keep_attn` is
-    /// the one place the Figure 3 red region is kept or not, and only
-    /// `Recompute::None` passes `true`: every other forward — selective,
-    /// full, and the full-layer replays — passes `false`, the core's
-    /// `[s, s]` products are never built, and the backward replays them
-    /// inside the attention backward, one query-row block at a time.
+    /// pass reads, and nothing after it — [`TransformerLayer::forward`]
+    /// follows it with [`TransformerLayer::forward_tail`]. Records nothing.
+    /// `keep_attn` is the one place the Figure 3 red region is kept or not,
+    /// and only `Recompute::None` passes `true`: every other forward —
+    /// selective, full, and the full-layer replays — passes `false`, the
+    /// core's `[s, s]` products are never built, and the backward replays
+    /// them inside the attention backward, one query-row block at a time.
+    /// `keep_mlp` is its MLP twin: every forward passes `true`, and the
+    /// inline `Full` replay passes `false` and stops at `y2` — no `w1`
+    /// GEMM, no GeLU, and under SP no MLP-entry all-gather — because the
+    /// MLP backward replays `m1` and `g_act` one row block at a time.
     fn forward_stored(
         &self,
         x: Tensor,
@@ -398,6 +402,7 @@ impl TransformerLayer {
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
         keep_attn: bool,
+        keep_mlp: bool,
     ) -> StoredState {
         assert_eq!(
             x.shape(),
@@ -428,15 +433,40 @@ impl TransformerLayer {
 
         // --- MLP half, through the GeLU ---
         let (y2, ln2_saved) = ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta);
-        let m1_raw = self.gather_gemm(mode, overlap, &y2, &w.w1, false, false).0;
-        let m1 = ops::add_bias(&m1_raw, &w.b1);
-        drop(m1_raw);
-        let g_act = ops::gelu(&m1);
+        let inner = keep_mlp.then(|| {
+            let m1_raw = self.gather_gemm(mode, overlap, &y2, &w.w1, false, false).0;
+            let m1 = ops::add_bias(&m1_raw, &w.b1);
+            drop(m1_raw);
+            let g_act = ops::gelu(&m1);
+            (m1, g_act)
+        });
         StoredState {
             micro,
             attn: AttnStored { x, ln1_saved, y1, q, k, v, core, ctx },
-            mlp: MlpStored { r1, ln2_saved, y2, m1, g_act },
+            mlp: MlpStored { r1, ln2_saved, y2, inner },
         }
+    }
+
+    /// `m1 = y2·w1 + b1` and `g_act = gelu(m1)` for the `rows` gathered
+    /// `y2` rows in `y2_rows`: the forward's MLP entry, row by row, so each
+    /// value has the bits the forward computed.
+    fn replay_mlp_rows(&self, y2_rows: &[f32], rows: usize) -> (Tensor, Tensor) {
+        let w = &self.weights;
+        let (h, ffn) = (w.w1.shape()[0], w.w1.shape()[1]);
+        let backend = mt_kernels::default_backend();
+        let mut m1 = vec![0.0f32; rows * ffn];
+        gemm::gemm(backend, false, false, rows, ffn, h, y2_rows, w.w1.data(), &mut m1);
+        for row in m1.chunks_exact_mut(ffn) {
+            for (v, &b) in row.iter_mut().zip(w.b1.data()) {
+                *v += b;
+            }
+        }
+        let mut g_act = vec![0.0f32; rows * ffn];
+        mt_kernels::gelu(backend, &m1, &mut g_act);
+        (
+            Tensor::from_vec_unchecked(vec![rows, ffn], m1),
+            Tensor::from_vec_unchecked(vec![rows, ffn], g_act),
+        )
     }
 
     /// The rest of the forward pass: the `w2` GEMM, the MLP's `f̄`/`ḡ`
@@ -450,7 +480,8 @@ impl TransformerLayer {
         overlap: OverlapPolicy,
     ) -> Tensor {
         let w = &self.weights;
-        let m2_partial = ops::Gemm::NN.apply(&mlp.g_act, &w.w2);
+        let (_, g_act) = mlp.inner.as_ref().expect("a forward keeps the MLP inner");
+        let m2_partial = ops::Gemm::NN.apply(g_act, &w.w2);
         let m2 = ops::add_bias(&self.combine_region(mode, overlap, m2_partial), &w.b2);
         self.dropout_residual(DropoutSite::MlpOutput, micro, mode, &mlp.r1, m2)
     }
@@ -458,6 +489,7 @@ impl TransformerLayer {
     /// Records what `state` stores into the ledger, per the active policy.
     fn record_stored(&self, st: &StoredState, ledger: &mut ActivationLedger) {
         let (a, m) = (&st.attn, &st.mlp);
+        let (m1, g_act) = m.inner.as_ref().expect("a stored state keeps the MLP inner");
         ledger.record(Category::LayerNormInput, a.x.numel() as u64);
         ledger.record(Category::SmallStatistics, 2 * a.x.rows() as u64);
         ledger.record(Category::QkvInput, a.y1.numel() as u64);
@@ -473,8 +505,8 @@ impl TransformerLayer {
         ledger.record(Category::LayerNormInput, m.r1.numel() as u64);
         ledger.record(Category::SmallStatistics, 2 * m.r1.rows() as u64);
         ledger.record(Category::MlpFirstInput, m.y2.numel() as u64);
-        ledger.record(Category::GeluInput, m.m1.numel() as u64);
-        ledger.record(Category::MlpSecondInput, m.g_act.numel() as u64);
+        ledger.record(Category::GeluInput, m1.numel() as u64);
+        ledger.record(Category::MlpSecondInput, g_act.numel() as u64);
         ledger.record(Category::MlpDropoutMask, m.r1.numel() as u64);
     }
 
@@ -499,7 +531,7 @@ impl TransformerLayer {
         let recompute = policy.recompute().unwrap_or(self.policy);
         // Only `Recompute::None` keeps the Figure 3 red region.
         let keep_attn = recompute == Recompute::None;
-        let st = self.forward_stored(x.clone(), micro, &mode, overlap, keep_attn);
+        let st = self.forward_stored(x.clone(), micro, &mode, overlap, keep_attn, true);
         let out = self.forward_tail(&st.mlp, micro, &mode, overlap);
         let state = if recompute == Recompute::Full {
             // Only the checkpointed input is stored.
@@ -524,8 +556,11 @@ impl TransformerLayer {
     /// backward (Section 5's recompute, fused into the backward one
     /// query-row block at a time, so no span or [`crate::StepTiming`]
     /// entry of its own). A checkpoint is replayed inline into such a
-    /// state first (`recompute_layer`), under every overlap policy.
-    /// `policy` accepts anything convertible into an [`ExecPolicy`].
+    /// state first, through `y2` (`recompute_layer`), and the MLP backward
+    /// replays `m1` and `g_act` one row block at a time (`recompute_mlp`
+    /// per block), under every overlap policy; both book into
+    /// [`crate::StepTiming::recompute_us`]. `policy` accepts anything
+    /// convertible into an [`ExecPolicy`].
     pub fn backward<'m>(
         &self,
         dy: &Tensor,
@@ -538,11 +573,14 @@ impl TransformerLayer {
         let StoredState { micro, attn: attn_saved, mlp: mlp_saved } = match state {
             LayerState::Stored(st) => *st,
             LayerState::Checkpoint { x, micro } => {
-                // Full recomputation: the forward replayed as far as the
-                // backward reads it, through the GeLU output (the 30-40%
-                // overhead the paper eliminates). The w2 GEMM, the MLP's
-                // exit collective, its dropout and residual are not re-run.
-                timed_recompute(|| self.forward_stored(x, micro, &mode, overlap, false))
+                // Full recomputation (the 30-40% overhead the paper
+                // eliminates): the forward replayed through `y2`; the MLP
+                // backward replays the rest it reads, block by block. The
+                // w2 GEMM, the MLP's exit collective, its dropout and
+                // residual are not re-run.
+                timed_recompute("recompute_layer", || {
+                    self.forward_stored(x, micro, &mode, overlap, false, false)
+                })
             }
         };
         let (d_r1, mlp) = self.backward_mlp_half(dy, micro, mlp_saved, &mode, overlap);
@@ -570,6 +608,18 @@ impl TransformerLayer {
     /// The MLP half of the backward pass: everything from the layer output
     /// gradient down to `d_r1`, the gradient at the second LayerNorm's
     /// input. Returns `d_r1` and the half's parameter gradients.
+    ///
+    /// Everything from `y2` to `m2` is per token. The `d_m1` GEMM runs on
+    /// whole rows; the half then walks the gathered rows in blocks, and
+    /// each block finishes its slice of `d_m1` in place: a stored state is
+    /// one whole-rows block; a `Full` replay walks blocks of one
+    /// `ROW_BLOCK` per backend thread (so every block GEMM still gives
+    /// each worker a whole `MC`-row block of the microkernel) and replays
+    /// each block's `m1` and `g_act` from the gathered `y2`, so its
+    /// `[s·b, 4h/t]` intermediates never exist at full length. The GeLU
+    /// backward writes in place, and `dW2` continues one ascending chain
+    /// per element across the blocks, so every gradient has the same bits
+    /// at any block size.
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
@@ -586,7 +636,10 @@ impl TransformerLayer {
             self.layer_idx
         );
         let w = &self.weights;
-        let MlpStored { r1, ln2_saved, y2, m1, g_act } = saved;
+        let (h, ffn) = (w.w1.shape()[0], w.w1.shape()[1]);
+        let backend = mt_kernels::default_backend();
+        let MlpStored { r1, ln2_saved, y2, mut inner } = saved;
+        let replaying = inner.is_none();
 
         // out = r1 + dropout(m2)
         let mask_mlp = self.region_mask(DropoutSite::MlpOutput, micro, mode, rows);
@@ -594,17 +647,48 @@ impl TransformerLayer {
         drop(mask_mlp);
         let b_out = ops::bias_grad(&d_m2);
         // ḡ backward (all-gather; f̄ backward: identity) fused with the
-        // d_g GEMM; the assembled gradient also feeds the w2 gradient.
-        // m2_partial = g_act · w2
-        let (d_g, d_m2_full) = self.gather_gemm(mode, overlap, &d_m2, &w.w2, true, true);
-        let w_out = ops::Gemm::TN.apply(&g_act, &d_m2_full.expect("full grad requested"));
-        drop((d_m2, g_act));
-        let d_m1 = ops::gelu_backward(&m1, &d_g);
-        drop((m1, d_g));
+        // whole-rows GEMM into the one d_m1 buffer, which the GeLU backward
+        // then works on in place; the assembled gradient also feeds the w2
+        // gradient. m2_partial = g_act · w2
+        let (mut d_m1, d_m2_full) = self.gather_gemm(mode, overlap, &d_m2, &w.w2, true, true);
+        let d_m2_full = d_m2_full.expect("full grad requested");
+        // m1 = y2_full · w1. Under SP, y2 was kept as a shard: the backward
+        // re-gathers it once (the extra all-gather the paper overlaps with
+        // the dW computation). A replay reads it in every block, so it is
+        // gathered now; a stored state gathers it after the blocks, for dW1
+        // alone.
+        let y2_full = replaying.then(|| self.regather(mode, overlap, &y2));
+        let tokens = d_m2_full.rows();
+        let block = if replaying { mt_kernels::ROW_BLOCK * backend.threads() } else { tokens };
+        let mut w_out: Option<Tensor> = None;
+        for r0 in (0..tokens).step_by(block) {
+            let r_end = (r0 + block).min(tokens);
+            let n = r_end - r0;
+            let (m1, g_act) = match inner.take() {
+                Some(kept) => kept,
+                None => {
+                    let y2_rows = &y2_full.as_ref().expect("gathered before the blocks").data()
+                        [r0 * h..r_end * h];
+                    timed_recompute("recompute_mlp", || self.replay_mlp_rows(y2_rows, n))
+                }
+            };
+            let d_m2_rows = &d_m2_full.data()[r0 * h..r_end * h];
+            let d_m1_rows = &mut d_m1.data_mut()[r0 * ffn..r_end * ffn];
+            mt_kernels::gelu_backward_in_place(backend, m1.data(), d_m1_rows);
+            drop(m1);
+            // dW2 = g_actᵀ · d_m2: the first block starts every chain, as
+            // the whole-rows GEMM does; each later block continues it.
+            let dw2_gemm = if r0 == 0 { gemm::gemm } else { gemm::gemm_accumulate };
+            let w_out = w_out.get_or_insert_with(|| Tensor::zeros(&[ffn, h]));
+            dw2_gemm(backend, true, false, ffn, h, n, g_act.data(), d_m2_rows, w_out.data_mut());
+        }
+        drop(d_m2_full);
+        drop(d_m2);
+        let w_out = w_out.expect("a layer has at least one row");
         let b_in = ops::bias_grad(&d_m1);
-        // m1 = y2_full · w1. Under SP, y2 was kept as a shard: re-gather
-        // (the extra all-gather the paper overlaps with the dW computation).
-        let w_in = ops::Gemm::TN.apply(&self.regather(mode, overlap, &y2), &d_m1);
+        let y2_full = y2_full.unwrap_or_else(|| self.regather(mode, overlap, &y2));
+        let w_in = ops::Gemm::TN.apply(&y2_full, &d_m1);
+        drop(y2_full);
         drop(y2);
         // g backward: reduce-scatter; f backward: all-reduce.
         let d_y_ln2 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_m1, &w.w1));
@@ -717,21 +801,28 @@ mod tests {
     #[test]
     fn all_policies_produce_identical_outputs_and_gradients() {
         // Recomputation must be numerically invisible: with replayable
-        // dropout masks the three policies are bit-identical.
-        let x = rand_input(&cfg(), 2);
-        let dy = rand_input(&cfg(), 3);
-        let mut results = Vec::new();
-        for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
-            let layer = make_layer(policy, 0.1);
-            let mut ledger = ActivationLedger::new();
-            let (y, st) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
-            let (dx, grads) = layer.backward(&dy, st, ExecMode::Serial);
-            results.push((y, dx, grads));
-        }
-        for other in &results[1..] {
-            assert_eq!(results[0].0, other.0, "outputs differ across policies");
-            assert_eq!(results[0].1, other.1, "input grads differ across policies");
-            assert_eq!(results[0].2, other.2, "weight grads differ across policies");
+        // dropout masks the three policies are bit-identical. The second
+        // shape's 200 tokens make the Full MLP backward walk several row
+        // blocks, the last one ragged (64-row blocks on the serial backend).
+        for c in [cfg(), TransformerConfig { seq: 100, ..cfg() }] {
+            let x = rand_input(&c, 2);
+            let dy = rand_input(&c, 3);
+            let weights = LayerWeights::init(&c, &mut SplitMix64::new(31));
+            let mut results = Vec::new();
+            for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
+                let c = TransformerConfig { dropout_p: 0.1, ..c };
+                let layer =
+                    TransformerLayer::new(c, weights.clone(), 0, policy, CounterRng::new(7));
+                let mut ledger = ActivationLedger::new();
+                let (y, st) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+                let (dx, grads) = layer.backward(&dy, st, ExecMode::Serial);
+                results.push((y, dx, grads));
+            }
+            for other in &results[1..] {
+                assert_eq!(results[0].0, other.0, "outputs differ across policies");
+                assert_eq!(results[0].1, other.1, "input grads differ across policies");
+                assert_eq!(results[0].2, other.2, "weight grads differ across policies");
+            }
         }
     }
 

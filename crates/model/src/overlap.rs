@@ -103,14 +103,15 @@ pub struct StepTiming {
     /// The portion of `comm_us` no dependent compute covered.
     pub exposed_us: u64,
     /// Total recomputation time: the full-recompute replays the backward
-    /// pass performed inline (`recompute_layer`), each re-running its
-    /// layer's forward through the GeLU output and no further — the w2
-    /// GEMM, the MLP's exit collective, dropout and residual feed only the
-    /// next layer. Selective recomputation books nothing here: its replay
-    /// is part of the attention backward (`kernel_attention_backward` with
-    /// `replay = true`), and its cost is the selective backward's time
-    /// minus the store-all backward's (`train_bench`'s
-    /// `model.layer_recompute_ms_selective`).
+    /// pass performed inline, each re-running its layer's forward through
+    /// `y2` (`recompute_layer`) and then, inside the MLP backward, the `w1`
+    /// GEMM and GeLU one row block at a time (`recompute_mlp`), and no
+    /// further — the w2 GEMM, the MLP's exit collective, dropout and
+    /// residual feed only the next layer. Selective recomputation books
+    /// nothing here: its replay is part of the attention backward
+    /// (`kernel_attention_backward` with `replay = true`), and its cost is
+    /// the selective backward's time minus the store-all backward's
+    /// (`train_bench`'s `model.layer_recompute_ms_selective`).
     pub recompute_us: u64,
     /// The portion of `recompute_us` exposed on the critical path. Every
     /// replay runs inline, so this equals `recompute_us` by construction;
@@ -157,12 +158,13 @@ pub(crate) fn timed_exposed<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs an inline (exposed) full-layer replay and books its wall time as
-/// both total and exposed recompute time — the recompute analogue of
-/// [`timed_exposed`]. The `recompute_layer` span's close-time args mirror
-/// the booked integers.
-pub(crate) fn timed_recompute<T>(f: impl FnOnce() -> T) -> T {
-    let mut span = mt_trace::current().span("recompute_layer");
+/// Runs an inline (exposed) replay and books its wall time as both total
+/// and exposed recompute time — the recompute analogue of
+/// [`timed_exposed`]. The span (`recompute_layer` for a layer's replay
+/// through `y2`, `recompute_mlp` for one MLP row block's) carries the
+/// booked integers as close-time args.
+pub(crate) fn timed_recompute<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let mut span = mt_trace::current().span(name);
     let t0 = mt_trace::monotonic_us();
     let out = f();
     let dt = mt_trace::monotonic_us().saturating_sub(t0);

@@ -335,10 +335,11 @@ fn collective_call_pattern_matches_figures_4_and_5() {
 
 #[test]
 fn full_recompute_replays_only_the_collectives_its_stored_state_needs() {
-    // The replayed forward re-issues the collectives up to the GeLU output
-    // — visible in the ledger as extra calls, the communication analogue
-    // of the 30-40% compute overhead — but not the MLP's f̄/ḡ, whose output
-    // no backward reads.
+    // The replayed forward re-issues the collectives up to `y2` — visible
+    // in the ledger as extra calls, the communication analogue of the
+    // 30-40% compute overhead — but not the MLP's g, whose gathered `y2`
+    // the backward's own re-gather provides, nor its f̄/ḡ, whose output no
+    // backward reads.
     let c = cfg();
     let (w, x, dy) = fixtures(&c, 11);
     let none = run_parallel(c, &w, &x, &dy, 2, false, Recompute::None);
@@ -347,12 +348,14 @@ fn full_recompute_replays_only_the_collectives_its_stored_state_needs() {
     // 2 forward + 1 replayed (attention f̄) + 2 backward.
     assert_eq!(full[0].stats.kind(CollectiveKind::AllReduce).calls, 5);
 
-    // TP+SP: the replay re-gathers both LayerNorm outputs (attention and
-    // MLP g) and re-scatters the attention output (ḡ), on top of None's
-    // 6 all-gathers, 4 reduce-scatters and 6 gradient-sync all-reduces.
+    // TP+SP: the replay re-gathers the attention LayerNorm output (g) and
+    // re-scatters the attention output (ḡ), on top of None's 6
+    // all-gathers, 4 reduce-scatters and 6 gradient-sync all-reduces. It
+    // stops at y2, so the MLP's g is not replayed: the backward's one y2
+    // re-gather feeds both the block replay and dW1.
     let full = run_parallel(c, &w, &x, &dy, 2, true, Recompute::Full);
     let s = &full[0].stats;
-    assert_eq!(s.kind(CollectiveKind::AllGather).calls, 6 + 2);
+    assert_eq!(s.kind(CollectiveKind::AllGather).calls, 6 + 1);
     assert_eq!(s.kind(CollectiveKind::ReduceScatter).calls, 4 + 1);
     assert_eq!(s.kind(CollectiveKind::AllReduce).calls, 6);
 }

@@ -15,12 +15,13 @@
 //!
 //! A layer backward also consumes its saved state: each half takes its
 //! own tensors by value and frees every one, and every transient, at its
-//! last read, and a `Full` replay rebuilds the state only through the
-//! GeLU output. On an activation-dominated layer the peak above entry is
-//! then the gradients, the replayed state (`Full` only: the stored one is
-//! live at entry), and the largest set of transients live together; a
-//! backward that borrows its state and holds every transient to the end
-//! lands far above that.
+//! last read. A `Full` replay rebuilds the state only through `y2`, and
+//! the MLP backward replays the GeLU input and output one row block at a
+//! time, so neither exists at full length. On an activation-dominated
+//! layer the peak above entry is then the gradients, the replayed state
+//! (`Full` only: the stored one is live at entry), and the largest set of
+//! transients live together; a backward that borrows its state and holds
+//! every transient to the end lands far above that.
 //!
 //! The counting allocator is this test binary's own. Each test takes
 //! `EXCLUSIVE` and runs its policies in sequence on the serial backend, so
@@ -198,24 +199,45 @@ fn a_layer_backward_frees_each_activation_at_its_last_read() {
     let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
     // One `[s·b, h]` f32 activation.
     let u = cfg.tokens() * cfg.hidden * 4;
-    // The largest set of transients live together opens the MLP half: the
-    // MLP dropout mask (one byte per element), `d_m2` and the `[s·b, 4h]`
-    // `d_g`. Everything later is smaller than the stored tensors freed
-    // before it.
-    let transients = u / 4 + u + 4 * u;
-    // The GEMMs' block scratch and the gradients of the half so far are
-    // covered by one more `u` (measured: 0.72 u).
+    // The one whole `[s·b, 4h]` tensor of the MLP backward: `d_m1`, into
+    // which the `d_m1` GEMM writes and the GeLU backward works in place.
+    let d_m1 = 4 * u;
+    // None/Selective: the largest set of transients live together opens
+    // the MLP half: the MLP dropout mask (one byte per element), `d_m2`
+    // and `d_m1`. Everything later is smaller than the stored tensors
+    // freed before it. The GEMMs' block scratch and the gradients of the
+    // half so far are covered by one more `u`. Measured params + 4.10 u.
+    let transients = u / 4 + u + d_m1;
     let scratch = u;
-    // `Full` replays the stored state around its checkpointed input, which
-    // is live at entry: y1, q, k, v, ctx, r1, y2 (7 u), m1 and the GeLU
-    // output (8 u), and two LayerNorms' mean/rstd.
-    let replayed = 15 * u + 2 * 2 * cfg.tokens() * 4;
-    // Measured params + 5.97 u (None, Selective) and + 21.04 u (Full); a
-    // backward that keeps its state and transients to the end peaks at
-    // params + 14.7 u and + 29.8 u.
+    // Full: the replay rebuilds the stored state around its checkpointed
+    // input, which is live at entry, through y2: y1, q, k, v, ctx, r1, y2
+    // (7 u) and two LayerNorms' mean/rstd. The MLP backward then holds
+    // `d_m2`, `d_m1` and one 64-row block's m1 and GeLU output (u), and
+    // never a whole m1 or GeLU output; its peak is the whole-rows dW1 GEMM
+    // after the blocks, `d_m2` freed: `d_m1` and one worker's GEMM blocks
+    // (512 KiB of packed B and 128 KiB of packed A, the ceiling
+    // mt-kernels' gemm_scratch_peak.rs pins). Measured params + 15.55 u;
+    // the replay that rebuilt m1 and the GeLU output whole, and held the
+    // GeLU backward's input and output side by side, peaked at
+    // params + 21.04 u.
+    let replayed = 7 * u + 2 * 2 * cfg.tokens() * 4;
+    let gemm_blocks = (512 + 128) * 1024;
+    // A backward that keeps its state and transients to the end peaks at
+    // params + 14.7 u (None) and + 29.8 u (Full).
     for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
-        let replay = if policy == Recompute::Full { replayed } else { 0 };
-        let bound = param_bytes + replay + transients + scratch;
+        let (terms, bound) = if policy == Recompute::Full {
+            (
+                format!(
+                    "replayed state {replayed} B + d_m1 {d_m1} B + GEMM blocks {gemm_blocks} B"
+                ),
+                param_bytes + replayed + d_m1 + gemm_blocks,
+            )
+        } else {
+            (
+                format!("transients {transients} B + scratch {scratch} B"),
+                param_bytes + transients + scratch,
+            )
+        };
         let layer = TransformerLayer::new(cfg, weights.clone(), 0, policy, CounterRng::new(7));
         let mut ledger = ActivationLedger::new();
         let (_, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
@@ -223,8 +245,7 @@ fn a_layer_backward_frees_each_activation_at_its_last_read() {
         assert!(
             peak < bound,
             "{policy:?} backward peaked {peak} B above entry; gradients {param_bytes} B + \
-             replayed state {replay} B + transients {transients} B + scratch {scratch} B \
-             = {bound} B"
+             {terms} = {bound} B"
         );
     }
 }

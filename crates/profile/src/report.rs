@@ -55,7 +55,8 @@ pub struct RankProfile {
     /// Σ `exposed_us` close-args — mirror of `StepTiming::exposed_us`.
     pub wrapped_exposed_us: u64,
     /// Σ `recompute_us` close-args over the ledger-wrapped inline replays
-    /// (`recompute_layer`) — the trace's mirror of the rank's
+    /// (every `recompute*` span, the prefix `attrib` classifies by:
+    /// `recompute_layer`, `recompute_mlp`) — the trace's mirror of the rank's
     /// `StepTiming::recompute_us`.
     pub wrapped_recompute_us: u64,
     /// Σ `exposed_us` close-args over the same replays — mirror of
@@ -214,7 +215,7 @@ pub fn analyze(events: &[TraceEvent], opts: &AnalyzeOptions) -> Result<ProfileRe
                 wrapped_comm_us += span.arg_u64("comm_us").unwrap_or(0);
                 wrapped_exposed_us += span.arg_u64("exposed_us").unwrap_or(0);
             }
-            if span.name == "recompute_layer" {
+            if span.name.starts_with("recompute") {
                 wrapped_recompute_us += span.arg_u64("recompute_us").unwrap_or(0);
                 wrapped_exposed_recompute_us += span.arg_u64("exposed_us").unwrap_or(0);
             }

@@ -1,5 +1,7 @@
-//! GeLU non-linearity (tanh approximation, as used by GPT models) —
-//! shape-checked wrappers over the `mt-kernels` elementwise kernels.
+//! GeLU non-linearity (tanh approximation, as used by GPT models) — a
+//! shape-checked wrapper over the `mt-kernels` elementwise kernel. The
+//! backward is `mt_kernels::gelu_backward_in_place`, which the layer runs
+//! on row blocks of its gradient buffer.
 
 use crate::Tensor;
 
@@ -12,20 +14,6 @@ pub fn gelu(x: &Tensor) -> Tensor {
     let mut out = x.clone();
     let backend = mt_kernels::default_backend();
     mt_kernels::gelu(backend, x.data(), out.data_mut());
-    out
-}
-
-/// Backward of [`gelu`]: given saved input `x` and upstream `dy`, returns
-/// `dx`.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!(x.shape(), dy.shape(), "gelu_backward: shape mismatch");
-    let mut out = x.clone();
-    let backend = mt_kernels::default_backend();
-    mt_kernels::gelu_backward(backend, x.data(), dy.data(), out.data_mut());
     out
 }
 
@@ -46,8 +34,9 @@ mod tests {
     fn gelu_backward_matches_finite_difference() {
         let mut rng = crate::rng::SplitMix64::new(3);
         let x = Tensor::rand_uniform(&[4, 5], -2.0, 2.0, &mut rng);
-        let dy = Tensor::full(&[4, 5], 1.0);
-        let dx = gelu_backward(&x, &dy);
+        // dy = 1, turned into dx in place.
+        let mut dx = Tensor::full(&[4, 5], 1.0);
+        mt_kernels::gelu_backward_in_place(mt_kernels::default_backend(), x.data(), dx.data_mut());
         let fd = crate::check::finite_diff(&x, |t| gelu(t).sum());
         assert!(crate::check::grads_close(&dx, &fd));
     }

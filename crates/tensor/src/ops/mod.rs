@@ -14,7 +14,7 @@ mod loss;
 mod matmul;
 mod softmax;
 
-pub use activation::{gelu, gelu_backward};
+pub use activation::gelu;
 pub use dropout::{dropout, dropout_backward};
 pub use embedding::{embedding, embedding_backward};
 pub use layernorm::{layer_norm, layer_norm_backward, LayerNormSaved};

@@ -194,7 +194,8 @@ fn simulated_in_flight_matches_memory_model_assumption() {
 
 /// Full recomputation's execution cost shows up in the executing system too:
 /// the backward pass with `Recompute::Full` replays the forward through the
-/// GeLU output, while selective replays only the attention core. Wall-clock
+/// GeLU output (the MLP's part one token block at a time), while selective
+/// replays only the attention core. Wall-clock
 /// on our CPU tensor engine is noisy, so this asserts the *ordering* of
 /// median backward times, the three policies measured round by round so
 /// drift and neighbouring load hit all three alike.
