@@ -9,8 +9,10 @@
 //! changed degree. The Adam moments re-shard tensor-by-tensor under the
 //! *same* layout as their parameters — a column-sharded weight has
 //! column-sharded moments — which is what makes the optimizer trajectory
-//! degree-invariant.
+//! degree-invariant. Replicated tensors are kept from rank 0, so a source
+//! set whose replicated weights or moments differ in any bit is rejected.
 
+use mt_model::gpt::{Gpt, GptCheckpoint};
 use mt_model::optim::AdamState;
 use mt_model::trainer::TrainerCheckpoint;
 use mt_model::weights::LayerWeights;
@@ -25,8 +27,9 @@ pub enum ReshardError {
     /// The target degree was zero.
     ZeroTargetDegree,
     /// Two source shards disagree on replicated state (step counters,
-    /// config, schedule position, dropout RNG) — they cannot come from one
-    /// consistent training state.
+    /// config, schedule position, dropout RNG, or the bits of a replicated
+    /// weight or Adam moment) — they cannot come from one consistent
+    /// training state.
     Inconsistent(String),
 }
 
@@ -44,60 +47,58 @@ impl fmt::Display for ReshardError {
 
 impl std::error::Error for ReshardError {}
 
-/// Reassembles the 12 per-layer tensors of one moment vector into a
-/// [`LayerWeights`] view so the weight-level `unshard`/`shard` machinery
-/// applies to Adam moments verbatim. The moments of a parameter have the
-/// parameter's shape, so the Megatron layout rules transfer one-to-one.
-fn layer_view(tensors: &[&Tensor]) -> LayerWeights {
-    assert_eq!(tensors.len(), 12, "a layer has 12 parameter tensors");
-    LayerWeights {
-        ln1_gamma: tensors[0].clone(),
-        ln1_beta: tensors[1].clone(),
-        w_qkv: tensors[2].clone(),
-        b_qkv: tensors[3].clone(),
-        w_o: tensors[4].clone(),
-        b_o: tensors[5].clone(),
-        ln2_gamma: tensors[6].clone(),
-        ln2_beta: tensors[7].clone(),
-        w1: tensors[8].clone(),
-        b1: tensors[9].clone(),
-        w2: tensors[10].clone(),
-        b2: tensors[11].clone(),
-    }
+/// The model-level tensors that lead the parameter order
+/// (`Gpt::param_tensors_mut`), every one replicated.
+const MODEL_TENSORS: [&str; 4] =
+    ["embedding table", "positions", "final_ln_gamma", "final_ln_beta"];
+
+/// Splits one rank's tensors in parameter order — its weights, or one Adam
+/// moment vector — into the model-level tensors and one [`LayerWeights`]
+/// per layer. A moment has its parameter's shape, so a layer's moments
+/// split by the same layout as its weights.
+fn by_layer(params: &[Tensor], layers: usize) -> (&[Tensor], Vec<LayerWeights>) {
+    assert_eq!(params.len(), MODEL_TENSORS.len() + layers * LayerWeights::TENSORS, "tensor count");
+    let (model, per_layer) = params.split_at(MODEL_TENSORS.len());
+    let view = |l: &[Tensor]| LayerWeights::from_tensors(std::array::from_fn(|i| l[i].clone()));
+    (model, per_layer.chunks_exact(LayerWeights::TENSORS).map(view).collect())
 }
 
-/// Re-shards one moment vector (`m` or `v`, in `param_tensors_mut` order:
-/// 4 replicated model-level tensors, then 12 per layer) from `t` source
-/// ranks to `t_new` target ranks.
-fn reshard_moments(per_rank: &[&Vec<Tensor>], layers: usize, t_new: usize) -> Vec<Vec<Tensor>> {
-    let expected = 4 + 12 * layers;
-    for (rank, m) in per_rank.iter().enumerate() {
-        assert_eq!(m.len(), expected, "rank {rank} moment count");
-    }
-    // Replicated model-level moments: embedding table, positions, final LN
-    // gamma/beta. Identical across TP ranks (their gradients are already
-    // reduced), so rank 0's copy serves every target rank.
-    let global: Vec<Tensor> = per_rank[0][..4].to_vec();
-    // Per-layer moments re-shard exactly as the layer weights do.
-    let mut per_layer_shards: Vec<Vec<LayerWeights>> = Vec::with_capacity(layers);
-    for layer in 0..layers {
-        let base = 4 + 12 * layer;
-        let parts: Vec<LayerWeights> = per_rank
-            .iter()
-            .map(|m| layer_view(&m[base..base + 12].iter().collect::<Vec<_>>()))
-            .collect();
-        let full = LayerWeights::unshard(&parts);
-        per_layer_shards.push((0..t_new).map(|r| full.shard(t_new, r)).collect());
-    }
-    (0..t_new)
-        .map(|r| {
-            let mut out = global.clone();
-            for shards in &per_layer_shards {
-                out.extend(shards[r].tensors().into_iter().cloned());
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Re-shards one tensor set in parameter order from the `t` source ranks to
+/// `t_new` target ranks: the replicated model-level tensors are rank 0's,
+/// each layer is gathered and re-split. Fails, with the rank and the
+/// tensor's name, if any replicated tensor's bits differ from rank 0's.
+fn reshard_params(
+    per_rank: &[&[Tensor]],
+    layers: usize,
+    t_new: usize,
+) -> Result<Vec<Vec<Tensor>>, (usize, String)> {
+    let split: Vec<_> = per_rank.iter().map(|p| by_layer(p, layers)).collect();
+    let (model0, layers0) = &split[0];
+    for (rank, (model, lws)) in split.iter().enumerate().skip(1) {
+        let mut model = MODEL_TENSORS.iter().zip(model.iter().zip(model0.iter()));
+        if let Some((name, _)) = model.find(|(_, (a, b))| !same_bits(a, b)) {
+            return Err((rank, name.to_string()));
+        }
+        for (layer, (lw, lw0)) in lws.iter().zip(layers0).enumerate() {
+            let mut pairs = lw.replicated().zip(lw0.replicated());
+            if let Some(((name, _), _)) = pairs.find(|((_, a), (_, b))| !same_bits(a, b)) {
+                return Err((rank, format!("layer {layer} {name}")));
             }
-            out
-        })
-        .collect()
+        }
+    }
+    let mut out = vec![model0.to_vec(); t_new];
+    for layer in 0..layers {
+        let parts: Vec<LayerWeights> = split.iter().map(|(_, l)| l[layer].clone()).collect();
+        let full = LayerWeights::unshard(&parts);
+        for (rank, params) in out.iter_mut().enumerate() {
+            params.extend(full.shard(t_new, rank).tensors().map(Tensor::clone));
+        }
+    }
+    Ok(out)
 }
 
 /// Re-shards the `t` per-rank checkpoints of one training state to `t_new`
@@ -108,7 +109,7 @@ fn reshard_moments(per_rank: &[&Vec<Tensor>], layers: usize, t_new: usize) -> Ve
 /// # Errors
 ///
 /// Fails if `ckpts` is empty, `t_new == 0`, or the shards disagree on any
-/// replicated state.
+/// replicated state, replicated weights and moments compared bit for bit.
 ///
 /// # Panics
 ///
@@ -122,14 +123,11 @@ pub fn reshard_checkpoints(
     if t_new == 0 {
         return Err(ReshardError::ZeroTargetDegree);
     }
+    let inconsistent = |rank: usize, what: &str| {
+        ReshardError::Inconsistent(format!("rank {rank} differs in {what}"))
+    };
     for (rank, c) in ckpts.iter().enumerate() {
-        let check = |ok: bool, what: &str| {
-            if ok {
-                Ok(())
-            } else {
-                Err(ReshardError::Inconsistent(format!("rank {rank} differs in {what}")))
-            }
-        };
+        let check = |ok: bool, what: &str| if ok { Ok(()) } else { Err(inconsistent(rank, what)) };
         check(c.version == first.version, "checkpoint version")?;
         check(c.step == first.step, "trainer step")?;
         check(c.opt.step == first.opt.step, "optimizer step")?;
@@ -140,40 +138,42 @@ pub fn reshard_checkpoints(
         check(c.model.layer_weights.len() == first.model.layer_weights.len(), "layer count")?;
         check(c.opt.m.len() == first.opt.m.len(), "moment count")?;
     }
-    let cfg = first.model.cfg;
-    cfg.validate(t_new);
+    first.model.cfg.validate(t_new);
     let layers = first.model.layer_weights.len();
-
-    // Weights: gather each layer's shards, re-split at the new degree.
-    let mut layer_shards: Vec<Vec<LayerWeights>> = Vec::with_capacity(layers);
-    for layer in 0..layers {
-        let parts: Vec<LayerWeights> =
-            ckpts.iter().map(|c| c.model.layer_weights[layer].clone()).collect();
-        let full = LayerWeights::unshard(&parts);
-        layer_shards.push((0..t_new).map(|r| full.shard(t_new, r)).collect());
-    }
-
-    // Adam moments mirror the parameter layout; an optimizer that has not
-    // stepped yet has no moments to move.
-    let (new_m, new_v) = if first.opt.m.is_empty() {
+    let reshard = |what: &str, per_rank: Vec<&[Tensor]>| {
+        reshard_params(&per_rank, layers, t_new)
+            .map_err(|(rank, name)| inconsistent(rank, &format!("replicated {what} {name}")))
+    };
+    // The weights in parameter order, as `Gpt::param_tensors_mut` lists them.
+    let params = |model: &GptCheckpoint| -> Vec<Tensor> {
+        let mut gpt = Gpt::from_checkpoint(model.clone());
+        gpt.param_tensors_mut().into_iter().map(|t| t.clone()).collect()
+    };
+    let weights: Vec<Vec<Tensor>> = ckpts.iter().map(|c| params(&c.model)).collect();
+    let weights = reshard("weight", weights.iter().map(Vec::as_slice).collect())?;
+    // An optimizer that has not stepped yet has no moments to move.
+    let (m, v) = if first.opt.m.is_empty() {
         (vec![Vec::new(); t_new], vec![Vec::new(); t_new])
     } else {
-        let ms: Vec<&Vec<Tensor>> = ckpts.iter().map(|c| &c.opt.m).collect();
-        let vs: Vec<&Vec<Tensor>> = ckpts.iter().map(|c| &c.opt.v).collect();
-        (reshard_moments(&ms, layers, t_new), reshard_moments(&vs, layers, t_new))
+        (
+            reshard("Adam m", ckpts.iter().map(|c| c.opt.m.as_slice()).collect())?,
+            reshard("Adam v", ckpts.iter().map(|c| c.opt.v.as_slice()).collect())?,
+        )
     };
 
-    Ok((0..t_new)
-        .zip(new_m)
-        .zip(new_v)
-        .map(|((rank, m), v)| {
-            let mut model = first.model.clone();
-            model.layer_weights =
-                (0..layers).map(|layer| layer_shards[layer][rank].clone()).collect();
+    Ok(weights
+        .into_iter()
+        .zip(m)
+        .zip(v)
+        .map(|((weights, m), v)| {
+            let mut gpt = Gpt::from_checkpoint(first.model.clone());
+            for (p, w) in gpt.param_tensors_mut().into_iter().zip(weights) {
+                *p = w;
+            }
             TrainerCheckpoint {
                 version: first.version,
                 cfg: first.cfg,
-                model,
+                model: gpt.to_checkpoint(),
                 opt: AdamState { step: first.opt.step, m, v },
                 step: first.step,
             }

@@ -138,8 +138,7 @@ pub fn unsharded_bits(models: &[Gpt]) -> Vec<u32> {
     for layer in 0..ckpts[0].layer_weights.len() {
         let parts: Vec<LayerWeights> =
             ckpts.iter().map(|c| c.layer_weights[layer].clone()).collect();
-        let full = if parts.len() == 1 { parts[0].clone() } else { LayerWeights::unshard(&parts) };
-        for t in full.tensors() {
+        for t in LayerWeights::unshard(&parts).tensors() {
             out.extend(t.data().iter().map(|x| x.to_bits()));
         }
     }

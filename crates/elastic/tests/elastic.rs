@@ -350,6 +350,50 @@ fn checkpoint_reshard_roundtrip_is_bit_exact() {
     }
 }
 
+/// Replicated state must be bit-identical on every rank: a shard set whose
+/// replicated weights or moments differ cannot come from one training
+/// state, and re-sharding (which keeps rank 0's copy) must refuse it by
+/// rank, layer and tensor rather than silently drop rank 1's.
+#[test]
+fn reshard_rejects_shards_whose_replicated_tensors_differ() {
+    let c = cfg();
+    let init = Gpt::init(c, Recompute::Selective, 61);
+    let ckpts = mt_collectives::World::run(2, |comm| {
+        let mut trainer = Trainer::new(
+            init.shard(2, comm.rank(), Recompute::Selective),
+            TrainerConfig::default(),
+        );
+        for step in 0..2u64 {
+            let (tokens, targets) = soak_batch(&c, step);
+            trainer.step(&tokens, &targets, ExecMode::TensorParallel(&comm));
+        }
+        trainer.save_checkpoint()
+    });
+    assert!(reshard_checkpoints(&ckpts, 1).is_ok(), "a consistent set re-shards");
+    let flip = |t: &mut Tensor| t.data_mut()[0] = f32::from_bits(t.data()[0].to_bits() ^ 1);
+
+    // A sharded tensor legitimately differs per rank.
+    let mut sharded = ckpts.clone();
+    flip(&mut sharded[1].model.layer_weights[1].w1);
+    assert!(reshard_checkpoints(&sharded, 1).is_ok());
+
+    type Perturb = fn(&mut mt_model::trainer::TrainerCheckpoint) -> &mut Tensor;
+    let cases: [(Perturb, &str); 4] = [
+        (|ck| &mut ck.model.layer_weights[1].b2, "rank 1 differs in replicated weight layer 1 b2"),
+        (|ck| &mut ck.model.embedding.positions, "rank 1 differs in replicated weight positions"),
+        (|ck| &mut ck.opt.m[4 + 12 + 5], "rank 1 differs in replicated Adam m layer 1 b_o"),
+        (|ck| &mut ck.opt.v[4], "rank 1 differs in replicated Adam v layer 0 ln1_gamma"),
+    ];
+    for (perturb, want) in cases {
+        let mut bad = ckpts.clone();
+        flip(perturb(&mut bad[1]));
+        match reshard_checkpoints(&bad, 1) {
+            Err(mt_elastic::ReshardError::Inconsistent(msg)) => assert_eq!(msg, want),
+            other => panic!("expected `{want}`, got {:?}", other.map(|c| c.len())),
+        }
+    }
+}
+
 /// The bounded chaos soak: randomized fault schedules over the Table 3
 /// miniatures, every completed run bit-identical to its control, the
 /// whole thing under a hard wall-clock timeout.

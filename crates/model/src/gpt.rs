@@ -44,20 +44,7 @@ impl GptGrads {
     pub fn tensors(&self) -> Vec<&Tensor> {
         let mut out = vec![&self.table, &self.positions, &self.final_ln_gamma, &self.final_ln_beta];
         for l in &self.layers {
-            out.extend([
-                &l.ln1_gamma,
-                &l.ln1_beta,
-                &l.w_qkv,
-                &l.b_qkv,
-                &l.w_o,
-                &l.b_o,
-                &l.ln2_gamma,
-                &l.ln2_beta,
-                &l.w1,
-                &l.b1,
-                &l.w2,
-                &l.b2,
-            ]);
+            out.extend(l.tensors());
         }
         out
     }
@@ -79,10 +66,9 @@ impl GptGrads {
     }
 
     /// Splits the mutable gradient tensors by tensor-parallel locality:
-    /// `(replicated, sharded)`. Replicated gradients (embedding, LayerNorm
-    /// scales/shifts, row-parallel biases) hold identical values on every
-    /// rank; sharded gradients (QKV/MLP weights, column-parallel biases)
-    /// each hold one rank's shard. The split is what lets
+    /// `(replicated, sharded)`, each in [`GptGrads::tensors`] order: the
+    /// embedding and final LayerNorm are replicated, and each layer splits
+    /// by [`crate::weights`]' layout table. The split is what lets
     /// [`clip_grad_norm_tp`](crate::optim::clip_grad_norm_tp) count every
     /// parameter exactly once in the global norm.
     pub fn tensors_mut_by_locality(&mut self) -> (Vec<&mut Tensor>, Vec<&mut Tensor>) {
@@ -94,18 +80,9 @@ impl GptGrads {
         ];
         let mut sharded: Vec<&mut Tensor> = Vec::new();
         for l in &mut self.layers {
-            replicated.push(&mut l.ln1_gamma);
-            replicated.push(&mut l.ln1_beta);
-            sharded.push(&mut l.w_qkv);
-            sharded.push(&mut l.b_qkv);
-            sharded.push(&mut l.w_o);
-            replicated.push(&mut l.b_o);
-            replicated.push(&mut l.ln2_gamma);
-            replicated.push(&mut l.ln2_beta);
-            sharded.push(&mut l.w1);
-            sharded.push(&mut l.b1);
-            sharded.push(&mut l.w2);
-            replicated.push(&mut l.b2);
+            let (r, s) = l.tensors_mut_by_locality();
+            replicated.extend(r);
+            sharded.extend(s);
         }
         (replicated, sharded)
     }
@@ -116,13 +93,9 @@ impl GptGrads {
     ///
     /// Panics if shapes differ.
     pub fn accumulate(&mut self, other: &GptGrads) {
-        self.table.add_assign(&other.table);
-        self.positions.add_assign(&other.positions);
-        self.final_ln_gamma.add_assign(&other.final_ln_gamma);
-        self.final_ln_beta.add_assign(&other.final_ln_beta);
         assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.accumulate(b);
+        for (a, b) in self.tensors_mut().into_iter().zip(other.tensors()) {
+            a.add_assign(b);
         }
     }
 }
@@ -336,18 +309,6 @@ impl Gpt {
     }
 }
 
-/// Rows of the `[s·b, h]` activation a rank holds outside the transformer
-/// layers, as `(first_row, count)`: all of them, or its sequence shard under
-/// sequence parallelism.
-fn local_rows(cfg: &TransformerConfig, mode: &ExecMode<'_>) -> (usize, usize) {
-    if mode.sequence_parallel() {
-        let rows = cfg.tokens() / mode.t();
-        (mode.rank() * rows, rows)
-    } else {
-        (0, cfg.tokens())
-    }
-}
-
 /// The embedding dropout mask for this rank's rows, addressed by global row
 /// so shards and the serial model draw identical bits.
 pub(crate) fn embedding_mask(
@@ -356,7 +317,7 @@ pub(crate) fn embedding_mask(
     micro: u64,
     mode: &ExecMode<'_>,
 ) -> Vec<u8> {
-    let (row0, rows) = local_rows(cfg, mode);
+    let (row0, rows) = mode.local_rows(cfg.tokens());
     let key = rng.stream(stream_id(DropoutSite::Embedding, 0, micro));
     key.dropout_mask(region_offsets(row0, rows, cfg.hidden), cfg.dropout_p)
 }
@@ -375,7 +336,7 @@ pub(crate) fn embed_forward(
     mode: &ExecMode<'_>,
     ledger: &mut ActivationLedger,
 ) -> (Tensor, Vec<u8>) {
-    let (row0, rows) = local_rows(cfg, mode);
+    let (row0, rows) = mode.local_rows(cfg.tokens());
     let h = cfg.hidden;
     let mut x = ops::embedding(&tokens[row0..row0 + rows], &e.table);
     for r in 0..rows {
@@ -403,7 +364,7 @@ pub(crate) fn embed_backward(
     mode: &ExecMode<'_>,
     d_positions: &mut Tensor,
 ) -> Tensor {
-    let (row0, rows) = local_rows(cfg, mode);
+    let (row0, rows) = mode.local_rows(cfg.tokens());
     let h = cfg.hidden;
     let d_emb = ops::dropout_backward(d, mask, cfg.dropout_p);
     for r in 0..rows {
@@ -460,10 +421,13 @@ pub(crate) fn head_backward(
     let d_table = ops::Gemm::TN.apply(&hs.dlogits, &hs.y_ln);
     let (d_y_full, d_gamma, d_beta) =
         ops::layer_norm_backward(&hs.y_full, gamma, &hs.ln_saved, &d_y_ln);
-    let d_act = if mode.sequence_parallel() {
-        d_y_full.chunk_axis0(mode.t()).expect("rows divide by t")[mode.rank()].clone()
-    } else {
+    let (row0, rows) = mode.local_rows(d_y_full.rows());
+    let d_act = if rows == d_y_full.rows() {
         d_y_full
+    } else {
+        let h = d_y_full.cols();
+        let local = d_y_full.data()[row0 * h..(row0 + rows) * h].to_vec();
+        Tensor::from_vec_unchecked(vec![rows, h], local)
     };
     (d_act, d_gamma, d_beta, d_table)
 }

@@ -82,6 +82,18 @@ impl<'a> ExecMode<'a> {
         matches!(self, ExecMode::TensorSequenceParallel(_))
     }
 
+    /// The rows of a `tokens`-row activation this rank holds outside the
+    /// tensor-parallel regions, as `(first_row, count)`: its sequence shard
+    /// under sequence parallelism, every row otherwise.
+    pub(crate) fn local_rows(&self, tokens: usize) -> (usize, usize) {
+        if self.sequence_parallel() {
+            let rows = tokens / self.t();
+            (self.rank() * rows, rows)
+        } else {
+            (0, tokens)
+        }
+    }
+
     /// The tensor-parallel communicator, when one is active (`None` for
     /// serial execution).
     pub fn comm(&self) -> Option<&'a Communicator> {
@@ -151,17 +163,11 @@ pub enum LayerState {
     },
 }
 
-/// The parameter gradients one backward half computes: its LayerNorm,
-/// the GEMM into the half (`w_qkv` / `w1`) and the GEMM out of it (`w_o` /
-/// `w2`), each with its bias.
-struct HalfGrads {
-    ln_gamma: Tensor,
-    ln_beta: Tensor,
-    w_in: Tensor,
-    b_in: Tensor,
-    w_out: Tensor,
-    b_out: Tensor,
-}
+/// The parameter gradients one backward half computes, in
+/// [`LayerWeights::tensors`] order: its LayerNorm's scale and shift, the
+/// GEMM into the half (`w_qkv` / `w1`) and its bias, the GEMM out of it
+/// (`w_o` / `w2`) and its bias.
+type HalfGrads = [Tensor; 6];
 
 /// One transformer layer.
 #[derive(Debug, Clone)]
@@ -231,26 +237,11 @@ impl TransformerLayer {
         }
     }
 
-    /// Rows held locally in the LayerNorm/dropout regions.
-    fn local_rows(&self, mode: &ExecMode<'_>) -> usize {
-        if mode.sequence_parallel() {
-            self.cfg.tokens() / mode.t()
-        } else {
-            self.cfg.tokens()
-        }
-    }
-
-    /// Regenerates a row-region dropout mask addressed by global rows, so
-    /// shards and the serial model draw identical bits.
-    fn region_mask(
-        &self,
-        site: DropoutSite,
-        micro: u64,
-        mode: &ExecMode<'_>,
-        rows: usize,
-    ) -> Vec<u8> {
+    /// Regenerates this rank's row-region dropout mask, addressed by global
+    /// rows, so shards and the serial model draw identical bits.
+    fn region_mask(&self, site: DropoutSite, micro: u64, mode: &ExecMode<'_>) -> Vec<u8> {
         let key = self.rng.stream(stream_id(site, self.layer_idx, micro));
-        let row0 = if mode.sequence_parallel() { mode.rank() * rows } else { 0 };
+        let (row0, rows) = mode.local_rows(self.cfg.tokens());
         key.dropout_mask(region_offsets(row0, rows, self.cfg.hidden), self.cfg.dropout_p)
     }
 
@@ -377,7 +368,7 @@ impl TransformerLayer {
         residual: &Tensor,
         branch: Tensor,
     ) -> Tensor {
-        let mask = self.region_mask(site, micro, mode, residual.rows());
+        let mask = self.region_mask(site, micro, mode);
         let dropped = ops::dropout(&branch, &mask, self.cfg.dropout_p);
         drop((branch, mask));
         ops::residual_add(residual, &dropped)
@@ -406,7 +397,7 @@ impl TransformerLayer {
     ) -> StoredState {
         assert_eq!(
             x.shape(),
-            &[self.local_rows(mode), self.cfg.hidden],
+            &[mode.local_rows(self.cfg.tokens()).1, self.cfg.hidden],
             "layer {} forward: input shape mismatch for {mode:?}",
             self.layer_idx
         );
@@ -587,21 +578,18 @@ impl TransformerLayer {
         let (d_x, attn) = self.backward_attn_half(d_r1, micro, attn_saved, &mode, overlap);
         // Each gradient is allocated once, by the half that computes it,
         // and moved here into the set the optimizer reads.
-        let mut grads = LayerGrads {
-            ln1_gamma: attn.ln_gamma,
-            ln1_beta: attn.ln_beta,
-            w_qkv: attn.w_in,
-            b_qkv: attn.b_in,
-            w_o: attn.w_out,
-            b_o: attn.b_out,
-            ln2_gamma: mlp.ln_gamma,
-            ln2_beta: mlp.ln_beta,
-            w1: mlp.w_in,
-            b1: mlp.b_in,
-            w2: mlp.w_out,
-            b2: mlp.b_out,
-        };
-        self.reduce_replicated_grads(&mode, &mut grads);
+        let mut halves = attn.into_iter().chain(mlp);
+        let mut grads = LayerGrads::from_tensors(std::array::from_fn(|_| {
+            halves.next().expect("two halves of six gradients")
+        }));
+        // Sequence parallelism computes the replicated parameters' gradients
+        // from sequence shards; sum them so every rank holds exact gradients
+        // (Megatron's gradient sync for SP).
+        if let (true, Some(comm)) = (mode.sequence_parallel(), mode.comm()) {
+            for g in grads.tensors_mut_by_locality().0 {
+                *g = timed_exposed(|| comm.all_reduce(g));
+            }
+        }
         (d_x, grads)
     }
 
@@ -628,10 +616,9 @@ impl TransformerLayer {
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
     ) -> (Tensor, HalfGrads) {
-        let rows = self.local_rows(mode);
         assert_eq!(
             dy.shape(),
-            &[rows, self.cfg.hidden],
+            &[mode.local_rows(self.cfg.tokens()).1, self.cfg.hidden],
             "layer {} backward: gradient shape mismatch",
             self.layer_idx
         );
@@ -642,7 +629,7 @@ impl TransformerLayer {
         let replaying = inner.is_none();
 
         // out = r1 + dropout(m2)
-        let mask_mlp = self.region_mask(DropoutSite::MlpOutput, micro, mode, rows);
+        let mask_mlp = self.region_mask(DropoutSite::MlpOutput, micro, mode);
         let d_m2 = ops::dropout_backward(dy, &mask_mlp, self.cfg.dropout_p);
         drop(mask_mlp);
         let b_out = ops::bias_grad(&d_m2);
@@ -696,7 +683,7 @@ impl TransformerLayer {
         let (mut d_r1, ln_gamma, ln_beta) =
             ops::layer_norm_backward(&r1, &w.ln2_gamma, &ln2_saved, &d_y_ln2);
         d_r1.add_assign(dy);
-        (d_r1, HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
+        (d_r1, [ln_gamma, ln_beta, w_in, b_in, w_out, b_out])
     }
 
     /// The attention half of the backward pass: from `d_r1` down to the
@@ -711,12 +698,11 @@ impl TransformerLayer {
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
     ) -> (Tensor, HalfGrads) {
-        let rows = self.local_rows(mode);
         let w = &self.weights;
         let AttnStored { x, ln1_saved, y1, q, k, v, core, ctx } = saved;
 
         // r1 = x + dropout(o)
-        let mask_attn = self.region_mask(DropoutSite::AttentionOutput, micro, mode, rows);
+        let mask_attn = self.region_mask(DropoutSite::AttentionOutput, micro, mode);
         let d_o = ops::dropout_backward(&d_r1, &mask_attn, self.cfg.dropout_p);
         drop(mask_attn);
         let b_out = ops::bias_grad(&d_o);
@@ -740,21 +726,7 @@ impl TransformerLayer {
         let (mut d_x, ln_gamma, ln_beta) =
             ops::layer_norm_backward(&x, &w.ln1_gamma, &ln1_saved, &d_y_ln1);
         d_x.add_assign(&d_r1);
-        (d_x, HalfGrads { ln_gamma, ln_beta, w_in, b_in, w_out, b_out })
-    }
-
-    /// Sequence parallelism computes replicated-parameter gradients from
-    /// sequence shards; sum them so every rank holds exact gradients
-    /// (Megatron's gradient sync for SP).
-    fn reduce_replicated_grads(&self, mode: &ExecMode<'_>, grads: &mut LayerGrads) {
-        if let (true, Some(comm)) = (mode.sequence_parallel(), mode.comm()) {
-            grads.ln1_gamma = timed_exposed(|| comm.all_reduce(&grads.ln1_gamma));
-            grads.ln1_beta = timed_exposed(|| comm.all_reduce(&grads.ln1_beta));
-            grads.ln2_gamma = timed_exposed(|| comm.all_reduce(&grads.ln2_gamma));
-            grads.ln2_beta = timed_exposed(|| comm.all_reduce(&grads.ln2_beta));
-            grads.b_o = timed_exposed(|| comm.all_reduce(&grads.b_o));
-            grads.b2 = timed_exposed(|| comm.all_reduce(&grads.b2));
-        }
+        (d_x, [ln_gamma, ln_beta, w_in, b_in, w_out, b_out])
     }
 }
 

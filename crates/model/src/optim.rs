@@ -125,10 +125,7 @@ impl AdamW {
 /// `min(1, max_norm / ‖g‖₂)` where the norm is taken over *all* gradients
 /// jointly, and returns the pre-clip norm.
 ///
-/// In a model-parallel setting each rank holds a shard of the gradients;
-/// compute the global norm by all-reducing the squared-norm contributions
-/// before calling this with the combined value — or use this directly for
-/// single-rank training.
+/// A tensor-parallel rank uses [`clip_grad_norm_tp`] instead.
 pub fn clip_grad_norm(grads: Vec<&mut Tensor>, max_norm: f32) -> f32 {
     let sq = sq_sum(&grads);
     scale_to_norm(grads, sq, max_norm)
@@ -138,14 +135,13 @@ pub fn clip_grad_norm(grads: Vec<&mut Tensor>, max_norm: f32) -> f32 {
 /// gradient norm with every parameter counted exactly once — replicated
 /// gradients (identical on all ranks) contribute locally, sharded
 /// gradients contribute their shard's squared sum through an `all_reduce`.
+/// Which gradients are which is the layout table's call in
+/// [`crate::weights`]; split them with
+/// [`GptGrads::tensors_mut_by_locality`](crate::gpt::GptGrads::tensors_mut_by_locality).
 /// Because the reduced value is identical on every rank, so is the clip
 /// scale, which keeps replicated parameters bit-identical across the group
-/// — the invariant degree-changing checkpoint re-sharding depends on.
-/// Clipping each rank by its *local* norm instead would scale replicated
-/// gradients differently per rank and silently desynchronize them.
-///
-/// Split the gradients with
-/// [`GptGrads::tensors_mut_by_locality`](crate::gpt::GptGrads::tensors_mut_by_locality).
+/// — the invariant degree-changing checkpoint re-sharding checks and
+/// depends on. A rank-local norm would desynchronize them.
 ///
 /// # Panics
 ///

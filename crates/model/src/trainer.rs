@@ -341,9 +341,6 @@ impl Trainer {
         let (loss, mut grads) =
             self.gpt.loss_and_grads(tokens, targets, self.step, policy, &mut ledger);
         let opt_span = tracer.span("optimizer");
-        // Under tensor parallelism the clip must use the *global* norm:
-        // a per-rank local norm would scale replicated gradients by
-        // rank-dependent factors and desynchronize replicated parameters.
         let grad_norm = match (self.cfg.clip_norm, comm) {
             (Some(max), None) => clip_grad_norm(grads.tensors_mut(), max),
             (Some(max), Some(c)) => {

@@ -1,4 +1,5 @@
 //! Layer and embedding weights, Megatron-style sharding, and gradients.
+//! The tensor-parallel layout is one table, `LAYOUT`, in this module.
 
 use crate::config::TransformerConfig;
 use mt_tensor::rng::SplitMix64;
@@ -10,36 +11,111 @@ use serde::{Deserialize, Serialize};
 /// `w_qkv` packs the query/key/value projections as `[h, 3h]` with column
 /// blocks `[Q | K | V]`, each block head-major (head `k` occupies columns
 /// `k·hd .. (k+1)·hd` of its block). This layout makes Megatron head
-/// sharding a contiguous column slice per block.
+/// sharding a contiguous column slice per block. Shapes are unsharded; how
+/// each tensor splits under tensor parallelism is this module's one table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerWeights {
     /// First LayerNorm scale, `[h]`.
     pub ln1_gamma: Tensor,
     /// First LayerNorm shift, `[h]`.
     pub ln1_beta: Tensor,
-    /// Packed QKV projection, `[h, 3h]` (or `[h, 3h/t]` when sharded).
+    /// Packed QKV projection, `[h, 3h]`.
     pub w_qkv: Tensor,
-    /// Packed QKV bias, `[3h]` (or `[3h/t]`).
+    /// Packed QKV bias, `[3h]`.
     pub b_qkv: Tensor,
-    /// Attention output projection, `[h, h]` (row-sharded to `[h/t, h]`).
+    /// Attention output projection, `[h, h]`.
     pub w_o: Tensor,
-    /// Output projection bias, `[h]` — replicated under sharding.
+    /// Output projection bias, `[h]`.
     pub b_o: Tensor,
     /// Second LayerNorm scale, `[h]`.
     pub ln2_gamma: Tensor,
     /// Second LayerNorm shift, `[h]`.
     pub ln2_beta: Tensor,
-    /// MLP h→4h weight, `[h, 4h]` (column-sharded to `[h, 4h/t]`).
+    /// MLP h→4h weight, `[h, 4h]`.
     pub w1: Tensor,
-    /// MLP first bias, `[4h]` (sharded to `[4h/t]`).
+    /// MLP first bias, `[4h]`.
     pub b1: Tensor,
-    /// MLP 4h→h weight, `[4h, h]` (row-sharded to `[4h/t, h]`).
+    /// MLP 4h→h weight, `[4h, h]`.
     pub w2: Tensor,
-    /// MLP second bias, `[h]` — replicated under sharding.
+    /// MLP second bias, `[h]`.
     pub b2: Tensor,
 }
 
+/// Gradients of one layer — same shapes and sharding as [`LayerWeights`].
+pub type LayerGrads = LayerWeights;
+
+/// How one layer parameter splits across a `t`-way tensor-parallel group:
+/// whole on every rank, or in `t` equal slices by rows, or by columns
+/// within each of `blocks` column blocks (the packed `[Q | K | V]`, so a
+/// rank holds its heads' columns of each).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Split {
+    Replicated,
+    Columns { blocks: usize },
+    Rows,
+}
+
+/// The tensor-parallel layout of Figures 4–5, by name in
+/// [`LayerWeights::tensors`] order: QKV and MLP-1 column-parallel,
+/// projection and MLP-2 row-parallel, LayerNorms and output biases
+/// replicated (Shoeybi et al.). Everything that depends on the split reads
+/// this one table.
+const LAYOUT: [(&str, Split); LayerWeights::TENSORS] = [
+    ("ln1_gamma", Split::Replicated),
+    ("ln1_beta", Split::Replicated),
+    ("w_qkv", Split::Columns { blocks: 3 }),
+    ("b_qkv", Split::Columns { blocks: 3 }),
+    ("w_o", Split::Rows),
+    ("b_o", Split::Replicated),
+    ("ln2_gamma", Split::Replicated),
+    ("ln2_beta", Split::Replicated),
+    ("w1", Split::Columns { blocks: 1 }),
+    ("b1", Split::Columns { blocks: 1 }),
+    ("w2", Split::Rows),
+    ("b2", Split::Replicated),
+];
+
+impl Split {
+    /// Rank `rank`'s part of `full`, by copy.
+    fn shard(self, full: &Tensor, t: usize, rank: usize) -> Tensor {
+        match self {
+            Split::Replicated => full.clone(),
+            Split::Rows => full.chunk_axis0(t).expect("rows divide by t").swap_remove(rank),
+            // Of `blocks·t` equal column slices, block `b`'s for `rank` is
+            // slice `b·t + rank`.
+            Split::Columns { blocks } => {
+                let slices = full.chunk_last_axis(blocks * t).expect("columns divide by t");
+                Tensor::concat_last_axis(
+                    &slices.into_iter().skip(rank).step_by(t).collect::<Vec<_>>(),
+                )
+            }
+        }
+    }
+
+    /// The whole tensor from every rank's part, in rank order, by copy; a
+    /// replicated tensor is rank 0's.
+    fn unshard(self, parts: &[&Tensor]) -> Tensor {
+        match self {
+            Split::Replicated => parts[0].clone(),
+            Split::Rows => {
+                Tensor::concat_axis0(&parts.iter().map(|&p| p.clone()).collect::<Vec<_>>())
+            }
+            Split::Columns { blocks } => {
+                let per_rank: Vec<Vec<Tensor>> = parts
+                    .iter()
+                    .map(|p| p.chunk_last_axis(blocks).expect("column blocks divide"))
+                    .collect();
+                let ordered = (0..blocks).flat_map(|b| per_rank.iter().map(move |p| p[b].clone()));
+                Tensor::concat_last_axis(&ordered.collect::<Vec<_>>())
+            }
+        }
+    }
+}
+
 impl LayerWeights {
+    /// Parameter tensors per layer.
+    pub const TENSORS: usize = 12;
+
     /// Random initialization (N(0, 0.02²) for matrices, zeros for biases,
     /// ones/zeros for LayerNorm), matching GPT conventions.
     pub fn init(cfg: &TransformerConfig, rng: &mut SplitMix64) -> Self {
@@ -61,99 +137,18 @@ impl LayerWeights {
         }
     }
 
-    /// Extracts rank `rank`'s shard for `t`-way tensor parallelism:
-    /// QKV and MLP-1 column-parallel, projection and MLP-2 row-parallel,
-    /// LayerNorms and output biases replicated (Shoeybi et al.).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes do not divide by `t` or `rank >= t`.
-    pub fn shard(&self, t: usize, rank: usize) -> LayerWeights {
-        assert!(rank < t, "rank {rank} out of range for t={t}");
-        let qkv_blocks = self.w_qkv.chunk_last_axis(3).expect("w_qkv has 3h columns");
-        let q = qkv_blocks[0].chunk_last_axis(t).expect("heads divide by t");
-        let k = qkv_blocks[1].chunk_last_axis(t).expect("heads divide by t");
-        let v = qkv_blocks[2].chunk_last_axis(t).expect("heads divide by t");
-        let b_blocks = self.b_qkv.chunk_last_axis(3).expect("b_qkv has 3h elements");
-        let bq = b_blocks[0].chunk_last_axis(t).expect("bias divides");
-        let bk = b_blocks[1].chunk_last_axis(t).expect("bias divides");
-        let bv = b_blocks[2].chunk_last_axis(t).expect("bias divides");
-        LayerWeights {
-            ln1_gamma: self.ln1_gamma.clone(),
-            ln1_beta: self.ln1_beta.clone(),
-            w_qkv: Tensor::concat_last_axis(&[q[rank].clone(), k[rank].clone(), v[rank].clone()]),
-            b_qkv: Tensor::concat_last_axis(&[
-                bq[rank].clone(),
-                bk[rank].clone(),
-                bv[rank].clone(),
-            ]),
-            w_o: self.w_o.chunk_axis0(t).expect("w_o rows divide")[rank].clone(),
-            b_o: self.b_o.clone(),
-            ln2_gamma: self.ln2_gamma.clone(),
-            ln2_beta: self.ln2_beta.clone(),
-            w1: self.w1.chunk_last_axis(t).expect("w1 cols divide")[rank].clone(),
-            b1: self.b1.chunk_last_axis(t).expect("b1 divides")[rank].clone(),
-            w2: self.w2.chunk_axis0(t).expect("w2 rows divide")[rank].clone(),
-            b2: self.b2.clone(),
-        }
-    }
-
-    /// Reassembles full weights from the `t` per-rank shards produced by
-    /// [`LayerWeights::shard`]. Replicated tensors are taken from rank 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or shard shapes are inconsistent.
-    pub fn unshard(parts: &[LayerWeights]) -> LayerWeights {
-        assert!(!parts.is_empty(), "unshard needs at least one shard");
-        let t = parts.len();
-        if t == 1 {
-            return parts[0].clone();
-        }
-        let mut qs = Vec::with_capacity(t);
-        let mut ks = Vec::with_capacity(t);
-        let mut vs = Vec::with_capacity(t);
-        let mut bqs = Vec::with_capacity(t);
-        let mut bks = Vec::with_capacity(t);
-        let mut bvs = Vec::with_capacity(t);
-        for p in parts {
-            let blocks = p.w_qkv.chunk_last_axis(3).expect("shard has 3 QKV blocks");
-            qs.push(blocks[0].clone());
-            ks.push(blocks[1].clone());
-            vs.push(blocks[2].clone());
-            let bb = p.b_qkv.chunk_last_axis(3).expect("shard bias has 3 blocks");
-            bqs.push(bb[0].clone());
-            bks.push(bb[1].clone());
-            bvs.push(bb[2].clone());
-        }
-        LayerWeights {
-            ln1_gamma: parts[0].ln1_gamma.clone(),
-            ln1_beta: parts[0].ln1_beta.clone(),
-            w_qkv: Tensor::concat_last_axis(&[
-                Tensor::concat_last_axis(&qs),
-                Tensor::concat_last_axis(&ks),
-                Tensor::concat_last_axis(&vs),
-            ]),
-            b_qkv: Tensor::concat_last_axis(&[
-                Tensor::concat_last_axis(&bqs),
-                Tensor::concat_last_axis(&bks),
-                Tensor::concat_last_axis(&bvs),
-            ]),
-            w_o: Tensor::concat_axis0(&parts.iter().map(|p| p.w_o.clone()).collect::<Vec<_>>()),
-            b_o: parts[0].b_o.clone(),
-            ln2_gamma: parts[0].ln2_gamma.clone(),
-            ln2_beta: parts[0].ln2_beta.clone(),
-            w1: Tensor::concat_last_axis(&parts.iter().map(|p| p.w1.clone()).collect::<Vec<_>>()),
-            b1: Tensor::concat_last_axis(&parts.iter().map(|p| p.b1.clone()).collect::<Vec<_>>()),
-            w2: Tensor::concat_axis0(&parts.iter().map(|p| p.w2.clone()).collect::<Vec<_>>()),
-            b2: parts[0].b2.clone(),
-        }
+    /// Builds a layer from its parameter tensors in
+    /// [`LayerWeights::tensors`] order.
+    pub fn from_tensors(tensors: [Tensor; LayerWeights::TENSORS]) -> Self {
+        let [ln1_gamma, ln1_beta, w_qkv, b_qkv, w_o, b_o, ln2_gamma, ln2_beta, w1, b1, w2, b2] =
+            tensors;
+        Self { ln1_gamma, ln1_beta, w_qkv, b_qkv, w_o, b_o, ln2_gamma, ln2_beta, w1, b1, w2, b2 }
     }
 
     /// Shared references to every parameter tensor, in the same stable
     /// order as [`LayerWeights::tensors_mut`].
-    pub fn tensors(&self) -> Vec<&Tensor> {
-        vec![
+    pub fn tensors(&self) -> [&Tensor; LayerWeights::TENSORS] {
+        [
             &self.ln1_gamma,
             &self.ln1_beta,
             &self.w_qkv,
@@ -169,12 +164,10 @@ impl LayerWeights {
         ]
     }
 
-    /// Mutable references to every parameter tensor, in a stable order
-    /// matching the gradient order used by
-    /// [`GptGrads::tensors`](crate::gpt::GptGrads::tensors). Used by
-    /// optimizers.
-    pub fn tensors_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![
+    /// Mutable references to every parameter tensor, in
+    /// [`LayerWeights::tensors`] order.
+    pub fn tensors_mut(&mut self) -> [&mut Tensor; LayerWeights::TENSORS] {
+        [
             &mut self.ln1_gamma,
             &mut self.ln1_beta,
             &mut self.w_qkv,
@@ -190,48 +183,63 @@ impl LayerWeights {
         ]
     }
 
+    /// The mutable parameter tensors split by the layout's locality,
+    /// `(replicated, sharded)`, each in [`LayerWeights::tensors`] order.
+    pub fn tensors_mut_by_locality(&mut self) -> (Vec<&mut Tensor>, Vec<&mut Tensor>) {
+        let mut split = (Vec::new(), Vec::new());
+        for (t, (_, how)) in self.tensors_mut().into_iter().zip(LAYOUT) {
+            if how == Split::Replicated {
+                split.0.push(t);
+            } else {
+                split.1.push(t);
+            }
+        }
+        split
+    }
+
+    /// The replicated parameter tensors by name, in [`LayerWeights::tensors`]
+    /// order: every rank holds them whole, and they must stay bit-identical.
+    pub fn replicated(&self) -> impl Iterator<Item = (&'static str, &Tensor)> {
+        self.tensors()
+            .into_iter()
+            .zip(LAYOUT)
+            .filter(|(_, (_, how))| *how == Split::Replicated)
+            .map(|(t, (name, _))| (name, t))
+    }
+
+    /// Extracts rank `rank`'s shard for `t`-way tensor parallelism.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not divide by `t` or `rank >= t`.
+    pub fn shard(&self, t: usize, rank: usize) -> LayerWeights {
+        assert!(rank < t, "rank {rank} out of range for t={t}");
+        let full = self.tensors();
+        LayerWeights::from_tensors(std::array::from_fn(|i| LAYOUT[i].1.shard(full[i], t, rank)))
+    }
+
+    /// Reassembles full weights from the `t` per-rank shards produced by
+    /// [`LayerWeights::shard`]. Replicated tensors are taken from rank 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or shard shapes are inconsistent.
+    pub fn unshard(parts: &[LayerWeights]) -> LayerWeights {
+        assert!(!parts.is_empty(), "unshard needs at least one shard");
+        let per_rank: Vec<_> = parts.iter().map(LayerWeights::tensors).collect();
+        LayerWeights::from_tensors(std::array::from_fn(|i| {
+            LAYOUT[i].1.unshard(&per_rank.iter().map(|p| p[i]).collect::<Vec<_>>())
+        }))
+    }
+
     /// Total parameter elements.
     pub fn num_parameters(&self) -> usize {
-        [
-            &self.ln1_gamma,
-            &self.ln1_beta,
-            &self.w_qkv,
-            &self.b_qkv,
-            &self.w_o,
-            &self.b_o,
-            &self.ln2_gamma,
-            &self.ln2_beta,
-            &self.w1,
-            &self.b1,
-            &self.w2,
-            &self.b2,
-        ]
-        .iter()
-        .map(|t| t.numel())
-        .sum()
+        self.tensors().iter().map(|t| t.numel()).sum()
     }
-}
 
-/// Gradients of one layer — same shapes and sharding as [`LayerWeights`].
-pub type LayerGrads = LayerWeights;
-
-impl LayerWeights {
     /// All-zero gradients shaped like `self`.
     pub fn zeros_like(&self) -> LayerWeights {
-        LayerWeights {
-            ln1_gamma: Tensor::zeros(self.ln1_gamma.shape()),
-            ln1_beta: Tensor::zeros(self.ln1_beta.shape()),
-            w_qkv: Tensor::zeros(self.w_qkv.shape()),
-            b_qkv: Tensor::zeros(self.b_qkv.shape()),
-            w_o: Tensor::zeros(self.w_o.shape()),
-            b_o: Tensor::zeros(self.b_o.shape()),
-            ln2_gamma: Tensor::zeros(self.ln2_gamma.shape()),
-            ln2_beta: Tensor::zeros(self.ln2_beta.shape()),
-            w1: Tensor::zeros(self.w1.shape()),
-            b1: Tensor::zeros(self.b1.shape()),
-            w2: Tensor::zeros(self.w2.shape()),
-            b2: Tensor::zeros(self.b2.shape()),
-        }
+        LayerWeights::from_tensors(self.tensors().map(|t| Tensor::zeros(t.shape())))
     }
 
     /// Element-wise accumulation of another gradient set.
@@ -240,43 +248,18 @@ impl LayerWeights {
     ///
     /// Panics if shapes differ.
     pub fn accumulate(&mut self, other: &LayerWeights) {
-        self.ln1_gamma.add_assign(&other.ln1_gamma);
-        self.ln1_beta.add_assign(&other.ln1_beta);
-        self.w_qkv.add_assign(&other.w_qkv);
-        self.b_qkv.add_assign(&other.b_qkv);
-        self.w_o.add_assign(&other.w_o);
-        self.b_o.add_assign(&other.b_o);
-        self.ln2_gamma.add_assign(&other.ln2_gamma);
-        self.ln2_beta.add_assign(&other.ln2_beta);
-        self.w1.add_assign(&other.w1);
-        self.b1.add_assign(&other.b1);
-        self.w2.add_assign(&other.w2);
-        self.b2.add_assign(&other.b2);
+        for (a, b) in self.tensors_mut().into_iter().zip(other.tensors()) {
+            a.add_assign(b);
+        }
     }
 
     /// Maximum relative deviation from `other`, scaled by `other`'s largest
     /// magnitude — the comparison used by the equivalence tests.
     pub fn max_rel_diff(&self, other: &LayerWeights) -> f32 {
-        let pairs = [
-            (&self.ln1_gamma, &other.ln1_gamma),
-            (&self.ln1_beta, &other.ln1_beta),
-            (&self.w_qkv, &other.w_qkv),
-            (&self.b_qkv, &other.b_qkv),
-            (&self.w_o, &other.w_o),
-            (&self.b_o, &other.b_o),
-            (&self.ln2_gamma, &other.ln2_gamma),
-            (&self.ln2_beta, &other.ln2_beta),
-            (&self.w1, &other.w1),
-            (&self.b1, &other.b1),
-            (&self.w2, &other.w2),
-            (&self.b2, &other.b2),
-        ];
-        pairs
-            .iter()
-            .map(|(a, b)| {
-                let scale = b.max_abs().max(1e-6);
-                a.max_abs_diff(b) / scale
-            })
+        self.tensors()
+            .into_iter()
+            .zip(other.tensors())
+            .map(|(a, b)| a.max_abs_diff(b) / b.max_abs().max(1e-6))
             .fold(0.0_f32, f32::max)
     }
 }
@@ -367,6 +350,26 @@ mod tests {
         assert_eq!(acc, doubled);
         assert!(acc.max_rel_diff(&acc) == 0.0);
         assert!(acc.max_rel_diff(&w) > 0.5);
+    }
+
+    #[test]
+    fn replicated_tensors_are_the_layernorms_and_output_biases() {
+        let mut rng = SplitMix64::new(26);
+        let w = LayerWeights::init(&cfg(), &mut rng);
+        let want = [
+            ("ln1_gamma", &w.ln1_gamma),
+            ("ln1_beta", &w.ln1_beta),
+            ("b_o", &w.b_o),
+            ("ln2_gamma", &w.ln2_gamma),
+            ("ln2_beta", &w.ln2_beta),
+            ("b2", &w.b2),
+        ];
+        let got: Vec<_> = w.replicated().collect();
+        assert_eq!(got.len(), want.len());
+        for ((name, t), (want_name, want_t)) in got.into_iter().zip(want) {
+            assert_eq!(name, want_name);
+            assert!(std::ptr::eq(t, want_t), "{name} is not its own field");
+        }
     }
 
     #[test]

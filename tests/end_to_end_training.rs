@@ -6,7 +6,7 @@
 use megatron_repro::data::{CharVocab, MicrobatchSampler, PackedDataset};
 use megatron_repro::memory::Recompute;
 use megatron_repro::model::gpt::Gpt;
-use megatron_repro::model::trainer::{LrSchedule, Trainer, TrainerConfig};
+use megatron_repro::model::trainer::{LrSchedule, StepStats, Trainer, TrainerConfig};
 use megatron_repro::model::{ActivationLedger, ExecMode, TransformerConfig};
 use megatron_repro::tensor::ops;
 
@@ -110,42 +110,45 @@ fn checkpoint_preserves_training_progress() {
 fn trainer_works_under_tensor_parallelism() {
     use megatron_repro::collectives::World;
     let (cfg, _, ds) = setup();
-    // Serial trajectory.
-    // Clipping uses the rank-local norm, so disable it on both sides for an
-    // exact trajectory comparison (a sharding-exact clip would all-reduce
-    // the squared norms first, as `clip_grad_norm`'s docs describe).
-    let mut serial = Trainer::new(
-        Gpt::init(cfg, Recompute::None, 321),
+    // A clip that binds on every step, on both sides: under TP and TP+SP
+    // the trainer clips by the global norm, every parameter counted once,
+    // so each step's pre-clip norm and the clipped trajectory follow the
+    // serial run's.
+    let clip = 0.05;
+    let trainer_cfg = || {
         TrainerConfig::builder()
             .schedule(LrSchedule::constant(5e-3))
             .weight_decay(0.01)
-            .clip_norm(None)
-            .build(),
-    );
+            .clip_norm(Some(clip))
+            .build()
+    };
+    let mut serial = Trainer::new(Gpt::init(cfg, Recompute::None, 321), trainer_cfg());
     let mut sampler = MicrobatchSampler::new(&ds, cfg.micro_batch, 4);
     let batches: Vec<(Vec<usize>, Vec<usize>)> =
         (0..6).map(|_| ds.microbatch(&sampler.next_indices())).collect();
-    let serial_losses: Vec<f32> =
-        batches.iter().map(|(t, g)| serial.step(t, g, ExecMode::Serial).loss).collect();
+    let serial_stats: Vec<StepStats> =
+        batches.iter().map(|(t, g)| serial.step(t, g, ExecMode::Serial)).collect();
+    assert!(serial_stats.iter().all(|s| s.grad_norm > clip), "the clip must bind");
 
     let template = Gpt::init(cfg, Recompute::None, 321);
-    let parallel_losses = World::run(2, |comm| {
-        let mut trainer = Trainer::new(
-            template.shard(2, comm.rank(), Recompute::None),
-            TrainerConfig::builder()
-                .schedule(LrSchedule::constant(5e-3))
-                .weight_decay(0.01)
-                .clip_norm(None)
-                .build(),
-        );
-        batches
-            .iter()
-            .map(|(t, g)| trainer.step(t, g, ExecMode::TensorParallel(&comm)).loss)
-            .collect::<Vec<f32>>()
-    });
-    for rank_losses in &parallel_losses {
-        for (a, b) in serial_losses.iter().zip(rank_losses) {
-            assert!((a - b).abs() < 1e-3, "serial {a} vs parallel {b}");
+    for sequence_parallel in [false, true] {
+        let parallel_stats = World::run(2, |comm| {
+            let mode = if sequence_parallel {
+                ExecMode::TensorSequenceParallel(&comm)
+            } else {
+                ExecMode::TensorParallel(&comm)
+            };
+            let mut trainer =
+                Trainer::new(template.shard(2, comm.rank(), Recompute::None), trainer_cfg());
+            batches.iter().map(|(t, g)| trainer.step(t, g, mode)).collect::<Vec<StepStats>>()
+        });
+        for rank_stats in &parallel_stats {
+            for (a, b) in serial_stats.iter().zip(rank_stats) {
+                let what = format!("step {} (sp = {sequence_parallel})", a.step);
+                assert!((a.loss - b.loss).abs() < 1e-3, "{what}: loss {} vs {}", a.loss, b.loss);
+                let rel = (a.grad_norm - b.grad_norm).abs() / a.grad_norm;
+                assert!(rel < 1e-5, "{what}: grad norm {} vs {}", a.grad_norm, b.grad_norm);
+            }
         }
     }
 }
