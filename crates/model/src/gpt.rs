@@ -269,11 +269,10 @@ impl Gpt {
             tracer.span_args("backward", || vec![("micro", mt_trace::ArgValue::U64(micro))]);
 
         // --- backward: head ---
+        // Consumes the head's saved tensors, so none is live beside the
+        // layer backward loop.
         let (mut d_act, d_fg, d_fb, d_table_head) =
-            head_backward(&self.final_ln_gamma, table, &head, mode);
-        // The head's saved tensors are dead; free them before the layer
-        // backward loop allocates its own.
-        drop(head);
+            head_backward(&self.final_ln_gamma, table, head, mode);
 
         // --- backward: layers ---
         let mut layer_grads = Vec::with_capacity(self.layers.len());
@@ -293,7 +292,9 @@ impl Gpt {
             d_table_embed = c.all_reduce(&d_table_embed);
             d_positions = c.all_reduce(&d_positions);
         }
-        let d_table = d_table_embed.add(&d_table_head);
+        // Summed in place: no third `[v, h]` table.
+        let mut d_table = d_table_embed;
+        d_table.add_assign(&d_table_head);
         drop(bwd_span);
 
         (
@@ -378,7 +379,9 @@ pub(crate) fn embed_backward(
     ops::embedding_backward(&tokens[row0..row0 + rows], &d_emb, cfg.vocab)
 }
 
-/// What the head's forward saves for its backward.
+/// What the head's forward saves for its backward, which consumes it:
+/// [`head_backward`] takes it by value and frees each tensor at its last
+/// read, so none of it is live beside the layer backward that follows.
 pub(crate) struct HeadState {
     y_full: Tensor,
     ln_saved: ops::LayerNormSaved,
@@ -411,16 +414,23 @@ pub(crate) fn head_forward(
 /// layer's output, then the final-LayerNorm scale, shift and tied-table
 /// gradients. The head is replicated redundant compute, so under sequence
 /// parallelism the shard gradient is a plain slice, not a reduction.
+///
+/// Consumes the head's state: `d_table` comes first, so `y_ln` is freed
+/// before `d_y_ln` is allocated, then `dlogits` after the `d_y_ln` GEMM
+/// and `y_full` after the LayerNorm backward.
 pub(crate) fn head_backward(
     gamma: &Tensor,
     table: &Tensor,
-    hs: &HeadState,
+    hs: HeadState,
     mode: &ExecMode<'_>,
 ) -> (Tensor, Tensor, Tensor, Tensor) {
-    let d_y_ln = ops::Gemm::NN.apply(&hs.dlogits, table);
-    let d_table = ops::Gemm::TN.apply(&hs.dlogits, &hs.y_ln);
-    let (d_y_full, d_gamma, d_beta) =
-        ops::layer_norm_backward(&hs.y_full, gamma, &hs.ln_saved, &d_y_ln);
+    let HeadState { y_full, ln_saved, y_ln, dlogits } = hs;
+    let d_table = ops::Gemm::TN.apply(&dlogits, &y_ln);
+    drop(y_ln);
+    let d_y_ln = ops::Gemm::NN.apply(&dlogits, table);
+    drop(dlogits);
+    let (d_y_full, d_gamma, d_beta) = ops::layer_norm_backward(&y_full, gamma, &ln_saved, &d_y_ln);
+    drop((y_full, d_y_ln));
     let (row0, rows) = mode.local_rows(d_y_full.rows());
     let d_act = if rows == d_y_full.rows() {
         d_y_full

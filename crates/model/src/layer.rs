@@ -121,9 +121,12 @@ struct AttnStored {
     /// Layer input (= first LayerNorm input); sequence shard under SP.
     x: Tensor,
     ln1_saved: LayerNormSaved,
-    /// The QKV GEMM input. Under SP only the local shard `Yᵢˢ` is kept and
-    /// the backward pass re-gathers (the paper's extra all-gather).
-    y1: Tensor,
+    /// The QKV GEMM input, `LN₁(x)`. Under SP only the local shard `Yᵢˢ` is
+    /// kept and the backward pass re-gathers (the paper's extra
+    /// all-gather). Every stored state keeps it; `None` (a `Full` replay)
+    /// makes the attention backward rebuild it from `x` just before the
+    /// `dW_qkv` GEMM, its only reader.
+    y1: Option<Tensor>,
     q: Tensor,
     k: Tensor,
     v: Tensor,
@@ -335,10 +338,11 @@ impl TransformerLayer {
         }
     }
 
-    /// The backward re-gather of a stored LayerNorm-output shard (the
-    /// paper's extra all-gather); outside SP the stored tensor is already
-    /// whole and is borrowed. Its consumer is the contraction side of a
-    /// `TN` weight-gradient GEMM, which cannot start on partial rows, so
+    /// A backward all-gather whose result is read whole: the re-gather of
+    /// a stored LayerNorm-output shard (the paper's extra all-gather), or
+    /// the MLP's `ḡ` backward on `d_m2`; outside SP the tensor is already
+    /// whole and is borrowed. Its first consumer is the contraction side of
+    /// a `TN` weight-gradient GEMM, which cannot start on partial rows, so
     /// the gather is chunked under [`OverlapPolicy::OverlappedRecompute`] but not
     /// pipelined.
     fn regather<'s>(
@@ -385,7 +389,10 @@ impl TransformerLayer {
     /// `keep_mlp` is its MLP twin: every forward passes `true`, and the
     /// inline `Full` replay passes `false` and stops at `y2` — no `w1`
     /// GEMM, no GeLU, and under SP no MLP-entry all-gather — because the
-    /// MLP backward replays `m1` and `g_act` one row block at a time.
+    /// MLP backward replays `m1` and `g_act` one row block at a time. The
+    /// replay also drops `y1` after the QKV GEMM: the attention backward
+    /// rebuilds it from `x` where it is read, so it is not live beside the
+    /// MLP backward's transients or the attention core's.
     fn forward_stored(
         &self,
         x: Tensor,
@@ -411,6 +418,7 @@ impl TransformerLayer {
         let (y1, ln1_saved) = ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta);
         // g / f fused with the QKV GEMM.
         let qkv_raw = self.gather_gemm(mode, overlap, &y1, &w.w_qkv, false, false).0;
+        let y1 = keep_mlp.then_some(y1);
         let qkv = ops::add_bias(&qkv_raw, &w.b_qkv);
         drop(qkv_raw);
         let [q, k, v]: [Tensor; 3] =
@@ -481,9 +489,10 @@ impl TransformerLayer {
     fn record_stored(&self, st: &StoredState, ledger: &mut ActivationLedger) {
         let (a, m) = (&st.attn, &st.mlp);
         let (m1, g_act) = m.inner.as_ref().expect("a stored state keeps the MLP inner");
+        let y1 = a.y1.as_ref().expect("a stored state keeps y1");
         ledger.record(Category::LayerNormInput, a.x.numel() as u64);
         ledger.record(Category::SmallStatistics, 2 * a.x.rows() as u64);
-        ledger.record(Category::QkvInput, a.y1.numel() as u64);
+        ledger.record(Category::QkvInput, y1.numel() as u64);
         ledger.record(Category::QueryKey, (a.q.numel() + a.k.numel()) as u64);
         ledger.record(Category::Value, a.v.numel() as u64);
         if let Some(core) = &a.core {
@@ -540,17 +549,22 @@ impl TransformerLayer {
     /// gradients (shard-shaped in parallel execution, fully reduced so each
     /// rank holds exact gradients for its shard and replicated parameters).
     /// Each half takes its own saved tensors by value and frees every one,
-    /// and every transient, at its last read.
+    /// and every transient, at its last read, and frees before it
+    /// allocates: no whole tensor is opened while a tensor that dies before
+    /// it is still live (the MLP half frees `g_act` before it opens
+    /// `d_m1`). The order changes no arithmetic, so every bit is the same.
     ///
     /// Selective recomputation needs no separate replay phase: a stored
     /// state without the attention core runs the replaying attention
     /// backward (Section 5's recompute, fused into the backward one
     /// query-row block at a time, so no span or [`crate::StepTiming`]
     /// entry of its own). A checkpoint is replayed inline into such a
-    /// state first, through `y2` (`recompute_layer`), and the MLP backward
-    /// replays `m1` and `g_act` one row block at a time (`recompute_mlp`
-    /// per block), under every overlap policy; both book into
-    /// [`crate::StepTiming::recompute_us`]. `policy` accepts anything
+    /// state first, through `y2` and without keeping `y1`
+    /// (`recompute_layer`), and the MLP backward replays `m1` and `g_act`
+    /// one row block at a time (`recompute_mlp` per block), under every
+    /// overlap policy; both book into [`crate::StepTiming::recompute_us`].
+    /// The attention backward rebuilds `y1` with one LayerNorm just before
+    /// the `dW_qkv` GEMM, inside its own time. `policy` accepts anything
     /// convertible into an [`ExecPolicy`].
     pub fn backward<'m>(
         &self,
@@ -597,17 +611,20 @@ impl TransformerLayer {
     /// gradient down to `d_r1`, the gradient at the second LayerNorm's
     /// input. Returns `d_r1` and the half's parameter gradients.
     ///
-    /// Everything from `y2` to `m2` is per token. The `d_m1` GEMM runs on
-    /// whole rows; the half then walks the gathered rows in blocks, and
-    /// each block finishes its slice of `d_m1` in place: a stored state is
-    /// one whole-rows block; a `Full` replay walks blocks of one
-    /// `ROW_BLOCK` per backend thread (so every block GEMM still gives
-    /// each worker a whole `MC`-row block of the microkernel) and replays
-    /// each block's `m1` and `g_act` from the gathered `y2`, so its
-    /// `[s·b, 4h/t]` intermediates never exist at full length. The GeLU
-    /// backward writes in place, and `dW2` continues one ascending chain
-    /// per element across the blocks, so every gradient has the same bits
-    /// at any block size.
+    /// Everything from `y2` to `m2` is per token, so the half walks the
+    /// gathered rows in blocks, stored and replayed states alike: a stored
+    /// state is one whole-rows block; a `Full` replay walks blocks of one
+    /// `ROW_BLOCK` per backend thread (so every block GEMM still gives each
+    /// worker a whole `MC`-row block of the microkernel) and replays each
+    /// block's `m1` and `g_act` from the gathered `y2`, so its `[s·b, 4h/t]`
+    /// intermediates never exist at full length. Each block frees a tensor
+    /// before it opens the next: `dW2` (+)= `g_actᵀ·d_m2`, then `g_act` is
+    /// gone; its rows of `d_m1` = `d_m2·w2ᵀ`, the GeLU backward in place
+    /// with `m1`, then `m1` is gone. A stored state's whole `g_act` is
+    /// therefore freed before the whole `d_m1` is allocated. GEMM rows are
+    /// independent and `dW2` continues one ascending chain per element
+    /// across the blocks, so every gradient has the same bits at any block
+    /// size.
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
@@ -633,12 +650,9 @@ impl TransformerLayer {
         let d_m2 = ops::dropout_backward(dy, &mask_mlp, self.cfg.dropout_p);
         drop(mask_mlp);
         let b_out = ops::bias_grad(&d_m2);
-        // ḡ backward (all-gather; f̄ backward: identity) fused with the
-        // whole-rows GEMM into the one d_m1 buffer, which the GeLU backward
-        // then works on in place; the assembled gradient also feeds the w2
-        // gradient. m2_partial = g_act · w2
-        let (mut d_m1, d_m2_full) = self.gather_gemm(mode, overlap, &d_m2, &w.w2, true, true);
-        let d_m2_full = d_m2_full.expect("full grad requested");
+        // m2_partial = g_act · w2. ḡ backward: all-gather (f̄ backward:
+        // identity); the assembled gradient feeds both dW2 and d_m1.
+        let d_m2_full = self.regather(mode, overlap, &d_m2);
         // m1 = y2_full · w1. Under SP, y2 was kept as a shard: the backward
         // re-gathers it once (the extra all-gather the paper overlaps with
         // the dW computation). A replay reads it in every block, so it is
@@ -647,7 +661,10 @@ impl TransformerLayer {
         let y2_full = replaying.then(|| self.regather(mode, overlap, &y2));
         let tokens = d_m2_full.rows();
         let block = if replaying { mt_kernels::ROW_BLOCK * backend.threads() } else { tokens };
+        // Both open in the first block, nothing ahead of the loop: dW2 for
+        // its GEMM, d_m1 only once that block's g_act is freed.
         let mut w_out: Option<Tensor> = None;
+        let mut d_m1: Option<Tensor> = None;
         for r0 in (0..tokens).step_by(block) {
             let r_end = (r0 + block).min(tokens);
             let n = r_end - r0;
@@ -660,18 +677,21 @@ impl TransformerLayer {
                 }
             };
             let d_m2_rows = &d_m2_full.data()[r0 * h..r_end * h];
-            let d_m1_rows = &mut d_m1.data_mut()[r0 * ffn..r_end * ffn];
-            mt_kernels::gelu_backward_in_place(backend, m1.data(), d_m1_rows);
-            drop(m1);
             // dW2 = g_actᵀ · d_m2: the first block starts every chain, as
             // the whole-rows GEMM does; each later block continues it.
             let dw2_gemm = if r0 == 0 { gemm::gemm } else { gemm::gemm_accumulate };
             let w_out = w_out.get_or_insert_with(|| Tensor::zeros(&[ffn, h]));
             dw2_gemm(backend, true, false, ffn, h, n, g_act.data(), d_m2_rows, w_out.data_mut());
+            drop(g_act);
+            let d_m1 = d_m1.get_or_insert_with(|| Tensor::zeros(&[tokens, ffn]));
+            let d_m1_rows = &mut d_m1.data_mut()[r0 * ffn..r_end * ffn];
+            gemm::gemm(backend, false, true, n, ffn, h, d_m2_rows, w.w2.data(), d_m1_rows);
+            mt_kernels::gelu_backward_in_place(backend, m1.data(), d_m1_rows);
+            drop(m1);
         }
         drop(d_m2_full);
         drop(d_m2);
-        let w_out = w_out.expect("a layer has at least one row");
+        let (w_out, d_m1) = w_out.zip(d_m1).expect("a layer has at least one row");
         let b_in = ops::bias_grad(&d_m1);
         let y2_full = y2_full.unwrap_or_else(|| self.regather(mode, overlap, &y2));
         let w_in = ops::Gemm::TN.apply(&y2_full, &d_m1);
@@ -719,6 +739,9 @@ impl TransformerLayer {
         drop((q, k, v, d_ctx));
         let d_qkv = Tensor::concat_last_axis(&[d_q, d_k, d_v]);
         let b_in = ops::bias_grad(&d_qkv);
+        // A `Full` replay dropped y1 = LN₁(x): rebuild it (on the shard
+        // under SP) for its one reader, the w_qkv gradient.
+        let y1 = y1.unwrap_or_else(|| ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta).0);
         let w_in = ops::Gemm::TN.apply(&self.regather(mode, overlap, &y1), &d_qkv);
         drop(y1);
         let d_y_ln1 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_qkv, &w.w_qkv));

@@ -507,7 +507,9 @@ fn run_schedule<G>(
             });
             live_count -= 1;
             iter_ledger.release(&st.ledger);
-            let mut d = if let Some(hs) = &st.head {
+            // The head backward consumes the head's state, so none of it is
+            // live beside the layer backwards below.
+            let mut d = if let Some(hs) = st.head {
                 let h = model.head.as_ref().expect("head state implies head weights");
                 let (d, d_fg, d_fb, d_table) =
                     head_backward(&h.final_ln_gamma, &h.table, hs, &mode);

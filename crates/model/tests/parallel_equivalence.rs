@@ -159,11 +159,13 @@ fn parallel_equivalence_holds_with_dropout() {
 }
 
 #[test]
-fn whole_gpt_loss_matches_serial_at_t4_under_tp_and_tpsp_selective() {
+fn whole_gpt_loss_matches_serial_at_t4_under_tp_and_tpsp() {
     // The whole model, not one layer: the mean loss over four microbatches
     // of a 4-layer GPT with dropout, at t = 4 under tensor parallelism
-    // (store-all) and under tensor+sequence parallelism with selective
-    // recompute, equals the serial model's.
+    // (store-all) and under tensor+sequence parallelism with selective and
+    // with full recompute, equals the serial model's. Each microbatch also
+    // runs the whole backward: the head's by-value backward and, under
+    // Full, each layer's y1 rebuilt on its sequence shard.
     let c = TransformerConfig { seq: 16, layers: 4, vocab: 64, dropout_p: 0.1, ..cfg() };
     let mut rng = SplitMix64::new(99);
     let data: Vec<(Vec<usize>, Vec<usize>)> = (0..4)
@@ -188,7 +190,9 @@ fn whole_gpt_loss_matches_serial_at_t4_under_tp_and_tpsp_selective() {
     };
     let gpt = Gpt::init(c, Recompute::None, 7);
     let serial = mean_loss(&gpt, ExecMode::Serial);
-    for (sp, policy) in [(false, Recompute::None), (true, Recompute::Selective)] {
+    for (sp, policy) in
+        [(false, Recompute::None), (true, Recompute::Selective), (true, Recompute::Full)]
+    {
         let losses = World::run(4, |comm| {
             let mode = if sp {
                 ExecMode::TensorSequenceParallel(&comm)

@@ -13,15 +13,20 @@
 //! the gradients it returns — rather than the two or more that a
 //! zero-filled gradient shadow or a packed weight copy would add.
 //!
-//! A layer backward also consumes its saved state: each half takes its
-//! own tensors by value and frees every one, and every transient, at its
-//! last read. A `Full` replay rebuilds the state only through `y2`, and
-//! the MLP backward replays the GeLU input and output one row block at a
-//! time, so neither exists at full length. On an activation-dominated
-//! layer the peak above entry is then the gradients, the replayed state
-//! (`Full` only: the stored one is live at entry), and the largest set of
-//! transients live together; a backward that borrows its state and holds
-//! every transient to the end lands far above that.
+//! A layer backward also consumes its saved state and frees before it
+//! allocates: each half takes its own tensors by value and frees every
+//! one, and every transient, at its last read, and no whole tensor opens
+//! while a tensor that dies before it is still live. The MLP backward
+//! frees `g_act` after the `dW2` GEMM, its last read, before it opens
+//! `d_m1`. A `Full` replay rebuilds the state only through `y2` and
+//! without `y1`, which the attention backward rebuilds from `x` for the
+//! `dW_qkv` GEMM; the MLP backward replays the GeLU input and output one
+//! row block at a time, so neither exists at full length. On an
+//! activation-dominated layer the peak above entry is then the gradients,
+//! the replayed state (`Full` only: the stored one is live at entry), and
+//! the largest set of transients live together, less the stored tensors
+//! already freed; a backward that borrows its state and holds every
+//! transient to the end lands far above that.
 //!
 //! The counting allocator is this test binary's own. Each test takes
 //! `EXCLUSIVE` and runs its policies in sequence on the serial backend, so
@@ -202,25 +207,33 @@ fn a_layer_backward_frees_each_activation_at_its_last_read() {
     // The one whole `[s·b, 4h]` tensor of the MLP backward: `d_m1`, into
     // which the `d_m1` GEMM writes and the GeLU backward works in place.
     let d_m1 = 4 * u;
-    // None/Selective: the largest set of transients live together opens
-    // the MLP half: the MLP dropout mask (one byte per element), `d_m2`
-    // and `d_m1`. Everything later is smaller than the stored tensors
-    // freed before it. The GEMMs' block scratch and the gradients of the
-    // half so far are covered by one more `u`. Measured params + 4.10 u.
-    let transients = u / 4 + u + d_m1;
+    // The stored GeLU output, live at entry under None/Selective.
+    let g_act = 4 * u;
+    // None/Selective: the MLP half opens with the MLP dropout mask (one
+    // byte per element) and `d_m2`. `g_act` is freed after the dW2 GEMM
+    // and before `d_m1` opens, so `d_m1` adds nothing net; everything
+    // later is smaller than the stored tensors freed before it. The peak
+    // is the dW2 GEMM: `d_m2`, dW2 and that GEMM's two 128 KiB blocks
+    // (2 u); the gradients not yet built leave room for one block, so the
+    // scratch term is one `u`. Measured params + 1.97 u; the order that
+    // opened `d_m1` beside the whole `g_act` peaked at params + 4.10 u, at
+    // the `d_m1` GEMM.
+    let transients = u / 4 + u + d_m1 - g_act;
     let scratch = u;
     // Full: the replay rebuilds the stored state around its checkpointed
-    // input, which is live at entry, through y2: y1, q, k, v, ctx, r1, y2
-    // (7 u) and two LayerNorms' mean/rstd. The MLP backward then holds
-    // `d_m2`, `d_m1` and one 64-row block's m1 and GeLU output (u), and
-    // never a whole m1 or GeLU output; its peak is the whole-rows dW1 GEMM
-    // after the blocks, `d_m2` freed: `d_m1` and one worker's GEMM blocks
-    // (512 KiB of packed B and 128 KiB of packed A, the ceiling
-    // mt-kernels' gemm_scratch_peak.rs pins). Measured params + 15.55 u;
-    // the replay that rebuilt m1 and the GeLU output whole, and held the
-    // GeLU backward's input and output side by side, peaked at
-    // params + 21.04 u.
-    let replayed = 7 * u + 2 * 2 * cfg.tokens() * 4;
+    // input, which is live at entry, through y2 and without y1: q, k, v,
+    // ctx, r1, y2 (6 u) and two LayerNorms' mean/rstd. The MLP backward
+    // then holds `d_m2`, `d_m1` and one 64-row block's m1 and GeLU output
+    // (u), and never a whole m1 or GeLU output; its peak is the
+    // whole-rows dW1 GEMM after the blocks, `d_m2` freed: `d_m1` and one
+    // worker's GEMM blocks (512 KiB of packed B and 128 KiB of packed A,
+    // the ceiling mt-kernels' gemm_scratch_peak.rs pins). The attention
+    // backward rebuilds y1 (u) only after q, k, v and `d_ctx` are freed.
+    // Measured params + 14.55 u; the replay that kept y1 through the
+    // backward peaked at params + 15.55 u, and the one that rebuilt m1 and
+    // the GeLU output whole, and held the GeLU backward's input and output
+    // side by side, at params + 21.04 u.
+    let replayed = 6 * u + 2 * 2 * cfg.tokens() * 4;
     let gemm_blocks = (512 + 128) * 1024;
     // A backward that keeps its state and transients to the end peaks at
     // params + 14.7 u (None) and + 29.8 u (Full).
