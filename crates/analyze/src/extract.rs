@@ -459,9 +459,11 @@ impl StageCtx {
                     tokens_h,
                 );
             }
-            // Final LayerNorm input, logits-projection input, fp32 logits
-            // (Section 4.3). The head operates on the gathered full tensor.
+            // Final LayerNorm input and statistics, logits-projection input,
+            // fp32 logits (Section 4.3), in `head_forward`'s order. The head
+            // operates on the gathered full tensor.
             ids.push(e.alloc(Category::LayerNormInput, tokens_h));
+            ids.push(e.alloc(Category::SmallStatistics, 2 * cfg.tokens() as u64));
             ids.push(e.alloc(Category::ProjectionInput, tokens_h));
             ids.push(e.alloc(Category::Logits, (cfg.tokens() * cfg.vocab) as u64));
         } else {

@@ -16,7 +16,7 @@ use mt_analyze::{
 use mt_collectives::{run_grid, CallTag, CollectiveError, CollectiveKind, CommStats, World};
 use mt_memory::{ActivationMemoryModel, Recompute, Strategy};
 use mt_model::gpt::Gpt;
-use mt_model::pipeline_exec::{run_1f1b_iteration, run_interleaved_iteration, StageModel};
+use mt_model::pipeline_exec::{try_run_1f1b_iteration, try_run_interleaved_iteration, StageModel};
 use mt_model::weights::LayerWeights;
 use mt_model::{
     ActivationLedger, Category, ExecMode, ExecPolicy, OverlapPolicy, TransformerConfig,
@@ -268,7 +268,9 @@ fn pipeline_peak_matches_runtime_1f1b() {
             let gpt = Gpt::init(cfg, policy, 11);
             let measured = run_grid(tp, pp, |g| {
                 let model = StageModel::from_gpt(&gpt, pp, g.stage, tp, g.tp_rank, policy);
-                run_1f1b_iteration(&model, &g, sp, &data, 0).peak_activation_bytes
+                try_run_1f1b_iteration(&model, &g, sp, &data, 0)
+                    .expect("no peer fails")
+                    .peak_activation_bytes
             });
             let prog = pipeline_1f1b_program(&cfg, tp, pp, sp, policy, n);
             assert_eq!(check_schedule(&prog), Ok(()), "sp={sp} {policy:?}: matching");
@@ -308,7 +310,9 @@ fn pipeline_peak_matches_runtime_interleaved() {
                         StageModel::from_gpt(&gpt, p * m, v * p + g.stage, tp, g.tp_rank, policy)
                     })
                     .collect();
-                run_interleaved_iteration(&chunks, &g, sp, &data, 0).peak_activation_bytes
+                try_run_interleaved_iteration(&chunks, &g, sp, &data, 0)
+                    .expect("no peer fails")
+                    .peak_activation_bytes
             });
             let prog = interleaved_program(&cfg, tp, p, m, sp, policy, n);
             assert_eq!(check_schedule(&prog), Ok(()), "sp={sp} {policy:?}: matching");

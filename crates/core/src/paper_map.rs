@@ -25,11 +25,11 @@
 //! | Conclusion: first-stage pressure | `mt_core::balance` | `report --relief` |
 //!
 //! The *executing* pipeline driver — one executor in `mt_model::pipeline_exec`
-//! behind `run_1f1b_iteration` and `run_interleaved_iteration` — is where the
-//! simulated and analytical claims are grounded: the op lists it walks are
-//! the ones `mt_pipeline`'s one simulator prices and `mt_analyze` extracts,
-//! run for real on thread ranks and shown to reproduce the serial model's
-//! gradients.
+//! behind `try_run_1f1b_iteration` and `try_run_interleaved_iteration` — is
+//! where the simulated and analytical claims are grounded: the op lists it
+//! walks are the ones `mt_pipeline`'s one simulator prices and `mt_analyze`
+//! extracts, run for real on thread ranks and shown to reproduce the serial
+//! model's gradients.
 
 /// Number of distinct paper artifacts (tables, figures, equations with their
 /// own row in the map above) this workspace reproduces. Kept as a constant

@@ -9,11 +9,14 @@
 //! numerically equivalent and keeps the focus on the transformer-layer
 //! techniques the paper is about. The Section 4.3 input/output extras
 //! (embedding dropout mask, final LayerNorm input, head input, fp32 logits)
-//! are still placed on the activation ledger.
+//! are still placed on the activation ledger. The embedding and head are
+//! pieces here; [`Gpt::loss_and_grads`] walks them and the layers with the
+//! pipeline executor's units ([`crate::pipeline_exec`]), as one stage.
 
 use crate::config::TransformerConfig;
 use crate::layer::{ExecMode, TransformerLayer};
 use crate::ledger::{ActivationLedger, Category};
+use crate::pipeline_exec::{backward_unit, forward_unit, StageGrads, StageView, UnitOut};
 use crate::policy::ExecPolicy;
 use crate::streams::{region_offsets, stream_id, DropoutSite};
 use crate::weights::{EmbeddingWeights, LayerGrads, LayerWeights};
@@ -218,10 +221,15 @@ impl Gpt {
     /// collectives. Every layer replays what its policy dropped inline,
     /// inside its own backward.
     ///
+    /// The whole model runs as one pipeline stage, by the executor's forward
+    /// and backward units; then come the SP embedding-gradient all-reduces
+    /// and the tied-table sum, as after a pipeline schedule.
+    ///
     /// # Panics
     ///
     /// Panics if `tokens`/`targets` lengths differ from `s·b` or the mode's
-    /// group size does not divide the configuration.
+    /// group size does not divide the configuration; a failed collective
+    /// unwinds with its [`CollectiveError`](mt_collectives::CollectiveError).
     pub fn loss_and_grads<'m>(
         &self,
         tokens: &[usize],
@@ -231,82 +239,43 @@ impl Gpt {
         ledger: &mut ActivationLedger,
     ) -> (f32, GptGrads) {
         let policy = policy.into();
-        let mode = &policy.mode();
+        let mode = policy.mode();
         let cfg = &self.cfg;
         assert_eq!(tokens.len(), cfg.tokens(), "tokens length must be s*b");
         assert_eq!(targets.len(), cfg.tokens(), "targets length must be s*b");
         cfg.validate(mode.t());
+        let stage = StageView {
+            cfg,
+            rng: &self.rng,
+            embedding: Some(&self.embedding),
+            layers: &self.layers,
+            head: Some([&self.final_ln_gamma, &self.final_ln_beta, &self.embedding.table]),
+        };
 
         let tracer = mt_trace::current();
         let fwd_span =
             tracer.span_args("forward", || vec![("micro", mt_trace::ArgValue::U64(micro))]);
-
-        // --- forward: embedding ---
-        let (mut act, emb_mask) =
-            embed_forward(cfg, &self.rng, &self.embedding, tokens, micro, mode, ledger);
-
-        // --- forward: layers ---
-        let mut states = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (y, st) = layer.forward(&act, micro, policy, ledger);
-            states.push(st);
-            act = y;
-        }
-
-        // --- forward: head ---
-        let y_full = match mode {
-            ExecMode::TensorSequenceParallel(c) => c.all_gather(&act),
-            _ => act,
-        };
-        // Only this walk (not the pipeline executor) notes the final
-        // LayerNorm's statistics; they are outside the paper's byte model.
-        ledger.record(Category::SmallStatistics, 2 * y_full.rows() as u64);
-        let table = &self.embedding.table;
-        let (loss, head) =
-            head_forward(&self.final_ln_gamma, &self.final_ln_beta, table, y_full, targets, ledger);
+        let (out, state) = forward_unit(&stage, None, tokens, targets, micro, policy, ledger)
+            .unwrap_or_else(|e| std::panic::panic_any(e));
+        let UnitOut::Loss(loss) = out else { unreachable!("a whole model ends in its head") };
         drop(fwd_span);
         let bwd_span =
             tracer.span_args("backward", || vec![("micro", mt_trace::ArgValue::U64(micro))]);
-
-        // --- backward: head ---
-        // Consumes the head's saved tensors, so none is live beside the
-        // layer backward loop.
-        let (mut d_act, d_fg, d_fb, d_table_head) =
-            head_backward(&self.final_ln_gamma, table, head, mode);
-
-        // --- backward: layers ---
-        let mut layer_grads = Vec::with_capacity(self.layers.len());
-        for (layer, st) in self.layers.iter().zip(states).rev() {
-            let (dx, lg) = layer.backward(&d_act, st, policy);
-            layer_grads.push(lg);
-            d_act = dx;
-        }
-        layer_grads.reverse();
-
-        // --- backward: embedding ---
-        let mut d_positions = Tensor::zeros(&[cfg.seq, cfg.hidden]);
-        let mut d_table_embed =
-            embed_backward(cfg, tokens, &d_act, &emb_mask, mode, &mut d_positions);
+        let mut grads = StageGrads::empty(self.layers.len());
+        let _ = backward_unit(&stage, state, None, tokens, micro, policy, &mut grads);
+        let StageGrads { embedding, layers, head } = grads;
+        let (mut table, mut positions) = embedding.expect("the whole model embeds");
+        let (final_ln_gamma, final_ln_beta, table_head) = head.expect("the whole model has a head");
         if let ExecMode::TensorSequenceParallel(c) = mode {
             // Each rank embedded only its sequence shard.
-            d_table_embed = c.all_reduce(&d_table_embed);
-            d_positions = c.all_reduce(&d_positions);
+            table = c.all_reduce(&table);
+            positions = c.all_reduce(&positions);
         }
         // Summed in place: no third `[v, h]` table.
-        let mut d_table = d_table_embed;
-        d_table.add_assign(&d_table_head);
+        table.add_assign(&table_head);
         drop(bwd_span);
 
-        (
-            loss,
-            GptGrads {
-                table: d_table,
-                positions: d_positions,
-                final_ln_gamma: d_fg,
-                final_ln_beta: d_fb,
-                layers: layer_grads,
-            },
-        )
+        (loss, GptGrads { table, positions, final_ln_gamma, final_ln_beta, layers })
     }
 }
 
@@ -324,10 +293,10 @@ pub(crate) fn embedding_mask(
 }
 
 /// Embedding forward for this rank's rows — token lookup, learned positions,
-/// dropout — shared by [`Gpt::loss_and_grads`], [`Gpt::logits`] and the
-/// pipeline executor's first stage. `tokens` is the full `s·b` array.
-/// Returns the activation and the dropout mask [`embed_backward`] needs, and
-/// records the mask on `ledger` (Section 4.3).
+/// dropout — shared by the pipeline executor's forward unit and
+/// [`Gpt::logits`]. `tokens` is the full `s·b` array. Records the dropout
+/// mask on `ledger` (Section 4.3); the backward regenerates the mask with
+/// [`embedding_mask`] rather than keeping it.
 pub(crate) fn embed_forward(
     cfg: &TransformerConfig,
     rng: &CounterRng,
@@ -336,7 +305,7 @@ pub(crate) fn embed_forward(
     micro: u64,
     mode: &ExecMode<'_>,
     ledger: &mut ActivationLedger,
-) -> (Tensor, Vec<u8>) {
+) -> Tensor {
     let (row0, rows) = mode.local_rows(cfg.tokens());
     let h = cfg.hidden;
     let mut x = ops::embedding(&tokens[row0..row0 + rows], &e.table);
@@ -350,7 +319,7 @@ pub(crate) fn embed_forward(
     let mask = embedding_mask(cfg, rng, micro, mode);
     let out = ops::dropout(&x, &mask, cfg.dropout_p);
     ledger.record(Category::EmbeddingDropoutMask, out.numel() as u64);
-    (out, mask)
+    out
 }
 
 /// Embedding backward for this rank's rows: accumulates the position
@@ -391,8 +360,9 @@ pub(crate) struct HeadState {
 
 /// Head forward on the gathered `[s·b, h]` activation: final LayerNorm, tied
 /// logits projection, mean cross-entropy against `targets`. Records the
-/// Section 4.3 extras (LayerNorm input, projection input, fp32 logits) on
-/// `ledger` and returns the loss with the saved state.
+/// Section 4.3 extras (LayerNorm input, projection input, fp32 logits) and
+/// the final LayerNorm's statistics (outside the paper's byte model) on
+/// `ledger`, and returns the loss with the saved state.
 pub(crate) fn head_forward(
     gamma: &Tensor,
     beta: &Tensor,
@@ -403,6 +373,7 @@ pub(crate) fn head_forward(
 ) -> (f32, HeadState) {
     let (y_ln, ln_saved) = ops::layer_norm(&y_full, gamma, beta);
     ledger.record(Category::LayerNormInput, y_full.numel() as u64);
+    ledger.record(Category::SmallStatistics, 2 * y_full.rows() as u64);
     let logits = ops::Gemm::NT.apply(&y_ln, table);
     ledger.record(Category::ProjectionInput, y_ln.numel() as u64);
     ledger.record(Category::Logits, logits.numel() as u64);
@@ -462,7 +433,7 @@ impl Gpt {
         assert_eq!(tokens.len(), cfg.tokens(), "tokens length must be s*b");
         let mut scratch = ActivationLedger::new();
         let mode = &ExecMode::Serial;
-        let (mut act, _) =
+        let mut act =
             embed_forward(cfg, &self.rng, &self.embedding, tokens, micro, mode, &mut scratch);
         for layer in &self.layers {
             let (y, _) = layer.forward(&act, micro, ExecMode::Serial, &mut scratch);
@@ -532,6 +503,38 @@ pub struct GptCheckpoint {
     pub dropout_rng: CounterRng,
 }
 
+impl GptCheckpoint {
+    /// Parameter tensors in [`Gpt::param_tensors_mut`] order.
+    pub(crate) fn tensors(&self) -> Vec<&Tensor> {
+        let e = &self.embedding;
+        let edges = [&e.table, &e.positions, &self.final_ln_gamma, &self.final_ln_beta];
+        edges.into_iter().chain(self.layer_weights.iter().flat_map(LayerWeights::tensors)).collect()
+    }
+
+    /// Checks the checkpoint against its own config before anything is
+    /// built from it: layer and policy counts, every tensor's shape, and one
+    /// tensor-parallel degree for all layers (1 for a whole model).
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let (c, h) = (&self.cfg, self.cfg.hidden);
+        let counts = (self.layer_weights.len(), self.policies.len());
+        if counts != (c.layers, c.layers) {
+            return Err(format!("(layers, policies) {counts:?} for {} layers", c.layers));
+        }
+        let edges = [vec![c.vocab, h], vec![c.seq, h], vec![h], vec![h]];
+        let mut misshapen = self.tensors().into_iter().zip(edges).filter(|(t, w)| t.shape() != w);
+        if let Some((t, want)) = misshapen.next() {
+            return Err(format!("embedding or final LayerNorm {:?}, not {want:?}", t.shape()));
+        }
+        let shards = |t: usize| {
+            c.heads.is_multiple_of(t) && self.layer_weights.iter().all(|l| l.is_shard_of(h, t))
+        };
+        if !h.is_multiple_of(c.heads) || !(1..=c.heads).any(shards) {
+            return Err(format!("layers fit no tensor-parallel split of h {h}, {} heads", c.heads));
+        }
+        Ok(())
+    }
+}
+
 impl Gpt {
     /// Captures a checkpoint of this model.
     pub fn to_checkpoint(&self) -> GptCheckpoint {
@@ -550,10 +553,11 @@ impl Gpt {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint's layer count disagrees with its config.
+    /// Panics if the checkpoint disagrees with its own config: a layer or
+    /// policy count other than `cfg.layers`, or a tensor not shaped as the
+    /// config (and one tensor-parallel degree for every layer) implies.
     pub fn from_checkpoint(ckpt: GptCheckpoint) -> Gpt {
-        assert_eq!(ckpt.layer_weights.len(), ckpt.cfg.layers, "layer count mismatch");
-        assert_eq!(ckpt.policies.len(), ckpt.cfg.layers, "policy count mismatch");
+        ckpt.check().unwrap_or_else(|e| panic!("checkpoint inconsistent: {e}"));
         let layers = ckpt
             .layer_weights
             .into_iter()

@@ -15,7 +15,9 @@
 //! and merges each unit's activation ledger in at its forward and out at its
 //! backward, which lets tests confirm the paper's central memory assumption
 //! (`min(p − stage, n)` in-flight microbatches, Appendix B/C) *by running
-//! the schedule*, not by assuming it.
+//! the schedule*, not by assuming it. A unit's body, `forward_unit` and
+//! `backward_unit`, is the one walk of a microbatch through the model:
+//! [`Gpt::loss_and_grads`] is its one-stage case.
 
 use crate::config::TransformerConfig;
 use crate::gpt::{
@@ -23,6 +25,7 @@ use crate::gpt::{
 };
 use crate::layer::{ExecMode, LayerState, TransformerLayer};
 use crate::ledger::ActivationLedger;
+use crate::policy::ExecPolicy;
 use crate::weights::{EmbeddingWeights, LayerGrads};
 use mt_collectives::{CollectiveError, GridComm};
 use mt_memory::Recompute;
@@ -116,6 +119,13 @@ pub struct StageGrads {
     pub head: Option<(Tensor, Tensor, Tensor)>,
 }
 
+impl StageGrads {
+    /// No gradients yet, with room for `layers` layers'.
+    pub(crate) fn empty(layers: usize) -> Self {
+        StageGrads { embedding: None, layers: Vec::with_capacity(layers), head: None }
+    }
+}
+
 /// Result of one pipeline iteration on one rank: `G` is [`StageGrads`] for
 /// the 1F1B schedule and one [`StageGrads`] per chunk for the interleaved
 /// one ([`InterleavedOutcome`]).
@@ -143,12 +153,122 @@ pub struct IterationOutcome<G = StageGrads> {
 /// Result of one interleaved-schedule iteration: gradients per chunk.
 pub type InterleavedOutcome = IterationOutcome<Vec<StageGrads>>;
 
-/// Saved per-(chunk, microbatch) state while a forward unit awaits its
-/// backward.
-struct MicroState {
-    layer_states: Vec<LayerState>,
+/// One stage's weights as a microbatch walks them: the embedding on the
+/// first stage, its layers, the head (final LayerNorm γ, β and the tied
+/// table) on the last. A whole [`Gpt`] is the one-stage case.
+pub(crate) struct StageView<'a> {
+    pub(crate) cfg: &'a TransformerConfig,
+    pub(crate) rng: &'a CounterRng,
+    pub(crate) embedding: Option<&'a EmbeddingWeights>,
+    pub(crate) layers: &'a [TransformerLayer],
+    pub(crate) head: Option<[&'a Tensor; 3]>,
+}
+
+/// The loss from the head, or the output activation for the next stage.
+pub(crate) enum UnitOut {
+    Loss(f32),
+    Activation(Tensor),
+}
+
+/// What a forward unit saves for its backward.
+pub(crate) struct UnitState {
+    layers: Vec<LayerState>,
     head: Option<HeadState>,
-    ledger: ActivationLedger,
+}
+
+/// One microbatch forward through one stage: embed `tokens` (or take
+/// `input`), the layers, then the SP gather and the head — or hand the
+/// output on. Only the gather's failure is returned; the layers'
+/// collectives unwind with theirs.
+pub(crate) fn forward_unit(
+    stage: &StageView<'_>,
+    input: Option<Tensor>,
+    tokens: &[usize],
+    targets: &[usize],
+    micro: u64,
+    policy: ExecPolicy<'_>,
+    ledger: &mut ActivationLedger,
+) -> Result<(UnitOut, UnitState), CollectiveError> {
+    let mode = policy.mode();
+    let mut x = match input {
+        Some(x) => x,
+        None => {
+            let e = stage.embedding.expect("a stage without the embedding takes its input");
+            embed_forward(stage.cfg, stage.rng, e, tokens, micro, &mode, ledger)
+        }
+    };
+    let mut layers = Vec::with_capacity(stage.layers.len());
+    for layer in stage.layers {
+        let (y, st) = layer.forward(&x, micro, policy, ledger);
+        layers.push(st);
+        x = y;
+    }
+    let Some([gamma, beta, table]) = stage.head else {
+        return Ok((UnitOut::Activation(x), UnitState { layers, head: None }));
+    };
+    let y_full = match mode {
+        ExecMode::TensorSequenceParallel(c) => c.try_all_gather(&x)?,
+        _ => x,
+    };
+    let (loss, head) = head_forward(gamma, beta, table, y_full, targets, ledger);
+    Ok((UnitOut::Loss(loss), UnitState { layers, head: Some(head) }))
+}
+
+/// And back: the head's backward (or take `d`), the layers in reverse, then
+/// the embedding's backward — or return the input gradient. The first unit
+/// moves each gradient into `grads`, later ones add in place. The embedding
+/// mask is regenerated, not kept: `rows·h` bytes per microbatch in flight.
+pub(crate) fn backward_unit(
+    stage: &StageView<'_>,
+    state: UnitState,
+    d: Option<Tensor>,
+    tokens: &[usize],
+    micro: u64,
+    policy: ExecPolicy<'_>,
+    grads: &mut StageGrads,
+) -> Option<Tensor> {
+    let mode = policy.mode();
+    let mut d = match state.head {
+        Some(hs) => {
+            let [gamma, _, table] = stage.head.expect("head state implies head weights");
+            let (d, d_fg, d_fb, d_table) = head_backward(gamma, table, hs, &mode);
+            match &mut grads.head {
+                Some((fg, fb, t)) => {
+                    t.add_assign(&d_table);
+                    fg.add_assign(&d_fg);
+                    fb.add_assign(&d_fb);
+                }
+                None => grads.head = Some((d_fg, d_fb, d_table)),
+            }
+            d
+        }
+        None => d.expect("a stage without the head takes its output gradient"),
+    };
+    let fresh = grads.layers.is_empty();
+    for (i, (layer, st)) in stage.layers.iter().zip(state.layers).enumerate().rev() {
+        let (dx, lg) = layer.backward(&d, st, policy);
+        if fresh {
+            grads.layers.insert(0, lg);
+        } else {
+            grads.layers[i].accumulate(&lg);
+        }
+        d = dx;
+    }
+    if stage.embedding.is_none() {
+        return Some(d);
+    }
+    let cfg = stage.cfg;
+    let mask = embedding_mask(cfg, stage.rng, micro, &mode);
+    match &mut grads.embedding {
+        Some((t, pos)) => t.add_assign(&embed_backward(cfg, tokens, &d, &mask, &mode, pos)),
+        None => {
+            // Zeroed: the embedding backward adds into it row by row.
+            let mut pos = Tensor::zeros(&[cfg.seq, cfg.hidden]);
+            let t = embed_backward(cfg, tokens, &d, &mask, &mode, &mut pos);
+            grads.embedding = Some((t, pos));
+        }
+    }
+    None
 }
 
 impl StageModel {
@@ -205,20 +325,18 @@ impl StageModel {
         self.stage
     }
 
-    /// Zero gradients shaped like this stage.
-    fn zero_grads(&self) -> StageGrads {
-        StageGrads {
-            embedding: self
-                .embedding
-                .as_ref()
-                .map(|e| (Tensor::zeros(e.table.shape()), Tensor::zeros(e.positions.shape()))),
-            layers: self.layers.iter().map(|l| l.weights().zeros_like()).collect(),
-            head: self.head.as_ref().map(|h| {
-                (
-                    Tensor::zeros(h.final_ln_gamma.shape()),
-                    Tensor::zeros(h.final_ln_beta.shape()),
-                    Tensor::zeros(h.table.shape()),
-                )
+    /// This stage as the units walk it; the edges go by stage index.
+    fn view(&self) -> StageView<'_> {
+        let (first, last) = (self.stage == 0, self.stage == self.pp - 1);
+        StageView {
+            cfg: &self.cfg,
+            rng: &self.rng,
+            embedding: first
+                .then(|| self.embedding.as_ref().expect("first virtual stage owns the embedding")),
+            layers: &self.layers,
+            head: last.then(|| {
+                let h = self.head.as_ref().expect("last virtual stage owns the head");
+                [&h.final_ln_gamma, &h.final_ln_beta, &h.table]
             }),
         }
     }
@@ -247,33 +365,15 @@ pub fn stage_ops(stage: usize, pp: usize, n: usize) -> Vec<(bool, usize, usize)>
 }
 
 /// Runs one full training iteration (all microbatches, forward and backward)
-/// of the 1F1B schedule on this rank.
+/// of the 1F1B schedule on this rank, with communication failures
+/// propagated: a dead, absent, or mismatched peer surfaces as
+/// `Err(PipelineError)` naming the stage and microbatch coordinate instead
+/// of a panic or a hang.
 ///
 /// `micro_data[m] = (tokens, targets)` for microbatch `m`; every rank
 /// receives the same slices. `step` diversifies dropout masks across
 /// iterations. Set `sequence_parallel` to partition the LayerNorm/dropout
 /// regions (and the stage-boundary tensors) along the sequence dimension.
-///
-/// # Panics
-///
-/// Panics if `micro_data` is empty, shapes are inconsistent with the
-/// grid/model, or a peer fails mid-iteration (use
-/// [`try_run_1f1b_iteration`] to get the failure as a [`PipelineError`]
-/// instead).
-pub fn run_1f1b_iteration(
-    model: &StageModel,
-    g: &GridComm,
-    sequence_parallel: bool,
-    micro_data: &[(Vec<usize>, Vec<usize>)],
-    step: u64,
-) -> IterationOutcome {
-    try_run_1f1b_iteration(model, g, sequence_parallel, micro_data, step)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_1f1b_iteration`] with communication failures propagated: a dead,
-/// absent, or mismatched peer surfaces as `Err(PipelineError)` naming the
-/// stage and microbatch coordinate instead of a panic or a hang.
 ///
 /// # Errors
 ///
@@ -294,6 +394,20 @@ pub fn try_run_1f1b_iteration(
     run_schedule(std::slice::from_ref(model), ops, g, sequence_parallel, micro_data, step, |gs| {
         gs.into_iter().next().expect("one chunk, one gradient set")
     })
+}
+
+/// [`try_run_1f1b_iteration`], panicking on failure. Kept for its one
+/// caller, the `train-bench` package's ladder; it goes with that package's
+/// next change.
+pub fn run_1f1b_iteration(
+    model: &StageModel,
+    g: &GridComm,
+    sequence_parallel: bool,
+    micro_data: &[(Vec<usize>, Vec<usize>)],
+    step: u64,
+) -> IterationOutcome {
+    try_run_1f1b_iteration(model, g, sequence_parallel, micro_data, step)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The interleaved unit order for one device (Megatron-LM's schedule):
@@ -346,31 +460,12 @@ pub fn interleaved_device_ops(
 /// holds `chunks.len() = m` model chunks (chunk `v` is virtual stage
 /// `v·p + device`, built with `StageModel::from_gpt(gpt, p·m, v·p + device,
 /// …)`), and microbatches traverse all `p·m` virtual stages with
-/// wrap-around point-to-point transfers.
+/// wrap-around point-to-point transfers. Communication failures propagate
+/// as [`PipelineError`]s naming the virtual-stage and microbatch coordinate.
 ///
 /// The outcome carries per-chunk gradients (outer index = chunk);
 /// `peak_live_states` counts live chunk-activation states — the quantity
 /// behind the paper's `L(1 + (p−1)/(p·m))` first-device memory factor.
-///
-/// # Panics
-///
-/// Panics if `micro_data.len()` is not a multiple of the device count, the
-/// chunk list is empty, chunk models disagree with the grid, or a peer
-/// fails mid-iteration (use [`try_run_interleaved_iteration`] to get the
-/// failure as a [`PipelineError`] instead).
-pub fn run_interleaved_iteration(
-    chunks: &[StageModel],
-    g: &GridComm,
-    sequence_parallel: bool,
-    micro_data: &[(Vec<usize>, Vec<usize>)],
-    step: u64,
-) -> InterleavedOutcome {
-    try_run_interleaved_iteration(chunks, g, sequence_parallel, micro_data, step)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_interleaved_iteration`] with communication failures propagated as
-/// [`PipelineError`]s naming the virtual-stage and microbatch coordinate.
 ///
 /// # Errors
 ///
@@ -378,8 +473,9 @@ pub fn run_interleaved_iteration(
 ///
 /// # Panics
 ///
-/// Still panics on caller bugs (empty chunk list, chunk/grid mismatch) —
-/// those are not runtime faults.
+/// Still panics on caller bugs (`micro_data.len()` not a multiple of the
+/// device count, empty chunk list, chunk/grid mismatch) — those are not
+/// runtime faults.
 pub fn try_run_interleaved_iteration(
     chunks: &[StageModel],
     g: &GridComm,
@@ -394,13 +490,12 @@ pub fn try_run_interleaved_iteration(
 
 /// The **single** pipeline executor: walks `ops` — `(is_forward, chunk,
 /// microbatch)` units in schedule order — over this device's model chunks.
-/// A forward unit is recv-or-embed, the chunk's layers, head-or-send, and
-/// saves a [`MicroState`]; a backward unit pops that state and runs
-/// head-backward-or-recv, the layers in reverse, embedding-backward-or-send.
-/// After the schedule come the SP embedding-gradient all-reduce, the
-/// tied-embedding exchange and the loss broadcast. The 1F1B and interleaved
-/// schedules differ only in `chunks` and `ops` (and in `finish`, which shapes
-/// the per-chunk gradients into the wrapper's result type).
+/// A unit is [`forward_unit`] or [`backward_unit`] between a recv and a
+/// send for every stage edge that is not the model's. After the schedule
+/// come the SP embedding-gradient all-reduce, the tied-embedding exchange
+/// and the loss broadcast. The 1F1B and interleaved schedules differ only in
+/// `chunks` and `ops` (and in `finish`, which shapes the per-chunk gradients
+/// into the wrapper's result type).
 ///
 /// Error coordinates: a unit's failure names its chunk's virtual stage and
 /// its microbatch; a post-schedule failure names the device.
@@ -419,7 +514,6 @@ fn run_schedule<G>(
     let tp = g.tp.size();
     let sp = sequence_parallel;
     let vstages = p * m;
-    let cfg = chunks[0].cfg;
     let mode = if tp == 1 && !sp {
         ExecMode::Serial
     } else if sp {
@@ -438,8 +532,11 @@ fn run_schedule<G>(
     let prev = g.prev_stage_rank().unwrap_or_else(|| g.peer_on_stage(p - 1));
     let next = g.next_stage_rank().unwrap_or_else(|| g.peer_on_stage(0));
 
-    let mut grads: Vec<StageGrads> = chunks.iter().map(StageModel::zero_grads).collect();
-    let mut live: Vec<Vec<Option<MicroState>>> =
+    let policy = ExecPolicy::from(mode);
+    let mut grads: Vec<StageGrads> =
+        chunks.iter().map(|c| StageGrads::empty(c.layers.len())).collect();
+    // Each (chunk, microbatch)'s forward state and ledger, until its backward.
+    let mut live: Vec<Vec<Option<(UnitState, ActivationLedger)>>> =
         (0..m).map(|_| (0..n).map(|_| None).collect()).collect();
     let mut live_count = 0usize;
     let mut peak_live = 0usize;
@@ -448,99 +545,40 @@ fn run_schedule<G>(
     let mut iter_ledger = ActivationLedger::new();
 
     for (is_fwd, v, mb) in ops {
-        let model = &chunks[v];
-        let vs = model.stage;
+        let (stage, vs) = (chunks[v].view(), chunks[v].stage);
         let (first, last) = (vs == 0, vs == vstages - 1);
         let micro_id = step * n as u64 + mb as u64;
         let (tokens, targets) = &micro_data[mb];
+        let unit_failed = |context| at(vs, Some(mb), context);
         if is_fwd {
+            let input = (!first).then(|| g.grid.try_recv(prev)).transpose();
+            let input = input.map_err(unit_failed("recv of forward activation"))?;
             let mut ledger = ActivationLedger::new();
-            let mut x = if first {
-                let e = model.embedding.as_ref().expect("first virtual stage owns the embedding");
-                embed_forward(&cfg, &model.rng, e, tokens, micro_id, &mode, &mut ledger).0
-            } else {
-                g.grid.try_recv(prev).map_err(at(vs, Some(mb), "recv of forward activation"))?
-            };
-            let mut layer_states = Vec::with_capacity(model.layers.len());
-            for layer in &model.layers {
-                let (y, st) = layer.forward(&x, micro_id, mode, &mut ledger);
-                layer_states.push(st);
-                x = y;
+            let (out, unit) =
+                forward_unit(&stage, input, tokens, targets, micro_id, policy, &mut ledger)
+                    .map_err(unit_failed("all-gather of final activations"))?;
+            match out {
+                UnitOut::Loss(loss) => loss_sum += loss as f64,
+                UnitOut::Activation(x) => {
+                    g.grid.try_send(next, &x).map_err(unit_failed("send of forward activation"))?
+                }
             }
-            let head = if last {
-                let h = model.head.as_ref().expect("last virtual stage owns the head");
-                let y_full = if sp {
-                    g.tp.try_all_gather(&x).map_err(at(
-                        vs,
-                        Some(mb),
-                        "all-gather of final activations",
-                    ))?
-                } else {
-                    x
-                };
-                let (loss, hs) = head_forward(
-                    &h.final_ln_gamma,
-                    &h.final_ln_beta,
-                    &h.table,
-                    y_full,
-                    targets,
-                    &mut ledger,
-                );
-                loss_sum += loss as f64;
-                Some(hs)
-            } else {
-                g.grid.try_send(next, &x).map_err(at(
-                    vs,
-                    Some(mb),
-                    "send of forward activation",
-                ))?;
-                None
-            };
             per_micro_bytes = ledger.paper_bytes();
             iter_ledger.merge(&ledger);
-            live[v][mb] = Some(MicroState { layer_states, head, ledger });
+            live[v][mb] = Some((unit, ledger));
             live_count += 1;
             peak_live = peak_live.max(live_count);
         } else {
-            let st = live[v][mb].take().unwrap_or_else(|| {
+            let (unit, ledger) = live[v][mb].take().unwrap_or_else(|| {
                 panic!("stage {vs}: backward of microbatch {mb} scheduled before its forward")
             });
             live_count -= 1;
-            iter_ledger.release(&st.ledger);
-            // The head backward consumes the head's state, so none of it is
-            // live beside the layer backwards below.
-            let mut d = if let Some(hs) = st.head {
-                let h = model.head.as_ref().expect("head state implies head weights");
-                let (d, d_fg, d_fb, d_table) =
-                    head_backward(&h.final_ln_gamma, &h.table, hs, &mode);
-                let (d_fg_acc, d_fb_acc, d_table_acc) =
-                    grads[v].head.as_mut().expect("head grads allocated");
-                d_table_acc.add_assign(&d_table);
-                d_fg_acc.add_assign(&d_fg);
-                d_fb_acc.add_assign(&d_fb);
-                d
-            } else {
-                g.grid.try_recv(next).map_err(at(vs, Some(mb), "recv of backward gradient"))?
-            };
-            let mut layer_states = st.layer_states;
-            for idx in (0..model.layers.len()).rev() {
-                let lstate = layer_states.pop().unwrap_or_else(|| {
-                    panic!("stage {vs}, microbatch {mb}: missing saved state for layer {idx}")
-                });
-                let (dx, lg) = model.layers[idx].backward(&d, lstate, mode);
-                grads[v].layers[idx].accumulate(&lg);
-                d = dx;
-            }
-            if first {
-                // Regenerated, not kept in `MicroState`: the mask is a pure
-                // function of the microbatch id, and holding it would cost
-                // rows·h bytes per in-flight microbatch.
-                let mask = embedding_mask(&cfg, &model.rng, micro_id, &mode);
-                let (d_table_acc, d_pos_acc) =
-                    grads[v].embedding.as_mut().expect("embedding grads allocated");
-                d_table_acc.add_assign(&embed_backward(&cfg, tokens, &d, &mask, &mode, d_pos_acc));
-            } else {
-                g.grid.try_send(prev, &d).map_err(at(vs, Some(mb), "send of backward gradient"))?;
+            iter_ledger.release(&ledger);
+            let d = (!last).then(|| g.grid.try_recv(next)).transpose();
+            let d = d.map_err(unit_failed("recv of backward gradient"))?;
+            if let Some(d) = backward_unit(&stage, unit, d, tokens, micro_id, policy, &mut grads[v])
+            {
+                g.grid.try_send(prev, &d).map_err(unit_failed("send of backward gradient"))?;
             }
         }
     }
@@ -696,7 +734,7 @@ mod tests {
         let comm = || mt_collectives::World::new(1).communicator(0);
         let g = GridComm { stage: 0, tp_rank: 0, tp: comm(), grid: comm() };
         let data = vec![(vec![0; cfg.tokens()], vec![0; cfg.tokens()])];
-        let _ = run_1f1b_iteration(&model, &g, false, &data, 0);
+        let _ = try_run_1f1b_iteration(&model, &g, false, &data, 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::optim::{clip_grad_norm, clip_grad_norm_tp, AdamState, AdamW};
 use crate::overlap::{take_step_timing, StepTiming};
 use crate::policy::ExecPolicy;
 use mt_fault::binfmt;
+use mt_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -189,7 +190,8 @@ pub enum CheckpointError {
     Format(binfmt::BinError),
     /// The checkpoint's logical schema is newer than this build understands.
     UnsupportedVersion(u32),
-    /// The optimizer step count disagrees with the trainer step count.
+    /// The checkpoint's parts disagree with each other or with its config
+    /// (step counts, layer or moment counts, tensor shapes).
     Inconsistent(String),
 }
 
@@ -269,6 +271,15 @@ impl Trainer {
                 "optimizer at step {} but trainer at step {}",
                 ckpt.opt.step, ckpt.step
             )));
+        }
+        ckpt.model.check().map_err(CheckpointError::Inconsistent)?;
+        // Moments exist from the first update on, one per parameter.
+        let (m, v, params) = (&ckpt.opt.m, &ckpt.opt.v, ckpt.model.tensors());
+        let fits =
+            |ms: &[Tensor]| ms.iter().map(Tensor::shape).eq(params.iter().map(|p| p.shape()));
+        if !(m.is_empty() && v.is_empty() || fits(m) && fits(v)) {
+            let (a, b, n) = (m.len(), v.len(), params.len());
+            return Err(CheckpointError::Inconsistent(format!("{a} + {b} moments for {n} params")));
         }
         let mut opt = AdamW::new(ckpt.cfg.schedule.lr_at(ckpt.step), ckpt.cfg.weight_decay);
         opt.load_state(ckpt.opt);

@@ -56,24 +56,29 @@ enum Split {
 }
 
 /// The tensor-parallel layout of Figures 4–5, by name in
-/// [`LayerWeights::tensors`] order: QKV and MLP-1 column-parallel,
-/// projection and MLP-2 row-parallel, LayerNorms and output biases
-/// replicated (Shoeybi et al.). Everything that depends on the split reads
-/// this one table.
-const LAYOUT: [(&str, Split); LayerWeights::TENSORS] = [
-    ("ln1_gamma", Split::Replicated),
-    ("ln1_beta", Split::Replicated),
-    ("w_qkv", Split::Columns { blocks: 3 }),
-    ("b_qkv", Split::Columns { blocks: 3 }),
-    ("w_o", Split::Rows),
-    ("b_o", Split::Replicated),
-    ("ln2_gamma", Split::Replicated),
-    ("ln2_beta", Split::Replicated),
-    ("w1", Split::Columns { blocks: 1 }),
-    ("b1", Split::Columns { blocks: 1 }),
-    ("w2", Split::Rows),
-    ("b2", Split::Replicated),
+/// [`LayerWeights::tensors`] order, with each unsharded shape in units of
+/// `h`: QKV and MLP-1 column-parallel, projection and MLP-2 row-parallel,
+/// LayerNorms and output biases replicated (Shoeybi et al.). Everything
+/// that depends on the split reads this one table.
+const LAYOUT: [(&str, Split, &[usize]); LayerWeights::TENSORS] = [
+    ("ln1_gamma", Split::Replicated, &[1]),
+    ("ln1_beta", Split::Replicated, &[1]),
+    ("w_qkv", Split::Columns { blocks: 3 }, &[1, 3]),
+    ("b_qkv", Split::Columns { blocks: 3 }, &[3]),
+    ("w_o", Split::Rows, &[1, 1]),
+    ("b_o", Split::Replicated, &[1]),
+    ("ln2_gamma", Split::Replicated, &[1]),
+    ("ln2_beta", Split::Replicated, &[1]),
+    ("w1", Split::Columns { blocks: 1 }, &[1, 4]),
+    ("b1", Split::Columns { blocks: 1 }, &[4]),
+    ("w2", Split::Rows, &[4, 1]),
+    ("b2", Split::Replicated, &[1]),
 ];
+
+/// A [`LAYOUT`] shape, in units of `h`, at hidden size `h`.
+fn full_shape(units: &[usize], h: usize) -> Vec<usize> {
+    units.iter().map(|u| u * h).collect()
+}
 
 impl Split {
     /// Rank `rank`'s part of `full`, by copy.
@@ -119,22 +124,14 @@ impl LayerWeights {
     /// Random initialization (N(0, 0.02²) for matrices, zeros for biases,
     /// ones/zeros for LayerNorm), matching GPT conventions.
     pub fn init(cfg: &TransformerConfig, rng: &mut SplitMix64) -> Self {
-        let h = cfg.hidden;
-        let std = 0.02;
-        LayerWeights {
-            ln1_gamma: Tensor::full(&[h], 1.0),
-            ln1_beta: Tensor::zeros(&[h]),
-            w_qkv: Tensor::rand_normal(&[h, 3 * h], std, rng),
-            b_qkv: Tensor::zeros(&[3 * h]),
-            w_o: Tensor::rand_normal(&[h, h], std, rng),
-            b_o: Tensor::zeros(&[h]),
-            ln2_gamma: Tensor::full(&[h], 1.0),
-            ln2_beta: Tensor::zeros(&[h]),
-            w1: Tensor::rand_normal(&[h, 4 * h], std, rng),
-            b1: Tensor::zeros(&[4 * h]),
-            w2: Tensor::rand_normal(&[4 * h, h], std, rng),
-            b2: Tensor::zeros(&[h]),
-        }
+        LayerWeights::from_tensors(LAYOUT.map(|(name, _, units)| {
+            let shape = full_shape(units, cfg.hidden);
+            match (shape.len(), name.ends_with("gamma")) {
+                (2, _) => Tensor::rand_normal(&shape, 0.02, rng),
+                (_, true) => Tensor::full(&shape, 1.0),
+                _ => Tensor::zeros(&shape),
+            }
+        }))
     }
 
     /// Builds a layer from its parameter tensors in
@@ -187,7 +184,7 @@ impl LayerWeights {
     /// `(replicated, sharded)`, each in [`LayerWeights::tensors`] order.
     pub fn tensors_mut_by_locality(&mut self) -> (Vec<&mut Tensor>, Vec<&mut Tensor>) {
         let mut split = (Vec::new(), Vec::new());
-        for (t, (_, how)) in self.tensors_mut().into_iter().zip(LAYOUT) {
+        for (t, (_, how, _)) in self.tensors_mut().into_iter().zip(LAYOUT) {
             if how == Split::Replicated {
                 split.0.push(t);
             } else {
@@ -203,8 +200,22 @@ impl LayerWeights {
         self.tensors()
             .into_iter()
             .zip(LAYOUT)
-            .filter(|(_, (_, how))| *how == Split::Replicated)
-            .map(|(t, (name, _))| (name, t))
+            .filter(|(_, (_, how, _))| *how == Split::Replicated)
+            .map(|(t, (name, ..))| (name, t))
+    }
+
+    /// Whether every tensor has the shape of a `t`-way shard of a layer of
+    /// hidden size `h` (`t` dividing `h`).
+    pub(crate) fn is_shard_of(&self, h: usize, t: usize) -> bool {
+        self.tensors().into_iter().zip(LAYOUT).all(|(w, (_, how, units))| {
+            let mut want = full_shape(units, h);
+            match how {
+                Split::Replicated => {}
+                Split::Rows => want[0] /= t,
+                Split::Columns { .. } => want[units.len() - 1] /= t,
+            }
+            w.shape() == want
+        })
     }
 
     /// Extracts rank `rank`'s shard for `t`-way tensor parallelism.
@@ -235,11 +246,6 @@ impl LayerWeights {
     /// Total parameter elements.
     pub fn num_parameters(&self) -> usize {
         self.tensors().iter().map(|t| t.numel()).sum()
-    }
-
-    /// All-zero gradients shaped like `self`.
-    pub fn zeros_like(&self) -> LayerWeights {
-        LayerWeights::from_tensors(self.tensors().map(|t| Tensor::zeros(t.shape())))
     }
 
     /// Element-wise accumulation of another gradient set.
@@ -317,6 +323,19 @@ mod tests {
     }
 
     #[test]
+    fn layout_shapes_recognise_shards() {
+        let mut rng = SplitMix64::new(27);
+        let w = LayerWeights::init(&cfg(), &mut rng);
+        let h = cfg().hidden;
+        for t in [1usize, 2, 4] {
+            assert!(w.shard(t, t - 1).is_shard_of(h, t), "t={t}");
+        }
+        assert!(!w.is_shard_of(h, 2));
+        assert!(!w.shard(2, 0).is_shard_of(h, 4));
+        assert!(!w.is_shard_of(2 * h, 1));
+    }
+
+    #[test]
     fn qkv_shard_contains_local_head_columns() {
         // Column hd·head of the Q block must land on the rank owning that head.
         let mut rng = SplitMix64::new(23);
@@ -338,16 +357,11 @@ mod tests {
     fn accumulate_and_diff() {
         let mut rng = SplitMix64::new(24);
         let w = LayerWeights::init(&cfg(), &mut rng);
-        let mut acc = w.zeros_like();
+        let mut acc = w.clone();
         acc.accumulate(&w);
-        acc.accumulate(&w);
-        let doubled = {
-            let mut d = w.zeros_like();
-            d.accumulate(&w);
-            d.accumulate(&w);
-            d
-        };
-        assert_eq!(acc, doubled);
+        for (a, b) in acc.tensors().into_iter().zip(w.tensors()) {
+            assert!(a.data().iter().zip(b.data()).all(|(x, y)| *x == 2.0 * y));
+        }
         assert!(acc.max_rel_diff(&acc) == 0.0);
         assert!(acc.max_rel_diff(&w) > 0.5);
     }

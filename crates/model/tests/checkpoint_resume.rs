@@ -6,10 +6,10 @@
 use mt_fault::binfmt;
 use mt_memory::Recompute;
 use mt_model::gpt::Gpt;
-use mt_model::trainer::{CheckpointError, Trainer, TrainerConfig};
+use mt_model::trainer::{CheckpointError, Trainer, TrainerCheckpoint, TrainerConfig};
 use mt_model::{ExecMode, TransformerConfig};
 use mt_tensor::rng::SplitMix64;
-use mt_tensor::{set_default_backend, Backend};
+use mt_tensor::{set_default_backend, Backend, Tensor};
 
 fn cfg() -> TransformerConfig {
     TransformerConfig {
@@ -182,4 +182,53 @@ fn corrupt_or_foreign_blobs_are_rejected() {
     let mut ckpt = trainer.save_checkpoint();
     ckpt.step = 99;
     assert!(matches!(Trainer::resume_from(ckpt), Err(CheckpointError::Inconsistent(_))));
+
+    // Decodable blobs whose parts disagree with each other or with their
+    // config: an error, not a panic while building or at the first step.
+    // A stepped trainer carries Adam moments.
+    let mut stepped = Trainer::new(Gpt::init(c, Recompute::None, 3), TrainerConfig::default());
+    let (tokens, targets) = batch(&c, 0);
+    stepped.step(&tokens, &targets, ExecMode::Serial);
+    type Corruption = fn(&mut TrainerCheckpoint);
+    let corruptions: [(&str, Corruption); 9] = [
+        ("a layer too few", |k| k.model.layer_weights.truncate(1)),
+        ("a policy too few", |k| k.model.policies.truncate(1)),
+        ("a second moment too few", |k| k.opt.v.truncate(3)),
+        ("a moment pair too few", |k| {
+            k.opt.m.truncate(3);
+            k.opt.v.truncate(3);
+        }),
+        ("a misshapen first moment", |k| k.opt.m[4] = Tensor::zeros(&[1])),
+        ("a misshapen MLP weight", |k| {
+            let h = k.model.cfg.hidden;
+            k.model.layer_weights[1].w1 = Tensor::zeros(&[h, 3 * h]);
+        }),
+        ("layers sharded two ways", |k| {
+            k.model.layer_weights[0] = k.model.layer_weights[0].shard(2, 0);
+        }),
+        ("misshapen positions", |k| {
+            let (s, h) = (k.model.cfg.seq, k.model.cfg.hidden);
+            k.model.embedding.positions = Tensor::zeros(&[s + 1, h]);
+        }),
+        ("a misshapen final LayerNorm", |k| k.model.final_ln_beta = Tensor::zeros(&[1])),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut ckpt = stepped.save_checkpoint();
+        corrupt(&mut ckpt);
+        assert!(
+            matches!(
+                Trainer::resume_from_bytes(&binfmt::to_bytes(&ckpt)),
+                Err(CheckpointError::Inconsistent(_))
+            ),
+            "{what}"
+        );
+    }
+    // The checks accept every shard of a tensor-parallel checkpoint.
+    let mut ckpt = stepped.save_checkpoint();
+    for l in &mut ckpt.model.layer_weights {
+        *l = l.shard(2, 1);
+    }
+    ckpt.opt.m.clear();
+    ckpt.opt.v.clear();
+    assert!(Trainer::resume_from(ckpt).is_ok(), "a TP shard checkpoint");
 }

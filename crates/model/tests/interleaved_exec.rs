@@ -7,7 +7,7 @@
 use mt_collectives::run_grid;
 use mt_memory::Recompute;
 use mt_model::gpt::{Gpt, GptGrads};
-use mt_model::pipeline_exec::{run_interleaved_iteration, StageModel};
+use mt_model::pipeline_exec::{try_run_interleaved_iteration, StageModel};
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig};
 use mt_tensor::rng::SplitMix64;
 
@@ -67,7 +67,8 @@ fn run(gpt: &Gpt, p: usize, m: usize, n: usize, policy: Recompute) -> Vec<Device
         let chunks: Vec<StageModel> = (0..m)
             .map(|v| StageModel::from_gpt(gpt, p * m, v * p + g.stage, 1, 0, policy))
             .collect();
-        let out = run_interleaved_iteration(&chunks, &g, false, &data, 0);
+        let out =
+            try_run_interleaved_iteration(&chunks, &g, false, &data, 0).expect("no peer fails");
         DeviceResult {
             device: g.stage,
             loss: out.mean_loss,
@@ -157,7 +158,8 @@ fn interleaved_composes_with_tensor_and_sequence_parallelism() {
                 StageModel::from_gpt(&gpt, 4, v * 2 + g.stage, 2, g.tp_rank, Recompute::Selective)
             })
             .collect();
-        let out = run_interleaved_iteration(&chunks, &g, true, &data, 0);
+        let out =
+            try_run_interleaved_iteration(&chunks, &g, true, &data, 0).expect("no peer fails");
         (g.stage, g.tp_rank, out.mean_loss, out.grads)
     });
     // Losses agree everywhere; reassemble layer grads per virtual stage.

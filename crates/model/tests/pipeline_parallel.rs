@@ -8,7 +8,7 @@ use mt_collectives::run_grid;
 use mt_memory::Recompute;
 use mt_model::gpt::{Gpt, GptGrads};
 use mt_model::optim::AdamW;
-use mt_model::pipeline_exec::{run_1f1b_iteration, StageModel};
+use mt_model::pipeline_exec::{try_run_1f1b_iteration, StageModel};
 use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig};
 use mt_tensor::rng::SplitMix64;
@@ -79,7 +79,7 @@ fn pipeline_iteration(
 ) -> Vec<PipeResult> {
     run_grid(tp, pp, |g| {
         let model = StageModel::from_gpt(gpt, pp, g.stage, tp, g.tp_rank, policy);
-        let out = run_1f1b_iteration(&model, &g, sp, data, step);
+        let out = try_run_1f1b_iteration(&model, &g, sp, data, step).expect("no peer fails");
         PipeResult {
             stage: g.stage,
             tp_rank: g.tp_rank,
@@ -201,6 +201,62 @@ fn recompute_policies_are_bit_identical_in_the_pipeline() {
     }
 }
 
+/// Every f32 of `t`, as bits.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A one-stage, one-microbatch pipeline iteration and `Gpt::loss_and_grads`
+/// walk the model with the same code, so they agree bit for bit: the loss,
+/// every layer, final-LayerNorm and position gradient, and the tied table
+/// (the embedding copy and, after the tied sum, the head's). Serial, TP and
+/// TP+SP, under every recompute policy.
+#[test]
+fn single_stage_pipeline_is_the_gpt_step_bit_for_bit() {
+    let c = cfg();
+    let data = micro_data(&c, 1);
+    let (tokens, targets) = &data[0];
+    let step = 3;
+    for (t, sp) in [(1usize, false), (2, false), (2, true)] {
+        for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
+            let what = format!("t={t} sp={sp} {policy:?}");
+            let gpt = Gpt::init(c, policy, SEED);
+            run_grid(t, 1, |g| {
+                let mode = match (t, sp) {
+                    (_, true) => ExecMode::TensorSequenceParallel(&g.tp),
+                    (1, false) => ExecMode::Serial,
+                    _ => ExecMode::TensorParallel(&g.tp),
+                };
+                let mut ledger = ActivationLedger::new();
+                let (loss, grads) = gpt.shard(t, g.tp_rank, policy).loss_and_grads(
+                    tokens,
+                    targets,
+                    step,
+                    mode,
+                    &mut ledger,
+                );
+                let model = StageModel::from_gpt(&gpt, 1, 0, t, g.tp_rank, policy);
+                let out =
+                    try_run_1f1b_iteration(&model, &g, sp, &data, step).expect("no peer fails");
+                assert_eq!(loss.to_bits(), out.mean_loss.to_bits(), "{what}: loss");
+                assert_eq!(grads.layers.len(), out.grads.layers.len(), "{what}: layers");
+                for (i, (a, b)) in grads.layers.iter().zip(&out.grads.layers).enumerate() {
+                    for (x, y) in a.tensors().into_iter().zip(b.tensors()) {
+                        assert_eq!(bits(x), bits(y), "{what}: layer {i} gradient");
+                    }
+                }
+                let (d_table, d_pos) = out.grads.embedding.as_ref().expect("stage 0 embeds");
+                let (d_fg, d_fb, d_table_head) = out.grads.head.as_ref().expect("stage 0 heads");
+                assert_eq!(bits(&grads.table), bits(d_table), "{what}: tied table");
+                assert_eq!(bits(&grads.table), bits(d_table_head), "{what}: head's table copy");
+                assert_eq!(bits(&grads.positions), bits(d_pos), "{what}: positions");
+                assert_eq!(bits(&grads.final_ln_gamma), bits(d_fg), "{what}: final LN gamma");
+                assert_eq!(bits(&grads.final_ln_beta), bits(d_fb), "{what}: final LN beta");
+            });
+        }
+    }
+}
+
 #[test]
 fn pipeline_handles_fewer_microbatches_than_stages() {
     // n < p: every stage's in-flight count caps at n and the result still
@@ -256,7 +312,8 @@ fn multi_step_pipeline_training_follows_serial_curve() {
         let mut adam = AdamW::new(1e-3, 0.0);
         let mut losses = Vec::new();
         for step in 0..STEPS {
-            let out = run_1f1b_iteration(&model, &g, false, &data, step as u64);
+            let out = try_run_1f1b_iteration(&model, &g, false, &data, step as u64)
+                .expect("no peer fails");
             losses.push(out.mean_loss);
             // Assemble (params, grads) pairs for this stage.
             let mut grad_list: Vec<&Tensor> = Vec::new();

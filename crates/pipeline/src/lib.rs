@@ -118,7 +118,7 @@ pub struct PipelineSim {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// PipeDream-flush 1F1B: `pipeline_exec::stage_ops`, the list
-    /// `run_1f1b_iteration` executes.
+    /// `try_run_1f1b_iteration` executes.
     OneFOneB,
     /// All forwards, then all backwards in reverse microbatch order. Every
     /// stage must therefore hold *all* `n` microbatches' activations at the
@@ -127,7 +127,7 @@ pub enum Schedule {
     GPipe,
     /// Megatron's interleaved 1F1B with `chunks` model chunks per device:
     /// `pipeline_exec::interleaved_device_ops`, the list
-    /// `run_interleaved_iteration` executes. Needs `n` divisible by `p`.
+    /// `try_run_interleaved_iteration` executes. Needs `n` divisible by `p`.
     Interleaved {
         /// Model chunks per device (`m`).
         chunks: usize,

@@ -10,7 +10,7 @@
 use megatron_repro::collectives::run_grid;
 use megatron_repro::memory::Recompute;
 use megatron_repro::model::gpt::Gpt;
-use megatron_repro::model::pipeline_exec::{run_1f1b_iteration, StageModel};
+use megatron_repro::model::pipeline_exec::{try_run_1f1b_iteration, StageModel};
 use megatron_repro::model::{ActivationLedger, ExecMode, TransformerConfig};
 use megatron_repro::tensor::rng::SplitMix64;
 
@@ -64,7 +64,7 @@ fn main() {
     ] {
         let results = run_grid(tp, pp, |g| {
             let model = StageModel::from_gpt(&gpt, pp, g.stage, tp, g.tp_rank, policy);
-            let out = run_1f1b_iteration(&model, &g, sp, &data, 0);
+            let out = try_run_1f1b_iteration(&model, &g, sp, &data, 0).expect("no peer fails");
             (g.stage, out.mean_loss, out.peak_live_states, out.per_micro_activation_bytes)
         });
         let loss = results[0].1;
