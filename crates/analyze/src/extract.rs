@@ -82,10 +82,10 @@ impl Emitter {
         }
     }
 
-    /// Emits a collective with the tag the runtime's single constructor
-    /// would build: `op` + the *argument* tensor's shape + optional root +
-    /// optional chunk coordinate (for the `OverlapPolicy::OverlappedRecompute`
-    /// sub-rendezvous).
+    /// Emits a collective with the tag the runtime builds, through the same
+    /// [`CallTag::new`]: `op` + the *argument* tensor's shape + optional
+    /// root + optional chunk coordinate (for the
+    /// `OverlapPolicy::OverlappedRecompute` sub-rendezvous).
     #[allow(clippy::too_many_arguments)]
     fn collective(
         &mut self,
@@ -97,8 +97,7 @@ impl Emitter {
         chunk: Option<(usize, usize)>,
         payload_elems: u64,
     ) {
-        let epoch = self.epoch;
-        let tag = CallTag { op, shape: shape.to_vec(), root, chunk, epoch };
+        let tag = CallTag::new(op, shape, root, chunk, self.epoch);
         self.ops.push(ScheduleOp::Collective { group, kind, tag, payload_elems });
     }
 
@@ -140,7 +139,7 @@ impl LayerCtx {
     /// (tag carries the shard shape; stats record the full gathered size).
     /// Under [`OverlapPolicy::OverlappedRecompute`] the gather is `C` chunk
     /// sub-rendezvous, tagged and sized exactly as
-    /// `Communicator::all_gather_chunk` tags and sizes them: chunk `j`
+    /// `Communicator::try_all_gather_chunk` tags and sizes them: chunk `j`
     /// carries shard rows `[a, b)` of the [`chunk_rows`] partition, so the
     /// per-chunk payloads sum to the whole-tensor payload.
     fn enter_region_fwd(&self, e: &mut Emitter) {
@@ -181,7 +180,7 @@ impl LayerCtx {
     /// `f̄`/`ḡ` forward: all-reduce (TP) or reduce-scatter (SP) of the full
     /// `[tokens, h]` partial sums. The SP reduce-scatter chunks under
     /// [`OverlapPolicy::OverlappedRecompute`], mirroring
-    /// `Communicator::reduce_scatter_chunked`: the partition runs over the
+    /// `Communicator::try_reduce_scatter_chunked`: the partition runs over the
     /// *result-shard* rows, and chunk `j`'s contribution (and tag shape) is
     /// `[t·(b−a), h]`. The TP all-reduce is unaffected by the policy, as in
     /// the runtime.

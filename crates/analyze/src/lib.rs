@@ -25,9 +25,11 @@
 //!    peak must equal both the runtime ledger and the Table 2 closed forms.
 //!
 //! [`lint`] is independent of the IR: a source scanner enforcing the
-//! workspace hygiene rules (single [`CallTag`] construction site, no wall
-//! clocks in deterministic crates, no `unwrap`/`expect` in collective and
-//! pipeline hot paths) behind an allowlist with per-entry justifications.
+//! workspace hygiene rules (no wall clocks in deterministic crates, no
+//! `unwrap`/`expect` in collective and pipeline hot paths) behind an
+//! allowlist with per-entry justifications. That runtime and static tags
+//! share one shape is the type's guarantee, not a rule's: [`CallTag`] is
+//! built only through `CallTag::new`.
 //!
 //! [`CallTag`]: mt_collectives::CallTag
 //! [`CommStats`]: mt_collectives::CommStats

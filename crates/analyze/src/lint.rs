@@ -3,11 +3,6 @@
 //! A deliberately small, line-oriented scanner — no parsing, no macros —
 //! enforcing the invariants the analyses in this crate depend on:
 //!
-//! * **`hand-rolled-call-tag`** — `CallTag` values may only be built by the
-//!   single constructor on the runtime communicator (`World::call_tag`).
-//!   Every collective call site funnels through it, so the extraction pass
-//!   can mirror tags byte-for-byte and the SPMD matcher verifies the real
-//!   rendezvous identities.
 //! * **`wall-clock`** — deterministic crates (everything except the tracer
 //!   and the benchmark harness) must not read wall clocks; wall-clock reads
 //!   are how nondeterminism sneaks into otherwise replayable schedules.
@@ -40,8 +35,8 @@
 //! can't silently rot.
 //!
 //! Lines inside comments and anything after a file's first `#[cfg(test)]`
-//! are out of scope (tests legitimately hand-roll tags to provoke
-//! mismatches).
+//! are out of scope (tests legitimately unwrap, and time what they
+//! provoke).
 
 use std::cell::Cell;
 use std::fmt;
@@ -52,7 +47,7 @@ use std::path::Path;
 /// One rule violation at a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintFinding {
-    /// Rule identifier (e.g. `hand-rolled-call-tag`).
+    /// Rule identifier (e.g. `wall-clock`).
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -190,11 +185,6 @@ struct Rule {
     in_scope: fn(&str) -> bool,
 }
 
-fn callsite_tag_scope(path: &str) -> bool {
-    // The type's own definition (and its Display impl) live here.
-    !path.ends_with("crates/collectives/src/error.rs")
-}
-
 fn deterministic_crate_scope(path: &str) -> bool {
     if path.starts_with("src/") {
         return true; // the root integration package
@@ -241,13 +231,6 @@ const EPOCH_LOOKAHEAD: usize = 4;
 
 fn rules() -> Vec<Rule> {
     vec![
-        Rule {
-            name: "hand-rolled-call-tag",
-            message: "build tags with the communicator's call_tag constructor, \
-                      not a struct literal",
-            patterns: vec![String::from("CallTag") + " {"],
-            in_scope: callsite_tag_scope,
-        },
         Rule {
             name: "wall-clock",
             message: "deterministic crates must not read wall clocks \
@@ -405,19 +388,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hand_rolled_tag_is_flagged() {
-        let src = "fn f() {\n    let t = CallTag { op: \"x\", shape: vec![], root: None };\n}\n";
-        let found = lint_source("crates/collectives/src/group.rs", src, &Allowlist::empty());
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, "hand-rolled-call-tag");
-        assert_eq!(found[0].line, 2);
-    }
-
-    #[test]
     fn allowlist_suppresses_and_tracks_usage() {
-        let src = "let t = CallTag { op: \"x\", shape: vec![], root: None };\n";
+        let src = "let t0 = Instant::now();\n";
         let allow = Allowlist::parse(
-            "# comment\nhand-rolled-call-tag | group.rs | CallTag | reviewed constructor\n\
+            "# comment\nwall-clock | group.rs | Instant | reviewed deadline clock\n\
              wall-clock | group.rs | never-matches | stale entry\n",
         )
         .unwrap();
@@ -438,7 +412,7 @@ mod tests {
 
     #[test]
     fn test_modules_and_comments_are_out_of_scope() {
-        let src = "// let t = CallTag { .. };\nfn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f() { let t = CallTag { op: \"x\", shape: vec![], root: None }; }\n}\n";
+        let src = "// let t0 = Instant::now();\nfn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f() { let t0 = Instant::now(); }\n}\n";
         assert!(lint_source("crates/collectives/src/group.rs", src, &Allowlist::empty()).is_empty());
     }
 

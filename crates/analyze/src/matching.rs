@@ -305,7 +305,7 @@ mod tests {
         ScheduleOp::Collective {
             group,
             kind: CollectiveKind::AllReduce,
-            tag: CallTag { op, shape, root: None, chunk: None, epoch: 0 },
+            tag: CallTag::new(op, &shape, None, None, 0),
             payload_elems: 4,
         }
     }

@@ -225,7 +225,7 @@ fn dropped_chunk_deadlocks_statically_and_times_out_at_runtime() {
                 std::thread::sleep(Duration::from_millis(400));
                 return Ok(());
             }
-            c.all_gather_chunk(&shard, j, chunks);
+            c.try_all_gather_chunk(&shard, j, chunks)?;
         }
         Ok(())
     });
@@ -380,7 +380,7 @@ proptest! {
                         ops: vec![ScheduleOp::Collective {
                             group: GroupId::Tp { stage: 0 },
                             kind: CollectiveKind::AllReduce,
-                            tag: CallTag { op: "all_reduce", shape, root: None, chunk: None, epoch: 0 },
+                            tag: CallTag::new("all_reduce", &shape, None, None, 0),
                             payload_elems: elems,
                         }],
                     }

@@ -363,7 +363,7 @@ mod tests {
     fn all_reduce_world() -> (Vec<TraceEvent>, Vec<CommStats>) {
         let tracer = Tracer::enabled();
         let stats = World::run_traced(T, &tracer, |comm| {
-            let _ = comm.all_reduce(&Tensor::full(&[8], 1.0));
+            comm.try_all_reduce(&Tensor::full(&[8], 1.0)).expect("healthy world");
             comm.stats()
         });
         (tracer.events(), stats)

@@ -8,17 +8,17 @@
 //!
 //! * `barrier_storm` — back-to-back barriers, the purest rendezvous
 //!   (zero payload, one lock + deposit + last-arriver notify per round).
-//! * `all_reduce_small` — the infallible hot path with a 16-element
-//!   tensor, via `World::run`.
-//! * `try_all_reduce_small` — the hardened path (deadline bookkeeping +
-//!   SPMD call tag) via `World::new` + `run_fallible`.
+//! * `all_reduce_small` — a 16-element all-reduce via `World::run`, each
+//!   call's error turned into a panic at the call site.
+//! * `try_all_reduce_small` — the same all-reduce via `World::new` +
+//!   `run_fallible`, each error returned and the rank's panics caught.
 //!
 //! `mt-bench gate` judges the *ratios* between them per rank count — what
-//! the payload costs over a bare rendezvous, what hardening costs over the
-//! plain path. Absolute `per_op_us` is a property of the host's core
-//! topology (×1.8 between a 1-core and a 2-vCPU host at identical code, ×6
-//! between two threads sharing a core and two threads on a core each) and
-//! is recorded, not gated.
+//! the payload costs over a bare rendezvous, what the fallible launch
+//! costs over the plain one. Absolute `per_op_us` is a property of the
+//! host's core topology (×1.8 between a 1-core and a 2-vCPU host at
+//! identical code, ×6 between two threads sharing a core and two threads on
+//! a core each) and is recorded, not gated.
 //!
 //! Because ratios carry the claim, the statistic is built for them: one
 //! pass times every (ranks, scenario) cell once — a whole spawn + rounds +
@@ -46,7 +46,7 @@ const SCENARIOS: [(&str, Scenario); 3] = [
 fn barrier_storm(ranks: usize, rounds: usize) {
     World::run(ranks, |comm| {
         for _ in 0..rounds {
-            comm.barrier();
+            comm.try_barrier().expect("healthy world");
         }
     });
 }
@@ -56,7 +56,7 @@ fn all_reduce_small(ranks: usize, rounds: usize) {
         let x = Tensor::full(&[ELEMS], (comm.rank() + 1) as f32);
         let mut acc = 0.0f32;
         for _ in 0..rounds {
-            acc += comm.all_reduce(&x).data()[0];
+            acc += comm.try_all_reduce(&x).expect("healthy world").data()[0];
         }
         acc
     });

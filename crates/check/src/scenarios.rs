@@ -216,21 +216,27 @@ pub fn find_mutation(name: &str) -> Option<Mutation> {
 }
 
 fn rendezvous_t2() {
-    let out = World::run(2, |c| c.all_reduce(&Tensor::full(&[2], (c.rank() + 1) as f32)));
+    let out = World::run(2, |c| {
+        c.try_all_reduce(&Tensor::full(&[2], (c.rank() + 1) as f32)).expect("healthy world")
+    });
     for t in &out {
         assert_eq!(t.data(), &[3.0, 3.0], "all_reduce sum must be schedule-independent");
     }
 }
 
 fn rendezvous_t3() {
-    let out = World::run(3, |c| c.all_reduce(&Tensor::full(&[1], (c.rank() + 1) as f32)));
+    let out = World::run(3, |c| {
+        c.try_all_reduce(&Tensor::full(&[1], (c.rank() + 1) as f32)).expect("healthy world")
+    });
     for t in &out {
         assert_eq!(t.data(), &[6.0], "all_reduce sum must be schedule-independent");
     }
 }
 
 fn chunked_all_gather_t2_c2() {
-    let out = World::run(2, |c| c.all_gather_chunked(&Tensor::full(&[2, 1], c.rank() as f32), 2));
+    let out = World::run(2, |c| {
+        c.try_all_gather_chunked(&Tensor::full(&[2, 1], c.rank() as f32), 2).expect("healthy world")
+    });
     for t in &out {
         assert_eq!(t.data(), &[0.0, 0.0, 1.0, 1.0], "gathered shards in rank order");
     }

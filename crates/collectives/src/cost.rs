@@ -55,31 +55,12 @@ impl CommCostModel {
         let wire = kind.ring_wire_bytes(payload_bytes, n) as f64;
         steps * self.alpha_s + wire / self.beta_bytes_per_s
     }
-
-    /// Convenience: all-reduce seconds.
-    pub fn all_reduce(&self, payload_bytes: u64, n: u64) -> f64 {
-        self.time(CollectiveKind::AllReduce, payload_bytes, n)
-    }
-
-    /// Convenience: all-gather seconds.
-    pub fn all_gather(&self, payload_bytes: u64, n: u64) -> f64 {
-        self.time(CollectiveKind::AllGather, payload_bytes, n)
-    }
-
-    /// Convenience: reduce-scatter seconds.
-    pub fn reduce_scatter(&self, payload_bytes: u64, n: u64) -> f64 {
-        self.time(CollectiveKind::ReduceScatter, payload_bytes, n)
-    }
-
-    /// Convenience: point-to-point seconds (pipeline stage boundary).
-    pub fn send_recv(&self, payload_bytes: u64) -> f64 {
-        self.time(CollectiveKind::SendRecv, payload_bytes, 2)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
 
     #[test]
     fn bandwidth_identity_holds_in_time_up_to_latency() {
@@ -89,8 +70,8 @@ mod tests {
         let m = CommCostModel::nvlink_dgx_a100();
         for n in [2, 4, 8] {
             let b = 100 << 20;
-            let ar = m.all_reduce(b, n);
-            let pair = m.reduce_scatter(b, n) + m.all_gather(b, n);
+            let ar = m.time(AllReduce, b, n);
+            let pair = m.time(ReduceScatter, b, n) + m.time(AllGather, b, n);
             assert!((ar - pair).abs() < 1e-12, "n={n}: {ar} vs {pair}");
         }
     }
@@ -98,13 +79,13 @@ mod tests {
     #[test]
     fn bigger_payloads_take_longer() {
         let m = CommCostModel::nvlink_dgx_a100();
-        assert!(m.all_reduce(200 << 20, 8) > m.all_reduce(100 << 20, 8));
+        assert!(m.time(AllReduce, 200 << 20, 8) > m.time(AllReduce, 100 << 20, 8));
     }
 
     #[test]
     fn single_rank_is_free() {
         let m = CommCostModel::nvlink_dgx_a100();
-        assert_eq!(m.all_reduce(1 << 20, 1), 0.0);
+        assert_eq!(m.time(AllReduce, 1 << 20, 1), 0.0);
     }
 
     #[test]
@@ -113,7 +94,7 @@ mod tests {
         // ≈ 100 MB over 8 NVLink ranks should land in the hundreds of µs.
         let m = CommCostModel::nvlink_dgx_a100();
         let bytes = 2048 * 4 * 6144 * 2;
-        let t = m.all_reduce(bytes, 8);
+        let t = m.time(AllReduce, bytes, 8);
         assert!(t > 100e-6 && t < 2e-3, "all-reduce time {t}s out of expected range");
     }
 }

@@ -11,7 +11,16 @@ use std::time::Duration;
 /// in `all_reduce`, another in `all_gather`; or mismatched shapes) surfaces
 /// as [`CollectiveError::SpmdMismatch`] in release builds instead of a
 /// silent deadlock.
+///
+/// [`CallTag::new`] is the only way to build one outside this crate — the
+/// runtime's tags and `mt-analyze`'s static ones come from the same
+/// constructor, so they cannot be shaped differently:
+///
+/// ```compile_fail,E0639
+/// let t = mt_collectives::CallTag { op: "x", shape: vec![], root: None, chunk: None, epoch: 0 };
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct CallTag {
     /// Operation name (`"all_reduce"`, `"all_gather"`, ...). Distinguishes
     /// ops that share a [`CollectiveKind`](crate::CollectiveKind), e.g.
@@ -35,6 +44,20 @@ pub struct CallTag {
     pub epoch: u64,
 }
 
+impl CallTag {
+    /// The tag of call `op` on a `shape`-shaped contribution, rooted at
+    /// `root`, as sub-rendezvous `chunk`, in world-formation `epoch`.
+    pub fn new(
+        op: &'static str,
+        shape: &[usize],
+        root: Option<usize>,
+        chunk: Option<(usize, usize)>,
+        epoch: u64,
+    ) -> Self {
+        CallTag { op, shape: shape.to_vec(), root, chunk, epoch }
+    }
+}
+
 impl fmt::Display for CallTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(shape={:?}", self.op, self.shape)?;
@@ -53,10 +76,12 @@ impl fmt::Display for CallTag {
 
 /// Why a collective or point-to-point operation failed.
 ///
-/// Returned by the `try_*` methods on [`Communicator`](crate::Communicator);
-/// the infallible methods raise the same error as a panic payload, which
-/// [`World::run_fallible`](crate::World::run_fallible) catches and converts
-/// back into an `Err`, so no caller ever hangs on a lost rank.
+/// Returned by every collective and point-to-point method on
+/// [`Communicator`](crate::Communicator), always within the world's
+/// deadline, so no caller ever hangs on a lost rank. Code that prefers to
+/// unwind raises it as the panic payload;
+/// [`World::run_fallible`](crate::World::run_fallible) catches that unwind
+/// and converts it back into an `Err`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CollectiveError {
     /// The rendezvous deadline elapsed before every rank arrived.

@@ -2,7 +2,7 @@
 //! pipeline-parallel stages, the layout the paper's Table 3 configurations
 //! use (`t = 8` ranks per stage × `p` stages).
 
-use crate::group::{Communicator, World};
+use crate::group::{launch, Communicator, World};
 
 /// A rank's view of a `tp × pp` grid: a collective communicator over its
 /// tensor-parallel group (its pipeline stage) and a point-to-point
@@ -64,7 +64,8 @@ impl GridComm {
 ///
 /// # Panics
 ///
-/// Panics if `tp == 0` or `pp == 0`, or propagates a rank panic.
+/// Panics if `tp == 0` or `pp == 0`, or propagates a rank panic the way
+/// [`World::run`] does.
 pub fn run_grid<T, F>(tp: usize, pp: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -85,10 +86,7 @@ where
             });
         }
     }
-    mt_sync::thread::scope(|scope| {
-        let handles: Vec<_> = comms.into_iter().map(|c| scope.spawn(|| f(c))).collect();
-        handles.into_iter().map(|h| h.join().expect("grid rank panicked")).collect()
-    })
+    launch(comms, f)
 }
 
 #[cfg(test)]
@@ -102,7 +100,7 @@ mod tests {
         // interfere.
         let out = run_grid(2, 3, |g| {
             let x = Tensor::full(&[1], (g.stage * 10 + g.tp_rank) as f32);
-            g.tp.all_reduce(&x).data()[0]
+            g.tp.try_all_reduce(&x).unwrap().data()[0]
         });
         // Stage s sum = (10s) + (10s + 1) = 20s + 1.
         assert_eq!(out, vec![1., 1., 21., 21., 41., 41.]);
@@ -113,13 +111,24 @@ mod tests {
         let out = run_grid(2, 2, |g| {
             if g.stage == 0 {
                 let x = Tensor::full(&[2], g.tp_rank as f32 + 1.0);
-                g.grid.send(g.next_stage_rank().unwrap(), &x);
+                g.grid.try_send(g.next_stage_rank().unwrap(), &x).unwrap();
                 0.0
             } else {
-                g.grid.recv(g.prev_stage_rank().unwrap()).data()[0]
+                g.grid.try_recv(g.prev_stage_rank().unwrap()).unwrap().data()[0]
             }
         });
         assert_eq!(out, vec![0., 0., 1., 2.]);
+    }
+
+    // A grid rank's typed failure is reported the way a world rank's is.
+    #[test]
+    #[should_panic(expected = "rank thread failed: rank 1: collective aborted, rank 0 is dead")]
+    fn grid_rank_failure_names_its_error() {
+        run_grid(1, 2, |g| {
+            if g.stage == 1 {
+                std::panic::panic_any(crate::CollectiveError::RankDead { rank: 1, dead_rank: 0 });
+            }
+        });
     }
 
     #[test]
@@ -154,11 +163,11 @@ mod tests {
         let out = run_grid(2, 3, |g| {
             let pp = g.pp();
             if g.stage == pp - 1 {
-                g.grid.send(g.peer_on_stage(0), &Tensor::full(&[2], 5.0));
+                g.grid.try_send(g.peer_on_stage(0), &Tensor::full(&[2], 5.0)).unwrap();
                 None
             } else if g.stage == 0 {
                 let mut own = Tensor::full(&[2], 1.0);
-                let head = g.grid.recv(g.peer_on_stage(pp - 1));
+                let head = g.grid.try_recv(g.peer_on_stage(pp - 1)).unwrap();
                 own.add_assign(&head);
                 Some(own.data()[0])
             } else {

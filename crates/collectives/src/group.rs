@@ -301,11 +301,6 @@ impl World {
         self.epoch = epoch;
     }
 
-    /// The world-formation epoch communicators are currently extracted at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Extracts the communicator for `rank`. Each rank may be taken once.
     ///
     /// # Panics
@@ -340,9 +335,10 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from any rank thread, including collective
-    /// failures (the infallible collective methods raise
-    /// [`CollectiveError`] as a panic payload).
+    /// Propagates a panic from any rank thread, reporting a rank that
+    /// unwinds with a [`CollectiveError`] payload as
+    /// `rank thread failed: {err}` and any other panic as
+    /// `rank thread panicked`.
     pub fn run<T, F>(size: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -359,7 +355,7 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from any rank thread.
+    /// Propagates a panic from any rank thread, as [`World::run`] does.
     pub fn run_traced<T, F>(size: usize, tracer: &Tracer, f: F) -> Vec<T>
     where
         T: Send,
@@ -368,26 +364,9 @@ impl World {
         let mut world = World::new(size);
         world.set_tracer(tracer.clone());
         let comms: Vec<Communicator> = (0..size).map(|r| world.communicator(r)).collect();
-        mt_sync::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    scope.spawn(|| {
-                        let _installed = mt_trace::install(comm.tracer().clone());
-                        f(comm)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(t) => t,
-                    Err(payload) => match payload.downcast::<CollectiveError>() {
-                        Ok(err) => panic!("rank thread failed: {err}"),
-                        Err(_) => panic!("rank thread panicked"),
-                    },
-                })
-                .collect()
+        launch(comms, |comm| {
+            let _installed = mt_trace::install(comm.tracer().clone());
+            f(comm)
         })
     }
 
@@ -398,58 +377,58 @@ impl World {
     /// and never unwinds out of the calling thread, which is what a
     /// retry-with-recovery driver needs.
     ///
-    /// Collective failures raised through the infallible methods (panic
-    /// payloads of type [`CollectiveError`]) are recovered as that error;
-    /// any other panic is reported as `RankDead` for its own rank.
+    /// A rank that unwinds with a [`CollectiveError`] payload (how model
+    /// code surfaces a failed collective) is recovered as that error; any
+    /// other panic is reported as `RankDead` for its own rank.
     pub fn run_fallible<T, F>(&mut self, f: F) -> Vec<Result<T, CollectiveError>>
     where
         T: Send,
         F: Fn(Communicator) -> Result<T, CollectiveError> + Sync,
     {
-        let exchange = Arc::clone(&self.exchange);
         let comms: Vec<Communicator> = (0..self.size).map(|r| self.communicator(r)).collect();
-        mt_sync::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    let exchange = Arc::clone(&exchange);
-                    let f = &f;
-                    scope.spawn(move || {
-                        let rank = comm.rank();
-                        let _installed = mt_trace::install(comm.tracer().clone());
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm))) {
-                            Ok(result) => {
-                                if result.is_err() {
-                                    // A rank that bailed out of the SPMD
-                                    // program will never rendezvous again;
-                                    // unblock any peer waiting on it.
-                                    exchange.mark_dead(rank);
-                                }
-                                result
-                            }
-                            Err(payload) => {
-                                exchange.mark_dead(rank);
-                                match payload.downcast::<CollectiveError>() {
-                                    Ok(err) => Err(*err),
-                                    Err(_) => {
-                                        Err(CollectiveError::RankDead { rank, dead_rank: rank })
-                                    }
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank wrapper catches panics")).collect()
+        let exchange = &self.exchange;
+        launch(comms, |comm| {
+            let rank = comm.rank();
+            let _installed = mt_trace::install(comm.tracer().clone());
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)))
+                .unwrap_or_else(|payload| match payload.downcast::<CollectiveError>() {
+                    Ok(err) => Err(*err),
+                    Err(_) => Err(CollectiveError::RankDead { rank, dead_rank: rank }),
+                });
+            if result.is_err() {
+                // A rank that bailed out of the SPMD program (or panicked)
+                // will never rendezvous again; unblock any peer waiting on it.
+                exchange.mark_dead(rank);
+            }
+            result
         })
     }
 }
 
-/// Raises a collective failure as a panic carrying the typed error, so the
-/// infallible API stays ergonomic while [`World::run_fallible`] can still
-/// recover the precise cause.
-fn raise(err: CollectiveError) -> ! {
-    std::panic::panic_any(err)
+/// The one spawn-and-join body behind [`World::run_traced`],
+/// [`World::run_fallible`] and [`run_grid`](crate::run_grid): one scoped
+/// thread per rank handle, results in rank order. A rank that unwinds with
+/// a [`CollectiveError`] payload is reported as `rank thread failed: {err}`,
+/// any other panic as `rank thread panicked`.
+pub(crate) fn launch<C, T>(ranks: Vec<C>, f: impl Fn(C) -> T + Sync) -> Vec<T>
+where
+    C: Send,
+    T: Send,
+{
+    let f = &f;
+    mt_sync::thread::scope(|scope| {
+        let handles: Vec<_> = ranks.into_iter().map(|c| scope.spawn(move || f(c))).collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(t) => t,
+                Err(payload) => match payload.downcast::<CollectiveError>() {
+                    Ok(err) => panic!("rank thread failed: {err}"),
+                    Err(_) => panic!("rank thread panicked"),
+                },
+            })
+            .collect()
+    })
 }
 
 /// What one rendezvous round computes from the ranks' deposits — the private
@@ -544,12 +523,10 @@ impl Op {
 /// the same order (SPMD), exactly like NCCL. Each call is recorded in a
 /// per-rank [`CommStats`] ledger retrievable with [`Communicator::stats`].
 ///
-/// Operations come in an infallible spelling (`all_reduce`, `recv`, ...)
-/// used by model code and a fallible `try_*` spelling returning
-/// [`CollectiveError`]. Every collective is a thin adapter onto one
-/// deadline-checked rendezvous body — the infallible methods simply raise
-/// its error as a panic payload — so no call can block past the world's
-/// configured timeout.
+/// Every operation has one spelling, `try_*`, which returns its
+/// [`CollectiveError`]; the caller decides how a failure surfaces. Every
+/// collective is a thin adapter onto one deadline-checked rendezvous body,
+/// so no call can block past the world's configured timeout.
 pub struct Communicator {
     rank: usize,
     size: usize,
@@ -600,17 +577,6 @@ impl Communicator {
         &self.tracer
     }
 
-    /// The rendezvous deadline this communicator was extracted with.
-    pub fn collective_timeout(&self) -> Duration {
-        self.timeout
-    }
-
-    /// The world-formation epoch this communicator stamps into its tags
-    /// (see [`World::set_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Records the stats entry for one collective call and opens its span,
     /// tagged with the kind, logical payload bytes, analytical ring wire
     /// bytes, and group size — plus, for one chunk of a chunked collective,
@@ -654,11 +620,10 @@ impl Communicator {
         }
     }
 
-    /// The **single** constructor for collective call tags. Every collective
-    /// entry point in this crate builds its [`CallTag`] here, so no call
-    /// site can omit the tag or hand-roll one with a wrong shape or root —
-    /// `mt-lint` (rule `hand-rolled-call-tag`) rejects any other `CallTag`
-    /// struct literal in collective code.
+    /// The tag of one of this rank's calls: [`CallTag::new`] stamped with
+    /// the communicator's epoch. Every collective entry point builds its tag
+    /// here; `CallTag::new` being the type's only constructor outside this
+    /// crate keeps the static extractor's tags shaped like these.
     fn call_tag(
         &self,
         op: &'static str,
@@ -666,7 +631,7 @@ impl Communicator {
         root: Option<usize>,
         chunk: Option<(usize, usize)>,
     ) -> CallTag {
-        CallTag { op, shape: shape.to_vec(), root, chunk, epoch: self.epoch }
+        CallTag::new(op, shape, root, chunk, self.epoch)
     }
 
     /// Consults the world's fault plan before a call. Returns `Err` for an
@@ -809,16 +774,6 @@ impl Communicator {
     }
 
     /// Element-wise sum across ranks; every rank receives the full result.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from [`Communicator::try_all_reduce`]
-    /// as a panic payload.
-    pub fn all_reduce(&self, x: &Tensor) -> Tensor {
-        self.try_all_reduce(x).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::all_reduce`].
     pub fn try_all_reduce(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
         self.rendezvous(Op::Sum, x, None)
     }
@@ -826,56 +781,26 @@ impl Communicator {
     /// Element-wise maximum across ranks; every rank receives the full
     /// result. Used by the vocabulary-parallel softmax (the max-subtraction
     /// step needs the global row maximum).
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_all_reduce_max`] as a panic payload.
-    pub fn all_reduce_max(&self, x: &Tensor) -> Tensor {
-        self.try_all_reduce_max(x).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::all_reduce_max`].
     pub fn try_all_reduce_max(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
         self.rendezvous(Op::Max, x, None)
     }
 
     /// Concatenates per-rank shards along axis 0 in rank order; every rank
-    /// receives the full tensor. Inverse of [`Communicator::reduce_scatter`]
-    /// in the shapes it produces.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from [`Communicator::try_all_gather`]
-    /// as a panic payload.
-    pub fn all_gather(&self, shard: &Tensor) -> Tensor {
-        self.try_all_gather(shard).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::all_gather`].
+    /// receives the full tensor. Inverse of
+    /// [`Communicator::try_reduce_scatter`] in the shapes it produces.
     pub fn try_all_gather(&self, shard: &Tensor) -> Result<Tensor, CollectiveError> {
         self.rendezvous(Op::Gather, shard, None)
     }
 
-    /// [`Communicator::all_gather`] split into `chunks` sub-rendezvous along
-    /// axis 0 of the shard: chunk `j` gathers rows
+    /// [`Communicator::try_all_gather`] split into `chunks` sub-rendezvous
+    /// along axis 0 of the shard: chunk `j` gathers rows
     /// `chunk_rows(shard_rows, chunks, j)` of every rank's shard and the
-    /// results are assembled into the same full tensor `all_gather` returns.
-    /// Total payload, ledger entries, and wire bytes are identical to the
-    /// unchunked call (each of the `C` rounds carries `1/C` of the rows);
-    /// only the rendezvous granularity changes, which is what lets a
+    /// results are assembled into the same full tensor `try_all_gather`
+    /// returns. Total payload, ledger entries, and wire bytes are identical
+    /// to the unchunked call (each of the `C` rounds carries `1/C` of the
+    /// rows); only the rendezvous granularity changes, which is what lets a
     /// consumer overlap computation with the remaining chunks — see
-    /// [`Communicator::all_gather_chunk`] for the piecewise form.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_all_gather_chunked`] as a panic payload.
-    pub fn all_gather_chunked(&self, shard: &Tensor, chunks: usize) -> Tensor {
-        self.try_all_gather_chunked(shard, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::all_gather_chunked`].
+    /// [`Communicator::try_all_gather_chunk`] for the piecewise form.
     pub fn try_all_gather_chunked(
         &self,
         shard: &Tensor,
@@ -892,12 +817,13 @@ impl Communicator {
     /// fails with [`CollectiveError::SpmdMismatch`] rather than mis-pairing
     /// rounds. Used directly by the overlapped GEMM driver, which starts
     /// consuming chunk `j` while chunk `j+1` is still in flight.
-    ///
-    /// # Panics
-    ///
-    /// Raises the rendezvous' [`CollectiveError`] as a panic payload.
-    pub fn all_gather_chunk(&self, shard: &Tensor, j: usize, chunks: usize) -> Tensor {
-        self.rendezvous(Op::Gather, shard, Some((j, chunks))).unwrap_or_else(|e| raise(e))
+    pub fn try_all_gather_chunk(
+        &self,
+        shard: &Tensor,
+        j: usize,
+        chunks: usize,
+    ) -> Result<Tensor, CollectiveError> {
+        self.rendezvous(Op::Gather, shard, Some((j, chunks)))
     }
 
     /// Element-wise sums the per-rank full tensors, then scatters: rank `r`
@@ -905,34 +831,30 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_reduce_scatter`] as a panic payload, or panics
-    /// if the tensors' axis 0 is not divisible by the group size.
-    pub fn reduce_scatter(&self, x: &Tensor) -> Tensor {
-        self.try_reduce_scatter(x).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter`].
+    /// Panics if the tensors' axis 0 is not divisible by the group size.
     pub fn try_reduce_scatter(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
         self.rendezvous(Op::ReduceScatter, x, None)
     }
 
-    /// [`Communicator::reduce_scatter`] split into `chunks` sub-rendezvous
-    /// along axis 0 of the *result shard*: chunk `j` reduces and scatters
-    /// rows `chunk_rows(shard_rows, chunks, j)` of every destination rank's
-    /// shard, and the pieces are assembled into the same shard
-    /// `reduce_scatter` returns. Reduction order is the same ascending-rank
-    /// accumulator chain as the unchunked call, so the result is
-    /// bit-identical; payload, ledger entries, and wire bytes also match
+    /// [`Communicator::try_reduce_scatter`] split into `chunks`
+    /// sub-rendezvous along axis 0 of the *result shard*: chunk `j` reduces
+    /// and scatters rows `chunk_rows(shard_rows, chunks, j)` of every
+    /// destination rank's shard, and the pieces are assembled into the same
+    /// shard `try_reduce_scatter` returns. Reduction order is the same
+    /// ascending-rank accumulator chain as the unchunked call, so the result
+    /// is bit-identical; payload, ledger entries, and wire bytes also match
     /// exactly (each round carries `1/C` of the rows). All ranks must issue
     /// the same `chunks`; the coordinate is part of the SPMD call tag.
     ///
     /// # Panics
     ///
-    /// Raises the rendezvous' [`CollectiveError`] as a panic payload, or
-    /// panics if axis 0 is not divisible by the group size.
-    pub fn reduce_scatter_chunked(&self, x: &Tensor, chunks: usize) -> Tensor {
-        self.chunked(Op::ReduceScatter, x, chunks).unwrap_or_else(|e| raise(e))
+    /// Panics if axis 0 is not divisible by the group size.
+    pub fn try_reduce_scatter_chunked(
+        &self,
+        x: &Tensor,
+        chunks: usize,
+    ) -> Result<Tensor, CollectiveError> {
+        self.chunked(Op::ReduceScatter, x, chunks)
     }
 
     /// Broadcasts `root`'s tensor to every rank. Non-root contributions are
@@ -941,28 +863,12 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Panics if `root` is out of range, or raises the [`CollectiveError`]
-    /// from [`Communicator::try_broadcast`] as a panic payload.
-    pub fn broadcast(&self, x: &Tensor, root: usize) -> Tensor {
-        self.try_broadcast(x, root).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::broadcast`].
+    /// Panics if `root` is out of range.
     pub fn try_broadcast(&self, x: &Tensor, root: usize) -> Result<Tensor, CollectiveError> {
         self.rendezvous(Op::Broadcast { root }, x, None)
     }
 
     /// Synchronizes all ranks without moving data.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from [`Communicator::try_barrier`] as
-    /// a panic payload.
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::barrier`].
     pub fn try_barrier(&self) -> Result<(), CollectiveError> {
         self.rendezvous(Op::Barrier, &Tensor::zeros(&[0]), None).map(|_| ())
     }
@@ -971,13 +877,7 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Panics if `to` is out of range, or raises the [`CollectiveError`]
-    /// from [`Communicator::try_send`] as a panic payload.
-    pub fn send(&self, to: usize, x: &Tensor) {
-        self.try_send(to, x).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::send`].
+    /// Panics if `to` is out of range.
     pub fn try_send(&self, to: usize, x: &Tensor) -> Result<(), CollectiveError> {
         assert!(to < self.size, "send: destination {to} out of range");
         self.fault_gate("send")?;
@@ -987,18 +887,12 @@ impl Communicator {
             .map_err(|_| CollectiveError::PeerDisconnected { rank: self.rank, peer: to })
     }
 
-    /// Blocks until a tensor arrives from rank `from`.
+    /// Blocks until a tensor arrives from rank `from`: waits up to the
+    /// world's collective timeout, failing early if the sending rank dies.
     ///
     /// # Panics
     ///
-    /// Panics if `from` is out of range, or raises the [`CollectiveError`]
-    /// from [`Communicator::try_recv`] as a panic payload.
-    pub fn recv(&self, from: usize) -> Tensor {
-        self.try_recv(from).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::recv`]: waits up to the world's collective
-    /// timeout, failing early if the sending rank dies.
+    /// Panics if `from` is out of range.
     pub fn try_recv(&self, from: usize) -> Result<Tensor, CollectiveError> {
         assert!(from < self.size, "recv: source {from} out of range");
         self.fault_gate("recv")?;
@@ -1035,10 +929,10 @@ mod tests {
         let tracer = Tracer::enabled();
         let stats = World::run_traced(4, &tracer, |c| {
             let x = Tensor::from_fn(&[6], |i| i as f32);
-            c.all_reduce(&x);
+            c.try_all_reduce(&x).unwrap();
             let shard = Tensor::full(&[2], c.rank() as f32);
-            c.all_gather(&shard);
-            c.barrier();
+            c.try_all_gather(&shard).unwrap();
+            c.try_barrier().unwrap();
             c.stats()
         });
         let events = tracer.events();
@@ -1072,7 +966,7 @@ mod tests {
     fn untraced_world_records_no_events() {
         let tracer = Tracer::disabled();
         World::run_traced(2, &tracer, |c| {
-            c.all_reduce(&Tensor::full(&[2], 1.0));
+            c.try_all_reduce(&Tensor::full(&[2], 1.0)).unwrap();
         });
         assert!(tracer.events().is_empty());
     }
@@ -1081,7 +975,7 @@ mod tests {
     fn all_reduce_sums_across_ranks() {
         let out = World::run(4, |c| {
             let x = Tensor::from_fn(&[3], |i| (c.rank() * 10 + i) as f32);
-            c.all_reduce(&x)
+            c.try_all_reduce(&x).unwrap()
         });
         // Sum over ranks of [10r, 10r+1, 10r+2] = [60, 64, 68].
         for t in &out {
@@ -1095,7 +989,7 @@ mod tests {
             // Rank r contributes [r, -r, r²].
             let r = c.rank() as f32;
             let x = Tensor::from_vec(vec![3], vec![r, -r, r * r]).unwrap();
-            c.all_reduce_max(&x)
+            c.try_all_reduce_max(&x).unwrap()
         });
         for t in &out {
             assert_eq!(t.data(), &[2.0, 0.0, 4.0]);
@@ -1106,7 +1000,7 @@ mod tests {
     fn all_gather_orders_by_rank() {
         let out = World::run(3, |c| {
             let shard = Tensor::full(&[1, 2], c.rank() as f32);
-            c.all_gather(&shard)
+            c.try_all_gather(&shard).unwrap()
         });
         for t in &out {
             assert_eq!(t.shape(), &[3, 2]);
@@ -1119,7 +1013,7 @@ mod tests {
         let out = World::run(2, |c| {
             // Both ranks contribute [0,1,2,3]; sum = [0,2,4,6].
             let x = Tensor::from_fn(&[4, 1], |i| i as f32);
-            (c.rank(), c.reduce_scatter(&x))
+            (c.rank(), c.try_reduce_scatter(&x).unwrap())
         });
         for (rank, t) in &out {
             assert_eq!(t.shape(), &[2, 1]);
@@ -1136,9 +1030,9 @@ mod tests {
         // The ring identity the paper leans on, executed for real.
         let out = World::run(4, |c| {
             let x = Tensor::from_fn(&[8, 2], |i| ((c.rank() + 1) * (i + 1)) as f32);
-            let ar = c.all_reduce(&x);
-            let rs = c.reduce_scatter(&x);
-            let ag = c.all_gather(&rs);
+            let ar = c.try_all_reduce(&x).unwrap();
+            let rs = c.try_reduce_scatter(&x).unwrap();
+            let ag = c.try_all_gather(&rs).unwrap();
             (ar, ag)
         });
         for (ar, ag) in &out {
@@ -1150,7 +1044,7 @@ mod tests {
     fn broadcast_propagates_root_value() {
         let out = World::run(3, |c| {
             let x = Tensor::full(&[2], c.rank() as f32);
-            c.broadcast(&x, 1)
+            c.try_broadcast(&x, 1).unwrap()
         });
         for t in &out {
             assert_eq!(t.data(), &[1., 1.]);
@@ -1161,11 +1055,11 @@ mod tests {
     fn send_recv_roundtrip() {
         let out = World::run(2, |c| {
             if c.rank() == 0 {
-                c.send(1, &Tensor::full(&[2], 7.0));
-                c.recv(1)
+                c.try_send(1, &Tensor::full(&[2], 7.0)).unwrap();
+                c.try_recv(1).unwrap()
             } else {
-                let got = c.recv(0);
-                c.send(0, &got.scale(2.0));
+                let got = c.try_recv(0).unwrap();
+                c.try_send(0, &got.scale(2.0)).unwrap();
                 got
             }
         });
@@ -1179,7 +1073,7 @@ mod tests {
             let mut acc = 0.0;
             for round in 0..50 {
                 let x = Tensor::full(&[1], (c.rank() + round) as f32);
-                acc += c.all_reduce(&x).data()[0];
+                acc += c.try_all_reduce(&x).unwrap().data()[0];
             }
             acc
         });
@@ -1194,10 +1088,10 @@ mod tests {
     fn stats_record_bandwidth_identity() {
         let stats = World::run(4, |c| {
             let x = Tensor::zeros(&[16, 4]);
-            let _ = c.all_reduce(&x);
+            let _ = c.try_all_reduce(&x).unwrap();
             let shard = Tensor::zeros(&[4, 4]);
-            let _ = c.all_gather(&shard);
-            let _ = c.reduce_scatter(&x);
+            let _ = c.try_all_gather(&shard).unwrap();
+            let _ = c.try_reduce_scatter(&x).unwrap();
             c.stats()
         });
         for s in &stats {
@@ -1212,9 +1106,9 @@ mod tests {
     fn world_size_one_is_trivial() {
         let out = World::run(1, |c| {
             let x = Tensor::full(&[3], 5.0);
-            let ar = c.all_reduce(&x);
-            let ag = c.all_gather(&x);
-            let rs = c.reduce_scatter(&x.reshape(&[1, 3]).unwrap());
+            let ar = c.try_all_reduce(&x).unwrap();
+            let ag = c.try_all_gather(&x).unwrap();
+            let rs = c.try_reduce_scatter(&x.reshape(&[1, 3]).unwrap()).unwrap();
             (ar, ag, rs)
         });
         assert_eq!(out[0].0.data(), &[5., 5., 5.]);
@@ -1245,7 +1139,10 @@ mod tests {
         for chunks in [1usize, 2, 3, 7, 9] {
             let out = World::run(3, |c| {
                 let shard = Tensor::from_fn(&[7, 2], |i| (c.rank() * 100 + i) as f32);
-                (c.all_gather(&shard), c.all_gather_chunked(&shard, chunks))
+                (
+                    c.try_all_gather(&shard).unwrap(),
+                    c.try_all_gather_chunked(&shard, chunks).unwrap(),
+                )
             });
             for (whole, chunked) in &out {
                 assert_eq!(whole.shape(), chunked.shape(), "chunks={chunks}");
@@ -1261,7 +1158,10 @@ mod tests {
                 // 10 rows → 5-row shards; values vary per rank so the
                 // ascending-rank sum order matters.
                 let x = Tensor::from_fn(&[10, 3], |i| (c.rank() + 1) as f32 * 0.3 + i as f32);
-                (c.reduce_scatter(&x), c.reduce_scatter_chunked(&x, chunks))
+                (
+                    c.try_reduce_scatter(&x).unwrap(),
+                    c.try_reduce_scatter_chunked(&x, chunks).unwrap(),
+                )
             });
             for (whole, chunked) in &out {
                 assert_eq!(whole.shape(), chunked.shape(), "chunks={chunks}");
@@ -1276,16 +1176,16 @@ mod tests {
     fn chunked_collectives_keep_wire_bytes_identical() {
         let unchunked = World::run(4, |c| {
             let shard = Tensor::zeros(&[8, 4]);
-            let _ = c.all_gather(&shard);
+            let _ = c.try_all_gather(&shard).unwrap();
             let x = Tensor::zeros(&[32, 4]);
-            let _ = c.reduce_scatter(&x);
+            let _ = c.try_reduce_scatter(&x).unwrap();
             c.stats()
         });
         let chunked = World::run(4, |c| {
             let shard = Tensor::zeros(&[8, 4]);
-            let _ = c.all_gather_chunked(&shard, 3);
+            let _ = c.try_all_gather_chunked(&shard, 3).unwrap();
             let x = Tensor::zeros(&[32, 4]);
-            let _ = c.reduce_scatter_chunked(&x, 3);
+            let _ = c.try_reduce_scatter_chunked(&x, 3).unwrap();
             c.stats()
         });
         for (u, c) in unchunked.iter().zip(&chunked) {
@@ -1304,7 +1204,7 @@ mod tests {
         let tracer = Tracer::enabled();
         World::run_traced(2, &tracer, |c| {
             let shard = Tensor::zeros(&[4, 2]);
-            c.all_gather_chunked(&shard, 2);
+            c.try_all_gather_chunked(&shard, 2).unwrap();
         });
         let lane: Vec<_> = tracer.events().into_iter().filter(|e| e.track == 0).collect();
         assert_eq!(lane.len(), 2, "one span per chunk");
@@ -1323,7 +1223,7 @@ mod tests {
             let shard = Tensor::zeros(&[4, 2]);
             // Rank 0 starts at chunk 0; rank 1 skips to chunk 1.
             let j = if c.rank() == 0 { 0 } else { 1 };
-            c.all_gather_chunk(&shard, j, 2);
+            c.try_all_gather_chunk(&shard, j, 2)?;
             Ok(())
         });
         assert!(
@@ -1380,7 +1280,7 @@ mod tests {
                 };
                 let tag = if expected.op == "decoy" { found } else { expected };
                 let root = if let Op::Broadcast { root } = op { Some(root) } else { None };
-                let want = CallTag { op: op.name(), shape: shape.to_vec(), root, chunk, epoch: 7 };
+                let want = CallTag::new(op.name(), shape, root, chunk, 7);
                 assert_eq!(**tag, want, "{case}");
 
                 let payload_bytes = payload_elems * FP16_BYTES;
@@ -1414,13 +1314,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "reduce_scatter: axis 0 (3) not divisible by group size 2")]
     fn reduce_scatter_rejects_indivisible_rows_up_front() {
-        World::new(2).communicator(0).reduce_scatter(&Tensor::zeros(&[3, 1]));
+        World::new(2).communicator(0).try_reduce_scatter(&Tensor::zeros(&[3, 1])).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "reduce_scatter: axis 0 (3) not divisible by group size 2")]
     fn reduce_scatter_chunked_rejects_indivisible_rows_up_front() {
-        World::new(2).communicator(0).reduce_scatter_chunked(&Tensor::zeros(&[3, 1]), 2);
+        World::new(2)
+            .communicator(0)
+            .try_reduce_scatter_chunked(&Tensor::zeros(&[3, 1]), 2)
+            .unwrap();
     }
 
     #[test]

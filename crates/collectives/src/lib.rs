@@ -12,10 +12,12 @@
 //! Two layers are provided:
 //!
 //! * A **runtime** ([`World`], [`Communicator`]): spawn `n` rank threads,
-//!   give each a communicator, and call `all_reduce` / `all_gather` /
-//!   `reduce_scatter` / `broadcast` / `send` / `recv` in SPMD style. Every
-//!   call is recorded in a [`CommStats`] ledger, including the *wire bytes* a
-//!   ring implementation of the collective would move — which lets tests
+//!   give each a communicator, and call `try_all_reduce` / `try_all_gather` /
+//!   `try_reduce_scatter` / `try_broadcast` / `try_send` / `try_recv` in
+//!   SPMD style; each returns its [`CollectiveError`] rather than hang on a
+//!   lost rank. Every call is recorded in a [`CommStats`] ledger, including
+//!   the *wire bytes* a ring implementation of the collective would move —
+//!   which lets tests
 //!   verify the paper's claim (Section 4.2.2) that tensor parallelism
 //!   (2 all-reduces per layer per pass) and tensor+sequence parallelism
 //!   (2 all-gathers + 2 reduce-scatters) use identical bandwidth.
@@ -30,7 +32,7 @@
 //!
 //! let sums = World::run(4, |comm| {
 //!     let x = Tensor::full(&[2], (comm.rank() + 1) as f32);
-//!     comm.all_reduce(&x).data()[0]
+//!     comm.try_all_reduce(&x).expect("no rank fails").data()[0]
 //! });
 //! assert_eq!(sums, vec![10.0; 4]); // 1+2+3+4 on every rank
 //! ```

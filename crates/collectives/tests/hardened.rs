@@ -196,24 +196,6 @@ fn injected_panic_is_reported_as_rank_dead() {
     assert!(out.iter().all(|r| matches!(r, Err(CollectiveError::RankDead { .. }))), "{out:?}");
 }
 
-/// After an error the infallible wrappers raise the typed error as a panic
-/// payload, which `run_fallible` recovers — so even "infallible" call
-/// sites deep in model code cannot hang a fallible world.
-#[test]
-fn infallible_wrappers_raise_recoverable_errors() {
-    let mut world = World::new(2);
-    world.set_collective_timeout(Duration::from_millis(100));
-    let out = world.run_fallible(|c| {
-        if c.rank() == 0 {
-            // Infallible spelling: times out, panics with the typed error...
-            let _ = c.all_reduce(&Tensor::full(&[1], 1.0));
-        }
-        Ok(())
-    });
-    // ...and run_fallible hands it back as the original Timeout.
-    assert!(matches!(out[0], Err(CollectiveError::Timeout { .. })), "{:?}", out[0]);
-}
-
 /// Traces from faulted runs stay balanced: a span open on a rank thread
 /// when the rank panics still records its close event (`SpanGuard::drop`
 /// runs during unwinding), annotated `panicked = true`, so chaos-test

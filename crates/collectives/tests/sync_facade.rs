@@ -19,15 +19,6 @@ use std::time::Duration;
 
 type Entry = (&'static str, fn(&Communicator) -> Result<(), CollectiveError>);
 
-/// Runs an infallible spelling, recovering the [`CollectiveError`] it raises
-/// as a panic payload.
-fn caught<T>(call: impl FnOnce() -> T) -> Result<(), CollectiveError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)) {
-        Ok(_) => Ok(()),
-        Err(payload) => Err(*payload.downcast::<CollectiveError>().expect("typed panic payload")),
-    }
-}
-
 /// Every rendezvous entry point, as a uniform closure over one
 /// communicator. Point-to-point send/recv is excluded: it is not a
 /// rendezvous (no tag deposit), so epoch fencing happens at the collective
@@ -40,10 +31,12 @@ fn rendezvous_entry_points() -> Vec<Entry> {
         ("try_all_gather_chunked", |c| {
             c.try_all_gather_chunked(&Tensor::full(&[2, 2], 1.0), 2).map(|_| ())
         }),
-        ("all_gather_chunk", |c| caught(|| c.all_gather_chunk(&Tensor::full(&[2, 2], 1.0), 0, 2))),
+        ("try_all_gather_chunk", |c| {
+            c.try_all_gather_chunk(&Tensor::full(&[2, 2], 1.0), 0, 2).map(|_| ())
+        }),
         ("try_reduce_scatter", |c| c.try_reduce_scatter(&Tensor::full(&[2, 2], 1.0)).map(|_| ())),
-        ("reduce_scatter_chunked", |c| {
-            caught(|| c.reduce_scatter_chunked(&Tensor::full(&[2, 2], 1.0), 2))
+        ("try_reduce_scatter_chunked", |c| {
+            c.try_reduce_scatter_chunked(&Tensor::full(&[2, 2], 1.0), 2).map(|_| ())
         }),
         ("try_broadcast", |c| c.try_broadcast(&Tensor::full(&[2], 1.0), 0).map(|_| ())),
         ("try_barrier", |c| c.try_barrier()),
@@ -93,7 +86,7 @@ fn rendezvous_completes_despite_injected_spurious_wakeups() {
     mt_sync::spurious::inject(64);
     let out = World::run(3, |c| {
         let x = Tensor::full(&[4], (c.rank() + 1) as f32);
-        c.all_reduce(&x).data().to_vec()
+        c.try_all_reduce(&x).expect("healthy world").data().to_vec()
     });
     for data in out {
         assert_eq!(data, vec![6.0; 4]);
@@ -136,13 +129,7 @@ proptest! {
         // The vendored proptest has no option/tuple strategies; derive them.
         let root = root_raw.checked_sub(1);
         let chunk = chunk_c.checked_sub(1).map(|c| (chunk_j, c + 1));
-        let tag = |epoch: u64| CallTag {
-            op,
-            shape: shape.clone(),
-            root,
-            chunk,
-            epoch,
-        };
+        let tag = |epoch: u64| CallTag::new(op, &shape, root, chunk, epoch);
         let epoch_b = epoch_a + epoch_delta;
         prop_assert_ne!(tag(epoch_a), tag(epoch_b));
         prop_assert_eq!(tag(epoch_a), tag(epoch_a));

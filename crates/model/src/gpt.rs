@@ -16,6 +16,7 @@
 use crate::config::TransformerConfig;
 use crate::layer::{ExecMode, TransformerLayer};
 use crate::ledger::{ActivationLedger, Category};
+use crate::or_unwind;
 use crate::pipeline_exec::{backward_unit, forward_unit, StageGrads, StageView, UnitOut};
 use crate::policy::ExecPolicy;
 use crate::streams::{region_offsets, stream_id, DropoutSite};
@@ -227,9 +228,11 @@ impl Gpt {
     ///
     /// # Panics
     ///
-    /// Panics if `tokens`/`targets` lengths differ from `s·b` or the mode's
-    /// group size does not divide the configuration; a failed collective
-    /// unwinds with its [`CollectiveError`](mt_collectives::CollectiveError).
+    /// Panics if `tokens`/`targets` lengths differ from `s·b`, the mode's
+    /// group size does not divide the configuration, or a layer is not a
+    /// shard for the mode's degree `t` (a shard resumed under another
+    /// mode); a failed collective unwinds with its
+    /// [`CollectiveError`](mt_collectives::CollectiveError).
     pub fn loss_and_grads<'m>(
         &self,
         tokens: &[usize],
@@ -244,6 +247,11 @@ impl Gpt {
         assert_eq!(tokens.len(), cfg.tokens(), "tokens length must be s*b");
         assert_eq!(targets.len(), cfg.tokens(), "targets length must be s*b");
         cfg.validate(mode.t());
+        assert!(
+            self.layers.iter().all(|l| l.weights().is_shard_of(cfg.hidden, mode.t())),
+            "layers are not shards for the mode's t = {}",
+            mode.t()
+        );
         let stage = StageView {
             cfg,
             rng: &self.rng,
@@ -255,8 +263,7 @@ impl Gpt {
         let tracer = mt_trace::current();
         let fwd_span =
             tracer.span_args("forward", || vec![("micro", mt_trace::ArgValue::U64(micro))]);
-        let (out, state) = forward_unit(&stage, None, tokens, targets, micro, policy, ledger)
-            .unwrap_or_else(|e| std::panic::panic_any(e));
+        let (out, state) = forward_unit(&stage, None, tokens, targets, micro, policy, ledger);
         let UnitOut::Loss(loss) = out else { unreachable!("a whole model ends in its head") };
         drop(fwd_span);
         let bwd_span =
@@ -268,8 +275,8 @@ impl Gpt {
         let (final_ln_gamma, final_ln_beta, table_head) = head.expect("the whole model has a head");
         if let ExecMode::TensorSequenceParallel(c) = mode {
             // Each rank embedded only its sequence shard.
-            table = c.all_reduce(&table);
-            positions = c.all_reduce(&positions);
+            table = or_unwind(c.try_all_reduce(&table));
+            positions = or_unwind(c.try_all_reduce(&positions));
         }
         // Summed in place: no third `[v, h]` table.
         table.add_assign(&table_head);

@@ -21,6 +21,7 @@ use crate::attention::{
 };
 use crate::config::TransformerConfig;
 use crate::ledger::{ActivationLedger, Category};
+use crate::or_unwind;
 use crate::overlap::{timed_exposed, timed_recompute, OverlapPolicy};
 use crate::policy::ExecPolicy;
 use crate::streams::{region_offsets, stream_id, DropoutSite};
@@ -274,7 +275,7 @@ impl TransformerLayer {
         };
         let chunks = match overlap {
             OverlapPolicy::Exposed => {
-                let full = timed_exposed(|| comm.all_gather(shard));
+                let full = timed_exposed(|| or_unwind(comm.try_all_gather(shard)));
                 let out = descriptor.apply(&full, w);
                 return (out, want_full.then_some(Cow::Owned(full)));
             }
@@ -304,7 +305,7 @@ impl TransformerLayer {
             w.data(),
             &mut out,
             full.as_deref_mut(),
-            |j| comm.all_gather_chunk(shard, j, chunks).data().to_vec(),
+            |j| or_unwind(comm.try_all_gather_chunk(shard, j, chunks)).data().to_vec(),
         );
         crate::overlap::add_comm_time(report.comm_us, report.exposed_us);
         (
@@ -328,11 +329,13 @@ impl TransformerLayer {
     ) -> Tensor {
         match mode {
             ExecMode::Serial => partial,
-            ExecMode::TensorParallel(c) => timed_exposed(|| c.all_reduce(&partial)),
+            ExecMode::TensorParallel(c) => timed_exposed(|| or_unwind(c.try_all_reduce(&partial))),
             ExecMode::TensorSequenceParallel(c) => match overlap {
-                OverlapPolicy::Exposed => timed_exposed(|| c.reduce_scatter(&partial)),
+                OverlapPolicy::Exposed => {
+                    timed_exposed(|| or_unwind(c.try_reduce_scatter(&partial)))
+                }
                 OverlapPolicy::OverlappedRecompute { chunks } => {
-                    timed_exposed(|| c.reduce_scatter_chunked(&partial, chunks))
+                    timed_exposed(|| or_unwind(c.try_reduce_scatter_chunked(&partial, chunks)))
                 }
             },
         }
@@ -354,9 +357,9 @@ impl TransformerLayer {
         match mode {
             ExecMode::Serial | ExecMode::TensorParallel(_) => Cow::Borrowed(shard),
             ExecMode::TensorSequenceParallel(c) => Cow::Owned(match overlap {
-                OverlapPolicy::Exposed => timed_exposed(|| c.all_gather(shard)),
+                OverlapPolicy::Exposed => timed_exposed(|| or_unwind(c.try_all_gather(shard))),
                 OverlapPolicy::OverlappedRecompute { chunks } => {
-                    timed_exposed(|| c.all_gather_chunked(shard, chunks))
+                    timed_exposed(|| or_unwind(c.try_all_gather_chunked(shard, chunks)))
                 }
             }),
         }
@@ -601,7 +604,7 @@ impl TransformerLayer {
         // (Megatron's gradient sync for SP).
         if let (true, Some(comm)) = (mode.sequence_parallel(), mode.comm()) {
             for g in grads.tensors_mut_by_locality().0 {
-                *g = timed_exposed(|| comm.all_reduce(g));
+                *g = timed_exposed(|| or_unwind(comm.try_all_reduce(g)));
             }
         }
         (d_x, grads)

@@ -63,3 +63,11 @@ pub use layer::{ExecMode, LayerState, StoredState, TransformerLayer};
 pub use ledger::{ActivationLedger, Category};
 pub use overlap::{take_step_timing, OverlapPolicy, StepTiming};
 pub use policy::{ExecPolicy, ExecPolicyBuilder, PolicyError};
+
+/// The model's one failure contract for collectives: a failed collective
+/// unwinds with its [`CollectiveError`](mt_collectives::CollectiveError) as
+/// the panic payload. `World::run_fallible`, the elastic driver and the
+/// pipeline executor's unit boundary recover that unwind as the error.
+pub(crate) fn or_unwind<T>(result: Result<T, mt_collectives::CollectiveError>) -> T {
+    result.unwrap_or_else(|err| std::panic::panic_any(err))
+}

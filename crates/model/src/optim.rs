@@ -145,9 +145,9 @@ pub fn clip_grad_norm(grads: Vec<&mut Tensor>, max_norm: f32) -> f32 {
 ///
 /// # Panics
 ///
-/// Raises the underlying [`CollectiveError`](mt_collectives::CollectiveError)
-/// as a panic payload if the reduction fails (as every infallible
-/// collective does).
+/// Unwinds with the underlying
+/// [`CollectiveError`](mt_collectives::CollectiveError) as the panic
+/// payload if the reduction fails, as every collective in the model does.
 pub fn clip_grad_norm_tp<'a>(
     replicated: Vec<&'a mut Tensor>,
     sharded: Vec<&'a mut Tensor>,
@@ -156,7 +156,7 @@ pub fn clip_grad_norm_tp<'a>(
 ) -> f32 {
     let local = Tensor::from_vec(vec![1], vec![sq_sum(&sharded) as f32])
         .expect("1-element squared-norm tensor");
-    let shard_sq = comm.all_reduce(&local).data()[0] as f64;
+    let shard_sq = crate::or_unwind(comm.try_all_reduce(&local)).data()[0] as f64;
     let sq = sq_sum(&replicated) + shard_sq;
     scale_to_norm(replicated.into_iter().chain(sharded), sq, max_norm)
 }

@@ -25,6 +25,7 @@ use crate::gpt::{
 };
 use crate::layer::{ExecMode, LayerState, TransformerLayer};
 use crate::ledger::ActivationLedger;
+use crate::or_unwind;
 use crate::policy::ExecPolicy;
 use crate::weights::{EmbeddingWeights, LayerGrads};
 use mt_collectives::{CollectiveError, GridComm};
@@ -178,8 +179,9 @@ pub(crate) struct UnitState {
 
 /// One microbatch forward through one stage: embed `tokens` (or take
 /// `input`), the layers, then the SP gather and the head — or hand the
-/// output on. Only the gather's failure is returned; the layers'
-/// collectives unwind with theirs.
+/// output on. Every collective in it, the layers' and the gather, unwinds
+/// with its [`CollectiveError`] ([`crate::or_unwind`]); [`run_schedule`]
+/// recovers that unwind at the unit boundary.
 pub(crate) fn forward_unit(
     stage: &StageView<'_>,
     input: Option<Tensor>,
@@ -188,7 +190,7 @@ pub(crate) fn forward_unit(
     micro: u64,
     policy: ExecPolicy<'_>,
     ledger: &mut ActivationLedger,
-) -> Result<(UnitOut, UnitState), CollectiveError> {
+) -> (UnitOut, UnitState) {
     let mode = policy.mode();
     let mut x = match input {
         Some(x) => x,
@@ -204,20 +206,21 @@ pub(crate) fn forward_unit(
         x = y;
     }
     let Some([gamma, beta, table]) = stage.head else {
-        return Ok((UnitOut::Activation(x), UnitState { layers, head: None }));
+        return (UnitOut::Activation(x), UnitState { layers, head: None });
     };
     let y_full = match mode {
-        ExecMode::TensorSequenceParallel(c) => c.try_all_gather(&x)?,
+        ExecMode::TensorSequenceParallel(c) => or_unwind(c.try_all_gather(&x)),
         _ => x,
     };
     let (loss, head) = head_forward(gamma, beta, table, y_full, targets, ledger);
-    Ok((UnitOut::Loss(loss), UnitState { layers, head: Some(head) }))
+    (UnitOut::Loss(loss), UnitState { layers, head: Some(head) })
 }
 
 /// And back: the head's backward (or take `d`), the layers in reverse, then
-/// the embedding's backward — or return the input gradient. The first unit
-/// moves each gradient into `grads`, later ones add in place. The embedding
-/// mask is regenerated, not kept: `rows·h` bytes per microbatch in flight.
+/// the embedding's backward — or return the input gradient. Its collectives
+/// unwind as [`forward_unit`]'s do. The first unit moves each gradient into
+/// `grads`, later ones add in place. The embedding mask is regenerated, not
+/// kept: `rows·h` bytes per microbatch in flight.
 pub(crate) fn backward_unit(
     stage: &StageView<'_>,
     state: UnitState,
@@ -340,6 +343,15 @@ impl StageModel {
             }),
         }
     }
+}
+
+/// Runs one unit, recovering a collective failure that unwinds out of it
+/// ([`crate::or_unwind`]) as its [`CollectiveError`]. Any other panic keeps
+/// unwinding.
+fn collective_unit<T>(unit: impl FnOnce() -> T) -> Result<T, CollectiveError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(unit)).map_err(|payload| {
+        *payload.downcast::<CollectiveError>().unwrap_or_else(|p| std::panic::resume_unwind(p))
+    })
 }
 
 /// The 1F1B op order for one stage (PipeDream-flush): warmup forwards,
@@ -497,8 +509,9 @@ pub fn try_run_interleaved_iteration(
 /// `chunks` and `ops` (and in `finish`, which shapes the per-chunk gradients
 /// into the wrapper's result type).
 ///
-/// Error coordinates: a unit's failure names its chunk's virtual stage and
-/// its microbatch; a post-schedule failure names the device.
+/// Error coordinates: a unit's failure — a p2p transfer's, or a collective
+/// inside the unit — names its chunk's virtual stage and its microbatch; a
+/// post-schedule failure names the device.
 fn run_schedule<G>(
     chunks: &[StageModel],
     ops: impl IntoIterator<Item = (bool, usize, usize)>,
@@ -554,9 +567,10 @@ fn run_schedule<G>(
             let input = (!first).then(|| g.grid.try_recv(prev)).transpose();
             let input = input.map_err(unit_failed("recv of forward activation"))?;
             let mut ledger = ActivationLedger::new();
-            let (out, unit) =
+            let (out, unit) = collective_unit(|| {
                 forward_unit(&stage, input, tokens, targets, micro_id, policy, &mut ledger)
-                    .map_err(unit_failed("all-gather of final activations"))?;
+            })
+            .map_err(unit_failed("forward unit"))?;
             match out {
                 UnitOut::Loss(loss) => loss_sum += loss as f64,
                 UnitOut::Activation(x) => {
@@ -576,8 +590,11 @@ fn run_schedule<G>(
             iter_ledger.release(&ledger);
             let d = (!last).then(|| g.grid.try_recv(next)).transpose();
             let d = d.map_err(unit_failed("recv of backward gradient"))?;
-            if let Some(d) = backward_unit(&stage, unit, d, tokens, micro_id, policy, &mut grads[v])
-            {
+            let d = collective_unit(|| {
+                backward_unit(&stage, unit, d, tokens, micro_id, policy, &mut grads[v])
+            })
+            .map_err(unit_failed("backward unit"))?;
+            if let Some(d) = d {
                 g.grid.try_send(prev, &d).map_err(unit_failed("send of backward gradient"))?;
             }
         }
@@ -621,12 +638,15 @@ fn run_schedule<G>(
         }
     } else {
         // Single device: both tied copies are local (in the one chunk, or
-        // in the first and last).
-        let head_grad = grads[m - 1].head.as_ref().expect("head grads").2.clone();
+        // in the first and last). The head's gradient is moved out, summed
+        // into the embedding's, and its buffer takes the sum back: no third
+        // `[v, h]` table.
+        let head_slot = &mut grads[m - 1].head.as_mut().expect("head grads").2;
+        let mut head_grad = std::mem::replace(head_slot, Tensor::zeros(&[0]));
         let (d_table, _) = grads[0].embedding.as_mut().expect("embedding grads");
         d_table.add_assign(&head_grad);
-        let combined = d_table.clone();
-        grads[m - 1].head.as_mut().expect("head grads").2 = combined;
+        head_grad.data_mut().copy_from_slice(d_table.data());
+        grads[m - 1].head.as_mut().expect("head grads").2 = head_grad;
     }
 
     // Broadcast the mean loss from the last stage's tp-rank-0 to everyone.

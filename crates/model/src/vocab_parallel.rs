@@ -11,6 +11,7 @@
 //! `s·b` elements.
 
 use crate::ledger::{ActivationLedger, Category};
+use crate::or_unwind;
 use mt_collectives::Communicator;
 use mt_tensor::{ops, Tensor};
 
@@ -47,7 +48,8 @@ pub struct VocabParallelOutput {
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or a target is out of the global
-/// vocabulary range.
+/// vocabulary range; a failed collective unwinds with its
+/// [`CollectiveError`](mt_collectives::CollectiveError).
 pub fn vocab_parallel_cross_entropy(
     comm: &Communicator,
     y: &Tensor,
@@ -72,7 +74,7 @@ pub fn vocab_parallel_cross_entropy(
             .iter()
             .fold(f32::NEG_INFINITY, |m, &x| m.max(x));
     }
-    let global_max = comm.all_reduce_max(&local_max);
+    let global_max = or_unwind(comm.try_all_reduce_max(&local_max));
 
     // exp and global denominator.
     let mut local_sum = Tensor::zeros(&[rows]);
@@ -86,7 +88,7 @@ pub fn vocab_parallel_cross_entropy(
         }
         local_sum.data_mut()[r] = s;
     }
-    let global_sum = comm.all_reduce(&local_sum);
+    let global_sum = or_unwind(comm.try_all_reduce(&local_sum));
 
     // Normalize to probabilities and pull out the target terms.
     let mut target_local = Vec::with_capacity(rows);
@@ -107,7 +109,7 @@ pub fn vocab_parallel_cross_entropy(
             target_local.push(None);
         }
     }
-    let target_prob = comm.all_reduce(&local_target_prob);
+    let target_prob = or_unwind(comm.try_all_reduce(&local_target_prob));
     let loss =
         -target_prob.data().iter().map(|&p| (p as f64).ln()).sum::<f64>() as f32 / rows as f32;
 
@@ -124,7 +126,9 @@ pub fn vocab_parallel_cross_entropy(
 ///
 /// # Panics
 ///
-/// Panics if the saved state does not match `y`/`table_shard`.
+/// Panics if the saved state does not match `y`/`table_shard`; a failed
+/// collective unwinds with its
+/// [`CollectiveError`](mt_collectives::CollectiveError).
 pub fn vocab_parallel_cross_entropy_backward(
     comm: &Communicator,
     y: &Tensor,
@@ -147,7 +151,7 @@ pub fn vocab_parallel_cross_entropy_backward(
         }
     }
     let d_y_partial = ops::Gemm::NN.apply(&dlogits, table_shard);
-    let d_y = comm.all_reduce(&d_y_partial);
+    let d_y = or_unwind(comm.try_all_reduce(&d_y_partial));
     let d_table = ops::Gemm::TN.apply(&dlogits, y);
     (d_y, d_table)
 }

@@ -205,16 +205,18 @@ impl LayerWeights {
     }
 
     /// Whether every tensor has the shape of a `t`-way shard of a layer of
-    /// hidden size `h` (`t` dividing `h`).
+    /// hidden size `h` (`t` dividing `h`). Allocates nothing: every step
+    /// checks it.
     pub(crate) fn is_shard_of(&self, h: usize, t: usize) -> bool {
         self.tensors().into_iter().zip(LAYOUT).all(|(w, (_, how, units))| {
-            let mut want = full_shape(units, h);
-            match how {
-                Split::Replicated => {}
-                Split::Rows => want[0] /= t,
-                Split::Columns { .. } => want[units.len() - 1] /= t,
-            }
-            w.shape() == want
+            let split = match how {
+                Split::Replicated => None,
+                Split::Rows => Some(0),
+                Split::Columns { .. } => Some(units.len() - 1),
+            };
+            let want =
+                units.iter().enumerate().map(|(d, u)| u * h / if split == Some(d) { t } else { 1 });
+            w.shape().iter().copied().eq(want)
         })
     }
 

@@ -74,3 +74,33 @@ fn tp4_training_with_injected_panic_fails_fast_with_rank_dead() {
         }
     }
 }
+
+/// A transient fault on a tensor-parallel collective inside `Trainer::step`
+/// unwinds out of the model with its typed error, which `run_fallible`
+/// hands back on the faulted rank; the peer it strands fails as `RankDead`.
+#[test]
+fn tp_step_with_a_transient_collective_fault_returns_the_typed_error() {
+    let c = cfg();
+    let t = 2usize;
+    let init = Gpt::init(c, Recompute::Selective, 11);
+    let mut world = World::new(t);
+    world.set_collective_timeout(Duration::from_secs(10));
+    world.set_fault_plan(Arc::new(FaultPlan::builder().transient_at_collective(1, 3).build()));
+    let results = world.run_fallible(|comm| {
+        let sharded = init.shard(t, comm.rank(), Recompute::Selective);
+        let mut trainer = Trainer::new(sharded, TrainerConfig::default());
+        let (tokens, targets) = batch(&c, 0);
+        trainer.step(&tokens, &targets, ExecMode::TensorParallel(&comm));
+        Ok(())
+    });
+    assert!(
+        matches!(results[1], Err(CollectiveError::InjectedTransient { rank: 1, seq: 3 })),
+        "{:?}",
+        results[1]
+    );
+    assert!(
+        matches!(results[0], Err(CollectiveError::RankDead { dead_rank: 1, .. })),
+        "{:?}",
+        results[0]
+    );
+}

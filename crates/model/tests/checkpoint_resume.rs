@@ -232,3 +232,17 @@ fn corrupt_or_foreign_blobs_are_rejected() {
     ckpt.opt.v.clear();
     assert!(Trainer::resume_from(ckpt).is_ok(), "a TP shard checkpoint");
 }
+
+// A tensor-parallel shard's checkpoint records no degree, so it resumes;
+// stepping it under another degree fails at entry, naming the mode's `t`,
+// not deep inside a layer.
+#[test]
+#[should_panic(expected = "layers are not shards for the mode's t = 1")]
+fn shard_stepped_under_another_degree_fails_at_entry() {
+    let c = cfg();
+    let shard = Gpt::init(c, Recompute::Selective, 7).shard(2, 0, Recompute::Selective);
+    let blob = Trainer::new(shard, TrainerConfig::default()).checkpoint_bytes();
+    let mut trainer = Trainer::resume_from_bytes(&blob).expect("a shard checkpoint restores");
+    let (tokens, targets) = batch(&c, 0);
+    trainer.step(&tokens, &targets, ExecMode::Serial);
+}

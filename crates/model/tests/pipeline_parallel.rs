@@ -4,15 +4,20 @@
 //! the paper's in-flight microbatch bound, and train identically under every
 //! recomputation policy.
 
-use mt_collectives::run_grid;
+use mt_collectives::{run_grid, CollectiveError, GridComm, World};
+use mt_fault::FaultPlan;
 use mt_memory::Recompute;
 use mt_model::gpt::{Gpt, GptGrads};
 use mt_model::optim::AdamW;
-use mt_model::pipeline_exec::{try_run_1f1b_iteration, StageModel};
+use mt_model::pipeline_exec::{
+    try_run_1f1b_iteration, IterationOutcome, PipelineError, StageModel,
+};
 use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig};
 use mt_tensor::rng::SplitMix64;
 use mt_tensor::Tensor;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 77;
 
@@ -363,4 +368,94 @@ fn multi_step_pipeline_training_follows_serial_curve() {
             assert!((a - b).abs() < 1e-3, "step {step}: serial {a} vs pipeline {b}");
         }
     }
+}
+
+/// One 1F1B iteration (two microbatches, no SP) on a `tp × pp` grid built by
+/// hand from its worlds — each stage's tensor-parallel world and the
+/// grid-wide one — every world with a short deadline, and `plan` installed
+/// on the stage worlds (`on_tp`) or on the grid world. Returns each rank's
+/// result in global-rank order and the wall time the iteration took.
+fn faulted_iteration(
+    tp: usize,
+    pp: usize,
+    plan: FaultPlan,
+    on_tp: bool,
+) -> (Vec<Result<IterationOutcome, PipelineError>>, Duration) {
+    let c = cfg();
+    let gpt = Gpt::init(c, Recompute::Selective, SEED);
+    let data = micro_data(&c, 2);
+    let plan = Arc::new(plan);
+    let world = |size: usize, faulted: bool| {
+        let mut w = World::new(size);
+        w.set_collective_timeout(Duration::from_millis(300));
+        if faulted {
+            w.set_fault_plan(Arc::clone(&plan));
+        }
+        w
+    };
+    let mut grid = world(tp * pp, !on_tp);
+    let mut comms = Vec::new();
+    for stage in 0..pp {
+        let mut stage_world = world(tp, on_tp);
+        for tp_rank in 0..tp {
+            let (tp, grid) =
+                (stage_world.communicator(tp_rank), grid.communicator(stage * tp + tp_rank));
+            comms.push(GridComm { stage, tp_rank, tp, grid });
+        }
+    }
+    let start = Instant::now();
+    let results = std::thread::scope(|s| {
+        let handles: Vec<_> = comms
+            .into_iter()
+            .map(|g| {
+                let (gpt, data) = (&gpt, &data);
+                s.spawn(move || {
+                    let model =
+                        StageModel::from_gpt(gpt, pp, g.stage, tp, g.tp_rank, Recompute::Selective);
+                    try_run_1f1b_iteration(&model, &g, false, data, 0)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("failures are returned")).collect()
+    });
+    (results, start.elapsed())
+}
+
+// A transient fault on stage 1's first p2p call — the recv of microbatch 0's
+// forward activation — is located at that coordinate.
+#[test]
+fn failed_stage_recv_names_its_stage_and_microbatch() {
+    let plan = FaultPlan::builder().transient_at_collective(1, 0).build();
+    let (results, _) = faulted_iteration(1, 2, plan, false);
+    match &results[1] {
+        Err(PipelineError { stage: 1, micro: Some(0), context, source }) => {
+            assert_eq!(*context, "recv of forward activation");
+            assert!(matches!(**source, CollectiveError::InjectedTransient { rank: 1, seq: 0 }));
+        }
+        other => panic!("stage 1: {other:?}"),
+    }
+    assert!(results[0].is_err(), "stage 0 waits out its deadline: {:?}", results[0]);
+}
+
+// A tensor-parallel collective inside a layer fails as a `PipelineError` on
+// the faulted rank instead of unwinding through the executor, and its peer,
+// left waiting in the same collective, fails within the deadline.
+#[test]
+fn failed_tensor_parallel_collective_is_a_pipeline_error() {
+    let plan = FaultPlan::builder().transient_at_collective(1, 0).build();
+    let (results, took) = faulted_iteration(2, 1, plan, true);
+    match &results[1] {
+        Err(PipelineError { stage: 0, micro: Some(0), context, source }) => {
+            assert_eq!(*context, "forward unit");
+            assert!(matches!(**source, CollectiveError::InjectedTransient { rank: 1, seq: 0 }));
+        }
+        other => panic!("rank 1: {other:?}"),
+    }
+    match &results[0] {
+        Err(PipelineError { source, .. }) => {
+            assert!(matches!(**source, CollectiveError::Timeout { rank: 0, .. }), "{source}");
+        }
+        other => panic!("rank 0: {other:?}"),
+    }
+    assert!(took < Duration::from_secs(10), "took {took:?}");
 }

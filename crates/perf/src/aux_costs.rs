@@ -3,6 +3,7 @@
 //! all-reduce of Section 6.3.
 
 use crate::GpuSpec;
+use mt_collectives::CollectiveKind;
 use mt_memory::ModelShape;
 use serde::{Deserialize, Serialize};
 
@@ -63,7 +64,7 @@ impl AuxCostModel {
         if sequence_parallel {
             bytes /= self.tensor;
         }
-        1e3 * self.gpu.interconnect.send_recv(bytes)
+        1e3 * self.gpu.interconnect.time(CollectiveKind::SendRecv, bytes, 2)
     }
 
     /// The data-parallel gradient all-reduce of Section 6.3 (unoverlapped,
@@ -74,7 +75,7 @@ impl AuxCostModel {
             return 0.0;
         }
         let bytes = (params_per_rank * 4.0) as u64;
-        1e3 * self.gpu.interconnect.all_reduce(bytes, dp)
+        1e3 * self.gpu.interconnect.time(CollectiveKind::AllReduce, bytes, dp)
     }
 }
 

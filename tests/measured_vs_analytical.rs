@@ -131,9 +131,9 @@ fn runtime_wire_bytes_match_analytical_ring_model() {
     let n = 4u64;
     let stats = World::run(n as usize, |comm| {
         let x = Tensor::zeros(&[elems as usize]);
-        let _ = comm.all_reduce(&x);
+        comm.try_all_reduce(&x).expect("healthy world");
         let shard = Tensor::zeros(&[(elems / n) as usize, 1]);
-        let _ = comm.all_gather(&shard);
+        comm.try_all_gather(&shard).expect("healthy world");
         comm.stats()
     });
     let bytes = elems * 2; // fp16 accounting
