@@ -167,11 +167,42 @@ pub enum LayerState {
     },
 }
 
-/// The parameter gradients one backward half computes, in
-/// [`LayerWeights::tensors`] order: its LayerNorm's scale and shift, the
+/// Where a layer backward puts each parameter gradient, as soon as the GEMM
+/// or reduction that computes it returns. Slots are in
+/// [`LayerWeights::tensors`] order.
+pub(crate) enum GradSink<'g> {
+    /// Each gradient becomes its slot of a fresh set
+    /// ([`TransformerLayer::backward`]).
+    Fresh(&'g mut [Option<Tensor>; LayerWeights::TENSORS]),
+    /// Each gradient is added into the running sum, one `+=` per element,
+    /// and freed at once: a stage accumulating microbatches holds its sums
+    /// and at most one fresh weight gradient, never a second set.
+    Add(&'g mut LayerGrads),
+}
+
+impl GradSink<'_> {
+    fn put(&mut self, slot: usize, g: Tensor) {
+        match self {
+            GradSink::Fresh(slots) => slots[slot] = Some(g),
+            GradSink::Add(sum) => sum.tensors_mut()[slot].add_assign(&g),
+        }
+    }
+}
+
+/// The two backward halves' first slots: each half computes six
+/// gradients, in [`LayerWeights::tensors`] order from its first.
+const ATTN: usize = 0;
+const MLP: usize = 6;
+/// A half's slots from its first: its LayerNorm's scale and shift, the
 /// GEMM into the half (`w_qkv` / `w1`) and its bias, the GEMM out of it
 /// (`w_o` / `w2`) and its bias.
-type HalfGrads = [Tensor; 6];
+const W_IN: usize = 2;
+const B_IN: usize = 3;
+const W_OUT: usize = 4;
+/// The replicated ones of a half's slots (LayerNorm scale and shift, output
+/// bias), each `h`-sized. A half returns these gradients instead of putting
+/// them: under sequence parallelism they are all-reduced first.
+const HELD: [usize; 3] = [0, 1, 5];
 
 /// One transformer layer.
 #[derive(Debug, Clone)]
@@ -551,6 +582,10 @@ impl TransformerLayer {
     /// policy dropped) and returns the input gradient and parameter
     /// gradients (shard-shaped in parallel execution, fully reduced so each
     /// rank holds exact gradients for its shard and replicated parameters).
+    /// Each gradient is allocated once, by the GEMM or reduction that
+    /// computes it, and is the tensor the optimizer reads; a pipeline stage
+    /// summing microbatches instead has each added into its running sum as
+    /// it returns, and freed.
     /// Each half takes its own saved tensors by value and frees every one,
     /// and every transient, at its last read, and frees before it
     /// allocates: no whole tensor is opened while a tensor that dies before
@@ -575,7 +610,25 @@ impl TransformerLayer {
         state: LayerState,
         policy: impl Into<ExecPolicy<'m>>,
     ) -> (Tensor, LayerGrads) {
-        let policy = policy.into();
+        let mut slots = Default::default();
+        let d_x = self.backward_into(dy, state, policy.into(), GradSink::Fresh(&mut slots));
+        (d_x, LayerGrads::from_tensors(slots.map(|g| g.expect("the backward puts every slot"))))
+    }
+
+    /// [`TransformerLayer::backward`], handing each parameter gradient to
+    /// `sink` as soon as it is computed; returns the input gradient. The
+    /// sharded gradients go at once, in the order the halves compute them.
+    /// The replicated ones (`h`-sized) are held to the end: under sequence
+    /// parallelism each is all-reduced first, in [`LayerWeights::tensors`]
+    /// order after both halves, so the collective sequence is the same
+    /// whatever the sink.
+    pub(crate) fn backward_into(
+        &self,
+        dy: &Tensor,
+        state: LayerState,
+        policy: ExecPolicy<'_>,
+        mut sink: GradSink<'_>,
+    ) -> Tensor {
         let mode = policy.mode();
         let overlap = policy.overlap();
         let StoredState { micro, attn: attn_saved, mlp: mlp_saved } = match state {
@@ -591,28 +644,29 @@ impl TransformerLayer {
                 })
             }
         };
-        let (d_r1, mlp) = self.backward_mlp_half(dy, micro, mlp_saved, &mode, overlap);
-        let (d_x, attn) = self.backward_attn_half(d_r1, micro, attn_saved, &mode, overlap);
-        // Each gradient is allocated once, by the half that computes it,
-        // and moved here into the set the optimizer reads.
-        let mut halves = attn.into_iter().chain(mlp);
-        let mut grads = LayerGrads::from_tensors(std::array::from_fn(|_| {
-            halves.next().expect("two halves of six gradients")
-        }));
+        let (d_r1, mlp) = self.backward_mlp_half(dy, micro, mlp_saved, &mode, overlap, &mut sink);
+        let (d_x, attn) =
+            self.backward_attn_half(d_r1, micro, attn_saved, &mode, overlap, &mut sink);
         // Sequence parallelism computes the replicated parameters' gradients
         // from sequence shards; sum them so every rank holds exact gradients
         // (Megatron's gradient sync for SP).
-        if let (true, Some(comm)) = (mode.sequence_parallel(), mode.comm()) {
-            for g in grads.tensors_mut_by_locality().0 {
-                *g = timed_exposed(|| or_unwind(comm.try_all_reduce(g)));
+        let sp_comm = mode.comm().filter(|_| mode.sequence_parallel());
+        for (half, held) in [(ATTN, attn), (MLP, mlp)] {
+            for (slot, g) in HELD.into_iter().zip(held) {
+                let g = match sp_comm {
+                    Some(comm) => timed_exposed(|| or_unwind(comm.try_all_reduce(&g))),
+                    None => g,
+                };
+                sink.put(half + slot, g);
             }
         }
-        (d_x, grads)
+        d_x
     }
 
     /// The MLP half of the backward pass: everything from the layer output
     /// gradient down to `d_r1`, the gradient at the second LayerNorm's
-    /// input. Returns `d_r1` and the half's parameter gradients.
+    /// input. Puts the `w2`, `b1` and `w1` gradients into `sink` as each is
+    /// computed; returns `d_r1` and the half's replicated gradients.
     ///
     /// Everything from `y2` to `m2` is per token, so the half walks the
     /// gathered rows in blocks, stored and replayed states alike: a stored
@@ -635,7 +689,8 @@ impl TransformerLayer {
         saved: MlpStored,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
-    ) -> (Tensor, HalfGrads) {
+        sink: &mut GradSink<'_>,
+    ) -> (Tensor, [Tensor; 3]) {
         assert_eq!(
             dy.shape(),
             &[mode.local_rows(self.cfg.tokens()).1, self.cfg.hidden],
@@ -695,9 +750,11 @@ impl TransformerLayer {
         drop(d_m2_full);
         drop(d_m2);
         let (w_out, d_m1) = w_out.zip(d_m1).expect("a layer has at least one row");
-        let b_in = ops::bias_grad(&d_m1);
+        // dW2's chains end with the last block; it goes before dW1 opens.
+        sink.put(MLP + W_OUT, w_out);
+        sink.put(MLP + B_IN, ops::bias_grad(&d_m1));
         let y2_full = y2_full.unwrap_or_else(|| self.regather(mode, overlap, &y2));
-        let w_in = ops::Gemm::TN.apply(&y2_full, &d_m1);
+        sink.put(MLP + W_IN, ops::Gemm::TN.apply(&y2_full, &d_m1));
         drop(y2_full);
         drop(y2);
         // g backward: reduce-scatter; f backward: all-reduce.
@@ -706,13 +763,14 @@ impl TransformerLayer {
         let (mut d_r1, ln_gamma, ln_beta) =
             ops::layer_norm_backward(&r1, &w.ln2_gamma, &ln2_saved, &d_y_ln2);
         d_r1.add_assign(dy);
-        (d_r1, [ln_gamma, ln_beta, w_in, b_in, w_out, b_out])
+        (d_r1, [ln_gamma, ln_beta, b_out])
     }
 
     /// The attention half of the backward pass: from `d_r1` down to the
     /// layer-input gradient. The only consumer of the attention core state,
-    /// and where a dropped core is replayed. Returns the layer-input
-    /// gradient and the half's parameter gradients.
+    /// and where a dropped core is replayed. Puts the `w_o`, `b_qkv` and
+    /// `w_qkv` gradients into `sink` as each is computed; returns the
+    /// layer-input gradient and the half's replicated gradients.
     fn backward_attn_half(
         &self,
         d_r1: Tensor,
@@ -720,7 +778,8 @@ impl TransformerLayer {
         saved: AttnStored,
         mode: &ExecMode<'_>,
         overlap: OverlapPolicy,
-    ) -> (Tensor, HalfGrads) {
+        sink: &mut GradSink<'_>,
+    ) -> (Tensor, [Tensor; 3]) {
         let w = &self.weights;
         let AttnStored { x, ln1_saved, y1, q, k, v, core, ctx } = saved;
 
@@ -731,7 +790,7 @@ impl TransformerLayer {
         let b_out = ops::bias_grad(&d_o);
         // o_partial = ctx · w_o
         let (d_ctx, d_o_full) = self.gather_gemm(mode, overlap, &d_o, &w.w_o, true, true);
-        let w_out = ops::Gemm::TN.apply(&ctx, &d_o_full.expect("full grad requested"));
+        sink.put(ATTN + W_OUT, ops::Gemm::TN.apply(&ctx, &d_o_full.expect("full grad requested")));
         drop((d_o, ctx));
         // attention core
         let ap = self.attn_params(mode, micro);
@@ -741,18 +800,18 @@ impl TransformerLayer {
         };
         drop((q, k, v, d_ctx));
         let d_qkv = Tensor::concat_last_axis(&[d_q, d_k, d_v]);
-        let b_in = ops::bias_grad(&d_qkv);
+        sink.put(ATTN + B_IN, ops::bias_grad(&d_qkv));
         // A `Full` replay dropped y1 = LN₁(x): rebuild it (on the shard
         // under SP) for its one reader, the w_qkv gradient.
         let y1 = y1.unwrap_or_else(|| ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta).0);
-        let w_in = ops::Gemm::TN.apply(&self.regather(mode, overlap, &y1), &d_qkv);
+        sink.put(ATTN + W_IN, ops::Gemm::TN.apply(&self.regather(mode, overlap, &y1), &d_qkv));
         drop(y1);
         let d_y_ln1 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_qkv, &w.w_qkv));
         drop(d_qkv);
         let (mut d_x, ln_gamma, ln_beta) =
             ops::layer_norm_backward(&x, &w.ln1_gamma, &ln1_saved, &d_y_ln1);
         d_x.add_assign(&d_r1);
-        (d_x, [ln_gamma, ln_beta, w_in, b_in, w_out, b_out])
+        (d_x, [ln_gamma, ln_beta, b_out])
     }
 }
 
@@ -785,6 +844,15 @@ mod tests {
     fn rand_input(c: &TransformerConfig, seed: u64) -> Tensor {
         let mut rng = SplitMix64::new(seed);
         Tensor::rand_uniform(&[c.tokens(), c.hidden], -1.0, 1.0, &mut rng)
+    }
+
+    #[test]
+    fn held_slots_are_the_replicated_parameters() {
+        let layer = make_layer(Recompute::None, 0.0);
+        let all = layer.weights().tensors();
+        let held = [ATTN, MLP].into_iter().flat_map(|half| HELD.map(|slot| all[half + slot]));
+        let replicated = layer.weights().replicated().map(|(_, t)| t);
+        assert!(held.map(std::ptr::from_ref).eq(replicated.map(std::ptr::from_ref)));
     }
 
     #[test]

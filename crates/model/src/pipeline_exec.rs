@@ -23,7 +23,7 @@ use crate::config::TransformerConfig;
 use crate::gpt::{
     embed_backward, embed_forward, embedding_mask, head_backward, head_forward, Gpt, HeadState,
 };
-use crate::layer::{ExecMode, LayerState, TransformerLayer};
+use crate::layer::{ExecMode, GradSink, LayerState, TransformerLayer};
 use crate::ledger::ActivationLedger;
 use crate::or_unwind;
 use crate::policy::ExecPolicy;
@@ -218,9 +218,12 @@ pub(crate) fn forward_unit(
 
 /// And back: the head's backward (or take `d`), the layers in reverse, then
 /// the embedding's backward — or return the input gradient. Its collectives
-/// unwind as [`forward_unit`]'s do. The first unit moves each gradient into
-/// `grads`, later ones add in place. The embedding mask is regenerated, not
-/// kept: `rows·h` bytes per microbatch in flight.
+/// unwind as [`forward_unit`]'s do. The first unit's layer backwards build
+/// `grads`' layer sets; every later one hands each layer backward its set as
+/// a [`GradSink::Add`], which adds each parameter gradient into the running
+/// sum as soon as it is computed and frees it, so the stage never holds a
+/// second set beside its sums. The embedding mask is regenerated, not kept:
+/// `rows·h` bytes per microbatch in flight.
 pub(crate) fn backward_unit(
     stage: &StageView<'_>,
     state: UnitState,
@@ -249,13 +252,13 @@ pub(crate) fn backward_unit(
     };
     let fresh = grads.layers.is_empty();
     for (i, (layer, st)) in stage.layers.iter().zip(state.layers).enumerate().rev() {
-        let (dx, lg) = layer.backward(&d, st, policy);
-        if fresh {
+        d = if fresh {
+            let (dx, lg) = layer.backward(&d, st, policy);
             grads.layers.insert(0, lg);
+            dx
         } else {
-            grads.layers[i].accumulate(&lg);
-        }
-        d = dx;
+            layer.backward_into(&d, st, policy, GradSink::Add(&mut grads.layers[i]))
+        };
     }
     if stage.embedding.is_none() {
         return Some(d);

@@ -10,7 +10,8 @@ use mt_memory::Recompute;
 use mt_model::gpt::{Gpt, GptGrads};
 use mt_model::optim::AdamW;
 use mt_model::pipeline_exec::{
-    try_run_1f1b_iteration, IterationOutcome, PipelineError, StageModel,
+    try_run_1f1b_iteration, try_run_interleaved_iteration, IterationOutcome, PipelineError,
+    StageModel,
 };
 use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig};
@@ -259,6 +260,78 @@ fn single_stage_pipeline_is_the_gpt_step_bit_for_bit() {
                 assert_eq!(bits(&grads.final_ln_beta), bits(d_fb), "{what}: final LN beta");
             });
         }
+    }
+}
+
+/// Asserts that `got` (one stage's or chunk's layers) equals `want`'s
+/// layers from `first` on, bit for bit.
+fn assert_layers_bitwise(got: &[LayerWeights], want: &[LayerWeights], first: usize, what: &str) {
+    for (local, lg) in got.iter().enumerate() {
+        let global = first + local;
+        for (x, y) in lg.tensors().into_iter().zip(want[global].tensors()) {
+            assert_eq!(bits(x), bits(y), "{what}: layer {global} gradient");
+        }
+    }
+}
+
+/// A stage sums its microbatches' layer gradients in microbatch order, one
+/// `+=` per element per microbatch after the first, so each stage's layer
+/// gradients are the per-microbatch serial sum bit for bit: 1F1B over two
+/// stages under every policy, the interleaved schedule with two chunks per
+/// device, and 1F1B with TP+SP against the same sum on a two-rank world.
+#[test]
+fn accumulated_layer_gradients_are_the_serial_sum_bit_for_bit() {
+    let c = cfg();
+    let step = 2;
+    let data = micro_data(&c, 5);
+    for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
+        let gpt = Gpt::init(c, policy, SEED);
+        let (_, serial) = serial_iteration(&gpt, &data, step);
+        for r in pipeline_iteration(&gpt, 1, 2, false, policy, &data, step) {
+            let what = format!("1F1B p=2 {policy:?} stage {}", r.stage);
+            assert_layers_bitwise(&r.grads.layers, &serial.layers, r.stage * 2, &what);
+        }
+    }
+
+    let (p, m) = (2, 2);
+    let data = micro_data(&c, 4);
+    let gpt = Gpt::init(c, Recompute::Selective, SEED);
+    let (_, serial) = serial_iteration(&gpt, &data, step);
+    for (device, grads) in run_grid(1, p, |g| {
+        let chunks: Vec<StageModel> = (0..m)
+            .map(|v| StageModel::from_gpt(&gpt, p * m, v * p + g.stage, 1, 0, Recompute::Selective))
+            .collect();
+        let out =
+            try_run_interleaved_iteration(&chunks, &g, false, &data, step).expect("no peer fails");
+        (g.stage, out.grads)
+    }) {
+        for (v, chunk) in grads.iter().enumerate() {
+            let what = format!("interleaved p={p} m={m} device {device} chunk {v}");
+            assert_layers_bitwise(&chunk.layers, &serial.layers, v * p + device, &what);
+        }
+    }
+
+    let (t, policy) = (2, Recompute::Selective);
+    let data = micro_data(&c, 5);
+    let gpt = Gpt::init(c, policy, SEED);
+    let reference = run_grid(t, 1, |g| {
+        let shard = gpt.shard(t, g.tp_rank, policy);
+        let mut total: Option<GptGrads> = None;
+        for (mb, (tokens, targets)) in data.iter().enumerate() {
+            let micro = step * data.len() as u64 + mb as u64;
+            let mode = ExecMode::TensorSequenceParallel(&g.tp);
+            let (_, grads) =
+                shard.loss_and_grads(tokens, targets, micro, mode, &mut ActivationLedger::new());
+            match &mut total {
+                None => total = Some(grads),
+                Some(sum) => sum.accumulate(&grads),
+            }
+        }
+        total.expect("at least one microbatch")
+    });
+    for r in pipeline_iteration(&gpt, t, 2, true, policy, &data, step) {
+        let what = format!("1F1B p=2 t={t} SP stage {} rank {}", r.stage, r.tp_rank);
+        assert_layers_bitwise(&r.grads.layers, &reference[r.tp_rank].layers, r.stage * 2, &what);
     }
 }
 
