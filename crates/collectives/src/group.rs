@@ -779,8 +779,8 @@ impl Communicator {
     }
 
     /// Element-wise maximum across ranks; every rank receives the full
-    /// result. Used by the vocabulary-parallel softmax (the max-subtraction
-    /// step needs the global row maximum).
+    /// result. Used by elastic recovery's epoch consensus, which agrees on
+    /// the highest proposed epoch and resume step.
     pub fn try_all_reduce_max(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
         self.rendezvous(Op::Max, x, None)
     }

@@ -12,7 +12,7 @@
 //! | §4.2.1 Eq. 2, tensor parallelism (Fig. 4) | `mt_model::ExecMode::TensorParallel` | `crates/model/tests/parallel_equivalence.rs` |
 //! | §4.2.2 Eq. 3-4, sequence parallelism (Figs. 5-6) | `mt_model::ExecMode::TensorSequenceParallel` | ledger + wire-byte identity tests |
 //! | §4.2.3 Eq. 5, pipeline memory | `mt_memory::PipelineMemoryProfile` | in-flight counts from executed and simulated schedules, `==` the closed form on every device |
-//! | §4.3 input/output extras | `mt_memory::ActivationMemoryModel::input_output_extra_bytes` | GPT-level ledger test |
+//! | §4.3 input/output extras | `mt_memory::ActivationMemoryModel::input_output_extra_bytes` | `parallel_equivalence.rs::whole_gpt_ledger_is_the_section_4_3_total_plus_the_replicated_head` (`==` at serial, TP, TP+SP; the head is replicated, so `(1 − 1/t)·(4sbh + 4sbv)` above the sharded pricing) |
 //! | §5 selective recomputation (Fig. 3, Eq. 6) | `mt_memory::Recompute::Selective`, `mt_model::attention` | bit-identical recompute tests |
 //! | §5 "checkpoint some layers" | `mt_memory::MixedLayerCheckpointing`, `Gpt::init_with_policies` | `report --ablation` |
 //! | §6.1 Table 2 / Figures 1, 7 | `mt_memory` | `report --table2 --figure1 --figure7` |

@@ -4,12 +4,17 @@
 //! Like [`crate::TransformerLayer`], the model runs in any
 //! [`ExecMode`]: serial, tensor-parallel, or tensor+sequence-parallel. The
 //! embedding and the loss head are *replicated* across the tensor-parallel
-//! group (every rank computes them identically) — the paper's Megatron
-//! implementation shards the vocabulary dimension too, but replication is
-//! numerically equivalent and keeps the focus on the transformer-layer
-//! techniques the paper is about. The Section 4.3 input/output extras
-//! (embedding dropout mask, final LayerNorm input, head input, fp32 logits)
-//! are still placed on the activation ledger. The embedding and head are
+//! group (every rank computes them identically), so the head's loss and
+//! gradients are the serial model's bit for bit. The paper's Megatron
+//! implementation shards the vocabulary dimension instead, and such a head
+//! is not bit-identical: its softmax sums and its `dY`/`dTable` GEMMs run
+//! over vocabulary slices. Measured against this head at `(rows, h, v) =
+//! (64, 32, 256)`, a sharded head's loss bits agreed, but `dY` differed in
+//! 1673 of 2048 elements and `dTable` in 6179 of 8192 at `t = 2` (1758 and
+//! 6115 at `t = 4`). The Section 4.3 input/output extras (embedding dropout
+//! mask, final LayerNorm input, head input, fp32 logits) are placed on the
+//! activation ledger at their replicated size: `(1 − 1/t)·(4sbh + 4sbv)`
+//! above the paper's sharded head per rank. The embedding and head are
 //! pieces here; [`Gpt::loss_and_grads`] walks them and the layers with the
 //! pipeline executor's units ([`crate::pipeline_exec`]), as one stage.
 
@@ -19,8 +24,9 @@ use crate::ledger::{ActivationLedger, Category};
 use crate::or_unwind;
 use crate::pipeline_exec::{backward_unit, forward_unit, StageGrads, StageView, UnitOut};
 use crate::policy::ExecPolicy;
-use crate::streams::{region_offsets, stream_id, DropoutSite};
+use crate::streams::{region_mask, DropoutSite};
 use crate::weights::{EmbeddingWeights, LayerGrads, LayerWeights};
+use mt_collectives::CollectiveError;
 use mt_memory::Recompute;
 use mt_tensor::ops;
 use mt_tensor::rng::{CounterRng, SplitMix64};
@@ -232,7 +238,7 @@ impl Gpt {
     /// group size does not divide the configuration, or a layer is not a
     /// shard for the mode's degree `t` (a shard resumed under another
     /// mode); a failed collective unwinds with its
-    /// [`CollectiveError`](mt_collectives::CollectiveError).
+    /// [`CollectiveError`].
     pub fn loss_and_grads<'m>(
         &self,
         tokens: &[usize],
@@ -273,11 +279,7 @@ impl Gpt {
         let StageGrads { embedding, layers, head } = grads;
         let (mut table, mut positions) = embedding.expect("the whole model embeds");
         let (final_ln_gamma, final_ln_beta, table_head) = head.expect("the whole model has a head");
-        if let ExecMode::TensorSequenceParallel(c) = mode {
-            // Each rank embedded only its sequence shard.
-            table = or_unwind(c.try_all_reduce(&table));
-            positions = or_unwind(c.try_all_reduce(&positions));
-        }
+        or_unwind(all_reduce_sp_embedding_grads(&mode, &mut table, &mut positions));
         // Summed in place: no third `[v, h]` table.
         table.add_assign(&table_head);
         drop(bwd_span);
@@ -286,24 +288,11 @@ impl Gpt {
     }
 }
 
-/// The embedding dropout mask for this rank's rows, addressed by global row
-/// so shards and the serial model draw identical bits.
-pub(crate) fn embedding_mask(
-    cfg: &TransformerConfig,
-    rng: &CounterRng,
-    micro: u64,
-    mode: &ExecMode<'_>,
-) -> Vec<u8> {
-    let (row0, rows) = mode.local_rows(cfg.tokens());
-    let key = rng.stream(stream_id(DropoutSite::Embedding, 0, micro));
-    key.dropout_mask(region_offsets(row0, rows, cfg.hidden), cfg.dropout_p)
-}
-
 /// Embedding forward for this rank's rows — token lookup, learned positions,
 /// dropout — shared by the pipeline executor's forward unit and
 /// [`Gpt::logits`]. `tokens` is the full `s·b` array. Records the dropout
 /// mask on `ledger` (Section 4.3); the backward regenerates the mask with
-/// [`embedding_mask`] rather than keeping it.
+/// [`region_mask`] rather than keeping it.
 pub(crate) fn embed_forward(
     cfg: &TransformerConfig,
     rng: &CounterRng,
@@ -323,7 +312,7 @@ pub(crate) fn embed_forward(
             *xv += pv;
         }
     }
-    let mask = embedding_mask(cfg, rng, micro, mode);
+    let mask = region_mask(cfg, rng, DropoutSite::Embedding, 0, micro, mode);
     let out = ops::dropout(&x, &mask, cfg.dropout_p);
     ledger.record(Category::EmbeddingDropoutMask, out.numel() as u64);
     out
@@ -353,6 +342,22 @@ pub(crate) fn embed_backward(
         }
     }
     ops::embedding_backward(&tokens[row0..row0 + rows], &d_emb, cfg.vocab)
+}
+
+/// Sums the word-table and position gradients, in that order, across the
+/// tensor-parallel group under sequence parallelism, where each rank embedded
+/// only its sequence shard; other modes leave them as they are. Runs after
+/// the microbatch walk in [`Gpt::loss_and_grads`] and the pipeline executor.
+pub(crate) fn all_reduce_sp_embedding_grads(
+    mode: &ExecMode<'_>,
+    table: &mut Tensor,
+    positions: &mut Tensor,
+) -> Result<(), CollectiveError> {
+    if let ExecMode::TensorSequenceParallel(c) = mode {
+        *table = c.try_all_reduce(table)?;
+        *positions = c.try_all_reduce(positions)?;
+    }
+    Ok(())
 }
 
 /// What the head's forward saves for its backward, which consumes it:
@@ -459,9 +464,11 @@ impl Gpt {
     ///
     /// # Panics
     ///
-    /// Panics if the model's microbatch size is not 1, the prompt is empty,
-    /// or a prompt token is out of vocabulary range.
+    /// Panics if the model is not causal (it would read the padding), its
+    /// microbatch size is not 1, the prompt is empty, or a prompt token is
+    /// out of vocabulary range.
     pub fn generate(&self, prompt: &[usize], n_new: usize) -> Vec<usize> {
+        assert!(self.cfg.causal, "generation requires a causal model: it right-pads the context");
         assert_eq!(self.cfg.micro_batch, 1, "generation requires micro_batch == 1");
         assert!(!prompt.is_empty(), "empty prompt");
         let model = self.eval();
@@ -735,6 +742,15 @@ mod tests {
         assert!(out.iter().all(|&t| t < c.vocab));
         // Greedy decoding is deterministic.
         assert_eq!(out, gpt.generate(&prompt, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "generation requires a causal model")]
+    fn generation_rejects_a_non_causal_model() {
+        // Without the causal mask the right-padded window's future tokens
+        // would steer every generated token.
+        let c = TransformerConfig { micro_batch: 1, causal: false, ..cfg() };
+        let _ = Gpt::init(c, Recompute::None, 21).generate(&[1, 2, 3], 1);
     }
 
     #[test]

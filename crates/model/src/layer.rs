@@ -24,7 +24,7 @@ use crate::ledger::{ActivationLedger, Category};
 use crate::or_unwind;
 use crate::overlap::{timed_exposed, timed_recompute, OverlapPolicy};
 use crate::policy::ExecPolicy;
-use crate::streams::{region_offsets, stream_id, DropoutSite};
+use crate::streams::{region_mask, DropoutSite};
 use crate::weights::{LayerGrads, LayerWeights};
 use mt_collectives::{chunk_rows, Communicator};
 use mt_kernels::gemm;
@@ -272,14 +272,6 @@ impl TransformerLayer {
         }
     }
 
-    /// Regenerates this rank's row-region dropout mask, addressed by global
-    /// rows, so shards and the serial model draw identical bits.
-    fn region_mask(&self, site: DropoutSite, micro: u64, mode: &ExecMode<'_>) -> Vec<u8> {
-        let key = self.rng.stream(stream_id(site, self.layer_idx, micro));
-        let (row0, rows) = mode.local_rows(self.cfg.tokens());
-        key.dropout_mask(region_offsets(row0, rows, self.cfg.hidden), self.cfg.dropout_p)
-    }
-
     /// `g` forward / `ḡ` backward fused with its consumer GEMM: gathers the
     /// sequence shard (identity outside SP) and computes
     /// `gathered · w` (`transpose_b` selects `A·Bᵀ`). The gathered rows are
@@ -406,7 +398,7 @@ impl TransformerLayer {
         residual: &Tensor,
         branch: Tensor,
     ) -> Tensor {
-        let mask = self.region_mask(site, micro, mode);
+        let mask = region_mask(&self.cfg, &self.rng, site, self.layer_idx, micro, mode);
         let dropped = ops::dropout(&branch, &mask, self.cfg.dropout_p);
         drop((branch, mask));
         ops::residual_add(residual, &dropped)
@@ -704,7 +696,8 @@ impl TransformerLayer {
         let replaying = inner.is_none();
 
         // out = r1 + dropout(m2)
-        let mask_mlp = self.region_mask(DropoutSite::MlpOutput, micro, mode);
+        let mask_mlp =
+            region_mask(&self.cfg, &self.rng, DropoutSite::MlpOutput, self.layer_idx, micro, mode);
         let d_m2 = ops::dropout_backward(dy, &mask_mlp, self.cfg.dropout_p);
         drop(mask_mlp);
         let b_out = ops::bias_grad(&d_m2);
@@ -784,7 +777,14 @@ impl TransformerLayer {
         let AttnStored { x, ln1_saved, y1, q, k, v, core, ctx } = saved;
 
         // r1 = x + dropout(o)
-        let mask_attn = self.region_mask(DropoutSite::AttentionOutput, micro, mode);
+        let mask_attn = region_mask(
+            &self.cfg,
+            &self.rng,
+            DropoutSite::AttentionOutput,
+            self.layer_idx,
+            micro,
+            mode,
+        );
         let d_o = ops::dropout_backward(&d_r1, &mask_attn, self.cfg.dropout_p);
         drop(mask_attn);
         let b_out = ops::bias_grad(&d_o);

@@ -55,7 +55,6 @@ pub mod pipeline_exec;
 mod policy;
 pub mod streams;
 pub mod trainer;
-pub mod vocab_parallel;
 pub mod weights;
 
 pub use config::TransformerConfig;

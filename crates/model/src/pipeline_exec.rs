@@ -21,12 +21,14 @@
 
 use crate::config::TransformerConfig;
 use crate::gpt::{
-    embed_backward, embed_forward, embedding_mask, head_backward, head_forward, Gpt, HeadState,
+    all_reduce_sp_embedding_grads, embed_backward, embed_forward, head_backward, head_forward, Gpt,
+    HeadState,
 };
 use crate::layer::{ExecMode, GradSink, LayerState, TransformerLayer};
 use crate::ledger::ActivationLedger;
 use crate::or_unwind;
 use crate::policy::ExecPolicy;
+use crate::streams::{region_mask, DropoutSite};
 use crate::weights::{EmbeddingWeights, LayerGrads};
 use mt_collectives::{CollectiveError, GridComm};
 use mt_memory::Recompute;
@@ -264,7 +266,7 @@ pub(crate) fn backward_unit(
         return Some(d);
     }
     let cfg = stage.cfg;
-    let mask = embedding_mask(cfg, stage.rng, micro, &mode);
+    let mask = region_mask(cfg, stage.rng, DropoutSite::Embedding, 0, micro, &mode);
     match &mut grads.embedding {
         Some((t, pos)) => t.add_assign(&embed_backward(cfg, tokens, &d, &mask, &mode, pos)),
         None => {
@@ -603,22 +605,14 @@ fn run_schedule<G>(
         }
     }
 
-    // Sequence parallelism computed embedding gradients from sequence
-    // shards; sum across the tensor-parallel group. (Device 0 holds chunk 0
-    // and with it the embedding; device p−1 holds the head.)
-    if sp {
-        if let Some((t, pos)) = grads[0].embedding.as_mut() {
-            *t = g.tp.try_all_reduce(t).map_err(at(
-                device,
-                None,
-                "all-reduce of embedding-table gradients",
-            ))?;
-            *pos = g.tp.try_all_reduce(pos).map_err(at(
-                device,
-                None,
-                "all-reduce of position gradients",
-            ))?;
-        }
+    // The SP embedding-gradient sum. (Device 0 holds chunk 0 and with it
+    // the embedding; device p−1 holds the head.)
+    if let Some((table, positions)) = grads[0].embedding.as_mut() {
+        all_reduce_sp_embedding_grads(&mode, table, positions).map_err(at(
+            device,
+            None,
+            "all-reduce of embedding gradients",
+        ))?;
     }
 
     // Tied embeddings (Megatron): the last stage's head-table gradient is

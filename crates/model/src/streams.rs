@@ -1,7 +1,7 @@
 //! Dropout stream-id assignment.
 //!
 //! Each dropout *site* in the network gets a unique, deterministic stream id
-//! so that [`CounterRng`](mt_tensor::rng::CounterRng) masks are:
+//! so that [`CounterRng`] masks are:
 //!
 //! 1. **replayable** — a recomputation pass regenerates the identical mask
 //!    without having stored it, and
@@ -9,6 +9,10 @@
 //!    `(row, column)` coordinates, so a rank operating on a sequence shard
 //!    or a head subset draws exactly the bits the serial model would. This
 //!    is what makes serial ↔ TP ↔ TP+SP gradient equivalence exact.
+
+use crate::config::TransformerConfig;
+use crate::layer::ExecMode;
+use mt_tensor::rng::CounterRng;
 
 /// The three dropout sites inside a transformer layer, plus the embedding
 /// dropout outside it.
@@ -49,11 +53,23 @@ pub fn element_offset(row: usize, col: usize, cols: usize) -> u64 {
     (row * cols + col) as u64
 }
 
-/// The counter offsets of `rows` whole rows of an `[·, cols]` activation
-/// starting at global row `row0` — one contiguous run, since
-/// [`element_offset`] is row-major.
-pub(crate) fn region_offsets(row0: usize, rows: usize, cols: usize) -> std::ops::Range<u64> {
-    element_offset(row0, 0, cols)..element_offset(row0 + rows, 0, cols)
+/// This rank's keep/drop bytes for the `[s·b, h]` row-region dropout at
+/// `site` of `layer` (a layer's attention or MLP output, or the embedding,
+/// which ignores `layer`). The rank's rows are one contiguous run of global
+/// offsets, since [`element_offset`] is row-major, so shards and the serial
+/// model draw identical bits.
+pub(crate) fn region_mask(
+    cfg: &TransformerConfig,
+    rng: &CounterRng,
+    site: DropoutSite,
+    layer: usize,
+    micro: u64,
+    mode: &ExecMode<'_>,
+) -> Vec<u8> {
+    let key = rng.stream(stream_id(site, layer, micro));
+    let (row0, rows) = mode.local_rows(cfg.tokens());
+    let offsets = element_offset(row0, 0, cfg.hidden)..element_offset(row0 + rows, 0, cfg.hidden);
+    key.dropout_mask(offsets, cfg.dropout_p)
 }
 
 /// Global flat offset of element `(q, k)` of the `[s, s]` attention-score

@@ -5,7 +5,7 @@
 //! exactly.
 
 use mt_collectives::{CollectiveKind, CommStats, World};
-use mt_memory::Recompute;
+use mt_memory::{ActivationMemoryModel, Parallelism, Recompute, Strategy};
 use mt_model::gpt::Gpt;
 use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig, TransformerLayer};
@@ -276,6 +276,59 @@ fn ledger_matches_table2_full_recompute() {
     // The sharded-checkpoint variant the paper mentions (2sbh/t).
     let tpsp = run_parallel(c, &w, &x, &dy, 4, true, Recompute::Full);
     assert_eq!(tpsp[0].ledger.paper_bytes(), 2 * c.sbh() / 4);
+}
+
+#[test]
+fn whole_gpt_ledger_is_the_section_4_3_total_plus_the_replicated_head() {
+    // Section 4.3 prices the head as vocabulary-sharded: final LayerNorm
+    // input, projection input and fp32 logits cost (4sbh + 4sbv)/t per rank.
+    // This model replicates its head (bit-identical to serial), so each
+    // rank's whole-model ledger is Equation 5's first-stage total at p = 1
+    // plus (1 − 1/t)·(4sbh + 4sbv), and, without SP, whose embedding mask
+    // is not sharded, plus (1 − 1/t)·sbh.
+    let c = TransformerConfig {
+        hidden: 16,
+        heads: 4,
+        seq: 8,
+        micro_batch: 2,
+        layers: 2,
+        vocab: 32,
+        dropout_p: 0.1,
+        causal: true,
+    };
+    let mut rng = SplitMix64::new(43);
+    let mut ids = || (0..c.tokens()).map(|_| (rng.next_u64() as usize) % c.vocab).collect();
+    let (tokens, targets): (Vec<usize>, Vec<usize>) = (ids(), ids());
+    let gpt = Gpt::init(c, Recompute::Selective, 8);
+    let (sbh, sbv) = (c.sbh(), (c.tokens() * c.vocab) as u64);
+    for (t, sp) in [(1usize, false), (2, false), (2, true), (4, true)] {
+        let ledgers = World::run(t, |comm| {
+            let mode = match (t, sp) {
+                (1, _) => ExecMode::Serial,
+                (_, true) => ExecMode::TensorSequenceParallel(&comm),
+                (_, false) => ExecMode::TensorParallel(&comm),
+            };
+            let shard = gpt.shard(t, comm.rank(), Recompute::Selective);
+            let mut ledger = ActivationLedger::new();
+            let _ = shard.loss_and_grads(&tokens, &targets, 0, mode, &mut ledger);
+            ledger.paper_bytes()
+        });
+        let t = t as u64;
+        let model = ActivationMemoryModel::new(c.to_shape(), c.micro_batch as u64, t);
+        let strategy = Strategy { sequence_parallel: sp, recompute: Recompute::Selective };
+        let closed = model.first_stage_total_bytes(
+            strategy,
+            Parallelism { tensor: t, pipeline: 1, interleave: None },
+        );
+        assert_eq!(closed.fract(), 0.0, "t = {t}: closed form {closed} is not whole bytes");
+        let mut excess = (4 * sbh + 4 * sbv) * (t - 1) / t;
+        if !sp {
+            excess += sbh * (t - 1) / t;
+        }
+        for (rank, bytes) in ledgers.iter().enumerate() {
+            assert_eq!(*bytes, closed as u64 + excess, "t = {t}, sp = {sp}, rank {rank}");
+        }
+    }
 }
 
 #[test]

@@ -71,7 +71,7 @@ mod tests {
         let p = 0.1;
         let n = 100_000;
         let x = Tensor::full(&[n], 1.0);
-        let mask = rng.dropout_mask(0, n, p);
+        let mask = rng.stream(0).dropout_mask(0..n as u64, p);
         let y = dropout(&x, &mask, p);
         let mean = y.sum() / n as f32;
         assert!((mean - 1.0).abs() < 0.01, "dropout mean {mean}");
@@ -81,8 +81,8 @@ mod tests {
     fn replayed_mask_reproduces_output() {
         let rng = CounterRng::new(12);
         let x = Tensor::from_fn(&[1000], |i| (i as f32).sin());
-        let m1 = rng.dropout_mask(42, 1000, 0.1);
-        let m2 = rng.dropout_mask(42, 1000, 0.1);
+        let m1 = rng.stream(42).dropout_mask(0..1000, 0.1);
+        let m2 = rng.stream(42).dropout_mask(0..1000, 0.1);
         assert_eq!(dropout(&x, &m1, 0.1), dropout(&x, &m2, 0.1));
     }
 }

@@ -128,15 +128,6 @@ impl CounterRng {
     pub fn uniform(&self, stream: u64, offset: u64) -> f32 {
         self.stream(stream).uniform(offset)
     }
-
-    /// Generates a keep/drop mask of `len` bytes with drop probability `p`.
-    ///
-    /// `mask[i] == 1` means the element is kept. The result is a pure
-    /// function of `(seed, stream, i, p)` and can therefore be regenerated
-    /// during recomputation instead of being stored.
-    pub fn dropout_mask(&self, stream: u64, len: usize, p: f32) -> Vec<u8> {
-        self.stream(stream).dropout_mask(0..len as u64, p)
-    }
 }
 
 /// A [`CounterRng`] bound to one stream (see [`CounterRng::stream`]).
@@ -161,7 +152,9 @@ impl StreamKey {
     }
 
     /// Keep/drop bytes (`1` = kept) for a run of consecutive offsets, with
-    /// drop probability `p`.
+    /// drop probability `p`. Byte `i` is a pure function of `(seed, stream,
+    /// offsets.start + i, p)`, so a recomputation pass regenerates the mask
+    /// instead of storing it.
     pub fn dropout_mask(&self, offsets: std::ops::Range<u64>, p: f32) -> Vec<u8> {
         offsets.map(|i| u8::from(self.uniform(i) >= p)).collect()
     }
@@ -207,10 +200,10 @@ mod tests {
     #[test]
     fn counter_rng_is_replayable() {
         let rng = CounterRng::new(99);
-        let m1 = rng.dropout_mask(5, 1000, 0.1);
-        let m2 = rng.dropout_mask(5, 1000, 0.1);
+        let m1 = rng.stream(5).dropout_mask(0..1000, 0.1);
+        let m2 = rng.stream(5).dropout_mask(0..1000, 0.1);
         assert_eq!(m1, m2, "identical coordinates must give identical masks");
-        let m3 = rng.dropout_mask(6, 1000, 0.1);
+        let m3 = rng.stream(6).dropout_mask(0..1000, 0.1);
         assert_ne!(m1, m3, "different streams must give different masks");
     }
 
@@ -230,7 +223,7 @@ mod tests {
     fn dropout_mask_rate_close_to_p() {
         let rng = CounterRng::new(7);
         let p = 0.1;
-        let mask = rng.dropout_mask(0, 100_000, p);
+        let mask = rng.stream(0).dropout_mask(0..100_000, p);
         let dropped = mask.iter().filter(|&&m| m == 0).count() as f32 / mask.len() as f32;
         assert!((dropped - p).abs() < 0.01, "drop rate {dropped} vs p {p}");
     }
@@ -238,6 +231,6 @@ mod tests {
     #[test]
     fn dropout_mask_p_zero_keeps_everything() {
         let rng = CounterRng::new(7);
-        assert!(rng.dropout_mask(0, 1000, 0.0).iter().all(|&m| m == 1));
+        assert!(rng.stream(0).dropout_mask(0..1000, 0.0).iter().all(|&m| m == 1));
     }
 }

@@ -106,7 +106,7 @@ proptest! {
         stream in 0u64..100,
     ) {
         let rng = CounterRng::new(7);
-        let mask = rng.dropout_mask(stream, 30, p);
+        let mask = rng.stream(stream).dropout_mask(0..30, p);
         let fwd = ops::dropout(&x, &mask, p);
         let bwd = ops::dropout_backward(&dy, &mask, p);
         let lhs: f32 = fwd.data().iter().zip(dy.data()).map(|(a, b)| a * b).sum();
