@@ -14,11 +14,19 @@
 //! ```
 //!
 //! through a `[BLOCK, s]` scratch — or, when the caller keeps the
-//! probabilities, directly in the rows of the two `[a·b, s, s]` buffers it
-//! gets back. The backward walks the same blocks; given no kept
-//! probabilities it replays each block's `probs` / `pd` rows into two
+//! probabilities, directly in the block's panels of the two [`Saved`]
+//! buffers it gets back. The backward walks the same blocks; given no kept
+//! probabilities it replays each block's `probs` / `pd` panels into two
 //! `[BLOCK, s]` scratches just before that block's `dP → dS → dQ, dK, dV`,
 //! so a recomputing policy never holds an `[s, s]` matrix either.
+//!
+//! A block's *panel* is its rows at the width the block computes,
+//! `limit(r1 − 1)`, which is also the panel's row stride
+//! ([`AttnShape::panel`]). The kept buffers are the concatenation of the
+//! panels, so under the causal mask a unit keeps its block-triangular
+//! `Σ rows · width` elements ([`AttnShape::kept_len`]), not `s²`; the
+//! scratch, the kept panels and the backward's `dS` all share that layout.
+//!
 //! `K` and `V` (and `Q`, `dctx` in the backward) are packed once
 //! per unit, straight out of the packed `[s·b, heads·head_dim]` activation
 //! layout ([`PackedB::pack_strided`]); a block multiplies against a
@@ -33,7 +41,10 @@
 //! triangle: `dP = dctx·Vᵀ` and `dQ = dS·K` are cut to `r1` columns /
 //! contraction terms per block, and `dK = dSᵀ·Q`, `dV = Pdᵀ·dctx` — whose
 //! contraction runs over *query* rows — are accumulated block by block into
-//! rows `..r1` only.
+//! rows `..r1` only. What is never computed is never kept either: the
+//! columns `r1..s` of a block are masked for each of its rows, so the
+//! [`Saved`] panels end at column `r1`, and a kept core holds
+//! `Σ rows · r1` elements per unit instead of `s²`.
 //!
 //! ## Why this is bit-exact and not approximately so
 //!
@@ -65,10 +76,15 @@
 //! * **A replayed block is the forward's block.** The forward, the replay
 //!   and the replaying backward all produce rows `r0..r1` of `probs` and
 //!   `pd` by one function, `probs_block`, over the same `Q` rows, the same
-//!   `Kᵀ` panels and the same counter-RNG offsets, and write the masked
-//!   tail of every `pd` row as `+0.0` — what a zero-filled kept buffer
-//!   holds there — so the backward reads the same bits from a scratch
-//!   block as from a kept matrix.
+//!   `Kᵀ` panels and the same counter-RNG offsets, into a panel of the same
+//!   width and stride, and write the masked tail of every row as `+0.0`,
+//!   so the backward reads the same bits from a scratch panel as from a
+//!   kept one.
+//! * **An unstored entry is one no product reads.** A kept panel stops at
+//!   its block's width `r1`; the entries past it are masked for every row
+//!   of the block, so the whole-matrix form holds `+0.0` there, and the
+//!   products above skip them as `±0` terms. Nothing the core computes
+//!   reads them, so not storing them changes no bit.
 //! * **The one value that can differ is never an output.** The softmax
 //!   backward's `⟨dy, y⟩` is cut to the unmasked prefix, and `f32`'s
 //!   iterator sum starts from `−0.0`, so where the whole-matrix form may
@@ -140,9 +156,19 @@ pub struct AttnShape {
 
 /// The probabilities the attention core must keep for its backward pass
 /// when it is *not* being recomputed — the softmax outputs (`2as²b` bytes in
-/// the paper's accounting) and the dropout outputs (`2as²b`): one `[s, s]`
-/// matrix per unit, unit-major (`batch · local_heads + local_head`), in one
-/// flat buffer each. Masked entries are `+0.0`.
+/// the paper's accounting) and the dropout outputs (`2as²b`), in one flat
+/// buffer each, unit-major (`batch · local_heads + local_head`), each unit
+/// [`AttnShape::kept_len`] long.
+///
+/// A unit's share is block-triangular: the concatenation of its query-row
+/// blocks, block `r0..r1` stored as a dense `rows × width` panel at row
+/// stride `width = limit(r1 − 1)` ([`AttnShape::panel`]) — exactly the
+/// columns the core computes for that block. Under the causal mask the
+/// columns past a block's `width` are masked for every row of the block, so
+/// they are `+0.0` and never read (see the module docs), and are not
+/// stored; masked entries inside a panel are stored as `+0.0`. Non-causal,
+/// or with `s ≤ BLOCK`, every panel is `s` wide and a unit is its dense
+/// `[s, s]` matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Saved {
     /// Softmax outputs.
@@ -186,6 +212,60 @@ impl AttnShape {
         } else {
             self.seq
         }
+    }
+
+    /// Where query-row block `r0..min(r0 + BLOCK, s)` of a unit's kept
+    /// probabilities lives: its offset in the unit's share of a [`Saved`]
+    /// buffer, and its width, `limit(r1 − 1)`, which is also its row
+    /// stride. Under the causal mask every earlier block is a full `BLOCK`
+    /// rows, block `j` being `(j + 1)·BLOCK` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r0` is not a multiple of [`BLOCK`] below `s`.
+    pub fn panel(&self, r0: usize) -> (usize, usize) {
+        assert!(r0.is_multiple_of(BLOCK) && r0 < self.seq, "panel: {r0} does not start a block");
+        let blocks = r0 / BLOCK;
+        let offset =
+            if self.causal { BLOCK * BLOCK * blocks * (blocks + 1) / 2 } else { r0 * self.seq };
+        (offset, self.limit((r0 + BLOCK).min(self.seq) - 1))
+    }
+
+    /// Elements one unit keeps in each [`Saved`] buffer: `Σ rows · width`
+    /// over its blocks ([`AttnShape::panel`]); `s²` when every block is `s`
+    /// wide.
+    pub fn kept_len(&self) -> usize {
+        if self.seq == 0 {
+            return 0;
+        }
+        let last = (self.seq - 1) / BLOCK * BLOCK;
+        let (offset, width) = self.panel(last);
+        offset + (self.seq - last) * width
+    }
+
+    /// The dense `[units, s, s]` form of a [`Saved`] buffer: each panel at
+    /// its rows and first `width` columns, `+0.0` where nothing is stored —
+    /// what the whole-matrix composition holds there. For oracles that
+    /// compare the kept state against that composition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kept` is not `units ·` [`AttnShape::kept_len`] long.
+    pub fn dense(&self, kept: &[f32]) -> Vec<f32> {
+        let s = self.seq;
+        assert_eq!(kept.len(), self.units() * self.kept_len(), "dense: kept length");
+        let mut dense = vec![0.0f32; self.units() * s * s];
+        for (share, matrix) in kept.chunks(self.kept_len()).zip(dense.chunks_mut(s * s)) {
+            for r0 in (0..s).step_by(BLOCK) {
+                let (offset, width) = self.panel(r0);
+                let rows = (r0 + BLOCK).min(s) - r0;
+                let panel = &share[offset..offset + rows * width];
+                for (i, row) in panel.chunks(width).enumerate() {
+                    matrix[(r0 + i) * s..(r0 + i) * s + width].copy_from_slice(row);
+                }
+            }
+        }
+        dense
     }
 
     /// `(query, key)` pairs one unit computes.
@@ -368,18 +448,17 @@ fn forward_blocks<U: Fn(u64) -> f32 + Sync>(
     keep: bool,
     span_name: &'static str,
 ) -> (Option<Vec<f32>>, Option<Saved>) {
-    let (s, hd, units) = (sh.seq, sh.head_dim, sh.units());
+    let (s, hd, units, kept) = (sh.seq, sh.head_dim, sh.units(), sh.kept_len());
     let threads = sh.threads(backend, if v.is_some() { 2 } else { 1 });
     let _span = sh.span(span_name, threads);
     let simd = simd_level();
-    // Zero-filled on purpose: masked entries are never written.
     let mut saved =
-        keep.then(|| Saved { probs: vec![0.0; units * s * s], dropped: vec![0.0; units * s * s] });
+        keep.then(|| Saved { probs: vec![0.0; units * kept], dropped: vec![0.0; units * kept] });
     let mut ctx_slabs = v.map(|_| vec![0.0f32; units * s * hd]);
     if units * s * hd > 0 {
         let mut ctx_it = ctx_slabs.as_mut().map(|c| c.chunks_mut(s * hd));
         let mut kept_it =
-            saved.as_mut().map(|sv| sv.probs.chunks_mut(s * s).zip(sv.dropped.chunks_mut(s * s)));
+            saved.as_mut().map(|sv| sv.probs.chunks_mut(kept).zip(sv.dropped.chunks_mut(kept)));
         let items: Vec<_> = (0..units)
             .map(|_| {
                 (
@@ -416,28 +495,31 @@ fn forward_unit<U: Fn(u64) -> f32>(
     let mut scratch = if kept.is_some() { Vec::new() } else { vec![0.0f32; BLOCK.min(s) * s] };
     for r0 in (0..s).step_by(BLOCK) {
         let r1 = (r0 + BLOCK).min(s);
-        let rows = r1 - r0;
-        // Where this block's probabilities live: the kept rows, or scratch.
+        let (offset, cols) = sh.panel(r0);
+        let panel = offset..offset + (r1 - r0) * cols;
+        // Where this block's probabilities live: its kept panels, or scratch.
         let (probs, mut dropped) = match &mut kept {
-            Some((p, d)) => (&mut p[r0 * s..r1 * s], Some(&mut d[r0 * s..r1 * s])),
-            None => (&mut scratch[..rows * s], None),
+            Some((p, d)) => (&mut p[panel.clone()], Some(&mut d[panel])),
+            None => (&mut scratch[..panel.len()], None),
         };
         probs_block(&mut bands, sh, uniform, unit, q, &kt, r0, r1, probs, dropped.as_deref_mut());
         if let Some((vp, ctx)) = &mut v_ctx {
             let pd: &[f32] = dropped.as_deref().unwrap_or(probs);
-            let values = BWindow { pb: vp, n: hd, k0: 0, k: sh.limit(r1 - 1) };
-            bands.product(rows_of(pd, s, 0, rows), values, &mut ctx[r0 * hd..r1 * hd], hd, false);
+            let values = BWindow { pb: vp, n: hd, k0: 0, k: cols };
+            let out = &mut ctx[r0 * hd..r1 * hd];
+            bands.product(rows_of(pd, cols, 0, r1 - r0), values, out, hd, false);
         }
     }
 }
 
 /// The one block body of the core: rows `r0..r1` of unit `unit`'s
-/// probabilities, `softmax(Q[r0..r1] · Kᵀ × scale)`, into `probs` (row
-/// stride `s`), and their dropout into `dropped` — or in place in `probs`
-/// without it. `kt` is the unit's `Kᵀ` pack. Only the first
-/// `limit(r1 − 1)` columns of a row are written; a `dropped` row's masked
-/// tail among them is written `+0.0`, so a reused scratch reads like a
-/// zero-filled kept buffer.
+/// probabilities, `softmax(Q[r0..r1] · Kᵀ × scale)`, into the panel `probs`,
+/// and their dropout into the panel `dropped` — or in place in `probs`
+/// without it. `kt` is the unit's `Kᵀ` pack. A panel is the block's
+/// `limit(r1 − 1)` computed columns of each row at that row stride
+/// ([`AttnShape::panel`]), and every element of it is written: a row's
+/// masked tail is `+0.0` in both, so a reused scratch holds what a kept
+/// panel holds.
 #[allow(clippy::too_many_arguments)] // private block body
 fn probs_block<U: Fn(u64) -> f32>(
     bands: &mut Bands,
@@ -454,17 +536,17 @@ fn probs_block<U: Fn(u64) -> f32>(
     let (s, rows, cols) = (sh.seq, r1 - r0, sh.limit(r1 - 1));
     let rng_base = sh.rng_base(unit);
     let keys = BWindow { pb: kt, n: cols, k0: 0, k: sh.head_dim };
-    bands.product(rows_of(&q[sh.base(unit)..], sh.ld(), r0, rows), keys, probs, s, false);
+    bands.product(rows_of(&q[sh.base(unit)..], sh.ld(), r0, rows), keys, probs, cols, false);
     for i in 0..rows {
         let limit = sh.limit(r0 + i);
-        let row = &mut probs[i * s..i * s + cols];
+        let row = &mut probs[i * cols..(i + 1) * cols];
         for x in row[..limit].iter_mut() {
             *x *= sh.scale;
         }
         softmax_row(bands.simd, row, limit);
         let pd = match &mut dropped {
             Some(d) => {
-                let (pd, masked) = d[i * s..i * s + cols].split_at_mut(limit);
+                let (pd, masked) = d[i * cols..(i + 1) * cols].split_at_mut(limit);
                 pd.copy_from_slice(&row[..limit]);
                 masked.fill(0.0);
                 pd
@@ -485,7 +567,8 @@ fn probs_block<U: Fn(u64) -> f32>(
 /// # Panics
 ///
 /// Panics if an operand is not `s·b·width` long, a saved buffer is not
-/// `units·s²` long, or `dropout_p` is outside `[0, 1)`.
+/// `units ·` [`AttnShape::kept_len`] long, or `dropout_p` is outside
+/// `[0, 1)`.
 #[allow(clippy::too_many_arguments)] // flat slice ABI; mt-model's attention_backward is the ergonomic entry
 pub fn backward<U: Fn(u64) -> f32 + Sync>(
     backend: Backend,
@@ -498,10 +581,10 @@ pub fn backward<U: Fn(u64) -> f32 + Sync>(
     dctx: &[f32],
 ) -> [Vec<f32>; 3] {
     sh.check("attention backward", &[("q", q), ("k", k), ("v", v), ("dctx", dctx)]);
-    let (s, hd, units) = (sh.seq, sh.head_dim, sh.units());
+    let (s, hd, units, kept) = (sh.seq, sh.head_dim, sh.units(), sh.kept_len());
     if let Some(saved) = saved {
-        assert_eq!(saved.probs.len(), units * s * s, "attention backward: saved probs length");
-        assert_eq!(saved.dropped.len(), units * s * s, "attention backward: saved dropped length");
+        assert_eq!(saved.probs.len(), units * kept, "attention backward: saved probs length");
+        assert_eq!(saved.dropped.len(), units * kept, "attention backward: saved dropped length");
     }
     // A replaying unit runs one more product per block: Q·Kᵀ.
     let threads = sh.threads(backend, if saved.is_some() { 5 } else { 6 });
@@ -519,8 +602,8 @@ pub fn backward<U: Fn(u64) -> f32 + Sync>(
             .collect();
         pool::run_indexed(threads, items, |unit, (dq, dk, dv)| {
             let kept = saved.map(|sv| {
-                let rows = unit * s * s..(unit + 1) * s * s;
-                (&sv.probs[rows.clone()], &sv.dropped[rows])
+                let share = unit * kept..(unit + 1) * kept;
+                (&sv.probs[share.clone()], &sv.dropped[share])
             });
             backward_unit(simd, sh, uniform, unit, q, k, v, kept, dctx, dq, dk, dv);
         });
@@ -573,25 +656,29 @@ fn backward_unit<U: Fn(u64) -> f32>(
     for r0 in (0..s).step_by(BLOCK) {
         let r1 = (r0 + BLOCK).min(s);
         let rows = r1 - r0;
-        let cols = sh.limit(r1 - 1);
-        // This block's rows of probs and pd, at row stride s.
+        let (offset, cols) = sh.panel(r0);
+        let len = rows * cols;
+        // This block's panels of probs and pd, at row stride cols.
         let (probs, pd): (&[f32], &[f32]) = match &mut source {
-            Probs::Kept(probs, dropped) => (&probs[r0 * s..r1 * s], &dropped[r0 * s..r1 * s]),
+            Probs::Kept(probs, dropped) => {
+                (&probs[offset..offset + len], &dropped[offset..offset + len])
+            }
             Probs::Replayed { kt, probs, dropped } => {
-                let (probs, dropped) = (&mut probs[..rows * s], &mut dropped[..rows * s]);
+                let (probs, dropped) = (&mut probs[..len], &mut dropped[..len]);
                 probs_block(&mut bands, sh, uniform, unit, q, kt, r0, r1, probs, Some(dropped));
                 (&*probs, &*dropped)
             }
         };
         // dP = dctx · Vᵀ, then dropout and softmax backward row by row: the
-        // scratch holds dP, then dS.
+        // scratch holds dP, then dS, as one more panel.
+        let ds = &mut ds[..len];
         let keys = BWindow { pb: &vt, n: cols, k0: 0, k: hd };
-        bands.product(rows_of(&dctx[base..], ld, r0, rows), keys, &mut ds, s, false);
+        bands.product(rows_of(&dctx[base..], ld, r0, rows), keys, ds, cols, false);
         for i in 0..rows {
             let limit = sh.limit(r0 + i);
-            let (d, masked) = ds[i * s..i * s + cols].split_at_mut(limit);
+            let (d, masked) = ds[i * cols..(i + 1) * cols].split_at_mut(limit);
             sh.dropout_row(simd, uniform, rng_base + ((r0 + i) * s) as u64, d);
-            let y = &probs[i * s..i * s + limit];
+            let y = &probs[i * cols..i * cols + limit];
             let dot = softmax_row_dot(y, d);
             for (g, &yv) in d.iter_mut().zip(y) {
                 *g = yv * (*g - dot);
@@ -600,12 +687,12 @@ fn backward_unit<U: Fn(u64) -> f32>(
         }
         // dQ[r0..r1] = dS · K
         let k_rows = BWindow { pb: &kp, n: hd, k0: 0, k: cols };
-        bands.product(rows_of(&ds, s, 0, rows), k_rows, &mut dq[r0 * hd..r1 * hd], hd, false);
+        bands.product(rows_of(ds, cols, 0, rows), k_rows, &mut dq[r0 * hd..r1 * hd], hd, false);
         // dK[..cols] += dSᵀ · Q[r0..r1]; dV[..cols] += pdᵀ · dctx[r0..r1]
         let q_rows = BWindow { pb: &qp, n: hd, k0: r0, k: rows };
-        bands.product(columns_of(&ds, s, cols), q_rows, &mut dk[..cols * hd], hd, true);
+        bands.product(columns_of(ds, cols, cols), q_rows, &mut dk[..cols * hd], hd, true);
         let dctx_rows = BWindow { pb: &dcp, n: hd, k0: r0, k: rows };
-        bands.product(columns_of(pd, s, cols), dctx_rows, &mut dv[..cols * hd], hd, true);
+        bands.product(columns_of(pd, cols, cols), dctx_rows, &mut dv[..cols * hd], hd, true);
     }
     // scores = scale · q · kᵀ
     for x in dq.iter_mut().chain(dk.iter_mut()) {
@@ -727,11 +814,22 @@ mod tests {
             let replayed = replay(Backend::Serial, &sh, &uniform, &q, &k);
             assert_eq!(bits(&kept.probs), bits(&replayed.probs), "causal={causal}");
             assert_eq!(bits(&kept.dropped), bits(&replayed.dropped), "causal={causal}");
-            if causal {
-                for (unit, m) in kept.probs.chunks(sh.seq * sh.seq).enumerate() {
-                    for i in 0..sh.seq {
-                        let masked = &m[i * sh.seq + i + 1..(i + 1) * sh.seq];
-                        assert!(masked.iter().all(|x| x.to_bits() == 0), "unit {unit} row {i}");
+            // The kept length is the block sum; every stored masked entry
+            // is +0.0.
+            let blocks: Vec<_> = (0..sh.seq).step_by(BLOCK).map(|r0| (r0, sh.panel(r0))).collect();
+            let share: usize =
+                blocks.iter().map(|&(r0, (_, w))| ((r0 + BLOCK).min(sh.seq) - r0) * w).sum();
+            assert_eq!(share, if causal { 64 * 64 + 6 * 70 } else { 70 * 70 });
+            for buf in [&kept.probs, &kept.dropped] {
+                assert_eq!(buf.len(), sh.units() * share, "causal={causal}");
+                for (unit, unit_share) in buf.chunks(share).enumerate() {
+                    for &(r0, (offset, width)) in &blocks {
+                        let rows = (r0 + BLOCK).min(sh.seq) - r0;
+                        let panel = &unit_share[offset..offset + rows * width];
+                        for (i, row) in panel.chunks(width).enumerate() {
+                            let masked = &row[sh.limit(r0 + i)..];
+                            assert!(masked.iter().all(|x| x.to_bits() == 0), "{unit} {r0}+{i}");
+                        }
                     }
                 }
             }
@@ -832,7 +930,7 @@ mod tests {
         let (s, hd) = (sh.seq, sh.head_dim);
         let run = |level| {
             let (mut ctx, mut probs, mut dropped) =
-                (vec![0.0; s * hd], vec![0.0; s * s], vec![0.0; s * s]);
+                (vec![0.0; s * hd], vec![0.0; sh.kept_len()], vec![0.0; sh.kept_len()]);
             let kept = Some((&mut probs[..], &mut dropped[..]));
             forward_unit(level, &sh, &uniform, 1, &q, &k, Some((&v, &mut ctx)), kept);
             let mut grads = [(); 3].map(|()| vec![0.0f32; s * hd]);

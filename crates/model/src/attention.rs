@@ -7,9 +7,10 @@
 //!
 //! The functions here are the shape-checked `Tensor` entry points of the
 //! streaming core in [`mt_kernels::attention`], which walks each
-//! `(batch, head)` in query-row blocks and builds an `[s, s]` matrix only
-//! when the caller keeps it. The layer keeps it under `Recompute::None`
-//! alone ([`attention_forward`] → [`attention_backward`]); every
+//! `(batch, head)` in query-row blocks and keeps its probabilities only
+//! when the caller asks, each block at the width it computes. The layer
+//! keeps them under `Recompute::None` alone ([`attention_forward`] →
+//! [`attention_backward`]); every
 //! recomputing policy runs [`attention_backward_replaying`], which replays
 //! each block's probabilities inside the backward itself, so Section 5's
 //! `5as²b` region never exists whole. [`attention_recompute`], the
@@ -67,7 +68,9 @@ impl AttnParams {
         1.0 / (self.head_dim as f32).sqrt()
     }
 
-    fn shape(&self) -> AttnShape {
+    /// The kernel shape of this invocation, which also places its kept
+    /// panels ([`AttnShape::panel`]).
+    pub fn shape(&self) -> AttnShape {
         AttnShape {
             seq: self.seq,
             micro_batch: self.micro_batch,
@@ -106,8 +109,11 @@ impl AttnParams {
 
 /// Tensors the attention core must keep for its backward pass when it is
 /// *not* being recomputed: the softmax outputs (`2as²b` bytes) and the
-/// dropout outputs (`2as²b` bytes), one flat `[b·local_heads, s, s]` buffer
-/// each — the core's own type.
+/// dropout outputs (`2as²b` bytes), one flat buffer each of
+/// `b·local_heads` block-triangular shares — the core's own type. A share
+/// holds each query-row block at the width it computes, so a causal core
+/// keeps `Σ rows · width` elements per `(batch, head)`, not `s²`; the
+/// ledger still records the paper's `s²` from the shape.
 pub use mt_kernels::attention::Saved as AttnSaved;
 
 /// Attention-core forward: returns the packed context `[s·b, local_width]`
@@ -175,7 +181,7 @@ pub fn attention_recompute(p: &AttnParams, rng: &CounterRng, q: &Tensor, k: &Ten
 /// # Panics
 ///
 /// Panics if `q`/`k`/`v`/`dctx` are not `[s·b, local_heads·head_dim]` or a
-/// saved buffer is not `b·local_heads·s²` long.
+/// saved buffer is not `b·local_heads ·` [`AttnShape::kept_len`] long.
 pub fn attention_backward(
     p: &AttnParams,
     rng: &CounterRng,
@@ -185,9 +191,9 @@ pub fn attention_backward(
     saved: &AttnSaved,
     dctx: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
-    let matrix_elems = p.micro_batch * p.local_heads * p.seq * p.seq;
+    let kept = p.micro_batch * p.local_heads * p.shape().kept_len();
     for (name, buf) in [("probs", &saved.probs), ("dropped", &saved.dropped)] {
-        assert_eq!(buf.len(), matrix_elems, "attention_backward: bad saved {name} length");
+        assert_eq!(buf.len(), kept, "attention_backward: bad saved {name} length");
     }
     backward(p, rng, q, k, v, Some(saved), dctx, "attention_backward")
 }

@@ -521,10 +521,13 @@ impl TransformerLayer {
         ledger.record(Category::QkvInput, y1.numel() as u64);
         ledger.record(Category::QueryKey, (a.q.numel() + a.k.numel()) as u64);
         ledger.record(Category::Value, a.v.numel() as u64);
-        if let Some(core) = &a.core {
-            ledger.record(Category::SoftmaxOutput, core.probs.len() as u64);
-            ledger.record(Category::SoftmaxDropoutMask, core.probs.len() as u64);
-            ledger.record(Category::SoftmaxDropoutOutput, core.dropped.len() as u64);
+        if a.core.is_some() {
+            // The paper's b·(a/t)·s², from the shape: the kept buffers hold
+            // only the causal panels the core computes.
+            let matrices = (a.q.numel() / self.cfg.head_dim() * self.cfg.seq) as u64;
+            ledger.record(Category::SoftmaxOutput, matrices);
+            ledger.record(Category::SoftmaxDropoutMask, matrices);
+            ledger.record(Category::SoftmaxDropoutOutput, matrices);
         }
         ledger.record(Category::ProjectionInput, a.ctx.numel() as u64);
         ledger.record(Category::AttentionDropoutMask, m.r1.numel() as u64);

@@ -80,31 +80,44 @@ impl AdamW {
     /// Applies one update: weight decay `p -= lr·wd·p` over every
     /// parameter, then the Adam step `p -= lr · m̂ / (√v̂ + ε)`.
     ///
+    /// Every check runs before anything is written, so a rejected update
+    /// leaves the parameters, the moments and the step count as they were.
+    ///
     /// # Panics
     ///
     /// Panics if `params` and `grads` lengths differ, if a gradient shape
     /// does not match its parameter, or if the parameter list changed
-    /// between calls.
+    /// between calls (in length or in a shape).
     pub fn update(&mut self, mut params: Vec<&mut Tensor>, grads: &[&Tensor]) {
+        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
+        for (p, g) in params.iter().zip(grads) {
+            assert_eq!(p.shape(), g.shape(), "gradient shape mismatch");
+        }
+        if !self.m.is_empty() {
+            assert_eq!(self.m.len(), params.len(), "parameter list changed between updates");
+            for ((p, m), v) in params.iter().zip(&self.m).zip(&self.v) {
+                assert!(
+                    p.shape() == m.shape() && p.shape() == v.shape(),
+                    "parameter list changed between updates"
+                );
+            }
+        }
         let decay = self.lr * self.weight_decay;
         for p in params.iter_mut() {
             for v in p.data_mut() {
                 *v -= decay * *v;
             }
         }
-        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         if self.m.is_empty() {
             self.m = params.iter().map(|p| Tensor::zeros(p.shape())).collect();
             self.v = params.iter().map(|p| Tensor::zeros(p.shape())).collect();
         }
-        assert_eq!(self.m.len(), params.len(), "parameter list changed between updates");
         self.step += 1;
         let bc1 = 1.0 - self.beta1.powi(self.step as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step as i32);
         for ((p, g), (m, v)) in
             params.into_iter().zip(grads).zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
-            assert_eq!(p.shape(), g.shape(), "gradient shape mismatch");
             for ((pv, &gv), (mv, vv)) in p
                 .data_mut()
                 .iter_mut()
@@ -223,6 +236,42 @@ mod tests {
     fn adam_rejects_mismatched_lists() {
         let mut x = Tensor::zeros(&[2]);
         AdamW::new(0.1, 0.0).update(vec![&mut x], &[]);
+    }
+
+    /// A rejected update writes nothing: not the weight decay, not the step
+    /// count, and not the tensors before the one whose gradient has the
+    /// wrong shape.
+    #[test]
+    fn a_rejected_update_changes_nothing() {
+        let bits = |ts: &[Tensor]| -> Vec<Vec<u32>> {
+            ts.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let mut params = vec![Tensor::full(&[3], 1.0), Tensor::full(&[2], -0.5)];
+        let grads = [Tensor::full(&[3], 0.25), Tensor::full(&[2], 0.75)];
+        let mut adam = AdamW::new(0.1, 0.5);
+        adam.update(params.iter_mut().collect(), &[&grads[0], &grads[1]]);
+        let (before, state, steps) = (bits(&params), adam.state(), adam.steps());
+        let wrong_shape = Tensor::full(&[5], 0.25);
+        let rejected: [&[&Tensor]; 3] =
+            [&[&grads[0]], &[&grads[0], &wrong_shape], &[&wrong_shape, &grads[1]]];
+        for grads in rejected {
+            let update =
+                std::panic::AssertUnwindSafe(|| adam.update(params.iter_mut().collect(), grads));
+            assert!(std::panic::catch_unwind(update).is_err(), "{} grads", grads.len());
+            assert_eq!(bits(&params), before);
+            assert_eq!(adam.state(), state);
+            assert_eq!(adam.steps(), steps);
+        }
+        // A parameter list whose shapes changed is rejected the same way.
+        let mut reshaped = vec![Tensor::full(&[2], 1.0), Tensor::full(&[3], -0.5)];
+        let reshaped_grads = [Tensor::full(&[2], 0.25), Tensor::full(&[3], 0.75)];
+        let update = std::panic::AssertUnwindSafe(|| {
+            adam.update(reshaped.iter_mut().collect(), &[&reshaped_grads[0], &reshaped_grads[1]])
+        });
+        assert!(std::panic::catch_unwind(update).is_err(), "reshaped list");
+        assert_eq!(bits(&reshaped), bits(&[Tensor::full(&[2], 1.0), Tensor::full(&[3], -0.5)]));
+        assert_eq!(adam.state(), state);
+        assert_eq!(adam.steps(), steps);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! head shards with an offset, dropout off/light/heavy, serial and 1–4
 //! kernel threads.
 
+use mt_kernels::attention::BLOCK;
 use mt_kernels::{default_backend, set_default_backend, Backend};
 use mt_memory::Recompute;
 use mt_model::attention::{
@@ -268,11 +269,21 @@ fn check_case(p: &AttnParams, backend: Backend, seed: u64) -> Result<(), String>
             Err(format!("{what} differs (first at {at:?}) for {p:?} on {backend:?}, seed {seed}"))
         }
     };
+    // The core keeps each query-row block at its own width; its dense form
+    // is `+0.0` wherever nothing is stored.
+    let sh = p.shape();
+    let dense = |kept: &[f32]| bits(&sh.dense(kept));
+    for (what, kept) in [("probs", &saved.probs), ("dropped", &saved.dropped)] {
+        let want = p.micro_batch * p.local_heads * block_sum(p);
+        if kept.len() != want {
+            return Err(format!("{what}: {} stored elements, block sum {want}", kept.len()));
+        }
+    }
     same("ctx", bits(want_ctx.data()), bits(ctx.data()))?;
-    same("probs", flat(&want_saved.probs), bits(&saved.probs))?;
-    same("dropped", flat(&want_saved.probs_dropped), bits(&saved.dropped))?;
-    same("replayed probs", flat(&want_replay.probs), bits(&replay.probs))?;
-    same("replayed dropped", flat(&want_replay.probs_dropped), bits(&replay.dropped))?;
+    same("probs", flat(&want_saved.probs), dense(&saved.probs))?;
+    same("dropped", flat(&want_saved.probs_dropped), dense(&saved.dropped))?;
+    same("replayed probs", flat(&want_replay.probs), dense(&replay.probs))?;
+    same("replayed dropped", flat(&want_replay.probs_dropped), dense(&replay.dropped))?;
     same("dq", bits(want_dq.data()), bits(dq.data()))?;
     same("dk", bits(want_dk.data()), bits(dk.data()))?;
     same("dv", bits(want_dv.data()), bits(dv.data()))?;
@@ -285,13 +296,29 @@ fn check_case(p: &AttnParams, backend: Backend, seed: u64) -> Result<(), String>
     Ok(())
 }
 
+/// Elements one `(batch, head)` keeps: `Σ rows · width` over the core's
+/// query-row blocks.
+fn block_sum(p: &AttnParams) -> usize {
+    let sh = p.shape();
+    (0..p.seq).step_by(BLOCK).map(|r0| ((r0 + BLOCK).min(p.seq) - r0) * sh.panel(r0).1).sum()
+}
+
+/// Every stored masked entry — row `q`'s columns past `q` inside its
+/// block's panel — is `+0.0`.
 fn masked_entries_are_positive_zero(p: &AttnParams, saved: &AttnSaved) -> Result<(), String> {
-    let s = p.seq;
+    let (sh, s) = (p.shape(), p.seq);
     for (name, buf) in [("probs", &saved.probs), ("dropped", &saved.dropped)] {
-        for (unit, matrix) in buf.chunks(s * s).enumerate() {
-            for q in 0..s {
-                if matrix[q * s + q + 1..(q + 1) * s].iter().any(|x| x.to_bits() != 0) {
-                    return Err(format!("{name}: unit {unit} row {q} has a masked entry != +0.0"));
+        for (unit, share) in buf.chunks(block_sum(p)).enumerate() {
+            for r0 in (0..s).step_by(BLOCK) {
+                let (offset, width) = sh.panel(r0);
+                let rows = (r0 + BLOCK).min(s) - r0;
+                for (i, row) in share[offset..offset + rows * width].chunks(width).enumerate() {
+                    let q = r0 + i;
+                    if row[q + 1..].iter().any(|x| x.to_bits() != 0) {
+                        return Err(format!(
+                            "{name}: unit {unit} row {q} has a masked entry != +0.0"
+                        ));
+                    }
                 }
             }
         }

@@ -6,6 +6,11 @@
 //! two such sets (the softmax and the dropout outputs), so it lands at
 //! twice the bound or more.
 //!
+//! A keeping forward (`None`) holds the core's softmax and dropout outputs
+//! at their causal panels only: each query-row block at the width it
+//! computes. What it keeps beyond a `Selective` forward is exactly
+//! `2·4·b·a·Σ rows·width` bytes, and `2·4·b·a·s²` without the causal mask.
+//!
 //! A layer backward also builds every parameter gradient exactly once, as
 //! the tensor the optimizer reads, and its GEMMs stream weights through
 //! fixed blocks instead of packing whole copies: on a weight-dominated
@@ -146,6 +151,60 @@ fn a_recomputing_backward_never_holds_a_probability_matrix() {
             "{policy:?} backward peaked {peak} B above entry; one a·b·s² f32 probability set \
              is {probability_set} B"
         );
+    }
+}
+
+/// Live bytes `f`'s result still holds once `f` returns.
+fn kept_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let entry = LIVE.load(Relaxed);
+    let out = f();
+    (out, LIVE.load(Relaxed) - entry)
+}
+
+#[test]
+fn a_keeping_forward_holds_exactly_the_causal_panels() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    set_default_backend(Backend::Serial);
+    // s = 200 against 64-row query blocks: three full blocks and a ragged
+    // 8-row one, each kept at the width it computes under the causal mask:
+    // 64·64 + 64·128 + 64·192 + 8·200 = 26 176 elements per (batch, head),
+    // against 200² = 40 000 dense.
+    let causal_panels = 64 * 64 + 64 * 128 + 64 * 192 + 8 * 200;
+    assert_eq!(causal_panels, 26_176);
+    for (causal, per_unit) in [(true, causal_panels), (false, 200 * 200)] {
+        let cfg = TransformerConfig {
+            hidden: 16,
+            heads: 4,
+            seq: 200,
+            micro_batch: 1,
+            layers: 1,
+            vocab: 32,
+            dropout_p: 0.1,
+            causal,
+        };
+        let mut rng = SplitMix64::new(17);
+        let weights = LayerWeights::init(&cfg, &mut rng);
+        let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+        let layer =
+            |policy| TransformerLayer::new(cfg, weights.clone(), 0, policy, CounterRng::new(7));
+        // One warm-up forward fills the ledger with every category, so the
+        // measured forwards allocate no ledger entries.
+        let mut ledger = ActivationLedger::new();
+        drop(layer(Recompute::None).forward(&x, 0, ExecMode::Serial, &mut ledger));
+        let (none, selective) = (layer(Recompute::None), layer(Recompute::Selective));
+        let (kept_none, none_bytes) =
+            kept_by(|| none.forward(&x, 0, ExecMode::Serial, &mut ledger));
+        let (kept_selective, selective_bytes) =
+            kept_by(|| selective.forward(&x, 0, ExecMode::Serial, &mut ledger));
+        // The softmax output and the dropout output, f32, for each of
+        // b·a (batch, head) units.
+        let core = 2 * 4 * cfg.micro_batch * cfg.heads * per_unit;
+        assert_eq!(
+            none_bytes - selective_bytes,
+            core,
+            "causal={causal}: None keeps {none_bytes} B, Selective {selective_bytes} B"
+        );
+        drop((kept_none, kept_selective));
     }
 }
 

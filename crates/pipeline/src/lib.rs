@@ -9,8 +9,9 @@
 //! `mt_model::pipeline_exec::{stage_ops, interleaved_device_ops}`, the lists
 //! the real executor walks, so the simulated timeline, the executor's ledger
 //! and `mt-analyze`'s static liveness share their only input. Everything
-//! except time is a fold over that list; time is the one event loop in
-//! [`PipelineSim::simulate`].
+//! except time is a fold over that list; time is the one event loop behind
+//! [`PipelineSim::simulate`], which builds the timeline of executed units
+//! only when [`PipelineSim::timeline`] asks for it.
 //!
 //! * **1F1B (PipeDream-flush)** — warmup forwards, steady 1F1B pairs,
 //!   cooldown backwards; peak in-flight microbatches per stage come out as
@@ -213,8 +214,8 @@ impl PipelineSim {
     /// unit starting once the device is free and its input has arrived — a
     /// forward needs the previous virtual stage's forward plus the transfer
     /// lag, a backward the next virtual stage's backward plus the lag (or
-    /// the local forward on the last virtual stage). Returns the result and
-    /// the timeline, each device's events in execution order.
+    /// the local forward on the last virtual stage). Returns the result
+    /// only; [`PipelineSim::timeline`] also returns the executed units.
     ///
     /// `store_budget`, if provided, gives each device's Appendix C capacity:
     /// how many in-flight units may keep *all* activations (and so skip
@@ -230,11 +231,35 @@ impl PipelineSim {
     /// Panics if the pipeline is empty, `num_micro == 0`, the chunk count
     /// is 0, `store_budget.len() != p`, or an interleaved schedule's
     /// `num_micro` is not a multiple of `p`.
-    pub fn simulate(
+    pub fn simulate(&self, schedule: Schedule, store_budget: Option<&[u64]>) -> SimResult {
+        self.run(schedule, store_budget, |_| {})
+    }
+
+    /// [`PipelineSim::simulate`], additionally returning the timeline, each
+    /// device's events in execution order (see [`trace_onto`],
+    /// [`render_schedule`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`PipelineSim::simulate`].
+    pub fn timeline(
         &self,
         schedule: Schedule,
         store_budget: Option<&[u64]>,
     ) -> (SimResult, Vec<TraceEvent>) {
+        let mut events =
+            Vec::with_capacity(2 * self.p() * schedule.chunks() * self.num_micro as usize);
+        let result = self.run(schedule, store_budget, |e| events.push(e));
+        (result, events)
+    }
+
+    /// The one simulation loop; each executed unit goes to `on_unit`.
+    fn run(
+        &self,
+        schedule: Schedule,
+        store_budget: Option<&[u64]>,
+        mut on_unit: impl FnMut(TraceEvent),
+    ) -> SimResult {
         let (p, n, m) = (self.p(), self.num_micro as usize, schedule.chunks());
         assert!(p > 0, "pipeline needs at least one stage");
         assert!(n > 0 && m > 0, "need at least one microbatch and one chunk");
@@ -256,10 +281,10 @@ impl PipelineSim {
         let mut stored_now = vec![0u64; p];
         let mut stored = vec![vec![false; n]; vstages];
         let mut stored_total = vec![0u64; p];
-        let mut events = Vec::with_capacity(units);
+        let mut executed = 0;
 
-        while events.len() < units {
-            let done = events.len();
+        while executed < units {
+            let done = executed;
             for d in 0..p {
                 while let Some(&(forward, chunk, micro)) = ops[d].get(next_op[d]) {
                     let vs = chunk * p + d;
@@ -305,7 +330,7 @@ impl PipelineSim {
                     busy[d] += dur;
                     let ends = if forward { &mut f_end } else { &mut b_end };
                     ends[vs][micro] = clock[d];
-                    events.push(TraceEvent {
+                    on_unit(TraceEvent {
                         stage: d,
                         chunk,
                         micro,
@@ -314,31 +339,32 @@ impl PipelineSim {
                         start_ms: start,
                         end_ms: clock[d],
                     });
+                    executed += 1;
                     next_op[d] += 1;
                 }
             }
-            assert!(events.len() > done, "{schedule:?} schedule deadlocked (internal error)");
+            assert!(executed > done, "{schedule:?} schedule deadlocked (internal error)");
         }
 
-        let result = SimResult {
+        SimResult {
             makespan_ms: clock.iter().fold(0.0_f64, |a, &b| a.max(b)),
             stage_busy_ms: busy,
             peak_in_flight: peak,
             stored_full: stored_total,
-        };
-        (result, events)
+        }
     }
 
     /// Simulates the 1F1B schedule: [`PipelineSim::simulate`] with
     /// [`Schedule::OneFOneB`], result only.
     pub fn simulate_1f1b(&self, store_budget: Option<&[u64]>) -> SimResult {
-        self.simulate(Schedule::OneFOneB, store_budget).0
+        self.simulate(Schedule::OneFOneB, store_budget)
     }
 
     /// Like [`PipelineSim::simulate_1f1b`], additionally returning the
-    /// executed timeline (see [`trace_onto`], [`render_schedule`]).
+    /// executed timeline: [`PipelineSim::timeline`] with
+    /// [`Schedule::OneFOneB`].
     pub fn trace_1f1b(&self, store_budget: Option<&[u64]>) -> (SimResult, Vec<TraceEvent>) {
-        self.simulate(Schedule::OneFOneB, store_budget)
+        self.timeline(Schedule::OneFOneB, store_budget)
     }
 
     /// Simulates the GPipe schedule (all-forward then all-backward with a
@@ -346,7 +372,7 @@ impl PipelineSim {
     /// but every stage's peak in-flight count is `n` instead of
     /// `min(p − stage, n)`.
     pub fn simulate_gpipe(&self, store_budget: Option<&[u64]>) -> SimResult {
-        self.simulate(Schedule::GPipe, store_budget).0
+        self.simulate(Schedule::GPipe, store_budget)
     }
 
     /// Analytic iteration milliseconds under the interleaved schedule with
@@ -563,15 +589,19 @@ mod tests {
 
     // ---- interleaved order, same engine ----
 
-    fn interleaved(p: usize, m: usize, n: u64, costs: StageCosts) -> (SimResult, Vec<TraceEvent>) {
+    fn interleaved(p: usize, m: usize, n: u64, costs: StageCosts) -> SimResult {
         PipelineSim::uniform(costs, p, n, 0.0).simulate(Schedule::Interleaved { chunks: m }, None)
+    }
+
+    fn interleaved_timeline(p: usize, m: usize, n: u64) -> (SimResult, Vec<TraceEvent>) {
+        PipelineSim::uniform(CHUNK, p, n, 0.0).timeline(Schedule::Interleaved { chunks: m }, None)
     }
 
     const CHUNK: StageCosts = StageCosts { forward_ms: 1.0, backward_ms: 2.0, recompute_ms: 0.0 };
 
     #[test]
     fn interleaved_timeline_covers_every_unit_once() {
-        let (_, events) = interleaved(4, 3, 8, CHUNK);
+        let (_, events) = interleaved_timeline(4, 3, 8);
         assert_eq!(events.len(), 2 * 4 * 3 * 8);
         let mut seen = std::collections::HashSet::new();
         for e in &events {
@@ -584,7 +614,7 @@ mod tests {
         // Uniform chunk costs, no lag: (n + (p−1)/m)·m·(f + b), which is
         // `interleaved_ms` of the pipeline holding whole-device costs.
         for (p, m, n) in [(4usize, 2usize, 8u64), (4, 3, 12), (8, 3, 24), (2, 4, 2)] {
-            let measured = interleaved(p, m, n, CHUNK).0.makespan_ms;
+            let measured = interleaved(p, m, n, CHUNK).makespan_ms;
             let k = m as f64;
             let whole = StageCosts::new(k * CHUNK.forward_ms, k * CHUNK.backward_ms, 0.0);
             let analytic = PipelineSim::uniform(whole, p, n, 0.0).interleaved_ms(m as u64);
@@ -599,7 +629,7 @@ mod tests {
     fn interleaving_beats_plain_1f1b() {
         // Same total per-device work, smaller bubble.
         let (p, m, n) = (8, 4, 16);
-        let inter = interleaved(p, m, n, CHUNK).0.makespan_ms;
+        let inter = interleaved(p, m, n, CHUNK).makespan_ms;
         // Plain 1F1B with the whole device's layers as one chunk.
         let whole = StageCosts::new(m as f64 * 1.0, m as f64 * 2.0, 0.0);
         let plain = PipelineSim::uniform(whole, p, n, 0.0).simulate_1f1b(None).makespan_ms;
@@ -608,7 +638,7 @@ mod tests {
 
     #[test]
     fn m_equals_one_degenerates_to_plain_1f1b() {
-        let inter = interleaved(4, 1, 8, CHUNK).0.makespan_ms;
+        let inter = interleaved(4, 1, 8, CHUNK).makespan_ms;
         let plain = PipelineSim::uniform(CHUNK, 4, 8, 0.0).simulate_1f1b(None).makespan_ms;
         assert!((inter - plain).abs() < 1e-9, "{inter} vs {plain}");
     }
@@ -620,7 +650,7 @@ mod tests {
         // L/(pm)-layer chunk.
         for (p, m, k) in [(4usize, 3usize, 4usize), (8, 3, 4), (4, 2, 4), (4, 2, 1), (2, 4, 1)] {
             let n = k * p;
-            let r = interleaved(p, m, n as u64, CHUNK).0;
+            let r = interleaved(p, m, n as u64, CHUNK);
             let expect: Vec<u64> =
                 (0..p).map(|d| (2 * (p - d - 1) + (m - 1) * p + 1).min(n * m) as u64).collect();
             assert_eq!(r.peak_in_flight, expect, "p={p} m={m} n={n}");
@@ -639,7 +669,7 @@ mod tests {
 
     #[test]
     fn trace_onto_emits_one_span_per_unit_on_its_device_lane() {
-        let (result, timeline) = interleaved(4, 3, 8, CHUNK);
+        let (result, timeline) = interleaved_timeline(4, 3, 8);
         let tracer = mt_trace::Tracer::enabled();
         trace_onto(&tracer, &timeline);
         let events = tracer.events();
@@ -671,8 +701,8 @@ mod tests {
 
     #[test]
     fn recompute_increases_interleaved_makespan() {
-        let base = interleaved(4, 3, 8, CHUNK).0.makespan_ms;
-        let with = interleaved(4, 3, 8, StageCosts::new(1.0, 2.0, 0.9)).0.makespan_ms;
+        let base = interleaved(4, 3, 8, CHUNK).makespan_ms;
+        let with = interleaved(4, 3, 8, StageCosts::new(1.0, 2.0, 0.9)).makespan_ms;
         assert!(with > base);
     }
 
@@ -682,11 +712,11 @@ mod tests {
         // recomputation, so the makespan is the recompute-free one.
         let sim = PipelineSim::uniform(StageCosts::new(1.0, 2.0, 0.9), 4, 8, 0.1);
         let schedule = Schedule::Interleaved { chunks: 3 };
-        let (stored, events) = sim.simulate(schedule, Some(&[24; 4]));
-        let free = PipelineSim::uniform(CHUNK, 4, 8, 0.1).simulate(schedule, None).0;
+        let (stored, events) = sim.timeline(schedule, Some(&[24; 4]));
+        let free = PipelineSim::uniform(CHUNK, 4, 8, 0.1).simulate(schedule, None);
         assert_eq!(stored.makespan_ms, free.makespan_ms);
         assert_eq!(stored.stored_full, vec![24; 4]);
         assert!(events.iter().all(|e| !e.recomputed));
-        assert!(sim.simulate(schedule, Some(&[0; 4])).0.makespan_ms > free.makespan_ms);
+        assert!(sim.simulate(schedule, Some(&[0; 4])).makespan_ms > free.makespan_ms);
     }
 }

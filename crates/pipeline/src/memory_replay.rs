@@ -83,7 +83,7 @@ fn try_replay(actions: &[(bool, usize, u64)], capacity: u64) -> Result<u64, Allo
 /// arena a best-fit caching allocator needs (binary search).
 ///
 /// The stage's events are read in the order given, which must be its
-/// execution order — the order `PipelineSim::simulate` emits them in.
+/// execution order — the order `PipelineSim::timeline` emits them in.
 ///
 /// # Panics
 ///

@@ -176,7 +176,7 @@ fn simulated_in_flight_matches_memory_model_assumption() {
             let n = n.div_ceil(p as u64) * p as u64; // interleaving needs p | n
             let sim = PipelineSim { num_micro: n, ..sim.clone() };
             let schedule = Schedule::Interleaved { chunks: m as usize };
-            let peaks = sim.simulate(schedule, None).0.peak_in_flight;
+            let peaks = sim.simulate(schedule, None).peak_in_flight;
             let layers = p as u64 * m * 2; // chunks of two layers
             let act = ActivationMemoryModel::new(ModelShape { layers, ..shape }, 1, 2);
             let parallel = Parallelism { interleave: Some(m), ..parallel };
