@@ -2,58 +2,35 @@
 //! schedules.
 //!
 //! These walkers mirror `mt_model`'s execution paths — the conjugate
-//! collective pairs of `ExecMode`, the `record_stored` ledger order, the
+//! collective pairs of `ExecMode`, the stored-tensor tables the runtime
+//! books (`mt_model::stored_rows`, `head_rows`, `embedding_rows`), the
 //! 1F1B/interleaved op orders (consumed directly from
 //! `mt_model::pipeline_exec`, not re-derived) — emitting [`ScheduleOp`]s
 //! instead of executing floats. Tags are built byte-for-byte as the
 //! runtime's single tag constructor would build them, so the matching pass
 //! verifies the *actual* rendezvous identities.
+//!
+//! The layer's region collectives are two lists here, `FORWARD` and
+//! `BACKWARD`, not a table in `mt-model`: the runtime issues each gather
+//! and combine inline beside its operands and would never read a list.
+//! `tests/collective_order.rs` pins the lists to the runtime's traced
+//! collectives, call for call.
 
 use crate::ir::{AllocId, GroupId, Program, RankProgram, ScheduleOp};
 use mt_collectives::{chunk_rows, CallTag, CollectiveKind};
 use mt_memory::Recompute;
 use mt_model::pipeline_exec::{interleaved_device_ops, stage_ops};
-use mt_model::{Category, OverlapPolicy, TransformerConfig};
+use mt_model::{
+    embedding_rows, head_rows, stored_rows, Category, OverlapPolicy, TransformerConfig,
+};
 use std::collections::HashMap;
-
-/// Static image of `mt_model::ExecMode`: how a layer executes, without a
-/// live communicator attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaticMode {
-    /// Single process, no collectives.
-    Serial,
-    /// Megatron tensor parallelism (`f`/`f̄` = identity / all-reduce).
-    TensorParallel,
-    /// Tensor + sequence parallelism (`g`/`ḡ` = all-gather /
-    /// reduce-scatter).
-    TensorSequenceParallel,
-}
-
-impl StaticMode {
-    /// Mode selection, exactly as `pipeline_exec` chooses an `ExecMode`:
-    /// serial iff `t == 1` without sequence parallelism; sequence
-    /// parallelism forces the SP mode even at `t == 1` (the collectives run
-    /// on a size-1 group, which is free but still tagged).
-    pub fn select(t: usize, sequence_parallel: bool) -> StaticMode {
-        if t == 1 && !sequence_parallel {
-            StaticMode::Serial
-        } else if sequence_parallel {
-            StaticMode::TensorSequenceParallel
-        } else {
-            StaticMode::TensorParallel
-        }
-    }
-
-    /// Whether sequence parallelism is active.
-    pub fn sequence_parallel(self) -> bool {
-        matches!(self, StaticMode::TensorSequenceParallel)
-    }
-}
 
 /// Accumulates one rank's ops, handing out allocation ids.
 struct Emitter {
     ops: Vec<ScheduleOp>,
     next_id: u64,
+    /// Tensor-parallel group size, the factor an all-gather's payload has.
+    tp: usize,
     /// World-formation epoch stamped into every emitted tag, mirroring
     /// `World::set_epoch`. 0 for a fresh world; an elastic re-formation
     /// extracts its post-reform program at the bumped epoch.
@@ -61,19 +38,18 @@ struct Emitter {
 }
 
 impl Emitter {
-    fn new() -> Self {
-        Self::at_epoch(0)
+    fn new(tp: usize, epoch: u64) -> Self {
+        Emitter { ops: Vec::new(), next_id: 0, tp, epoch }
     }
 
-    fn at_epoch(epoch: u64) -> Self {
-        Emitter { ops: Vec::new(), next_id: 0, epoch }
-    }
-
-    fn alloc(&mut self, category: Category, elems: u64) -> AllocId {
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
-        self.ops.push(ScheduleOp::Alloc { id, category, elems });
-        id
+    /// Allocates every row of a stored-tensor table, adding the ids to `ids`.
+    fn alloc(&mut self, ids: &mut Vec<AllocId>, rows: impl IntoIterator<Item = (Category, u64)>) {
+        for (category, elems) in rows {
+            let id = AllocId(self.next_id);
+            self.next_id += 1;
+            self.ops.push(ScheduleOp::Alloc { id, category, elems });
+            ids.push(id);
+        }
     }
 
     fn free_all(&mut self, ids: &[AllocId]) {
@@ -82,22 +58,22 @@ impl Emitter {
         }
     }
 
-    /// Emits a collective with the tag the runtime builds, through the same
-    /// [`CallTag::new`]: `op` + the *argument* tensor's shape + optional
-    /// root + optional chunk coordinate (for the
-    /// `OverlapPolicy::OverlappedRecompute` sub-rendezvous).
-    #[allow(clippy::too_many_arguments)]
+    /// Emits a collective on a `shape`-shaped contribution with the tag the
+    /// runtime builds, through the same [`CallTag::new`]: the kind's name +
+    /// the shape + optional root + optional chunk coordinate (for the
+    /// `OverlapPolicy::OverlappedRecompute` sub-rendezvous). The payload is
+    /// the contribution, gathered `tp` ways for an all-gather.
     fn collective(
         &mut self,
         group: GroupId,
         kind: CollectiveKind,
-        op: &'static str,
         shape: &[usize],
         root: Option<usize>,
         chunk: Option<(usize, usize)>,
-        payload_elems: u64,
     ) {
-        let tag = CallTag::new(op, shape, root, chunk, self.epoch);
+        let tag = CallTag::new(kind.name(), shape, root, chunk, self.epoch);
+        let gathered = if kind == CollectiveKind::AllGather { self.tp } else { 1 };
+        let payload_elems = (shape.iter().product::<usize>() * gathered) as u64;
         self.ops.push(ScheduleOp::Collective { group, kind, tag, payload_elems });
     }
 
@@ -110,244 +86,104 @@ impl Emitter {
     }
 }
 
+/// One step of a layer's region schedule.
+#[derive(Clone, Copy)]
+enum Region {
+    /// `g` forward, `ḡ` backward and SP's re-gathers of a stored shard: an
+    /// all-gather of the `[rows, h]` shard under sequence parallelism, the
+    /// identity otherwise.
+    Gather,
+    /// `f̄`/`ḡ` forward and `f`/`g` backward: the all-reduce (TP) or
+    /// reduce-scatter (SP) of the `[tokens, h]` partial sums.
+    Combine,
+    /// SP's replicated-parameter gradient sync: an all-reduce of one
+    /// `[h]` gradient.
+    GradSync,
+}
+
+use Region::{Combine, Gather, GradSync};
+
+/// A layer forward: each half enters its region and combines its output.
+const FORWARD: [Region; 4] = [Gather, Combine, Gather, Combine];
+
+/// A layer backward. A `Full` checkpoint first replays the forward through
+/// `y2`: the attention half's two steps (the first two here), but not the
+/// MLP's. Then the MLP half (`d_m2`'s `ḡ` backward, the `y2` re-gather,
+/// `d_y_ln2`'s combine), the attention half (`d_o`, the `y1` re-gather,
+/// `d_y_ln1`), and the six replicated-gradient syncs.
+const BACKWARD: [Region; 14] = [
+    Gather, Combine, // the `Full` replay
+    Gather, Gather, Combine, // MLP half
+    Gather, Gather, Combine, // attention half
+    GradSync, GradSync, GradSync, GradSync, GradSync, GradSync,
+];
+
 /// Everything needed to emit one transformer layer's events for one rank.
 #[derive(Clone, Copy)]
 struct LayerCtx {
     cfg: TransformerConfig,
     t: usize,
-    mode: StaticMode,
+    /// Sequence parallelism. Collectives run iff `t > 1 || sp`: SP forces
+    /// its collectives even at `t == 1` (a size-1 group, free but tagged).
+    sp: bool,
     policy: Recompute,
     overlap: OverlapPolicy,
     group: GroupId,
 }
 
 impl LayerCtx {
-    fn tokens(&self) -> usize {
-        self.cfg.tokens()
-    }
-
     /// Rows held locally in the LayerNorm/dropout regions.
     fn rows(&self) -> usize {
-        if self.mode.sequence_parallel() {
-            self.tokens() / self.t
-        } else {
-            self.tokens()
-        }
+        self.cfg.tokens() / if self.sp { self.t } else { 1 }
     }
 
-    /// `g` forward / the SP re-gathers: all-gather of a `[rows, h]` shard
-    /// (tag carries the shard shape; stats record the full gathered size).
-    /// Under [`OverlapPolicy::OverlappedRecompute`] the gather is `C` chunk
-    /// sub-rendezvous, tagged and sized exactly as
-    /// `Communicator::try_all_gather_chunk` tags and sizes them: chunk `j`
-    /// carries shard rows `[a, b)` of the [`chunk_rows`] partition, so the
-    /// per-chunk payloads sum to the whole-tensor payload.
-    fn enter_region_fwd(&self, e: &mut Emitter) {
-        if !self.mode.sequence_parallel() {
-            return;
-        }
+    /// Emits one region step as the runtime's `gather_gemm`, `regather`,
+    /// `combine_region` and gradient sync issue it. Under SP with
+    /// [`OverlapPolicy::OverlappedRecompute`] a gather or combine is `C`
+    /// chunk sub-rendezvous over the [`chunk_rows`] partition of the shard
+    /// rows, as `Communicator` tags and sizes them: chunk `j` carries shard
+    /// rows `[a, b)`, `t·(b−a)` rows for the reduce-scatter. The TP
+    /// all-reduce is never chunked.
+    fn region(&self, e: &mut Emitter, step: Region) {
         let h = self.cfg.hidden;
+        let (kind, ranks) = match step {
+            Gather if self.sp => (CollectiveKind::AllGather, 1),
+            Combine if self.sp => (CollectiveKind::ReduceScatter, self.t),
+            Combine if self.t > 1 => (CollectiveKind::AllReduce, 1),
+            GradSync if self.sp => {
+                return e.collective(self.group, CollectiveKind::AllReduce, &[h], None, None)
+            }
+            _ => return,
+        };
         let rows = self.rows();
         match self.overlap {
-            OverlapPolicy::Exposed => {
-                e.collective(
-                    self.group,
-                    CollectiveKind::AllGather,
-                    "all_gather",
-                    &[rows, h],
-                    None,
-                    None,
-                    (rows * self.t * h) as u64,
-                );
-            }
-            OverlapPolicy::OverlappedRecompute { chunks } => {
+            OverlapPolicy::OverlappedRecompute { chunks } if self.sp => {
                 for j in 0..chunks {
                     let (a, b) = chunk_rows(rows, chunks, j);
-                    e.collective(
-                        self.group,
-                        CollectiveKind::AllGather,
-                        "all_gather",
-                        &[b - a, h],
-                        None,
-                        Some((j, chunks)),
-                        ((b - a) * self.t * h) as u64,
-                    );
+                    e.collective(self.group, kind, &[ranks * (b - a), h], None, Some((j, chunks)));
                 }
             }
+            _ => e.collective(self.group, kind, &[ranks * rows, h], None, None),
         }
     }
 
-    /// `f̄`/`ḡ` forward: all-reduce (TP) or reduce-scatter (SP) of the full
-    /// `[tokens, h]` partial sums. The SP reduce-scatter chunks under
-    /// [`OverlapPolicy::OverlappedRecompute`], mirroring
-    /// `Communicator::try_reduce_scatter_chunked`: the partition runs over the
-    /// *result-shard* rows, and chunk `j`'s contribution (and tag shape) is
-    /// `[t·(b−a), h]`. The TP all-reduce is unaffected by the policy, as in
-    /// the runtime.
-    fn exit_region_fwd(&self, e: &mut Emitter) {
-        let h = self.cfg.hidden;
-        let shape = [self.tokens(), h];
-        let payload = (self.tokens() * h) as u64;
-        match self.mode {
-            StaticMode::Serial => {}
-            StaticMode::TensorParallel => {
-                e.collective(
-                    self.group,
-                    CollectiveKind::AllReduce,
-                    "all_reduce",
-                    &shape,
-                    None,
-                    None,
-                    payload,
-                );
-            }
-            StaticMode::TensorSequenceParallel => match self.overlap {
-                OverlapPolicy::Exposed => {
-                    e.collective(
-                        self.group,
-                        CollectiveKind::ReduceScatter,
-                        "reduce_scatter",
-                        &shape,
-                        None,
-                        None,
-                        payload,
-                    );
-                }
-                OverlapPolicy::OverlappedRecompute { chunks } => {
-                    let shard_rows = self.rows();
-                    for j in 0..chunks {
-                        let (a, b) = chunk_rows(shard_rows, chunks, j);
-                        e.collective(
-                            self.group,
-                            CollectiveKind::ReduceScatter,
-                            "reduce_scatter",
-                            &[self.t * (b - a), h],
-                            None,
-                            Some((j, chunks)),
-                            (self.t * (b - a) * h) as u64,
-                        );
-                    }
-                }
-            },
+    /// Forward collectives + stored-tensor allocations for one layer, in
+    /// the runtime's order: the collectives fire inside the forward before
+    /// the layer books its [`stored_rows`]. Adds the allocation ids to
+    /// `ids` so the backward can free them.
+    fn forward(&self, e: &mut Emitter, ids: &mut Vec<AllocId>) {
+        for step in FORWARD {
+            self.region(e, step);
         }
-    }
-
-    /// `f`/`g` backward: all-reduce (TP) or reduce-scatter (SP).
-    fn enter_region_bwd(&self, e: &mut Emitter) {
-        // Same wire signature as the forward exit.
-        self.exit_region_fwd(e);
-    }
-
-    /// `f̄`/`ḡ` backward: identity (TP) or all-gather (SP).
-    fn exit_region_bwd(&self, e: &mut Emitter) {
-        self.enter_region_fwd(e);
-    }
-
-    /// Forward collectives + ledger records for one layer, in the runtime's
-    /// order. Returns the allocation ids so the backward can free them.
-    fn forward(&self, e: &mut Emitter) -> Vec<AllocId> {
-        // Collectives fire inside `forward_full`, before the policy records
-        // anything on the ledger.
-        self.enter_region_fwd(e); // attention g
-        self.exit_region_fwd(e); // attention f̄/ḡ
-        self.enter_region_fwd(e); // MLP g
-        self.exit_region_fwd(e); // MLP f̄/ḡ
-
-        let h = self.cfg.hidden as u64;
-        let t = self.t as u64;
-        let rows = self.rows() as u64;
-        let tokens = self.tokens() as u64;
-        let rows_h = rows * h;
-        let tokens_h = tokens * h;
-        let shard_h = tokens_h / t;
-        // One `[s, s]` score matrix per (batch, local head).
-        let probs =
-            (self.cfg.micro_batch * (self.cfg.heads / self.t) * self.cfg.seq * self.cfg.seq) as u64;
-        // Under SP only the local LayerNorm-output shard is kept (the
-        // paper's trick); under TP the gathered tensors are.
-        let ln_out = if self.mode.sequence_parallel() { rows_h } else { tokens_h };
-
-        let mut ids = Vec::new();
-        let mut a = |e: &mut Emitter, c, n| ids.push(e.alloc(c, n));
-        match self.policy {
-            Recompute::Full => {
-                // Only the checkpointed layer input survives.
-                a(e, Category::LayerNormInput, rows_h);
-            }
-            Recompute::None | Recompute::Selective => {
-                // `record_stored`, line for line.
-                a(e, Category::LayerNormInput, rows_h);
-                a(e, Category::SmallStatistics, 2 * rows);
-                a(e, Category::QkvInput, ln_out);
-                a(e, Category::QueryKey, 2 * shard_h);
-                a(e, Category::Value, shard_h);
-                if self.policy == Recompute::None {
-                    a(e, Category::SoftmaxOutput, probs);
-                    a(e, Category::SoftmaxDropoutMask, probs);
-                    a(e, Category::SoftmaxDropoutOutput, probs);
-                }
-                a(e, Category::ProjectionInput, shard_h);
-                a(e, Category::AttentionDropoutMask, rows_h);
-                a(e, Category::LayerNormInput, rows_h);
-                a(e, Category::SmallStatistics, 2 * rows);
-                a(e, Category::MlpFirstInput, ln_out);
-                a(e, Category::GeluInput, 4 * shard_h);
-                a(e, Category::MlpSecondInput, 4 * shard_h);
-                a(e, Category::MlpDropoutMask, rows_h);
-            }
-        }
-        ids
+        e.alloc(ids, stored_rows(&self.cfg, self.t, self.sp, self.policy));
     }
 
     /// Backward collectives for one layer, in the runtime's order.
     fn backward(&self, e: &mut Emitter) {
-        if self.policy == Recompute::Full {
-            // `LayerState::Checkpoint` replays the forward through `y2`
-            // first: neither the MLP's g nor its exit combine is re-run.
-            self.enter_region_fwd(e); // attention g
-            self.exit_region_fwd(e); // attention f̄/ḡ
+        let replay = if self.policy == Recompute::Full { 0 } else { 2 };
+        for &step in &BACKWARD[replay..] {
+            self.region(e, step);
         }
-        // MLP half.
-        self.exit_region_bwd(e); // d_m2: ḡ backward
-        self.enter_region_fwd(e); // y2 re-gather (SP's extra all-gather)
-        self.enter_region_bwd(e); // d_y_ln2
-                                  // Attention half.
-        self.exit_region_bwd(e); // d_o
-        self.enter_region_fwd(e); // y1 re-gather
-        self.enter_region_bwd(e); // d_y_ln1
-                                  // SP's replicated-parameter gradient sync: six small all-reduces.
-        if self.mode.sequence_parallel() {
-            let hidden = self.cfg.hidden;
-            for _ in 0..6 {
-                e.collective(
-                    self.group,
-                    CollectiveKind::AllReduce,
-                    "all_reduce",
-                    &[hidden],
-                    None,
-                    None,
-                    hidden as u64,
-                );
-            }
-        }
-    }
-}
-
-fn single_layer_ctx(
-    cfg: &TransformerConfig,
-    t: usize,
-    sp: bool,
-    policy: Recompute,
-    overlap: OverlapPolicy,
-) -> LayerCtx {
-    cfg.validate(t);
-    LayerCtx {
-        cfg: *cfg,
-        t,
-        mode: StaticMode::select(t, sp),
-        policy,
-        overlap,
-        group: GroupId::Tp { stage: 0 },
     }
 }
 
@@ -379,17 +215,7 @@ pub fn layer_program_at_epoch(
     overlap: OverlapPolicy,
     epoch: u64,
 ) -> Program {
-    let ctx = single_layer_ctx(cfg, t, sequence_parallel, policy, overlap);
-    let ranks = (0..t)
-        .map(|rank| {
-            let mut e = Emitter::at_epoch(epoch);
-            let ids = ctx.forward(&mut e);
-            ctx.backward(&mut e);
-            e.free_all(&ids);
-            RankProgram { rank, ops: e.ops }
-        })
-        .collect();
-    Program { tp: t, pp: 1, ranks }
+    single_layer_program(cfg, t, sequence_parallel, policy, overlap, epoch, true)
 }
 
 /// Forward-only variant of [`layer_program`] (activations stay live), used
@@ -401,11 +227,30 @@ pub fn layer_forward_program(
     policy: Recompute,
     overlap: OverlapPolicy,
 ) -> Program {
-    let ctx = single_layer_ctx(cfg, t, sequence_parallel, policy, overlap);
+    single_layer_program(cfg, t, sequence_parallel, policy, overlap, 0, false)
+}
+
+/// The one single-layer builder: every rank runs the layer forward and,
+/// with `backward`, the backward, then frees what the forward stored.
+fn single_layer_program(
+    cfg: &TransformerConfig,
+    t: usize,
+    sp: bool,
+    policy: Recompute,
+    overlap: OverlapPolicy,
+    epoch: u64,
+    backward: bool,
+) -> Program {
+    cfg.validate(t);
+    let ctx = LayerCtx { cfg: *cfg, t, sp, policy, overlap, group: GroupId::Tp { stage: 0 } };
     let ranks = (0..t)
         .map(|rank| {
-            let mut e = Emitter::new();
-            let _ids = ctx.forward(&mut e);
+            let (mut e, mut ids) = (Emitter::new(t, epoch), Vec::new());
+            ctx.forward(&mut e, &mut ids);
+            if backward {
+                ctx.backward(&mut e);
+                e.free_all(&ids);
+            }
             RankProgram { rank, ops: e.ops }
         })
         .collect();
@@ -426,7 +271,6 @@ impl StageCtx {
     /// Forward of one microbatch on one (virtual) stage. `first`/`last` say
     /// whether this stage holds the embedding / the head; `prev`/`next` are
     /// global grid ranks for the stage-boundary transfers.
-    #[allow(clippy::too_many_arguments)]
     fn forward_micro(
         &self,
         e: &mut Emitter,
@@ -435,36 +279,20 @@ impl StageCtx {
         prev: usize,
         next: usize,
     ) -> Vec<AllocId> {
-        let cfg = &self.layer.cfg;
+        let layer = &self.layer;
         let mut ids = Vec::new();
         if first {
-            ids.push(e.alloc(Category::EmbeddingDropoutMask, self.rows_h()));
+            e.alloc(&mut ids, embedding_rows(&layer.cfg, layer.t, layer.sp));
         } else {
             e.recv(prev, self.rows_h());
         }
         for _ in 0..self.layers_here {
-            ids.extend(self.layer.forward(e));
+            layer.forward(e, &mut ids);
         }
         if last {
-            let tokens_h = (cfg.tokens() * cfg.hidden) as u64;
-            if self.layer.mode.sequence_parallel() {
-                e.collective(
-                    self.layer.group,
-                    CollectiveKind::AllGather,
-                    "all_gather",
-                    &[self.layer.rows(), cfg.hidden],
-                    None,
-                    None,
-                    tokens_h,
-                );
-            }
-            // Final LayerNorm input and statistics, logits-projection input,
-            // fp32 logits (Section 4.3), in `head_forward`'s order. The head
-            // operates on the gathered full tensor.
-            ids.push(e.alloc(Category::LayerNormInput, tokens_h));
-            ids.push(e.alloc(Category::SmallStatistics, 2 * cfg.tokens() as u64));
-            ids.push(e.alloc(Category::ProjectionInput, tokens_h));
-            ids.push(e.alloc(Category::Logits, (cfg.tokens() * cfg.vocab) as u64));
+            // The head runs on the gathered full tensor.
+            layer.region(e, Gather);
+            e.alloc(&mut ids, head_rows(&layer.cfg));
         } else {
             e.send(next, self.rows_h());
         }
@@ -503,25 +331,10 @@ impl StageCtx {
         let (owns_embedding, owns_head) = (device == 0, device == p - 1);
         let (embedding_peer, head_peer) = (tp_rank, (p - 1) * self.layer.t + tp_rank);
         let table_elems = (cfg.vocab * cfg.hidden) as u64;
-        if self.layer.mode.sequence_parallel() && owns_embedding {
-            e.collective(
-                self.layer.group,
-                CollectiveKind::AllReduce,
-                "all_reduce",
-                &[cfg.vocab, cfg.hidden],
-                None,
-                None,
-                table_elems,
-            );
-            e.collective(
-                self.layer.group,
-                CollectiveKind::AllReduce,
-                "all_reduce",
-                &[cfg.seq, cfg.hidden],
-                None,
-                None,
-                (cfg.seq * cfg.hidden) as u64,
-            );
+        if self.layer.sp && owns_embedding {
+            for shape in [[cfg.vocab, cfg.hidden], [cfg.seq, cfg.hidden]] {
+                e.collective(self.layer.group, CollectiveKind::AllReduce, &shape, None, None);
+            }
         }
         if p > 1 {
             if owns_head {
@@ -535,11 +348,9 @@ impl StageCtx {
         e.collective(
             GroupId::Grid,
             CollectiveKind::Broadcast,
-            "broadcast",
             &[],
             Some((p - 1) * self.layer.t),
             None,
-            1,
         );
     }
 }
@@ -562,7 +373,6 @@ fn pipeline_program(
     cfg.validate(tp);
     let vstages = p * m_chunks;
     assert_eq!(cfg.layers % vstages, 0, "layers {} not divisible by p·m = {vstages}", cfg.layers);
-    let mode = StaticMode::select(tp, sequence_parallel);
     let mut ranks = Vec::with_capacity(p * tp);
     for device in 0..p {
         for tp_rank in 0..tp {
@@ -570,7 +380,7 @@ fn pipeline_program(
                 layer: LayerCtx {
                     cfg: *cfg,
                     t: tp,
-                    mode,
+                    sp: sequence_parallel,
                     policy,
                     // The pipeline executor runs layers with the default
                     // (exposed) policy.
@@ -581,7 +391,7 @@ fn pipeline_program(
             };
             let prev = ((device + p - 1) % p) * tp + tp_rank;
             let next = ((device + 1) % p) * tp + tp_rank;
-            let mut e = Emitter::new();
+            let mut e = Emitter::new(tp, 0);
             let mut allocs: HashMap<(usize, usize), Vec<AllocId>> = HashMap::new();
             for (is_fwd, v, mb) in ops(device) {
                 let vs = v * p + device;

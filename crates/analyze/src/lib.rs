@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use extract::{
     interleaved_program, layer_forward_program, layer_program, layer_program_at_epoch,
-    pipeline_1f1b_program, StaticMode,
+    pipeline_1f1b_program,
 };
 pub use ir::{AllocId, GroupId, Program, RankProgram, ScheduleOp};
 pub use lint::{lint_source, lint_workspace, Allowlist, LintFinding};

@@ -20,7 +20,7 @@
 
 use crate::config::TransformerConfig;
 use crate::layer::{ExecMode, TransformerLayer};
-use crate::ledger::{ActivationLedger, Category};
+use crate::ledger::{embedding_rows, head_rows, ActivationLedger};
 use crate::or_unwind;
 use crate::pipeline_exec::{backward_unit, forward_unit, StageGrads, StageView, UnitOut};
 use crate::policy::ExecPolicy;
@@ -290,9 +290,9 @@ impl Gpt {
 
 /// Embedding forward for this rank's rows — token lookup, learned positions,
 /// dropout — shared by the pipeline executor's forward unit and
-/// [`Gpt::logits`]. `tokens` is the full `s·b` array. Records the dropout
-/// mask on `ledger` (Section 4.3); the backward regenerates the mask with
-/// [`region_mask`] rather than keeping it.
+/// [`Gpt::logits`]. `tokens` is the full `s·b` array. Books the dropout
+/// mask's [`embedding_rows`] on `ledger` (Section 4.3); the backward
+/// regenerates the mask with [`region_mask`] rather than keeping it.
 pub(crate) fn embed_forward(
     cfg: &TransformerConfig,
     rng: &CounterRng,
@@ -314,7 +314,7 @@ pub(crate) fn embed_forward(
     }
     let mask = region_mask(cfg, rng, DropoutSite::Embedding, 0, micro, mode);
     let out = ops::dropout(&x, &mask, cfg.dropout_p);
-    ledger.record(Category::EmbeddingDropoutMask, out.numel() as u64);
+    ledger.book(embedding_rows(cfg, mode.t(), mode.sequence_parallel()), &[], "the embedding");
     out
 }
 
@@ -371,11 +371,13 @@ pub(crate) struct HeadState {
 }
 
 /// Head forward on the gathered `[s·b, h]` activation: final LayerNorm, tied
-/// logits projection, mean cross-entropy against `targets`. Records the
-/// Section 4.3 extras (LayerNorm input, projection input, fp32 logits) and
-/// the final LayerNorm's statistics (outside the paper's byte model) on
-/// `ledger`, and returns the loss with the saved state.
+/// logits projection, mean cross-entropy against `targets`. Books the
+/// [`head_rows`] — the Section 4.3 extras (LayerNorm input, projection
+/// input, fp32 logits) and the final LayerNorm's statistics (outside the
+/// paper's byte model) — on `ledger`, each checked against the tensor it
+/// keeps, and returns the loss with the saved state.
 pub(crate) fn head_forward(
+    cfg: &TransformerConfig,
     gamma: &Tensor,
     beta: &Tensor,
     table: &Tensor,
@@ -384,11 +386,10 @@ pub(crate) fn head_forward(
     ledger: &mut ActivationLedger,
 ) -> (f32, HeadState) {
     let (y_ln, ln_saved) = ops::layer_norm(&y_full, gamma, beta);
-    ledger.record(Category::LayerNormInput, y_full.numel() as u64);
-    ledger.record(Category::SmallStatistics, 2 * y_full.rows() as u64);
     let logits = ops::Gemm::NT.apply(&y_ln, table);
-    ledger.record(Category::ProjectionInput, y_ln.numel() as u64);
-    ledger.record(Category::Logits, logits.numel() as u64);
+    let stats = ln_saved.mean.len() + ln_saved.rstd.len();
+    let held = [y_full.numel(), stats, y_ln.numel(), logits.numel()];
+    ledger.book(head_rows(cfg), &held, "the head");
     let ce = ops::cross_entropy(&logits, targets);
     (ce.loss, HeadState { y_full, ln_saved, y_ln, dlogits: ce.dlogits })
 }
@@ -595,6 +596,7 @@ impl Gpt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Category;
     use crate::optim::AdamW;
 
     fn cfg() -> TransformerConfig {

@@ -20,7 +20,7 @@ use crate::attention::{
     AttnSaved,
 };
 use crate::config::TransformerConfig;
-use crate::ledger::{ActivationLedger, Category};
+use crate::ledger::{stored_rows, ActivationLedger};
 use crate::or_unwind;
 use crate::overlap::{timed_exposed, timed_recompute, OverlapPolicy};
 use crate::policy::ExecPolicy;
@@ -511,32 +511,40 @@ impl TransformerLayer {
         self.dropout_residual(DropoutSite::MlpOutput, micro, mode, &mlp.r1, m2)
     }
 
-    /// Records what `state` stores into the ledger, per the active policy.
-    fn record_stored(&self, st: &StoredState, ledger: &mut ActivationLedger) {
+    /// Books the layer's [`stored_rows`] for `recompute` on `ledger`,
+    /// checking each row against the tensor `st` holds for it: `x`, the
+    /// first LayerNorm's statistics, `y1`, `q` + `k`, `v`, `ctx`, `r1`, the
+    /// second LayerNorm's statistics, `y2`, `m1` and `g_act` — for `Full`,
+    /// the checkpointed `x` alone. The mask rows and the attention core's
+    /// rows are booked from the table: the masks are regenerated and the
+    /// core keeps only its causal panels.
+    fn record_stored(
+        &self,
+        st: &StoredState,
+        recompute: Recompute,
+        mode: &ExecMode<'_>,
+        ledger: &mut ActivationLedger,
+    ) {
         let (a, m) = (&st.attn, &st.mlp);
         let (m1, g_act) = m.inner.as_ref().expect("a stored state keeps the MLP inner");
         let y1 = a.y1.as_ref().expect("a stored state keeps y1");
-        ledger.record(Category::LayerNormInput, a.x.numel() as u64);
-        ledger.record(Category::SmallStatistics, 2 * a.x.rows() as u64);
-        ledger.record(Category::QkvInput, y1.numel() as u64);
-        ledger.record(Category::QueryKey, (a.q.numel() + a.k.numel()) as u64);
-        ledger.record(Category::Value, a.v.numel() as u64);
-        if a.core.is_some() {
-            // The paper's b·(a/t)·s², from the shape: the kept buffers hold
-            // only the causal panels the core computes.
-            let matrices = (a.q.numel() / self.cfg.head_dim() * self.cfg.seq) as u64;
-            ledger.record(Category::SoftmaxOutput, matrices);
-            ledger.record(Category::SoftmaxDropoutMask, matrices);
-            ledger.record(Category::SoftmaxDropoutOutput, matrices);
-        }
-        ledger.record(Category::ProjectionInput, a.ctx.numel() as u64);
-        ledger.record(Category::AttentionDropoutMask, m.r1.numel() as u64);
-        ledger.record(Category::LayerNormInput, m.r1.numel() as u64);
-        ledger.record(Category::SmallStatistics, 2 * m.r1.rows() as u64);
-        ledger.record(Category::MlpFirstInput, m.y2.numel() as u64);
-        ledger.record(Category::GeluInput, m1.numel() as u64);
-        ledger.record(Category::MlpSecondInput, g_act.numel() as u64);
-        ledger.record(Category::MlpDropoutMask, m.r1.numel() as u64);
+        let stats = |s: &LayerNormSaved| s.mean.len() + s.rstd.len();
+        let stored = [
+            a.x.numel(),
+            stats(&a.ln1_saved),
+            y1.numel(),
+            a.q.numel() + a.k.numel(),
+            a.v.numel(),
+            a.ctx.numel(),
+            m.r1.numel(),
+            stats(&m.ln2_saved),
+            m.y2.numel(),
+            m1.numel(),
+            g_act.numel(),
+        ];
+        let held = if recompute == Recompute::Full { &stored[..1] } else { &stored[..] };
+        let rows = stored_rows(&self.cfg, mode.t(), mode.sequence_parallel(), recompute);
+        ledger.book(rows, held, format_args!("layer {}", self.layer_idx));
     }
 
     /// Forward pass under the resolved policy. Saved activations are
@@ -562,12 +570,11 @@ impl TransformerLayer {
         let keep_attn = recompute == Recompute::None;
         let st = self.forward_stored(x.clone(), micro, &mode, overlap, keep_attn, true);
         let out = self.forward_tail(&st.mlp, micro, &mode, overlap);
+        self.record_stored(&st, recompute, &mode, ledger);
         let state = if recompute == Recompute::Full {
             // Only the checkpointed input is stored.
-            ledger.record(Category::LayerNormInput, x.numel() as u64);
             LayerState::Checkpoint { x: st.attn.x, micro }
         } else {
-            self.record_stored(&st, ledger);
             LayerState::Stored(Box::new(st))
         };
         (out, state)
@@ -821,6 +828,7 @@ impl TransformerLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Category;
     use mt_tensor::rng::SplitMix64;
 
     fn cfg() -> TransformerConfig {

@@ -6,9 +6,17 @@
 //! logits). Integration tests compare these measured totals against the
 //! closed forms of Table 2 — they must match **exactly**, since the formulas
 //! count precisely these objects.
+//!
+//! What is recorded is stated once, as tables of `(category, elements)`
+//! rows in booking order — [`stored_rows`] for a layer (Section 4.1),
+//! [`embedding_rows`] and [`head_rows`] (Section 4.3) — which the runtime
+//! books and `mt-analyze` allocates. A new stored tensor is one row.
 
+use crate::config::TransformerConfig;
+use mt_memory::Recompute;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 /// What kind of saved activation an entry is.
 ///
@@ -68,6 +76,88 @@ impl Category {
     pub fn counted_in_paper_model(self) -> bool {
         !matches!(self, Category::SmallStatistics)
     }
+
+    /// The attention core's rows, kept only by `Recompute::None`.
+    fn is_core(self) -> bool {
+        matches!(
+            self,
+            Category::SoftmaxOutput | Category::SoftmaxDropoutMask | Category::SoftmaxDropoutOutput
+        )
+    }
+
+    /// Whether a row is checked against a held tensor: every row but the
+    /// attention core's (it keeps only causal panels) and the dropout
+    /// masks' (the 1-byte rows; they are regenerated, not held).
+    fn is_held(self) -> bool {
+        !self.is_core() && self.bytes_per_element() != 1
+    }
+}
+
+/// The rows one layer stores on one rank of a `t`-wide group under
+/// `policy`, in the order [`crate::TransformerLayer::forward`] books them:
+/// 16 for `None`, 13 for `Selective` (no attention-core rows), the
+/// checkpointed input's one for `Full`. The mask rows and the attention
+/// core's paper-sized `b·(a/t)·s²` rows are booked from the formula (the
+/// masks are regenerated, the core keeps only its causal panels); every
+/// other row is checked against the tensor the layer holds.
+pub fn stored_rows(
+    cfg: &TransformerConfig,
+    t: usize,
+    sequence_parallel: bool,
+    policy: Recompute,
+) -> impl Iterator<Item = (Category, u64)> {
+    let rows = region_rows(cfg, t, sequence_parallel);
+    let rows_h = rows * cfg.hidden as u64;
+    let shard_h = (cfg.tokens() * cfg.hidden / t) as u64;
+    let core = (cfg.micro_batch * (cfg.heads / t) * cfg.seq * cfg.seq) as u64;
+    let table = [
+        (Category::LayerNormInput, rows_h),
+        (Category::SmallStatistics, 2 * rows),
+        (Category::QkvInput, rows_h),
+        (Category::QueryKey, 2 * shard_h),
+        (Category::Value, shard_h),
+        (Category::SoftmaxOutput, core),
+        (Category::SoftmaxDropoutMask, core),
+        (Category::SoftmaxDropoutOutput, core),
+        (Category::ProjectionInput, shard_h),
+        (Category::AttentionDropoutMask, rows_h),
+        (Category::LayerNormInput, rows_h),
+        (Category::SmallStatistics, 2 * rows),
+        (Category::MlpFirstInput, rows_h),
+        (Category::GeluInput, 4 * shard_h),
+        (Category::MlpSecondInput, 4 * shard_h),
+        (Category::MlpDropoutMask, rows_h),
+    ];
+    let kept = if policy == Recompute::Full { 1 } else { table.len() };
+    table.into_iter().take(kept).filter(move |&(c, _)| policy == Recompute::None || !c.is_core())
+}
+
+/// The embedding's one row on one rank: its dropout mask over the region's
+/// `rows·h`, booked from the formula.
+pub fn embedding_rows(
+    cfg: &TransformerConfig,
+    t: usize,
+    sequence_parallel: bool,
+) -> [(Category, u64); 1] {
+    [(Category::EmbeddingDropoutMask, region_rows(cfg, t, sequence_parallel) * cfg.hidden as u64)]
+}
+
+/// The head's rows, on the gathered `[s·b, h]` activation: the final
+/// LayerNorm's input and statistics, the logits projection's input and the
+/// fp32 logits, each checked against the tensor the head holds.
+pub fn head_rows(cfg: &TransformerConfig) -> [(Category, u64); 4] {
+    let (tokens, h, v) = (cfg.tokens() as u64, cfg.hidden as u64, cfg.vocab as u64);
+    [
+        (Category::LayerNormInput, tokens * h),
+        (Category::SmallStatistics, 2 * tokens),
+        (Category::ProjectionInput, tokens * h),
+        (Category::Logits, tokens * v),
+    ]
+}
+
+/// Rows of the LayerNorm/dropout region on one rank.
+fn region_rows(cfg: &TransformerConfig, t: usize, sequence_parallel: bool) -> u64 {
+    (if sequence_parallel { cfg.tokens() / t } else { cfg.tokens() }) as u64
 }
 
 /// Byte-exact record of the activations one rank stores for one (or more)
@@ -102,6 +192,26 @@ impl ActivationLedger {
             self.live_paper_bytes += elements * category.bytes_per_element();
             self.peak_paper_bytes = self.peak_paper_bytes.max(self.live_paper_bytes);
         }
+    }
+
+    /// Records `rows`, first checking each row with a held tensor against
+    /// the next of `held` (the sizes of the tensors `owner` holds, in row
+    /// order). Panics, naming `owner` and the category, on a mismatch.
+    pub(crate) fn book(
+        &mut self,
+        rows: impl IntoIterator<Item = (Category, u64)>,
+        held: &[usize],
+        owner: impl Display,
+    ) {
+        let mut held = held.iter();
+        for (category, elements) in rows {
+            if category.is_held() {
+                let n = held.next().map(|&n| n as u64);
+                assert_eq!(n, Some(elements), "{owner}: held {category:?} tensor != its table row");
+            }
+            self.record(category, elements);
+        }
+        assert_eq!(held.len(), 0, "{owner}: more held tensors than table rows");
     }
 
     /// Releases `elements` previously-recorded elements of `category` (a
@@ -286,6 +396,16 @@ mod tests {
         iter_ledger.release(&micro);
         assert_eq!(iter_ledger.live_paper_bytes(), 36);
         assert_eq!(iter_ledger.high_water(), 72);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer 7: held QkvInput tensor != its table row")]
+    fn a_mismatched_held_tensor_names_the_layer_and_category() {
+        let cfg = TransformerConfig::tiny();
+        let (h, tokens) = (cfg.hidden, cfg.tokens());
+        let held = [tokens * h, 2 * tokens, tokens * h + 1];
+        let rows = stored_rows(&cfg, 1, false, Recompute::Selective);
+        ActivationLedger::new().book(rows, &held, format_args!("layer {}", 7));
     }
 
     #[test]

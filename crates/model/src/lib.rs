@@ -59,7 +59,7 @@ pub mod weights;
 
 pub use config::TransformerConfig;
 pub use layer::{ExecMode, LayerState, StoredState, TransformerLayer};
-pub use ledger::{ActivationLedger, Category};
+pub use ledger::{embedding_rows, head_rows, stored_rows, ActivationLedger, Category};
 pub use overlap::{take_step_timing, OverlapPolicy, StepTiming};
 pub use policy::{ExecPolicy, ExecPolicyBuilder, PolicyError};
 

@@ -214,7 +214,7 @@ pub(crate) fn forward_unit(
         ExecMode::TensorSequenceParallel(c) => or_unwind(c.try_all_gather(&x)),
         _ => x,
     };
-    let (loss, head) = head_forward(gamma, beta, table, y_full, targets, ledger);
+    let (loss, head) = head_forward(stage.cfg, gamma, beta, table, y_full, targets, ledger);
     (UnitOut::Loss(loss), UnitState { layers, head: Some(head) })
 }
 
