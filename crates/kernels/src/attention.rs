@@ -17,8 +17,9 @@
 //! probabilities, directly in the block's panels of the two [`Saved`]
 //! buffers it gets back. The backward walks the same blocks; given no kept
 //! probabilities it replays each block's `probs` / `pd` panels into two
-//! `[BLOCK, s]` scratches just before that block's `dP → dS → dQ, dK, dV`,
-//! so a recomputing policy never holds an `[s, s]` matrix either.
+//! `[BLOCK, s]` scratches just before that block's `dV`, `dP → dS`, `dQ`
+//! and `dK`, with `dS` written over `pd` once `dV` has read it, so a
+//! recomputing policy never holds an `[s, s]` matrix either.
 //!
 //! A block's *panel* is its rows at the width the block computes,
 //! `limit(r1 − 1)`, which is also the panel's row stride
@@ -615,13 +616,19 @@ pub fn backward<U: Fn(u64) -> f32 + Sync>(
 enum Probs<'a> {
     /// A keeping forward's `probs` / `dropped` matrices for this unit.
     Kept(&'a [f32], &'a [f32]),
-    /// Replayed by [`probs_block`] into two `[BLOCK, s]` scratches, one
-    /// block at a time, from the unit's `Kᵀ` pack.
-    Replayed { kt: PackedB, probs: Vec<f32>, dropped: Vec<f32> },
+    /// Replayed by [`probs_block`] one block at a time, from the unit's
+    /// `Kᵀ` pack: `probs` into a `[BLOCK, s]` scratch, `pd` into the unit's
+    /// work panel.
+    Replayed { kt: PackedB, probs: Vec<f32> },
 }
 
 /// One `(batch, head)` backward: every row block, in ascending order — the
-/// order `dK`/`dV`'s accumulator chains need.
+/// order `dK`/`dV`'s accumulator chains need. Each block runs
+/// `dV += pdᵀ·dctx` first, `pd`'s last read, so a replayed `pd` and the
+/// block's `dP → dS` share one `[BLOCK, s]` work panel: a replaying worker
+/// holds two such buffers, a kept one one. `dV`'s chain is per element
+/// across blocks and no other product of the block reads it or writes what
+/// it reads, so the order moves no bit.
 #[allow(clippy::too_many_arguments)] // private unit body
 fn backward_unit<U: Fn(u64) -> f32>(
     simd: Simd,
@@ -648,30 +655,34 @@ fn backward_unit<U: Fn(u64) -> f32>(
         None => Probs::Replayed {
             kt: PackedB::pack_strided(true, s, hd, &k[base..], ld),
             probs: vec![0.0f32; BLOCK.min(s) * s],
-            dropped: vec![0.0f32; BLOCK.min(s) * s],
         },
     };
     let mut bands = Bands { simd, a_tiles: Vec::new() };
-    let mut ds = vec![0.0f32; BLOCK.min(s) * s];
+    let mut work = vec![0.0f32; BLOCK.min(s) * s];
     for r0 in (0..s).step_by(BLOCK) {
         let r1 = (r0 + BLOCK).min(s);
         let rows = r1 - r0;
         let (offset, cols) = sh.panel(r0);
         let len = rows * cols;
-        // This block's panels of probs and pd, at row stride cols.
-        let (probs, pd): (&[f32], &[f32]) = match &mut source {
+        // This block's panels of probs and pd, at row stride cols: kept,
+        // or replayed (pd into the work panel).
+        let (probs, kept_pd): (&[f32], Option<&[f32]>) = match &mut source {
             Probs::Kept(probs, dropped) => {
-                (&probs[offset..offset + len], &dropped[offset..offset + len])
+                (&probs[offset..offset + len], Some(&dropped[offset..offset + len]))
             }
-            Probs::Replayed { kt, probs, dropped } => {
-                let (probs, dropped) = (&mut probs[..len], &mut dropped[..len]);
-                probs_block(&mut bands, sh, uniform, unit, q, kt, r0, r1, probs, Some(dropped));
-                (&*probs, &*dropped)
+            Probs::Replayed { kt, probs } => {
+                let (probs, pd) = (&mut probs[..len], &mut work[..len]);
+                probs_block(&mut bands, sh, uniform, unit, q, kt, r0, r1, probs, Some(pd));
+                (&*probs, None)
             }
         };
+        // dV[..cols] += pdᵀ · dctx[r0..r1]
+        let pd = kept_pd.unwrap_or(&work[..len]);
+        let dctx_rows = BWindow { pb: &dcp, n: hd, k0: r0, k: rows };
+        bands.product(columns_of(pd, cols, cols), dctx_rows, &mut dv[..cols * hd], hd, true);
         // dP = dctx · Vᵀ, then dropout and softmax backward row by row: the
-        // scratch holds dP, then dS, as one more panel.
-        let ds = &mut ds[..len];
+        // work panel holds dP, then dS.
+        let ds = &mut work[..len];
         let keys = BWindow { pb: &vt, n: cols, k0: 0, k: hd };
         bands.product(rows_of(&dctx[base..], ld, r0, rows), keys, ds, cols, false);
         for i in 0..rows {
@@ -688,11 +699,9 @@ fn backward_unit<U: Fn(u64) -> f32>(
         // dQ[r0..r1] = dS · K
         let k_rows = BWindow { pb: &kp, n: hd, k0: 0, k: cols };
         bands.product(rows_of(ds, cols, 0, rows), k_rows, &mut dq[r0 * hd..r1 * hd], hd, false);
-        // dK[..cols] += dSᵀ · Q[r0..r1]; dV[..cols] += pdᵀ · dctx[r0..r1]
+        // dK[..cols] += dSᵀ · Q[r0..r1]
         let q_rows = BWindow { pb: &qp, n: hd, k0: r0, k: rows };
         bands.product(columns_of(ds, cols, cols), q_rows, &mut dk[..cols * hd], hd, true);
-        let dctx_rows = BWindow { pb: &dcp, n: hd, k0: r0, k: rows };
-        bands.product(columns_of(pd, cols, cols), dctx_rows, &mut dv[..cols * hd], hd, true);
     }
     // scores = scale · q · kᵀ
     for x in dq.iter_mut().chain(dk.iter_mut()) {

@@ -152,6 +152,31 @@ struct MlpStored {
     inner: Option<(Tensor, Tensor)>,
 }
 
+impl StoredState {
+    /// The sizes of the tensors the state holds, in [`stored_rows`] order:
+    /// `x`, the first LayerNorm's statistics, `y1`, `q` + `k`, `v`, `ctx`,
+    /// `r1`, the second LayerNorm's statistics, `y2`, `m1` and `g_act`.
+    fn held(&self) -> [usize; 11] {
+        let (a, m) = (&self.attn, &self.mlp);
+        let (m1, g_act) = m.inner.as_ref().expect("a stored state keeps the MLP inner");
+        let y1 = a.y1.as_ref().expect("a stored state keeps y1");
+        let stats = |s: &LayerNormSaved| s.mean.len() + s.rstd.len();
+        [
+            a.x.numel(),
+            stats(&a.ln1_saved),
+            y1.numel(),
+            a.q.numel() + a.k.numel(),
+            a.v.numel(),
+            a.ctx.numel(),
+            m.r1.numel(),
+            stats(&m.ln2_saved),
+            m.y2.numel(),
+            m1.numel(),
+            g_act.numel(),
+        ]
+    }
+}
+
 /// Per-layer saved state, shaped by the recomputation policy.
 #[derive(Debug, Clone)]
 pub enum LayerState {
@@ -366,59 +391,102 @@ impl TransformerLayer {
 
     /// A backward all-gather whose result is read whole: the re-gather of
     /// a stored LayerNorm-output shard (the paper's extra all-gather), or
-    /// the MLP's `ḡ` backward on `d_m2`; outside SP the tensor is already
-    /// whole and is borrowed. Its first consumer is the contraction side of
-    /// a `TN` weight-gradient GEMM, which cannot start on partial rows, so
-    /// the gather is chunked under [`OverlapPolicy::OverlappedRecompute`] but not
-    /// pipelined.
-    fn regather<'s>(
-        &self,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-        shard: &'s Tensor,
-    ) -> Cow<'s, Tensor> {
+    /// the MLP's `ḡ` backward on `d_m2`. Takes the shard by value: outside
+    /// SP it is already whole and moves through, and under SP it is freed
+    /// as soon as the gather returns. Its first consumer is the contraction
+    /// side of a `TN` weight-gradient GEMM, which cannot start on partial
+    /// rows, so the gather is chunked under
+    /// [`OverlapPolicy::OverlappedRecompute`] but not pipelined.
+    fn regather(&self, mode: &ExecMode<'_>, overlap: OverlapPolicy, shard: Tensor) -> Tensor {
         match mode {
-            ExecMode::Serial | ExecMode::TensorParallel(_) => Cow::Borrowed(shard),
-            ExecMode::TensorSequenceParallel(c) => Cow::Owned(match overlap {
-                OverlapPolicy::Exposed => timed_exposed(|| or_unwind(c.try_all_gather(shard))),
+            ExecMode::Serial | ExecMode::TensorParallel(_) => shard,
+            ExecMode::TensorSequenceParallel(c) => match overlap {
+                OverlapPolicy::Exposed => timed_exposed(|| or_unwind(c.try_all_gather(&shard))),
                 OverlapPolicy::OverlappedRecompute { chunks } => {
-                    timed_exposed(|| or_unwind(c.try_all_gather_chunked(shard, chunks)))
+                    timed_exposed(|| or_unwind(c.try_all_gather_chunked(&shard, chunks)))
                 }
-            }),
+            },
         }
     }
 
-    /// `residual + dropout(branch)` under the replayed `site` mask: how
-    /// each half's forward leaves its region.
-    fn dropout_residual(
+    /// How each half's forward leaves its region: the `f̄`/`ḡ` combine of
+    /// the half's partial output product, its output bias (`b_o` after
+    /// attention, `b2` after the MLP) added in place, dropout under the
+    /// replayed `site` mask, and the residual.
+    fn exit_region(
         &self,
         site: DropoutSite,
         micro: u64,
         mode: &ExecMode<'_>,
+        overlap: OverlapPolicy,
+        partial: Tensor,
         residual: &Tensor,
-        branch: Tensor,
     ) -> Tensor {
+        let w = &self.weights;
+        let bias = if site == DropoutSite::AttentionOutput { &w.b_o } else { &w.b2 };
+        let branch = ops::add_bias(self.combine_region(mode, overlap, partial), bias);
         let mask = region_mask(&self.cfg, &self.rng, site, self.layer_idx, micro, mode);
         let dropped = ops::dropout(&branch, &mask, self.cfg.dropout_p);
         drop((branch, mask));
         ops::residual_add(residual, &dropped)
     }
 
+    /// Panics unless `x` is this rank's `[rows, h]` layer input.
+    fn check_input(&self, x: &Tensor, mode: &ExecMode<'_>) {
+        assert_eq!(
+            x.shape(),
+            &[mode.local_rows(self.cfg.tokens()).1, self.cfg.hidden],
+            "layer {} forward: input shape mismatch for {mode:?}",
+            self.layer_idx
+        );
+    }
+
+    /// `q`, `k`, `v` from `y1 = LN₁(x)`: `g`/`f` fused with the QKV GEMM,
+    /// `b_qkv` added in place, split three ways. Hands `y1` back when
+    /// `keep_y1`; otherwise it is freed as soon as the GEMM has read it.
+    fn qkv(
+        &self,
+        y1: Tensor,
+        keep_y1: bool,
+        mode: &ExecMode<'_>,
+        overlap: OverlapPolicy,
+    ) -> (Option<Tensor>, [Tensor; 3]) {
+        let w = &self.weights;
+        let qkv_raw = self.gather_gemm(mode, overlap, &y1, &w.w_qkv, false, false).0;
+        let y1 = keep_y1.then_some(y1);
+        let qkv = ops::add_bias(qkv_raw, &w.b_qkv);
+        (y1, qkv.chunk_last_axis(3).expect("qkv packs 3 blocks").try_into().expect("3 blocks"))
+    }
+
+    /// The MLP entry: `m1 = y2·w1 + b1` (`g`/`f` fused with the GEMM, the
+    /// bias added in place) and `g_act = gelu(m1)`.
+    fn mlp_entry(
+        &self,
+        y2: &Tensor,
+        mode: &ExecMode<'_>,
+        overlap: OverlapPolicy,
+    ) -> (Tensor, Tensor) {
+        let w = &self.weights;
+        let m1 = ops::add_bias(self.gather_gemm(mode, overlap, y2, &w.w1, false, false).0, &w.b1);
+        let g_act = ops::gelu(&m1);
+        (m1, g_act)
+    }
+
     /// The forward pass through the GeLU output: exactly what the backward
     /// pass reads, and nothing after it — [`TransformerLayer::forward`]
-    /// follows it with [`TransformerLayer::forward_tail`]. Records nothing.
+    /// follows it with the `w2` GEMM and the MLP's exit. Records nothing.
     /// `keep_attn` is the one place the Figure 3 red region is kept or not,
-    /// and only `Recompute::None` passes `true`: every other forward —
-    /// selective, full, and the full-layer replays — passes `false`, the
-    /// core's `[s, s]` products are never built, and the backward replays
-    /// them inside the attention backward, one query-row block at a time.
-    /// `keep_mlp` is its MLP twin: every forward passes `true`, and the
-    /// inline `Full` replay passes `false` and stops at `y2` — no `w1`
-    /// GEMM, no GeLU, and under SP no MLP-entry all-gather — because the
-    /// MLP backward replays `m1` and `g_act` one row block at a time. The
-    /// replay also drops `y1` after the QKV GEMM: the attention backward
-    /// rebuilds it from `x` where it is read, so it is not live beside the
-    /// MLP backward's transients or the attention core's.
+    /// and only `Recompute::None` passes `true`: selective and the `Full`
+    /// replay pass `false`, the core's `[s, s]` products are never built,
+    /// and the backward replays them inside the attention backward, one
+    /// query-row block at a time. `keep_mlp` is its MLP twin: a stored
+    /// forward passes `true`, and the `Full` replay passes `false` and
+    /// stops at `y2` — no `w1` GEMM, no GeLU, and under SP no MLP-entry
+    /// all-gather — because the MLP backward replays `m1` and `g_act` one
+    /// row block at a time. The replay also drops `y1` after the QKV GEMM:
+    /// the attention backward rebuilds it from `x` where it is read, so it
+    /// is not live beside the MLP backward's transients or the attention
+    /// core's.
     fn forward_stored(
         &self,
         x: Tensor,
@@ -428,12 +496,7 @@ impl TransformerLayer {
         keep_attn: bool,
         keep_mlp: bool,
     ) -> StoredState {
-        assert_eq!(
-            x.shape(),
-            &[mode.local_rows(self.cfg.tokens()).1, self.cfg.hidden],
-            "layer {} forward: input shape mismatch for {mode:?}",
-            self.layer_idx
-        );
+        self.check_input(&x, mode);
         let w = &self.weights;
         // The LayerNorm outputs are kept as computed: outside SP they are
         // the whole GEMM inputs, under SP only the local shards (the
@@ -442,34 +505,53 @@ impl TransformerLayer {
 
         // --- attention half ---
         let (y1, ln1_saved) = ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta);
-        // g / f fused with the QKV GEMM.
-        let qkv_raw = self.gather_gemm(mode, overlap, &y1, &w.w_qkv, false, false).0;
-        let y1 = keep_mlp.then_some(y1);
-        let qkv = ops::add_bias(&qkv_raw, &w.b_qkv);
-        drop(qkv_raw);
-        let [q, k, v]: [Tensor; 3] =
-            qkv.chunk_last_axis(3).expect("qkv packs 3 blocks").try_into().expect("3 blocks");
-        drop(qkv);
+        let (y1, [q, k, v]) = self.qkv(y1, keep_mlp, mode, overlap);
         let ap = self.attn_params(mode, micro);
         let (ctx, core) = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, keep_attn);
         let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
-        let o = ops::add_bias(&self.combine_region(mode, overlap, o_partial), &w.b_o); // f̄ / ḡ
-        let r1 = self.dropout_residual(DropoutSite::AttentionOutput, micro, mode, &x, o);
+        let r1 =
+            self.exit_region(DropoutSite::AttentionOutput, micro, mode, overlap, o_partial, &x);
 
         // --- MLP half, through the GeLU ---
         let (y2, ln2_saved) = ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta);
-        let inner = keep_mlp.then(|| {
-            let m1_raw = self.gather_gemm(mode, overlap, &y2, &w.w1, false, false).0;
-            let m1 = ops::add_bias(&m1_raw, &w.b1);
-            drop(m1_raw);
-            let g_act = ops::gelu(&m1);
-            (m1, g_act)
-        });
+        let inner = keep_mlp.then(|| self.mlp_entry(&y2, mode, overlap));
         StoredState {
             micro,
             attn: AttnStored { x, ln1_saved, y1, q, k, v, core, ctx },
             mlp: MlpStored { r1, ln2_saved, y2, inner },
         }
+    }
+
+    /// `Recompute::Full`'s forward: the operations of
+    /// [`TransformerLayer::forward_stored`] and the MLP's exit, with
+    /// nothing kept but the caller's `x`, so every tensor is freed at its
+    /// last forward read — `y1` after the QKV GEMM, `q`, `k` and `v` after
+    /// the attention core, `ctx` after the output projection, `m1` once
+    /// the GeLU has read it. No whole stored state is ever built. Returns
+    /// the layer output.
+    fn forward_checkpoint(
+        &self,
+        x: &Tensor,
+        micro: u64,
+        mode: &ExecMode<'_>,
+        overlap: OverlapPolicy,
+    ) -> Tensor {
+        self.check_input(x, mode);
+        let w = &self.weights;
+        let y1 = ops::layer_norm(x, &w.ln1_gamma, &w.ln1_beta).0;
+        let (_, [q, k, v]) = self.qkv(y1, false, mode, overlap);
+        let ap = self.attn_params(mode, micro);
+        let ctx = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, false).0;
+        drop((q, k, v));
+        let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
+        drop(ctx);
+        let r1 = self.exit_region(DropoutSite::AttentionOutput, micro, mode, overlap, o_partial, x);
+        let (m1, g_act) =
+            self.mlp_entry(&ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta).0, mode, overlap);
+        drop(m1);
+        let m2_partial = ops::Gemm::NN.apply(&g_act, &w.w2);
+        drop(g_act);
+        self.exit_region(DropoutSite::MlpOutput, micro, mode, overlap, m2_partial, &r1)
     }
 
     /// `m1 = y2·w1 + b1` and `g_act = gelu(m1)` for the `rows` gathered
@@ -494,55 +576,19 @@ impl TransformerLayer {
         )
     }
 
-    /// The rest of the forward pass: the `w2` GEMM, the MLP's `f̄`/`ḡ`
-    /// combine, `b2`, the MLP dropout and the second residual. Its output
-    /// feeds the next layer; no backward reads anything it computes.
-    fn forward_tail(
-        &self,
-        mlp: &MlpStored,
-        micro: u64,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> Tensor {
-        let w = &self.weights;
-        let (_, g_act) = mlp.inner.as_ref().expect("a forward keeps the MLP inner");
-        let m2_partial = ops::Gemm::NN.apply(g_act, &w.w2);
-        let m2 = ops::add_bias(&self.combine_region(mode, overlap, m2_partial), &w.b2);
-        self.dropout_residual(DropoutSite::MlpOutput, micro, mode, &mlp.r1, m2)
-    }
-
     /// Books the layer's [`stored_rows`] for `recompute` on `ledger`,
-    /// checking each row against the tensor `st` holds for it: `x`, the
-    /// first LayerNorm's statistics, `y1`, `q` + `k`, `v`, `ctx`, `r1`, the
-    /// second LayerNorm's statistics, `y2`, `m1` and `g_act` — for `Full`,
-    /// the checkpointed `x` alone. The mask rows and the attention core's
-    /// rows are booked from the table: the masks are regenerated and the
-    /// core keeps only its causal panels.
+    /// checking each row against the size of the tensor held for it:
+    /// [`StoredState::held`] for a stored state, the checkpointed `x` alone
+    /// for `Full`. The mask rows and the attention core's rows are booked
+    /// from the table: the masks are regenerated and the core keeps only
+    /// its causal panels.
     fn record_stored(
         &self,
-        st: &StoredState,
+        held: &[usize],
         recompute: Recompute,
         mode: &ExecMode<'_>,
         ledger: &mut ActivationLedger,
     ) {
-        let (a, m) = (&st.attn, &st.mlp);
-        let (m1, g_act) = m.inner.as_ref().expect("a stored state keeps the MLP inner");
-        let y1 = a.y1.as_ref().expect("a stored state keeps y1");
-        let stats = |s: &LayerNormSaved| s.mean.len() + s.rstd.len();
-        let stored = [
-            a.x.numel(),
-            stats(&a.ln1_saved),
-            y1.numel(),
-            a.q.numel() + a.k.numel(),
-            a.v.numel(),
-            a.ctx.numel(),
-            m.r1.numel(),
-            stats(&m.ln2_saved),
-            m.y2.numel(),
-            m1.numel(),
-            g_act.numel(),
-        ];
-        let held = if recompute == Recompute::Full { &stored[..1] } else { &stored[..] };
         let rows = stored_rows(&self.cfg, mode.t(), mode.sequence_parallel(), recompute);
         ledger.book(rows, held, format_args!("layer {}", self.layer_idx));
     }
@@ -555,6 +601,9 @@ impl TransformerLayer {
     /// recompute policy with exposed collectives; an explicit policy may
     /// override the recompute half and is the only source of the overlap
     /// half.
+    ///
+    /// The saved state keeps its own copy of `x`; the pipeline executor
+    /// hands its activation over instead, so no copy is made there.
     pub fn forward<'m>(
         &self,
         x: &Tensor,
@@ -562,22 +611,38 @@ impl TransformerLayer {
         policy: impl Into<ExecPolicy<'m>>,
         ledger: &mut ActivationLedger,
     ) -> (Tensor, LayerState) {
-        let policy = policy.into();
+        self.forward_owned(x.clone(), micro, policy.into(), ledger)
+    }
+
+    /// [`TransformerLayer::forward`], taking the input by value: the saved
+    /// state keeps the caller's tensor, not a copy of it. A `Full` forward
+    /// keeps nothing else: it runs [`TransformerLayer::forward_checkpoint`],
+    /// which frees each tensor at its last forward read, and never builds a
+    /// whole stored state.
+    pub(crate) fn forward_owned(
+        &self,
+        x: Tensor,
+        micro: u64,
+        policy: ExecPolicy<'_>,
+        ledger: &mut ActivationLedger,
+    ) -> (Tensor, LayerState) {
         let mode = policy.mode();
         let overlap = policy.overlap();
         let recompute = policy.recompute().unwrap_or(self.policy);
+        if recompute == Recompute::Full {
+            let out = self.forward_checkpoint(&x, micro, &mode, overlap);
+            self.record_stored(&[x.numel()], recompute, &mode, ledger);
+            return (out, LayerState::Checkpoint { x, micro });
+        }
         // Only `Recompute::None` keeps the Figure 3 red region.
         let keep_attn = recompute == Recompute::None;
-        let st = self.forward_stored(x.clone(), micro, &mode, overlap, keep_attn, true);
-        let out = self.forward_tail(&st.mlp, micro, &mode, overlap);
-        self.record_stored(&st, recompute, &mode, ledger);
-        let state = if recompute == Recompute::Full {
-            // Only the checkpointed input is stored.
-            LayerState::Checkpoint { x: st.attn.x, micro }
-        } else {
-            LayerState::Stored(Box::new(st))
-        };
-        (out, state)
+        let st = self.forward_stored(x, micro, &mode, overlap, keep_attn, true);
+        let (_, g_act) = st.mlp.inner.as_ref().expect("a stored forward keeps the MLP inner");
+        let m2_partial = ops::Gemm::NN.apply(g_act, &self.weights.w2);
+        let out =
+            self.exit_region(DropoutSite::MlpOutput, micro, &mode, overlap, m2_partial, &st.mlp.r1);
+        self.record_stored(&st.held(), recompute, &mode, ledger);
+        (out, LayerState::Stored(Box::new(st)))
     }
 
     /// Backward pass: consumes the saved state (recomputing whatever the
@@ -612,8 +677,20 @@ impl TransformerLayer {
         state: LayerState,
         policy: impl Into<ExecPolicy<'m>>,
     ) -> (Tensor, LayerGrads) {
+        self.backward_fresh(Cow::Borrowed(dy), state, policy.into())
+    }
+
+    /// [`TransformerLayer::backward`] with the output gradient borrowed or
+    /// handed over; the pipeline executor hands its gradient over, so it is
+    /// freed after the MLP half ([`TransformerLayer::backward_into`]).
+    pub(crate) fn backward_fresh(
+        &self,
+        dy: Cow<'_, Tensor>,
+        state: LayerState,
+        policy: ExecPolicy<'_>,
+    ) -> (Tensor, LayerGrads) {
         let mut slots = Default::default();
-        let d_x = self.backward_into(dy, state, policy.into(), GradSink::Fresh(&mut slots));
+        let d_x = self.backward_into(dy, state, policy, GradSink::Fresh(&mut slots));
         (d_x, LayerGrads::from_tensors(slots.map(|g| g.expect("the backward puts every slot"))))
     }
 
@@ -623,10 +700,12 @@ impl TransformerLayer {
     /// The replicated ones (`h`-sized) are held to the end: under sequence
     /// parallelism each is all-reduced first, in [`LayerWeights::tensors`]
     /// order after both halves, so the collective sequence is the same
-    /// whatever the sink.
+    /// whatever the sink. The output gradient `dy` is last read by the MLP
+    /// half; an owned one is freed there, before the attention half (and
+    /// its core backward) opens anything.
     pub(crate) fn backward_into(
         &self,
-        dy: &Tensor,
+        dy: Cow<'_, Tensor>,
         state: LayerState,
         policy: ExecPolicy<'_>,
         mut sink: GradSink<'_>,
@@ -646,7 +725,8 @@ impl TransformerLayer {
                 })
             }
         };
-        let (d_r1, mlp) = self.backward_mlp_half(dy, micro, mlp_saved, &mode, overlap, &mut sink);
+        let (d_r1, mlp) = self.backward_mlp_half(&dy, micro, mlp_saved, &mode, overlap, &mut sink);
+        drop(dy);
         let (d_x, attn) =
             self.backward_attn_half(d_r1, micro, attn_saved, &mode, overlap, &mut sink);
         // Sequence parallelism computes the replicated parameters' gradients
@@ -680,10 +760,23 @@ impl TransformerLayer {
     /// before it opens the next: `dW2` (+)= `g_actᵀ·d_m2`, then `g_act` is
     /// gone; its rows of `d_m1` = `d_m2·w2ᵀ`, the GeLU backward in place
     /// with `m1`, then `m1` is gone. A stored state's whole `g_act` is
-    /// therefore freed before the whole `d_m1` is allocated. GEMM rows are
-    /// independent and `dW2` continues one ascending chain per element
-    /// across the blocks, so every gradient has the same bits at any block
-    /// size.
+    /// therefore freed before the whole `d_m1` is allocated.
+    ///
+    /// When a replay's gathered rows outnumber `h`, a whole `d_m1`
+    /// (`rows × 4h/t`) would outweigh `dW1` (`h × 4h/t`), so the replay
+    /// streams `d_m1` too: one block-sized `d_m1` is reused by every block,
+    /// each of which also continues the `b1` and `dW1` chains and writes
+    /// its rows of the `d_y_ln2` partial over its rows of the gathered
+    /// `y2`, which its `dW1` GEMM read for the last time; the partial is
+    /// combined once after the loop. Outside SP a block also derives its
+    /// rows of `d_m2` from `dy` (no gather needs `d_m2` whole) and
+    /// continues the `b2` chain. Otherwise `d_m1` is whole and `b1`, `dW1`
+    /// and `d_y_ln2` follow the loop: on a stored state, opening `dW1` in
+    /// the loop would put it beside the whole stored `m1` and `g_act`.
+    /// GEMM rows are independent, and `dW2`, `dW1` and the bias sums
+    /// continue one ascending chain per element across the blocks, so
+    /// every gradient has the same bits at any block size and in either
+    /// order.
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
@@ -701,72 +794,119 @@ impl TransformerLayer {
         );
         let w = &self.weights;
         let (h, ffn) = (w.w1.shape()[0], w.w1.shape()[1]);
+        let p = self.cfg.dropout_p;
         let backend = mt_kernels::default_backend();
         let MlpStored { r1, ln2_saved, y2, mut inner } = saved;
         let replaying = inner.is_none();
+        // The gathered rows: every token of the microbatch, in every mode.
+        let tokens = self.cfg.tokens();
+        let streamed = replaying && tokens > h;
 
         // out = r1 + dropout(m2)
-        let mask_mlp =
-            region_mask(&self.cfg, &self.rng, DropoutSite::MlpOutput, self.layer_idx, micro, mode);
-        let d_m2 = ops::dropout_backward(dy, &mask_mlp, self.cfg.dropout_p);
-        drop(mask_mlp);
-        let b_out = ops::bias_grad(&d_m2);
+        let mut mask_mlp = Some(region_mask(
+            &self.cfg,
+            &self.rng,
+            DropoutSite::MlpOutput,
+            self.layer_idx,
+            micro,
+            mode,
+        ));
         // m2_partial = g_act · w2. ḡ backward: all-gather (f̄ backward:
-        // identity); the assembled gradient feeds both dW2 and d_m1.
-        let d_m2_full = self.regather(mode, overlap, &d_m2);
+        // identity); the assembled gradient feeds both dW2 and d_m1. A
+        // stream outside SP derives it block by block instead, and keeps
+        // the mask for that.
+        let mut b_out = None;
+        let d_m2 = (!streamed || mode.sequence_parallel()).then(|| {
+            let mask = mask_mlp.take().expect("the mask is made above");
+            let d_m2 = ops::dropout_backward(dy, &mask, p);
+            drop(mask);
+            b_out = Some(ops::bias_grad(&d_m2));
+            self.regather(mode, overlap, d_m2)
+        });
         // m1 = y2_full · w1. Under SP, y2 was kept as a shard: the backward
         // re-gathers it once (the extra all-gather the paper overlaps with
         // the dW computation). A replay reads it in every block, so it is
         // gathered now; a stored state gathers it after the blocks, for dW1
         // alone.
-        let y2_full = replaying.then(|| self.regather(mode, overlap, &y2));
-        let tokens = d_m2_full.rows();
+        let mut y2 = if replaying { self.regather(mode, overlap, y2) } else { y2 };
         let block = if replaying { mt_kernels::ROW_BLOCK * backend.threads() } else { tokens };
-        // Both open in the first block, nothing ahead of the loop: dW2 for
-        // its GEMM, d_m1 only once that block's g_act is freed.
+        // Every buffer opens in the first block, nothing ahead of the loop:
+        // dW2 for its GEMM, d_m1 only once that block's g_act is freed.
         let mut w_out: Option<Tensor> = None;
         let mut d_m1: Option<Tensor> = None;
+        // A stream's b1 and dW1 chains.
+        let (mut b_in, mut w_in) = (None, None);
         for r0 in (0..tokens).step_by(block) {
             let r_end = (r0 + block).min(tokens);
             let n = r_end - r0;
+            let rows = r0 * h..r_end * h;
             let (m1, g_act) = match inner.take() {
                 Some(kept) => kept,
                 None => {
-                    let y2_rows = &y2_full.as_ref().expect("gathered before the blocks").data()
-                        [r0 * h..r_end * h];
+                    let y2_rows = &y2.data()[rows.clone()];
                     timed_recompute("recompute_mlp", || self.replay_mlp_rows(y2_rows, n))
                 }
             };
-            let d_m2_rows = &d_m2_full.data()[r0 * h..r_end * h];
+            let d_m2_rows = match &d_m2 {
+                Some(d_m2) => Cow::Borrowed(&d_m2.data()[rows.clone()]),
+                None => {
+                    let mask = mask_mlp.as_deref().expect("a stream keeps the mask");
+                    let d = ops::dropout_rows(&dy.data()[rows.clone()], &mask[rows.clone()], p);
+                    let b_out = b_out.get_or_insert_with(|| Tensor::zeros(&[h]));
+                    ops::bias_grad_accumulate(b_out, &d);
+                    Cow::Owned(d)
+                }
+            };
             // dW2 = g_actᵀ · d_m2: the first block starts every chain, as
-            // the whole-rows GEMM does; each later block continues it.
-            let dw2_gemm = if r0 == 0 { gemm::gemm } else { gemm::gemm_accumulate };
+            // the whole-rows GEMM does; each later block continues it. So
+            // do dW1's in a stream.
+            let chain = if r0 == 0 { gemm::gemm } else { gemm::gemm_accumulate };
             let w_out = w_out.get_or_insert_with(|| Tensor::zeros(&[ffn, h]));
-            dw2_gemm(backend, true, false, ffn, h, n, g_act.data(), d_m2_rows, w_out.data_mut());
+            chain(backend, true, false, ffn, h, n, g_act.data(), &d_m2_rows, w_out.data_mut());
             drop(g_act);
-            let d_m1 = d_m1.get_or_insert_with(|| Tensor::zeros(&[tokens, ffn]));
-            let d_m1_rows = &mut d_m1.data_mut()[r0 * ffn..r_end * ffn];
-            gemm::gemm(backend, false, true, n, ffn, h, d_m2_rows, w.w2.data(), d_m1_rows);
+            // A stream reuses one block of d_m1; otherwise it is whole.
+            let (held, at) = if streamed { (block.min(tokens), 0) } else { (tokens, r0) };
+            let d_m1 = d_m1.get_or_insert_with(|| Tensor::zeros(&[held, ffn]));
+            let d_m1_rows = &mut d_m1.data_mut()[at * ffn..(at + n) * ffn];
+            gemm::gemm(backend, false, true, n, ffn, h, &d_m2_rows, w.w2.data(), d_m1_rows);
+            drop(d_m2_rows);
             mt_kernels::gelu_backward_in_place(backend, m1.data(), d_m1_rows);
             drop(m1);
+            if streamed {
+                // b1 and dW1 continue their chains, and d_y_ln2's rows go
+                // over y2's, which this dW1 GEMM reads for the last time.
+                let b_in = b_in.get_or_insert_with(|| Tensor::zeros(&[ffn]));
+                ops::bias_grad_accumulate(b_in, d_m1_rows);
+                let w_in = w_in.get_or_insert_with(|| Tensor::zeros(&[h, ffn]));
+                let y2_rows = &mut y2.data_mut()[rows];
+                chain(backend, true, false, h, ffn, n, y2_rows, d_m1_rows, w_in.data_mut());
+                gemm::gemm(backend, false, true, n, h, ffn, d_m1_rows, w.w1.data(), y2_rows);
+            }
         }
-        drop(d_m2_full);
-        drop(d_m2);
+        drop((d_m2, mask_mlp));
         let (w_out, d_m1) = w_out.zip(d_m1).expect("a layer has at least one row");
-        // dW2's chains end with the last block; it goes before dW1 opens.
+        // dW2's chains end with the last block; outside a stream it goes
+        // before dW1 opens.
         sink.put(MLP + W_OUT, w_out);
-        sink.put(MLP + B_IN, ops::bias_grad(&d_m1));
-        let y2_full = y2_full.unwrap_or_else(|| self.regather(mode, overlap, &y2));
-        sink.put(MLP + W_IN, ops::Gemm::TN.apply(&y2_full, &d_m1));
-        drop(y2_full);
-        drop(y2);
-        // g backward: reduce-scatter; f backward: all-reduce.
-        let d_y_ln2 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_m1, &w.w1));
+        let d_y_partial = if streamed {
+            sink.put(MLP + B_IN, b_in.expect("streamed"));
+            sink.put(MLP + W_IN, w_in.expect("streamed"));
+            // Every row of y2 now holds its row of the d_y_ln2 partial.
+            y2
+        } else {
+            sink.put(MLP + B_IN, ops::bias_grad(&d_m1));
+            let y2_full = if replaying { y2 } else { self.regather(mode, overlap, y2) };
+            sink.put(MLP + W_IN, ops::Gemm::TN.apply(&y2_full, &d_m1));
+            drop(y2_full);
+            ops::Gemm::NT.apply(&d_m1, &w.w1)
+        };
         drop(d_m1);
+        // g backward: reduce-scatter; f backward: all-reduce.
+        let d_y_ln2 = self.combine_region(mode, overlap, d_y_partial);
         let (mut d_r1, ln_gamma, ln_beta) =
             ops::layer_norm_backward(&r1, &w.ln2_gamma, &ln2_saved, &d_y_ln2);
         d_r1.add_assign(dy);
-        (d_r1, [ln_gamma, ln_beta, b_out])
+        (d_r1, [ln_gamma, ln_beta, b_out.expect("b2's gradient is summed above")])
     }
 
     /// The attention half of the backward pass: from `d_r1` down to the
@@ -814,8 +954,7 @@ impl TransformerLayer {
         // A `Full` replay dropped y1 = LN₁(x): rebuild it (on the shard
         // under SP) for its one reader, the w_qkv gradient.
         let y1 = y1.unwrap_or_else(|| ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta).0);
-        sink.put(ATTN + W_IN, ops::Gemm::TN.apply(&self.regather(mode, overlap, &y1), &d_qkv));
-        drop(y1);
+        sink.put(ATTN + W_IN, ops::Gemm::TN.apply(&self.regather(mode, overlap, y1), &d_qkv));
         let d_y_ln1 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_qkv, &w.w_qkv));
         drop(d_qkv);
         let (mut d_x, ln_gamma, ln_beta) =

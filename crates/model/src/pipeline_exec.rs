@@ -34,6 +34,7 @@ use mt_collectives::{CollectiveError, GridComm};
 use mt_memory::Recompute;
 use mt_tensor::rng::CounterRng;
 use mt_tensor::Tensor;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A pipeline communication failure, located at the coordinate where it
@@ -203,7 +204,7 @@ pub(crate) fn forward_unit(
     };
     let mut layers = Vec::with_capacity(stage.layers.len());
     for layer in stage.layers {
-        let (y, st) = layer.forward(&x, micro, policy, ledger);
+        let (y, st) = layer.forward_owned(x, micro, policy, ledger);
         layers.push(st);
         x = y;
     }
@@ -255,11 +256,11 @@ pub(crate) fn backward_unit(
     let fresh = grads.layers.is_empty();
     for (i, (layer, st)) in stage.layers.iter().zip(state.layers).enumerate().rev() {
         d = if fresh {
-            let (dx, lg) = layer.backward(&d, st, policy);
+            let (dx, lg) = layer.backward_fresh(Cow::Owned(d), st, policy);
             grads.layers.insert(0, lg);
             dx
         } else {
-            layer.backward_into(&d, st, policy, GradSink::Add(&mut grads.layers[i]))
+            layer.backward_into(Cow::Owned(d), st, policy, GradSink::Add(&mut grads.layers[i]))
         };
     }
     if stage.embedding.is_none() {

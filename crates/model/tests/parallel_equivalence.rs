@@ -212,17 +212,25 @@ fn whole_gpt_loss_matches_serial_at_t4_under_tp_and_tpsp() {
 
 #[test]
 fn recompute_policies_match_across_parallel_modes() {
-    let c = TransformerConfig { dropout_p: 0.1, ..cfg() };
-    let (w, x, dy) = fixtures(&c, 4);
-    for sp in [false, true] {
-        let baseline = run_parallel(c, &w, &x, &dy, 2, sp, Recompute::None);
-        for policy in [Recompute::Selective, Recompute::Full] {
-            let other = run_parallel(c, &w, &x, &dy, 2, sp, policy);
-            for (a, b) in baseline.iter().zip(&other) {
-                // Recomputation must be *bit*-identical, not just close.
-                assert_eq!(a.y, b.y, "sp={sp} policy={policy:?} outputs");
-                assert_eq!(a.dx, b.dx, "sp={sp} policy={policy:?} input grads");
-                assert_eq!(a.grads, b.grads, "sp={sp} policy={policy:?} weight grads");
+    // The second shape gathers 200 rows against h = 16, so the Full replay
+    // streams d_m1 through its MLP backward in row blocks, the last one
+    // ragged; the first keeps the whole-d_m1 order.
+    for c in [cfg(), TransformerConfig { hidden: 16, seq: 100, ..cfg() }] {
+        let c = TransformerConfig { dropout_p: 0.1, ..c };
+        let (w, x, dy) = fixtures(&c, 4);
+        let serial = run_serial(c, &w, &x, &dy, Recompute::None);
+        for sp in [false, true] {
+            let baseline = run_parallel(c, &w, &x, &dy, 2, sp, Recompute::None);
+            assert_matches_serial(c, &baseline, sp, &serial, 2e-3);
+            for policy in [Recompute::Selective, Recompute::Full] {
+                let other = run_parallel(c, &w, &x, &dy, 2, sp, policy);
+                for (a, b) in baseline.iter().zip(&other) {
+                    // Recomputation must be *bit*-identical, not just close.
+                    let h = c.hidden;
+                    assert_eq!(a.y, b.y, "h={h} sp={sp} policy={policy:?} outputs");
+                    assert_eq!(a.dx, b.dx, "h={h} sp={sp} policy={policy:?} input grads");
+                    assert_eq!(a.grads, b.grads, "h={h} sp={sp} policy={policy:?} weight grads");
+                }
             }
         }
     }

@@ -52,6 +52,7 @@ use mt_model::weights::LayerWeights;
 use mt_model::{ActivationLedger, ExecMode, TransformerConfig, TransformerLayer};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
+use mt_trace::ArgValue;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -272,8 +273,9 @@ fn a_layer_backward_frees_each_activation_at_its_last_read() {
     let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
     // One `[s·b, h]` f32 activation.
     let u = cfg.tokens() * cfg.hidden * 4;
-    // The one whole `[s·b, 4h]` tensor of the MLP backward: `d_m1`, into
-    // which the `d_m1` GEMM writes and the GeLU backward works in place.
+    // The one whole `[s·b, 4h]` tensor of a stored state's MLP backward:
+    // `d_m1`, into which the `d_m1` GEMM writes and the GeLU backward
+    // works in place.
     let d_m1 = 4 * u;
     // The stored GeLU output, live at entry under None/Selective.
     let g_act = 4 * u;
@@ -290,18 +292,23 @@ fn a_layer_backward_frees_each_activation_at_its_last_read() {
     let scratch = u;
     // Full: the replay rebuilds the stored state around its checkpointed
     // input, which is live at entry, through y2 and without y1: q, k, v,
-    // ctx, r1, y2 (6 u) and two LayerNorms' mean/rstd. The MLP backward
-    // then holds `d_m2`, `d_m1` and one 64-row block's m1 and GeLU output
-    // (u), and never a whole m1 or GeLU output; its peak is the
-    // whole-rows dW1 GEMM after the blocks, `d_m2` freed: `d_m1` and one
-    // worker's GEMM blocks (512 KiB of packed B and 128 KiB of packed A,
-    // the ceiling mt-kernels' gemm_scratch_peak.rs pins). The attention
-    // backward rebuilds y1 (u) only after q, k, v and `d_ctx` are freed.
-    // Measured params + 14.55 u; the replay that kept y1 through the
-    // backward peaked at params + 15.55 u, and the one that rebuilt m1 and
-    // the GeLU output whole, and held the GeLU backward's input and output
-    // side by side, at params + 21.04 u.
+    // ctx, r1, y2 (6 u) and two LayerNorms' mean/rstd. Its 512 gathered
+    // rows outnumber h = 64, so the MLP backward streams: per 64-row block
+    // it holds that block's m1 and d_m1 (u/2 each) and d_m2 (u/8), keeps
+    // the MLP dropout mask (u/4) for the blocks' d_m2, writes d_y_ln2 over
+    // y2's rows and never holds a whole d_m1, m1 or GeLU output. The
+    // scratch term is one worker's GEMM blocks (512 KiB of packed B and
+    // 128 KiB of packed A, the ceiling mt-kernels' gemm_scratch_peak.rs
+    // pins). Measured params + 11.90 u, and the peak is no longer in the
+    // MLP half (params + 7.67 u there) but in the attention core's
+    // backward, whose transients — q, k, v, d_ctx, d_r1, the core's output
+    // slabs, one worker's packed operands and two [64, s] panels — fit the
+    // same bound. The whole-d_m1 order peaked at params + 14.55 u, at its
+    // dW1 GEMM with d_m1 whole; the replay that kept y1 through the
+    // backward at + 15.55 u; the one that rebuilt m1 and the GeLU output
+    // whole at + 21.04 u.
     let replayed = 6 * u + 2 * 2 * cfg.tokens() * 4;
+    let stream = u / 4 + 2 * (u / 2) + u / 8;
     let gemm_blocks = (512 + 128) * 1024;
     // A backward that keeps its state and transients to the end peaks at
     // params + 14.7 u (None) and + 29.8 u (Full).
@@ -309,9 +316,10 @@ fn a_layer_backward_frees_each_activation_at_its_last_read() {
         let (terms, bound) = if policy == Recompute::Full {
             (
                 format!(
-                    "replayed state {replayed} B + d_m1 {d_m1} B + GEMM blocks {gemm_blocks} B"
+                    "replayed state {replayed} B + streamed MLP blocks {stream} B + GEMM blocks \
+                     {gemm_blocks} B"
                 ),
-                param_bytes + replayed + d_m1 + gemm_blocks,
+                param_bytes + replayed + stream + gemm_blocks,
             )
         } else {
             (
@@ -329,6 +337,119 @@ fn a_layer_backward_frees_each_activation_at_its_last_read() {
              {terms} = {bound} B"
         );
     }
+}
+
+/// The `dW1` GEMMs (`tn h×4h×k`) a traced layer backward ran, as their
+/// contraction lengths `k` (rows).
+fn dw1_gemm_rows(cfg: &TransformerConfig, backward: impl FnOnce()) -> Vec<u64> {
+    let tracer = mt_trace::Tracer::enabled();
+    {
+        let _installed = mt_trace::install(tracer.clone());
+        backward();
+    }
+    let arg = |e: &mt_trace::TraceEvent, name: &str| {
+        e.args.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone()).expect("a GEMM arg")
+    };
+    tracer
+        .events()
+        .iter()
+        .filter(|e| e.name == "kernel_gemm" && arg(e, "kind") == ArgValue::from("tn"))
+        .filter(|e| arg(e, "m") == ArgValue::from(cfg.hidden))
+        .filter(|e| arg(e, "n") == ArgValue::from(4 * cfg.hidden))
+        .map(|e| match arg(e, "k") {
+            ArgValue::U64(k) => k,
+            other => panic!("GEMM k is {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn a_full_mlp_backward_streams_d_m1_only_when_rows_outnumber_h() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    set_default_backend(Backend::Serial);
+    // 512 rows against h = 64 stream d_m1 in 64-row blocks; 256 rows
+    // against h = 256 keep the whole-d_m1 order, where dW1 (h × 4h) would
+    // be no smaller than the whole d_m1 it replaces.
+    for (hidden, seq) in [(64, 512), (256, 256)] {
+        let cfg = TransformerConfig {
+            hidden,
+            heads: 4,
+            seq,
+            micro_batch: 1,
+            layers: 1,
+            vocab: 32,
+            dropout_p: 0.1,
+            causal: true,
+        };
+        let mut rng = SplitMix64::new(9);
+        let weights = LayerWeights::init(&cfg, &mut rng);
+        let param_bytes = weights.num_parameters() * 4;
+        let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+        let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+        let layer =
+            TransformerLayer::new(cfg, weights.clone(), 0, Recompute::Full, CounterRng::new(7));
+        let mut ledger = ActivationLedger::new();
+        let (_, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+        let ks = dw1_gemm_rows(&cfg, || drop(layer.backward(&dy, state, ExecMode::Serial)));
+        let rows = cfg.tokens() as u64;
+        if cfg.tokens() > cfg.hidden {
+            assert_eq!(ks, vec![64; cfg.tokens() / 64], "h {hidden}: one dW1 GEMM per block");
+            continue;
+        }
+        assert_eq!(ks, vec![rows], "h {hidden}: one whole-rows dW1 GEMM");
+        // The whole-d_m1 order's terms: the replayed state (6 u and the
+        // statistics), d_m1 (4 u) and one worker's GEMM blocks. Measured
+        // params + 8.49 u (u = 256 KiB), before and after the streamed
+        // order was added for longer rows: the peak is the d_y_ln2 GEMM
+        // with d_m1 whole, and nothing moved there.
+        let u = cfg.tokens() * cfg.hidden * 4;
+        let bound = param_bytes + 6 * u + 2 * 2 * cfg.tokens() * 4 + 4 * u + (512 + 128) * 1024;
+        let (_, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+        let (_, peak) = peak_above_entry(|| layer.backward(&dy, state, ExecMode::Serial));
+        assert!(
+            peak < bound,
+            "h {hidden}: Full backward peaked {peak} B above entry; bound {bound} B"
+        );
+    }
+}
+
+#[test]
+fn a_full_forward_keeps_no_stored_state() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    set_default_backend(Backend::Serial);
+    let cfg = TransformerConfig {
+        hidden: 64,
+        heads: 4,
+        seq: 512,
+        micro_batch: 1,
+        layers: 1,
+        vocab: 32,
+        dropout_p: 0.1,
+        causal: true,
+    };
+    let mut rng = SplitMix64::new(9);
+    let weights = LayerWeights::init(&cfg, &mut rng);
+    let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
+    let u = cfg.tokens() * cfg.hidden * 4;
+    let layer = |policy| TransformerLayer::new(cfg, weights.clone(), 0, policy, CounterRng::new(7));
+    // One warm-up forward fills the ledger with every category.
+    let mut ledger = ActivationLedger::new();
+    drop(layer(Recompute::None).forward(&x, 0, ExecMode::Serial, &mut ledger));
+    let mut peak = |policy| {
+        let layer = layer(policy);
+        peak_above_entry(|| drop(layer.forward(&x, 0, ExecMode::Serial, &mut ledger))).1
+    };
+    let (full, selective) = (peak(Recompute::Full), peak(Recompute::Selective));
+    // A Full forward frees y1 after the QKV GEMM, q, k, v after the core,
+    // ctx after the output GEMM and m1 after the GeLU, so its peak is the
+    // GeLU: the checkpointed copy of x, r1, y2, m1 and g_act (11 u) and
+    // the second LayerNorm's statistics. Measured 11.03 u. A Selective
+    // forward builds the whole stored state (16 u and the statistics) and
+    // the w2 GEMM's output: 18.31 u, which a Full forward that built the
+    // stored state and dropped it also reached.
+    let bound = 11 * u + u / 4;
+    assert!(full < bound, "Full forward peaked {full} B above entry; bound {bound} B (11.25 u)");
+    assert!(bound < selective, "Selective forward peaked {selective} B, below the Full bound");
 }
 
 #[test]

@@ -14,17 +14,24 @@ use crate::Tensor;
 ///
 /// Panics if `mask.len() != x.numel()` or `p` is not in `[0, 1)`.
 pub fn dropout(x: &Tensor, mask: &[u8], p: f32) -> Tensor {
-    assert_eq!(mask.len(), x.numel(), "dropout: mask length mismatch");
+    Tensor::from_vec_unchecked(x.shape().to_vec(), dropout_rows(x.data(), mask, p))
+}
+
+/// [`dropout`] of a flat run of elements, such as a block of rows of a
+/// larger tensor with the matching run of its mask: the same one multiply
+/// (or `0.0`) per element.
+///
+/// # Panics
+///
+/// Panics if `mask.len() != x.len()` or `p` is not in `[0, 1)`.
+pub fn dropout_rows(x: &[f32], mask: &[u8], p: f32) -> Vec<f32> {
+    assert_eq!(mask.len(), x.len(), "dropout: mask length mismatch");
     assert!((0.0..1.0).contains(&p), "dropout: p must be in [0,1)");
     if p == 0.0 {
-        return x.clone();
+        return x.to_vec();
     }
     let scale = 1.0 / (1.0 - p);
-    let mut out = x.clone();
-    for (o, &m) in out.data_mut().iter_mut().zip(mask) {
-        *o = if m != 0 { *o * scale } else { 0.0 };
-    }
-    out
+    x.iter().zip(mask).map(|(&v, &m)| if m != 0 { v * scale } else { 0.0 }).collect()
 }
 
 /// Backward of [`dropout`]: same mask and scaling applied to `dy`.

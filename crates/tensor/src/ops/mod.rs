@@ -15,10 +15,10 @@ mod matmul;
 mod softmax;
 
 pub use activation::gelu;
-pub use dropout::{dropout, dropout_backward};
+pub use dropout::{dropout, dropout_backward, dropout_rows};
 pub use embedding::{embedding, embedding_backward};
 pub use layernorm::{layer_norm, layer_norm_backward, LayerNormSaved};
-pub use linear::{add_bias, bias_grad, residual_add};
+pub use linear::{add_bias, bias_grad, bias_grad_accumulate, residual_add};
 pub use loss::{cross_entropy, CrossEntropyOutput};
 pub use matmul::Gemm;
 pub use softmax::{softmax_rows, softmax_rows_backward};
