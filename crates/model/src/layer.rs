@@ -431,62 +431,21 @@ impl TransformerLayer {
         ops::residual_add(residual, &dropped)
     }
 
-    /// Panics unless `x` is this rank's `[rows, h]` layer input.
-    fn check_input(&self, x: &Tensor, mode: &ExecMode<'_>) {
-        assert_eq!(
-            x.shape(),
-            &[mode.local_rows(self.cfg.tokens()).1, self.cfg.hidden],
-            "layer {} forward: input shape mismatch for {mode:?}",
-            self.layer_idx
-        );
-    }
-
-    /// `q`, `k`, `v` from `y1 = LN₁(x)`: `g`/`f` fused with the QKV GEMM,
-    /// `b_qkv` added in place, split three ways. Hands `y1` back when
-    /// `keep_y1`; otherwise it is freed as soon as the GEMM has read it.
-    fn qkv(
-        &self,
-        y1: Tensor,
-        keep_y1: bool,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> (Option<Tensor>, [Tensor; 3]) {
-        let w = &self.weights;
-        let qkv_raw = self.gather_gemm(mode, overlap, &y1, &w.w_qkv, false, false).0;
-        let y1 = keep_y1.then_some(y1);
-        let qkv = ops::add_bias(qkv_raw, &w.b_qkv);
-        (y1, qkv.chunk_last_axis(3).expect("qkv packs 3 blocks").try_into().expect("3 blocks"))
-    }
-
-    /// The MLP entry: `m1 = y2·w1 + b1` (`g`/`f` fused with the GEMM, the
-    /// bias added in place) and `g_act = gelu(m1)`.
-    fn mlp_entry(
-        &self,
-        y2: &Tensor,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> (Tensor, Tensor) {
-        let w = &self.weights;
-        let m1 = ops::add_bias(self.gather_gemm(mode, overlap, y2, &w.w1, false, false).0, &w.b1);
-        let g_act = ops::gelu(&m1);
-        (m1, g_act)
-    }
-
     /// The forward pass through the GeLU output: exactly what the backward
     /// pass reads, and nothing after it — [`TransformerLayer::forward`]
     /// follows it with the `w2` GEMM and the MLP's exit. Records nothing.
     /// `keep_attn` is the one place the Figure 3 red region is kept or not,
-    /// and only `Recompute::None` passes `true`: selective and the `Full`
-    /// replay pass `false`, the core's `[s, s]` products are never built,
-    /// and the backward replays them inside the attention backward, one
-    /// query-row block at a time. `keep_mlp` is its MLP twin: a stored
-    /// forward passes `true`, and the `Full` replay passes `false` and
-    /// stops at `y2` — no `w1` GEMM, no GeLU, and under SP no MLP-entry
-    /// all-gather — because the MLP backward replays `m1` and `g_act` one
-    /// row block at a time. The replay also drops `y1` after the QKV GEMM:
-    /// the attention backward rebuilds it from `x` where it is read, so it
-    /// is not live beside the MLP backward's transients or the attention
-    /// core's.
+    /// and only `Recompute::None` passes `true`: every other forward —
+    /// selective, full, and the `Full` replay — passes `false`, the core's
+    /// `[s, s]` products are never built, and the backward replays them
+    /// inside the attention backward, one query-row block at a time.
+    /// `keep_mlp` is its MLP twin: every forward passes `true`, and the
+    /// `Full` replay passes `false` and stops at `y2` — no `w1` GEMM, no
+    /// GeLU, and under SP no MLP-entry all-gather — because the MLP
+    /// backward replays `m1` and `g_act` one row block at a time. The
+    /// replay also drops `y1` after the QKV GEMM: the attention backward
+    /// rebuilds it from `x` where it is read, so it is not live beside the
+    /// MLP backward's transients or the attention core's.
     fn forward_stored(
         &self,
         x: Tensor,
@@ -496,7 +455,12 @@ impl TransformerLayer {
         keep_attn: bool,
         keep_mlp: bool,
     ) -> StoredState {
-        self.check_input(&x, mode);
+        assert_eq!(
+            x.shape(),
+            &[mode.local_rows(self.cfg.tokens()).1, self.cfg.hidden],
+            "layer {} forward: input shape mismatch for {mode:?}",
+            self.layer_idx
+        );
         let w = &self.weights;
         // The LayerNorm outputs are kept as computed: outside SP they are
         // the whole GEMM inputs, under SP only the local shards (the
@@ -505,7 +469,13 @@ impl TransformerLayer {
 
         // --- attention half ---
         let (y1, ln1_saved) = ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta);
-        let (y1, [q, k, v]) = self.qkv(y1, keep_mlp, mode, overlap);
+        // g / f fused with the QKV GEMM; the bias is added in place.
+        let qkv_raw = self.gather_gemm(mode, overlap, &y1, &w.w_qkv, false, false).0;
+        let y1 = keep_mlp.then_some(y1);
+        let qkv = ops::add_bias(qkv_raw, &w.b_qkv);
+        let [q, k, v]: [Tensor; 3] =
+            qkv.chunk_last_axis(3).expect("qkv packs 3 blocks").try_into().expect("3 blocks");
+        drop(qkv);
         let ap = self.attn_params(mode, micro);
         let (ctx, core) = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, keep_attn);
         let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
@@ -514,44 +484,17 @@ impl TransformerLayer {
 
         // --- MLP half, through the GeLU ---
         let (y2, ln2_saved) = ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta);
-        let inner = keep_mlp.then(|| self.mlp_entry(&y2, mode, overlap));
+        let inner = keep_mlp.then(|| {
+            let m1_raw = self.gather_gemm(mode, overlap, &y2, &w.w1, false, false).0;
+            let m1 = ops::add_bias(m1_raw, &w.b1);
+            let g_act = ops::gelu(&m1);
+            (m1, g_act)
+        });
         StoredState {
             micro,
             attn: AttnStored { x, ln1_saved, y1, q, k, v, core, ctx },
             mlp: MlpStored { r1, ln2_saved, y2, inner },
         }
-    }
-
-    /// `Recompute::Full`'s forward: the operations of
-    /// [`TransformerLayer::forward_stored`] and the MLP's exit, with
-    /// nothing kept but the caller's `x`, so every tensor is freed at its
-    /// last forward read — `y1` after the QKV GEMM, `q`, `k` and `v` after
-    /// the attention core, `ctx` after the output projection, `m1` once
-    /// the GeLU has read it. No whole stored state is ever built. Returns
-    /// the layer output.
-    fn forward_checkpoint(
-        &self,
-        x: &Tensor,
-        micro: u64,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> Tensor {
-        self.check_input(x, mode);
-        let w = &self.weights;
-        let y1 = ops::layer_norm(x, &w.ln1_gamma, &w.ln1_beta).0;
-        let (_, [q, k, v]) = self.qkv(y1, false, mode, overlap);
-        let ap = self.attn_params(mode, micro);
-        let ctx = attention_forward_keeping(&ap, &self.rng, &q, &k, &v, false).0;
-        drop((q, k, v));
-        let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
-        drop(ctx);
-        let r1 = self.exit_region(DropoutSite::AttentionOutput, micro, mode, overlap, o_partial, x);
-        let (m1, g_act) =
-            self.mlp_entry(&ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta).0, mode, overlap);
-        drop(m1);
-        let m2_partial = ops::Gemm::NN.apply(&g_act, &w.w2);
-        drop(g_act);
-        self.exit_region(DropoutSite::MlpOutput, micro, mode, overlap, m2_partial, &r1)
     }
 
     /// `m1 = y2·w1 + b1` and `g_act = gelu(m1)` for the `rows` gathered
@@ -616,9 +559,7 @@ impl TransformerLayer {
 
     /// [`TransformerLayer::forward`], taking the input by value: the saved
     /// state keeps the caller's tensor, not a copy of it. A `Full` forward
-    /// keeps nothing else: it runs [`TransformerLayer::forward_checkpoint`],
-    /// which frees each tensor at its last forward read, and never builds a
-    /// whole stored state.
+    /// builds the same stored state and keeps only that tensor.
     pub(crate) fn forward_owned(
         &self,
         x: Tensor,
@@ -629,11 +570,6 @@ impl TransformerLayer {
         let mode = policy.mode();
         let overlap = policy.overlap();
         let recompute = policy.recompute().unwrap_or(self.policy);
-        if recompute == Recompute::Full {
-            let out = self.forward_checkpoint(&x, micro, &mode, overlap);
-            self.record_stored(&[x.numel()], recompute, &mode, ledger);
-            return (out, LayerState::Checkpoint { x, micro });
-        }
         // Only `Recompute::None` keeps the Figure 3 red region.
         let keep_attn = recompute == Recompute::None;
         let st = self.forward_stored(x, micro, &mode, overlap, keep_attn, true);
@@ -641,6 +577,11 @@ impl TransformerLayer {
         let m2_partial = ops::Gemm::NN.apply(g_act, &self.weights.w2);
         let out =
             self.exit_region(DropoutSite::MlpOutput, micro, &mode, overlap, m2_partial, &st.mlp.r1);
+        if recompute == Recompute::Full {
+            // Only the checkpointed input is stored.
+            self.record_stored(&[st.attn.x.numel()], recompute, &mode, ledger);
+            return (out, LayerState::Checkpoint { x: st.attn.x, micro });
+        }
         self.record_stored(&st.held(), recompute, &mode, ledger);
         (out, LayerState::Stored(Box::new(st)))
     }
@@ -762,18 +703,23 @@ impl TransformerLayer {
     /// with `m1`, then `m1` is gone. A stored state's whole `g_act` is
     /// therefore freed before the whole `d_m1` is allocated.
     ///
-    /// When a replay's gathered rows outnumber `h`, a whole `d_m1`
-    /// (`rows × 4h/t`) would outweigh `dW1` (`h × 4h/t`), so the replay
-    /// streams `d_m1` too: one block-sized `d_m1` is reused by every block,
-    /// each of which also continues the `b1` and `dW1` chains and writes
-    /// its rows of the `d_y_ln2` partial over its rows of the gathered
-    /// `y2`, which its `dW1` GEMM read for the last time; the partial is
-    /// combined once after the loop. Outside SP a block also derives its
-    /// rows of `d_m2` from `dy` (no gather needs `d_m2` whole) and
-    /// continues the `b2` chain. Otherwise `d_m1` is whole and `b1`, `dW1`
-    /// and `d_y_ln2` follow the loop: on a stored state, opening `dW1` in
-    /// the loop would put it beside the whole stored `m1` and `g_act`.
-    /// GEMM rows are independent, and `dW2`, `dW1` and the bias sums
+    /// When a replay's gathered rows outnumber `h`, the replay streams
+    /// `d_m1` too: one block-sized `d_m1` is reused by every block, each of
+    /// which also continues the `b1` and `dW1` chains and writes its rows
+    /// of the `d_y_ln2` partial over its rows of the gathered `y2`, which
+    /// its `dW1` GEMM read for the last time; the partial is combined once
+    /// after the loop. Outside SP a block also derives its rows of `d_m2`
+    /// from `dy` (no gather needs `d_m2` whole) and continues the `b2`
+    /// chain. Otherwise `d_m1` is whole and `b1`, `dW1` and `d_y_ln2`
+    /// follow the loop, after `dW2` has gone to the sink. The stream keeps
+    /// `dW2` (`4h/t × h`) open through the loop in place of a whole `d_m1`
+    /// (`rows × 4h/t`). A sink that keeps every gradient keeps `dW2`
+    /// anyway, but a stage summing microbatches frees it as it goes into
+    /// the sum, so there the stream pays off only once the rows outnumber
+    /// `h`: streaming every replay raised `pp2_1f1b`'s `Full` step peak
+    /// (128 rows, `h` 384) from 25.99 to 29.2–29.7 MiB. On a stored state,
+    /// opening `dW1` in the loop would put it beside the whole stored `m1`
+    /// and `g_act`. GEMM rows are independent, and `dW2`, `dW1` and the bias sums
     /// continue one ascending chain per element across the blocks, so
     /// every gradient has the same bits at any block size and in either
     /// order.
