@@ -49,7 +49,9 @@
 //! its range it packs the `A` block (at most `MC·KC` values) and sweeps
 //! the block's panels with the microkernel. A call therefore holds at most
 //! two fixed-size scratch buffers per worker — never a copy of a whole
-//! operand, however large the weight it multiplies.
+//! operand, however large the weight it multiplies. [`gemm_add`] puts the
+//! contraction innermost instead, so that each `[MC, ≤ n]` block of the
+//! product is finished in a third, reused buffer and added into `C`.
 //!
 //! ## Blocking and determinism
 //!
@@ -66,6 +68,7 @@
 //! bands, bit-identical to the flat kernel. [`gemm_accumulate`] runs the
 //! `ADD` instantiation from its first slice on, so a caller may deliver the
 //! contraction itself in ascending pieces and still get the one chain.
+//! [`gemm_add`] runs the plain chains and adds each finished one to `C`.
 //!
 //! ## Threading policy
 //!
@@ -178,7 +181,39 @@ pub fn gemm_accumulate(
     b: &[f32],
     out: &mut [f32],
 ) {
-    let _ = gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, true);
+    let _ = gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, Output::Continue);
+}
+
+/// `C += op(A) · op(B)` into `out` (`[m, n]`, row-major): every element's
+/// product chain starts at `+0.0` and runs in ascending `k`, as [`gemm`]'s
+/// does, and the finished value is added to what `out` holds with one `+`.
+/// The bits are exactly those of [`gemm`] into a zeroed scratch followed by
+/// an elementwise `out += scratch`, at any worker count, but no scratch of
+/// `out`'s size ever exists: each worker computes one `[MC, ≤ n]` block of
+/// the product at a time, through its whole contraction, into one reused
+/// buffer and adds it once its last slice is done. GEMM rows do not depend
+/// on how the output is split, so a block's chains are the whole GEMM's.
+/// This is how a weight gradient is computed straight into a running sum.
+///
+/// Not [`gemm_accumulate`], which continues the chain `out` holds and so
+/// gives other bits.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its implied layout.
+#[allow(clippy::too_many_arguments)] // flat slice ABI, as `gemm`
+pub fn gemm_add(
+    backend: Backend,
+    transpose_a: bool,
+    transpose_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let _ = gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, Output::Add);
 }
 
 /// [`gemm`], also returning what the call measured ([`GemmStats`]).
@@ -201,12 +236,22 @@ pub fn gemm_stats(
     b: &[f32],
     out: &mut [f32],
 ) -> GemmStats {
-    gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, false)
+    gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, Output::Overwrite)
 }
 
-/// The body of [`gemm_stats`] and [`gemm_accumulate`]: `accumulate` selects
-/// whether the first contraction slice starts each chain at `+0.0` or at
-/// the value `out` holds.
+/// What a GEMM call does with the values `out` holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Output {
+    /// Ignores them: every chain starts at `+0.0` ([`gemm`]).
+    Overwrite,
+    /// Continues the chain each one ends ([`gemm_accumulate`]).
+    Continue,
+    /// Adds each finished chain to it ([`gemm_add`]).
+    Add,
+}
+
+/// The body of [`gemm_stats`], [`gemm_accumulate`] and [`gemm_add`]:
+/// `output` selects what becomes of the values `out` holds.
 #[allow(clippy::too_many_arguments)]
 fn gemm_impl(
     backend: Backend,
@@ -218,7 +263,7 @@ fn gemm_impl(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
-    accumulate: bool,
+    output: Output,
 ) -> GemmStats {
     assert_eq!(a.len(), m * k, "gemm: A length vs m*k");
     assert_eq!(b.len(), k * n, "gemm: B length vs k*n");
@@ -249,10 +294,13 @@ fn gemm_impl(
     let a_stride = if transpose_a { m } else { k };
     let rows_from = |row0: usize, c: &mut [f32]| {
         let a = ARows { a, stride: a_stride, transposed: transpose_a, row0, rows: c.len() / n };
-        gemm_rows(simd, a, transpose_b, b, n, k, c, accumulate)
+        match output {
+            Output::Add => gemm_rows_add(simd, a, transpose_b, b, n, k, c),
+            _ => gemm_rows(simd, a, transpose_b, b, n, k, c, output == Output::Continue),
+        }
     };
     let packing_us = if threads == 1 {
-        // Inline: the call's only heap bytes are the worker's two blocks.
+        // Inline: the call's only heap bytes are the worker's blocks.
         rows_from(0, out)
     } else {
         // One contiguous run of whole row blocks per worker.
@@ -689,6 +737,73 @@ fn gemm_rows(
                     sweep_panels::<false>(simd, mc, window, tiles, c_block, n);
                 } else {
                     sweep_panels::<true>(simd, mc, window, tiles, c_block, n);
+                }
+            }
+        }
+    }
+    packing_us
+}
+
+/// One worker's share of [`gemm_add`]: the op(A) rows `a` selects, added
+/// into `c` (`a.rows × n`, row-major). The loop order puts the contraction
+/// innermost: each `[MC, nc]` block of the product runs all its slices
+/// into one reused buffer — the first starting every chain at `+0.0`, as
+/// [`gemm_rows`]' does — and is then added into its window of `c` with one
+/// `+` per element. A `B` block is packed again only when the slice or
+/// column block changes, so a contraction of at most `KC` packs each `B`
+/// block once, as [`gemm_rows`] does; a longer one repacks per row block.
+/// Holds [`gemm_rows`]' two blocks and the `[MC, nc]` buffer.
+fn gemm_rows_add(
+    simd: Simd,
+    a: ARows<'_>,
+    transpose_b: bool,
+    b: &[f32],
+    n: usize,
+    k: usize,
+    c: &mut [f32],
+) -> u64 {
+    if k == 0 {
+        // The empty product is +0.0, and adding it turns -0.0 into +0.0.
+        c.iter_mut().for_each(|v| *v += 0.0);
+        return 0;
+    }
+    let ldb = if transpose_b { k } else { n };
+    let kc_max = KC.min(k);
+    let nc_max = (B_BLOCK_VALUES / kc_max / NR * NR).min(n);
+    let mut block = PackedB { data: vec![0.0; nc_max.div_ceil(NR) * kc_max * NR], k: 0, n: 0 };
+    let mut a_tiles = vec![0.0f32; MC.min(a.rows).div_ceil(MR) * kc_max * MR];
+    let mut product = vec![0.0f32; MC.min(a.rows) * nc_max];
+    // The `(k0, j0)` of the `B` block `block` holds.
+    let mut packed = None;
+    let mut packing_us = 0;
+    for j0 in (0..n).step_by(nc_max) {
+        let nc = nc_max.min(n - j0);
+        for i0 in (0..a.rows).step_by(MC) {
+            let mc = MC.min(a.rows - i0);
+            let product = &mut product[..mc * nc];
+            for k0 in (0..k).step_by(KC) {
+                let kc = KC.min(k - k0);
+                let t0 = mt_trace::monotonic_us();
+                if packed != Some((k0, j0)) {
+                    let b_slice = &b[if transpose_b { k0 } else { k0 * ldb }..];
+                    block.repack(transpose_b, b_slice, ldb, kc, j0, nc);
+                    packed = Some((k0, j0));
+                }
+                let a_slice = &a.a[if a.transposed { k0 * a.stride } else { k0 }..];
+                let tiles = &mut a_tiles[..mc.div_ceil(MR) * kc * MR];
+                pack_a_band(a.transposed, a_slice, a.stride, a.row0 + i0, mc, kc, tiles);
+                packing_us += mt_trace::monotonic_us().saturating_sub(t0);
+                let window = BWindow { pb: &block, n: nc, k0: 0, k: kc };
+                if k0 == 0 {
+                    sweep_panels::<false>(simd, mc, window, tiles, product, nc);
+                } else {
+                    sweep_panels::<true>(simd, mc, window, tiles, product, nc);
+                }
+            }
+            for (r, row) in product.chunks_exact(nc).enumerate() {
+                let at = (i0 + r) * n + j0;
+                for (o, &v) in c[at..at + nc].iter_mut().zip(row) {
+                    *o += v;
                 }
             }
         }

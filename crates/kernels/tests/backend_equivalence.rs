@@ -46,6 +46,36 @@ proptest! {
         }
     }
 
+    /// `gemm_add` is `gemm` into zeros followed by one `+` per element, bit
+    /// for bit, on both backends: ragged `m` (`MC` = 64) and `n` (`NR` = 8),
+    /// contractions across `KC` = 512, and an output that already holds
+    /// values.
+    #[test]
+    fn gemm_add_is_gemm_then_one_add(
+        m in 1usize..150,
+        n in 1usize..40,
+        k in 0usize..1100,
+        threads in 1usize..5,
+        seed in 0u64..500,
+    ) {
+        let a = deterministic(m * k, seed);
+        let b = deterministic(k * n, seed ^ 0x5eed);
+        let out = deterministic(m * n, seed ^ 0x0ff);
+        for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+            let want = gemm_then_add(ta, tb, m, n, k, &a, &b, &out);
+            for backend in [Backend::Serial, Backend::Threaded { threads }] {
+                let mut got = out.clone();
+                gemm::gemm_add(backend, ta, tb, m, n, k, &a, &b, &mut got);
+                prop_assert_eq!(
+                    bits(&want),
+                    bits(&got),
+                    "gemm_add {} m={} n={} k={} on {:?}",
+                    gemm::kind_label(ta, tb), m, n, k, backend
+                );
+            }
+        }
+    }
+
     /// Softmax forward + backward: ragged row counts vs ROW_BLOCK = 64.
     #[test]
     fn softmax_threaded_is_bit_identical(
@@ -126,6 +156,54 @@ proptest! {
         mt_kernels::gelu_backward(Backend::Serial, &x, &dy, &mut bs);
         mt_kernels::gelu_backward(Backend::Threaded { threads }, &x, &dy, &mut bt);
         prop_assert_eq!(bits(&bs), bits(&bt), "gelu_backward len={} threads={}", len, threads);
+    }
+}
+
+/// `gemm_add`'s contract: [`gemm::gemm`] into a zeroed scratch, then
+/// `out + scratch` per element.
+#[allow(clippy::too_many_arguments)]
+fn gemm_then_add(
+    ta: bool,
+    tb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &[f32],
+) -> Vec<f32> {
+    let mut product = vec![0.0f32; m * n];
+    gemm::gemm(Backend::Serial, ta, tb, m, n, k, a, b, &mut product);
+    out.iter().zip(&product).map(|(o, p)| o + p).collect()
+}
+
+/// Shapes the random ones above rarely reach, each on every backend the
+/// fan-out policy splits: several `MC`-row blocks per worker with a ragged
+/// last one, two contraction slices, several `B` column blocks, and a
+/// `-0.0` output under an empty contraction (the added `+0.0` makes it
+/// `+0.0`, as `gemm` then `+` does).
+#[test]
+fn gemm_add_is_gemm_then_one_add_across_blocks_and_workers() {
+    // (m, n, k): 4 row blocks, 1100 = 512 + 512 + 76 contraction rows, and
+    // 300 columns against the 256-column B blocks of a 512-long slice.
+    for (m, n, k) in [(200, 300, 1100), (200, 19, 600), (70, 1100, 128), (9, 7, 0)] {
+        let a = deterministic(m * k, 1);
+        let b = deterministic(k * n, 2);
+        let mut out = deterministic(m * n, 3);
+        out[0] = -0.0;
+        for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+            let want = gemm_then_add(ta, tb, m, n, k, &a, &b, &out);
+            for backend in (1..=4).map(|threads| Backend::Threaded { threads }) {
+                let mut got = out.clone();
+                gemm::gemm_add(backend, ta, tb, m, n, k, &a, &b, &mut got);
+                assert_eq!(
+                    bits(&want),
+                    bits(&got),
+                    "gemm_add {} m={m} n={n} k={k} on {backend:?}",
+                    gemm::kind_label(ta, tb)
+                );
+            }
+        }
     }
 }
 

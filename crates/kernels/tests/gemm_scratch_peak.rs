@@ -7,11 +7,15 @@
 //! `B` first would hold a weight-sized copy: 16 MiB at the shapes below,
 //! which are `wide_mlp`'s MLP GEMMs (128 tokens, h 1024, 4h 4096).
 //!
+//! `gemm_add` adds the product into an output that holds a running sum.
+//! Beyond `gemm`'s blocks each of its workers holds one `[MC, ≤ n]` block
+//! of the product, never a scratch the size of the output.
+//!
 //! The counting allocator is this test binary's own, and the one test
 //! measures every case in sequence, so no other test's allocations land in
 //! its window.
 
-use mt_kernels::gemm::{gemm_stats, kind_label};
+use mt_kernels::gemm::{gemm_add, gemm_stats, kind_label};
 use mt_kernels::Backend;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -83,6 +87,9 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// block.
 const PER_WORKER: usize = 640 * 1024;
 
+/// Rows of one `gemm_add` product block (the kernel's `MC`).
+const MC: usize = 64;
+
 /// What a fan-out itself allocates per spawned worker: its entry in the
 /// worker list and the scoped spawn's handles — a few hundred bytes, far
 /// below any buffer a worker could hold. A serial call allocates none.
@@ -114,6 +121,21 @@ fn a_gemm_call_holds_fixed_blocks_per_worker_not_a_packed_weight() {
                 stats.threads_used,
             );
             assert_eq!(out[0], 0.125 * k as f32, "the call computed the product");
+            // The same product added into that output: the workers' count
+            // is the policy's, as above, and each may hold one product
+            // block of at most `MC` rows of `n` values more.
+            let (_, peak) =
+                peak_above_entry(|| gemm_add(backend, ta, tb, m, n, k, &a, &b, &mut out));
+            let workers = stats.threads_used;
+            let bound = workers * (PER_WORKER + MC * n * 4) + (workers - 1) * PER_SPAWN;
+            assert!(
+                peak <= bound,
+                "gemm_add {} {m}x{n}x{k} on {workers} workers peaked {peak} B above entry; the \
+                 bound is {bound} B ({PER_WORKER} B and one {MC}x{n} block per worker, \
+                 {PER_SPAWN} B per spawn)",
+                kind_label(ta, tb),
+            );
+            assert_eq!(out[0], 0.25 * k as f32, "the call added the product");
         }
     }
 }

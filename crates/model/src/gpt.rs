@@ -394,10 +394,19 @@ pub(crate) fn head_forward(
     (ce.loss, HeadState { y_full, ln_saved, y_ln, dlogits: ce.dlogits })
 }
 
+/// The head's gradients: the final LayerNorm's scale and shift, then the
+/// tied table's.
+pub(crate) type HeadGrads = (Tensor, Tensor, Tensor);
+
 /// Head backward: returns the gradient at this rank's rows of the last
-/// layer's output, then the final-LayerNorm scale, shift and tied-table
-/// gradients. The head is replicated redundant compute, so under sequence
-/// parallelism the shard gradient is a plain slice, not a reduction.
+/// layer's output, and puts the final-LayerNorm scale, shift and tied-table
+/// gradients into `sums` — as a fresh set when it holds none, added into
+/// the running sums otherwise. The table gradient `dLogitsᵀ·Y` (`[v, h]`)
+/// is then computed straight into its sum ([`ops::Gemm::apply_add`], the
+/// bits of the GEMM followed by `+=`), so a stage summing microbatches
+/// never holds a second one. The head is replicated redundant compute, so
+/// under sequence parallelism the shard gradient is a plain slice, not a
+/// reduction.
 ///
 /// Consumes the head's state: `d_table` comes first, so `y_ln` is freed
 /// before `d_y_ln` is allocated, then `dlogits` after the `d_y_ln` GEMM
@@ -407,23 +416,36 @@ pub(crate) fn head_backward(
     table: &Tensor,
     hs: HeadState,
     mode: &ExecMode<'_>,
-) -> (Tensor, Tensor, Tensor, Tensor) {
+    sums: &mut Option<HeadGrads>,
+) -> Tensor {
     let HeadState { y_full, ln_saved, y_ln, dlogits } = hs;
-    let d_table = ops::Gemm::TN.apply(&dlogits, &y_ln);
+    let fresh_table = match sums {
+        Some((_, _, t)) => {
+            ops::Gemm::TN.apply_add(&dlogits, &y_ln, t);
+            None
+        }
+        None => Some(ops::Gemm::TN.apply(&dlogits, &y_ln)),
+    };
     drop(y_ln);
     let d_y_ln = ops::Gemm::NN.apply(&dlogits, table);
     drop(dlogits);
     let (d_y_full, d_gamma, d_beta) = ops::layer_norm_backward(&y_full, gamma, &ln_saved, &d_y_ln);
     drop((y_full, d_y_ln));
+    match sums {
+        Some((fg, fb, _)) => {
+            fg.add_assign(&d_gamma);
+            fb.add_assign(&d_beta);
+        }
+        None => *sums = Some((d_gamma, d_beta, fresh_table.expect("no sums yet"))),
+    }
     let (row0, rows) = mode.local_rows(d_y_full.rows());
-    let d_act = if rows == d_y_full.rows() {
+    if rows == d_y_full.rows() {
         d_y_full
     } else {
         let h = d_y_full.cols();
         let local = d_y_full.data()[row0 * h..(row0 + rows) * h].to_vec();
         Tensor::from_vec_unchecked(vec![rows, h], local)
-    };
-    (d_act, d_gamma, d_beta, d_table)
+    }
 }
 
 impl Gpt {
@@ -789,8 +811,9 @@ mod tests {
         // layer inline inside its own backward: loss, gradients and ledger
         // equal the exposed run's, each of the L layers emits one
         // `recompute_layer` span (the replay through `y2`) and then one
-        // `recompute_mlp` span per MLP row block, and every booked replay
-        // is exposed.
+        // `recompute_mlp` span for its MLP replay, which runs whole rows
+        // (the 16 rows do not outnumber h = 16), and every booked replay is
+        // exposed.
         let c = TransformerConfig { dropout_p: 0.1, ..cfg() };
         let (tokens, targets) = data(&c, 30);
         let gpt = Gpt::init(c, Recompute::Full, 33);
@@ -820,12 +843,10 @@ mod tests {
             .filter(|e| e.name.starts_with("recompute"))
             .map(|e| e.name.as_ref())
             .collect();
-        let blocks =
-            c.tokens().div_ceil(mt_kernels::ROW_BLOCK * mt_kernels::default_backend().threads());
-        let per_layer =
-            std::iter::once("recompute_layer").chain(std::iter::repeat_n("recompute_mlp", blocks));
-        let want: Vec<&str> = (0..c.layers).flat_map(|_| per_layer.clone()).collect();
-        assert_eq!(replays, want, "one inline replay per layer, then one per MLP row block");
+        assert!(c.tokens() <= c.hidden, "the MLP replay runs whole rows");
+        let want: Vec<&str> =
+            (0..c.layers).flat_map(|_| ["recompute_layer", "recompute_mlp"]).collect();
+        assert_eq!(replays, want, "one inline replay per layer, then its MLP replay");
         assert_eq!(timing.exposed_recompute_us, timing.recompute_us);
     }
 

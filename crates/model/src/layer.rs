@@ -148,7 +148,8 @@ struct MlpStored {
     y2: Tensor,
     /// The GeLU input `m1` and output `g_act` (the MLP second GEMM input),
     /// kept by every stored state; `None` (a `Full` replay) makes the MLP
-    /// backward replay them one row block at a time.
+    /// backward replay them: over whole rows, or one row block at a time
+    /// when the rows outnumber `h`.
     inner: Option<(Tensor, Tensor)>,
 }
 
@@ -199,17 +200,32 @@ pub(crate) enum GradSink<'g> {
     /// Each gradient becomes its slot of a fresh set
     /// ([`TransformerLayer::backward`]).
     Fresh(&'g mut [Option<Tensor>; LayerWeights::TENSORS]),
-    /// Each gradient is added into the running sum, one `+=` per element,
-    /// and freed at once: a stage accumulating microbatches holds its sums
-    /// and at most one fresh weight gradient, never a second set.
+    /// Each gradient is added into the running sum, one `+=` per element.
+    /// A weight gradient that is one GEMM is computed straight into its
+    /// sum ([`GradSink::product`]), and any other is added and freed at
+    /// once, so a stage accumulating microbatches holds its sums and no
+    /// fresh weight gradient beside them (a stream's `dW1`/`dW2` chains
+    /// are the exception: see [`TransformerLayer::backward`]'s MLP half).
     Add(&'g mut LayerGrads),
 }
 
 impl GradSink<'_> {
+    /// Hands over a finished gradient.
     fn put(&mut self, slot: usize, g: Tensor) {
         match self {
             GradSink::Fresh(slots) => slots[slot] = Some(g),
             GradSink::Add(sum) => sum.tensors_mut()[slot].add_assign(&g),
+        }
+    }
+
+    /// The weight gradient `op(A)·op(B)`: a fresh sink runs the GEMM into
+    /// a new slot, a summing one adds the product into its sum's slot
+    /// ([`ops::Gemm::apply_add`]) with the bits of the GEMM followed by
+    /// [`GradSink::put`], and no product tensor ever exists.
+    fn product(&mut self, slot: usize, gemm: ops::Gemm, a: &Tensor, b: &Tensor) {
+        match self {
+            GradSink::Fresh(slots) => slots[slot] = Some(gemm.apply(a, b)),
+            GradSink::Add(sum) => gemm.apply_add(a, b, sum.tensors_mut()[slot]),
         }
     }
 }
@@ -442,7 +458,7 @@ impl TransformerLayer {
     /// `keep_mlp` is its MLP twin: every forward passes `true`, and the
     /// `Full` replay passes `false` and stops at `y2` — no `w1` GEMM, no
     /// GeLU, and under SP no MLP-entry all-gather — because the MLP
-    /// backward replays `m1` and `g_act` one row block at a time. The
+    /// backward replays `m1` and `g_act` where it reads them. The
     /// replay also drops `y1` after the QKV GEMM: the attention backward
     /// rebuilds it from `x` where it is read, so it is not live beside the
     /// MLP backward's transients or the attention core's.
@@ -592,8 +608,9 @@ impl TransformerLayer {
     /// rank holds exact gradients for its shard and replicated parameters).
     /// Each gradient is allocated once, by the GEMM or reduction that
     /// computes it, and is the tensor the optimizer reads; a pipeline stage
-    /// summing microbatches instead has each added into its running sum as
-    /// it returns, and freed.
+    /// summing microbatches instead has each weight-gradient GEMM add its
+    /// product straight into the running sum, and each other gradient
+    /// added as it returns, and freed.
     /// Each half takes its own saved tensors by value and frees every one,
     /// and every transient, at its last read, and frees before it
     /// allocates: no whole tensor is opened while a tensor that dies before
@@ -607,8 +624,9 @@ impl TransformerLayer {
     /// entry of its own). A checkpoint is replayed inline into such a
     /// state first, through `y2` and without keeping `y1`
     /// (`recompute_layer`), and the MLP backward replays `m1` and `g_act`
-    /// one row block at a time (`recompute_mlp` per block), under every
-    /// overlap policy; both book into [`crate::StepTiming::recompute_us`].
+    /// (`recompute_mlp`: over whole rows, or per block when the rows
+    /// outnumber `h`), under every overlap policy; both book into
+    /// [`crate::StepTiming::recompute_us`].
     /// The attention backward rebuilds `y1` with one LayerNorm just before
     /// the `dW_qkv` GEMM, inside its own time. `policy` accepts anything
     /// convertible into an [`ExecPolicy`].
@@ -658,7 +676,7 @@ impl TransformerLayer {
             LayerState::Checkpoint { x, micro } => {
                 // Full recomputation (the 30-40% overhead the paper
                 // eliminates): the forward replayed through `y2`; the MLP
-                // backward replays the rest it reads, block by block. The
+                // backward replays the rest it reads. The
                 // w2 GEMM, the MLP's exit collective, its dropout and
                 // residual are not re-run.
                 timed_recompute("recompute_layer", || {
@@ -691,38 +709,34 @@ impl TransformerLayer {
     /// input. Puts the `w2`, `b1` and `w1` gradients into `sink` as each is
     /// computed; returns `d_r1` and the half's replicated gradients.
     ///
-    /// Everything from `y2` to `m2` is per token, so the half walks the
-    /// gathered rows in blocks, stored and replayed states alike: a stored
-    /// state is one whole-rows block; a `Full` replay walks blocks of one
-    /// `ROW_BLOCK` per backend thread (so every block GEMM still gives each
-    /// worker a whole `MC`-row block of the microkernel) and replays each
-    /// block's `m1` and `g_act` from the gathered `y2`, so its `[s·b, 4h/t]`
-    /// intermediates never exist at full length. Each block frees a tensor
-    /// before it opens the next: `dW2` (+)= `g_actᵀ·d_m2`, then `g_act` is
-    /// gone; its rows of `d_m1` = `d_m2·w2ᵀ`, the GeLU backward in place
-    /// with `m1`, then `m1` is gone. A stored state's whole `g_act` is
-    /// therefore freed before the whole `d_m1` is allocated.
+    /// A stored state and a replay whose rows do not outnumber `h` run
+    /// whole rows, freeing a tensor before they open the next: `dW2` =
+    /// `g_actᵀ·d_m2` goes to the sink, then `g_act` is gone; `d_m1` =
+    /// `d_m2·w2ᵀ`, the GeLU backward in place with `m1`, then `m1` is gone;
+    /// then `b1`, `dW1` = `y2ᵀ·d_m1` and the `d_y_ln2` partial. A replay
+    /// rebuilds the whole `m1` and `g_act` from the gathered `y2` first.
+    /// Both weight gradients are single products, so a summing sink adds
+    /// them straight into its sums and no fresh `dW1` or `dW2` is held.
     ///
-    /// When a replay's gathered rows outnumber `h`, the replay streams
-    /// `d_m1` too: one block-sized `d_m1` is reused by every block, each of
-    /// which also continues the `b1` and `dW1` chains and writes its rows
-    /// of the `d_y_ln2` partial over its rows of the gathered `y2`, which
-    /// its `dW1` GEMM read for the last time; the partial is combined once
+    /// Everything from `y2` to `m2` is per token, so when a replay's
+    /// gathered rows outnumber `h` it streams them instead, in blocks of
+    /// one `ROW_BLOCK` per backend thread (so every block GEMM still gives
+    /// each worker a whole `MC`-row block of the microkernel): each block
+    /// replays its rows of `m1` and `g_act`, continues the `dW2`, `b1` and
+    /// `dW1` chains, reuses one block-sized `d_m1`, and writes its rows of
+    /// the `d_y_ln2` partial over its rows of the gathered `y2`, which its
+    /// `dW1` GEMM read for the last time; the partial is combined once
     /// after the loop. Outside SP a block also derives its rows of `d_m2`
     /// from `dy` (no gather needs `d_m2` whole) and continues the `b2`
-    /// chain. Otherwise `d_m1` is whole and `b1`, `dW1` and `d_y_ln2`
-    /// follow the loop, after `dW2` has gone to the sink. The stream keeps
-    /// `dW2` (`4h/t × h`) open through the loop in place of a whole `d_m1`
-    /// (`rows × 4h/t`). A sink that keeps every gradient keeps `dW2`
-    /// anyway, but a stage summing microbatches frees it as it goes into
-    /// the sum, so there the stream pays off only once the rows outnumber
-    /// `h`: streaming every replay raised `pp2_1f1b`'s `Full` step peak
-    /// (128 rows, `h` 384) from 25.99 to 29.2–29.7 MiB. On a stored state,
-    /// opening `dW1` in the loop would put it beside the whole stored `m1`
-    /// and `g_act`. GEMM rows are independent, and `dW2`, `dW1` and the bias sums
-    /// continue one ascending chain per element across the blocks, so
-    /// every gradient has the same bits at any block size and in either
-    /// order.
+    /// chain. A stream never holds a whole `[rows, 4h/t]` tensor, but its
+    /// chains keep a fresh `dW2` and `dW1` (`4h/t × h` each) open through
+    /// the loop, even beside a summing sink's sums, where the whole order
+    /// keeps none: so it pays off only once the rows outnumber `h`.
+    /// Streaming every replay raised `pp2_1f1b`'s `Full` step peak (128
+    /// rows, `h` 384) from 25.99 to 29.2–29.7 MiB. GEMM rows are
+    /// independent, and `dW2`, `dW1` and the bias sums continue one
+    /// ascending chain per element across the blocks, so every gradient
+    /// has the same bits in either order.
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
@@ -742,7 +756,7 @@ impl TransformerLayer {
         let (h, ffn) = (w.w1.shape()[0], w.w1.shape()[1]);
         let p = self.cfg.dropout_p;
         let backend = mt_kernels::default_backend();
-        let MlpStored { r1, ln2_saved, y2, mut inner } = saved;
+        let MlpStored { r1, ln2_saved, y2, inner } = saved;
         let replaying = inner.is_none();
         // The gathered rows: every token of the microbatch, in every mode.
         let tokens = self.cfg.tokens();
@@ -771,54 +785,61 @@ impl TransformerLayer {
         });
         // m1 = y2_full · w1. Under SP, y2 was kept as a shard: the backward
         // re-gathers it once (the extra all-gather the paper overlaps with
-        // the dW computation). A replay reads it in every block, so it is
-        // gathered now; a stored state gathers it after the blocks, for dW1
-        // alone.
+        // the dW computation). A replay reads it first, so it is gathered
+        // now; a stored state gathers it after dW2, for dW1 alone.
         let mut y2 = if replaying { self.regather(mode, overlap, y2) } else { y2 };
-        let block = if replaying { mt_kernels::ROW_BLOCK * backend.threads() } else { tokens };
-        // Every buffer opens in the first block, nothing ahead of the loop:
-        // dW2 for its GEMM, d_m1 only once that block's g_act is freed.
-        let mut w_out: Option<Tensor> = None;
-        let mut d_m1: Option<Tensor> = None;
-        // A stream's b1 and dW1 chains.
-        let (mut b_in, mut w_in) = (None, None);
-        for r0 in (0..tokens).step_by(block) {
-            let r_end = (r0 + block).min(tokens);
-            let n = r_end - r0;
-            let rows = r0 * h..r_end * h;
-            let (m1, g_act) = match inner.take() {
-                Some(kept) => kept,
-                None => {
-                    let y2_rows = &y2.data()[rows.clone()];
-                    timed_recompute("recompute_mlp", || self.replay_mlp_rows(y2_rows, n))
-                }
-            };
-            let d_m2_rows = match &d_m2 {
-                Some(d_m2) => Cow::Borrowed(&d_m2.data()[rows.clone()]),
-                None => {
-                    let mask = mask_mlp.as_deref().expect("a stream keeps the mask");
-                    let d = ops::dropout_rows(&dy.data()[rows.clone()], &mask[rows.clone()], p);
-                    let b_out = b_out.get_or_insert_with(|| Tensor::zeros(&[h]));
-                    ops::bias_grad_accumulate(b_out, &d);
-                    Cow::Owned(d)
-                }
-            };
-            // dW2 = g_actᵀ · d_m2: the first block starts every chain, as
-            // the whole-rows GEMM does; each later block continues it. So
-            // do dW1's in a stream.
-            let chain = if r0 == 0 { gemm::gemm } else { gemm::gemm_accumulate };
-            let w_out = w_out.get_or_insert_with(|| Tensor::zeros(&[ffn, h]));
-            chain(backend, true, false, ffn, h, n, g_act.data(), &d_m2_rows, w_out.data_mut());
+        let d_y_partial = if !streamed {
+            let (m1, g_act) = inner.unwrap_or_else(|| {
+                timed_recompute("recompute_mlp", || self.replay_mlp_rows(y2.data(), tokens))
+            });
+            let d_m2 = d_m2.expect("whole rows assemble d_m2");
+            sink.product(MLP + W_OUT, ops::Gemm::TN, &g_act, &d_m2);
             drop(g_act);
-            // A stream reuses one block of d_m1; otherwise it is whole.
-            let (held, at) = if streamed { (block.min(tokens), 0) } else { (tokens, r0) };
-            let d_m1 = d_m1.get_or_insert_with(|| Tensor::zeros(&[held, ffn]));
-            let d_m1_rows = &mut d_m1.data_mut()[at * ffn..(at + n) * ffn];
-            gemm::gemm(backend, false, true, n, ffn, h, &d_m2_rows, w.w2.data(), d_m1_rows);
-            drop(d_m2_rows);
-            mt_kernels::gelu_backward_in_place(backend, m1.data(), d_m1_rows);
-            drop(m1);
-            if streamed {
+            let mut d_m1 = ops::Gemm::NT.apply(&d_m2, &w.w2);
+            mt_kernels::gelu_backward_in_place(backend, m1.data(), d_m1.data_mut());
+            drop((m1, d_m2));
+            sink.put(MLP + B_IN, ops::bias_grad(&d_m1));
+            let y2_full = if replaying { y2 } else { self.regather(mode, overlap, y2) };
+            sink.product(MLP + W_IN, ops::Gemm::TN, &y2_full, &d_m1);
+            drop(y2_full);
+            ops::Gemm::NT.apply(&d_m1, &w.w1)
+        } else {
+            let block = mt_kernels::ROW_BLOCK * backend.threads();
+            // Every buffer opens in the first block, nothing ahead of the
+            // loop: the chains for their GEMMs, d_m1 once that block's
+            // g_act is freed.
+            let (mut w_out, mut b_in, mut w_in) = (None, None, None);
+            let mut d_m1: Option<Tensor> = None;
+            for r0 in (0..tokens).step_by(block) {
+                let r_end = (r0 + block).min(tokens);
+                let n = r_end - r0;
+                let rows = r0 * h..r_end * h;
+                let y2_rows = &y2.data()[rows.clone()];
+                let (m1, g_act) =
+                    timed_recompute("recompute_mlp", || self.replay_mlp_rows(y2_rows, n));
+                let d_m2_rows = match &d_m2 {
+                    Some(d_m2) => Cow::Borrowed(&d_m2.data()[rows.clone()]),
+                    None => {
+                        let mask = mask_mlp.as_deref().expect("a stream keeps the mask");
+                        let d = ops::dropout_rows(&dy.data()[rows.clone()], &mask[rows.clone()], p);
+                        let b_out = b_out.get_or_insert_with(|| Tensor::zeros(&[h]));
+                        ops::bias_grad_accumulate(b_out, &d);
+                        Cow::Owned(d)
+                    }
+                };
+                // dW2 = g_actᵀ · d_m2: the first block starts every chain,
+                // as the whole-rows GEMM does; each later block continues
+                // it. So do dW1's.
+                let chain = if r0 == 0 { gemm::gemm } else { gemm::gemm_accumulate };
+                let w_out = w_out.get_or_insert_with(|| Tensor::zeros(&[ffn, h]));
+                chain(backend, true, false, ffn, h, n, g_act.data(), &d_m2_rows, w_out.data_mut());
+                drop(g_act);
+                let d_m1 = d_m1.get_or_insert_with(|| Tensor::zeros(&[block.min(tokens), ffn]));
+                let d_m1_rows = &mut d_m1.data_mut()[..n * ffn];
+                gemm::gemm(backend, false, true, n, ffn, h, &d_m2_rows, w.w2.data(), d_m1_rows);
+                drop(d_m2_rows);
+                mt_kernels::gelu_backward_in_place(backend, m1.data(), d_m1_rows);
+                drop(m1);
                 // b1 and dW1 continue their chains, and d_y_ln2's rows go
                 // over y2's, which this dW1 GEMM reads for the last time.
                 let b_in = b_in.get_or_insert_with(|| Tensor::zeros(&[ffn]));
@@ -828,25 +849,14 @@ impl TransformerLayer {
                 chain(backend, true, false, h, ffn, n, y2_rows, d_m1_rows, w_in.data_mut());
                 gemm::gemm(backend, false, true, n, h, ffn, d_m1_rows, w.w1.data(), y2_rows);
             }
-        }
-        drop((d_m2, mask_mlp));
-        let (w_out, d_m1) = w_out.zip(d_m1).expect("a layer has at least one row");
-        // dW2's chains end with the last block; outside a stream it goes
-        // before dW1 opens.
-        sink.put(MLP + W_OUT, w_out);
-        let d_y_partial = if streamed {
-            sink.put(MLP + B_IN, b_in.expect("streamed"));
-            sink.put(MLP + W_IN, w_in.expect("streamed"));
+            drop((d_m2, mask_mlp, d_m1));
+            // The chains end with the last block.
+            sink.put(MLP + W_OUT, w_out.expect("a layer has at least one row"));
+            sink.put(MLP + B_IN, b_in.expect("a layer has at least one row"));
+            sink.put(MLP + W_IN, w_in.expect("a layer has at least one row"));
             // Every row of y2 now holds its row of the d_y_ln2 partial.
             y2
-        } else {
-            sink.put(MLP + B_IN, ops::bias_grad(&d_m1));
-            let y2_full = if replaying { y2 } else { self.regather(mode, overlap, y2) };
-            sink.put(MLP + W_IN, ops::Gemm::TN.apply(&y2_full, &d_m1));
-            drop(y2_full);
-            ops::Gemm::NT.apply(&d_m1, &w.w1)
         };
-        drop(d_m1);
         // g backward: reduce-scatter; f backward: all-reduce.
         let d_y_ln2 = self.combine_region(mode, overlap, d_y_partial);
         let (mut d_r1, ln_gamma, ln_beta) =
@@ -886,7 +896,7 @@ impl TransformerLayer {
         let b_out = ops::bias_grad(&d_o);
         // o_partial = ctx · w_o
         let (d_ctx, d_o_full) = self.gather_gemm(mode, overlap, &d_o, &w.w_o, true, true);
-        sink.put(ATTN + W_OUT, ops::Gemm::TN.apply(&ctx, &d_o_full.expect("full grad requested")));
+        sink.product(ATTN + W_OUT, ops::Gemm::TN, &ctx, &d_o_full.expect("full grad requested"));
         drop((d_o, ctx));
         // attention core
         let ap = self.attn_params(mode, micro);
@@ -900,7 +910,7 @@ impl TransformerLayer {
         // A `Full` replay dropped y1 = LN₁(x): rebuild it (on the shard
         // under SP) for its one reader, the w_qkv gradient.
         let y1 = y1.unwrap_or_else(|| ops::layer_norm(&x, &w.ln1_gamma, &w.ln1_beta).0);
-        sink.put(ATTN + W_IN, ops::Gemm::TN.apply(&self.regather(mode, overlap, y1), &d_qkv));
+        sink.product(ATTN + W_IN, ops::Gemm::TN, &self.regather(mode, overlap, y1), &d_qkv);
         let d_y_ln1 = self.combine_region(mode, overlap, ops::Gemm::NT.apply(&d_qkv, &w.w_qkv));
         drop(d_qkv);
         let (mut d_x, ln_gamma, ln_beta) =

@@ -105,7 +105,8 @@ pub struct StepTiming {
     /// Total recomputation time: the full-recompute replays the backward
     /// pass performed inline, each re-running its layer's forward through
     /// `y2` (`recompute_layer`) and then, inside the MLP backward, the `w1`
-    /// GEMM and GeLU one row block at a time (`recompute_mlp`), and no
+    /// GEMM and GeLU (`recompute_mlp`: once over whole rows, or once per
+    /// row block when the rows outnumber `h`), and no
     /// further — the w2 GEMM, the MLP's exit collective, dropout and
     /// residual feed only the next layer. Selective recomputation books
     /// nothing here: its replay is part of the attention backward
@@ -161,7 +162,7 @@ pub(crate) fn timed_exposed<T>(f: impl FnOnce() -> T) -> T {
 /// Runs an inline (exposed) replay and books its wall time as both total
 /// and exposed recompute time — the recompute analogue of
 /// [`timed_exposed`]. The span (`recompute_layer` for a layer's replay
-/// through `y2`, `recompute_mlp` for one MLP row block's) carries the
+/// through `y2`, `recompute_mlp` for the MLP's, or one row block's) carries the
 /// booked integers as close-time args.
 pub(crate) fn timed_recompute<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     let mut span = mt_trace::current().span(name);

@@ -223,9 +223,10 @@ pub(crate) fn forward_unit(
 /// the embedding's backward — or return the input gradient. Its collectives
 /// unwind as [`forward_unit`]'s do. The first unit's layer backwards build
 /// `grads`' layer sets; every later one hands each layer backward its set as
-/// a [`GradSink::Add`], which adds each parameter gradient into the running
-/// sum as soon as it is computed and frees it, so the stage never holds a
-/// second set beside its sums. The embedding mask is regenerated, not kept:
+/// a [`GradSink::Add`], which computes each weight gradient straight into
+/// the running sum and adds every other one as soon as it is computed, so
+/// the stage never holds a second set beside its sums; the head's backward
+/// sums its gradients the same way. The embedding mask is regenerated, not kept:
 /// `rows·h` bytes per microbatch in flight.
 pub(crate) fn backward_unit(
     stage: &StageView<'_>,
@@ -240,16 +241,7 @@ pub(crate) fn backward_unit(
     let mut d = match state.head {
         Some(hs) => {
             let [gamma, _, table] = stage.head.expect("head state implies head weights");
-            let (d, d_fg, d_fb, d_table) = head_backward(gamma, table, hs, &mode);
-            match &mut grads.head {
-                Some((fg, fb, t)) => {
-                    t.add_assign(&d_table);
-                    fg.add_assign(&d_fg);
-                    fb.add_assign(&d_fb);
-                }
-                None => grads.head = Some((d_fg, d_fb, d_table)),
-            }
-            d
+            head_backward(gamma, table, hs, &mode, &mut grads.head)
         }
         None => d.expect("a stage without the head takes its output gradient"),
     };

@@ -82,6 +82,31 @@ impl Gemm {
         self.run(backend, m, n, k, a, b)
     }
 
+    /// `out += op(A) · op(B)` with the process default backend: the product
+    /// is added into `out` as `mt_kernels::gemm::gemm_add` adds it, with
+    /// exactly the bits of [`Gemm::apply`] followed by
+    /// [`Tensor::add_assign`], but without the product tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either tensor is not rank 2, the inner dims disagree, or
+    /// `out` is not `[m, n]`.
+    pub fn apply_add(&self, a: &Tensor, b: &Tensor, out: &mut Tensor) {
+        let (m, n, k) = self.dims(a, b);
+        assert_eq!(out.shape(), &[m, n], "gemm {} add: output shape", self.kind());
+        mt_kernels::gemm::gemm_add(
+            mt_kernels::default_backend(),
+            self.transpose_a,
+            self.transpose_b,
+            m,
+            n,
+            k,
+            a.data(),
+            b.data(),
+            out.data_mut(),
+        );
+    }
+
     /// Shape-checks the operands against the descriptor and returns
     /// `(m, n, k)`.
     fn dims(&self, a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
@@ -128,6 +153,20 @@ mod tests {
         let b = Tensor::from_vec(vec![3, 2], vec![7., 8., 9., 10., 11., 12.]).unwrap();
         let c = Gemm::NN.apply(&a, &b);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
+    }
+
+    #[test]
+    fn apply_add_is_apply_then_add_assign_bit_for_bit() {
+        let mut rng = crate::rng::SplitMix64::new(2);
+        let a = Tensor::rand_uniform(&[7, 5], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform(&[7, 3], -1.0, 1.0, &mut rng);
+        let sum = Tensor::rand_uniform(&[5, 3], -1.0, 1.0, &mut rng);
+        let mut want = sum.clone();
+        want.add_assign(&Gemm::TN.apply(&a, &b));
+        let mut got = sum;
+        Gemm::TN.apply_add(&a, &b, &mut got);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
