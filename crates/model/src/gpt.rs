@@ -394,10 +394,6 @@ pub(crate) fn head_forward(
     (ce.loss, HeadState { y_full, ln_saved, y_ln, dlogits: ce.dlogits })
 }
 
-/// The head's gradients: the final LayerNorm's scale and shift, then the
-/// tied table's.
-pub(crate) type HeadGrads = (Tensor, Tensor, Tensor);
-
 /// Head backward: returns the gradient at this rank's rows of the last
 /// layer's output, and puts the final-LayerNorm scale, shift and tied-table
 /// gradients into `sums` — as a fresh set when it holds none, added into
@@ -416,7 +412,7 @@ pub(crate) fn head_backward(
     table: &Tensor,
     hs: HeadState,
     mode: &ExecMode<'_>,
-    sums: &mut Option<HeadGrads>,
+    sums: &mut Option<(Tensor, Tensor, Tensor)>,
 ) -> Tensor {
     let HeadState { y_full, ln_saved, y_ln, dlogits } = hs;
     let fresh_table = match sums {

@@ -676,9 +676,9 @@ impl TransformerLayer {
             LayerState::Checkpoint { x, micro } => {
                 // Full recomputation (the 30-40% overhead the paper
                 // eliminates): the forward replayed through `y2`; the MLP
-                // backward replays the rest it reads. The
-                // w2 GEMM, the MLP's exit collective, its dropout and
-                // residual are not re-run.
+                // backward replays the rest it reads. The w2 GEMM, the
+                // MLP's exit collective, its dropout and residual are not
+                // re-run.
                 timed_recompute("recompute_layer", || {
                     self.forward_stored(x, micro, &mode, overlap, false, false)
                 })
