@@ -41,16 +41,17 @@
 //! no fresh weight gradient, never a second whole set.
 //!
 //! The counting allocator is this test binary's own, and it counts only
-//! inside a measuring window: the allocations of the thread that opened
-//! the window and of the threads first seen while it is open, which are
-//! the threads the measured code starts. libtest's main thread and every
-//! test thread are left out, so the harness recording a finished test
-//! while the next one measures moves no byte of its window. Each test also
-//! takes `EXCLUSIVE` and runs its policies in sequence on the serial
-//! backend, so no other test's work and no worker's scratch land there.
+//! the thread measuring a window: libtest's threads recording a finished
+//! test and starting the next one while a test measures land in no
+//! window. The measured code starts no thread of its own: each test takes
+//! `EXCLUSIVE` and runs on the serial kernel backend, a process-wide
+//! setting, so no kernel worker allocates outside the measuring thread.
+//! A thread that first allocates while a window is open cannot be told
+//! apart from one of libtest's: counting those too read 24 B short of the
+//! exact kept bytes in 1 of 20 release runs.
 
 use mt_collectives::run_grid;
-use mt_kernels::{set_default_backend, Backend};
+use mt_kernels::{default_backend, set_default_backend, Backend};
 use mt_memory::Recompute;
 use mt_model::gpt::Gpt;
 use mt_model::pipeline_exec::{try_run_1f1b_iteration, StageModel};
@@ -61,56 +62,34 @@ use mt_tensor::Tensor;
 use mt_trace::ArgValue;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::{Mutex, MutexGuard};
 
-/// Net bytes the open window's threads have allocated since it opened,
-/// and the most they held at once.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-static PEAK: AtomicIsize = AtomicIsize::new(0);
-/// The open window's number, 0 while none is open (stored `SeqCst`, so a
-/// thread that sees a window open also sees `LIVE` and `PEAK` reset for
-/// it); and the last number given out.
-static OPEN: AtomicUsize = AtomicUsize::new(0);
-static OPENED: AtomicUsize = AtomicUsize::new(0);
-
-/// A thread that has not allocated yet.
-const UNSEEN: usize = usize::MAX;
-
 thread_local! {
-    /// The window this thread's allocations count toward: the one it
-    /// opened, or the one open when it first allocated (0, none, for every
-    /// thread that started outside a window).
-    static WINDOW: Cell<usize> = const { Cell::new(UNSEEN) };
-    /// Net bytes this thread has counted toward that window.
-    static COUNTED: Cell<isize> = const { Cell::new(0) };
+    /// Whether this thread is measuring a window.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// Net bytes this thread allocated since its window opened, and the
+    /// most it held at once.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
-/// `System`, counting the open window's live bytes and their high-water
-/// mark.
+/// `System`, counting a measuring thread's live bytes and their
+/// high-water mark.
 struct Counting;
 
 fn count(delta: isize) {
-    let open = OPEN.load(SeqCst);
-    let mine = WINDOW.with(|w| {
-        if w.get() == UNSEEN {
-            w.set(open);
-        }
-        w.get()
-    });
-    if mine == 0 || mine != open {
-        return;
+    if MEASURING.get() {
+        let live = LIVE.get() + delta;
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
     }
-    COUNTED.set(COUNTED.get() + delta);
-    let live = LIVE.fetch_add(delta, Relaxed) + delta;
-    PEAK.fetch_max(live, Relaxed);
 }
 
 // SAFETY: every method forwards the caller's layout/pointer unchanged to
 // `System`, which upholds the `GlobalAlloc` contract; the bookkeeping
-// touches only the atomics and the const-initialized thread-locals above
-// (no lazy initialization, no destructor, so no allocation) and never the
-// returned memory.
+// touches only the const-initialized thread-locals above (no lazy
+// initialization, no destructor, so no allocation) and never the returned
+// memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: `layout` is the caller's, passed through as is.
@@ -151,36 +130,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Held by each test for its whole body.
+/// Held by each test for its whole body: the kernel backend is
+/// process-wide.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
-/// Takes `EXCLUSIVE` for a test's body. The calling thread is libtest's:
-/// if it started while another test's window was open, it was taken for
-/// one of that window's threads, and the bytes it counted there (libtest's
-/// set-up of the test) leave the window now.
+/// Takes `EXCLUSIVE` for a test's body.
 fn exclusive() -> MutexGuard<'static, ()> {
-    let window = WINDOW.replace(0);
-    let counted = COUNTED.take();
-    if window != 0 && window == OPEN.load(SeqCst) {
-        LIVE.fetch_sub(counted, Relaxed);
-    }
     EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` in a window opened on this thread; returns its result, the
-/// net bytes the window's threads allocated by the time it returns, and
-/// the most they held at once, both counted from zero at entry.
+/// Runs `f` in a window measured on this thread; returns its result, the
+/// net bytes allocated by the time it returns, and the most held at once,
+/// both counted from zero at entry.
 fn window<T>(f: impl FnOnce() -> T) -> (T, isize, usize) {
-    let id = OPENED.fetch_add(1, Relaxed) + 1;
-    LIVE.store(0, Relaxed);
-    PEAK.store(0, Relaxed);
-    WINDOW.set(id);
-    COUNTED.set(0);
-    OPEN.store(id, SeqCst);
+    assert_eq!(default_backend(), Backend::Serial, "kernel workers would allocate uncounted");
+    LIVE.set(0);
+    PEAK.set(0);
+    MEASURING.set(true);
     let out = f();
-    OPEN.store(0, SeqCst);
-    WINDOW.set(0);
-    (out, LIVE.load(Relaxed), PEAK.load(Relaxed) as usize)
+    MEASURING.set(false);
+    (out, LIVE.get(), PEAK.get() as usize)
 }
 
 /// Peak live bytes above the live bytes at entry while `f` runs.
