@@ -712,7 +712,7 @@ fn backward_unit<U: Fn(u64) -> f32>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::gemm;
+    use crate::gemm::{gemm, NR};
 
     fn filled(len: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
@@ -794,7 +794,7 @@ mod tests {
         let (m, n, k) = (9, 40, 21);
         let (a, b) = (filled(m * k, 3), filled(n * k, 4)); // b is [n, k]: transposed B
         let pb = PackedB::pack(true, n, k, &b);
-        let (n_cut, k0, k_cut) = (24, 5, 13);
+        let (n_cut, k0, k_cut) = (2 * NR, 5, 13);
         let mut got = vec![0.0f32; m * n_cut];
         let win = BWindow { pb: &pb, n: n_cut, k0, k: k_cut };
         let mut bands = Bands { simd: simd_level(), a_tiles: Vec::new() };

@@ -28,26 +28,49 @@
 //!    zero-padded in the packed buffers; padded lanes are computed and
 //!    discarded, never stored.
 //!
-//! 2. **Microkernel.** An `MR × NR` register-tile accumulator: for each
-//!    `kk` the microkernel broadcasts `MR` values of `A` against an
-//!    `NR`-wide row of the `B` panel and accumulates `MR·NR` products. The
-//!    accumulator tile lives in registers for the whole packed `k` range,
-//!    so `C` is touched once per block. The loop is written over
-//!    fixed-size arrays that the compiler lowers to SIMD; on x86-64 the
-//!    same body is instantiated twice through the crate's one SIMD dispatch
-//!    (`simd::run`) — once under `#[target_feature(enable = "avx2")]`
-//!    (selected at runtime via `is_x86_feature_detected!`) and once at the
-//!    baseline feature level as the fallback. Both instantiations execute the
-//!    identical `mul`-then-`add` expression per element (FMA is
+//! 2. **Microkernel.** An `MR × W` register-tile accumulator: for each
+//!    `kk` the microkernel broadcasts `MR` values of `A` against `W` lanes
+//!    of a `B` panel row and accumulates `MR·W` products. The accumulator
+//!    tile lives in registers for the whole packed `k` range, so `C` is
+//!    touched once per block. The loop is written over fixed-size arrays
+//!    that the compiler lowers to SIMD; on x86-64 the same body is
+//!    instantiated three times through the crate's one SIMD dispatch
+//!    (`simd::run`) — under `#[target_feature(enable = "avx512f")]`, under
+//!    `#[target_feature(enable = "avx2")]` (the widest the CPU runs is
+//!    selected at runtime via `is_x86_feature_detected!`), and at the
+//!    baseline feature level as the fallback. Every instantiation executes
+//!    the identical `mul`-then-`add` expression per element (FMA is
 //!    deliberately not enabled), so the selected path changes throughput
 //!    only, never a single output bit.
+//!
+//! ## One packed layout, lane groups by level
+//!
+//! A panel is [`NR`] = 16 columns at every level, so a packed `B` — the
+//! flat kernel's blocks, the overlapped driver's shared pack and the
+//! attention core's per-head packs — has one layout whatever the CPU. The
+//! microkernel's width `W` is the level's: under AVX-512 one pass covers
+//! the panel (`W` = 16, one `zmm` per tile row); under AVX2 and at the
+//! baseline two passes cover its halves (`W` = 8), the second skipped when
+//! a ragged panel ends in the first. Each pass is whole chains — every
+//! `kk` of its columns — so the level moves which pass computes an
+//! element, never the order of its chain.
+//!
+//! The tile's eight rows are written out by name and each `kk`'s `B` row
+//! is copied into a `[f32; W]` by value. Under `avx512f` a loop over the
+//! rows of the `[[f32; W]; MR]` accumulator was vectorised across the rows
+//! instead — gathers and scatters of the array — and a `B` row read
+//! through a reference was rebuilt from shuffles; as written, each `kk`
+//! is one `B` load, `MR` broadcast multiplies and `MR` adds, with no spill
+//! (the loop is quoted in EXPERIMENTS.md, "A 16-lane GEMM tile").
 //!
 //! Each worker owns one contiguous range of `C` rows and walks it in the
 //! GotoBLAS loop order: for each contraction slice of at most `KC`, and
 //! for each column block of that slice, it packs the `B` block into a
 //! private scratch of at most 512 KiB; then for each `MC`-row block of
-//! its range it packs the `A` block (at most `MC·KC` values) and sweeps
-//! the block's panels with the microkernel. A call therefore holds at most
+//! its range it packs the `A` block (at most `MC·KC` values, 64 KiB) and
+//! sweeps the block's panels with the microkernel. `KC` = 256 keeps the
+//! panel slice a tile pass re-reads (16 KiB) and the `A` tile it streams
+//! (8 KiB) in a 48 KiB L1 together; at 512 the pair filled it. A call therefore holds at most
 //! two fixed-size scratch buffers per worker — never a copy of a whole
 //! operand, however large the weight it multiplies. [`gemm_add`] puts the
 //! contraction innermost instead, so that each `[MC, ≤ n]` block of the
@@ -97,19 +120,21 @@ pub const TILE_M: usize = 32;
 /// broadcasts `MR` packed `A` values against the `B` panel row.
 pub const MR: usize = 8;
 
-/// Columns per packed `B` panel — the SIMD accumulator width the
-/// microkernel carries per output row (f32x8 on AVX2, two f32x4 at the
-/// baseline feature level).
-pub const NR: usize = 8;
+/// Columns per packed `B` panel, at every SIMD level: the microkernel
+/// carries the whole panel row per output row as one f32x16 under
+/// AVX-512, and as two passes of f32x8 (two f32x4 at the baseline feature
+/// level) elsewhere. One width keeps one packed layout.
+pub const NR: usize = 16;
 
 /// Contraction length of one packed slice. Slices after the first continue
 /// the accumulator chains `C` holds, so the value changes the scratch size
 /// and the cache footprint, never a bit; at ≥ 256 the microkernel's long
-/// `k` runs stay long enough to hide the per-slice `C` load and store.
-const KC: usize = 512;
+/// `k` runs stay long enough to hide the per-slice `C` load and store. At
+/// 256 a panel's slice (16 KiB) and a tile's (8 KiB) sit in L1 together.
+const KC: usize = 256;
 
 /// op(A) rows per packed `A` block: bounds the `A` scratch to `MC·KC`
-/// values (128 KiB) without shortening the slice.
+/// values (64 KiB) without shortening the slice.
 const MC: usize = 64;
 
 /// Values of packed `B` one worker holds at a time (512 KiB of f32): a
@@ -181,7 +206,19 @@ pub fn gemm_accumulate(
     b: &[f32],
     out: &mut [f32],
 ) {
-    let _ = gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, Output::Continue);
+    let _ = gemm_impl(
+        backend,
+        simd_level(),
+        transpose_a,
+        transpose_b,
+        m,
+        n,
+        k,
+        a,
+        b,
+        out,
+        Output::Continue,
+    );
 }
 
 /// `C += op(A) · op(B)` into `out` (`[m, n]`, row-major): every element's
@@ -213,7 +250,8 @@ pub fn gemm_add(
     b: &[f32],
     out: &mut [f32],
 ) {
-    let _ = gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, Output::Add);
+    let _ =
+        gemm_impl(backend, simd_level(), transpose_a, transpose_b, m, n, k, a, b, out, Output::Add);
 }
 
 /// [`gemm`], also returning what the call measured ([`GemmStats`]).
@@ -236,7 +274,19 @@ pub fn gemm_stats(
     b: &[f32],
     out: &mut [f32],
 ) -> GemmStats {
-    gemm_impl(backend, transpose_a, transpose_b, m, n, k, a, b, out, Output::Overwrite)
+    gemm_impl(
+        backend,
+        simd_level(),
+        transpose_a,
+        transpose_b,
+        m,
+        n,
+        k,
+        a,
+        b,
+        out,
+        Output::Overwrite,
+    )
 }
 
 /// What a GEMM call does with the values `out` holds.
@@ -250,11 +300,13 @@ enum Output {
     Add,
 }
 
-/// The body of [`gemm_stats`], [`gemm_accumulate`] and [`gemm_add`]:
-/// `output` selects what becomes of the values `out` holds.
+/// The body of [`gemm_stats`], [`gemm_accumulate`] and [`gemm_add`] at
+/// the SIMD level `simd`: `output` selects what becomes of the values `out`
+/// holds.
 #[allow(clippy::too_many_arguments)]
 fn gemm_impl(
     backend: Backend,
+    simd: Simd,
     transpose_a: bool,
     transpose_b: bool,
     m: usize,
@@ -288,7 +340,6 @@ fn gemm_impl(
             ("threads", ArgValue::from(threads)),
         ]
     });
-    let simd = simd_level();
     // Stored-A row length: `a` is `[m, k]` row-major when not transposed,
     // `[k, m]` when transposed (op(A) row i lives in stored column i).
     let a_stride = if transpose_a { m } else { k };
@@ -335,9 +386,11 @@ pub fn kind_label(transpose_a: bool, transpose_b: bool) -> &'static str {
 }
 
 /// Human-readable label of the SIMD level this process runs its kernels at
-/// (`"avx2"` or `"scalar"`), for benchmark reports and traces.
+/// (`"avx512"`, `"avx2"` or `"scalar"`), for benchmark reports and traces.
 pub fn simd_feature() -> &'static str {
     match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => "avx512",
         #[cfg(target_arch = "x86_64")]
         Simd::Avx2 => "avx2",
         Simd::Scalar => "scalar",
@@ -531,50 +584,65 @@ fn interleave_rows<const W: usize>(src: &[f32], ld: usize, h: usize, k: usize, d
 // Microkernel
 // ---------------------------------------------------------------------------
 
-/// One band × one `B` panel: every [`MR`]-row tile of the band runs the
-/// register-tile microkernel against the panel and stores its valid
-/// `h × w` corner into `C` (row stride `ldc`).
+/// One band × one lane group of a `B` panel: every [`MR`]-row tile of the
+/// band runs the register-tile microkernel against lanes `group·W ..
+/// (group + 1)·W` of the panel and stores its valid `h × w` corner into `C`
+/// (row stride `ldc`, the group's first column at `j0`). `W` is the SIMD
+/// level's lane count: sixteen runs a whole panel as one group, eight runs
+/// it as two.
 ///
 /// Per output element the accumulator is a single chain over ascending
 /// `kk` of `mul`-then-`add` — the expression the determinism contract and
 /// the naive-oracle tests pin down. The chain starts at `+0.0`, or — with
 /// `ADD` — at the value `C` already holds, which is how a contraction
 /// delivered in ascending `k` slices (the attention backward's row blocks)
-/// stays one chain instead of a sum of partial sums. Fixed-size
-/// `[[f32; NR]; MR]` arrays keep the tile in registers; the SIMD level
-/// [`simd::run`] instantiates the body at decides how wide the compiler
-/// lowers the arithmetic.
-struct BandPanel<const ADD: bool> {
+/// stays one chain instead of a sum of partial sums.
+///
+/// The tile is written so the compiler keeps it in registers: its eight
+/// rows are named one by one, and each `kk`'s `B` row is copied into a
+/// `[f32; W]` by value. A loop over the rows of a `[[f32; W]; MR]` was
+/// vectorised across the rows instead, into gathers and scatters of the
+/// accumulator array, and a `B` row read through a reference was rebuilt
+/// from shuffles (see EXPERIMENTS.md, "A 16-lane GEMM tile").
+struct BandPanel<const ADD: bool, const W: usize> {
     k: usize,
     rows: usize,
     ldc: usize,
     j0: usize,
     w: usize,
+    group: usize,
 }
 
-impl<const ADD: bool> simd::Body for BandPanel<ADD> {
+impl<const ADD: bool, const W: usize> simd::Body for BandPanel<ADD, W> {
     /// `a` is the band's packed `A` tiles, `b` the panel, `out` is `C`.
     #[inline(always)]
     fn run(self, a_tiles: &[f32], panel: &[f32], c: &mut [f32]) {
-        let BandPanel { k, rows, ldc, j0, w } = self;
+        let BandPanel { k, rows, ldc, j0, w, group } = self;
         let tiles = rows.div_ceil(MR);
+        let (brows, _) = panel.as_chunks::<NR>();
         for t in 0..tiles {
-            let ap = &a_tiles[t * k * MR..(t + 1) * k * MR];
+            let (arows, _) = a_tiles[t * k * MR..(t + 1) * k * MR].as_chunks::<MR>();
             let h = MR.min(rows - t * MR);
-            let mut acc = [[0.0f32; NR]; MR];
+            let mut acc = [[0.0f32; W]; MR];
             if ADD {
                 for (r, acc_row) in acc.iter_mut().enumerate().take(h) {
                     let out_row = t * MR + r;
                     acc_row[..w].copy_from_slice(&c[out_row * ldc + j0..out_row * ldc + j0 + w]);
                 }
             }
-            for (av, bv) in ap.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-                for r in 0..MR {
-                    let a = av[r];
-                    let row = &mut acc[r];
-                    for (rc, &b) in row.iter_mut().zip(bv) {
-                        *rc += a * b;
-                    }
+            let [r0, r1, r2, r3, r4, r5, r6, r7] = &mut acc;
+            for (av, brow) in arows.iter().zip(brows) {
+                let bv: [f32; W] = brow.as_chunks::<W>().0[group];
+                let &[a0, a1, a2, a3, a4, a5, a6, a7] = av;
+                for l in 0..W {
+                    r0[l] += a0 * bv[l];
+                    r1[l] += a1 * bv[l];
+                    r2[l] += a2 * bv[l];
+                    r3[l] += a3 * bv[l];
+                    r4[l] += a4 * bv[l];
+                    r5[l] += a5 * bv[l];
+                    r6[l] += a6 * bv[l];
+                    r7[l] += a7 * bv[l];
                 }
             }
             for (r, acc_row) in acc.iter().enumerate().take(h) {
@@ -665,8 +733,26 @@ pub(crate) fn band_gemm_window<const ADD: bool>(
 /// The microkernel over every panel of a [`BWindow`]: `a_tiles` holds
 /// `rows` op(A) rows packed by [`pack_a_band`] at the window's contraction
 /// length, and panel `jp` lands in `c`'s columns `jp·NR ..` (row stride
-/// `ldc`).
+/// `ldc`). Under AVX-512 each panel is one 16-lane pass; at the other
+/// levels it is two 8-lane passes, one per half, the second skipped when
+/// the panel's valid columns end in the first.
 fn sweep_panels<const ADD: bool>(
+    simd: Simd,
+    rows: usize,
+    b: BWindow<'_>,
+    a_tiles: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+) {
+    match simd {
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => sweep_groups::<ADD, 16>(simd, rows, b, a_tiles, c, ldc),
+        _ => sweep_groups::<ADD, 8>(simd, rows, b, a_tiles, c, ldc),
+    }
+}
+
+/// [`sweep_panels`] at `W` lanes per pass.
+fn sweep_groups<const ADD: bool, const W: usize>(
     simd: Simd,
     rows: usize,
     b: BWindow<'_>,
@@ -678,10 +764,13 @@ fn sweep_panels<const ADD: bool>(
     debug_assert!(n == pb.n || (n < pb.n && n % NR == 0), "BWindow: n must end on a panel");
     debug_assert!(k0 + k <= pb.k, "BWindow: k window outside the pack");
     for jp in 0..n.div_ceil(NR) {
-        let j0 = jp * NR;
-        let w = NR.min(n - j0);
         let panel = &pb.panel(jp)[k0 * NR..(k0 + k) * NR];
-        simd::run(simd, BandPanel::<ADD> { k, rows, ldc, j0, w }, a_tiles, panel, c);
+        for group in 0..(n - jp * NR).min(NR).div_ceil(W) {
+            let j0 = jp * NR + group * W;
+            let w = W.min(n - j0);
+            let body = BandPanel::<ADD, W> { k, rows, ldc, j0, w, group };
+            simd::run(simd, body, a_tiles, panel, c);
+        }
     }
 }
 
@@ -825,10 +914,24 @@ mod tests {
         a: &[f32],
         b: &[f32],
     ) -> Vec<f32> {
+        continued(&vec![0.0; m * n], ta, tb, n, k, a, b)
+    }
+
+    /// [`reference`] with each element's chain started at `init`'s value.
+    fn continued(
+        init: &[f32],
+        ta: bool,
+        tb: bool,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+    ) -> Vec<f32> {
+        let m = init.len() / n;
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut acc = 0.0f32;
+                let mut acc = init[i * n + j];
                 for kk in 0..k {
                     let av = if ta { a[kk * m + i] } else { a[i * k + kk] };
                     let bv = if tb { b[j * k + kk] } else { b[kk * n + j] };
@@ -863,7 +966,7 @@ mod tests {
     fn all_kinds_match_reference_on_ragged_shapes() {
         // m = 33 and 70 force ragged final bands (TILE_M = 32) and ragged
         // microkernel tiles (MR = 8); n = 5/7/19 force ragged panels
-        // (NR = 8); k = 65 exercises a long contraction chain.
+        // (NR = 16); k = 65 exercises a long contraction chain.
         for &(m, n, k) in &[(1, 1, 1), (33, 5, 65), (70, 7, 3), (32, 64, 64), (40, 19, 65)] {
             let a_len = m * k;
             let b_len = k * n;
@@ -880,6 +983,60 @@ mod tests {
                     "{} m={m} n={n} k={k}: not bit-identical to the naive oracle",
                     kind_label(ta, tb)
                 );
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `gemm`, `gemm_accumulate` and `gemm_add` at every SIMD level this
+    /// CPU has, against the naive oracle's bits: every panel width 1–16
+    /// (so each of two eight-lane groups ragged, and the second one empty)
+    /// and then two and three panels, contractions across `KC`, all four
+    /// transpose kinds.
+    #[test]
+    fn every_simd_level_computes_the_same_bits() {
+        let m = 19;
+        let widths = (1..=NR).chain([NR + 3, 2 * NR + 1, 3 * NR]);
+        for (n, k) in widths.flat_map(|n| [1, 9, KC - 1, KC + 1, 2 * KC + 3].map(|k| (n, k))) {
+            let (a, b, init) = (filled(m * k, 21), filled(k * n, 22), filled(m * n, 23));
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let want = bits(&reference(ta, tb, m, n, k, &a, &b));
+                let added: Vec<f32> = reference(ta, tb, m, n, k, &a, &b)
+                    .iter()
+                    .zip(&init)
+                    .map(|(p, c)| c + p)
+                    .collect();
+                let wants = [
+                    (Output::Overwrite, vec![f32::NAN; m * n], want),
+                    (Output::Continue, init.clone(), bits(&continued(&init, ta, tb, n, k, &a, &b))),
+                    (Output::Add, init.clone(), bits(&added)),
+                ];
+                for level in simd::levels() {
+                    for (output, start, want) in &wants {
+                        let mut got = start.clone();
+                        gemm_impl(
+                            Backend::Serial,
+                            level,
+                            ta,
+                            tb,
+                            m,
+                            n,
+                            k,
+                            &a,
+                            &b,
+                            &mut got,
+                            *output,
+                        );
+                        assert!(
+                            *want == bits(&got),
+                            "{level:?} {output:?} {} m={m} n={n} k={k}: not the oracle's bits",
+                            kind_label(ta, tb)
+                        );
+                    }
+                }
             }
         }
     }

@@ -1,22 +1,24 @@
 //! The crate's one SIMD dispatch.
 //!
 //! A hot loop is written once, as a [`Body`] whose `#[inline(always)]`
-//! `run` takes the loop's slices as parameters. [`run`] calls it either
-//! directly — the baseline-feature instantiation, the portable fallback —
-//! or through a trampoline compiled under
-//! `#[target_feature(enable = "avx2")]`, into which the body inlines and
-//! where the compiler widens its loops to eight lanes. The level is
-//! detected once per process ([`simd_level`]).
+//! `run` takes the loop's slices as parameters. [`run`] calls it at one of
+//! three levels: directly — the baseline-feature instantiation, the
+//! portable fallback — or through a trampoline compiled under
+//! `#[target_feature(enable = "avx2")]` or
+//! `#[target_feature(enable = "avx512f")]`, into which the body inlines and
+//! where the compiler widens its loops to eight or sixteen lanes. The level
+//! is detected once per process ([`simd_level`]); AVX-512 is preferred over
+//! AVX2 where the CPU has both.
 //!
-//! Neither level enables FMA, and the compiler never re-associates a float
-//! expression, so both instantiations compute the identical `mul`, `add`,
-//! `div`, compare-and-select and bit operation per element: the level
-//! changes throughput, never an output bit. The GEMM microkernel, the
+//! No level enables FMA, and the compiler never re-associates or contracts
+//! a float expression, so every instantiation computes the identical `mul`,
+//! `add`, `div`, compare-and-select and bit operation per element: the
+//! level changes throughput, never an output bit. The GEMM microkernel, the
 //! softmax row, GeLU and its backward, and the attention core's dropout
-//! all run through this one dispatch, which holds the workspace's one
-//! `unsafe` call.
+//! all run through this one dispatch, which holds the workspace's only
+//! `unsafe` calls (one per trampoline).
 
-/// Which instantiation of a [`Body`] to run. Both compute the identical
+/// Which instantiation of a [`Body`] to run. All compute the identical
 /// per-element float expression; the choice affects throughput only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Simd {
@@ -26,34 +28,50 @@ pub(crate) enum Simd {
     /// constructed after `is_x86_feature_detected!("avx2")` succeeds.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// The `#[target_feature(enable = "avx512f")]` instantiation; only
+    /// constructed after `is_x86_feature_detected!("avx512f")` succeeds.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
-/// Runtime-detected SIMD level, resolved once and cached in an atomic.
+/// Runtime-detected SIMD level, resolved once and cached in an atomic: the
+/// widest of [`levels`] this CPU runs.
 pub(crate) fn simd_level() -> Simd {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::atomic::{AtomicU8, Ordering};
-        // 0 = undetected, 1 = scalar, 2 = avx2.
+        // 0 = undetected, then 1 + the index into X86_LEVELS.
         static LEVEL: AtomicU8 = AtomicU8::new(0);
-        match LEVEL.load(Ordering::Relaxed) {
-            1 => Simd::Scalar,
-            2 => Simd::Avx2,
-            _ => {
-                let detected = if std::arch::is_x86_feature_detected!("avx2") { 2u8 } else { 1u8 };
+        let code = match LEVEL.load(Ordering::Relaxed) {
+            0 => {
+                let detected = 1 + available().count() as u8;
                 // Racing first calls detect the same CPU; same value stored.
                 LEVEL.store(detected, Ordering::Relaxed);
-                if detected == 2 {
-                    Simd::Avx2
-                } else {
-                    Simd::Scalar
-                }
+                detected
             }
-        }
+            code => code,
+        };
+        X86_LEVELS[usize::from(code) - 1]
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         Simd::Scalar
     }
+}
+
+/// The x86-64 levels from the baseline up; each one's CPU features include
+/// the one's before it.
+#[cfg(target_arch = "x86_64")]
+const X86_LEVELS: [Simd; 3] = [Simd::Scalar, Simd::Avx2, Simd::Avx512];
+
+/// The levels above the baseline this CPU runs, narrowest first.
+#[cfg(target_arch = "x86_64")]
+fn available() -> impl Iterator<Item = Simd> {
+    let detected = [
+        std::arch::is_x86_feature_detected!("avx2"),
+        std::arch::is_x86_feature_detected!("avx512f"),
+    ];
+    X86_LEVELS[1..].iter().zip(detected).take_while(|&(_, ok)| ok).map(|(&level, _)| level)
 }
 
 /// A loop body [`run`] can instantiate at each SIMD level: it reads up to
@@ -76,6 +94,10 @@ pub(crate) trait Body {
 pub(crate) fn run<B: Body>(simd: Simd, body: B, a: &[f32], b: &[f32], out: &mut [f32]) {
     match simd {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the Avx512 variant is only constructed by simd_level()
+        // after is_x86_feature_detected!("avx512f") succeeded on this CPU.
+        Simd::Avx512 => unsafe { run_avx512(body, a, b, out) },
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: the Avx2 variant is only constructed by simd_level()
         // after is_x86_feature_detected!("avx2") succeeded on this CPU.
         Simd::Avx2 => unsafe { run_avx2(body, a, b, out) },
@@ -92,13 +114,21 @@ fn run_avx2<B: Body>(body: B, a: &[f32], b: &[f32], out: &mut [f32]) {
     body.run(a, b, out)
 }
 
+/// The AVX-512 instantiation of a [`Body`]: same source, same expression,
+/// sixteen lanes. Callers must have verified
+/// `is_x86_feature_detected!("avx512f")` (done once in [`simd_level`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<B: Body>(body: B, a: &[f32], b: &[f32], out: &mut [f32]) {
+    body.run(a, b, out)
+}
+
 /// Every level this CPU can run, the baseline first — for the tests that
 /// hold each body's instantiations to the same bits.
 #[cfg(test)]
 pub(crate) fn levels() -> Vec<Simd> {
     let mut all = vec![Simd::Scalar];
-    if simd_level() != Simd::Scalar {
-        all.push(simd_level());
-    }
+    #[cfg(target_arch = "x86_64")]
+    all.extend(available());
     all
 }

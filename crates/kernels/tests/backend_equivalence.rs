@@ -47,8 +47,8 @@ proptest! {
     }
 
     /// `gemm_add` is `gemm` into zeros followed by one `+` per element, bit
-    /// for bit, on both backends: ragged `m` (`MC` = 64) and `n` (`NR` = 8),
-    /// contractions across `KC` = 512, and an output that already holds
+    /// for bit, on both backends: ragged `m` (`MC` = 64) and `n` (`NR` = 16),
+    /// contractions across `KC` = 256, and an output that already holds
     /// values.
     #[test]
     fn gemm_add_is_gemm_then_one_add(

@@ -1,7 +1,7 @@
 //! Scratch bytes of one GEMM call. The flat kernel streams both operands
 //! through fixed per-worker blocks — at most 512 KiB of packed `B` and
-//! `MC·KC` = 128 KiB of packed `A` — so with the output preallocated a
-//! call's peak live heap above entry stays within 640 KiB per worker (plus
+//! `MC·KC` = 64 KiB of packed `A` — so with the output preallocated a
+//! call's peak live heap above entry stays within 576 KiB per worker (plus
 //! the fan-out's own few hundred bytes per spawned worker), however large
 //! the weight it multiplies. A kernel that packed the whole
 //! `B` first would hold a weight-sized copy: 16 MiB at the shapes below,
@@ -83,9 +83,9 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Relaxed) - entry)
 }
 
-/// Scratch one worker may hold: a 512 KiB `B` block and a 128 KiB `A`
+/// Scratch one worker may hold: a 512 KiB `B` block and a 64 KiB `A`
 /// block.
-const PER_WORKER: usize = 640 * 1024;
+const PER_WORKER: usize = 576 * 1024;
 
 /// Rows of one `gemm_add` product block (the kernel's `MC`).
 const MC: usize = 64;

@@ -53,11 +53,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
 proptest! {
     /// Packed microkernel vs oracle: all four transpose kinds × ragged
     /// shapes (m/n/k deliberately not multiples of TILE_M = 32, MR = 8,
-    /// NR = 8) × threads 1–8, exact to_bits equality.
+    /// NR = 16; n spans up to three panels) × threads 1–8, exact to_bits
+    /// equality.
     #[test]
     fn packed_kernel_matches_naive_oracle_bitwise(
         m in 1usize..80,
-        n in 1usize..40,
+        n in 1usize..50,
         k in 1usize..70,
         threads in 1usize..9,
         seed in 0u64..500,
@@ -178,7 +179,7 @@ proptest! {
     /// included.
     #[test]
     fn packing_transposed_equals_transpose_then_pack(
-        n in 1usize..40,
+        n in 1usize..50,
         k in 1usize..70,
         seed in 0u64..500,
     ) {
@@ -203,9 +204,9 @@ proptest! {
 
 /// The kernel's private block sizes: contraction slice, `A` row block, and
 /// the column block a 512 KiB `B` block holds at a full slice.
-const KC: usize = 512;
+const KC: usize = 256;
 const MC: usize = 64;
-const NC: usize = 256;
+const NC: usize = 512;
 
 const KINDS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
 
@@ -238,7 +239,7 @@ fn assert_matches_oracle(m: usize, n: usize, k: usize, seed: u64) {
 #[test]
 fn contraction_slices_continue_one_chain_per_element() {
     // Just below, at and just above one slice, two slices and a ragged
-    // tail, and eight slices and a ragged tail (k = 4099).
+    // tail, and sixteen slices and a ragged tail (k = 4099).
     for k in [KC - 1, KC, KC + 1, 2 * KC + 7, 4099] {
         assert_matches_oracle(19, 13, k, k as u64);
     }
@@ -253,8 +254,9 @@ fn column_blocks_end_in_a_ragged_panel() {
 
 #[test]
 fn row_blocks_split_over_one_to_four_workers() {
-    // Five `MC`-row blocks, the last ragged, over three contraction slices.
-    let (m, n, k) = (4 * MC + 9, 24, 2 * KC + 7);
+    // Five `MC`-row blocks, the last ragged, over five contraction slices
+    // (enough work for the policy to grant four workers).
+    let (m, n, k) = (4 * MC + 9, 24, 4 * KC + 7);
     let a = deterministic(m * k, 11);
     let b = deterministic(k * n, 12);
     for (ta, tb) in KINDS {

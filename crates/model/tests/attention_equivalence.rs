@@ -10,7 +10,8 @@
 //! replays them block by block — on every axis that could break a chain:
 //! causal or not,
 //! sequence lengths ragged against the core's `BLOCK` and the GEMM's
-//! `TILE_M`/`MR`/`NR`, head widths ragged against `NR`, batch interleaving,
+//! `TILE_M`/`MR`/`NR`, head widths ragged against `NR` = 16 and its
+//! eight-lane groups (3, 8) or whole panels of it (32), batch interleaving,
 //! head shards with an offset, dropout off/light/heavy, serial and 1–4
 //! kernel threads.
 
