@@ -49,11 +49,12 @@
 //! flat kernel's blocks, the overlapped driver's shared pack and the
 //! attention core's per-head packs — has one layout whatever the CPU. The
 //! microkernel's width `W` is the level's: under AVX-512 one pass covers
-//! the panel (`W` = 16, one `zmm` per tile row); under AVX2 and at the
-//! baseline two passes cover its halves (`W` = 8), the second skipped when
-//! a ragged panel ends in the first. Each pass is whole chains — every
-//! `kk` of its columns — so the level moves which pass computes an
-//! element, never the order of its chain.
+//! a tile's share of the panel (`W` = 16, one `zmm` per tile row); under
+//! AVX2 and at the baseline two passes cover its halves (`W` = 8), back to
+//! back while the tile's `A` values are in L1, the second skipped when a
+//! ragged panel ends in the first. Each pass is whole chains — every `kk`
+//! of its columns — so the level moves which pass computes an element,
+//! never the order of its chain.
 //!
 //! The tile's eight rows are written out by name and each `kk`'s `B` row
 //! is copied into a `[f32; W]` by value. Under `avx512f` a loop over the
@@ -70,9 +71,10 @@
 //! its range it packs the `A` block (at most `MC·KC` values, 64 KiB) and
 //! sweeps the block's panels with the microkernel. `KC` = 256 keeps the
 //! panel slice a tile pass re-reads (16 KiB) and the `A` tile it streams
-//! (8 KiB) in a 48 KiB L1 together; at 512 the pair filled it. A call therefore holds at most
-//! two fixed-size scratch buffers per worker — never a copy of a whole
-//! operand, however large the weight it multiplies. [`gemm_add`] puts the
+//! (8 KiB) in a 48 KiB L1 together; at 512 the pair filled it. A call
+//! therefore holds at most two fixed-size scratch buffers per worker —
+//! never a copy of a whole operand, however large the weight it
+//! multiplies. [`gemm_add`] puts the
 //! contraction innermost instead, so that each `[MC, ≤ n]` block of the
 //! product is finished in a third, reused buffer and added into `C`.
 //!
@@ -584,12 +586,13 @@ fn interleave_rows<const W: usize>(src: &[f32], ld: usize, h: usize, k: usize, d
 // Microkernel
 // ---------------------------------------------------------------------------
 
-/// One band × one lane group of a `B` panel: every [`MR`]-row tile of the
-/// band runs the register-tile microkernel against lanes `group·W ..
-/// (group + 1)·W` of the panel and stores its valid `h × w` corner into `C`
-/// (row stride `ldc`, the group's first column at `j0`). `W` is the SIMD
-/// level's lane count: sixteen runs a whole panel as one group, eight runs
-/// it as two.
+/// One band × one `B` panel: every [`MR`]-row tile of the band runs the
+/// register-tile microkernel against the panel and stores its valid
+/// `h × w` corner into `C` (row stride `ldc`). `W` is the SIMD level's
+/// lane count: a tile covers the panel in one 16-lane group or in two
+/// 8-lane groups, the second skipped when the panel's valid columns end
+/// in the first. The groups of a tile run back to back, so its `A` values
+/// are still in L1 for the second.
 ///
 /// Per output element the accumulator is a single chain over ascending
 /// `kk` of `mul`-then-`add` — the expression the determinism contract and
@@ -610,44 +613,46 @@ struct BandPanel<const ADD: bool, const W: usize> {
     ldc: usize,
     j0: usize,
     w: usize,
-    group: usize,
 }
 
 impl<const ADD: bool, const W: usize> simd::Body for BandPanel<ADD, W> {
     /// `a` is the band's packed `A` tiles, `b` the panel, `out` is `C`.
     #[inline(always)]
     fn run(self, a_tiles: &[f32], panel: &[f32], c: &mut [f32]) {
-        let BandPanel { k, rows, ldc, j0, w, group } = self;
+        let BandPanel { k, rows, ldc, j0, w } = self;
         let tiles = rows.div_ceil(MR);
         let (brows, _) = panel.as_chunks::<NR>();
         for t in 0..tiles {
             let (arows, _) = a_tiles[t * k * MR..(t + 1) * k * MR].as_chunks::<MR>();
             let h = MR.min(rows - t * MR);
-            let mut acc = [[0.0f32; W]; MR];
-            if ADD {
-                for (r, acc_row) in acc.iter_mut().enumerate().take(h) {
-                    let out_row = t * MR + r;
-                    acc_row[..w].copy_from_slice(&c[out_row * ldc + j0..out_row * ldc + j0 + w]);
+            for group in 0..w.div_ceil(W) {
+                let (jg, wg) = (j0 + group * W, W.min(w - group * W));
+                let mut acc = [[0.0f32; W]; MR];
+                if ADD {
+                    for (r, acc_row) in acc.iter_mut().enumerate().take(h) {
+                        let at = (t * MR + r) * ldc + jg;
+                        acc_row[..wg].copy_from_slice(&c[at..at + wg]);
+                    }
                 }
-            }
-            let [r0, r1, r2, r3, r4, r5, r6, r7] = &mut acc;
-            for (av, brow) in arows.iter().zip(brows) {
-                let bv: [f32; W] = brow.as_chunks::<W>().0[group];
-                let &[a0, a1, a2, a3, a4, a5, a6, a7] = av;
-                for l in 0..W {
-                    r0[l] += a0 * bv[l];
-                    r1[l] += a1 * bv[l];
-                    r2[l] += a2 * bv[l];
-                    r3[l] += a3 * bv[l];
-                    r4[l] += a4 * bv[l];
-                    r5[l] += a5 * bv[l];
-                    r6[l] += a6 * bv[l];
-                    r7[l] += a7 * bv[l];
+                let [r0, r1, r2, r3, r4, r5, r6, r7] = &mut acc;
+                for (av, brow) in arows.iter().zip(brows) {
+                    let bv: [f32; W] = brow.as_chunks::<W>().0[group];
+                    let &[a0, a1, a2, a3, a4, a5, a6, a7] = av;
+                    for l in 0..W {
+                        r0[l] += a0 * bv[l];
+                        r1[l] += a1 * bv[l];
+                        r2[l] += a2 * bv[l];
+                        r3[l] += a3 * bv[l];
+                        r4[l] += a4 * bv[l];
+                        r5[l] += a5 * bv[l];
+                        r6[l] += a6 * bv[l];
+                        r7[l] += a7 * bv[l];
+                    }
                 }
-            }
-            for (r, acc_row) in acc.iter().enumerate().take(h) {
-                let out_row = t * MR + r;
-                c[out_row * ldc + j0..out_row * ldc + j0 + w].copy_from_slice(&acc_row[..w]);
+                for (r, acc_row) in acc.iter().enumerate().take(h) {
+                    let at = (t * MR + r) * ldc + jg;
+                    c[at..at + wg].copy_from_slice(&acc_row[..wg]);
+                }
             }
         }
     }
@@ -733,26 +738,9 @@ pub(crate) fn band_gemm_window<const ADD: bool>(
 /// The microkernel over every panel of a [`BWindow`]: `a_tiles` holds
 /// `rows` op(A) rows packed by [`pack_a_band`] at the window's contraction
 /// length, and panel `jp` lands in `c`'s columns `jp·NR ..` (row stride
-/// `ldc`). Under AVX-512 each panel is one 16-lane pass; at the other
-/// levels it is two 8-lane passes, one per half, the second skipped when
-/// the panel's valid columns end in the first.
+/// `ldc`). The tile is 16 lanes wide under AVX-512 and 8 at the other
+/// levels.
 fn sweep_panels<const ADD: bool>(
-    simd: Simd,
-    rows: usize,
-    b: BWindow<'_>,
-    a_tiles: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-) {
-    match simd {
-        #[cfg(target_arch = "x86_64")]
-        Simd::Avx512 => sweep_groups::<ADD, 16>(simd, rows, b, a_tiles, c, ldc),
-        _ => sweep_groups::<ADD, 8>(simd, rows, b, a_tiles, c, ldc),
-    }
-}
-
-/// [`sweep_panels`] at `W` lanes per pass.
-fn sweep_groups<const ADD: bool, const W: usize>(
     simd: Simd,
     rows: usize,
     b: BWindow<'_>,
@@ -764,12 +752,15 @@ fn sweep_groups<const ADD: bool, const W: usize>(
     debug_assert!(n == pb.n || (n < pb.n && n % NR == 0), "BWindow: n must end on a panel");
     debug_assert!(k0 + k <= pb.k, "BWindow: k window outside the pack");
     for jp in 0..n.div_ceil(NR) {
+        let j0 = jp * NR;
+        let w = NR.min(n - j0);
         let panel = &pb.panel(jp)[k0 * NR..(k0 + k) * NR];
-        for group in 0..(n - jp * NR).min(NR).div_ceil(W) {
-            let j0 = jp * NR + group * W;
-            let w = W.min(n - j0);
-            let body = BandPanel::<ADD, W> { k, rows, ldc, j0, w, group };
-            simd::run(simd, body, a_tiles, panel, c);
+        match simd {
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx512 => {
+                simd::run(simd, BandPanel::<ADD, 16> { k, rows, ldc, j0, w }, a_tiles, panel, c)
+            }
+            _ => simd::run(simd, BandPanel::<ADD, 8> { k, rows, ldc, j0, w }, a_tiles, panel, c),
         }
     }
 }
@@ -1003,14 +994,10 @@ mod tests {
         for (n, k) in widths.flat_map(|n| [1, 9, KC - 1, KC + 1, 2 * KC + 3].map(|k| (n, k))) {
             let (a, b, init) = (filled(m * k, 21), filled(k * n, 22), filled(m * n, 23));
             for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
-                let want = bits(&reference(ta, tb, m, n, k, &a, &b));
-                let added: Vec<f32> = reference(ta, tb, m, n, k, &a, &b)
-                    .iter()
-                    .zip(&init)
-                    .map(|(p, c)| c + p)
-                    .collect();
+                let product = reference(ta, tb, m, n, k, &a, &b);
+                let added: Vec<f32> = product.iter().zip(&init).map(|(p, c)| c + p).collect();
                 let wants = [
-                    (Output::Overwrite, vec![f32::NAN; m * n], want),
+                    (Output::Overwrite, vec![f32::NAN; m * n], bits(&product)),
                     (Output::Continue, init.clone(), bits(&continued(&init, ta, tb, n, k, &a, &b))),
                     (Output::Add, init.clone(), bits(&added)),
                 ];
