@@ -57,19 +57,33 @@
 //!   `⟨dy, y⟩` are the functions `softmax_rows` / `softmax_rows_backward`
 //!   run; scale and dropout are the same one multiply.
 //! * **Every product element is one ascending chain.** The microkernel
-//!   computes each output as `acc = +0.0; acc += a·b` over ascending `k`
-//!   (`mul` then `add`, never fused), whatever the band height, the window
-//!   or the thread count. Blocks change which worker runs a chain, not the
-//!   chain.
-//! * **A skipped term is `(±0)·finite`, and adding `±0` to such a chain
-//!   changes nothing.** A masked probability is exactly `+0.0` and a masked
-//!   `dS` is `(+0.0)·x = ±0.0`, so each skipped term is `±0.0` for finite
-//!   inputs. An accumulator that starts at `+0.0` can never hold `−0.0`:
-//!   under round-to-nearest `x + y` is `−0.0` only when both are, and exact
-//!   cancellation gives `+0.0`. And `x + (±0.0) == x` bit for bit for every
-//!   `x` other than `−0.0`. So dropping trailing zero terms (`pd·V`,
-//!   `dS·K`) leaves the accumulator as it was, and dropping leading ones
-//!   (`dSᵀ·Q`, `Pdᵀ·dctx`) leaves it at the `+0.0` it started from.
+//!   computes each output as `acc = +0.0; acc = a.mul_add(b, acc)` over
+//!   ascending `k` (one rounding of `a·b + acc` per step), whatever the
+//!   band height, the window or the thread count. Blocks change which
+//!   worker runs a chain, not the chain.
+//! * **A skipped term is `(±0)·finite`, and it can change a chain only at
+//!   `−0.0`.** A masked probability is exactly `+0.0` and a masked `dS` is
+//!   `(+0.0)·x = ±0.0`, so each skipped term's product is exactly `±0.0`
+//!   for finite inputs, and `fma(±0, x, acc)` is `acc` bit for bit for
+//!   every `acc` other than `−0.0`, which a `+0.0` product turns into
+//!   `+0.0`. Dropping leading terms (`dSᵀ·Q`, `Pdᵀ·dctx`) therefore leaves
+//!   the accumulator at the `+0.0` it started from. Dropping trailing ones
+//!   (`pd·V`, `dS·K`) keeps every chain's bits except one that ends at
+//!   `−0.0`, which the whole-matrix composition's first `+0.0` term turns
+//!   into `+0.0`. A fused chain reaches `−0.0` only when a step rounds a
+//!   negative `a·b + acc` of magnitude at most 2⁻¹⁵⁰ (half the least
+//!   subnormal) to zero, and keeps it only through zero products. That
+//!   value has a bit below 2⁻¹⁴⁹, so the step's exact product is below
+//!   2⁻¹⁰²: the element's surviving products all underflow (or cancel to
+//!   within that). A mul-then-add chain never held `−0.0`: a sum of two
+//!   floats rounds to zero only when it is exactly zero, and is then
+//!   `+0.0` unless both were `−0.0`.
+//! * **Adding into zeros settles the sign.** Those two chains feed only
+//!   `ctx` and `dQ`, and every unit's slab is added into a zeroed packed
+//!   buffer (as the composition scattered each head with `+=`), which reads
+//!   `−0.0` as `+0.0`. So the core's outputs keep the composition's bits
+//!   even where its chains end at `−0.0`; `mt-model`'s
+//!   `attention_equivalence` checks this at a scale where they do.
 //! * **A contraction delivered in slices continues its chain.** `dK` and
 //!   `dV` rows receive one slice of query rows per block; the microkernel
 //!   loads the accumulator from the output instead of zeroing it, so the
@@ -90,11 +104,16 @@
 //!   backward's `⟨dy, y⟩` is cut to the unmasked prefix, and `f32`'s
 //!   iterator sum starts from `−0.0`, so where the whole-matrix form may
 //!   end on `+0.0` (a masked `(+0.0)·dy` term flipped it) the prefix can
-//!   end on `−0.0`. It is consumed only as `dy − dot`, and an unmasked `dy`
-//!   is never `−0.0` (a chain value, times a dropout scale `≥ 1`, or a
-//!   literal `0.0`), so `dy − (+0.0)` and `dy − (−0.0)` agree. Masked `dS`
-//!   entries may differ in the sign of zero — they are the skipped terms
-//!   above.
+//!   end on `−0.0`. It is consumed only as `dy − dot`, and `dy − (+0.0)`
+//!   and `dy − (−0.0)` agree unless `dy` is `−0.0`. An unmasked `dy` is a
+//!   `dctx·Vᵀ` chain value, times a dropout scale `≥ 1`, or a literal
+//!   `0.0`, so it is `−0.0` only where that chain underflowed as above;
+//!   there the two `dS` entries differ in the sign of a zero. As a term of
+//!   the `dQ` and `dK` chains such an entry can change only the sign of a
+//!   chain that is zero at that step (the next non-zero product rounds the
+//!   same from `+0.0` and `−0.0`), and adding into zeros settles that.
+//!   Masked `dS` entries may differ in the sign of zero too — they are the
+//!   skipped terms above.
 //!
 //! `tests::skipping_the_masked_triangle_changes_no_bit` checks the block
 //! products against the full GEMM on inputs whose masked entries are `+0.0`

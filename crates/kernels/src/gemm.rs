@@ -36,12 +36,13 @@
 //!    that the compiler lowers to SIMD; on x86-64 the same body is
 //!    instantiated three times through the crate's one SIMD dispatch
 //!    (`simd::run`) — under `#[target_feature(enable = "avx512f")]`, under
-//!    `#[target_feature(enable = "avx2")]` (the widest the CPU runs is
+//!    `#[target_feature(enable = "avx2,fma")]` (the widest the CPU runs is
 //!    selected at runtime via `is_x86_feature_detected!`), and at the
 //!    baseline feature level as the fallback. Every instantiation executes
-//!    the identical `mul`-then-`add` expression per element (FMA is
-//!    deliberately not enabled), so the selected path changes throughput
-//!    only, never a single output bit.
+//!    the identical correctly rounded fused multiply-add per element,
+//!    `acc = a.mul_add(b, acc)` — one `vfmadd` lane where the level has
+//!    FMA, libm's `fmaf` at the baseline — so the selected path changes
+//!    throughput only, never a single output bit.
 //!
 //! ## One packed layout, lane groups by level
 //!
@@ -61,8 +62,9 @@
 //! rows of the `[[f32; W]; MR]` accumulator was vectorised across the rows
 //! instead — gathers and scatters of the array — and a `B` row read
 //! through a reference was rebuilt from shuffles; as written, each `kk`
-//! is one `B` load, `MR` broadcast multiplies and `MR` adds, with no spill
-//! (the loop is quoted in EXPERIMENTS.md, "A 16-lane GEMM tile").
+//! is one `B` load and `MR` fused multiply-adds with the `A` value
+//! broadcast from memory, with no spill (the loop is quoted in
+//! EXPERIMENTS.md, "One fused chain in the GEMM tile").
 //!
 //! Each worker owns one contiguous range of `C` rows and walks it in the
 //! GotoBLAS loop order: for each contraction slice of at most `KC`, and
@@ -81,7 +83,8 @@
 //! ## Blocking and determinism
 //!
 //! Every `C[i][j]` is the sum `Σₖ a·b` taken in strictly ascending `k`
-//! with a single accumulator chain. The first contraction slice starts
+//! with a single accumulator chain of fused multiply-adds, each step one
+//! rounding of `a·b + acc`. The first contraction slice starts
 //! each chain at `+0.0` and overwrites `C`; every later slice runs the
 //! microkernel's `ADD` instantiation, which loads the partial sum `C`
 //! already holds into the register tile and continues the *same* chain
@@ -595,8 +598,9 @@ fn interleave_rows<const W: usize>(src: &[f32], ld: usize, h: usize, k: usize, d
 /// are still in L1 for the second.
 ///
 /// Per output element the accumulator is a single chain over ascending
-/// `kk` of `mul`-then-`add` — the expression the determinism contract and
-/// the naive-oracle tests pin down. The chain starts at `+0.0`, or — with
+/// `kk` of fused multiply-adds, `acc = a.mul_add(b, acc)` — the expression
+/// the determinism contract and the naive-oracle tests pin down, and the
+/// only `mul_add` in the crate. The chain starts at `+0.0`, or — with
 /// `ADD` — at the value `C` already holds, which is how a contraction
 /// delivered in ascending `k` slices (the attention backward's row blocks)
 /// stays one chain instead of a sum of partial sums.
@@ -639,14 +643,14 @@ impl<const ADD: bool, const W: usize> simd::Body for BandPanel<ADD, W> {
                     let bv: [f32; W] = brow.as_chunks::<W>().0[group];
                     let &[a0, a1, a2, a3, a4, a5, a6, a7] = av;
                     for l in 0..W {
-                        r0[l] += a0 * bv[l];
-                        r1[l] += a1 * bv[l];
-                        r2[l] += a2 * bv[l];
-                        r3[l] += a3 * bv[l];
-                        r4[l] += a4 * bv[l];
-                        r5[l] += a5 * bv[l];
-                        r6[l] += a6 * bv[l];
-                        r7[l] += a7 * bv[l];
+                        r0[l] = a0.mul_add(bv[l], r0[l]);
+                        r1[l] = a1.mul_add(bv[l], r1[l]);
+                        r2[l] = a2.mul_add(bv[l], r2[l]);
+                        r3[l] = a3.mul_add(bv[l], r3[l]);
+                        r4[l] = a4.mul_add(bv[l], r4[l]);
+                        r5[l] = a5.mul_add(bv[l], r5[l]);
+                        r6[l] = a6.mul_add(bv[l], r6[l]);
+                        r7[l] = a7.mul_add(bv[l], r7[l]);
                     }
                 }
                 for (r, acc_row) in acc.iter().enumerate().take(h) {
@@ -926,7 +930,7 @@ mod tests {
                 for kk in 0..k {
                     let av = if ta { a[kk * m + i] } else { a[i * k + kk] };
                     let bv = if tb { b[j * k + kk] } else { b[kk * n + j] };
-                    acc += av * bv;
+                    acc = av.mul_add(bv, acc);
                 }
                 out[i * n + j] = acc;
             }
@@ -968,7 +972,7 @@ mod tests {
                 let mut got = vec![0.0f32; m * n];
                 gemm(Backend::Serial, ta, tb, m, n, k, &a, &b, &mut got);
                 // The packed microkernel preserves the naive ascending-k
-                // mul+add chain exactly, so this holds to the bit.
+                // fused chain exactly, so this holds to the bit.
                 assert!(
                     want.iter().zip(&got).all(|(w, g)| w.to_bits() == g.to_bits()),
                     "{} m={m} n={n} k={k}: not bit-identical to the naive oracle",
@@ -1022,6 +1026,58 @@ mod tests {
                             "{level:?} {output:?} {} m={m} n={n} k={k}: not the oracle's bits",
                             kind_label(ta, tb)
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every element of `op(A) · op(B)` with `k` = 2, each row of op(A)
+    /// `[−(1+2⁻¹¹), 1+2⁻¹²]` and each column of op(B) `[1, 1+2⁻¹²]`: the
+    /// second product is exactly `1 + 2⁻¹¹ + 2⁻²⁴`, so a fused chain ends at
+    /// `2⁻²⁴`, while a rounded product (to `1 + 2⁻¹¹`, the tie's even side)
+    /// cancels the first to `+0.0`. Started at `0.5` instead, the fused chain
+    /// ends at `0.5 + 2⁻²⁴` and mul-then-add at `0.5`; every step but the
+    /// second product is exact either way. So each level, transpose kind,
+    /// lane group, backend and output mode has to fuse, not just agree.
+    #[test]
+    fn every_level_fuses_each_multiply_add() {
+        let (row, col) =
+            ([-(1.0 + 2f32.powi(-11)), 1.0 + 2f32.powi(-12)], [1.0, 1.0 + 2f32.powi(-12)]);
+        let tiny = 2f32.powi(-24);
+        let operands = |ta: bool, tb: bool, m: usize, n: usize| {
+            let a = (0..2 * m).map(|at| row[if ta { at / m } else { at % 2 }]).collect::<Vec<_>>();
+            let b = (0..2 * n).map(|at| col[if tb { at % 2 } else { at / n }]).collect::<Vec<_>>();
+            (a, b)
+        };
+        let backends = [1, 2, 3, 4].map(|threads| Backend::Threaded { threads });
+        // 19 rows leave a ragged tile; 3·2¹⁶ rows at 16 columns carry the
+        // FLOPs for the policy to grant each backend all its workers.
+        let shapes = (1..=NR).map(|n| (19, n)).chain([(3 << 16, NR)]);
+        for (m, n) in shapes {
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let (a, b) = operands(ta, tb, m, n);
+                let wants = [
+                    (Output::Overwrite, f32::NAN, tiny),
+                    (Output::Continue, 0.5, 0.5 + tiny),
+                    (Output::Add, 0.5, 0.5 + tiny),
+                ];
+                for level in simd::levels() {
+                    for backend in [Backend::Serial].into_iter().chain(backends) {
+                        for (output, start, want) in wants {
+                            let mut got = vec![start; m * n];
+                            let stats = gemm_impl(
+                                backend, level, ta, tb, m, n, 2, &a, &b, &mut got, output,
+                            );
+                            if m > 19 {
+                                assert_eq!(stats.threads_used, backend.threads(), "{backend:?}");
+                            }
+                            assert!(
+                                got.iter().all(|g| g.to_bits() == want.to_bits()),
+                                "{level:?} {backend:?} {output:?} {} m={m} n={n}: not fused",
+                                kind_label(ta, tb)
+                            );
+                        }
                     }
                 }
             }

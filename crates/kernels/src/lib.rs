@@ -31,14 +31,17 @@
 //! The contract extends to the SIMD dispatch. Every hot loop — the GEMM
 //! microkernel, the softmax row's `exp` pass and division, GeLU and its
 //! backward, the attention core's dropout select — is one body run through
-//! one dispatch: the runtime-selected AVX2 instantiation and the baseline
-//! one are the *same* source compiled at two feature levels, both computing
-//! plain `mul`, `add`, `div`, compare-and-select and bit operations per
-//! element (FMA is never enabled, nothing is re-associated), so feature
-//! detection changes throughput only — never an output bit. The crate's one
-//! [`exp`] and one [`tanh`] are branch-free polynomials built from those
-//! operations alone, with no libm call, so the element bodies vectorise
-//! too. Their scalar definitions are the oracle: each kernel returns exactly
+//! one dispatch: the runtime-selected AVX-512 or AVX2 instantiation and the
+//! baseline one are the *same* source compiled at three feature levels. The
+//! GEMM microkernel computes each `C[i][j]` as one ascending chain of
+//! correctly rounded fused multiply-adds (`f32::mul_add`: a `vfmadd` lane,
+//! or libm's `fmaf` at the baseline), which has one result at every level;
+//! the element loops compute plain `mul`, `add`, `div`, compare-and-select
+//! and bit operations and never `mul_add`, and the compiler re-associates
+//! and contracts nothing. So feature detection changes throughput only —
+//! never an output bit. The crate's one [`exp`] and one [`tanh`] are
+//! branch-free polynomials built from those plain operations alone, with no
+//! libm call, so the element bodies vectorise too. Their scalar definitions are the oracle: each kernel returns exactly
 //! the bits of [`exp`], [`tanh`] and the kernel's element expression applied
 //! element by element (`tests/elementwise_oracle.rs`). See [`gemm`]'s module
 //! docs for the packing/microkernel architecture.

@@ -243,7 +243,7 @@ fn oracle(sh: &AttnShape, key: StreamKey, q: &[f32], k: &[f32], v: &[f32], dctx:
     let dot = |a: &[f32], ia: usize, b: &[f32], ib: usize| {
         let mut acc = 0.0f32;
         for d in 0..hd {
-            acc += a[ia + d] * b[ib + d];
+            acc = a[ia + d].mul_add(b[ib + d], acc);
         }
         acc
     };
@@ -270,7 +270,7 @@ fn oracle(sh: &AttnShape, key: StreamKey, q: &[f32], k: &[f32], v: &[f32], dctx:
             for d in 0..hd {
                 let mut acc = 0.0f32;
                 for j in 0..n {
-                    acc += pd[i * s + j] * v[row(j) + d];
+                    acc = pd[i * s + j].mul_add(v[row(j) + d], acc);
                 }
                 ctx[row(i) + d] = 0.0 + acc;
             }
@@ -291,15 +291,15 @@ fn oracle(sh: &AttnShape, key: StreamKey, q: &[f32], k: &[f32], v: &[f32], dctx:
             for i in 0..s {
                 let mut acc = 0.0f32;
                 for j in 0..limit(i) {
-                    acc += ds[i * s + j] * k[row(j) + d];
+                    acc = ds[i * s + j].mul_add(k[row(j) + d], acc);
                 }
                 dq[row(i) + d] = 0.0 + acc * sh.scale;
             }
             for j in 0..s {
                 let (mut acc_k, mut acc_v) = (0.0f32, 0.0f32);
                 for i in (0..s).filter(|&i| j < limit(i)) {
-                    acc_k += ds[i * s + j] * q[row(i) + d];
-                    acc_v += pd[i * s + j] * dctx[row(i) + d];
+                    acc_k = ds[i * s + j].mul_add(q[row(i) + d], acc_k);
+                    acc_v = pd[i * s + j].mul_add(dctx[row(i) + d], acc_v);
                 }
                 dk[row(j) + d] = 0.0 + acc_k * sh.scale;
                 dv[row(j) + d] = 0.0 + acc_v;

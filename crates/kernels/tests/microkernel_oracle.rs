@@ -28,7 +28,7 @@ use mt_kernels::{gelu_backward, gelu_backward_in_place, Backend, CHUNK};
 use proptest::prelude::*;
 
 /// The oracle: naive triple loop, one accumulator per output element,
-/// strictly ascending `k`, plain `mul` then `add`. This is the exact
+/// strictly ascending `k`, one fused multiply-add per step. This is the exact
 /// float expression the kernel contract promises for every `C[i][j]`.
 fn naive_gemm(ta: bool, tb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
@@ -38,7 +38,7 @@ fn naive_gemm(ta: bool, tb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[
             for kk in 0..k {
                 let av = if ta { a[kk * m + i] } else { a[i * k + kk] };
                 let bv = if tb { b[j * k + kk] } else { b[kk * n + j] };
-                acc += av * bv;
+                acc = av.mul_add(bv, acc);
             }
             out[i * n + j] = acc;
         }

@@ -16,6 +16,7 @@
 //! kernel threads.
 
 use mt_kernels::attention::BLOCK;
+use mt_kernels::gemm;
 use mt_kernels::{default_backend, set_default_backend, Backend};
 use mt_memory::Recompute;
 use mt_model::attention::{
@@ -246,11 +247,20 @@ fn flat(heads: &[Tensor]) -> Vec<u32> {
 
 /// Runs both implementations on one case and compares every output bit.
 fn check_case(p: &AttnParams, backend: Backend, seed: u64) -> Result<(), String> {
-    let _backend = with_backend(backend);
+    check_case_at(p, backend, seed, 1.0)
+}
+
+/// A case's `q`, `k`, `v` and `dctx`: uniform on `[−1, 1)`, times `scale`.
+fn inputs(p: &AttnParams, seed: u64, scale: f32) -> [Tensor; 4] {
     let mut data = SplitMix64::new(seed);
     let shape = [tokens(p), local_width(p)];
-    let mut draw = || Tensor::rand_uniform(&shape, -1.0, 1.0, &mut data);
-    let (q, k, v, dctx) = (draw(), draw(), draw(), draw());
+    [(); 4].map(|()| Tensor::rand_uniform(&shape, -1.0, 1.0, &mut data).scale(scale))
+}
+
+/// [`check_case`] on inputs scaled by `scale`.
+fn check_case_at(p: &AttnParams, backend: Backend, seed: u64, scale: f32) -> Result<(), String> {
+    let _backend = with_backend(backend);
+    let [q, k, v, dctx] = inputs(p, seed, scale);
     let rng = CounterRng::new(seed ^ 0xd20b);
 
     let (want_ctx, want_saved) = reference_forward(p, &rng, &q, &k, &v);
@@ -408,4 +418,51 @@ fn keeping_and_streaming_layer_forwards_return_the_same_bits() {
         .collect();
     assert_eq!(outputs[0], outputs[1], "selective (streaming) vs none (keeping)");
     assert_eq!(outputs[0], outputs[2], "full (streaming) vs none (keeping)");
+}
+
+/// At underflow scale the `±0` argument's exception happens, and the outputs
+/// still keep the composition's bits. Inputs of magnitude below 2⁻¹⁴⁶ make
+/// every `pd·V` product smaller than the least subnormal, 2⁻¹⁴⁹, so a fused
+/// chain over them can round a negative value to `−0.0`; the composition
+/// continues that chain with the masked `(+0.0)·V` terms the causal core
+/// skips, and the first `+0.0` among them turns it into `+0.0`. Every
+/// chain of the core is checked against the whole-matrix one: the same
+/// bits, or `−0.0` against `+0.0`, and the latter occurs. Both sides add
+/// each head into zeros, which reads `−0.0` as `+0.0`, so the whole case
+/// still matches bit for bit.
+#[test]
+fn outputs_keep_the_composition_bits_where_chains_underflow() {
+    let (p, seed, scale) =
+        (params(true, 65, 8, 2, true, 0.1), 29, f32::MIN_POSITIVE * 2f32.powi(-20));
+    let [q, k, v, _] = inputs(&p, seed, scale);
+    let rng = CounterRng::new(seed ^ 0xd20b);
+    let (_, saved) = reference_forward(&p, &rng, &q, &k, &v);
+    let (s, hd) = (p.seq, p.head_dim);
+    let mut flipped = 0;
+    for batch in 0..p.micro_batch {
+        for lh in 0..p.local_heads {
+            let pd = &saved.probs_dropped[batch * p.local_heads + lh];
+            let vm = extract_head(&p, &v, batch, lh);
+            let whole = ops::Gemm::NN.apply(pd, &vm);
+            for i in 0..s {
+                // Row `i` of `pd · V` cut to the keys it sees.
+                let mut cut = vec![0.0f32; hd];
+                let row = &pd.data()[i * s..i * s + i + 1];
+                let keys = &vm.data()[..(i + 1) * hd];
+                gemm::gemm(Backend::Serial, false, false, 1, hd, i + 1, row, keys, &mut cut);
+                for (c, w) in cut.iter().zip(&whole.data()[i * hd..(i + 1) * hd]) {
+                    if c.to_bits() != w.to_bits() {
+                        assert!(
+                            c.to_bits() == (-0.0f32).to_bits() && w.to_bits() == 0,
+                            "row {i}: cut chain {c:e}, whole-matrix chain {w:e}"
+                        );
+                        flipped += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(flipped > 0, "no chain ended at -0.0: the case does not reach underflow");
+    check_case_at(&p, Backend::Threaded { threads: 2 }, seed, scale)
+        .unwrap_or_else(|msg| panic!("{msg}"));
 }
