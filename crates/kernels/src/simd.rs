@@ -27,12 +27,14 @@
 //! The baseline level pays for that one chain. Without FMA hardware each
 //! lane of the tile is a call to `fmaf`, which the compiler cannot
 //! vectorise: a copy of this crate forced to the baseline ran 512³ and
-//! `wide_mlp`'s GEMM shapes at 0.62–0.64 GFLOP/s, against 20–21 for the
-//! mul-then-add tile it replaced (×33 slower). A branch-free emulation
-//! through `f64` (round to odd, then to `f32`) matched `mul_add` on every
-//! input tried but ran 1.04 GFLOP/s, so the baseline keeps `fmaf` and the
-//! crate keeps one chain rather than a second, unfused one. The x86-64
-//! CPUs that lack FMA predate AVX2; aarch64's baseline has FMA in hardware.
+//! `wide_mlp`'s GEMM shapes at 0.6 GFLOP/s on the 2-vCPU reference host,
+//! against 16.5–20.6 for the mul-then-add tile it replaced (about ×33
+//! slower). A branch-free emulation through `f64` (round to odd, then to
+//! `f32`) matched `mul_add` on every input tried but ran 1.1 GFLOP/s, so
+//! the baseline keeps `fmaf` and the crate keeps one chain rather than a
+//! second, unfused one (EXPERIMENTS.md, "One fused chain in the GEMM
+//! tile"). The x86-64 CPUs that lack FMA predate AVX2; aarch64's baseline
+//! has FMA in hardware.
 
 /// Which instantiation of a [`Body`] to run. All compute the identical
 /// per-element float expression; the choice affects throughput only.
