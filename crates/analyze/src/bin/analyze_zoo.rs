@@ -121,7 +121,6 @@ impl Gate {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let mut gate = Gate { failures: 0 };
 

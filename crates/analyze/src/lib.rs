@@ -1,8 +1,7 @@
 //! # mt-analyze
 //!
 //! Static analysis of the SPMD training schedules in this workspace: a
-//! compiler-style pass pipeline over a per-rank schedule IR, plus the
-//! `mt-lint` source-hygiene gate.
+//! compiler-style pass pipeline over a per-rank schedule IR.
 //!
 //! The paper's claims — which collectives fire in what order (Section
 //! 4.2.2's `g`/`ḡ` conjugates, "sequence parallelism costs no extra wire
@@ -24,12 +23,8 @@
 //! 4. [`liveness`] replays alloc/free into an [`ActivationLedger`], whose
 //!    peak must equal both the runtime ledger and the Table 2 closed forms.
 //!
-//! [`lint`] is independent of the IR: a source scanner enforcing the
-//! workspace hygiene rules (no wall clocks in deterministic crates, no
-//! `unwrap`/`expect` in collective and pipeline hot paths) behind an
-//! allowlist with per-entry justifications. That runtime and static tags
-//! share one shape is the type's guarantee, not a rule's: [`CallTag`] is
-//! built only through `CallTag::new`.
+//! That runtime and static tags share one shape is the type's guarantee,
+//! not a rule's: [`CallTag`] is built only through `CallTag::new`.
 //!
 //! [`CallTag`]: mt_collectives::CallTag
 //! [`CommStats`]: mt_collectives::CommStats
@@ -40,7 +35,6 @@
 
 pub mod extract;
 pub mod ir;
-pub mod lint;
 pub mod liveness;
 pub mod matching;
 pub mod wire;
@@ -50,7 +44,6 @@ pub use extract::{
     pipeline_1f1b_program,
 };
 pub use ir::{AllocId, GroupId, Program, RankProgram, ScheduleOp};
-pub use lint::{lint_source, lint_workspace, Allowlist, LintFinding};
 pub use liveness::{analyze_liveness, analyze_rank_liveness, LivenessReport};
 pub use matching::{check_schedule, ScheduleFault};
 pub use wire::{program_comm_stats, rank_comm_stats};

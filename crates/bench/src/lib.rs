@@ -15,6 +15,10 @@
 //! `BENCHMARK.json`); this crate measures what sits below and beside them.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the benchmark harness: timing what it runs is its job"
+)]
 
 pub mod gate;
 pub mod harness;

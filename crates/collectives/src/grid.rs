@@ -2,6 +2,9 @@
 //! pipeline-parallel stages, the layout the paper's Table 3 configurations
 //! use (`t = 8` ranks per stage × `p` stages).
 
+// No unwrap or expect outside tests: the grid returns its failures.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::group::{launch, Communicator, World};
 
 /// A rank's view of a `tp × pp` grid: a collective communicator over its
@@ -75,7 +78,7 @@ where
     let mut grid_world = World::new(tp * pp);
     let mut stage_worlds: Vec<World> = (0..pp).map(|_| World::new(tp)).collect();
     let mut comms = Vec::with_capacity(tp * pp);
-    #[allow(clippy::needless_range_loop)] // stage indexes two parallel world vectors
+    #[expect(clippy::needless_range_loop, reason = "stage indexes two parallel world vectors")]
     for stage in 0..pp {
         for tp_rank in 0..tp {
             comms.push(GridComm {

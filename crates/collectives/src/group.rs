@@ -1,5 +1,9 @@
 //! The thread-rank runtime: [`World`] and [`Communicator`].
 
+// A panic on the rendezvous path states its invariant: `.expect("…")`,
+// never a bare unwrap.
+#![deny(clippy::unwrap_used)]
+
 use crate::cost::CommCostModel;
 use crate::error::{CallTag, CollectiveError};
 use crate::stats::{CollectiveKind, CommStats, FP16_BYTES};
@@ -108,6 +112,13 @@ impl Exchange {
         input: Tensor,
         combine: impl FnOnce(&mut Vec<Option<Tensor>>) -> Vec<Tensor>,
     ) -> Result<Tensor, CollectiveError> {
+        #[cfg_attr(
+            not(mt_check),
+            expect(
+                clippy::disallowed_methods,
+                reason = "a rendezvous deadline; never in a result"
+            )
+        )]
         let start = Instant::now();
         let mut st = self.state.lock();
         if let Some(err) = &st.poisoned {
@@ -231,7 +242,10 @@ impl World {
         let mut receivers: Vec<Vec<Option<Receiver<Tensor>>>> =
             (0..size).map(|_| (0..size).map(|_| None).collect()).collect();
         for from in 0..size {
-            #[allow(clippy::needless_range_loop)] // `to` addresses the matching receiver slot
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "`to` addresses the matching receiver slot"
+            )]
             for to in 0..size {
                 let (tx, rx) = unbounded();
                 senders[from].push(tx);
@@ -531,10 +545,13 @@ pub struct Communicator {
     rank: usize,
     size: usize,
     exchange: Arc<Exchange>,
-    // `peers[from]` sends towards *this* rank; kept so that Communicator is
-    // self-contained. `outboxes[to]` sends from this rank to `to`.
-    #[allow(dead_code)]
+    #[expect(
+        dead_code,
+        reason = "`peers[from]` sends towards *this* rank; kept so that Communicator is \
+                  self-contained"
+    )]
     peers: Vec<Sender<Tensor>>,
+    // `outboxes[to]` sends from this rank to `to`.
     outboxes: Vec<Sender<Tensor>>,
     inboxes: Vec<Receiver<Tensor>>,
     stats: RefCell<CommStats>,
@@ -897,6 +914,13 @@ impl Communicator {
         assert!(from < self.size, "recv: source {from} out of range");
         self.fault_gate("recv")?;
         let _span = self.tracer.span_args("recv", || vec![("from", ArgValue::U64(from as u64))]);
+        #[cfg_attr(
+            not(mt_check),
+            expect(
+                clippy::disallowed_methods,
+                reason = "a rendezvous deadline; never in a result"
+            )
+        )]
         let start = Instant::now();
         loop {
             if let Some(dead_rank) = self.exchange.first_dead() {

@@ -3,6 +3,11 @@
 //! injection. Everything here must hold in **release** builds — none of
 //! these guarantees may depend on `debug_assert!`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests bound how long a provoked timeout or dead rank takes to surface"
+)]
+
 use mt_collectives::cost::CommCostModel;
 use mt_collectives::{CollectiveError, CollectiveKind, World};
 use mt_fault::FaultPlan;

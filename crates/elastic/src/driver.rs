@@ -410,7 +410,10 @@ fn gate_step(plan: &FaultPlan, rank: usize, step: u64) -> Result<(), CollectiveE
 /// carries no fault plan — it is recovery control plane. Returns the
 /// re-sharded checkpoints and the reform's record (replay clock zeroed;
 /// the caller fills it when the re-formed world commits).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one reform reads the failed attempt and the elastic config it resumes"
+)]
 fn perform_reform(
     ckpts: &[TrainerCheckpoint],
     dead: Vec<usize>,

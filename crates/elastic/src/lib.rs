@@ -47,3 +47,63 @@ pub use mttr::MttrBreakdown;
 pub use reform::{epoch_consensus, survivor_degree, Consensus, ConsensusError};
 pub use reshard::{reshard_checkpoints, ReshardError};
 pub use soak::{miniature, soak, soak_batch, unsharded_bits, SoakConfig, SoakReport, SoakRun};
+
+#[cfg(test)]
+mod tests {
+    /// This crate's sources: every file a recovery path can build a world in
+    /// (`sources_list_every_module` keeps the list whole).
+    const SOURCES: [(&str, &str); 6] = [
+        ("driver.rs", include_str!("driver.rs")),
+        ("lib.rs", include_str!("lib.rs")),
+        ("mttr.rs", include_str!("mttr.rs")),
+        ("reform.rs", include_str!("reform.rs")),
+        ("reshard.rs", include_str!("reshard.rs")),
+        ("soak.rs", include_str!("soak.rs")),
+    ];
+
+    /// How many lines after a `World::new` its `set_epoch` may trail (world
+    /// construction is a short builder-style sequence).
+    const EPOCH_LOOKAHEAD: usize = 4;
+
+    /// Every world a recovery path builds installs its formation epoch right
+    /// after construction, so the collectives of a re-formed world carry
+    /// epoch-bearing tags and a cross-epoch straggler fences out as
+    /// `SpmdMismatch` instead of deadlocking. Nothing at runtime shows a
+    /// world's epoch (spans do not carry it, and each attempt builds a fresh
+    /// world), so no behavioural test can catch a missing `set_epoch`: this
+    /// reads the non-test sources instead.
+    #[test]
+    fn every_recovery_world_installs_its_epoch() {
+        let mut worlds = 0;
+        for (file, source) in SOURCES {
+            // Test modules sit at the end of files in this crate.
+            let code: Vec<&str> = source
+                .lines()
+                .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+                .collect();
+            for (i, line) in code.iter().enumerate() {
+                if line.trim_start().starts_with("//") || !line.contains("World::new(") {
+                    continue;
+                }
+                worlds += 1;
+                assert!(
+                    code[i + 1..].iter().take(EPOCH_LOOKAHEAD).any(|l| l.contains("set_epoch")),
+                    "{file}:{}: call set_epoch within {EPOCH_LOOKAHEAD} lines of World::new",
+                    i + 1
+                );
+            }
+        }
+        assert!(worlds > 0, "no World::new in the non-test sources: the rule checks nothing");
+    }
+
+    #[test]
+    fn sources_list_every_module() {
+        let modules = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.trim_start_matches("pub ").strip_prefix("mod ")?.strip_suffix(';'));
+        for module in modules {
+            let file = format!("{module}.rs");
+            assert!(SOURCES.iter().any(|&(f, _)| f == file), "add {file} to SOURCES");
+        }
+    }
+}

@@ -20,8 +20,13 @@
 
 use std::time::{Duration, Instant};
 
-/// A single funnel for wall-clock reads in this crate, so the
-/// `wall-clock` lint rule has exactly one sanctioned call site to allow.
+/// A single funnel for wall-clock reads in this crate, so clippy's
+/// `disallowed_methods` has exactly one sanctioned call site to expect.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "single funnel for MTTR phase timing; observability only, never enters results or \
+              control flow"
+)]
 pub(crate) fn clock() -> Instant {
     Instant::now()
 }

@@ -10,6 +10,11 @@
 //! The whole file runs under whichever kernel backend
 //! `MT_KERNEL_BACKEND` selects; CI runs it under both.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the chaos soak runs under a hard wall-clock budget"
+)]
+
 use mt_elastic::{
     reshard_checkpoints, soak, soak_batch, train_elastic, unsharded_bits, ElasticConfig,
     ElasticError, PlannedResize, SoakConfig,

@@ -457,7 +457,7 @@ pub fn replay<U: Fn(u64) -> f32 + Sync>(
 
 /// The one forward body: `v` present ⇒ compute the context; `keep` ⇒ write
 /// the probabilities into returned buffers instead of the scratch.
-#[allow(clippy::too_many_arguments)] // private body of two public spellings
+#[expect(clippy::too_many_arguments, reason = "private body of two public spellings")]
 fn forward_blocks<U: Fn(u64) -> f32 + Sync>(
     backend: Backend,
     sh: &AttnShape,
@@ -495,7 +495,7 @@ fn forward_blocks<U: Fn(u64) -> f32 + Sync>(
 }
 
 /// One `(batch, head)` forward: every row block, in ascending order.
-#[allow(clippy::too_many_arguments)] // private unit body
+#[expect(clippy::too_many_arguments, reason = "private unit body")]
 fn forward_unit<U: Fn(u64) -> f32>(
     simd: Simd,
     sh: &AttnShape,
@@ -540,7 +540,7 @@ fn forward_unit<U: Fn(u64) -> f32>(
 /// ([`AttnShape::panel`]), and every element of it is written: a row's
 /// masked tail is `+0.0` in both, so a reused scratch holds what a kept
 /// panel holds.
-#[allow(clippy::too_many_arguments)] // private block body
+#[expect(clippy::too_many_arguments, reason = "private block body")]
 fn probs_block<U: Fn(u64) -> f32>(
     bands: &mut Bands,
     sh: &AttnShape,
@@ -589,7 +589,10 @@ fn probs_block<U: Fn(u64) -> f32>(
 /// Panics if an operand is not `s·b·width` long, a saved buffer is not
 /// `units ·` [`AttnShape::kept_len`] long, or `dropout_p` is outside
 /// `[0, 1)`.
-#[allow(clippy::too_many_arguments)] // flat slice ABI; mt-model's attention_backward is the ergonomic entry
+#[expect(
+    clippy::too_many_arguments,
+    reason = "flat slice ABI; mt-model's attention_backward is the ergonomic entry"
+)]
 pub fn backward<U: Fn(u64) -> f32 + Sync>(
     backend: Backend,
     sh: &AttnShape,
@@ -648,7 +651,7 @@ enum Probs<'a> {
 /// holds two such buffers, a kept one one. `dV`'s chain is per element
 /// across blocks and no other product of the block reads it or writes what
 /// it reads, so the order moves no bit.
-#[allow(clippy::too_many_arguments)] // private unit body
+#[expect(clippy::too_many_arguments, reason = "private unit body")]
 fn backward_unit<U: Fn(u64) -> f32>(
     simd: Simd,
     sh: &AttnShape,

@@ -171,7 +171,10 @@ pub struct GemmStats {
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its implied layout.
-#[allow(clippy::too_many_arguments)] // flat slice ABI; mt-tensor's Gemm descriptor is the ergonomic entry
+#[expect(
+    clippy::too_many_arguments,
+    reason = "flat slice ABI; mt-tensor's Gemm descriptor is the ergonomic entry"
+)]
 pub fn gemm(
     backend: Backend,
     transpose_a: bool,
@@ -199,7 +202,7 @@ pub fn gemm(
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its implied layout.
-#[allow(clippy::too_many_arguments)] // flat slice ABI, as `gemm`
+#[expect(clippy::too_many_arguments, reason = "flat slice ABI, as `gemm`")]
 pub fn gemm_accumulate(
     backend: Backend,
     transpose_a: bool,
@@ -243,7 +246,7 @@ pub fn gemm_accumulate(
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its implied layout.
-#[allow(clippy::too_many_arguments)] // flat slice ABI, as `gemm`
+#[expect(clippy::too_many_arguments, reason = "flat slice ABI, as `gemm`")]
 pub fn gemm_add(
     backend: Backend,
     transpose_a: bool,
@@ -267,7 +270,10 @@ pub fn gemm_add(
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its implied layout.
-#[allow(clippy::too_many_arguments)] // flat slice ABI; mt-tensor's Gemm descriptor is the ergonomic entry
+#[expect(
+    clippy::too_many_arguments,
+    reason = "flat slice ABI; mt-tensor's Gemm descriptor is the ergonomic entry"
+)]
 pub fn gemm_stats(
     backend: Backend,
     transpose_a: bool,
@@ -308,7 +314,10 @@ enum Output {
 /// The body of [`gemm_stats`], [`gemm_accumulate`] and [`gemm_add`] at
 /// the SIMD level `simd`: `output` selects what becomes of the values `out`
 /// holds.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the body of the flat-slice gemm entries, with their arguments"
+)]
 fn gemm_impl(
     backend: Backend,
     simd: Simd,
@@ -672,7 +681,7 @@ impl<const ADD: bool, const W: usize> simd::Body for BandPanel<ADD, W> {
 /// ([`crate::overlap::gemm_gathered`]) runs it per [`TILE_M`] band; it is
 /// bit-identical to the flat [`gemm`]'s sliced blocks because both run one
 /// ascending-`k` chain per element.
-#[allow(clippy::too_many_arguments)] // internal band ABI of overlap.rs
+#[expect(clippy::too_many_arguments, reason = "internal band ABI of overlap.rs")]
 pub(crate) fn band_gemm(
     simd: Simd,
     transpose_a: bool,
@@ -775,7 +784,7 @@ fn sweep_panels<const ADD: bool>(
 /// Holds one `B` block of at most `B_BLOCK_VALUES` and one `A` block of at
 /// most `MC·KC` values, whatever the operand sizes, and returns the
 /// microseconds it spent packing them.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one worker's share of the flat gemm ABI")]
 fn gemm_rows(
     simd: Simd,
     a: ARows<'_>,

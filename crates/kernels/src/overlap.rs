@@ -142,7 +142,7 @@ struct BandSpec {
 ///
 /// Panics if the plan does not cover `out` exactly, or a fetched payload
 /// has the wrong length.
-#[allow(clippy::too_many_arguments)] // mirrors the flat gemm() ABI
+#[expect(clippy::too_many_arguments, reason = "mirrors the flat gemm() ABI")]
 pub fn gemm_gathered(
     backend: Backend,
     transpose_b: bool,

@@ -195,7 +195,10 @@ pub fn softmax_rows_backward(
 /// # Panics
 ///
 /// Panics if slice lengths disagree with `rows`/`cols`.
-#[allow(clippy::too_many_arguments)] // flat slice API; the Tensor wrapper is the ergonomic entry
+#[expect(
+    clippy::too_many_arguments,
+    reason = "flat slice API; the Tensor wrapper is the ergonomic entry"
+)]
 pub fn layer_norm(
     backend: Backend,
     rows: usize,
@@ -254,7 +257,10 @@ pub fn layer_norm(
 /// # Panics
 ///
 /// Panics if slice lengths disagree with `rows`/`cols`.
-#[allow(clippy::too_many_arguments)] // flat slice API; the Tensor wrapper is the ergonomic entry
+#[expect(
+    clippy::too_many_arguments,
+    reason = "flat slice API; the Tensor wrapper is the ergonomic entry"
+)]
 pub fn layer_norm_backward(
     backend: Backend,
     rows: usize,

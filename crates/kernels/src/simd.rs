@@ -114,10 +114,12 @@ pub(crate) trait Body {
 pub(crate) fn run<B: Body>(simd: Simd, body: B, a: &[f32], b: &[f32], out: &mut [f32]) {
     match simd {
         #[cfg(target_arch = "x86_64")]
+        #[expect(unsafe_code, reason = "a target_feature call behind runtime feature detection")]
         // SAFETY: the Avx512 variant is only constructed by simd_level()
         // after is_x86_feature_detected! found avx512f and fma on this CPU.
         Simd::Avx512 => unsafe { run_avx512(body, a, b, out) },
         #[cfg(target_arch = "x86_64")]
+        #[expect(unsafe_code, reason = "a target_feature call behind runtime feature detection")]
         // SAFETY: the Avx2 variant is only constructed by simd_level()
         // after is_x86_feature_detected! found avx2 and fma on this CPU.
         Simd::Avx2 => unsafe { run_avx2(body, a, b, out) },

@@ -161,7 +161,7 @@ proptest! {
 
 /// `gemm_add`'s contract: [`gemm::gemm`] into a zeroed scratch, then
 /// `out + scratch` per element.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the reference spells gemm_add's flat ABI")]
 fn gemm_then_add(
     ta: bool,
     tb: bool,

@@ -15,6 +15,12 @@
 //! measures every case in sequence, so no other test's allocations land in
 //! its window.
 
+#![expect(
+    unsafe_code,
+    reason = "the counting global allocator: `GlobalAlloc` is an unsafe trait and each method \
+              forwards to `System`"
+)]
+
 use mt_kernels::gemm::{gemm_add, gemm_stats, kind_label};
 use mt_kernels::Backend;
 use std::alloc::{GlobalAlloc, Layout, System};

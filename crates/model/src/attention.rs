@@ -219,7 +219,7 @@ pub fn attention_backward_replaying(
     backward(p, rng, q, k, v, None, dctx, "attention_backward_replaying")
 }
 
-#[allow(clippy::too_many_arguments)] // private body of two public spellings
+#[expect(clippy::too_many_arguments, reason = "private body of two public spellings")]
 fn backward(
     p: &AttnParams,
     rng: &CounterRng,

@@ -19,6 +19,10 @@
 //! `backward_unit`, is the one walk of a microbatch through the model:
 //! [`Gpt::loss_and_grads`] is its one-stage case.
 
+// A panic on the pipeline path states its invariant: `.expect("…")`,
+// never a bare unwrap.
+#![deny(clippy::unwrap_used)]
+
 use crate::config::TransformerConfig;
 use crate::gpt::{
     all_reduce_sp_embedding_grads, embed_backward, embed_forward, head_backward, head_forward, Gpt,

@@ -451,7 +451,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_borrows_for_generic_args)] // the by-reference call is the point
+    #[expect(
+        clippy::needless_borrows_for_generic_args,
+        reason = "the by-reference call is the point"
+    )]
     fn step_accepts_mode_by_value_and_by_reference() {
         let c = cfg();
         let mut a = Trainer::new(Gpt::init(c, Recompute::None, 5), TrainerConfig::default());

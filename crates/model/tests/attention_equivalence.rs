@@ -15,6 +15,12 @@
 //! head shards with an offset, dropout off/light/heavy, serial and 1–4
 //! kernel threads.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a std lock serializes the tests over the process-wide kernel backend; no checked \
+              code runs behind it"
+)]
+
 use mt_kernels::attention::BLOCK;
 use mt_kernels::gemm;
 use mt_kernels::{default_backend, set_default_backend, Backend};

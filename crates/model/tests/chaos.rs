@@ -3,6 +3,11 @@
 //! bit-identically to a fault-free run — is `mt-elastic`'s job and is
 //! tested there.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "an injected failure must surface within a wall-clock bound, not hang"
+)]
+
 use mt_collectives::{CollectiveError, World};
 use mt_fault::FaultPlan;
 use mt_memory::Recompute;

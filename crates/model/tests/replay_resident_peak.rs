@@ -50,6 +50,17 @@
 //! apart from one of libtest's: counting those too read 24 B short of the
 //! exact kept bytes in 1 of 20 release runs.
 
+#![expect(
+    unsafe_code,
+    reason = "the counting global allocator: `GlobalAlloc` is an unsafe trait and each method \
+              forwards to `System`"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a std lock serializes the tests over the process-wide kernel backend; no checked \
+              code runs behind it"
+)]
+
 use mt_collectives::run_grid;
 use mt_kernels::{default_backend, set_default_backend, Backend};
 use mt_memory::Recompute;

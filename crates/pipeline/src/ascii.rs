@@ -33,7 +33,7 @@ pub fn render_timeline(events: &[TraceEvent], width: usize) -> String {
     for e in events {
         let (c0, c1) = (col(e.start_ms), col(e.end_ms).max(col(e.start_ms)));
         let digit = char::from_digit((e.micro % 10) as u32, 10).expect("mod 10");
-        #[allow(clippy::needless_range_loop)] // c spans a column range, not a full slice
+        #[expect(clippy::needless_range_loop, reason = "c spans a column range, not a full slice")]
         for c in c0..=c1 {
             rows[e.stage][c] = if e.forward {
                 digit

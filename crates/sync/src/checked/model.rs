@@ -133,7 +133,8 @@ where
     // expected events (violations capture them with their schedule), so the
     // default print-with-backtrace would only flood the output. The message
     // is recorded instead and folded into the violation text.
-    struct RestoreHook(Option<Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>>);
+    type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
+    struct RestoreHook(Option<PanicHook>);
     impl Drop for RestoreHook {
         fn drop(&mut self) {
             if let Some(hook) = self.0.take() {

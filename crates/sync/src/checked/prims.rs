@@ -61,6 +61,10 @@ fn bounded_real_acquire<G>(mut acquire: impl FnMut() -> Option<G>, block: impl F
     if matches!(runtime::mode(), Mode::Unmanaged) {
         return block();
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounded spin acquiring a lock a condemned thread may hold; abort path only"
+    )]
     let start = std::time::Instant::now();
     while start.elapsed() < CONDEMNED_LOCK_SPIN {
         if let Some(g) = acquire() {

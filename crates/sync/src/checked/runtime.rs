@@ -284,6 +284,11 @@ pub(crate) fn now_ns() -> u64 {
         Some(rt) => rt.clock_ns(),
         None => {
             static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "real-time fallback epoch for unmanaged (non-model) builds of the \
+                          checked personality"
+            )]
             let epoch = *EPOCH.get_or_init(std::time::Instant::now);
             epoch.elapsed().as_nanos() as u64
         }
@@ -563,6 +568,10 @@ impl Runtime {
         mut st: std::sync::MutexGuard<'a, State>,
     ) -> std::sync::MutexGuard<'a, State> {
         self.cv.notify_all();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "drain backstop after an aborted execution; process exits if it trips"
+        )]
         let wall = std::time::Instant::now();
         loop {
             if st.threads.iter().all(|t| matches!(t.status, Status::Finished)) {

@@ -4,7 +4,10 @@
 //! channel / scoped-spawn / `Instant` used by the concurrency layer
 //! (`mt-collectives` rendezvous, `mt-kernels` overlap drivers, `mt-fault`
 //! plans) is imported from here instead of from `parking_lot` / `crossbeam` /
-//! `std::sync` directly (the `raw-sync-primitive` lint enforces this).
+//! `std::sync` directly: clippy's `disallowed_types` / `disallowed_methods`
+//! (root `clippy.toml`) refuse the blocking `std::sync` names elsewhere, and
+//! `tests/facade_dependency.rs` keeps `parking_lot` / `crossbeam` out of
+//! every other member's manifest.
 //!
 //! Two personalities, selected at compile time:
 //!
@@ -32,6 +35,11 @@
 //! own unit tests — only the runtime that drives real threads is gated.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the facade itself: it wraps (or, in real builds, re-exports) the std primitives \
+              every other crate must reach through it"
+)]
 
 pub mod explore;
 pub mod vc;

@@ -4,6 +4,10 @@
 //! `cargo test` sees an empty test binary.
 
 #![cfg(mt_check)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "checks that virtual sleeps cost no wall time by reading the wall clock"
+)]
 
 use mt_sync::{channel, model, thread, Condvar, ModelOpts, Mutex, OnceCell};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -29,7 +29,10 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> CrossEntropyOutput {
     assert_eq!(targets.len(), n, "cross_entropy: target count mismatch");
     let mut dlogits = logits.clone();
     let mut loss = 0.0_f64;
-    #[allow(clippy::needless_range_loop)] // r indexes the logits rows and `targets` jointly
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "r indexes the logits rows and `targets` jointly"
+    )]
     for r in 0..n {
         let t = targets[r];
         assert!(t < v, "cross_entropy: target {t} out of range (vocab {v})");

@@ -19,6 +19,11 @@
 //! [`install`] a tracer for a scope and [`current`] returns it (or a
 //! disabled tracer when none is installed).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned nondeterministic crate: its clock is what other crates time through"
+)]
+
 mod export_impl;
 mod metrics;
 mod tracer;

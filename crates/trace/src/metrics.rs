@@ -1,5 +1,11 @@
 //! The typed metrics registry.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "metrics-registry locking for the sanctioned observability crate; never interleaves \
+              with checked state"
+)]
+
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -162,7 +168,10 @@ impl Deserialize for Histogram {
 
 /// A single published metric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[allow(clippy::large_enum_variant)] // Copy is the registry contract; boxing the buckets would break it
+#[expect(
+    clippy::large_enum_variant,
+    reason = "Copy is the registry contract; boxing the buckets would break it"
+)]
 pub enum Metric {
     /// Monotonically increasing count (calls, bytes moved).
     Counter(u64),

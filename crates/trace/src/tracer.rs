@@ -1,5 +1,11 @@
 //! The span/event recorder.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "span-buffer locking and the monotonic-origin cell of the sanctioned observability \
+              crate; outside the checked concurrency layer, never interleaves with checked state"
+)]
+
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -325,8 +331,8 @@ impl Drop for InstalledTracer {
 /// Microseconds elapsed since the first call in this process, from a single
 /// shared monotonic origin. Durations computed from two readings are
 /// comparable across threads, which plain per-call `Instant`s would not be.
-/// This is the sanctioned clock for crates whose own use of `Instant` is
-/// denied by the `wall-clock` lint.
+/// This is the sanctioned clock for crates whose own `Instant::now` clippy's
+/// `disallowed_methods` refuses.
 pub fn monotonic_us() -> u64 {
     use std::sync::OnceLock;
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
